@@ -5,14 +5,10 @@
 //! comparison, extended with the AMRIC-style data-reduction lever.
 //!
 //! Results persist in the append-only store at
-//! `results/store/backend_compare/` (the old `results/backend_compare.json`
-//! blob is readable via `amrproxy::store::read_legacy_blob`); re-running
-//! the bench resumes every already-persisted cell instead of
-//! re-executing it.
+//! `results/store/backend_compare/`; re-running the bench resumes every
+//! already-persisted cell instead of re-executing it.
 
-use amrproxy::spec::ExperimentSpec;
-use amrproxy::store::{run_spec, ResultsStore};
-use amrproxy::{CastroSedovConfig, Engine};
+use amrproxy::{run_spec, CastroSedovConfig, Engine, ExperimentSpec, ResultsStore};
 use bench::{banner, human_bytes};
 use io_engine::{BackendSpec, CodecSpec};
 use iosim::StorageModel;

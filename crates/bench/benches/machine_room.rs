@@ -3,14 +3,13 @@
 //!
 //! Each run appends one row to the append-only store at
 //! `results/store/machine_room/` — the store accumulates a history of
-//! bench runs instead of overwriting one blob (old
-//! `results/machine_room.json` artifacts load via
-//! `amrproxy::store::read_legacy_blob`) — and still writes
-//! `BENCH_campaign.json` at the repo root (the CI-facing benchmark
-//! contract for this subsystem).
+//! bench runs instead of overwriting one blob. The tracked numbers for
+//! this subsystem come from `amrbench`'s `machine_room` workload.
 
-use amrproxy::store::ResultsStore;
-use amrproxy::{run_campaign_fabric, run_campaign_timed_serial, CastroSedovConfig, Engine};
+use amrproxy::{
+    run_campaign_fabric, run_campaign_timed_serial, CastroSedovConfig, Engine, FabricSettings,
+    ResultsStore,
+};
 use bench::banner;
 use iosim::StorageModel;
 use serde::Serialize;
@@ -65,7 +64,7 @@ fn main() {
             (0..n).map(|i| sedov(&format!("sedov_t{i}"))).collect();
         steps += configs.iter().map(|c| c.max_step).sum::<u64>();
         runs += n;
-        let summaries = run_campaign_fabric(&configs, &storage, None, &[]);
+        let summaries = run_campaign_fabric(&configs, &storage, &FabricSettings::default());
         if n == 1 {
             assert_eq!(
                 summaries[0].wall_time, solo.wall_time,
@@ -110,38 +109,4 @@ fn main() {
         store.len(),
         store.query().mean("campaign_steps_per_sec")
     );
-
-    // The repo-root benchmark contract for the machine-room subsystem.
-    // Merged, not overwritten: the example and the spec-campaign smoke
-    // own other columns of the same artifact (encode_mbps,
-    // spec_parallel_speedup, ...) and a plain write would drop them.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    amrproxy::store::update_bench_artifact(
-        root,
-        &[
-            ("campaign_runs", serde_json::to_value(&result.campaign_runs)),
-            (
-                "campaign_wall_seconds",
-                serde_json::to_value(&result.campaign_wall_seconds),
-            ),
-            (
-                "campaign_steps_per_sec",
-                serde_json::to_value(&result.campaign_steps_per_sec),
-            ),
-            (
-                "solo_wall_seconds",
-                serde_json::to_value(&result.solo_wall_seconds),
-            ),
-            (
-                "four_tenant_wall_seconds",
-                serde_json::to_value(&result.four_tenant_wall_seconds),
-            ),
-            (
-                "four_tenant_slowdown",
-                serde_json::to_value(&result.four_tenant_slowdown),
-            ),
-        ],
-    )
-    .expect("update BENCH_campaign.json");
-    println!("[artifact] {root}");
 }

@@ -1,8 +1,9 @@
 //! Shared plumbing for the figure/table regeneration benches.
 //!
 //! Every bench prints a human-readable table to stdout (the series the
-//! paper plots) and writes a JSON artifact under `results/` so
-//! EXPERIMENTS.md can cite exact numbers.
+//! paper plots) and writes a JSON artifact under `results/` for the
+//! reader. Tracked performance numbers come from `amrbench`
+//! (`amrbench/README.md`), not from these artifacts.
 //!
 //! **Layer position:** top of the workspace, next to `core` — the
 //! benches under `benches/` drive every lower layer to regenerate the

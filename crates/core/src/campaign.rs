@@ -9,7 +9,6 @@ use crate::config::{CastroSedovConfig, Engine};
 use crate::run::{run_simulation, run_simulation_attached, RunResult};
 use amr_mesh::GridParams;
 use hydro::TimestepControl;
-use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -334,135 +333,25 @@ pub fn table3_campaign() -> Vec<CastroSedovConfig> {
     runs
 }
 
-/// Expands a set of configurations across a backend axis: every `(run,
-/// backend)` pair becomes one scenario, with the backend name suffixed to
-/// the run label. This is the scenario-matrix product the backend sweeps
-/// (example `backend_sweep`, bench `backend_compare`) build on.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`] —
-/// prefer declaring the axis on a spec directly (you also get excludes,
-/// zips, collision-checked labels, and store resume). Property-tested
-/// byte-identical to the original hand-written enumeration.
-pub fn backend_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("backend_sweep", configs)
-        .backends(backends)
-        .compile_configs()
-        .expect("backend_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec plane:
-/// every `(run, backend, codec)` triple becomes one scenario. This is the
-/// compression-axis generalization of [`backend_sweep`] — the identity
-/// codec column reproduces `backend_sweep` exactly, non-identity columns
-/// add the data-reduction lever (AMRIC-style) on top of each layout.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`];
-/// prefer declaring the axes on a spec directly.
-pub fn backend_codec_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("backend_codec_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .compile_configs()
-        .expect("backend_codec_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec ×
-/// {write, restart} cube: every [`backend_codec_sweep`] scenario appears
-/// once write-only and once with a read-after-write restart phase
-/// (suffix `_restart`). This is the read-plane generalization of the
-/// sweep — the write half reproduces `backend_codec_sweep` exactly, the
-/// restart half additionally prices recovery reads.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `mode` axis; prefer declaring the axes on a spec directly.
-pub fn restart_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("restart_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .modes(&[crate::spec::RunMode::Write, crate::spec::RunMode::Restart])
-        .compile_configs()
-        .expect("restart_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec ×
-/// {raw, reorganized} × read-pattern cube: every [`backend_codec_sweep`]
-/// scenario appears once per read pattern on the raw written layout
-/// (suffix `_raw`) and once served from the reorganized layout (suffix
-/// `_reorg`). This is the analysis-read generalization of the sweep
-/// family — it makes "how much does online layout reorganization buy
-/// each read pattern" (Wan et al.) a priced campaign question: the
-/// summaries carry selective-read physical bytes and wall for both
-/// layouts, plus the reorganization cost the savings must amortize.
-///
-/// Pattern spellings flatten to name-safe tokens (`level:1` ->
-/// `level1`, `box:0-1,2-5` -> `box0to1_2to5`); lossy collisions are
-/// index-disambiguated (`io_engine::grammar::disambiguate_tags`).
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `pattern` and `layout` axes; prefer declaring the axes on a spec
-/// directly.
-pub fn analysis_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-    patterns: &[ReadSelection],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("analysis_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .patterns(patterns)
-        .layouts(&[crate::spec::Layout::Raw, crate::spec::Layout::Reorg])
-        .compile_configs()
-        .expect("analysis_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across a scenario axis: every
-/// `(run, scenario)` pair becomes one configuration with the scenario's
-/// spelling flattened into the run label. This is the scenario-plane
-/// generalization of the sweep family — one base run crossed with, say,
-/// `write`, `write;check@4;fail@10;restart`, and
-/// `write;analyze_every:2:level:1` prices what failures, checkpoint
-/// cadence, and in-run analysis each cost on the same workload.
-///
-/// Scenario spellings flatten to name-safe tokens (`write;check@4` ->
-/// `write_check4`); lossy collisions are index-disambiguated.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `scenario` axis; prefer declaring the axis on a spec directly.
-pub fn scenario_sweep(
-    configs: &[CastroSedovConfig],
-    scenarios: &[Scenario],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("scenario_sweep", configs)
-        .scenarios(scenarios)
-        .compile_configs()
-        .expect("scenario_sweep: base run labels collide")
-}
-
 /// Runs a set of configurations in parallel (the rayon stand-in fans
 /// the work across threads), returning summaries in the input order.
-/// Deterministic: identical to [`run_campaign_serial`] on the same
+/// With a `storage` model every run is timed against it, so summaries
+/// carry comparable wall-clock times (the backend axis's dependent
+/// variable); without one, walls are zero. Deterministic: identical to
+/// [`run_campaign_serial`] / [`run_campaign_timed_serial`] on the same
 /// configs, pinned by a test.
-pub fn run_campaign(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
+pub fn run_campaign(
+    configs: &[CastroSedovConfig],
+    storage: Option<&iosim::StorageModel>,
+) -> Vec<RunSummary> {
     configs
         .par_iter()
-        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, None)))
+        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, storage)))
         .collect()
 }
 
-/// Sequential reference implementation of [`run_campaign`] (debugging,
-/// and the determinism oracle for the parallel path).
+/// Sequential reference implementation of untimed [`run_campaign`]
+/// (debugging, and the determinism oracle for the parallel path).
 pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
     configs
         .iter()
@@ -470,18 +359,80 @@ pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
         .collect()
 }
 
-/// Like [`run_campaign`] but timing every run against `storage`, so
-/// summaries carry comparable wall-clock times (the backend axis's
-/// dependent variable). Parallel over configs with deterministic,
-/// input-ordered results.
-pub fn run_campaign_timed(
+/// Sequential reference implementation of timed [`run_campaign`].
+pub fn run_campaign_timed_serial(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
 ) -> Vec<RunSummary> {
     configs
-        .par_iter()
+        .iter()
         .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, Some(storage))))
         .collect()
+}
+
+/// The settings of [`run_campaign_fabric`]. The default is a plain
+/// machine room: unbounded staging, fair QoS, no shared interconnect,
+/// and a solo shadow replayed cold.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FabricSettings<'a> {
+    /// Bounds a shared burst-buffer pool for deferred-backend tenants
+    /// (`None` = unbounded).
+    pub staging_bytes: Option<u64>,
+    /// Per-tenant policies, assigned positionally; missing entries get
+    /// the fair default.
+    pub qos: &'a [iosim::QosPolicy],
+    /// A shared interconnect: streamed (in-transit) tenants split its
+    /// bandwidth evenly — the network twin of stored tenants sharing
+    /// the servers — while stored tenants never touch it. Without one,
+    /// streamed tenants keep the solo link their own backend spec
+    /// configured.
+    pub link: Option<mpi_sim::NetworkModel>,
+    /// Memoizes the solo shadow under a key: the solo baseline is
+    /// priced once per key across a campaign. On a hit every tenant's
+    /// scheduler gets [`iosim::SoloPricing::Known`] and skips its shadow
+    /// replay; on a miss the replay runs cold and the first tenant's
+    /// solo wall fills the memo. The shadow is a passive observer (a
+    /// private model copy), so pricing mode never perturbs the shared
+    /// simulation — `known_solo_pricing_matches_the_cold_shadow_bit_for_bit`
+    /// in `iosim::schedule` pins that.
+    ///
+    /// This is also the *semantic anchor* for the solo columns: one
+    /// configuration has one solo baseline, taken from the first cell
+    /// that prices it. Re-deriving it per tenancy rung reproduces the
+    /// same number only to within an ulp (the shared clock's magnitude
+    /// leaks into the float rounding of the replayed compute deltas),
+    /// so the spec executors — serial and parallel alike — route every
+    /// tenancy cell through a memo to keep their outputs bit-identical.
+    pub memo: Option<(&'a iosim::SoloMemo, &'a str)>,
+}
+
+/// Serves the solo shadow of one fabric run's tenants from `memo` when
+/// it already holds the key (see [`FabricSettings::memo`]). On a miss
+/// the memo comes back for the caller to fill from the first tenant's
+/// sealed solo wall.
+fn price_solo<'m>(
+    memo: Option<(&'m iosim::SoloMemo, &'m str)>,
+    handles: &mut [iosim::FabricHandle],
+) -> Option<(&'m iosim::SoloMemo, &'m str)> {
+    let (solo_memo, key) = memo?;
+    let Some(wall) = solo_memo.get(key) else {
+        return memo;
+    };
+    for handle in handles {
+        handle.set_solo_pricing(iosim::SoloPricing::Known(wall));
+    }
+    None
+}
+
+/// Overlays the shared-fabric columns on a tenant's summary.
+fn stamp_tenancy(summary: &mut RunSummary, stats: &iosim::TenantStats, tenants: usize) {
+    summary.tenant = stats.tenant;
+    summary.tenants = tenants;
+    summary.solo_wall = stats.solo_wall;
+    summary.slowdown = stats.slowdown();
+    summary.contention_stall = stats.contention_stall;
+    summary.throttle_stall = stats.throttle_stall;
+    summary.staging_wait = stats.staging_wait;
 }
 
 /// Runs a set of configurations *concurrently* against one shared
@@ -494,10 +445,6 @@ pub fn run_campaign_timed(
 /// traffic (`contention_stall`) and the tenant's own QoS cap
 /// (`throttle_stall`).
 ///
-/// `qos` assigns per-tenant policies positionally; missing entries get
-/// the fair default. `staging_bytes` bounds a shared burst-buffer pool
-/// for deferred-backend tenants (`None` = unbounded).
-///
 /// Tenants run on `std::thread::scope` natives rather than rayon
 /// tasks: a tenant blocks inside the shared event engine while other
 /// tenants make progress, and parking a rayon worker on that condvar
@@ -505,108 +452,30 @@ pub fn run_campaign_timed(
 pub fn run_campaign_fabric(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
-    staging_bytes: Option<u64>,
-    qos: &[iosim::QosPolicy],
-) -> Vec<RunSummary> {
-    run_campaign_fabric_linked(configs, storage, staging_bytes, qos, None)
-}
-
-/// [`run_campaign_fabric`] with a shared interconnect: streamed
-/// (in-transit) tenants split `link`'s bandwidth evenly — the network
-/// twin of stored tenants sharing the servers — while stored tenants
-/// never touch it. Without a link, streamed tenants keep the solo link
-/// their own backend spec configured.
-pub fn run_campaign_fabric_linked(
-    configs: &[CastroSedovConfig],
-    storage: &iosim::StorageModel,
-    staging_bytes: Option<u64>,
-    qos: &[iosim::QosPolicy],
-    link: Option<mpi_sim::NetworkModel>,
+    settings: &FabricSettings<'_>,
 ) -> Vec<RunSummary> {
     if configs.is_empty() {
         return Vec::new();
     }
     let mut fabric = iosim::Fabric::new(*storage);
-    if let Some(bytes) = staging_bytes {
+    if let Some(bytes) = settings.staging_bytes {
         fabric = fabric.with_staging(bytes);
     }
-    if let Some(net) = link {
+    if let Some(net) = settings.link {
         fabric = fabric.with_link(net);
         fabric.set_stream_tenants(configs.iter().filter(|c| c.backend.in_transit()).count());
     }
     // Register every tenant before the first burst (the fabric's
     // conservative clock needs the full quorum up front).
-    let handles: Vec<iosim::FabricHandle> = configs
+    let mut handles: Vec<iosim::FabricHandle> = configs
         .iter()
         .enumerate()
-        .map(|(i, cfg)| fabric.tenant_with(&cfg.name, qos.get(i).copied().unwrap_or_default()))
+        .map(|(i, cfg)| {
+            let qos = settings.qos.get(i).copied().unwrap_or_default();
+            fabric.tenant_with(&cfg.name, qos)
+        })
         .collect();
-    let mut summaries: Vec<RunSummary> = std::thread::scope(|s| {
-        let joins: Vec<_> = configs
-            .iter()
-            .zip(handles)
-            .map(|(cfg, handle)| {
-                s.spawn(move || {
-                    RunSummary::from_result(&run_simulation_attached(
-                        cfg,
-                        None,
-                        iosim::StorageAttach::Fabric(handle),
-                    ))
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("fabric tenant run panicked"))
-            .collect()
-    });
-    for (summary, stats) in summaries.iter_mut().zip(fabric.tenant_stats()) {
-        summary.tenant = stats.tenant;
-        summary.tenants = configs.len();
-        summary.solo_wall = stats.solo_wall;
-        summary.slowdown = stats.slowdown();
-        summary.contention_stall = stats.contention_stall;
-        summary.throttle_stall = stats.throttle_stall;
-        summary.staging_wait = stats.staging_wait;
-    }
-    summaries
-}
-
-/// [`run_campaign_fabric`] with a memoized solo shadow: the fleet still
-/// runs one native thread per tenant on one shared fabric, but the solo
-/// baseline is priced once per `solo_key` across a campaign. On a memo
-/// hit every tenant's scheduler gets [`iosim::SoloPricing::Known`] and
-/// skips its shadow replay; on a miss the replay runs cold and the
-/// first tenant's solo wall fills the memo. The shadow is a passive
-/// observer (a private model copy), so pricing mode never perturbs the
-/// shared simulation — `known_solo_pricing_matches_the_cold_shadow_bit_for_bit`
-/// in `iosim::schedule` pins that.
-///
-/// This is also the *semantic anchor* for the solo columns: one
-/// configuration has one solo baseline, taken from the first cell that
-/// prices it. Re-deriving it per tenancy rung reproduces the same
-/// number only to within an ulp (the shared clock's magnitude leaks
-/// into the float rounding of the replayed compute deltas), so the
-/// spec executors — serial and parallel alike — route every tenancy
-/// cell through a memo to keep their outputs bit-identical.
-pub fn run_campaign_fabric_memoized(
-    configs: &[CastroSedovConfig],
-    storage: &iosim::StorageModel,
-    memo: &iosim::SoloMemo,
-    solo_key: &str,
-) -> Vec<RunSummary> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let fabric = iosim::Fabric::new(*storage);
-    let mut handles: Vec<iosim::FabricHandle> =
-        configs.iter().map(|cfg| fabric.tenant(&cfg.name)).collect();
-    let hit = memo.get(solo_key);
-    if let Some(wall) = hit {
-        for handle in handles.iter_mut() {
-            handle.set_solo_pricing(iosim::SoloPricing::Known(wall));
-        }
-    }
+    let unfilled = price_solo(settings.memo, &mut handles);
     let mut summaries: Vec<RunSummary> = std::thread::scope(|s| {
         let joins: Vec<_> = configs
             .iter()
@@ -627,17 +496,11 @@ pub fn run_campaign_fabric_memoized(
             .collect()
     });
     let stats = fabric.tenant_stats();
-    if hit.is_none() {
-        memo.fill(solo_key, stats[0].solo_wall);
+    if let Some((memo, key)) = unfilled {
+        memo.fill(key, stats[0].solo_wall);
     }
-    for (summary, stats) in summaries.iter_mut().zip(stats) {
-        summary.tenant = stats.tenant;
-        summary.tenants = configs.len();
-        summary.solo_wall = stats.solo_wall;
-        summary.slowdown = stats.slowdown();
-        summary.contention_stall = stats.contention_stall;
-        summary.throttle_stall = stats.throttle_stall;
-        summary.staging_wait = stats.staging_wait;
+    for (summary, stats) in summaries.iter_mut().zip(&stats) {
+        stamp_tenancy(summary, stats, configs.len());
     }
     summaries
 }
@@ -655,9 +518,8 @@ pub fn run_campaign_fabric_memoized(
 /// [`run_campaign_fabric`].
 ///
 /// `memo` optionally memoizes the solo shadow replay under `solo_key`
-/// (the cell's label/tenancy-independent config key): a hit hands the
-/// scheduler the known wall ([`iosim::SoloPricing::Known`]) and skips
-/// the replay; a miss runs the exact replay and fills the memo.
+/// (the cell's label/tenancy-independent config key), exactly as
+/// [`FabricSettings::memo`] does for the fleet.
 ///
 /// # Panics
 /// Panics if `configs` are not identical modulo `name` — the caller
@@ -681,13 +543,7 @@ pub fn run_campaign_fabric_cloned(
     let fabric = iosim::Fabric::new(*storage);
     let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
     let mut group = fabric.tenant_clones(&names);
-    let mut memo_hit = false;
-    if let Some((memo, solo_key)) = memo {
-        if let Some(wall) = memo.get(solo_key) {
-            group.set_solo_pricing(iosim::SoloPricing::Known(wall));
-            memo_hit = true;
-        }
-    }
+    let unfilled = price_solo(memo, std::slice::from_mut(&mut group));
     // One real application run; the mirror slots' traffic and stats are
     // synthesized inside the engine. No threads: with every mirror seat
     // permanently parked, the lone real tenant always holds the quorum
@@ -698,43 +554,52 @@ pub fn run_campaign_fabric_cloned(
         iosim::StorageAttach::Fabric(group),
     ));
     let stats = fabric.tenant_stats();
-    if !memo_hit {
-        if let Some((memo, solo_key)) = memo {
-            memo.fill(solo_key, stats[0].solo_wall);
-        }
+    if let Some((memo, key)) = unfilled {
+        memo.fill(key, stats[0].solo_wall);
     }
     configs
         .iter()
-        .zip(stats)
+        .zip(&stats)
         .map(|(cfg, st)| {
             let mut summary = real.clone();
             summary.name.clone_from(&cfg.name);
-            summary.tenant = st.tenant;
-            summary.tenants = configs.len();
-            summary.solo_wall = st.solo_wall;
-            summary.slowdown = st.slowdown();
-            summary.contention_stall = st.contention_stall;
-            summary.throttle_stall = st.throttle_stall;
-            summary.staging_wait = st.staging_wait;
+            stamp_tenancy(&mut summary, st, configs.len());
             summary
         })
-        .collect()
-}
-
-/// Sequential reference implementation of [`run_campaign_timed`].
-pub fn run_campaign_timed_serial(
-    configs: &[CastroSedovConfig],
-    storage: &iosim::StorageModel,
-) -> Vec<RunSummary> {
-    configs
-        .iter()
-        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, Some(storage))))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ExperimentSpec, Layout, RunMode};
+    use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
+
+    /// A 64^2 four-rank oracle run with enough modelled compute for
+    /// walls to be comparable across the axes.
+    fn sedov64(name: &str, max_step: u64, plot_int: u64) -> CastroSedovConfig {
+        CastroSedovConfig {
+            name: name.into(),
+            engine: Engine::Oracle,
+            n_cell: 64,
+            max_step,
+            plot_int,
+            nprocs: 4,
+            account_only: true,
+            compute_ns_per_cell: 40_000.0,
+            ..Default::default()
+        }
+    }
+
+    /// The declared matrix over `bases`, compiled to its configurations.
+    fn matrix_of(
+        bases: &[CastroSedovConfig],
+        axes: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
+    ) -> Vec<CastroSedovConfig> {
+        axes(ExperimentSpec::over("matrix", bases))
+            .compile_configs()
+            .expect("base run labels are distinct")
+    }
 
     #[test]
     fn campaign_has_exactly_47_runs() {
@@ -787,7 +652,7 @@ mod tests {
             BackendSpec::Aggregated(4),
             BackendSpec::Deferred(1),
         ];
-        let matrix = backend_sweep(&base, &backends);
+        let matrix = matrix_of(&base, |s| s.backends(&backends));
         assert_eq!(matrix.len(), 6);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -818,7 +683,11 @@ mod tests {
         };
         let storage = iosim::StorageModel::ideal(2, 5e7);
         let link = mpi_sim::NetworkModel::ideal(100e6);
-        let summaries = run_campaign_fabric_linked(&[cfg], &storage, None, &[], Some(link));
+        let settings = FabricSettings {
+            link: Some(link),
+            ..Default::default()
+        };
+        let summaries = run_campaign_fabric(&[cfg], &storage, &settings);
         let s = &summaries[0];
         assert!(s.net_bytes > 0, "the run streamed");
         assert!(s.net_wall > 0.0);
@@ -829,27 +698,16 @@ mod tests {
 
     #[test]
     fn backend_axis_preserves_byte_totals_and_orders_wall_clock() {
-        let base = CastroSedovConfig {
-            name: "axis".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 8,
-            plot_int: 2,
-            nprocs: 4,
-            account_only: true,
-            compute_ns_per_cell: 40_000.0,
-            ..Default::default()
-        };
-        let matrix = backend_sweep(
-            &[base],
-            &[
+        let base = sedov64("axis", 8, 2);
+        let matrix = matrix_of(&[base], |s| {
+            s.backends(&[
                 BackendSpec::FilePerProcess,
                 BackendSpec::Aggregated(4),
                 BackendSpec::Deferred(1),
-            ],
-        );
+            ])
+        });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         // The workload's byte accounting is backend-invariant.
         assert_eq!(summaries[0].total_bytes, summaries[1].total_bytes);
         assert_eq!(summaries[0].total_bytes, summaries[2].total_bytes);
@@ -876,18 +734,17 @@ mod tests {
             CodecSpec::Rle(2.0),
             CodecSpec::LossyQuant(8),
         ];
-        let matrix = backend_codec_sweep(&base, &backends, &codecs);
+        let matrix = matrix_of(&base, |s| s.backends(&backends).codecs(&codecs));
         assert_eq!(matrix.len(), 9);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 9, "scenario names stay unique");
         // Fractional codec parameters stay distinguishable in names.
-        let tricky = backend_codec_sweep(
-            &base,
-            &[BackendSpec::FilePerProcess],
-            &[CodecSpec::Rle(2.1), CodecSpec::Rle(21.0)],
-        );
+        let tricky = matrix_of(&base, |s| {
+            s.backends(&[BackendSpec::FilePerProcess])
+                .codecs(&[CodecSpec::Rle(2.1), CodecSpec::Rle(21.0)])
+        });
         assert_ne!(tricky[0].name, tricky[1].name, "{:?}", tricky[0].name);
         assert!(matrix.iter().any(
             |c| c.backend == BackendSpec::Aggregated(4) && c.codec == CodecSpec::LossyQuant(8)
@@ -900,32 +757,21 @@ mod tests {
     fn codec_axis_reduces_physical_bytes_and_wall_clock() {
         // The acceptance slice: 3 backends x 3 codecs on the Sedov case,
         // reporting physical bytes, logical bytes, and wall-clock.
-        let base = CastroSedovConfig {
-            name: "sedov".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 8,
-            plot_int: 2,
-            nprocs: 4,
-            account_only: true,
-            compute_ns_per_cell: 40_000.0,
-            ..Default::default()
-        };
-        let matrix = backend_codec_sweep(
-            &[base],
-            &[
+        let base = sedov64("sedov", 8, 2);
+        let matrix = matrix_of(&[base], |s| {
+            s.backends(&[
                 BackendSpec::FilePerProcess,
                 BackendSpec::Aggregated(4),
                 BackendSpec::Deferred(1),
-            ],
-            &[
+            ])
+            .codecs(&[
                 CodecSpec::Identity,
                 CodecSpec::Rle(2.0),
                 CodecSpec::LossyQuant(8),
-            ],
-        );
+            ])
+        });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         assert_eq!(summaries.len(), 9);
         // Logical accounting is invariant across the whole matrix, and
         // physical payload bytes (net of declared bookkeeping) never
@@ -988,7 +834,11 @@ mod tests {
             CodecSpec::Rle(2.0),
             CodecSpec::LossyQuant(8),
         ];
-        let matrix = restart_sweep(&base, &backends, &codecs);
+        let matrix = matrix_of(&base, |s| {
+            s.backends(&backends)
+                .codecs(&codecs)
+                .modes(&[RunMode::Write, RunMode::Restart])
+        });
         assert_eq!(matrix.len(), 18, "3 backends x 3 codecs x 2 modes");
         assert_eq!(matrix.iter().filter(|c| c.read_after_write).count(), 9);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
@@ -1002,24 +852,14 @@ mod tests {
 
     #[test]
     fn restart_axis_prices_recovery_reads() {
-        let base = CastroSedovConfig {
-            name: "rst".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 6,
-            plot_int: 2,
-            nprocs: 4,
-            account_only: true,
-            compute_ns_per_cell: 40_000.0,
-            ..Default::default()
-        };
-        let matrix = restart_sweep(
-            &[base],
-            &[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)],
-            &[CodecSpec::Identity, CodecSpec::LossyQuant(8)],
-        );
+        let base = sedov64("rst", 6, 2);
+        let matrix = matrix_of(&[base], |s| {
+            s.backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)])
+                .codecs(&[CodecSpec::Identity, CodecSpec::LossyQuant(8)])
+                .modes(&[RunMode::Write, RunMode::Restart])
+        });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         for s in &summaries {
             if s.restart {
                 assert!(s.read_bytes > 0, "{}", s.name);
@@ -1075,7 +915,12 @@ mod tests {
             ReadSelection::Level(1),
             ReadSelection::parse("box:0-1,0-3").unwrap(),
         ];
-        let matrix = analysis_sweep(&base, &backends, &codecs, &patterns);
+        let matrix = matrix_of(&base, |s| {
+            s.backends(&backends)
+                .codecs(&codecs)
+                .patterns(&patterns)
+                .layouts(&[Layout::Raw, Layout::Reorg])
+        });
         assert_eq!(matrix.len(), 2 * 2 * 2 * 2, "b x c x pattern x layout");
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -1093,15 +938,15 @@ mod tests {
 
         // Lossy tag flattening must not collapse distinct patterns into
         // one scenario name: colliding tags are index-disambiguated.
-        let colliding = analysis_sweep(
-            &base,
-            &[BackendSpec::FilePerProcess],
-            &[CodecSpec::Identity],
-            &[
-                ReadSelection::Field("a,b".into()),
-                ReadSelection::Field("a.b".into()),
-            ],
-        );
+        let colliding = matrix_of(&base, |s| {
+            s.backends(&[BackendSpec::FilePerProcess])
+                .codecs(&[CodecSpec::Identity])
+                .patterns(&[
+                    ReadSelection::Field("a,b".into()),
+                    ReadSelection::Field("a.b".into()),
+                ])
+                .layouts(&[Layout::Raw, Layout::Reorg])
+        });
         let mut names: Vec<String> = colliding.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1123,7 +968,7 @@ mod tests {
             reorganize: true,
             ..Default::default()
         };
-        let s = &run_campaign(&[cfg])[0];
+        let s = &run_campaign(&[cfg], None)[0];
         assert!(!s.reorganized);
         assert_eq!(s.read_pattern, "none");
         assert_eq!(s.reorg_wall, 0.0);
@@ -1136,23 +981,13 @@ mod tests {
         // fetches strictly fewer physical bytes and strictly less wall
         // than the same selection on the raw layout — and the logical
         // volume delivered is layout-invariant.
-        let base = CastroSedovConfig {
-            name: "ana".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 6,
-            plot_int: 2,
-            nprocs: 4,
-            account_only: true,
-            compute_ns_per_cell: 40_000.0,
-            ..Default::default()
-        };
-        let matrix = analysis_sweep(
-            &[base],
-            &[BackendSpec::Aggregated(2)],
-            &[CodecSpec::Identity],
-            &[ReadSelection::Level(1)],
-        );
+        let base = sedov64("ana", 6, 2);
+        let matrix = matrix_of(&[base], |s| {
+            s.backends(&[BackendSpec::Aggregated(2)])
+                .codecs(&[CodecSpec::Identity])
+                .patterns(&[ReadSelection::Level(1)])
+                .layouts(&[Layout::Raw, Layout::Reorg])
+        });
         // Bandwidth-bound storage (one server class): wall tracks bytes
         // moved + files opened. On wide stripes the raw layout's scatter
         // can buy parallelism back — the reorg module docs call out that
@@ -1161,7 +996,7 @@ mod tests {
             open_latency: 1e-3,
             ..iosim::StorageModel::ideal(1, 5e7)
         };
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         assert_eq!(summaries.len(), 2);
         let raw = summaries.iter().find(|s| !s.reorganized).unwrap();
         let opt = summaries.iter().find(|s| s.reorganized).unwrap();
@@ -1196,7 +1031,7 @@ mod tests {
             Scenario::parse("write;check@4;fail@10;restart").unwrap(),
             Scenario::in_run_analysis(2, ReadSelection::Level(1)),
         ];
-        let matrix = scenario_sweep(&base, &scenarios);
+        let matrix = matrix_of(&base, |s| s.scenarios(&scenarios));
         assert_eq!(matrix.len(), 3);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -1209,13 +1044,12 @@ mod tests {
             .any(|c| c.name == "m_write_check4_fail10_restart"));
 
         // Lossy tag flattening must not collapse distinct scenarios.
-        let colliding = scenario_sweep(
-            &base,
-            &[
+        let colliding = matrix_of(&base, |s| {
+            s.scenarios(&[
                 Scenario::parse("write;analyze:field:a,b").unwrap(),
                 Scenario::parse("write;analyze:field:a.b").unwrap(),
-            ],
-        );
+            ])
+        });
         let mut names: Vec<String> = colliding.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1225,14 +1059,13 @@ mod tests {
         // *third* scenario whose flattening already looks renamed
         // (field `xy_s1` flattens to exactly what `xy`'s rename
         // produces). The dedup iterates to a fixed point.
-        let adversarial = scenario_sweep(
-            &base,
-            &[
+        let adversarial = matrix_of(&base, |s| {
+            s.scenarios(&[
                 Scenario::parse("write;analyze:field:xy").unwrap(),
                 Scenario::parse("write;analyze:field:x.y").unwrap(),
                 Scenario::parse("write;analyze:field:xy_s1").unwrap(),
-            ],
-        );
+            ])
+        });
         let mut names: Vec<String> = adversarial.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1244,27 +1077,16 @@ mod tests {
         // The tentpole acceptance at campaign level: one base workload
         // crossed with three scenario shapes, each summary carrying the
         // scenario spelling and its per-phase walls.
-        let base = CastroSedovConfig {
-            name: "sc".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 12,
-            plot_int: 4,
-            nprocs: 4,
-            account_only: true,
-            compute_ns_per_cell: 40_000.0,
-            ..Default::default()
-        };
-        let matrix = scenario_sweep(
-            &[base],
-            &[
+        let base = sedov64("sc", 12, 4);
+        let matrix = matrix_of(&[base], |s| {
+            s.scenarios(&[
                 Scenario::write_only(),
                 Scenario::parse("write;check@4;fail@10;restart").unwrap(),
                 Scenario::in_run_analysis(2, ReadSelection::Level(1)),
-            ],
-        );
+            ])
+        });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         let clean = &summaries[0];
         let failed = &summaries[1];
         let insitu = &summaries[2];
@@ -1306,11 +1128,11 @@ mod tests {
             ..Default::default()
         });
         assert!(configs.len() >= 3);
-        let parallel = run_campaign(&configs);
+        let parallel = run_campaign(&configs, None);
         let serial = run_campaign_serial(&configs);
         assert_eq!(parallel, serial);
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let parallel_timed = run_campaign_timed(&configs, &storage);
+        let parallel_timed = run_campaign(&configs, Some(&storage));
         let serial_timed = run_campaign_timed_serial(&configs, &storage);
         assert_eq!(parallel_timed, serial_timed);
         // Order is the input order, not completion order.
@@ -1327,7 +1149,7 @@ mod tests {
             .filter(|c| c.n_cell <= 64)
             .collect();
         assert!(!runs.is_empty());
-        let summaries = run_campaign(&runs);
+        let summaries = run_campaign(&runs, None);
         for s in &summaries {
             assert!(s.total_bytes > 0, "{} wrote nothing", s.name);
             assert!(!s.series.is_empty());

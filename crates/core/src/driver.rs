@@ -11,9 +11,10 @@
 //!    program (`write;fail@17;restart;analyze:level:2,reorg`) to a flat
 //!    list of [`Phase`]s against the run's cadences (`plot_int`,
 //!    `check_int` or a `check@K` override, `max_step`);
-//! 3. a [`run_scenario`] driver that executes the compiled program
-//!    against the backend/scheduler/tracker stack exactly once — there
-//!    is no second copy of the dump/restart/analysis sequencing.
+//! 3. a driver ([`try_run_scenario_attached`]) that executes the
+//!    compiled program against the backend/scheduler/tracker stack
+//!    exactly once — there is no second copy of the
+//!    dump/restart/analysis sequencing.
 //!
 //! Mid-run restart semantics: a `RestartRead` phase reads the newest
 //! restart dump at or before `from_step` back through the backend (a
@@ -553,40 +554,15 @@ fn analysis_read(
 /// Public so custom [`StepSource`] implementations (other hierarchy
 /// generators) can ride the same phase pipeline.
 ///
-/// # Panics
-/// Panics when the config's scenario fails to compile (malformed
-/// program, `fail@` beyond `max_step`) or a phase's I/O fails.
-pub fn run_scenario<S: StepSource>(
-    cfg: &CastroSedovConfig,
-    src: S,
-    fs: &dyn Vfs,
-    storage: Option<&iosim::StorageModel>,
-) -> RunResult {
-    run_scenario_attached(cfg, src, fs, storage.into())
-}
-
-/// [`run_scenario`] with an explicit storage attachment: none, a private
-/// [`iosim::StorageModel`], or one tenant's [`iosim::FabricHandle`] on a
-/// shared [`iosim::Fabric`] — the machine-room path, where this run's
-/// bursts contend with every other tenant's and the scheduler reports
-/// shared vs solo-equivalent walls into the fabric's
-/// [`iosim::TenantStats`] when the run seals.
+/// `storage` is the attachment: none, a private [`iosim::StorageModel`],
+/// or one tenant's [`iosim::FabricHandle`] on a shared [`iosim::Fabric`]
+/// — the machine-room path, where this run's bursts contend with every
+/// other tenant's and the scheduler reports shared vs solo-equivalent
+/// walls into the fabric's [`iosim::TenantStats`] when the run seals.
 ///
-/// # Panics
-/// Panics when the config's scenario fails to compile (malformed
-/// program, `fail@` beyond `max_step`) or a phase's I/O fails.
-pub fn run_scenario_attached<S: StepSource>(
-    cfg: &CastroSedovConfig,
-    src: S,
-    fs: &dyn Vfs,
-    storage: StorageAttach<'_>,
-) -> RunResult {
-    try_run_scenario_attached(cfg, src, fs, storage).unwrap_or_else(|e| panic!("scenario I/O: {e}"))
-}
-
-/// [`run_scenario_attached`], but propagating phase I/O errors instead of
-/// panicking: a scenario that asks a backend for a read it cannot serve
-/// (the typed [`std::io::ErrorKind::Unsupported`] error from
+/// Phase I/O errors propagate instead of panicking: a scenario that
+/// asks a backend for a read it cannot serve (the typed
+/// [`std::io::ErrorKind::Unsupported`] error from
 /// [`io_engine::unsupported_read`], naming the backend and selection)
 /// surfaces as an `Err`, never a panic.
 ///

@@ -1,0 +1,393 @@
+//! The spec executors: [`run_spec`] (parallel) and [`run_spec_serial`]
+//! (the sequential reference) run a compiled [`ExperimentSpec`] against
+//! a [`ResultsStore`], resuming persisted cells.
+//!
+//! Both executors share the resume partition, the cell runner and the
+//! report assembly below; they differ only in *how* the pending cells
+//! are scheduled and how a throughput cell's tenants are priced (a
+//! threaded fleet in the reference, a mirrored clone group in the
+//! parallel executor).
+//!
+//! ```no_run
+//! use amrproxy::{run_spec, ExperimentSpec, ResultsStore};
+//! use iosim::StorageModel;
+//!
+//! let spec = ExperimentSpec::load("specs/smoke.toml").unwrap();
+//! let mut store = ResultsStore::open("results/store").unwrap();
+//! let storage = StorageModel::ideal(4, 2.5e8);
+//! let first = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+//! let again = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+//! assert_eq!(again.executed, 0, "second run is resume-only");
+//! let walls = store.query().filter("backend", "fpp").numbers("wall_time");
+//! assert_eq!(walls.len(), first.summaries.len() / 2);
+//! ```
+
+use crate::campaign::{
+    run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
+    run_campaign_timed_serial, FabricSettings, RunSummary,
+};
+use crate::config::CastroSedovConfig;
+use crate::spec::{ExperimentSpec, SpecCell, SpecError};
+use crate::store::ResultsStore;
+use std::sync::Mutex;
+
+/// Outcome of [`run_spec`]: the cells' summaries (spec order, resumed
+/// cells served from the store) and the execute/resume split.
+#[derive(Clone, Debug)]
+pub struct SpecReport {
+    /// One summary per run, in spec cell order (throughput cells
+    /// contribute one summary per tenant).
+    pub summaries: Vec<RunSummary>,
+    /// Cells actually executed this invocation.
+    pub executed: usize,
+    /// Cells served from the store without executing.
+    pub resumed: usize,
+}
+
+/// One slot per compiled cell, in spec order: `Some` once the cell's
+/// summaries are known (resumed from the store or committed).
+type Slots = Vec<Option<Vec<RunSummary>>>;
+
+/// The resume partition: cells already persisted under their content
+/// key are read back into their slot; the rest come back as pending
+/// slot indices, in spec order.
+fn resume_partition(cells: &[SpecCell], store: &ResultsStore) -> (Slots, Vec<usize>) {
+    let mut slots: Slots = vec![None; cells.len()];
+    let mut pending = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        if store.contains(&cell.key) {
+            slots[i] = Some(store.get(&cell.key));
+        } else {
+            pending.push(i);
+        }
+    }
+    (slots, pending)
+}
+
+/// Flattens fully-populated slots into the report.
+fn assemble(slots: Slots, executed: usize) -> SpecReport {
+    SpecReport {
+        resumed: slots.len() - executed,
+        executed,
+        summaries: slots
+            .into_iter()
+            .flat_map(|slot| slot.expect("every cell is either resumed or committed"))
+            .collect(),
+    }
+}
+
+/// Persists a finished cell's rows as one batch
+/// ([`ResultsStore::append_cell`]).
+fn commit(store: &mut ResultsStore, key: &str, rows: &[RunSummary]) -> Result<(), SpecError> {
+    store
+        .append_cell(key, rows)
+        .map_err(|e| SpecError::Exec(format!("store append failed: {e}")))
+}
+
+/// How a throughput cell's N tenants are priced.
+enum Tenancy {
+    /// One native thread per tenant ([`run_campaign_fabric`]) — the
+    /// serial reference semantics.
+    Fleet,
+    /// A mirrored clone group ([`run_campaign_fabric_cloned`]): one
+    /// real application run instead of N, bit-identical to the fleet.
+    Clones,
+}
+
+/// Runs one compiled cell: solo cells on their (or the default) storage
+/// model, throughput cells as N identical clones (`_t{i}` names) on one
+/// shared fabric, with the solo shadow served from `memo` when an
+/// earlier cell on the same [`SpecCell::solo_key`] already priced it.
+fn execute_cell(
+    cell: &SpecCell,
+    default_storage: Option<&iosim::StorageModel>,
+    memo: &iosim::SoloMemo,
+    tenancy: Tenancy,
+) -> Result<Vec<RunSummary>, SpecError> {
+    let storage = cell.storage.map(|p| p.build());
+    let storage = storage.as_ref().or(default_storage);
+    if cell.tenants > 1 {
+        let storage = storage.ok_or_else(|| {
+            SpecError::Exec(format!(
+                "throughput cell '{}' needs a storage model (storage axis or default)",
+                cell.config.name
+            ))
+        })?;
+        let clones: Vec<CastroSedovConfig> = (0..cell.tenants)
+            .map(|i| CastroSedovConfig {
+                name: format!("{}_t{i}", cell.config.name),
+                ..cell.config.clone()
+            })
+            .collect();
+        let memo = Some((memo, cell.solo_key.as_str()));
+        return Ok(match tenancy {
+            Tenancy::Fleet => {
+                let settings = FabricSettings {
+                    memo,
+                    ..Default::default()
+                };
+                run_campaign_fabric(&clones, storage, &settings)
+            }
+            Tenancy::Clones => run_campaign_fabric_cloned(&clones, storage, memo),
+        });
+    }
+    let cfg = std::slice::from_ref(&cell.config);
+    Ok(match storage {
+        Some(s) => run_campaign_timed_serial(cfg, s),
+        None => run_campaign_serial(cfg),
+    })
+}
+
+/// Compiles and executes a spec against a store, resuming persisted
+/// cells: a cell whose content key is already in the store is read
+/// back instead of run, so the second invocation of the same spec
+/// executes zero cells and a spec extended by one axis value executes
+/// only the new cells.
+///
+/// `default_storage` prices cells without a `storage` axis value
+/// (`None` runs them untimed). Throughput cells (tenants > 1) require a
+/// storage model — they are priced on a shared fabric by construction.
+///
+/// Pending cells execute **concurrently**: pure-storage cells fan out
+/// over the rayon pool, while fabric/tenancy cells run on dedicated
+/// `std::thread::scope` natives (same rule as [`run_campaign_fabric`] —
+/// fabric code may park on the quorum condvar, and a parked rayon
+/// worker would starve the pool). Tenancy cells themselves execute as
+/// *mirrored clone groups* ([`run_campaign_fabric_cloned`]), with the
+/// solo shadow memoized per [`SpecCell::solo_key`] across the invocation
+/// — so a throughput ladder prices its solo baseline once. Each finished cell
+/// commits through [`ResultsStore::append_cell`] under one short lock,
+/// in completion order; a row is written only when its whole cell is
+/// done, so a crash never leaves a partial cell and resume (which is
+/// keyed, not ordered) is insensitive to the interleaving. Returned
+/// summaries stay in spec cell order.
+///
+/// [`run_spec_serial`] is the sequential reference with identical
+/// results (the parallel-equivalence property tests pin one against
+/// the other).
+pub fn run_spec(
+    spec: &ExperimentSpec,
+    store: &mut ResultsStore,
+    default_storage: Option<&iosim::StorageModel>,
+) -> Result<SpecReport, SpecError> {
+    use rayon::prelude::*;
+
+    let cells = spec.compile()?;
+    let (mut slots, pending) = resume_partition(&cells, store);
+    let executed = pending.len();
+    let memo = iosim::SoloMemo::new();
+    let (fabric_cells, solo_cells): (Vec<usize>, Vec<usize>) =
+        pending.into_iter().partition(|&i| cells[i].tenants > 1);
+    // Tenancy cells sharing a solo baseline form one *chain*, run in
+    // spec order on one native thread: the chain's head prices the solo
+    // shadow cold and fills the memo, every later rung hits it. Chaining
+    // (rather than racing) keeps the memo's filler — and so the solo
+    // columns — deterministic and equal to the serial reference's, which
+    // also meets the head first.
+    let mut chains: Vec<(&str, Vec<usize>)> = Vec::new();
+    for slot in fabric_cells {
+        let key = cells[slot].solo_key.as_str();
+        match chains.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, chain)) => chain.push(slot),
+            None => chains.push((key, vec![slot])),
+        }
+    }
+    // Completion-order sink: a worker that finishes a cell takes the
+    // lock just long enough to batch-append the cell's rows and park the
+    // summaries in their spec-order slot. The first failure is kept.
+    struct Sink<'a> {
+        store: &'a mut ResultsStore,
+        slots: &'a mut Slots,
+        error: Option<SpecError>,
+    }
+    let sink = Mutex::new(Sink {
+        store,
+        slots: &mut slots,
+        error: None,
+    });
+    let run = |slot: usize, tenancy: Tenancy| {
+        let cell = &cells[slot];
+        let produced = execute_cell(cell, default_storage, &memo, tenancy);
+        let mut sink = sink.lock().expect("a worker panicked holding the sink");
+        match produced.and_then(|rows| commit(sink.store, &cell.key, &rows).map(|()| rows)) {
+            Ok(rows) => sink.slots[slot] = Some(rows),
+            Err(e) => drop(sink.error.get_or_insert(e)),
+        }
+    };
+    std::thread::scope(|scope| {
+        for (_, chain) in &chains {
+            let run = &run;
+            scope.spawn(move || chain.iter().for_each(|&slot| run(slot, Tenancy::Clones)));
+        }
+        solo_cells
+            .par_iter()
+            .for_each(|&slot| run(slot, Tenancy::Fleet));
+    });
+    let sink = sink
+        .into_inner()
+        .expect("a worker panicked holding the sink");
+    match sink.error {
+        Some(err) => Err(err),
+        None => Ok(assemble(slots, executed)),
+    }
+}
+
+/// Sequential reference implementation of [`run_spec`]: one cell at a
+/// time in spec order, tenancy cells priced as a *threaded* fleet
+/// ([`run_campaign_fabric`] — no clone mirroring). The solo baseline
+/// still goes through a per-invocation memo, because that defines the
+/// solo columns' semantics (see [`FabricSettings::memo`]); the first
+/// pending cell per [`SpecCell::solo_key`] fills it in spec order,
+/// exactly the cell the parallel executor's chains elect. The parallel
+/// executor must be indistinguishable from this by results — same
+/// summary multiset, same resume mask, same persisted rows — and
+/// `tests/proptests_spec_parallel.rs` holds it to that.
+pub fn run_spec_serial(
+    spec: &ExperimentSpec,
+    store: &mut ResultsStore,
+    default_storage: Option<&iosim::StorageModel>,
+) -> Result<SpecReport, SpecError> {
+    let cells = spec.compile()?;
+    let (mut slots, pending) = resume_partition(&cells, store);
+    let memo = iosim::SoloMemo::new();
+    for &slot in &pending {
+        let cell = &cells[slot];
+        let rows = execute_cell(cell, default_storage, &memo, Tenancy::Fleet)?;
+        commit(store, &cell.key, &rows)?;
+        slots[slot] = Some(rows);
+    }
+    Ok(assemble(slots, pending.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::ScalingMode;
+    use crate::store::tests::{small_base, tmp_dir};
+    use io_engine::BackendSpec;
+
+    #[test]
+    fn run_spec_resumes_and_extends() {
+        let dir = tmp_dir("resume");
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        let spec = ExperimentSpec::new("resume")
+            .base(small_base("r"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)]);
+        let mut store = ResultsStore::open(&dir).unwrap();
+        let first = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+        assert_eq!(first.executed, 2);
+        assert_eq!(first.resumed, 0);
+        // Identical spec: zero cells execute, summaries identical.
+        let second = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+        assert_eq!(second.executed, 0);
+        assert_eq!(second.resumed, 2);
+        assert_eq!(second.summaries, first.summaries);
+        // One fresh axis value: only the new cell executes.
+        let extended = ExperimentSpec::new("resume")
+            .base(small_base("r"))
+            .backends(&[
+                BackendSpec::FilePerProcess,
+                BackendSpec::Aggregated(2),
+                BackendSpec::Deferred(1),
+            ]);
+        let third = run_spec(&extended, &mut store, Some(&storage)).unwrap();
+        assert_eq!(third.executed, 1);
+        assert_eq!(third.resumed, 2);
+        assert_eq!(third.summaries.len(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn throughput_cells_run_as_fabric_groups() {
+        let dir = tmp_dir("tput");
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        let spec = ExperimentSpec::new("tput")
+            .base(small_base("t"))
+            .scales(&[2])
+            .scaling(ScalingMode::Throughput);
+        let mut store = ResultsStore::open(&dir).unwrap();
+        let report = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+        assert_eq!(report.executed, 1);
+        assert_eq!(report.summaries.len(), 2, "one summary per tenant");
+        assert!(report.summaries.iter().all(|s| s.tenants == 2));
+        assert_eq!(report.summaries[0].name, "t_x2_t0");
+        // Resume serves both tenant summaries from the one cell key.
+        let again = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+        assert_eq!(again.executed, 0);
+        assert_eq!(again.summaries, report.summaries);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_time_failures_are_execution_errors_not_parse_errors() {
+        type Executor = fn(
+            &ExperimentSpec,
+            &mut ResultsStore,
+            Option<&iosim::StorageModel>,
+        ) -> Result<SpecReport, SpecError>;
+        let spec = ExperimentSpec::new("tput")
+            .base(small_base("t"))
+            .scales(&[2])
+            .scaling(ScalingMode::Throughput);
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        for (tag, executor) in [
+            ("err_par", run_spec as Executor),
+            ("err_ser", run_spec_serial),
+        ] {
+            // A throughput cell with no storage model anywhere.
+            let mut store = ResultsStore::open(tmp_dir(tag)).unwrap();
+            let err = executor(&spec, &mut store, None).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "spec execution error: throughput cell 't_x2' needs a storage model \
+                 (storage axis or default)"
+            );
+            assert!(store.is_empty(), "nothing ran, nothing was persisted");
+            // The log turns unwritable after `open`: the cell runs, the
+            // commit fails, and the error says so.
+            store.make_log_unwritable();
+            let err = executor(&spec, &mut store, Some(&storage)).unwrap_err();
+            let text = err.to_string();
+            assert!(
+                text.starts_with("spec execution error: store append failed: "),
+                "{text}"
+            );
+            std::fs::remove_dir_all(store.dir()).unwrap();
+        }
+    }
+
+    #[test]
+    fn parallel_run_spec_matches_the_serial_reference() {
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        // Mixed spec: solo cells (rayon pool) and tenancy cells (native
+        // threads + mirrored clones) in one compile.
+        let spec = ExperimentSpec::new("par")
+            .base(small_base("p"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)])
+            .scales(&[1, 2, 4])
+            .scaling(ScalingMode::Throughput);
+        let mut serial_store = ResultsStore::open(tmp_dir("par_serial")).unwrap();
+        let serial = run_spec_serial(&spec, &mut serial_store, Some(&storage)).unwrap();
+        let mut parallel_store = ResultsStore::open(tmp_dir("par_parallel")).unwrap();
+        let parallel = run_spec(&spec, &mut parallel_store, Some(&storage)).unwrap();
+        assert_eq!(parallel.executed, serial.executed);
+        assert_eq!(parallel.resumed, 0);
+        assert_eq!(
+            parallel.summaries, serial.summaries,
+            "mirrored clones + memo must be invisible in the results"
+        );
+        // Both stores replay to the same queryable state (row order may
+        // differ: parallel commits in completion order).
+        let mut a = serial_store.query().summaries();
+        let mut b = parallel_store.query().summaries();
+        a.sort_by(|x, y| x.name.cmp(&y.name));
+        b.sort_by(|x, y| x.name.cmp(&y.name));
+        assert_eq!(a, b);
+        // Resuming the parallel store is a no-op second time around.
+        let again = run_spec(&spec, &mut parallel_store, Some(&storage)).unwrap();
+        assert_eq!(again.executed, 0);
+        assert_eq!(again.summaries, parallel.summaries);
+        std::fs::remove_dir_all(serial_store.dir()).unwrap();
+        std::fs::remove_dir_all(parallel_store.dir()).unwrap();
+    }
+}

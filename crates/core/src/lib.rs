@@ -6,9 +6,12 @@
 //! `io-engine` stack, times them against `iosim`, and feeds `model`.
 //! Key types: [`CastroSedovConfig`], [`RunResult`], [`RunSummary`], the
 //! scenario plane ([`Scenario`] programs compiled by [`compile_phases`]
-//! and executed by the [`driver`] over a [`StepSource`]), and the sweep
-//! family ([`backend_sweep`] → [`backend_codec_sweep`] →
-//! [`restart_sweep`] → [`analysis_sweep`] → [`scenario_sweep`]).
+//! and executed by the [`driver`] over a [`StepSource`]), and the
+//! campaign plane: an [`ExperimentSpec`] declares the matrix (backend,
+//! codec, mode, pattern, layout, scenario, scaling and storage axes),
+//! [`run_spec`] executes it against a [`ResultsStore`], and
+//! [`run_campaign`] / [`run_campaign_fabric`] run a compiled
+//! configuration list directly.
 //!
 //! ```
 //! use amrproxy::{run_simulation, CastroSedovConfig, Engine};
@@ -29,26 +32,26 @@ pub mod cases;
 pub mod compare;
 pub mod config;
 pub mod driver;
+pub mod exec;
 pub mod run;
 pub mod spec;
 pub mod store;
 
 pub use campaign::{
-    analysis_sweep, backend_codec_sweep, backend_sweep, restart_sweep, run_campaign,
-    run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_fabric_linked,
-    run_campaign_fabric_memoized, run_campaign_serial, run_campaign_timed,
-    run_campaign_timed_serial, scenario_sweep, table3_campaign, RunSummary,
+    run_campaign, run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
+    run_campaign_timed_serial, table3_campaign, FabricSettings, RunSummary,
 };
 pub use cases::{big8192, case27, case4, case4_hydro_scaled};
 pub use compare::{compare_with_macsio, Comparison};
 pub use config::{CastroSedovConfig, Engine};
 pub use driver::{
-    compile_phases, run_scenario, run_scenario_attached, try_run_scenario_attached, AmrSource,
-    DumpSource, OracleSource, Phase, ScheduledPhase, StepSource,
+    compile_phases, try_run_scenario_attached, AmrSource, DumpSource, OracleSource, Phase,
+    ScheduledPhase, StepSource,
 };
+pub use exec::{run_spec, run_spec_serial, SpecReport};
 pub use io_engine::{Scenario, ScenarioOp};
 pub use run::{run_simulation, run_simulation_attached, try_run_simulation_attached, RunResult};
 pub use spec::{
     Delivery, ExperimentSpec, Layout, RunMode, ScalingMode, SpecCell, SpecError, StorageProfile,
 };
-pub use store::{run_spec, run_spec_serial, update_bench_artifact, ResultsStore, SpecReport};
+pub use store::ResultsStore;

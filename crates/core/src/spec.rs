@@ -374,6 +374,9 @@ pub enum SpecError {
     Zip(String),
     /// The spec has no base configuration.
     NoBase,
+    /// Executing a compiled cell or persisting its rows failed (a
+    /// throughput cell without a storage model, a store append error).
+    Exec(String),
 }
 
 impl std::fmt::Display for SpecError {
@@ -394,6 +397,7 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::Zip(msg) => write!(f, "zip group error: {msg}"),
             SpecError::NoBase => write!(f, "spec has no base configuration"),
+            SpecError::Exec(msg) => write!(f, "spec execution error: {msg}"),
         }
     }
 }
@@ -1039,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn pattern_and_layout_tags_match_analysis_sweep() {
+    fn pattern_and_layout_tags_flatten_name_safe() {
         let cells = ExperimentSpec::new("t")
             .base(base("m"))
             .patterns(&[ReadSelection::parse("box:0-1,0-3").unwrap()])

@@ -7,7 +7,7 @@
 //!
 //! * **Append-only JSON lines** (`runs.jsonl`): one schema-versioned
 //!   record per run, `{"schema":1,"cell":"<hash>","summary":{...}}`,
-//!   keyed by the [`crate::spec::SpecCell`] content hash. Appends never
+//!   keyed by the compiled cell's content hash. Appends never
 //!   rewrite existing bytes, so a crashed campaign loses at most its
 //!   in-flight record and concurrent readers never see torn state.
 //! * **A query API** ([`Query`]): filter rows by column values, project
@@ -15,47 +15,18 @@
 //!   so every present *and future* `RunSummary` column is addressable
 //!   without store migrations. `model` fits plug in via
 //!   [`Query::xy`] / [`Query::fit`].
-//! * **Resumable, parallel campaigns** ([`run_spec`]): executing an
-//!   [`ExperimentSpec`] against a populated store runs only the cells
-//!   whose content hash is missing; everything already persisted is
-//!   served back from disk, byte-identical. Add one value to an axis
-//!   and only the new cells execute. Pending cells run concurrently —
-//!   storage cells on the rayon pool, tenancy cells as mirrored clone
-//!   groups on native threads with a per-invocation solo-shadow memo —
-//!   and each finished cell batch-appends under one short lock, so the
-//!   log stays cell-contiguous whatever the completion order.
-//!   [`run_spec_serial`] is the order-faithful sequential reference.
-//! * **A compat reader** ([`read_legacy_blob`]): the old single-blob
-//!   artifacts (`results/backend_compare.json`,
-//!   `results/machine_room.json`) load into the same [`Query`] surface,
-//!   so analyses written against the store can read pre-store results.
-//!
-//! ```no_run
-//! use amrproxy::spec::ExperimentSpec;
-//! use amrproxy::store::{run_spec, ResultsStore};
-//! use iosim::StorageModel;
-//!
-//! let spec = ExperimentSpec::load("specs/smoke.toml").unwrap();
-//! let mut store = ResultsStore::open("results/store").unwrap();
-//! let storage = StorageModel::ideal(4, 2.5e8);
-//! let first = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-//! let again = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-//! assert_eq!(again.executed, 0, "second run is resume-only");
-//! let walls = store.query().filter("backend", "fpp").numbers("wall_time");
-//! assert_eq!(walls.len(), first.summaries.len() / 2);
-//! ```
+//! * **Keyed resume**: [`ResultsStore::contains`] / [`ResultsStore::get`]
+//!   answer "is this cell already persisted" by content hash, and
+//!   [`ResultsStore::append_cell`] commits a finished cell's rows as one
+//!   contiguous batch — what the spec executors in [`crate::exec`] build
+//!   resumable, parallel campaigns on.
 
-use crate::campaign::{
-    run_campaign_fabric_cloned, run_campaign_fabric_memoized, run_campaign_serial,
-    run_campaign_timed_serial, RunSummary,
-};
-use crate::spec::{ExperimentSpec, SpecCell, SpecError};
+use crate::campaign::RunSummary;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Wire schema of a store record. Bump when a record's *envelope*
 /// changes shape; `RunSummary` column additions ride on serde defaults
@@ -122,36 +93,17 @@ impl ResultsStore {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join("runs.jsonl");
-        let mut rows = Vec::new();
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut log_len = 0u64;
-        if path.exists() {
-            let mut reader = BufReader::new(File::open(&path)?);
-            let mut line = String::new();
-            let mut lineno = 0usize;
-            loop {
-                line.clear();
-                let n = reader.read_line(&mut line)?;
-                if n == 0 {
-                    break;
-                }
-                log_len += n as u64;
-                lineno += 1;
-                let at = || format!("{}:{lineno}", path.display());
-                if let Some((cell, summary)) = parse_record(&line, at)? {
-                    index.entry(cell.clone()).or_default().push(rows.len());
-                    rows.push((cell, summary));
-                }
-            }
-        }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self {
+        let mut store = Self {
             dir,
             file,
-            rows,
-            index,
-            log_len,
-        })
+            rows: Vec::new(),
+            index: HashMap::new(),
+            log_len: 0,
+        };
+        let log = BufReader::new(File::open(&path)?);
+        store.replay(log, |_, line| format!("{}:{line}", path.display()))?;
+        Ok(store)
     }
 
     /// Ingests any log bytes appended *behind this store object's back*
@@ -177,30 +129,46 @@ impl ResultsStore {
                 ),
             ));
         }
-        let mut f = File::open(&path)?;
-        f.seek(SeekFrom::Start(self.log_len))?;
-        let mut reader = BufReader::new(f);
+        let mut tail = File::open(&path)?;
+        tail.seek(SeekFrom::Start(self.log_len))?;
+        self.replay(BufReader::new(tail), |offset, _| {
+            format!("{}@{offset}", path.display())
+        })
+    }
+
+    /// Replays the log lines `log` yields (it starts at byte
+    /// `self.log_len`) into the resident rows, advancing the cursor, and
+    /// returns the rows added. `at` renders a bad line's location from
+    /// its byte offset and its 1-based line number within this replay.
+    fn replay(
+        &mut self,
+        mut log: impl BufRead,
+        at: impl Fn(u64, usize) -> String,
+    ) -> std::io::Result<usize> {
+        let before = self.rows.len();
         let mut line = String::new();
-        let mut added = 0usize;
-        loop {
+        for lineno in 1.. {
             line.clear();
-            let n = reader.read_line(&mut line)?;
+            let n = log.read_line(&mut line)?;
             if n == 0 {
                 break;
             }
             let offset = self.log_len;
             self.log_len += n as u64;
-            let at = || format!("{}@{offset}", path.display());
-            if let Some((cell, summary)) = parse_record(&line, at)? {
-                self.index
-                    .entry(cell.clone())
-                    .or_default()
-                    .push(self.rows.len());
-                self.rows.push((cell, summary));
-                added += 1;
+            if let Some((cell, row)) = parse_record(&line, || at(offset, lineno))? {
+                self.ingest(cell, row);
             }
         }
-        Ok(added)
+        Ok(self.rows.len() - before)
+    }
+
+    /// Adds one row to the resident table and its cell's index.
+    fn ingest(&mut self, cell: String, row: Value) {
+        self.index
+            .entry(cell.clone())
+            .or_default()
+            .push(self.rows.len());
+        self.rows.push((cell, row));
     }
 
     /// The store directory.
@@ -233,17 +201,7 @@ impl ResultsStore {
     /// artifacts (non-`RunSummary` tables) persist through; [`Self::append`]
     /// is the typed wrapper campaigns use.
     pub fn append_row(&mut self, cell: &str, row: &Value) -> std::io::Result<()> {
-        let mut batch = String::new();
-        Self::encode_record(&mut batch, cell, row)?;
-        self.file.write_all(batch.as_bytes())?;
-        self.file.flush()?;
-        self.log_len += batch.len() as u64;
-        self.index
-            .entry(cell.to_string())
-            .or_default()
-            .push(self.rows.len());
-        self.rows.push((cell.to_string(), row.clone()));
-        Ok(())
+        self.append_rows(cell, vec![row.clone()])
     }
 
     /// Appends a fully-executed cell's summaries as one batch: every
@@ -256,20 +214,19 @@ impl ResultsStore {
     /// Byte-for-byte, the log is identical to `summaries.len()` calls
     /// to [`Self::append`] — resume readers cannot tell them apart.
     pub fn append_cell(&mut self, cell: &str, summaries: &[RunSummary]) -> std::io::Result<()> {
+        self.append_rows(cell, summaries.iter().map(RunSummary::to_value).collect())
+    }
+
+    fn append_rows(&mut self, cell: &str, rows: Vec<Value>) -> std::io::Result<()> {
         let mut batch = String::new();
-        let values: Vec<Value> = summaries.iter().map(RunSummary::to_value).collect();
-        for row in &values {
+        for row in &rows {
             Self::encode_record(&mut batch, cell, row)?;
         }
         self.file.write_all(batch.as_bytes())?;
         self.file.flush()?;
         self.log_len += batch.len() as u64;
-        for row in values {
-            self.index
-                .entry(cell.to_string())
-                .or_default()
-                .push(self.rows.len());
-            self.rows.push((cell.to_string(), row));
+        for row in rows {
+            self.ingest(cell.to_string(), row);
         }
         Ok(())
     }
@@ -309,6 +266,15 @@ impl ResultsStore {
     }
 }
 
+#[cfg(test)]
+impl ResultsStore {
+    /// Swaps the log handle for a read-only one: the next append fails
+    /// as if the log had turned unwritable after [`Self::open`].
+    pub(crate) fn make_log_unwritable(&mut self) {
+        self.file = File::open(self.dir.join("runs.jsonl")).expect("the log exists after open");
+    }
+}
+
 /// A filterable, projectable view over summary rows (JSON objects).
 /// Filters narrow, projections extract, aggregates reduce; all columns
 /// are addressed by their JSON field name, so queries keep working as
@@ -319,14 +285,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// A query over free-standing JSON rows (no cell keys) — the compat
-    /// path for legacy blob artifacts ([`read_legacy_blob`]).
-    pub fn from_values(rows: Vec<Value>) -> Self {
-        Self {
-            rows: rows.into_iter().map(|v| (String::new(), v)).collect(),
-        }
-    }
-
     /// Remaining row count.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -392,7 +350,8 @@ impl Query {
     }
 
     /// Deserializes the remaining rows back into [`RunSummary`]s (rows
-    /// that do not parse — e.g. legacy blob rows — are skipped).
+    /// that do not parse — e.g. bench rows from
+    /// [`ResultsStore::append_row`] — are skipped).
     pub fn summaries(&self) -> Vec<RunSummary> {
         self.rows
             .iter()
@@ -462,326 +421,23 @@ impl Query {
     }
 }
 
-/// Loads a pre-store artifact into query rows: a JSON array becomes one
-/// row per element, a single JSON object becomes one row — the two blob
-/// shapes `results/` accumulated before the store existed
-/// (`backend_compare.json` rows, `machine_room.json` object).
-pub fn read_legacy_blob(path: impl AsRef<Path>) -> Result<Query, String> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let value: Value = serde_json::from_str(&text)
-        .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-    let rows = match value {
-        Value::Array(items) => items,
-        obj @ Value::Object(_) => vec![obj],
-        other => {
-            return Err(format!(
-                "{}: expected a JSON array or object at the top level, got {other:?}",
-                path.display()
-            ))
-        }
-    };
-    Ok(Query::from_values(rows))
-}
-
-/// Outcome of [`run_spec`]: the cells' summaries (spec order, resumed
-/// cells served from the store) and the execute/resume split.
-#[derive(Clone, Debug)]
-pub struct SpecReport {
-    /// One summary per run, in spec cell order (throughput cells
-    /// contribute one summary per tenant).
-    pub summaries: Vec<RunSummary>,
-    /// Cells actually executed this invocation.
-    pub executed: usize,
-    /// Cells served from the store without executing.
-    pub resumed: usize,
-}
-
-/// Compiles and executes a spec against a store, resuming persisted
-/// cells: a cell whose content key is already in the store is read
-/// back instead of run, so the second invocation of the same spec
-/// executes zero cells and a spec extended by one axis value executes
-/// only the new cells.
-///
-/// `default_storage` prices cells without a `storage` axis value
-/// (`None` runs them untimed). Throughput cells (tenants > 1) require a
-/// storage model — they are priced on a shared fabric by construction.
-///
-/// Pending cells execute **concurrently**: pure-storage cells fan out
-/// over the rayon pool, while fabric/tenancy cells run on dedicated
-/// `std::thread::scope` natives (same rule as
-/// [`crate::campaign::run_campaign_fabric`] — fabric code may park on
-/// the quorum condvar, and a parked rayon worker would starve the
-/// pool). Tenancy cells themselves execute as *mirrored clone groups*
-/// ([`run_campaign_fabric_cloned`]): one real application run, the
-/// clones' traffic synthesized inside the engine, with the solo shadow
-/// memoized per [`SpecCell::solo_key`] across the invocation — so a
-/// throughput ladder prices its solo baseline once. Each finished cell
-/// commits through [`ResultsStore::append_cell`] under one short lock,
-/// in completion order; a row is written only when its whole cell is
-/// done, so a crash never leaves a partial cell and resume (which is
-/// keyed, not ordered) is insensitive to the interleaving. Returned
-/// summaries stay in spec cell order.
-///
-/// [`run_spec_serial`] is the sequential reference with identical
-/// results (the parallel-equivalence property tests pin one against
-/// the other).
-pub fn run_spec(
-    spec: &ExperimentSpec,
-    store: &mut ResultsStore,
-    default_storage: Option<&iosim::StorageModel>,
-) -> Result<SpecReport, SpecError> {
-    use rayon::prelude::*;
-
-    let cells = spec.compile()?;
-    let mut slots: Vec<Option<Vec<RunSummary>>> = vec![None; cells.len()];
-    let mut pending: Vec<(usize, &SpecCell)> = Vec::new();
-    let mut resumed = 0usize;
-    for (i, cell) in cells.iter().enumerate() {
-        if store.contains(&cell.key) {
-            slots[i] = Some(store.get(&cell.key));
-            resumed += 1;
-        } else {
-            pending.push((i, cell));
-        }
-    }
-    let executed = pending.len();
-    if executed > 0 {
-        let memo = iosim::SoloMemo::new();
-        let (fabric_cells, solo_cells): (Vec<_>, Vec<_>) =
-            pending.into_iter().partition(|(_, c)| c.tenants > 1);
-        // Tenancy cells sharing a solo baseline form one *chain*, run in
-        // spec order on one native thread: the chain's head prices the
-        // solo shadow cold and fills the memo, every later rung hits it.
-        // Chaining (rather than racing) keeps the memo's filler — and so
-        // the solo columns — deterministic and equal to the serial
-        // reference's, which also meets the head first.
-        let mut chains: Vec<(&str, Vec<(usize, &SpecCell)>)> = Vec::new();
-        for (slot, cell) in fabric_cells {
-            match chains.iter_mut().find(|(k, _)| *k == cell.solo_key) {
-                Some((_, chain)) => chain.push((slot, cell)),
-                None => chains.push((&cell.solo_key, vec![(slot, cell)])),
-            }
-        }
-        // Completion-order sink: a worker that finishes a cell takes the
-        // lock just long enough to batch-append the cell's rows and park
-        // the summaries in their spec-order slot.
-        struct Sink<'a> {
-            store: &'a mut ResultsStore,
-            slots: &'a mut [Option<Vec<RunSummary>>],
-            errors: Vec<SpecError>,
-        }
-        let sink = Mutex::new(Sink {
-            store,
-            slots: &mut slots,
-            errors: Vec::new(),
-        });
-        let commit = |slot: usize, key: &str, produced: Result<Vec<RunSummary>, SpecError>| {
-            let mut sink = sink.lock().unwrap();
-            match produced {
-                Ok(rows) => match sink.store.append_cell(key, &rows) {
-                    Ok(()) => sink.slots[slot] = Some(rows),
-                    Err(e) => sink
-                        .errors
-                        .push(SpecError::Parse(format!("store append failed: {e}"))),
-                },
-                Err(e) => sink.errors.push(e),
-            }
-        };
-        std::thread::scope(|scope| {
-            for (_, chain) in &chains {
-                let commit = &commit;
-                let memo = &memo;
-                scope.spawn(move || {
-                    for &(slot, cell) in chain {
-                        commit(
-                            slot,
-                            &cell.key,
-                            execute_cell_fast(cell, default_storage, memo),
-                        );
-                    }
-                });
-            }
-            solo_cells.par_iter().for_each(|&(slot, cell)| {
-                commit(slot, &cell.key, execute_cell(cell, default_storage, &memo))
-            });
-        });
-        let sink = sink.into_inner().unwrap();
-        if let Some(err) = sink.errors.into_iter().next() {
-            return Err(err);
-        }
-    }
-    let mut report = SpecReport {
-        summaries: Vec::with_capacity(cells.len()),
-        executed,
-        resumed,
-    };
-    for slot in slots {
-        report
-            .summaries
-            .extend(slot.expect("every cell is either resumed or committed"));
-    }
-    Ok(report)
-}
-
-/// Sequential reference implementation of [`run_spec`]: one cell at a
-/// time in spec order, tenancy cells priced as a *threaded* fleet (one
-/// native thread per tenant — no clone mirroring). The solo baseline
-/// still goes through a per-invocation memo, because that defines the
-/// solo columns' semantics (see [`run_campaign_fabric_memoized`]); the
-/// first pending cell per [`SpecCell::solo_key`] fills it in spec
-/// order, exactly the cell the parallel executor's chains elect. The
-/// parallel executor must be indistinguishable from this by results —
-/// same summary multiset, same resume mask, same persisted rows — and
-/// `tests/proptests_spec_parallel.rs` holds it to that.
-pub fn run_spec_serial(
-    spec: &ExperimentSpec,
-    store: &mut ResultsStore,
-    default_storage: Option<&iosim::StorageModel>,
-) -> Result<SpecReport, SpecError> {
-    let cells = spec.compile()?;
-    let memo = iosim::SoloMemo::new();
-    let mut report = SpecReport {
-        summaries: Vec::with_capacity(cells.len()),
-        executed: 0,
-        resumed: 0,
-    };
-    for cell in &cells {
-        if store.contains(&cell.key) {
-            report.summaries.extend(store.get(&cell.key));
-            report.resumed += 1;
-            continue;
-        }
-        let produced = execute_cell(cell, default_storage, &memo)?;
-        store
-            .append_cell(&cell.key, &produced)
-            .map_err(|e| SpecError::Parse(format!("store append failed: {e}")))?;
-        report.summaries.extend(produced);
-        report.executed += 1;
-    }
-    Ok(report)
-}
-
-/// Runs one compiled cell: solo cells on their (or the default) storage
-/// model, throughput cells as N clones on one shared fabric (a threaded
-/// fleet with the memoized solo baseline — the serial reference
-/// semantics the parallel fast path must match).
-fn execute_cell(
-    cell: &SpecCell,
-    default_storage: Option<&iosim::StorageModel>,
-    memo: &iosim::SoloMemo,
-) -> Result<Vec<RunSummary>, SpecError> {
-    let storage = cell.storage.map(|p| p.build());
-    let storage = storage.as_ref().or(default_storage);
-    if cell.tenants > 1 {
-        let storage = storage.ok_or_else(|| {
-            SpecError::Parse(format!(
-                "throughput cell '{}' needs a storage model (storage axis or default)",
-                cell.config.name
-            ))
-        })?;
-        let clones = cell_clones(cell);
-        return Ok(run_campaign_fabric_memoized(
-            &clones,
-            storage,
-            memo,
-            &cell.solo_key,
-        ));
-    }
-    let cfg = std::slice::from_ref(&cell.config);
-    Ok(match storage {
-        Some(s) => run_campaign_timed_serial(cfg, s),
-        None => run_campaign_serial(cfg),
-    })
-}
-
-/// The N tenant configurations of a throughput cell: identical clones
-/// under `_t{i}` names.
-fn cell_clones(cell: &SpecCell) -> Vec<crate::config::CastroSedovConfig> {
-    (0..cell.tenants)
-        .map(|i| crate::config::CastroSedovConfig {
-            name: format!("{}_t{i}", cell.config.name),
-            ..cell.config.clone()
-        })
-        .collect()
-}
-
-/// [`execute_cell`] for the parallel executor's tenancy cells: the N
-/// clones (identical by construction — one spec config fanned out under
-/// `_t{i}` names) run as a mirrored clone group, one real application
-/// run instead of N, with the solo shadow served from `memo` when an
-/// earlier cell on the same [`SpecCell::solo_key`] already priced it.
-/// Bit-identical to [`execute_cell`]'s threaded fleet.
-fn execute_cell_fast(
-    cell: &SpecCell,
-    default_storage: Option<&iosim::StorageModel>,
-    memo: &iosim::SoloMemo,
-) -> Result<Vec<RunSummary>, SpecError> {
-    debug_assert!(cell.tenants > 1, "fast path is the tenancy path");
-    let storage = cell.storage.map(|p| p.build());
-    let storage = storage.as_ref().or(default_storage).ok_or_else(|| {
-        SpecError::Parse(format!(
-            "throughput cell '{}' needs a storage model (storage axis or default)",
-            cell.config.name
-        ))
-    })?;
-    let clones = cell_clones(cell);
-    Ok(run_campaign_fabric_cloned(
-        &clones,
-        storage,
-        Some((memo, &cell.solo_key)),
-    ))
-}
-
-/// Merges columns into a JSON-object bench artifact without clobbering
-/// columns other writers own: reads `path` if it already holds a JSON
-/// object, overwrites/inserts the given keys (preserving the existing
-/// key order for the rest), and writes the result back. The machine-room
-/// artifact (`BENCH_campaign.json`) has three writers — the example, the
-/// criterion bench, and the spec-campaign example — and a plain
-/// serialize-and-write from any one of them silently drops the others'
-/// columns.
-pub fn update_bench_artifact(
-    path: impl AsRef<Path>,
-    columns: &[(&str, Value)],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut entries: Vec<(String, Value)> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Object(entries)) => entries,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    for (key, value) in columns {
-        match entries.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value.clone(),
-            None => entries.push((key.to_string(), value.clone())),
-        }
-    }
-    let text = serde_json::to_string_pretty(&Value::Object(entries))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::campaign::run_campaign_timed_serial;
     use crate::config::{CastroSedovConfig, Engine};
     use crate::spec::ExperimentSpec;
     use io_engine::{BackendSpec, CodecSpec};
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    /// A fresh scratch directory; tags are distinct across this module
+    /// and the executor tests, which share it.
+    pub(crate) fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("amrproxy_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
-    fn small_base(name: &str) -> CastroSedovConfig {
+    pub(crate) fn small_base(name: &str) -> CastroSedovConfig {
         CastroSedovConfig {
             name: name.into(),
             engine: Engine::Oracle,
@@ -871,64 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_resumes_and_extends() {
-        let dir = tmp_dir("resume");
-        let storage = iosim::StorageModel::ideal(2, 5e7);
-        let spec = ExperimentSpec::new("resume")
-            .base(small_base("r"))
-            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)]);
-        let mut store = ResultsStore::open(&dir).unwrap();
-        let first = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-        assert_eq!(first.executed, 2);
-        assert_eq!(first.resumed, 0);
-        // Identical spec: zero cells execute, summaries identical.
-        let second = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-        assert_eq!(second.executed, 0);
-        assert_eq!(second.resumed, 2);
-        assert_eq!(second.summaries, first.summaries);
-        // One fresh axis value: only the new cell executes.
-        let extended = ExperimentSpec::new("resume")
-            .base(small_base("r"))
-            .backends(&[
-                BackendSpec::FilePerProcess,
-                BackendSpec::Aggregated(2),
-                BackendSpec::Deferred(1),
-            ]);
-        let third = run_spec(&extended, &mut store, Some(&storage)).unwrap();
-        assert_eq!(third.executed, 1);
-        assert_eq!(third.resumed, 2);
-        assert_eq!(third.summaries.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn throughput_cells_run_as_fabric_groups() {
-        use crate::spec::ScalingMode;
-        let dir = tmp_dir("tput");
-        let storage = iosim::StorageModel::ideal(2, 5e7);
-        let spec = ExperimentSpec::new("tput")
-            .base(small_base("t"))
-            .scales(&[2])
-            .scaling(ScalingMode::Throughput);
-        let mut store = ResultsStore::open(&dir).unwrap();
-        let report = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-        assert_eq!(report.executed, 1);
-        assert_eq!(report.summaries.len(), 2, "one summary per tenant");
-        assert!(report.summaries.iter().all(|s| s.tenants == 2));
-        assert_eq!(report.summaries[0].name, "t_x2_t0");
-        // Resume serves both tenant summaries from the one cell key.
-        let again = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-        assert_eq!(again.executed, 0);
-        assert_eq!(again.summaries, report.summaries);
-        // Throughput without any storage model is a clear error.
-        let mut dry = ResultsStore::open(tmp_dir("tput2")).unwrap();
-        let err = run_spec(&spec, &mut dry, None).unwrap_err();
-        assert!(err.to_string().contains("storage"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(dry.dir()).unwrap();
-    }
-
-    #[test]
     fn batched_append_is_wire_byte_identical_to_row_appends() {
         let dir_a = tmp_dir("wire_a");
         let dir_b = tmp_dir("wire_b");
@@ -989,95 +587,6 @@ mod tests {
         let full = std::fs::read(&log).unwrap();
         std::fs::write(&log, &full[..full.len() / 2]).unwrap();
         assert!(reader.refresh().unwrap_err().to_string().contains("shrank"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parallel_run_spec_matches_the_serial_reference() {
-        use crate::spec::ScalingMode;
-        let storage = iosim::StorageModel::ideal(2, 5e7);
-        // Mixed spec: solo cells (rayon pool) and tenancy cells (native
-        // threads + mirrored clones) in one compile.
-        let spec = ExperimentSpec::new("par")
-            .base(small_base("p"))
-            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)])
-            .scales(&[1, 2, 4])
-            .scaling(ScalingMode::Throughput);
-        let mut serial_store = ResultsStore::open(tmp_dir("par_serial")).unwrap();
-        let serial = run_spec_serial(&spec, &mut serial_store, Some(&storage)).unwrap();
-        let mut parallel_store = ResultsStore::open(tmp_dir("par_parallel")).unwrap();
-        let parallel = run_spec(&spec, &mut parallel_store, Some(&storage)).unwrap();
-        assert_eq!(parallel.executed, serial.executed);
-        assert_eq!(parallel.resumed, 0);
-        assert_eq!(
-            parallel.summaries, serial.summaries,
-            "mirrored clones + memo must be invisible in the results"
-        );
-        // Both stores replay to the same queryable state (row order may
-        // differ: parallel commits in completion order).
-        let mut a = serial_store.query().summaries();
-        let mut b = parallel_store.query().summaries();
-        a.sort_by(|x, y| x.name.cmp(&y.name));
-        b.sort_by(|x, y| x.name.cmp(&y.name));
-        assert_eq!(a, b);
-        // Resuming the parallel store is a no-op second time around.
-        let again = run_spec(&spec, &mut parallel_store, Some(&storage)).unwrap();
-        assert_eq!(again.executed, 0);
-        assert_eq!(again.summaries, parallel.summaries);
-        std::fs::remove_dir_all(serial_store.dir()).unwrap();
-        std::fs::remove_dir_all(parallel_store.dir()).unwrap();
-    }
-
-    #[test]
-    fn bench_artifact_updates_merge_instead_of_clobbering() {
-        let dir = tmp_dir("artifact");
-        let path = dir.join("BENCH_test.json");
-        update_bench_artifact(
-            &path,
-            &[
-                ("alpha", serde_json::to_value(&1.5)),
-                ("beta", Value::String("keep me".into())),
-            ],
-        )
-        .unwrap();
-        // A second writer updates one key and adds another: beta survives.
-        update_bench_artifact(
-            &path,
-            &[
-                ("alpha", serde_json::to_value(&2.0)),
-                ("gamma", serde_json::to_value(&3_u64)),
-            ],
-        )
-        .unwrap();
-        let q = read_legacy_blob(&path).unwrap();
-        assert_eq!(q.numbers("alpha"), vec![2.0]);
-        assert_eq!(q.strings("beta"), vec!["keep me".to_string()]);
-        assert_eq!(q.numbers("gamma"), vec![3.0]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_blobs_load_into_queries() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let array = dir.join("rows.json");
-        std::fs::write(
-            &array,
-            r#"[{"backend":"fpp","wall_time":1.5},{"backend":"agg:4","wall_time":0.75}]"#,
-        )
-        .unwrap();
-        let q = read_legacy_blob(&array).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(
-            q.clone().filter("backend", "fpp").numbers("wall_time"),
-            vec![1.5]
-        );
-        let object = dir.join("single.json");
-        std::fs::write(&object, r#"{"campaign_runs":47,"steps_per_sec":12.0}"#).unwrap();
-        let q = read_legacy_blob(&object).unwrap();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.numbers("campaign_runs"), vec![47.0]);
-        assert!(read_legacy_blob(dir.join("missing.json")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example backend_codec_sweep
 //! ```
 
-use amr_proxy_io::amrproxy::{run_campaign_timed, CastroSedovConfig, Engine, ExperimentSpec};
+use amr_proxy_io::amrproxy::{run_campaign, CastroSedovConfig, Engine, ExperimentSpec};
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
 use amr_proxy_io::iosim::StorageModel;
 
@@ -49,7 +49,7 @@ fn main() {
     // A deliberately bandwidth-bound configuration: with Alpine-scale
     // peaks the transfers vanish and only the codec CPU cost would show.
     let storage = StorageModel::ideal(8, 2.5e8);
-    let summaries = run_campaign_timed(&matrix, &storage);
+    let summaries = run_campaign(&matrix, Some(&storage));
 
     println!(
         "{:<10} {:>10} {:>14} {:>14} {:>7} {:>10} {:>14}",

@@ -6,7 +6,7 @@
 //! cargo run --release --example backend_sweep
 //! ```
 
-use amr_proxy_io::amrproxy::{run_campaign_timed, CastroSedovConfig, Engine, ExperimentSpec};
+use amr_proxy_io::amrproxy::{run_campaign, CastroSedovConfig, Engine, ExperimentSpec};
 use amr_proxy_io::io_engine::BackendSpec;
 use amr_proxy_io::iosim::StorageModel;
 
@@ -45,7 +45,7 @@ fn main() {
         backends.len()
     );
     let storage = StorageModel::summit_alpine(1.0 / 9.0);
-    let summaries = run_campaign_timed(&matrix, &storage);
+    let summaries = run_campaign(&matrix, Some(&storage));
 
     println!(
         "{:<24} {:>10} {:>12} {:>12} {:>12} {:>14}",

@@ -21,12 +21,11 @@
 //!    bounded burst buffer accrue `staging_wait` instead of free
 //!    overlap.
 //!
-//! Writes `BENCH_campaign.json` at the repo root: campaign throughput in
-//! real steps/sec plus the solo vs 4-tenant walls, the parallel-encode
-//! bandwidth (`encode_mbps`), and the selective-read latency
-//! (`selective_read_latency`). Every timing self-calibrates to a minimum
-//! measurement window and reports the median of 3 repetitions — a single
-//! ~10 ms pass is scheduler noise, not a benchmark.
+//! Prints three host timings as well — campaign throughput in real
+//! steps/sec, the parallel-encode bandwidth, and the selective-read
+//! latency — each self-calibrated to a minimum measurement window and
+//! reported as the median of 3 repetitions. They are for the reader;
+//! the tracked numbers come from `amrbench` (see `amrbench/README.md`).
 //!
 //! ```text
 //! cargo run --release --example machine_room
@@ -34,7 +33,7 @@
 
 use amr_proxy_io::amrproxy::{
     run_campaign_fabric, run_campaign_timed_serial, run_simulation_attached, CastroSedovConfig,
-    Engine, RunSummary,
+    Engine, FabricSettings, RunSummary,
 };
 use amr_proxy_io::io_engine::{
     BackendSpec, CodecSpec, CompressionStage, IoBackend, Payload, Put, ReadSelection,
@@ -106,10 +105,11 @@ fn row(n: usize, s: &RunSummary) -> String {
 
 fn main() {
     let storage = storage();
+    let plain = FabricSettings::default();
 
     // ── 1. Solo identity: fabric with one tenant == legacy model. ──────
     let legacy = run_campaign_timed_serial(&[sedov("solo")], &storage);
-    let fabric_solo = run_campaign_fabric(&[sedov("solo")], &storage, None, &[]);
+    let fabric_solo = run_campaign_fabric(&[sedov("solo")], &storage, &plain);
     assert_eq!(legacy, fabric_solo, "solo tenant must be exact");
     println!(
         "solo identity: fabric wall {:.3} s == legacy wall {:.3} s (bit-exact)",
@@ -130,7 +130,7 @@ fn main() {
         let configs: Vec<CastroSedovConfig> =
             (0..n).map(|i| sedov(&format!("sedov_t{i}"))).collect();
         total_steps += configs.iter().map(|c| c.max_step).sum::<u64>();
-        let summaries = run_campaign_fabric(&configs, &storage, None, &[]);
+        let summaries = run_campaign_fabric(&configs, &storage, &plain);
         println!("{}", row(n, &summaries[0]));
         for s in &summaries {
             assert_eq!(s.tenants, n);
@@ -218,12 +218,14 @@ fn main() {
 
     // ── 4. QoS: priority buys wall, the competitor pays. ───────────────
     let pair = [sedov("hi"), sedov("lo")];
-    let fair = run_campaign_fabric(&pair, &storage, None, &[]);
+    let fair = run_campaign_fabric(&pair, &storage, &plain);
     let weighted = run_campaign_fabric(
         &pair,
         &storage,
-        None,
-        &[QosPolicy::weighted(4.0), QosPolicy::default()],
+        &FabricSettings {
+            qos: &[QosPolicy::weighted(4.0), QosPolicy::default()],
+            ..plain
+        },
     );
     println!(
         "qos: fair walls ({:.3}, {:.3}) s -> weighted walls ({:.3}, {:.3}) s",
@@ -248,7 +250,14 @@ fn main() {
             ..sedov(&format!("staged_t{i}"))
         })
         .collect();
-    let staged = run_campaign_fabric(&deferred, &storage, Some(256 * 1024), &[]);
+    let staged = run_campaign_fabric(
+        &deferred,
+        &storage,
+        &FabricSettings {
+            staging_bytes: Some(256 * 1024),
+            ..plain
+        },
+    );
     let waited: f64 = staged.iter().map(|s| s.staging_wait).sum();
     println!("staging: bounded pool adds {waited:.3} s of staging wait");
     assert!(
@@ -256,14 +265,14 @@ fn main() {
         "a pool smaller than the bursts must back-pressure"
     );
 
-    // ── Benchmark artifact at the repo root. ───────────────────────────
+    // ── Host timings (printed, not tracked). ───────────────────────────
     // Campaign throughput: the whole tenancy ladder (240 real engine
     // steps) as one repeatable unit, self-calibrated and medianed.
     let ladder_seconds = measure_seconds_per_call(|| {
         for &n in &ladder {
             let configs: Vec<CastroSedovConfig> =
                 (0..n).map(|i| sedov(&format!("sedov_t{i}"))).collect();
-            let summaries = run_campaign_fabric(&configs, &storage, None, &[]);
+            let summaries = run_campaign_fabric(&configs, &storage, &plain);
             assert_eq!(summaries.len(), n);
         }
     });
@@ -348,43 +357,8 @@ fn main() {
         assert_eq!(read.chunks.len(), 32 * 3);
     });
 
-    // Merged into the artifact, not overwritten: the spec-campaign
-    // smoke owns the spec-executor columns of the same file.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_campaign.json");
-    amr_proxy_io::amrproxy::store::update_bench_artifact(
-        path,
-        &[
-            (
-                "campaign_runs",
-                serde_json::to_value(&ladder.iter().sum::<usize>()),
-            ),
-            (
-                "campaign_wall_seconds",
-                serde_json::to_value(&ladder_seconds),
-            ),
-            (
-                "campaign_steps_per_sec",
-                serde_json::to_value(&steps_per_sec),
-            ),
-            ("solo_wall_seconds", serde_json::to_value(&mean_walls[0])),
-            (
-                "four_tenant_wall_seconds",
-                serde_json::to_value(&mean_walls[2]),
-            ),
-            (
-                "four_tenant_slowdown",
-                serde_json::to_value(&mean_slowdowns[2]),
-            ),
-            ("encode_mbps", serde_json::to_value(&encode_mbps)),
-            (
-                "selective_read_latency",
-                serde_json::to_value(&selective_read_latency),
-            ),
-        ],
-    )
-    .expect("update bench artifact");
     println!(
-        "\n[artifact] {path}\n  ladder: {total_steps} steps in {ladder_seconds:.3} s \
+        "\nhost timings\n  ladder: {total_steps} steps in {ladder_seconds:.3} s \
          (median of 3 calibrated windows) = {steps_per_sec:.0} steps/s\n  \
          encode: {logical_mb:.0} MiB logical through the parallel stage = {encode_mbps:.0} MB/s\n  \
          selective read: {:.1} us by-level query latency",

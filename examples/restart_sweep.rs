@@ -19,8 +19,9 @@
 //! cargo run --release --example restart_sweep
 //! ```
 
-use amr_proxy_io::amrproxy::store::{run_spec, ResultsStore};
-use amr_proxy_io::amrproxy::{CastroSedovConfig, Engine, ExperimentSpec, RunMode};
+use amr_proxy_io::amrproxy::{
+    run_spec, CastroSedovConfig, Engine, ExperimentSpec, ResultsStore, RunMode,
+};
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, Payload, Put};
 use amr_proxy_io::iosim::{IoKey, IoKind, IoTracker, MemFs, StorageModel, Vfs};
 use amr_proxy_io::model;

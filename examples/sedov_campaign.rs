@@ -19,7 +19,7 @@ fn main() {
         "running {} of the 47 Table III configurations ...",
         configs.len()
     );
-    let summaries = run_campaign(&configs);
+    let summaries = run_campaign(&configs, None);
 
     println!(
         "\n{:<28} {:>7} {:>5} {:>5} {:>9} {:>12} {:>8}",

@@ -4,7 +4,7 @@
 //! identical tenants, and QoS priority dominance.
 
 use amr_proxy_io::amrproxy::{
-    run_campaign_fabric, run_campaign_timed_serial, CastroSedovConfig, Engine,
+    run_campaign_fabric, run_campaign_timed_serial, CastroSedovConfig, Engine, FabricSettings,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
 use amr_proxy_io::iosim::{Fabric, QosPolicy, StorageModel, WriteRequest};
@@ -75,7 +75,7 @@ proptest! {
                     ..oracle_cfg("solo", n_cell, max_step, plot_int)
                 };
                 let legacy = run_campaign_timed_serial(std::slice::from_ref(&cfg), &storage);
-                let fabric = run_campaign_fabric(&[cfg], &storage, None, &[]);
+                let fabric = run_campaign_fabric(&[cfg], &storage, &FabricSettings::default());
                 prop_assert_eq!(
                     &legacy, &fabric,
                     "{} / {} diverged", backend.name(), codec.name()

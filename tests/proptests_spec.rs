@@ -1,18 +1,18 @@
 //! Property tests for the declarative experiment grammar and the
 //! results store.
 //!
-//! The five legacy `*_sweep` families are frozen here as inline
-//! reference implementations (copied verbatim from the pre-spec
-//! `campaign.rs`); each must stay byte-identical — full config-list
-//! equality through the serde wire format — to its `ExperimentSpec`
-//! compilation, which is what the shims now delegate to. The store
+//! The five pre-spec `*_sweep` families are frozen here as inline
+//! hand-written enumerations (copied verbatim from the pre-spec
+//! `campaign.rs`) — an independent reference for label order, tag
+//! flattening and disambiguation. Each must stay byte-identical — full
+//! config-list equality through the serde wire format — to the
+//! `ExperimentSpec` builder declaring the same axes. The store
 //! properties cover the append/reopen round trip (byte-identical rows)
 //! and resume (exactly the persisted cells are skipped).
 
-use amr_proxy_io::amrproxy::store::{run_spec, ResultsStore};
 use amr_proxy_io::amrproxy::{
-    analysis_sweep, backend_codec_sweep, backend_sweep, restart_sweep, run_campaign_serial,
-    scenario_sweep, CastroSedovConfig, Engine, ExperimentSpec, RunMode, Scenario,
+    run_campaign_serial, run_spec, CastroSedovConfig, Engine, ExperimentSpec, Layout, ResultsStore,
+    RunMode, Scenario,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, ReadSelection};
 use proptest::prelude::*;
@@ -248,6 +248,12 @@ fn arb_scenarios() -> impl Strategy<Value = Vec<Scenario>> {
     ])
 }
 
+/// A builder-declared matrix, compiled to its configurations.
+fn compiled(spec: ExperimentSpec) -> Vec<CastroSedovConfig> {
+    spec.compile_configs()
+        .expect("base run labels are distinct")
+}
+
 /// Canonical wire form of a config list — byte-level equality.
 fn canon(cfgs: &[CastroSedovConfig]) -> Vec<String> {
     cfgs.iter()
@@ -270,16 +276,17 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `backend_sweep` == its spec compilation, byte-identical.
+    /// The backend enumeration == its spec compilation, byte-identical.
     #[test]
     fn backend_sweep_matches_spec(bases in arb_bases(), backends in arb_backends()) {
         prop_assert_eq!(
             canon(&legacy_backend_sweep(&bases, &backends)),
-            canon(&backend_sweep(&bases, &backends))
+            canon(&compiled(ExperimentSpec::over("b", &bases).backends(&backends)))
         );
     }
 
-    /// `backend_codec_sweep` == its spec compilation, byte-identical.
+    /// The backend x codec enumeration == its spec compilation,
+    /// byte-identical.
     #[test]
     fn backend_codec_sweep_matches_spec(
         bases in arb_bases(),
@@ -288,11 +295,14 @@ proptest! {
     ) {
         prop_assert_eq!(
             canon(&legacy_backend_codec_sweep(&bases, &backends, &codecs)),
-            canon(&backend_codec_sweep(&bases, &backends, &codecs))
+            canon(&compiled(
+                ExperimentSpec::over("bc", &bases).backends(&backends).codecs(&codecs)
+            ))
         );
     }
 
-    /// `restart_sweep` == its spec compilation, byte-identical.
+    /// The {write, restart} enumeration == its spec compilation,
+    /// byte-identical.
     #[test]
     fn restart_sweep_matches_spec(
         bases in arb_bases(),
@@ -301,11 +311,17 @@ proptest! {
     ) {
         prop_assert_eq!(
             canon(&legacy_restart_sweep(&bases, &backends, &codecs)),
-            canon(&restart_sweep(&bases, &backends, &codecs))
+            canon(&compiled(
+                ExperimentSpec::over("r", &bases)
+                    .backends(&backends)
+                    .codecs(&codecs)
+                    .modes(&[RunMode::Write, RunMode::Restart])
+            ))
         );
     }
 
-    /// `analysis_sweep` == its spec compilation, byte-identical —
+    /// The pattern x layout enumeration == its spec compilation,
+    /// byte-identical —
     /// including the lossy pattern-tag flattening and its index
     /// disambiguation.
     #[test]
@@ -317,16 +333,23 @@ proptest! {
     ) {
         prop_assert_eq!(
             canon(&legacy_analysis_sweep(&bases, &backends, &codecs, &patterns)),
-            canon(&analysis_sweep(&bases, &backends, &codecs, &patterns))
+            canon(&compiled(
+                ExperimentSpec::over("a", &bases)
+                    .backends(&backends)
+                    .codecs(&codecs)
+                    .patterns(&patterns)
+                    .layouts(&[Layout::Raw, Layout::Reorg])
+            ))
         );
     }
 
-    /// `scenario_sweep` == its spec compilation, byte-identical.
+    /// The scenario enumeration == its spec compilation,
+    /// byte-identical.
     #[test]
     fn scenario_sweep_matches_spec(bases in arb_bases(), scenarios in arb_scenarios()) {
         prop_assert_eq!(
             canon(&legacy_scenario_sweep(&bases, &scenarios)),
-            canon(&scenario_sweep(&bases, &scenarios))
+            canon(&compiled(ExperimentSpec::over("s", &bases).scenarios(&scenarios)))
         );
     }
 

@@ -10,10 +10,9 @@
 //! solo baseline from the memo (`SoloPricing::Known`) is bit-identical
 //! on the serde wire to replaying the solo shadow cold.
 
-use amr_proxy_io::amrproxy::store::{run_spec, run_spec_serial, ResultsStore};
 use amr_proxy_io::amrproxy::{
-    run_campaign_fabric, run_campaign_fabric_memoized, CastroSedovConfig, Engine, ExperimentSpec,
-    RunSummary, ScalingMode,
+    run_campaign_fabric, run_campaign_fabric_cloned, run_spec, run_spec_serial, CastroSedovConfig,
+    Engine, ExperimentSpec, FabricSettings, ResultsStore, RunSummary, ScalingMode,
 };
 use amr_proxy_io::io_engine::BackendSpec;
 use amr_proxy_io::iosim::{SoloMemo, StorageModel};
@@ -216,10 +215,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A solo-memo hit is bit-identical to the cold replay it stands in
-    /// for: the first memoized campaign replays the solo shadow cold
-    /// (and matches the non-memoized fabric runner exactly), and a
-    /// second campaign served entirely from the memo reproduces every
-    /// summary byte-for-byte on the serde wire.
+    /// for, on the one threaded fleet: without a memo, with a cold memo
+    /// (one fill) and with a warm one (one hit, no further fill) every
+    /// summary is byte-for-byte the same on the serde wire — and a
+    /// mirrored clone group prices the same configs to the same bytes.
     #[test]
     fn memo_hit_is_bit_identical_to_cold_replay(
         tenants in 2usize..5,
@@ -233,19 +232,27 @@ proptest! {
             })
             .collect();
         let storage = StorageModel::ideal(4, 5e7);
+        let reference = run_campaign_fabric(&configs, &storage, &FabricSettings::default());
 
         // Cold: fresh memo, so the solo shadow replays and fills it.
         let memo = SoloMemo::default();
-        let cold = run_campaign_fabric_memoized(&configs, &storage, &memo, "solo_profile");
+        let memoized = FabricSettings {
+            memo: Some((&memo, "solo_profile")),
+            ..Default::default()
+        };
+        let cold = run_campaign_fabric(&configs, &storage, &memoized);
+        prop_assert_eq!(memo.hits(), 0);
         prop_assert_eq!(memo.fills(), 1);
-        // The memoized runner on a miss is the plain fabric runner.
-        let reference = run_campaign_fabric(&configs, &storage, None, &[]);
         prop_assert_eq!(canon(&cold), canon(&reference));
 
         // Hit: the same campaign priced from the memo, no replay.
-        let hit = run_campaign_fabric_memoized(&configs, &storage, &memo, "solo_profile");
+        let hit = run_campaign_fabric(&configs, &storage, &memoized);
         prop_assert_eq!(memo.hits(), 1);
         prop_assert_eq!(memo.fills(), 1);
-        prop_assert_eq!(canon(&hit), canon(&cold));
+        prop_assert_eq!(canon(&hit), canon(&reference));
+
+        // One real run mirrored N ways equals the N-thread fleet.
+        let cloned = run_campaign_fabric_cloned(&configs, &storage, None);
+        prop_assert_eq!(canon(&cloned), canon(&reference));
     }
 }
