@@ -1,222 +1,57 @@
-//! The scenario plane: one engine-agnostic phase driver.
+//! The AMR side of the scenario plane: hierarchy engines as producers
+//! for the shared phase driver.
 //!
-//! Historically `run.rs` carried two nearly identical run loops —
-//! `run_hydro` and `run_oracle` — each hard-coding one workload shape
-//! (write everything, then optionally restart-read, then optionally
-//! analyze). This module replaces both with a three-part plane:
+//! The phase vocabulary, the scenario compiler and the run loop live in
+//! [`io_engine::driver`], shared with MACSio. This module supplies what
+//! is specific to an AMR run:
 //!
 //! 1. a [`StepSource`] trait over whatever advances the hierarchy (the
 //!    MUSCL-HLLC solve, the Sedov similarity oracle);
-//! 2. a compiler ([`compile_phases`]) from an [`io_engine::Scenario`]
-//!    program (`write;fail@17;restart;analyze:level:2,reorg`) to a flat
-//!    list of [`Phase`]s against the run's cadences (`plot_int`,
+//! 2. the run's cadence ([`compile_phases`]: step-0 plot dump, `plot_int`,
 //!    `check_int` or a `check@K` override, `max_step`);
-//! 3. a driver ([`try_run_scenario_attached`]) that executes the
-//!    compiled program against the backend/scheduler/tracker stack
-//!    exactly once — there is no second copy of the
-//!    dump/restart/analysis sequencing.
-//!
-//! Mid-run restart semantics: a `RestartRead` phase reads the newest
-//! restart dump at or before `from_step` back through the backend (a
-//! priced read burst), then the *next* `Compute` phase rewinds the
-//! source and silently replays the hierarchy to the restored step — the
-//! replay itself is free (the state came off storage), but the compiled
-//! program re-emits `Compute` phases for every step lost between the
-//! restart point and the failure, so the lost compute is re-paid on the
-//! simulated clock while the dumps already flushed are *not* re-written.
-//! In-run `AnalysisRead` phases interleave with subsequent write bursts
-//! (they read the newest plot dump mid-stream), rather than running
-//! after the campaign like the legacy boolean axis did.
+//! 3. the producer over a `StepSource` that [`try_run_scenario_attached`]
+//!    hands to [`io_engine::run_program`]: compute charged per cell with
+//!    per-rank jitter and a barrier, `stop_time` halting, plotfile and
+//!    checkpoint dumps of the current hierarchy, and the rewind-and-replay
+//!    restore after a restart read (deterministic engines make the
+//!    replayed hierarchy identical to the checkpointed one, and the
+//!    replay is off the simulated clock — the state came from storage).
 
 use crate::config::CastroSedovConfig;
-use crate::run::{compute_phase, dump_burst, RunResult};
+use crate::run::{compute_phase, RunResult};
 use hydro::{AmrConfig, AmrSim, OracleConfig, OracleSim, StepInfo};
-use io_engine::{IoBackend, ReadSelection, Reorganizer, ScenarioOp};
-use iosim::{BurstScheduler, BurstTimeline, IoTracker, StorageAttach, Vfs};
+use io_engine::{Cadence, Dump, IoBackend, Producer, ReadSelection, StepStats};
+pub use io_engine::{DumpSource, Phase, ScheduledPhase};
+use iosim::{IoTracker, StorageAttach, Vfs};
 use mpi_sim::SimComm;
 use plotfile::{
     account_checkpoint_with, account_plotfile_with, castro_sedov_plot_vars, write_plotfile_with,
     CheckpointLevel, CheckpointSpec, LayoutLevel, PlotLevel, PlotfileLayout, PlotfileSpec,
     PlotfileStats,
 };
+use std::io;
 
-/// Which dump registry a [`Phase::RestartRead`] recovers from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DumpSource {
-    /// A plot dump (the legacy read-after-write restart source, and the
-    /// fallback when the run writes no checkpoints).
-    Plot,
-    /// A checkpoint dump (the proper restart state).
-    Checkpoint,
-}
-
-/// One executable phase of a compiled scenario program.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Phase {
-    /// Advance the hierarchy one step and charge the compute time (all
-    /// ranks work, then barrier — the paper's pre-burst pattern).
-    Compute,
-    /// Write a plot dump of the current hierarchy through the backend.
-    PlotDump,
-    /// Write a checkpoint (restart state) through the backend.
-    Checkpoint,
-    /// Read the newest `source` dump at or before `from_step` back (a
-    /// restart): barriers in-flight drains, prices the read burst, and
-    /// arms the rewind the next [`Phase::Compute`] performs.
-    RestartRead {
-        /// Upper bound on the restored step.
-        from_step: u64,
-        /// Which dump kind restores the state.
-        source: DumpSource,
-    },
-    /// Selective analysis read of the newest plot dump (optionally
-    /// served from the reorganized layout, rewrite priced).
-    AnalysisRead {
-        /// What the read fetches.
-        sel: ReadSelection,
-        /// Rewrite the dump into the read-optimized layout first.
-        reorganize: bool,
-    },
-    /// Barrier any in-flight drain (the run's closing flush).
-    Drain,
-}
-
-/// A [`Phase`] plus its gate: the simulation step the phase belongs to.
-/// Gated phases are skipped when the run halts (on `stop_time`) before
-/// their step; ungated phases (the step-0 dump, trailing reads, the
-/// final drain) always execute.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScheduledPhase {
-    /// Minimum executed step this phase requires (`None` = always runs).
-    pub gate: Option<u64>,
-    /// The phase.
-    pub phase: Phase,
-}
-
-impl ScheduledPhase {
-    fn at(gate: u64, phase: Phase) -> Self {
-        Self {
-            gate: Some(gate),
-            phase,
-        }
-    }
-
-    fn always(phase: Phase) -> Self {
-        Self { gate: None, phase }
+/// The cadence an AMR run's scenario compiles against: AMReX writes
+/// `plt00000` before the first step, then dumps every `plot_int` steps
+/// and checkpoints every `check_int`.
+pub(crate) fn cadence(cfg: &CastroSedovConfig) -> Cadence {
+    Cadence {
+        steps: cfg.max_step,
+        plot_int: cfg.plot_int,
+        check_int: cfg.check_int,
+        step0_dump: true,
     }
 }
 
-/// Compiles the run's effective scenario into its phase program.
-///
-/// The program mirrors the legacy loop exactly for `write[;restart]
-/// [;analyze:..]` scenarios: step-0 plot dump, then per step a
-/// `Compute` followed by its cadenced `PlotDump`/`Checkpoint`, then the
-/// trailing reads, then `Drain`. `fail@K;restart` injects a mid-run
-/// `RestartRead` right after step `K`'s phases plus one replay
-/// `Compute` per lost step; `analyze_every:M:SEL` follows every `M`-th
-/// plot dump with an in-run `AnalysisRead`.
+/// Compiles the run's effective scenario into its phase program
+/// ([`io_engine::compile`] against the run's cadence; trailing
+/// `restart`/`readall` ops read whole dumps back).
 pub fn compile_phases(cfg: &CastroSedovConfig) -> Result<Vec<ScheduledPhase>, String> {
-    let sc = cfg.effective_scenario();
-    sc.validate()?;
-    let check_int = sc.check_every().unwrap_or(cfg.check_int);
-    let analyze_every = sc.analyze_every_ops();
-    let fail = sc.fail_step();
-    if let Some(k) = fail {
-        if k > cfg.max_step {
-            return Err(format!(
-                "fail@{k} is beyond max_step {} (the failure would never happen)",
-                cfg.max_step
-            ));
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut plot_count = 0u64;
-    let mut plot_steps = Vec::new();
-    let mut emit_plot = |out: &mut Vec<ScheduledPhase>, gate: Option<u64>, step: u64| {
-        out.push(ScheduledPhase {
-            gate,
-            phase: Phase::PlotDump,
-        });
-        plot_steps.push((gate, step));
-        plot_count += 1;
-        for (every, sel, reorganize) in &analyze_every {
-            if plot_count.is_multiple_of(*every) {
-                out.push(ScheduledPhase {
-                    gate,
-                    phase: Phase::AnalysisRead {
-                        sel: sel.clone(),
-                        reorganize: *reorganize,
-                    },
-                });
-            }
-        }
-    };
-
-    // AMReX writes plt00000 before the first step.
-    emit_plot(&mut out, None, 0);
-    for step in 1..=cfg.max_step {
-        out.push(ScheduledPhase::at(step, Phase::Compute));
-        if step.is_multiple_of(cfg.plot_int) {
-            emit_plot(&mut out, Some(step), step);
-        }
-        if check_int > 0 && step.is_multiple_of(check_int) {
-            out.push(ScheduledPhase::at(step, Phase::Checkpoint));
-        }
-        if fail == Some(step) {
-            // The crash loses in-memory state; recovery restores the
-            // newest persisted restart dump (checkpoint if the run
-            // writes any, else the newest plot dump) and re-computes
-            // every step after it.
-            let (restore, source) = if check_int > 0 && step >= check_int {
-                ((step / check_int) * check_int, DumpSource::Checkpoint)
-            } else {
-                // With plot_int 0 only the step-0 dump exists: recovery
-                // recomputes the whole run.
-                let last_plot = step.checked_div(cfg.plot_int).unwrap_or(0) * cfg.plot_int;
-                (last_plot, DumpSource::Plot)
-            };
-            out.push(ScheduledPhase::at(
-                step,
-                Phase::RestartRead {
-                    from_step: restore,
-                    source,
-                },
-            ));
-            for _lost in restore + 1..=step {
-                out.push(ScheduledPhase::at(step, Phase::Compute));
-            }
-        }
-    }
-
-    for op in sc.trailing_ops() {
-        match op {
-            ScenarioOp::Restart => out.push(ScheduledPhase::always(Phase::RestartRead {
-                from_step: cfg.max_step,
-                source: DumpSource::Plot,
-            })),
-            ScenarioOp::ReadAll => {
-                for &(gate, step) in &plot_steps {
-                    out.push(ScheduledPhase {
-                        gate,
-                        phase: Phase::RestartRead {
-                            from_step: step,
-                            source: DumpSource::Plot,
-                        },
-                    });
-                }
-            }
-            ScenarioOp::Analyze { sel, reorganize } => {
-                out.push(ScheduledPhase::always(Phase::AnalysisRead {
-                    sel,
-                    reorganize,
-                }))
-            }
-            _ => unreachable!("trailing_ops yields only read ops"),
-        }
-    }
-    out.push(ScheduledPhase::always(Phase::Drain));
-    Ok(out)
+    io_engine::compile(
+        &cfg.effective_scenario(),
+        &cadence(cfg),
+        &ReadSelection::Full,
+    )
 }
 
 /// What advances the grid hierarchy: the engine-specific half of a run.
@@ -411,175 +246,151 @@ impl StepSource for OracleSource {
     }
 }
 
-/// Totals of one restart-read phase.
-#[derive(Clone, Copy, Debug, Default)]
-struct ReadPhase {
-    read_bytes: u64,
-    physical_read_bytes: u64,
-    read_files: u64,
-    read_wall: f64,
-    codec_seconds: f64,
+/// A [`StepSource`] as the phase driver's producer.
+struct AmrProducer<'a, S> {
+    cfg: &'a CastroSedovConfig,
+    src: S,
+    comm: SimComm,
+    var_names: Vec<String>,
+    inputs: Vec<(String, String)>,
+    /// Per-step advance summaries, in the order the clock paid for them.
+    steps: Vec<StepInfo>,
+    last_dt: f64,
 }
 
-/// Restart-reads a dump back through the backend: the backend barriers
-/// in-flight drains, the scheduler prices the read burst at the storage
-/// model's read bandwidth (recorded in the burst timeline like every
-/// write burst), and decode CPU lands on the application clock after
-/// the bytes arrive. Advances `clock` past the read phase.
-fn restart_read(
-    backend: &mut dyn IoBackend,
-    scheduler: &mut Option<BurstScheduler<'_>>,
-    timeline: &mut BurstTimeline,
-    clock: &mut f64,
-    output_counter: u32,
-    dir: &str,
-) -> std::io::Result<ReadPhase> {
-    let read_start = match &scheduler {
-        // Recovery starts after the in-flight drain lands.
-        Some(sched) => sched.finish(*clock),
-        None => *clock,
-    };
-    *clock = read_start;
-    let read = backend.read_step(output_counter, dir)?;
-    let mut requests = read.stats.requests;
-    if let Some(sched) = scheduler.as_mut() {
-        let (burst, next_clock) =
-            sched.submit_read(output_counter, *clock, &mut requests, read.stats.bytes);
-        timeline.push(burst);
-        *clock = next_clock;
+/// A dump's stats in the driver's currency. `PlotfileStats` keeps no
+/// per-step overhead split; run totals take it from the backend's close
+/// report.
+fn step_stats(output_counter: u32, stats: PlotfileStats) -> StepStats {
+    StepStats {
+        step: output_counter,
+        files: stats.nfiles,
+        bytes: stats.total_bytes,
+        logical_bytes: stats.logical_bytes,
+        codec_seconds: stats.codec_seconds,
+        requests: stats.requests,
+        net_bytes: stats.net_bytes,
+        net_seconds: stats.net_seconds,
+        window_stall: stats.window_stall,
+        ..StepStats::default()
     }
-    *clock += read.stats.codec_seconds;
-    Ok(ReadPhase {
-        read_bytes: read.stats.logical_bytes,
-        physical_read_bytes: read.stats.bytes,
-        read_files: read.stats.files,
-        read_wall: *clock - read_start,
-        codec_seconds: read.stats.codec_seconds,
-    })
 }
 
-/// Totals of one selective analysis phase.
-#[derive(Clone, Copy, Debug, Default)]
-struct AnalysisPhase {
-    selective_read_bytes: u64,
-    selective_physical_read_bytes: u64,
-    selective_read_files: u64,
-    selective_read_wall: f64,
-    reorg_wall: f64,
-    reorg_bytes: u64,
-    codec_seconds: f64,
-}
-
-/// Performs one selective analysis read of a plot dump: with
-/// `reorganize`, the dump is first rewritten into the read-optimized
-/// layout (source fetch + rewrite both priced as bursts on the simulated
-/// clock), then the selection is served from whichever layout applies.
-/// Advances `clock` past the whole phase.
-// One argument per simulation plane the phase touches, mirroring
-// `restart_read` plus the rewrite's filesystem/tracker dependencies.
-#[allow(clippy::too_many_arguments)]
-fn analysis_read(
-    codec: io_engine::CodecSpec,
-    sel: &ReadSelection,
-    reorganize: bool,
-    backend: &mut dyn IoBackend,
-    fs: &dyn Vfs,
-    tracker: &IoTracker,
-    scheduler: &mut Option<BurstScheduler<'_>>,
-    timeline: &mut BurstTimeline,
-    clock: &mut f64,
-    output_counter: u32,
-    dir: &str,
-) -> std::io::Result<AnalysisPhase> {
-    let mut phase = AnalysisPhase::default();
-    // Analysis barriers the in-flight drain, like a restart.
-    let start = match &scheduler {
-        Some(sched) => sched.finish(*clock),
-        None => *clock,
-    };
-    *clock = start;
-
-    let read = if reorganize {
-        let mut reorg = Reorganizer::new(fs, tracker, codec);
-        let stats = reorg.reorganize(backend, output_counter, dir)?;
-        // Price the rewrite: the source fetch as a read burst, its
-        // decode CPU, then the clustered rewrite as a write burst with
-        // the re-encode CPU charged up front.
-        let mut read_reqs = stats.read.requests.clone();
-        let mut write_reqs = stats.requests.clone();
-        if let Some(sched) = scheduler.as_mut() {
-            let (burst, next) =
-                sched.submit_read(output_counter, *clock, &mut read_reqs, stats.read.bytes);
-            timeline.push(burst);
-            *clock = next + stats.read.codec_seconds;
-            let (burst, next) = sched.submit_with_compute(
-                output_counter,
-                *clock,
-                stats.codec_seconds,
-                &mut write_reqs,
-                stats.bytes,
-            );
-            timeline.push(burst);
-            *clock = sched.finish(next);
-        } else {
-            *clock += stats.read.codec_seconds + stats.codec_seconds;
+impl<S: StepSource> Producer for AmrProducer<'_, S> {
+    fn compute(&mut self, clock: f64) -> Option<f64> {
+        if self.src.time() >= self.cfg.stop_time {
+            return None;
         }
-        phase.reorg_wall = *clock - start;
-        phase.reorg_bytes = stats.read.bytes + stats.bytes;
-        phase.codec_seconds += stats.read.codec_seconds + stats.codec_seconds;
-        reorg.read_selection(output_counter, sel)?
-    } else {
-        backend.read_selection(output_counter, dir, sel)?
-    };
-
-    let sel_start = *clock;
-    let mut requests = read.stats.requests;
-    if let Some(sched) = scheduler.as_mut() {
-        let (burst, next) =
-            sched.submit_read(output_counter, *clock, &mut requests, read.stats.bytes);
-        timeline.push(burst);
-        *clock = next;
+        let info = self.src.advance();
+        let cells: i64 = info.cells.iter().sum();
+        let next = compute_phase(
+            &self.comm,
+            info.step,
+            clock,
+            cells,
+            self.cfg.compute_ns_per_cell,
+        );
+        self.last_dt = info.dt;
+        self.steps.push(info);
+        Some(next)
     }
-    *clock += read.stats.codec_seconds;
-    phase.selective_read_bytes = read.stats.logical_bytes;
-    phase.selective_physical_read_bytes = read.stats.bytes;
-    phase.selective_read_files = read.stats.files;
-    phase.selective_read_wall = *clock - sel_start;
-    phase.codec_seconds += read.stats.codec_seconds;
-    Ok(phase)
+
+    /// Writes (or accounts) one plot dump of the current hierarchy:
+    /// materialized when the engine holds field data and the run is not
+    /// account-only, exact size accounting otherwise.
+    fn plot_dump(&mut self, backend: &mut dyn IoBackend, output_counter: u32) -> io::Result<Dump> {
+        let cfg = self.cfg;
+        let dir = cfg.plot_dir(self.src.step_count());
+        let fields = if cfg.account_only {
+            None
+        } else {
+            self.src.plot_levels()
+        };
+        let stats = match fields {
+            Some(levels) => {
+                let spec = PlotfileSpec {
+                    dir: dir.clone(),
+                    output_counter,
+                    time: self.src.time(),
+                    var_names: self.var_names.clone(),
+                    ref_ratio: cfg.grid.ref_ratio,
+                    levels,
+                    inputs: self.inputs.clone(),
+                };
+                write_plotfile_with(backend, &spec)?
+            }
+            None => {
+                let layout = PlotfileLayout {
+                    dir: dir.clone(),
+                    output_counter,
+                    time: self.src.time(),
+                    var_names: self.var_names.clone(),
+                    ref_ratio: cfg.grid.ref_ratio,
+                    levels: self.src.layout_levels(),
+                    inputs: self.inputs.clone(),
+                };
+                account_plotfile_with(backend, &layout)
+            }
+        };
+        Ok(Dump {
+            dir,
+            stats: step_stats(output_counter, stats),
+        })
+    }
+
+    fn checkpoint(&mut self, backend: &mut dyn IoBackend, output_counter: u32) -> io::Result<Dump> {
+        let spec = CheckpointSpec {
+            dir: self.cfg.check_dir(self.src.step_count()),
+            output_counter,
+            time: self.src.time(),
+            ncomp: hydro::NCOMP,
+            ref_ratio: self.cfg.grid.ref_ratio,
+            levels: self.src.checkpoint_levels(self.last_dt),
+        };
+        let stats = account_checkpoint_with(backend, &spec)?;
+        Ok(Dump {
+            dir: spec.dir,
+            stats: step_stats(output_counter, stats),
+        })
+    }
+
+    fn restore(&mut self, step: u64) {
+        if self.src.step_count() != step {
+            // Rebuild the hierarchy from the restart dump: deterministic
+            // replay off the simulated clock (the state came from
+            // storage, not compute).
+            self.src.reset();
+            while self.src.step_count() < step {
+                let _ = self.src.advance();
+            }
+        }
+    }
 }
 
-/// Executes a compiled scenario program over `src` — the single run loop
-/// behind [`crate::run::run_simulation`], shared by every engine.
-/// Public so custom [`StepSource`] implementations (other hierarchy
-/// generators) can ride the same phase pipeline.
+/// Runs `cfg`'s scenario over `src` on the shared phase driver
+/// ([`io_engine::run_program`]) — the entry point behind
+/// [`crate::run::run_simulation`], shared by every engine. Public so
+/// custom [`StepSource`] implementations (other hierarchy generators)
+/// can ride the same phase pipeline.
 ///
 /// `storage` is the attachment: none, a private [`iosim::StorageModel`],
-/// or one tenant's [`iosim::FabricHandle`] on a shared [`iosim::Fabric`]
-/// — the machine-room path, where this run's bursts contend with every
-/// other tenant's and the scheduler reports shared vs solo-equivalent
-/// walls into the fabric's [`iosim::TenantStats`] when the run seals.
+/// or one tenant's [`iosim::FabricHandle`] on a shared [`iosim::Fabric`].
 ///
-/// Phase I/O errors propagate instead of panicking: a scenario that
-/// asks a backend for a read it cannot serve (the typed
-/// [`std::io::ErrorKind::Unsupported`] error from
-/// [`io_engine::unsupported_read`], naming the backend and selection)
-/// surfaces as an `Err`, never a panic.
-///
-/// # Panics
-/// Panics when the config's scenario fails to compile (malformed
-/// program, `fail@` beyond `max_step`) — a configuration error, not an
-/// I/O outcome.
+/// A scenario that fails to compile (malformed program, `fail@` beyond
+/// `max_step`) is an [`std::io::ErrorKind::InvalidInput`] error, and
+/// phase I/O errors propagate: a scenario that asks a backend for a read
+/// it cannot serve surfaces the typed
+/// [`std::io::ErrorKind::Unsupported`] error naming the backend and
+/// selection. Neither panics.
 pub fn try_run_scenario_attached<S: StepSource>(
     cfg: &CastroSedovConfig,
-    mut src: S,
+    src: S,
     fs: &dyn Vfs,
     storage: StorageAttach<'_>,
-) -> std::io::Result<RunResult> {
-    let program = compile_phases(cfg).unwrap_or_else(|e| panic!("scenario compile: {e}"));
-    let scenario_name = cfg.effective_scenario().name();
+) -> io::Result<RunResult> {
+    let program =
+        compile_phases(cfg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let tracker = IoTracker::new();
-    let comm = SimComm::summit(cfg.nprocs, 0x5ED0);
     let mut backend = cfg.backend.build_with_codec(cfg.codec, fs, &tracker);
     // On a machine room with an interconnect, a streamed tenant draws
     // its fair share of the shared link — the stream-plane twin of
@@ -591,311 +402,59 @@ pub fn try_run_scenario_attached<S: StepSource>(
             }
         }
     }
-    let in_transit = backend.in_transit();
-    let mut scheduler = storage.scheduler(backend.overlapped());
-    let mut timeline = BurstTimeline::new();
-    let var_names = castro_sedov_plot_vars();
-    let inputs = cfg.inputs();
-
-    let mut clock = 0.0f64;
-    let mut outputs = 0u32;
-    let mut codec_seconds = 0.0f64;
-    let mut steps: Vec<StepInfo> = Vec::new();
-    let mut last_dt = 0.0f64;
-    // Dump registries: (simulation step, output counter, directory).
-    let mut plot_dumps: Vec<(u64, u32, String)> = Vec::new();
-    let mut check_dumps: Vec<(u64, u32, String)> = Vec::new();
-    // Set when `stop_time` halts the run: phases gated at or after this
-    // step are skipped (their steps never executed).
-    let mut halted_at: Option<u64> = None;
-    // Set by a restart read: the next Compute rewinds the source and
-    // silently replays the hierarchy to this step first.
-    let mut pending_rewind: Option<u64> = None;
-
-    // Per-phase wall accounting and read/checkpoint totals.
-    let mut compute_wall = 0.0f64;
-    let mut plot_wall = 0.0f64;
-    let mut check_wall = 0.0f64;
-    let mut drain_wall = 0.0f64;
-    let mut check_bytes = 0u64;
-    let mut check_files = 0u64;
-    let mut read_phase = ReadPhase::default();
-    let mut analysis = AnalysisPhase::default();
-    let mut restarts = 0u32;
-    // The network plane: bytes and seconds streamed dumps spend on the
-    // modeled link instead of a storage burst, plus producer stall on
-    // consumer-window back-pressure.
-    let mut net_bytes = 0u64;
-    let mut net_wall = 0.0f64;
-    let mut window_stall = 0.0f64;
-    // Ships one in-transit dump on the application clock: encode CPU,
-    // then the link transfer, then any back-pressure stall — no storage
-    // burst, no timeline entry.
-    let ship_dump = |clock: &mut f64,
-                     net_bytes: &mut u64,
-                     net_wall: &mut f64,
-                     window_stall: &mut f64,
-                     stats: &PlotfileStats| {
-        *clock += stats.codec_seconds + stats.net_seconds + stats.window_stall;
-        *net_bytes += stats.net_bytes;
-        *net_wall += stats.net_seconds;
-        *window_stall += stats.window_stall;
+    let mut producer = AmrProducer {
+        cfg,
+        src,
+        comm: SimComm::summit(cfg.nprocs, 0x5ED0),
+        var_names: castro_sedov_plot_vars(),
+        inputs: cfg.inputs(),
+        steps: Vec::new(),
+        last_dt: 0.0,
     };
-
-    for sp in &program {
-        if let (Some(h), Some(g)) = (halted_at, sp.gate) {
-            if g >= h {
-                continue;
-            }
-        }
-        match &sp.phase {
-            Phase::Compute => {
-                if let Some(restore) = pending_rewind.take() {
-                    if src.step_count() != restore {
-                        // Rebuild the hierarchy from the restart dump:
-                        // deterministic replay off the simulated clock
-                        // (the state came from storage, not compute).
-                        src.reset();
-                        while src.step_count() < restore {
-                            let _ = src.advance();
-                        }
-                    }
-                }
-                if src.time() >= cfg.stop_time {
-                    halted_at = Some(sp.gate.unwrap_or(u64::MAX));
-                    continue;
-                }
-                let info = src.advance();
-                let cells: i64 = info.cells.iter().sum();
-                let before = clock;
-                clock = compute_phase(&comm, info.step, clock, cells, cfg.compute_ns_per_cell);
-                compute_wall += clock - before;
-                last_dt = info.dt;
-                steps.push(info);
-            }
-            Phase::PlotDump => {
-                let step = src.step_count();
-                outputs += 1;
-                let dir = cfg.plot_dir(step);
-                let mut stats = plot_dump_stats(
-                    cfg,
-                    &src,
-                    backend.as_mut(),
-                    outputs,
-                    &dir,
-                    &var_names,
-                    &inputs,
-                )?;
-                codec_seconds += stats.codec_seconds;
-                let before = clock;
-                if in_transit {
-                    ship_dump(
-                        &mut clock,
-                        &mut net_bytes,
-                        &mut net_wall,
-                        &mut window_stall,
-                        &stats,
-                    );
-                } else {
-                    dump_burst(
-                        &mut timeline,
-                        &mut clock,
-                        &mut scheduler,
-                        outputs,
-                        stats.codec_seconds,
-                        &mut stats.requests,
-                        stats.total_bytes,
-                    );
-                }
-                plot_wall += clock - before;
-                plot_dumps.push((step, outputs, dir));
-            }
-            Phase::Checkpoint => {
-                let step = src.step_count();
-                outputs += 1;
-                let spec = CheckpointSpec {
-                    dir: cfg.check_dir(step),
-                    output_counter: outputs,
-                    time: src.time(),
-                    ncomp: hydro::NCOMP,
-                    ref_ratio: cfg.grid.ref_ratio,
-                    levels: src.checkpoint_levels(last_dt),
-                };
-                let mut stats = account_checkpoint_with(backend.as_mut(), &spec)?;
-                codec_seconds += stats.codec_seconds;
-                check_bytes += stats.total_bytes;
-                check_files += stats.nfiles;
-                let before = clock;
-                if in_transit {
-                    ship_dump(
-                        &mut clock,
-                        &mut net_bytes,
-                        &mut net_wall,
-                        &mut window_stall,
-                        &stats,
-                    );
-                } else {
-                    dump_burst(
-                        &mut timeline,
-                        &mut clock,
-                        &mut scheduler,
-                        outputs,
-                        stats.codec_seconds,
-                        &mut stats.requests,
-                        stats.total_bytes,
-                    );
-                }
-                check_wall += clock - before;
-                check_dumps.push((step, outputs, spec.dir));
-            }
-            Phase::RestartRead { from_step, source } => {
-                let registry = match source {
-                    DumpSource::Plot => &plot_dumps,
-                    DumpSource::Checkpoint => &check_dumps,
-                };
-                // Newest dump at or before the requested step; nothing
-                // to recover means the phase is a no-op (e.g. the run
-                // halted before any dump in range).
-                let Some((step, counter, dir)) = registry
-                    .iter()
-                    .rev()
-                    .find(|(s, _, _)| s <= from_step)
-                    .cloned()
-                else {
-                    continue;
-                };
-                let phase = restart_read(
-                    backend.as_mut(),
-                    &mut scheduler,
-                    &mut timeline,
-                    &mut clock,
-                    counter,
-                    &dir,
-                )?;
-                read_phase.read_bytes += phase.read_bytes;
-                read_phase.physical_read_bytes += phase.physical_read_bytes;
-                read_phase.read_files += phase.read_files;
-                read_phase.read_wall += phase.read_wall;
-                read_phase.codec_seconds += phase.codec_seconds;
-                restarts += 1;
-                pending_rewind = Some(step);
-            }
-            Phase::AnalysisRead { sel, reorganize } => {
-                let Some((_, counter, dir)) = plot_dumps.last().cloned() else {
-                    continue;
-                };
-                let phase = analysis_read(
-                    cfg.codec,
-                    sel,
-                    *reorganize,
-                    backend.as_mut(),
-                    fs,
-                    &tracker,
-                    &mut scheduler,
-                    &mut timeline,
-                    &mut clock,
-                    counter,
-                    &dir,
-                )?;
-                analysis.selective_read_bytes += phase.selective_read_bytes;
-                analysis.selective_physical_read_bytes += phase.selective_physical_read_bytes;
-                analysis.selective_read_files += phase.selective_read_files;
-                analysis.selective_read_wall += phase.selective_read_wall;
-                analysis.reorg_wall += phase.reorg_wall;
-                analysis.reorg_bytes += phase.reorg_bytes;
-                analysis.codec_seconds += phase.codec_seconds;
-            }
-            Phase::Drain => {
-                let before = clock;
-                if let Some(sched) = &scheduler {
-                    clock = sched.finish(clock);
-                }
-                drain_wall += clock - before;
-            }
-        }
-    }
-
-    let engine_report = backend.close()?;
+    let t = io_engine::run_program(
+        &program,
+        &mut producer,
+        backend.as_mut(),
+        fs,
+        &tracker,
+        cfg.codec,
+        storage,
+    )?;
     drop(backend);
-    // Seal rather than just barrier: on the fabric path this reports the
-    // run's shared and solo-equivalent walls to its tenant stats and
-    // retires the tenant from the machine room's quorum.
-    let wall_time = match &mut scheduler {
-        Some(sched) => sched.seal(clock),
-        None => clock,
-    };
     Ok(RunResult {
         config: cfg.clone(),
-        scenario: scenario_name,
+        scenario: cfg.effective_scenario().name(),
         tracker,
-        steps,
-        outputs,
-        restarts,
-        files_written: engine_report.files,
-        physical_bytes: engine_report.bytes,
-        logical_bytes: engine_report.logical_bytes,
-        overhead_bytes: engine_report.overhead_bytes,
-        codec_seconds: codec_seconds + read_phase.codec_seconds + analysis.codec_seconds,
-        check_bytes,
-        check_files,
-        check_wall,
-        read_bytes: read_phase.read_bytes,
-        physical_read_bytes: read_phase.physical_read_bytes,
-        read_files: read_phase.read_files,
-        read_wall: read_phase.read_wall,
-        selective_read_bytes: analysis.selective_read_bytes,
-        selective_physical_read_bytes: analysis.selective_physical_read_bytes,
-        selective_read_files: analysis.selective_read_files,
-        selective_read_wall: analysis.selective_read_wall,
-        reorg_wall: analysis.reorg_wall,
-        reorg_bytes: analysis.reorg_bytes,
-        compute_wall,
-        plot_wall,
-        drain_wall,
-        net_bytes,
-        net_wall,
-        window_stall,
-        timeline,
-        wall_time,
+        steps: producer.steps,
+        outputs: t.outputs,
+        restarts: t.restarts,
+        files_written: t.engine.files,
+        physical_bytes: t.engine.bytes,
+        logical_bytes: t.engine.logical_bytes,
+        overhead_bytes: t.engine.overhead_bytes,
+        codec_seconds: t.codec_seconds + t.restart.codec_seconds + t.analysis.codec_seconds,
+        check_bytes: t.check_bytes,
+        check_files: t.check_files,
+        check_wall: t.check_wall,
+        read_bytes: t.restart.bytes,
+        physical_read_bytes: t.restart.physical_bytes,
+        read_files: t.restart.files,
+        read_wall: t.restart.wall,
+        selective_read_bytes: t.analysis.bytes,
+        selective_physical_read_bytes: t.analysis.physical_bytes,
+        selective_read_files: t.analysis.files,
+        selective_read_wall: t.analysis.wall,
+        reorg_wall: t.reorg_wall,
+        reorg_bytes: t.reorg_bytes,
+        compute_wall: t.compute_wall,
+        plot_wall: t.plot_wall,
+        drain_wall: t.drain_wall,
+        net_bytes: t.net_bytes,
+        net_wall: t.net_wall,
+        window_stall: t.window_stall,
+        timeline: t.timeline,
+        wall_time: t.wall_time,
     })
-}
-
-/// Writes (or accounts) one plot dump of the source's current hierarchy
-/// through the backend: materialized when the engine holds field data
-/// and the run is not account-only, exact size accounting otherwise.
-fn plot_dump_stats<S: StepSource>(
-    cfg: &CastroSedovConfig,
-    src: &S,
-    backend: &mut dyn IoBackend,
-    output_counter: u32,
-    dir: &str,
-    var_names: &[String],
-    inputs: &[(String, String)],
-) -> std::io::Result<PlotfileStats> {
-    if !cfg.account_only {
-        if let Some(levels) = src.plot_levels() {
-            let spec = PlotfileSpec {
-                dir: dir.to_string(),
-                output_counter,
-                time: src.time(),
-                var_names: var_names.to_vec(),
-                ref_ratio: cfg.grid.ref_ratio,
-                levels,
-                inputs: inputs.to_vec(),
-            };
-            return write_plotfile_with(backend, &spec);
-        }
-    }
-    let layout = PlotfileLayout {
-        dir: dir.to_string(),
-        output_counter,
-        time: src.time(),
-        var_names: var_names.to_vec(),
-        ref_ratio: cfg.grid.ref_ratio,
-        levels: src.layout_levels(),
-        inputs: inputs.to_vec(),
-    };
-    Ok(account_plotfile_with(backend, &layout))
 }
 
 #[cfg(test)]
@@ -931,7 +490,13 @@ mod tests {
         let program = compile_phases(&cfg(8, 2, 0)).unwrap();
         // Step-0 dump, 8 computes, dumps at 2,4,6,8, one drain.
         assert_eq!(counts(&program), (8, 5, 0, 0, 0, 1));
-        assert_eq!(program[0], ScheduledPhase::always(Phase::PlotDump));
+        assert_eq!(
+            program[0],
+            ScheduledPhase {
+                gate: None,
+                phase: Phase::PlotDump,
+            }
+        );
         assert_eq!(program.last().unwrap().phase, Phase::Drain);
         // Every in-loop phase is gated by its step.
         assert!(program[1..program.len() - 1]
@@ -986,6 +551,7 @@ mod tests {
             Phase::RestartRead {
                 from_step: 8,
                 source: DumpSource::Plot,
+                sel: ReadSelection::Full,
             }
         );
         assert_eq!(restart.gate, Some(10), "skipped if the run halts early");
@@ -1003,6 +569,7 @@ mod tests {
             Phase::RestartRead {
                 from_step: 8,
                 source: DumpSource::Checkpoint,
+                sel: ReadSelection::Full,
             }
         );
     }
@@ -1072,6 +639,7 @@ mod tests {
             Phase::RestartRead {
                 from_step: 0,
                 source: DumpSource::Plot,
+                sel: ReadSelection::Full,
             }
         );
         let (computes, plots, _, _, _, _) = counts(&program);
@@ -1081,6 +649,23 @@ mod tests {
         let r = crate::run::run_simulation(&c, None, None);
         assert_eq!(r.restarts, 1);
         assert_eq!(r.read_bytes, r.tracker.bytes_per_step()[&1]);
+    }
+
+    #[test]
+    fn uncompilable_scenarios_are_invalid_input_errors_not_panics() {
+        let fs = iosim::MemFs::with_retention(0);
+        let mut c = cfg(8, 2, 0);
+        for scenario in [
+            Scenario::fail_restart(99),
+            // Malformed (no `write`): only constructible past `parse`.
+            Scenario { ops: Vec::new() },
+        ] {
+            c.scenario = Some(scenario);
+            let err = try_run_scenario_attached(&c, OracleSource::new(&c), &fs, None.into())
+                .err()
+                .expect("the scenario must not run");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

@@ -357,6 +357,34 @@ mod tests {
     }
 
     #[test]
+    fn unrunnable_scenario_cells_fail_at_compile_and_nothing_runs() {
+        let mut base = small_base("s");
+        base.max_step = 8;
+        let spec = ExperimentSpec::new("bad").base(base).scenarios(&[
+            io_engine::Scenario::write_only(),
+            io_engine::Scenario::parse("write;fail@99;restart").unwrap(),
+        ]);
+        let err = spec.compile().unwrap_err();
+        let text = err.to_string();
+        assert!(matches!(err, SpecError::Scenario { .. }), "{err:?}");
+        // Names the cell by label and coordinates, and says why.
+        for needle in [
+            "'s_write_fail99_restart'",
+            "base=s",
+            "scenario=write;fail@99;restart",
+            "fail@99 is beyond the run's last step 8",
+        ] {
+            assert!(text.contains(needle), "'{needle}' not in: {text}");
+        }
+        for executor in [run_spec, run_spec_serial] {
+            let mut store = ResultsStore::open(tmp_dir("bad_scenario")).unwrap();
+            assert_eq!(executor(&spec, &mut store, None).unwrap_err(), err);
+            assert!(store.is_empty(), "the runnable first cell never ran");
+            std::fs::remove_dir_all(store.dir()).unwrap();
+        }
+    }
+
+    #[test]
     fn parallel_run_spec_matches_the_serial_reference() {
         let storage = iosim::StorageModel::ideal(2, 5e7);
         // Mixed spec: solo cells (rayon pool) and tenancy cells (native

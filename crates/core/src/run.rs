@@ -6,13 +6,14 @@
 //! (optionally) time each dump burst against the storage model. The
 //! *shape* of the run — where checkpoints, mid-run failures/restarts,
 //! and analysis reads interleave with the write stream — is a compiled
-//! scenario program executed by the engine-agnostic phase driver in
-//! [`crate::driver`].
+//! scenario program executed by the phase driver MACSio shares
+//! ([`io_engine::driver`]), with the hierarchy engines as its producer
+//! ([`crate::driver`]).
 
 use crate::config::{CastroSedovConfig, Engine};
 use crate::driver::{try_run_scenario_attached, AmrSource, OracleSource};
 use hydro::StepInfo;
-use iosim::{BurstScheduler, BurstTimeline, IoTracker, MemFs, StorageModel, Vfs};
+use iosim::{BurstTimeline, IoTracker, MemFs, StorageModel, Vfs};
 use mpi_sim::{collectives::allreduce_max, SimComm};
 
 /// Everything measured from one run.
@@ -215,29 +216,6 @@ pub(crate) fn compute_phase(
         ctx.clock.now()
     });
     allreduce_max(&finish_times)
-}
-
-/// Submits one dump burst: times it against the storage model when one
-/// is attached, otherwise charges only the codec CPU to the clock.
-pub(crate) fn dump_burst(
-    timeline: &mut BurstTimeline,
-    clock: &mut f64,
-    scheduler: &mut Option<BurstScheduler<'_>>,
-    output_counter: u32,
-    codec_seconds: f64,
-    requests: &mut [iosim::WriteRequest],
-    bytes: u64,
-) {
-    if let Some(sched) = scheduler.as_mut() {
-        let (burst, next_clock) =
-            sched.submit_with_compute(output_counter, *clock, codec_seconds, requests, bytes);
-        timeline.push(burst);
-        *clock = next_clock;
-    } else {
-        // No storage model: the codec's CPU cost still lands on the
-        // application clock (it is compute, not I/O).
-        *clock += codec_seconds;
-    }
 }
 
 #[cfg(test)]

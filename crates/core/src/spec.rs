@@ -374,6 +374,16 @@ pub enum SpecError {
     Zip(String),
     /// The spec has no base configuration.
     NoBase,
+    /// A cell's scenario cannot run against its cadence (a malformed
+    /// program, `fail@K` beyond the cell's `max_step`).
+    Scenario {
+        /// The cell's run label.
+        label: String,
+        /// Canonical `axis=value` coordinates of the cell.
+        coords: String,
+        /// Why the scenario was refused.
+        reason: String,
+    },
     /// Executing a compiled cell or persisting its rows failed (a
     /// throughput cell without a storage model, a store append error).
     Exec(String),
@@ -397,6 +407,11 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::Zip(msg) => write!(f, "zip group error: {msg}"),
             SpecError::NoBase => write!(f, "spec has no base configuration"),
+            SpecError::Scenario {
+                label,
+                coords,
+                reason,
+            } => write!(f, "cell '{label}' ({coords}) cannot run: {reason}"),
             SpecError::Exec(msg) => write!(f, "spec execution error: {msg}"),
         }
     }
@@ -623,21 +638,33 @@ impl ExperimentSpec {
                         label.push_str(tag);
                     }
                 }
-                let (config, storage, tenants) = self.apply(base, cell_idx, label.clone());
+                let (config, storage, tenants) = self.apply(base, cell_idx, label);
                 let key = cell_key(&config, storage.as_ref(), tenants);
                 let solo_key = {
                     let mut solo = config.clone();
                     solo.name = String::new();
                     cell_key(&solo, storage.as_ref(), 1)
                 };
-                cells.push(SpecCell {
+                let cell = SpecCell {
                     config,
                     storage,
                     tenants,
                     key,
                     solo_key,
                     coords,
-                });
+                };
+                // The executors reach the driver through infallible
+                // wrappers on worker threads: refuse here what its
+                // compiler would refuse there.
+                let scenario = cell.config.effective_scenario();
+                if let Err(reason) = crate::driver::cadence(&cell.config).admits(&scenario) {
+                    return Err(SpecError::Scenario {
+                        label: cell.config.name.clone(),
+                        coords: cell.coords_string(),
+                        reason,
+                    });
+                }
+                cells.push(cell);
             }
         }
         let mut seen: Vec<(&str, usize)> = Vec::with_capacity(cells.len());

@@ -70,12 +70,15 @@
 //! by-level and by-field queries, with both the rewrite and the reads
 //! priced like any other I/O.
 //!
-//! Finally, the [`scenario`] module hosts the **workload grammar** shared
-//! by every engine driver: a [`Scenario`] program
+//! Finally, the **scenario plane**: the [`scenario`] module hosts the
+//! workload grammar — a [`Scenario`] program
 //! (`write;fail@17;restart;analyze:level:2,reorg`) names how a campaign
 //! interleaves writes, checkpoints, mid-run failures/restarts, and
-//! in-run analysis reads; `amrproxy` compiles it into a phase program,
-//! `macsio` interprets it over its dump loop.
+//! in-run analysis reads — and the [`driver`] module compiles it against
+//! a workload's [`Cadence`] into a phase program and executes that
+//! program ([`run_program`]) over a [`Producer`]: `amrproxy`'s hierarchy
+//! engines and `macsio`'s part marshaller differ only in how a step's
+//! bytes are produced, never in how its phases are sequenced and priced.
 //!
 //! **Layer position:** between the proxy writers (`plotfile`, `macsio`)
 //! and the `iosim` substrate: writers choose logical paths, this crate
@@ -123,6 +126,7 @@ pub mod aggregated;
 pub mod backend;
 pub mod codec;
 pub mod deferred;
+pub mod driver;
 pub mod fpp;
 pub mod grammar;
 pub mod reorg;
@@ -139,6 +143,10 @@ pub use backend::{
 };
 pub use codec::{Codec, CodecContext, CodecSpec, Identity, LossyQuant, Rle};
 pub use deferred::Deferred;
+pub use driver::{
+    compile, run_program, Cadence, Dump, DumpSource, Phase, Producer, ReadPlane, RunTotals,
+    ScheduledPhase,
+};
 pub use fpp::FilePerProcess;
 pub use grammar::{disambiguate_tags, MatrixShape, TomlDoc, TomlSection, TomlValue};
 pub use reorg::{ReorgStats, Reorganizer};

@@ -6,11 +6,11 @@
 //! and periodic in-situ analysis with the write stream (the workloads
 //! Hercule and AMRIC price). A [`Scenario`] names such a campaign shape
 //! as a small op program — `write;fail@17;restart;analyze:level:2,reorg`
-//! — that engine drivers (`amrproxy`'s phase driver, `macsio`'s dump
-//! loop) compile against their own cadences. The type lives here, next
-//! to [`crate::BackendSpec`] / [`crate::CodecSpec`] /
-//! [`crate::ReadSelection`], so every workload generator shares one
-//! spelling.
+//! — that [`crate::driver`] compiles against a workload's cadence and
+//! executes over its producer (`amrproxy`'s hierarchy engines, `macsio`'s
+//! part marshaller). The type lives here, next to [`crate::BackendSpec`]
+//! / [`crate::CodecSpec`] / [`crate::ReadSelection`], so every workload
+//! generator shares one spelling and one interpreter.
 //!
 //! Ops:
 //!

@@ -19,21 +19,24 @@
 use crate::fabric::FabricHandle;
 use crate::storage::{ReadRequest, StorageModel, WriteRequest};
 use crate::timeline::Burst;
+use std::borrow::Cow;
 
 /// Where bursts drain to.
 enum Sink<'a> {
-    Model(&'a StorageModel),
+    /// A private model: the caller's, or a fabric tenant's own copy
+    /// (the [`Shadow`]).
+    Model(Cow<'a, StorageModel>),
     Fabric(FabricHandle),
 }
 
-/// Exact solo replay of a fabric tenant's burst sequence: the same
-/// requests against a private model copy, advanced by the same compute
-/// deltas (app time between scheduler calls is pure compute, so the
-/// shared clock's increments between calls transfer verbatim).
+/// Exact solo replay of a fabric tenant's burst sequence: a
+/// private-model scheduler fed the same requests on its own clock,
+/// advanced by the same compute deltas (app time between scheduler calls
+/// is pure compute, so the shared clock's increments between calls
+/// transfer verbatim).
 struct Shadow {
-    model: StorageModel,
+    solo: Box<BurstScheduler<'static>>,
     clock: f64,
-    drain_end: f64,
     /// Shared-run clock when the scheduler last returned control.
     last_shared_clock: f64,
 }
@@ -42,47 +45,6 @@ impl Shadow {
     /// Replays the inter-call compute delta onto the solo clock.
     fn advance(&mut self, shared_clock: f64) {
         self.clock += (shared_clock - self.last_shared_clock).max(0.0);
-    }
-
-    /// Mirror of the legacy solo write path (both policies).
-    fn write(&mut self, overlapped: bool, requests: &[WriteRequest]) {
-        if requests.is_empty() {
-            return;
-        }
-        let mut solo = requests.to_vec();
-        if !overlapped {
-            for r in solo.iter_mut() {
-                r.start = self.clock;
-            }
-            self.clock = self.model.simulate_burst(&solo).t_end;
-        } else {
-            let handoff = self.clock.max(self.drain_end);
-            for r in solo.iter_mut() {
-                r.start = handoff;
-            }
-            self.drain_end = self.model.simulate_burst(&solo).t_end;
-            self.clock = handoff;
-        }
-    }
-
-    /// Mirror of the legacy solo read path (reads block and barrier the
-    /// in-flight drain in both policies).
-    fn read(&mut self, requests: &[ReadRequest]) {
-        let start = self.clock.max(self.drain_end);
-        if requests.is_empty() {
-            self.clock = start;
-            return;
-        }
-        let mut solo = requests.to_vec();
-        for r in solo.iter_mut() {
-            r.start = start;
-        }
-        self.clock = self.model.simulate_read_burst(&solo).t_end;
-    }
-
-    /// Mirror of the legacy closing barrier.
-    fn wall(&self) -> f64 {
-        self.clock.max(self.drain_end)
     }
 }
 
@@ -107,11 +69,9 @@ pub struct BurstScheduler<'a> {
 }
 
 impl<'a> BurstScheduler<'a> {
-    /// A scheduler over a private `model`; `overlapped` selects the
-    /// deferred (compute/flush overlap) policy.
-    pub fn new(model: &'a StorageModel, overlapped: bool) -> Self {
+    fn over(sink: Sink<'a>, overlapped: bool) -> Self {
         Self {
-            sink: Sink::Model(model),
+            sink,
             overlapped,
             drain_end: 0.0,
             write_stall: 0.0,
@@ -120,6 +80,12 @@ impl<'a> BurstScheduler<'a> {
             shadow: None,
             known_solo: None,
         }
+    }
+
+    /// A scheduler over a private `model`; `overlapped` selects the
+    /// deferred (compute/flush overlap) policy.
+    pub fn new(model: &'a StorageModel, overlapped: bool) -> Self {
+        Self::over(Sink::Model(Cow::Borrowed(model)), overlapped)
     }
 
     /// A scheduler draining into one tenant's seat on a shared fabric.
@@ -132,13 +98,14 @@ impl<'a> BurstScheduler<'a> {
     /// ([`crate::SoloMemo`]) — the shadow is skipped and that wall is
     /// reported verbatim at seal.
     pub fn on_fabric(handle: FabricHandle, overlapped: bool) -> Self {
-        let model = handle.model();
         let (shadow, known_solo) = match handle.solo_pricing() {
             crate::SoloPricing::Replay => (
                 Some(Shadow {
-                    model,
+                    solo: Box::new(BurstScheduler::over(
+                        Sink::Model(Cow::Owned(handle.model())),
+                        overlapped,
+                    )),
                     clock: 0.0,
-                    drain_end: 0.0,
                     last_shared_clock: 0.0,
                 }),
                 None,
@@ -146,14 +113,9 @@ impl<'a> BurstScheduler<'a> {
             crate::SoloPricing::Known(wall) => (None, Some(wall)),
         };
         Self {
-            sink: Sink::Fabric(handle),
-            overlapped,
-            drain_end: 0.0,
-            write_stall: 0.0,
-            read_stall: 0.0,
-            staging_wait: 0.0,
             shadow,
             known_solo,
+            ..Self::over(Sink::Fabric(handle), overlapped)
         }
     }
 
@@ -169,7 +131,10 @@ impl<'a> BurstScheduler<'a> {
     ) -> (Burst, f64) {
         if let Some(sh) = &mut self.shadow {
             sh.advance(clock);
-            sh.write(self.overlapped, requests);
+            sh.clock = sh
+                .solo
+                .submit(step, sh.clock, &mut requests.to_vec(), bytes)
+                .1;
         }
         let (burst, clock_after) = if requests.is_empty() {
             let burst = Burst {
@@ -259,7 +224,10 @@ impl<'a> BurstScheduler<'a> {
     ) -> (Burst, f64) {
         if let Some(sh) = &mut self.shadow {
             sh.advance(clock);
-            sh.read(requests);
+            sh.clock = sh
+                .solo
+                .submit_read(step, sh.clock, &mut requests.to_vec(), bytes)
+                .1;
         }
         let start = clock.max(self.drain_end);
         self.read_stall += start - clock;
@@ -311,7 +279,7 @@ impl<'a> BurstScheduler<'a> {
             Some(sh) => {
                 sh.advance(clock);
                 sh.last_shared_clock = clock;
-                sh.wall()
+                sh.solo.finish(sh.clock)
             }
             // Memoized shadow if one was handed over; the private-model
             // path has neither and a solo run's wall *is* its solo wall.

@@ -1,4 +1,4 @@
-//! The MACSio main loop: marshal parts, dump, repeat.
+//! MACSio on the shared phase driver: marshal parts, dump, repeat.
 //!
 //! Reproduces the proxy behaviour the paper uses: `num_dumps` dumps, each
 //! preceded by a `compute_time` phase, each writing the N-to-N (or MIF
@@ -7,11 +7,17 @@
 //! [`IoTracker`], and optionally timed against a [`StorageModel`] to
 //! produce the burst timeline.
 //!
-//! The run's *shape* is an [`io_engine::Scenario`] program interpreted
-//! over the dump stream: the legacy `--mode` spellings compile to
-//! `write`, `write;restart`, and `write;readall`, while `--scenario`
-//! opens the rest of the grammar — `fail@K;restart` re-reads the newest
-//! dump mid-stream (recovery interleaved with the write bursts) and
+//! The run's *shape* is an [`io_engine::Scenario`] program, compiled and
+//! executed by the same phase driver the AMR engines run on
+//! ([`io_engine::driver`]): MACSio is that driver's program with a dump
+//! after every step and none before the first, a constant compute charge,
+//! and nothing to rewind after a restart read. This module is the rest —
+//! config validation, the producer (marshal parts, group ranks, `put`,
+//! root file) and the projection of the driver's totals into
+//! [`MacsioReport`]. The legacy `--mode` spellings compile to `write`,
+//! `write;restart`, and `write;readall`, while `--scenario` opens the
+//! rest of the grammar — `fail@K;restart` re-reads the newest dump
+//! mid-stream (recovery interleaved with the write bursts) and
 //! `analyze_every:M:SEL` prices periodic in-run analysis reads. MACSio's
 //! flat dump stream has no checkpoint or reorganization plane, so
 //! `check@` ops and `,reorg` suffixes are rejected.
@@ -19,10 +25,8 @@
 use crate::config::{FileMode, MacsioConfig};
 use crate::marshal::{marshal_part, marshal_root};
 use crate::mesh::MeshPart;
-use io_engine::{IoBackend, Payload, Put, ReadSelection, ScenarioOp};
-use iosim::{
-    BurstScheduler, BurstTimeline, IoKey, IoKind, IoTracker, StorageAttach, StorageModel, Vfs,
-};
+use io_engine::{Cadence, Dump, IoBackend, Payload, Producer, Put, ScenarioOp};
+use iosim::{BurstTimeline, IoKey, IoKind, IoTracker, StorageAttach, StorageModel, Vfs};
 use std::io;
 
 /// Predicted on-disk bytes of one rank's data file at dump `k`, without
@@ -126,43 +130,20 @@ pub fn run(
 /// Like [`run`] but accepting any storage attachment — in particular a
 /// [`iosim::FabricHandle`], which times the run's bursts on a shared
 /// multi-tenant fabric instead of a private storage model.
+///
+/// The MIF/SIF grouping of Fig. 3 shapes the *logical* file paths (which
+/// ranks share a group file); the backend then decides the physical
+/// layout — pass-through (file-per-process), BP-style aggregation,
+/// deferred burst-buffer staging, or in-transit streaming — and the
+/// phase driver prices each dump under the matching policy.
 pub fn run_attached(
     cfg: &MacsioConfig,
     vfs: &dyn Vfs,
     tracker: &IoTracker,
     storage: StorageAttach<'_>,
 ) -> io::Result<MacsioReport> {
-    let mut backend = cfg
-        .io_backend
-        .build_with_codec(cfg.compression, vfs, tracker);
-    run_with_backend_attached(cfg, backend.as_mut(), storage)
-}
-
-/// Runs MACSio through an explicit [`IoBackend`].
-///
-/// The MIF/SIF grouping of Fig. 3 shapes the *logical* file paths (which
-/// ranks share a group file); the backend then decides the physical
-/// layout — pass-through (file-per-process), BP-style aggregation, or
-/// deferred burst-buffer staging — and the storage clock advances under
-/// the matching [`BurstScheduler`] policy.
-pub fn run_with_backend(
-    cfg: &MacsioConfig,
-    backend: &mut dyn IoBackend,
-    storage: Option<&StorageModel>,
-) -> io::Result<MacsioReport> {
-    run_with_backend_attached(cfg, backend, storage.into())
-}
-
-/// [`run_with_backend`] generalized over the storage attachment: `None`
-/// (untimed), a private [`StorageModel`], or a fabric tenant handle.
-pub fn run_with_backend_attached(
-    cfg: &MacsioConfig,
-    backend: &mut dyn IoBackend,
-    storage: StorageAttach<'_>,
-) -> io::Result<MacsioReport> {
     cfg.validate();
     let scenario = cfg.effective_scenario();
-    scenario.validate().map_err(io::Error::other)?;
     if scenario.check_every().is_some() {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -186,46 +167,94 @@ pub fn run_with_backend_attached(
             "macsio has no reorganization plane: drop ',reorg' from analysis ops",
         ));
     }
-    let fail = scenario.fail_step();
-    if let Some(k) = fail {
-        if k > u64::from(cfg.num_dumps) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "fail@{k} is beyond num_dumps {} (the failure would never happen)",
-                    cfg.num_dumps
-                ),
-            ));
-        }
-    }
-    let analyze_every = scenario.analyze_every_ops();
-    let mut report = MacsioReport {
-        scenario: scenario.name(),
-        ..MacsioReport::default()
+    // The dump stream as a cadence: one dump after every compute phase,
+    // none before the first. A `fail@K` then recovers from dump `K`
+    // itself — MACSio's state lives entirely in its dumps, so no marshal
+    // work is re-paid and the read burst is the price of the failure.
+    // Trailing `restart`/`readall` fetch only the chunks of
+    // `cfg.read_pattern` (the default `full` pattern is the whole-dump
+    // restart); `analyze:` ops carry their own selection.
+    let cadence = Cadence {
+        steps: u64::from(cfg.num_dumps),
+        plot_int: 1,
+        check_int: 0,
+        step0_dump: false,
     };
-    let mut clock = 0.0f64;
-    let mut scheduler = storage.scheduler(backend.overlapped());
+    let program = io_engine::compile(&scenario, &cadence, &cfg.read_pattern)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
 
+    let mut backend = cfg
+        .io_backend
+        .build_with_codec(cfg.compression, vfs, tracker);
     // Global part ids: prefix sums of per-rank part counts.
     let parts_per_rank: Vec<usize> = (0..cfg.nprocs).map(|r| cfg.parts_of_rank(r)).collect();
     let mut first_part_id = vec![0usize; cfg.nprocs];
     for r in 1..cfg.nprocs {
         first_part_id[r] = first_part_id[r - 1] + parts_per_rank[r - 1];
     }
+    let mut stream = DumpStream {
+        cfg,
+        parts_per_rank,
+        first_part_id,
+    };
+    let t = io_engine::run_program(
+        &program,
+        &mut stream,
+        backend.as_mut(),
+        vfs,
+        tracker,
+        cfg.compression,
+        storage,
+    )?;
+    // MACSio reports one read plane: restart-class and analysis-class
+    // reads together.
+    Ok(MacsioReport {
+        scenario: scenario.name(),
+        restarts: t.restarts,
+        total_bytes: t.engine.bytes,
+        logical_bytes: t.engine.logical_bytes,
+        codec_seconds: t.codec_seconds + t.restart.codec_seconds + t.analysis.codec_seconds,
+        overhead_bytes: t.engine.overhead_bytes,
+        bytes_per_dump: t.bytes_per_dump,
+        files_written: t.engine.files,
+        read_bytes: t.restart.bytes + t.analysis.bytes,
+        physical_read_bytes: t.restart.physical_bytes + t.analysis.physical_bytes,
+        read_files: t.restart.files + t.analysis.files,
+        read_wall: t.restart.wall + t.analysis.wall,
+        timeline: t.timeline,
+        net_bytes: t.net_bytes,
+        net_seconds: t.net_wall,
+        window_stall: t.window_stall,
+        wall_time: t.wall_time,
+    })
+}
 
-    for dump in 0..cfg.num_dumps {
-        clock += cfg.compute_time;
+/// MACSio as the phase driver's producer: a constant compute charge and
+/// one marshalled dump per step.
+struct DumpStream<'a> {
+    cfg: &'a MacsioConfig,
+    parts_per_rank: Vec<usize>,
+    first_part_id: Vec<usize>,
+}
+
+impl Producer for DumpStream<'_> {
+    fn compute(&mut self, clock: f64) -> Option<f64> {
+        Some(clock + self.cfg.compute_time)
+    }
+
+    fn plot_dump(&mut self, backend: &mut dyn IoBackend, step_key: u32) -> io::Result<Dump> {
+        let cfg = self.cfg;
+        let dump = step_key - 1;
         let nominal = cfg.grown_part_size(dump);
-        let step_key = dump + 1;
         backend.begin_step(step_key, "/");
 
         // Marshal per-rank payloads.
         let mut rank_blobs: Vec<Vec<u8>> = Vec::with_capacity(cfg.nprocs);
         for rank in 0..cfg.nprocs {
             let mut blob = Vec::new();
-            for p in 0..parts_per_rank[rank] {
+            for p in 0..self.parts_per_rank[rank] {
                 let part = MeshPart::from_nominal_size(
-                    first_part_id[rank] + p,
+                    self.first_part_id[rank] + p,
                     nominal,
                     cfg.vars_per_part,
                 );
@@ -262,7 +291,7 @@ pub fn run_with_backend_attached(
         }
 
         // Root metadata file (rank 0).
-        let root = marshal_root(dump, cfg.nprocs, &parts_per_rank, cfg.meta_size);
+        let root = marshal_root(dump, cfg.nprocs, &self.parts_per_rank, cfg.meta_size);
         backend.put(Put {
             key: IoKey {
                 step: step_key,
@@ -274,159 +303,15 @@ pub fn run_with_backend_attached(
             payload: Payload::Bytes(root.into()),
         })?;
 
-        let mut stats = backend.end_step()?;
-        report.files_written += stats.files;
-
-        // Timing: the codec's CPU cost lands on the application clock
-        // whether or not a storage model times the drain. In-transit
-        // dumps never reach the storage scheduler: encode, link
-        // transfer, and window back-pressure are the whole cost.
-        if backend.in_transit() {
-            clock += stats.codec_seconds + stats.net_seconds + stats.window_stall;
-            report.net_bytes += stats.net_bytes;
-            report.net_seconds += stats.net_seconds;
-            report.window_stall += stats.window_stall;
-        } else if let Some(sched) = scheduler.as_mut() {
-            let (burst, next_clock) = sched.submit_with_compute(
-                step_key,
-                clock,
-                stats.codec_seconds,
-                &mut stats.requests,
-                stats.bytes,
-            );
-            report.timeline.push(burst);
-            clock = next_clock;
-        } else {
-            clock += stats.codec_seconds;
-        }
-        report.bytes_per_dump.push(stats.bytes);
-        report.total_bytes += stats.bytes;
-        report.logical_bytes += stats.logical_bytes;
-        report.codec_seconds += stats.codec_seconds;
-        report.overhead_bytes += stats.overhead_bytes;
-
-        // In-run analysis reads ride the dump stream: every M-th dump
-        // is read back *between* write bursts, not after the campaign.
-        for (every, sel, _) in &analyze_every {
-            if u64::from(step_key).is_multiple_of(*every) {
-                read_phase(
-                    backend,
-                    &mut scheduler,
-                    &mut report,
-                    &mut clock,
-                    step_key,
-                    sel,
-                )?;
-            }
-        }
-        // Mid-run failure: the crash loses the in-memory mesh, so the
-        // recovery re-reads the newest dump in full before the stream
-        // resumes. MACSio's state lives entirely in its dumps — no
-        // marshal work is re-paid; the read burst is the price of the
-        // failure.
-        if fail == Some(u64::from(step_key)) {
-            read_phase(
-                backend,
-                &mut scheduler,
-                &mut report,
-                &mut clock,
-                step_key,
-                &ReadSelection::Full,
-            )?;
-            report.restarts += 1;
-        }
+        Ok(Dump {
+            dir: "/".to_string(),
+            stats: backend.end_step()?,
+        })
     }
 
-    // Trailing read ops: restart-read the last dump, read every dump
-    // back, or a selective analysis read — `restart`/`readall` fetch
-    // only the chunks of `cfg.read_pattern` (the default `full` pattern
-    // is the whole-dump restart), `analyze:` carries its own selection.
-    // The backend barriers in-flight drains itself (read-after-write
-    // consistency); the scheduler does the same on the simulated clock.
-    if cfg.num_dumps > 0 {
-        for op in scenario.trailing_ops() {
-            match op {
-                ScenarioOp::Restart => {
-                    read_phase(
-                        backend,
-                        &mut scheduler,
-                        &mut report,
-                        &mut clock,
-                        cfg.num_dumps,
-                        &cfg.read_pattern,
-                    )?;
-                    report.restarts += 1;
-                }
-                ScenarioOp::ReadAll => {
-                    for step in 1..=cfg.num_dumps {
-                        read_phase(
-                            backend,
-                            &mut scheduler,
-                            &mut report,
-                            &mut clock,
-                            step,
-                            &cfg.read_pattern,
-                        )?;
-                        report.restarts += 1;
-                    }
-                }
-                ScenarioOp::Analyze { sel, .. } => {
-                    read_phase(
-                        backend,
-                        &mut scheduler,
-                        &mut report,
-                        &mut clock,
-                        cfg.num_dumps,
-                        &sel,
-                    )?;
-                }
-                _ => unreachable!("trailing_ops yields only read ops"),
-            }
-        }
-    }
-
-    backend.close()?;
-    // seal() both reports the final wall and retires the fabric tenant
-    // (a no-op beyond the barrier for model-backed schedulers).
-    report.wall_time = match &mut scheduler {
-        Some(sched) => sched.seal(clock),
-        None => clock,
-    };
-    Ok(report)
-}
-
-/// One read phase of the scenario interpreter: barriers any in-flight
-/// drain, fetches the selected chunks of `step`, prices the read burst
-/// (joining the timeline next to the write bursts so duty-cycle analysis
-/// covers the whole run), and charges decode CPU after the bytes arrive.
-fn read_phase(
-    backend: &mut dyn IoBackend,
-    scheduler: &mut Option<BurstScheduler<'_>>,
-    report: &mut MacsioReport,
-    clock: &mut f64,
-    step: u32,
-    sel: &ReadSelection,
-) -> io::Result<()> {
-    let read_start = match &scheduler {
-        Some(sched) => sched.finish(*clock),
-        None => *clock,
-    };
-    *clock = read_start;
-    let read = backend.read_selection(step, "/", sel)?;
-    report.read_bytes += read.stats.logical_bytes;
-    report.physical_read_bytes += read.stats.bytes;
-    report.read_files += read.stats.files;
-    report.codec_seconds += read.stats.codec_seconds;
-    let mut requests = read.stats.requests;
-    if let Some(sched) = scheduler.as_mut() {
-        let (burst, next_clock) = sched.submit_read(step, *clock, &mut requests, read.stats.bytes);
-        report.timeline.push(burst);
-        *clock = next_clock;
-    }
-    // Decoding happens after the bytes are in memory.
-    *clock += read.stats.codec_seconds;
-    report.read_wall += *clock - read_start;
-    Ok(())
+    /// The crash loses the in-memory mesh, but every dump is marshalled
+    /// from the config alone: there is nothing to rewind.
+    fn restore(&mut self, _step: u64) {}
 }
 
 #[cfg(test)]
@@ -832,9 +717,14 @@ mod tests {
         // No reorganization plane.
         cfg.scenario = Some(Scenario::parse("write;analyze:field:root,reorg").unwrap());
         assert!(run(&cfg, &fs, &tracker, None).is_err());
-        // A failure after the last dump can never happen.
-        cfg.scenario = Some(Scenario::fail_restart(99));
-        assert!(run(&cfg, &fs, &tracker, None).is_err());
+        // A failure after the last dump can never happen, and a
+        // malformed program (no `write`) never compiles: the same typed
+        // error the AMR side returns.
+        for scenario in [Scenario::fail_restart(99), Scenario { ops: Vec::new() }] {
+            cfg.scenario = Some(scenario);
+            let err = run(&cfg, &fs, &tracker, None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

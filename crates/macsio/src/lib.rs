@@ -44,6 +44,6 @@ pub mod mesh;
 
 pub use cli::{parse_args, parse_spec, usage};
 pub use config::{FileMode, Interface, MacsioConfig, RunMode};
-pub use dump::{run, run_with_backend, MacsioReport};
+pub use dump::{run, MacsioReport};
 pub use marshal::{marshal_part, marshal_root};
 pub use mesh::MeshPart;

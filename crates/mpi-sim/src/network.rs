@@ -1,7 +1,7 @@
 //! Modeled interconnect links: per-link bandwidth/latency and a
 //! transfer-timing API on the simulated clock.
 //!
-//! The storage plane prices bytes through [`iosim`]'s burst model; this
+//! The storage plane prices bytes through `iosim`'s burst model; this
 //! module prices the *other* road bytes can take off a compute node — a
 //! point-to-point transfer over the machine's interconnect (the
 //! in-transit staging pattern of ADIOS2/SST-style streaming, where
@@ -82,7 +82,7 @@ impl NetworkModel {
 
     /// Times a transfer of `bytes` on `clock`: advances the clock past
     /// the transfer and returns its duration. This is the transfer
-    /// analogue of an [`iosim`] burst — the caller's simulated time
+    /// analogue of an `iosim` burst — the caller's simulated time
     /// moves, nothing else does.
     pub fn send(&self, clock: &mut SimClock, bytes: u64) -> f64 {
         let dt = self.transfer_seconds(bytes);
