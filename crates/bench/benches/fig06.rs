@@ -17,7 +17,7 @@ fn main() {
         for &cfl in &[0.3, 0.4, 0.5, 0.6] {
             // 120 outputs: the paper's 20-output window sits on Castro's
             // early transient; the oracle needs the post-ignition regime
-            // for the CFL effect to accumulate (see EXPERIMENTS.md).
+            // for the CFL effect to accumulate.
             let cfg = case4(cfl, maxl, 120);
             let r = run_simulation(&cfg, None, None);
             let s = r.xy_series();

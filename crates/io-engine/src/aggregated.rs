@@ -1,105 +1,71 @@
 //! Two-level aggregation backend, modelled on ADIOS2's BP format.
 //!
-//! Data puts from N producer tasks funnel into `A = ceil(N / ratio)`
-//! aggregator subfiles per step (aggregator of task `t` is `t / ratio`),
-//! with chunks coalesced in arrival order — the "data layout
-//! reorganization" of Wan et al. Metadata puts and the chunk index land
-//! in one per-step index file, so a step with data on `A` aggregators
-//! creates exactly `A + 1` physical files:
+//! What it adds to the shared layout plane (`layout.rs`):
 //!
-//! ```text
-//! <container>/bp00001/data.0       aggregator subfile (coalesced chunks)
-//! <container>/bp00001/data.1
-//! <container>/bp00001/md.idx       chunk table + embedded metadata puts
-//! ```
+//! * **placement** — data puts from N producer tasks funnel into
+//!   `A = ceil(N / ratio)` aggregator subfiles per step (aggregator of
+//!   task `t` is `t / ratio`), coalesced in arrival order — the "data
+//!   layout reorganization" of Wan et al.; metadata puts embed in one
+//!   per-step index file after the chunk table. A step with data on `A`
+//!   aggregators creates exactly `A + 1` physical files:
+//!
+//!   ```text
+//!   <container>/bp00001/data.0       aggregator subfile (coalesced chunks)
+//!   <container>/bp00001/data.1
+//!   <container>/bp00001/md.idx       chunk table + embedded metadata puts
+//!   ```
+//!
+//! * **delivery** — write now, with the index streamed: each subfile's
+//!   table rows are formatted at put time, so sealing a step concatenates
+//!   segments instead of rebuilding one index buffer.
 //!
 //! The index file holds a plain-text chunk table (one line per chunk:
-//! subfile, offset, physical length, logical length, key, logical path)
-//! followed by the raw bytes of every metadata put. Table bytes are
-//! counted as backend *overhead*; payload bytes keep their producer
-//! attribution in the tracker — at *logical* (pre-compression) size — so
-//! byte accounting at `(step, level, task)` granularity is identical to
-//! the other backends and invariant under the compression stage. The
-//! per-chunk logical column lets readers recover pre-compression sizes
-//! (the format a golden-file test pins byte-exactly).
+//! subfile, then the shared span row — offset, physical length, logical
+//! length, key, logical path) followed by the raw bytes of every metadata
+//! put. Table bytes are counted as backend *overhead*; payload bytes keep
+//! their producer attribution in the tracker — at *logical*
+//! (pre-compression) size — so byte accounting at `(step, level, task)`
+//! granularity is identical to the other backends and invariant under
+//! the compression stage. The per-chunk logical column lets readers
+//! recover pre-compression sizes (the format a golden-file test pins
+//! byte-exactly).
+//!
+//! Reads seek through the *on-disk* `md.idx` whenever the step
+//! materialized one — the honest restart path, and outside input by
+//! then: rows that do not fit their subfile are typed errors — and always
+//! fetch the whole index first: the write-optimized BP layout stores one
+//! monolithic index blob, the per-query penalty the `reorg` module's
+//! rewritten index removes.
 
 use crate::backend::{
-    unsupported_read, ChunkRead, EngineReport, IoBackend, Payload, Put, ReadStats, StepRead,
-    StepStats, TrackerHandle, VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
+    VfsHandle,
 };
+use crate::layout::{index_tail, FileBuild, Source, Span, SpanReader};
 use crate::selection::ReadSelection;
 use bytes::Bytes;
-use iosim::{IoKey, IoKind, ReadRequest, WriteRequest};
+use iosim::IoKind;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
 
-/// One coalesced chunk inside an aggregator subfile.
-#[derive(Clone)]
-struct Chunk {
-    path: String,
-    step: u32,
-    level: u32,
-    task: u32,
-    offset: u64,
-    len: u64,
-    logical_len: u64,
-}
-
-impl Chunk {
-    fn key(&self) -> IoKey {
-        IoKey {
-            step: self.step,
-            level: self.level,
-            task: self.task,
-        }
-    }
-}
-
-/// One aggregator subfile being assembled. Payload bytes are adopted as
-/// shared segments (no coalescing copy), and the subfile's slice of the
-/// index chunk table is appended **incrementally at put time** — sealing
-/// a step streams directory + table segments instead of rebuilding the
-/// whole `md.idx` table in one buffer.
-#[derive(Default)]
-struct AggBuild {
-    segs: Vec<Bytes>,
-    /// This subfile's rows of the index chunk table, grown per put.
-    table: String,
-    bytes: u64,
-    logical_bytes: u64,
-    account_only: bool,
-    chunks: Vec<Chunk>,
-}
-
-/// One metadata put retained for the read path (boundaries inside the
-/// index file's embedded metadata blob).
-#[derive(Clone)]
-struct MetaChunk {
-    key: IoKey,
-    path: String,
-    offset: u64,
-    len: u64,
-    logical_len: u64,
-}
-
+/// The open step: one file per aggregator plus the index's embedded
+/// metadata region.
 struct AggStep {
     step: u32,
     dir: String,
-    aggs: BTreeMap<usize, AggBuild>,
-    meta_segs: Vec<Bytes>,
-    meta_bytes: u64,
-    meta_logical_bytes: u64,
-    meta_account_only: bool,
-    meta_chunks: Vec<MetaChunk>,
+    /// Per aggregator id: the subfile, and its rows of the index chunk
+    /// table — grown per put, so `end_step` only concatenates them.
+    aggs: BTreeMap<usize, (FileBuild, String)>,
+    /// Metadata puts, embedded in `md.idx` after the chunk table.
+    meta: FileBuild,
 }
 
 /// What the backend remembers about a finished step so `read_step` can
-/// serve it: the chunk *data* comes back from the on-disk `md.idx` index
-/// whenever it was materialized; the retained copy is the fallback for
-/// account-only (modeled) steps and carries the metadata boundaries the
-/// flat index format does not store. Retained for every step (wr-mode
-/// reads all dumps back) — spans and paths only, never content.
+/// serve it: the chunk table comes back from the on-disk `md.idx` index
+/// whenever it was materialized; the retained subfiles are the fallback
+/// for account-only (modeled) steps, and `meta` carries the metadata
+/// boundaries the flat index format does not store.
 #[derive(Clone)]
 struct RetainedStep {
     dir: String,
@@ -108,12 +74,9 @@ struct RetainedStep {
     table_len: u64,
     index_bytes: u64,
     index_written: bool,
-    /// `(physical bytes, account_only)` per aggregator id.
-    subfiles: BTreeMap<usize, (u64, bool)>,
-    /// Fallback chunk table for steps whose index never materialized.
-    data_chunks: Vec<(usize, Chunk)>,
-    meta_chunks: Vec<MetaChunk>,
-    meta_account_only: bool,
+    /// The subfiles per aggregator id.
+    subfiles: BTreeMap<usize, FileBuild>,
+    meta: FileBuild,
 }
 
 /// The aggregating backend (see module docs).
@@ -122,7 +85,7 @@ pub struct Aggregated<'a> {
     tracker: TrackerHandle<'a>,
     /// Producer tasks per aggregator (>= 1).
     ratio: usize,
-    cur: Option<AggStep>,
+    cur: OpenStep<AggStep>,
     retained: HashMap<u32, RetainedStep>,
     report: EngineReport,
 }
@@ -138,7 +101,7 @@ impl<'a> Aggregated<'a> {
             vfs: vfs.into(),
             tracker: tracker.into(),
             ratio: ratio.max(1),
-            cur: None,
+            cur: OpenStep::closed(),
             retained: HashMap::new(),
             report: EngineReport::default(),
         }
@@ -155,41 +118,41 @@ impl<'a> Aggregated<'a> {
     }
 
     /// Parses the plain-text chunk table of an index file back into
-    /// `(aggregator id, chunk)` rows. Returns `None` on any malformed
-    /// line (the caller then falls back to its retained copy).
-    fn parse_index_table(table: &str) -> Option<Vec<(usize, Chunk)>> {
-        let mut out = Vec::new();
+    /// subfiles shaped like the retained ones. `Ok(None)` on any
+    /// malformed line (the caller then falls back to its retained copy);
+    /// a row naming a subfile the step never had is a typed error.
+    fn parse_index_table(
+        table: &str,
+        retained: &BTreeMap<usize, FileBuild>,
+    ) -> io::Result<Option<BTreeMap<usize, FileBuild>>> {
+        let mut subfiles: BTreeMap<usize, FileBuild> = BTreeMap::new();
         for line in table.lines() {
             if line.starts_with('#') || line.is_empty() {
                 continue;
             }
-            // The logical path is the *last* column and may contain
-            // spaces: split off exactly the 7 leading fixed fields and
-            // keep the remainder verbatim.
-            let mut f = line.splitn(8, ' ');
-            let subfile = f.next()?;
-            let agg: usize = subfile.rsplit_once('.')?.1.parse().ok()?;
-            let offset: u64 = f.next()?.parse().ok()?;
-            let len: u64 = f.next()?.parse().ok()?;
-            let logical_len: u64 = f.next()?.parse().ok()?;
-            let step: u32 = f.next()?.parse().ok()?;
-            let level: u32 = f.next()?.parse().ok()?;
-            let task: u32 = f.next()?.parse().ok()?;
-            let path = f.next()?.to_string();
-            out.push((
-                agg,
-                Chunk {
-                    path,
-                    step,
-                    level,
-                    task,
-                    offset,
-                    len,
-                    logical_len,
-                },
-            ));
+            let row = line.split_once(' ').and_then(|(subfile, row)| {
+                let agg: usize = subfile.rsplit_once('.')?.1.parse().ok()?;
+                Some((agg, Span::parse_row(row)?))
+            });
+            let Some((agg, (span, path))) = row else {
+                return Ok(None);
+            };
+            let kept = retained.get(&agg).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("read_step: unknown subfile data.{agg} in index"),
+                )
+            })?;
+            subfiles
+                .entry(agg)
+                .or_insert_with(|| {
+                    let mut subfile = FileBuild::for_rank(kept.rank);
+                    subfile.account_only = kept.account_only;
+                    subfile
+                })
+                .push_span(span, Some(path));
         }
-        Some(out)
+        Ok(Some(subfiles))
     }
 }
 
@@ -199,16 +162,11 @@ impl IoBackend for Aggregated<'_> {
     }
 
     fn begin_step(&mut self, step: u32, container: &str) {
-        assert!(self.cur.is_none(), "begin_step: step already open");
-        self.cur = Some(AggStep {
+        self.cur.begin(AggStep {
             step,
             dir: Self::step_dir(container, step),
             aggs: BTreeMap::new(),
-            meta_segs: Vec::new(),
-            meta_bytes: 0,
-            meta_logical_bytes: 0,
-            meta_account_only: false,
-            meta_chunks: Vec::new(),
+            meta: FileBuild::default(),
         });
     }
 
@@ -217,69 +175,37 @@ impl IoBackend for Aggregated<'_> {
     }
 
     fn put(&mut self, put: Put) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("put: no open step");
-        let len = put.payload.len();
-        let logical = put.payload.logical_len();
-        self.tracker.record(put.key, put.kind, logical);
+        let cur = self.cur.get();
+        self.tracker
+            .record(put.key, put.kind, put.payload.logical_len());
         match put.kind {
             IoKind::Data => {
                 let agg = put.key.task as usize / self.ratio;
-                let build = cur.aggs.entry(agg).or_default();
+                // Requests are attributed to the aggregator's lowest
+                // producer task.
+                let (file, table) = cur.aggs.entry(agg).or_insert_with(|| {
+                    (
+                        FileBuild::for_rank((agg * self.ratio) as u32),
+                        String::new(),
+                    )
+                });
+                file.push(put.key, put.kind, Some(put.path), put.payload);
                 // Stream this chunk's index-table row now — the subfile
                 // path, offset, and spans are all known at put time, so
                 // end_step only concatenates per-subfile table segments.
-                let _ = writeln!(
-                    build.table,
-                    "{dir}/data.{agg} {offset} {len} {logical_len} {step} {level} {task} {logical}",
-                    dir = cur.dir,
-                    offset = build.bytes,
-                    logical_len = logical,
-                    step = put.key.step,
-                    level = put.key.level,
-                    task = put.key.task,
-                    logical = put.path,
-                );
-                build.chunks.push(Chunk {
-                    path: put.path,
-                    step: put.key.step,
-                    level: put.key.level,
-                    task: put.key.task,
-                    offset: build.bytes,
-                    len,
-                    logical_len: logical,
-                });
-                build.bytes += len;
-                build.logical_bytes += logical;
-                match put.payload {
-                    Payload::Bytes(b) | Payload::Encoded { data: b, .. } => build.segs.push(b),
-                    Payload::Size(_) | Payload::EncodedSize { .. } => build.account_only = true,
-                }
+                let _ = write!(table, "{}/data.{agg} ", cur.dir);
+                file.write_last_row(table);
             }
-            IoKind::Metadata => {
-                cur.meta_chunks.push(MetaChunk {
-                    key: put.key,
-                    path: put.path,
-                    offset: cur.meta_bytes,
-                    len,
-                    logical_len: logical,
-                });
-                cur.meta_bytes += len;
-                cur.meta_logical_bytes += logical;
-                match put.payload {
-                    Payload::Bytes(b) | Payload::Encoded { data: b, .. } => cur.meta_segs.push(b),
-                    Payload::Size(_) | Payload::EncodedSize { .. } => cur.meta_account_only = true,
-                }
-            }
+            IoKind::Metadata => cur
+                .meta
+                .push(put.key, put.kind, Some(put.path), put.payload),
         }
         Ok(())
     }
 
     fn end_step(&mut self) -> io::Result<StepStats> {
-        let cur = self.cur.take().expect("end_step: no open step");
-        let mut stats = StepStats {
-            step: cur.step,
-            ..StepStats::default()
-        };
+        let mut cur = self.cur.end();
+        let mut stats = StepStats::of(cur.step);
 
         // Index segments: header line, then each subfile's table rows
         // (already formatted incrementally at put time), then the raw
@@ -287,89 +213,52 @@ impl IoBackend for Aggregated<'_> {
         // ever assembling one contiguous index buffer.
         let header = format!("# io-engine BP-style index, step {}\n", cur.step);
         let table_len =
-            header.len() as u64 + cur.aggs.values().map(|b| b.table.len() as u64).sum::<u64>();
+            header.len() as u64 + cur.aggs.values().map(|(_, t)| t.len() as u64).sum::<u64>();
+        // The index is physically written only when the step materialized
+        // content: metadata payloads must all be real bytes, and a step
+        // whose every put was size-only stays write-free end to end.
+        let wrote_any_data = cur.aggs.values().any(|(f, _)| !f.account_only);
+        let index_written = !cur.meta.account_only && (wrote_any_data || cur.meta.bytes() > 0);
+        let mut index_segs = Vec::with_capacity(1 + cur.aggs.len() + cur.meta.segs().len());
+        index_segs.push(Bytes::from(header));
 
-        for (agg, build) in &cur.aggs {
+        // Account-only is decided per subfile (a size-only chunk makes
+        // that subfile's coalesced content incomplete), mirroring the
+        // per-file handling of the file-per-process backend.
+        let mut subfiles = BTreeMap::new();
+        for (agg, (mut file, table)) in cur.aggs {
             let path = format!("{}/data.{agg}", cur.dir);
-            // Account-only is decided per subfile (a size-only chunk makes
-            // that subfile's coalesced content incomplete), mirroring the
-            // per-file handling of the file-per-process backend.
-            if !build.account_only {
-                let written = self.vfs.write_file_concat(&path, &build.segs)?;
-                debug_assert_eq!(written, build.bytes);
+            file.write_now(&*self.vfs, &path)?;
+            file.book(path, &mut stats);
+            if !table.is_empty() {
+                index_segs.push(Bytes::from(table));
             }
-            stats.files += 1;
-            stats.bytes += build.bytes;
-            stats.logical_bytes += build.logical_bytes;
-            stats.requests.push(WriteRequest {
-                // Attributed to the aggregator's lowest producer task.
-                rank: agg * self.ratio,
-                path,
-                bytes: build.bytes,
-                start: 0.0,
-            });
+            subfiles.insert(agg, file);
         }
 
         // Index file: chunk table + embedded metadata payloads.
         let index_path = format!("{}/md.idx", cur.dir);
-        let index_bytes = table_len + cur.meta_bytes;
-        // The index is physically written only when the step materialized
-        // content: metadata payloads must all be real bytes, and a step
-        // whose every put was size-only stays write-free end to end.
-        let wrote_any_data = cur.aggs.values().any(|a| !a.account_only);
-        let index_written = !cur.meta_account_only && (wrote_any_data || cur.meta_bytes > 0);
+        let index_bytes = table_len + cur.meta.bytes();
+        index_segs.extend(cur.meta.seal());
         if index_written {
-            let mut segs = Vec::with_capacity(1 + cur.aggs.len() + cur.meta_segs.len());
-            segs.push(Bytes::from(header));
-            for build in cur.aggs.values() {
-                if !build.table.is_empty() {
-                    segs.push(Bytes::from(build.table.clone()));
-                }
-            }
-            segs.extend(cur.meta_segs.iter().cloned());
-            let written = self.vfs.write_file_concat(&index_path, &segs)?;
+            let written = self.vfs.write_file_concat(&index_path, &index_segs)?;
             debug_assert_eq!(written, index_bytes);
         }
-        stats.files += 1;
-        stats.bytes += index_bytes;
-        stats.logical_bytes += cur.meta_logical_bytes;
+        stats.add_file(0, index_path, index_bytes, cur.meta.logical_bytes());
         stats.overhead_bytes += table_len;
-        stats.requests.push(WriteRequest {
-            rank: 0,
-            path: index_path,
-            bytes: index_bytes,
-            start: 0.0,
-        });
 
-        // Retain what the read path needs (chunk data itself is re-read
-        // from md.idx whenever it was materialized).
         self.retained.insert(
             cur.step,
             RetainedStep {
-                dir: cur.dir.clone(),
+                dir: cur.dir,
                 table_len,
                 index_bytes,
                 index_written,
-                subfiles: cur
-                    .aggs
-                    .iter()
-                    .map(|(&agg, b)| (agg, (b.bytes, b.account_only)))
-                    .collect(),
-                data_chunks: cur
-                    .aggs
-                    .iter()
-                    .flat_map(|(&agg, b)| b.chunks.iter().map(move |c| (agg, c.clone())))
-                    .collect(),
-                meta_chunks: cur.meta_chunks.clone(),
-                meta_account_only: cur.meta_account_only,
+                subfiles,
+                meta: cur.meta,
             },
         );
-
-        self.report.steps += 1;
-        self.report.files += stats.files;
-        self.report.bytes += stats.bytes;
-        self.report.logical_bytes += stats.logical_bytes;
-        self.report.overhead_bytes += stats.overhead_bytes;
+        self.report.add_step(&stats);
         Ok(stats)
     }
 
@@ -379,18 +268,12 @@ impl IoBackend for Aggregated<'_> {
         _container: &str,
         sel: &ReadSelection,
     ) -> io::Result<StepRead> {
-        assert!(self.cur.is_none(), "read_step: step still open");
+        self.cur.assert_closed("read_step");
         let info = self
             .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        let mut out = StepRead {
-            stats: ReadStats {
-                step,
-                ..ReadStats::default()
-            },
-            ..StepRead::default()
-        };
+        let mut reader = SpanReader::new(&self.tracker, step, sel);
 
         // Resolve the chunk table: seek through the on-disk md.idx when
         // the step materialized one (the honest restart path), falling
@@ -400,151 +283,43 @@ impl IoBackend for Aggregated<'_> {
             .index_written
             .then(|| self.vfs.read_file_exact_shared(&index_path))
             .flatten();
-        let (chunks, meta_blob) = match &index_content {
+        let (on_disk, meta_blob) = match &index_content {
             Some(content) => {
-                let table = std::str::from_utf8(&content[..info.table_len as usize])
-                    .ok()
-                    .and_then(Self::parse_index_table);
-                (
-                    table.unwrap_or_else(|| info.data_chunks.clone()),
-                    // Zero-copy view of the embedded metadata blob.
-                    Some(content.slice(info.table_len as usize..)),
-                )
+                let blob = index_tail(content, &index_path, info.table_len)?;
+                let table = match std::str::from_utf8(&content[..info.table_len as usize]) {
+                    Ok(table) => Self::parse_index_table(table, &info.subfiles)?,
+                    Err(_) => None,
+                };
+                (table, Some(blob))
             }
-            None => (info.data_chunks.clone(), None),
+            None => (None, None),
         };
         // One read request for the index itself (table + embedded
-        // metadata), modeled at its declared size when not materialized.
-        // The whole index is fetched regardless of the selection: the
-        // write-optimized BP layout stores one monolithic index blob, and
-        // a reader must pull it in full to locate *any* chunk — the
-        // per-query penalty the reorg module's rewritten index removes.
-        out.stats.files += 1;
-        out.stats.bytes += info.index_bytes;
-        out.stats.requests.push(ReadRequest {
-            rank: 0,
-            path: index_path,
-            bytes: info.index_bytes,
-            start: 0.0,
-        });
+        // metadata), modeled at its declared size when not materialized,
+        // and fetched whole regardless of the selection: a reader must
+        // pull the monolithic blob in full to locate *any* chunk.
+        reader
+            .out
+            .stats
+            .add_fetch(index_path.clone(), info.index_bytes);
 
         // Data chunks: seek into each aggregator subfile by the index's
-        // (offset, len) ranges for the chunks the selection touches; one
-        // read request per maximal *contiguous* matched range (a seek +
-        // fetch), counting only the fetched bytes — scattered selections
-        // over the arrival-ordered layout cost more requests than
-        // clustered ones. Subfiles none of whose chunks match stay
-        // unopened.
-        let mut per_subfile_ranges: BTreeMap<usize, crate::fpp::RangeCoalescer> = BTreeMap::new();
-        let mut subfile_content: BTreeMap<usize, Option<Bytes>> = BTreeMap::new();
-        for (agg, chunk) in &chunks {
-            if !sel.matches(&chunk.key(), &chunk.path) {
-                continue;
-            }
-            let (_, account_only) = *info.subfiles.get(agg).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("read_step: unknown subfile data.{agg} in index"),
-                )
-            })?;
-            if !subfile_content.contains_key(agg) {
-                let loaded = if account_only {
-                    // Modeled (size-only) subfile: nothing on disk by
-                    // design.
-                    None
-                } else {
-                    let path = format!("{}/data.{agg}", info.dir);
-                    if self.vfs.file_size(&path).is_none() {
-                        // A materialized subfile must be present — a
-                        // missing one is a lost write, not a modeled
-                        // read (mirrors the fpp/deferred path).
-                        return Err(io::Error::new(
-                            io::ErrorKind::NotFound,
-                            format!("read_step: missing subfile '{path}'"),
-                        ));
-                    }
-                    // Present but content-truncated retention degrades
-                    // to a modeled read.
-                    self.vfs.read_file_exact_shared(&path)
-                };
-                subfile_content.insert(*agg, loaded);
-            }
-            let content = subfile_content.get(agg).expect("just inserted");
-            let payload = match content {
-                Some(bytes) => {
-                    // O(1) sub-view into the subfile's shared buffer.
-                    let slice =
-                        bytes.slice(chunk.offset as usize..(chunk.offset + chunk.len) as usize);
-                    if chunk.len == chunk.logical_len {
-                        Payload::Bytes(slice)
-                    } else {
-                        Payload::Encoded {
-                            data: slice,
-                            logical: chunk.logical_len,
-                        }
-                    }
-                }
-                None => Payload::Size(chunk.logical_len),
-            };
-            self.tracker
-                .record_read(chunk.key(), IoKind::Data, chunk.logical_len);
-            per_subfile_ranges
-                .entry(*agg)
-                .or_insert_with(crate::fpp::RangeCoalescer::new)
-                .push(chunk.offset, chunk.len);
-            out.stats.logical_bytes += chunk.logical_len;
-            out.chunks.push(ChunkRead {
-                key: chunk.key(),
-                kind: IoKind::Data,
-                path: chunk.path.clone(),
-                payload,
-            });
+        // (offset, len) ranges for the chunks the selection touches —
+        // scattered selections over the arrival-ordered layout cost more
+        // requests than clustered ones, and subfiles none of whose chunks
+        // match stay unopened.
+        for (agg, subfile) in on_disk.as_ref().unwrap_or(&info.subfiles) {
+            let path = format!("{}/data.{agg}", info.dir);
+            reader.read_file(&path, subfile, Source::Stored(&self.vfs))?;
         }
-        for (agg, ranges) in per_subfile_ranges {
-            out.stats.files += 1;
-            out.stats.bytes += ranges.bytes();
-            ranges.requests_into(
-                agg * self.ratio,
-                &format!("{}/data.{agg}", info.dir),
-                &mut out.stats.requests,
-            );
-        }
-
-        // Metadata chunks: sliced out of the index file's embedded blob
+        // Metadata chunks: cut out of the index file's embedded blob
         // (already fetched with the index request), filtered like data.
-        for mc in &info.meta_chunks {
-            if !sel.matches(&mc.key, &mc.path) {
-                continue;
-            }
-            let payload = match &meta_blob {
-                Some(blob) if !info.meta_account_only => {
-                    let slice = blob.slice(mc.offset as usize..(mc.offset + mc.len) as usize);
-                    if mc.len == mc.logical_len {
-                        Payload::Bytes(slice)
-                    } else {
-                        Payload::Encoded {
-                            data: slice,
-                            logical: mc.logical_len,
-                        }
-                    }
-                }
-                _ => Payload::Size(mc.logical_len),
-            };
-            self.tracker
-                .record_read(mc.key, IoKind::Metadata, mc.logical_len);
-            out.stats.logical_bytes += mc.logical_len;
-            out.chunks.push(ChunkRead {
-                key: mc.key,
-                kind: IoKind::Metadata,
-                path: mc.path.clone(),
-                payload,
-            });
-        }
-        Ok(out)
+        reader.read_file(&index_path, &info.meta, Source::Fetched(meta_blob.as_ref()))?;
+        Ok(reader.out)
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
-        assert!(self.cur.is_none(), "close: step still open");
+        self.cur.assert_closed("close");
         Ok(self.report.clone())
     }
 }
@@ -552,6 +327,7 @@ impl IoBackend for Aggregated<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Payload;
     use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
 
     fn put(task: u32, kind: IoKind, path: &str, data: &[u8]) -> Put {

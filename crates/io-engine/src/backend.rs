@@ -5,6 +5,7 @@ use bytes::Bytes;
 use iosim::{IoKey, IoKind, IoTracker, ReadRequest, Vfs, WriteRequest};
 use mpi_sim::NetworkModel;
 use std::io;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Payload of one [`Put`]: real bytes, or a size for account-only runs
@@ -134,6 +135,21 @@ pub struct ReadStats {
     pub requests: Vec<ReadRequest>,
 }
 
+impl ReadStats {
+    /// Books one whole-file fetch a selection cannot narrow (an index, a
+    /// sidecar): one open, one request, attributed to rank 0.
+    pub(crate) fn add_fetch(&mut self, path: String, bytes: u64) {
+        self.files += 1;
+        self.bytes += bytes;
+        self.requests.push(ReadRequest {
+            rank: 0,
+            path,
+            bytes,
+            start: 0.0,
+        });
+    }
+}
+
 /// Everything [`IoBackend::read_step`] returns: the logical chunks plus
 /// the physical read accounting.
 #[derive(Clone, Debug, Default)]
@@ -205,6 +221,30 @@ pub struct StepStats {
     pub window_stall: f64,
 }
 
+impl StepStats {
+    /// Stats of `step`, nothing written yet.
+    pub(crate) fn of(step: u32) -> Self {
+        Self {
+            step,
+            ..Self::default()
+        }
+    }
+
+    /// Books one physical file of the step: its physical and logical
+    /// payload bytes and its write request, in write order.
+    pub(crate) fn add_file(&mut self, rank: usize, path: String, bytes: u64, logical_bytes: u64) {
+        self.files += 1;
+        self.bytes += bytes;
+        self.logical_bytes += logical_bytes;
+        self.requests.push(WriteRequest {
+            rank,
+            path,
+            bytes,
+            start: 0.0,
+        });
+    }
+}
+
 /// Whole-run totals returned by [`IoBackend::close`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineReport {
@@ -220,8 +260,20 @@ pub struct EngineReport {
     pub overhead_bytes: u64,
 }
 
+impl EngineReport {
+    /// Folds one finished step into the run totals.
+    pub(crate) fn add_step(&mut self, stats: &StepStats) {
+        self.steps += 1;
+        self.files += stats.files;
+        self.bytes += stats.bytes;
+        self.logical_bytes += stats.logical_bytes;
+        self.overhead_bytes += stats.overhead_bytes;
+    }
+}
+
 /// A filesystem handle a backend can hold either borrowed (synchronous
-/// backends) or shared (backends that flush from worker threads).
+/// backends) or shared (backends that flush from worker threads). It
+/// dereferences to the [`Vfs`] it holds.
 #[derive(Clone)]
 pub enum VfsHandle<'a> {
     /// Borrowed from the caller; writes happen on the calling thread.
@@ -230,59 +282,18 @@ pub enum VfsHandle<'a> {
     Shared(Arc<dyn Vfs>),
 }
 
+impl<'a> Deref for VfsHandle<'a> {
+    type Target = dyn Vfs + 'a;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            VfsHandle::Borrowed(v) => *v,
+            VfsHandle::Shared(v) => v.as_ref(),
+        }
+    }
+}
+
 impl VfsHandle<'_> {
-    /// Creates a directory and all parents.
-    pub fn create_dir_all(&self, path: &str) -> io::Result<()> {
-        match self {
-            VfsHandle::Borrowed(v) => v.create_dir_all(path),
-            VfsHandle::Shared(v) => v.create_dir_all(path),
-        }
-    }
-
-    /// Creates/overwrites a file, returning the byte count.
-    pub fn write_file(&self, path: &str, data: &[u8]) -> io::Result<u64> {
-        match self {
-            VfsHandle::Borrowed(v) => v.write_file(path, data),
-            VfsHandle::Shared(v) => v.write_file(path, data),
-        }
-    }
-
-    /// Creates/overwrites a file from ordered segments without
-    /// flattening them first — the streaming write path (see
-    /// [`Vfs::write_file_concat`]).
-    pub fn write_file_concat(&self, path: &str, segs: &[Bytes]) -> io::Result<u64> {
-        match self {
-            VfsHandle::Borrowed(v) => v.write_file_concat(path, segs),
-            VfsHandle::Shared(v) => v.write_file_concat(path, segs),
-        }
-    }
-
-    /// Retained content as a shared, zero-copy [`Bytes`] handle (see
-    /// [`Vfs::read_file_shared`]).
-    pub fn read_file_shared(&self, path: &str) -> Option<Bytes> {
-        match self {
-            VfsHandle::Borrowed(v) => v.read_file_shared(path),
-            VfsHandle::Shared(v) => v.read_file_shared(path),
-        }
-    }
-
-    /// Full content of a file when available (possibly a retained
-    /// prefix; see [`iosim::MemFs::with_retention`]).
-    pub fn read_file(&self, path: &str) -> Option<Vec<u8>> {
-        match self {
-            VfsHandle::Borrowed(v) => v.read_file(path),
-            VfsHandle::Shared(v) => v.read_file(path),
-        }
-    }
-
-    /// Size of a file, or `None` when absent.
-    pub fn file_size(&self, path: &str) -> Option<u64> {
-        match self {
-            VfsHandle::Borrowed(v) => v.file_size(path),
-            VfsHandle::Shared(v) => v.file_size(path),
-        }
-    }
-
     /// Exact full content of a file: `None` when the file is absent *or*
     /// its retained content is truncated below its size (content-limited
     /// in-memory filesystems) — readers then fall back to modeled reads.
@@ -322,7 +333,8 @@ impl<'a> From<Arc<dyn Vfs>> for VfsHandle<'a> {
     }
 }
 
-/// A tracker handle, borrowed or shared (mirrors [`VfsHandle`]).
+/// A tracker handle, borrowed or shared (mirrors [`VfsHandle`]); it
+/// dereferences to the [`IoTracker`] it holds.
 #[derive(Clone)]
 pub enum TrackerHandle<'a> {
     /// Borrowed from the caller.
@@ -331,20 +343,13 @@ pub enum TrackerHandle<'a> {
     Shared(Arc<IoTracker>),
 }
 
-impl TrackerHandle<'_> {
-    /// Records bytes for a key.
-    pub fn record(&self, key: IoKey, kind: IoKind, bytes: u64) {
-        match self {
-            TrackerHandle::Borrowed(t) => t.record(key, kind, bytes),
-            TrackerHandle::Shared(t) => t.record(key, kind, bytes),
-        }
-    }
+impl Deref for TrackerHandle<'_> {
+    type Target = IoTracker;
 
-    /// Records bytes read back for a key (the tracker's read plane).
-    pub fn record_read(&self, key: IoKey, kind: IoKind, bytes: u64) {
+    fn deref(&self) -> &IoTracker {
         match self {
-            TrackerHandle::Borrowed(t) => t.record_read(key, kind, bytes),
-            TrackerHandle::Shared(t) => t.record_read(key, kind, bytes),
+            TrackerHandle::Borrowed(t) => t,
+            TrackerHandle::Shared(t) => t,
         }
     }
 }
@@ -358,6 +363,40 @@ impl<'a> From<&'a IoTracker> for TrackerHandle<'a> {
 impl<'a> From<Arc<IoTracker>> for TrackerHandle<'a> {
     fn from(t: Arc<IoTracker>) -> Self {
         TrackerHandle::Shared(t)
+    }
+}
+
+/// The open step of a backend, with the step-lifecycle contract of
+/// [`IoBackend`] checked in one place: one step open at a time, puts and
+/// `end_step` only inside one, reads and `close` only outside. Breaking
+/// it is a bug in the calling producer, hence the panics.
+pub(crate) struct OpenStep<T>(Option<T>);
+
+impl<T> OpenStep<T> {
+    /// No step open.
+    pub fn closed() -> Self {
+        Self(None)
+    }
+
+    /// `begin_step`: opens `step`.
+    pub fn begin(&mut self, step: T) {
+        assert!(self.0.is_none(), "begin_step: step already open");
+        self.0 = Some(step);
+    }
+
+    /// `put`: the open step.
+    pub fn get(&mut self) -> &mut T {
+        self.0.as_mut().expect("put: no open step")
+    }
+
+    /// `end_step`: takes the open step.
+    pub fn end(&mut self) -> T {
+        self.0.take().expect("end_step: no open step")
+    }
+
+    /// `read_selection` / `close`: no step may be open.
+    pub fn assert_closed(&self, call: &str) {
+        assert!(self.0.is_none(), "{call}: step still open");
     }
 }
 
@@ -446,11 +485,15 @@ pub trait IoBackend: Send {
     ///   codec-invariant like the write totals;
     /// * backends with staged/deferred writes barrier any in-flight
     ///   drain first (read-after-write consistency);
+    /// * file content is outside input by read time: a materialized file
+    ///   that is gone is `NotFound`, and a span that no longer fits its
+    ///   file (truncated or replaced on disk, an index row past its
+    ///   subfile) is `InvalidData` — never a panic;
     /// * `stats.requests` holds one [`ReadRequest`] per maximal
     ///   contiguous byte range fetched (whole-file for full reads), for
     ///   `simulate_read_burst` timing. Physical accounting
     ///   is layout-honest: coalesced per-path files are seeked through
-    ///   the retained manifest (only matched spans are fetched), while
+    ///   their retained spans (only matched spans are fetched), while
     ///   the aggregated layout always fetches its whole per-step index
     ///   blob before seeking subfiles — the write-optimized-layout
     ///   penalty the `reorg` module exists to remove. A selection that

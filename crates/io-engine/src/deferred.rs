@@ -1,11 +1,13 @@
 //! Deferred (burst-buffer) backend: double-buffered staging with an
 //! asynchronous drain pool.
 //!
-//! Puts stage in memory at full speed (the "burst buffer absorb" phase);
-//! the physical flush of step `k` happens while the application computes
-//! step `k+1`, modelling in-transit staging (AMRIC-style). The physical
-//! layout equals [`crate::FilePerProcess`] — one file per logical path —
-//! only the *when* changes:
+//! What it adds to the shared layout plane (`layout.rs`): placement is
+//! [`crate::FilePerProcess`]'s — one file per logical path, so the read
+//! path is the same retained file list — and only the **delivery**
+//! differs: a sealed file is *staged*, not written. Puts stage in memory
+//! at full speed (the "burst buffer absorb" phase); the physical flush of
+//! step `k` happens while the application computes step `k+1`, modelling
+//! in-transit staging (AMRIC-style):
 //!
 //! * with a shared (`Arc`) filesystem handle, a pool of drain threads
 //!   performs the writes truly asynchronously; `end_step` blocks only
@@ -18,17 +20,21 @@
 //! scheduler in `iosim` overlaps the simulated drain with the following
 //! compute phase — which is what makes deferred runs finish in less
 //! simulated wall-clock than file-per-process for the same byte volume.
+//! Reads barrier any in-flight drain first (read-after-write
+//! consistency), and a failed drain write surfaces at the next barrier
+//! with its original [`io::ErrorKind`], the file's path and the step.
 
 use crate::backend::{
-    unsupported_read, EngineReport, IoBackend, Put, StepRead, StepStats, TrackerHandle, VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
+    VfsHandle,
 };
-use crate::fpp::{manifest_of, read_manifest_step, StepBuild, StepManifest};
+use crate::fpp::{StepBuild, StepFiles};
+use crate::layout::{Source, SpanReader};
 use crate::selection::ReadSelection;
 use bytes::Bytes;
-use iosim::{Vfs, WriteRequest};
+use iosim::Vfs;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -37,15 +43,38 @@ use std::thread::JoinHandle;
 /// payloads' shared segments — staging holds references to the same
 /// buffers the producer filled, and the drain ships them zero-copy.
 struct StagedFile {
+    step: u32,
     path: String,
     content: Option<Vec<Bytes>>,
 }
 
-/// Shared drain-pool state: outstanding file count and error latch.
+impl StagedFile {
+    /// Lands the file (modeled files have nothing to land). A failure
+    /// keeps its kind and gains the path and step it belongs to.
+    fn drain(&self, vfs: &dyn Vfs) -> io::Result<()> {
+        let Some(content) = &self.content else {
+            return Ok(());
+        };
+        vfs.write_file_concat(&self.path, content)
+            .map(|_| ())
+            .map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!(
+                        "deferred drain: writing '{}' of step {} failed: {e}",
+                        self.path, self.step
+                    ),
+                )
+            })
+    }
+}
+
+/// Shared drain-pool state: outstanding file count and the first drain
+/// failure since the last barrier.
 struct PoolState {
     outstanding: Mutex<usize>,
     idle: Condvar,
-    io_errors: AtomicU64,
+    first_error: Mutex<Option<io::Error>>,
 }
 
 /// A pool of threads flushing staged files to a shared [`Vfs`].
@@ -62,7 +91,7 @@ impl DrainPool {
         let state = Arc::new(PoolState {
             outstanding: Mutex::new(0),
             idle: Condvar::new(),
-            io_errors: AtomicU64::new(0),
+            first_error: Mutex::new(None),
         });
         let workers = (0..nworkers.max(1))
             .map(|_| {
@@ -75,10 +104,9 @@ impl DrainPool {
                         guard.recv()
                     };
                     let Ok(file) = msg else { return };
-                    if let Some(content) = &file.content {
-                        if vfs.write_file_concat(&file.path, content).is_err() {
-                            state.io_errors.fetch_add(1, Ordering::Relaxed);
-                        }
+                    if let Err(e) = file.drain(vfs.as_ref()) {
+                        let mut first = state.first_error.lock().unwrap_or_else(|e| e.into_inner());
+                        first.get_or_insert(e);
                     }
                     let mut n = state.outstanding.lock().unwrap_or_else(|e| e.into_inner());
                     *n -= 1;
@@ -110,7 +138,8 @@ impl DrainPool {
         }
     }
 
-    /// Blocks until every submitted file has been flushed.
+    /// Blocks until every submitted file has been flushed; the first
+    /// failure among them, if any, is the result.
     fn wait_idle(&self) -> io::Result<()> {
         let mut n = self
             .state
@@ -120,10 +149,13 @@ impl DrainPool {
         while *n > 0 {
             n = self.state.idle.wait(n).unwrap_or_else(|e| e.into_inner());
         }
-        if self.state.io_errors.swap(0, Ordering::Relaxed) > 0 {
-            return Err(io::Error::other("deferred drain: write failed"));
-        }
-        Ok(())
+        let first = self
+            .state
+            .first_error
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        first.map_or(Ok(()), Err)
     }
 
     fn shutdown(&mut self) {
@@ -147,9 +179,9 @@ pub struct Deferred<'a> {
     pool: Option<DrainPool>,
     /// Staged files awaiting inline flush (borrowed-handle mode only).
     pending: Vec<StagedFile>,
-    cur: Option<StepBuild>,
-    /// Per-step layout manifests for the read path (layout == fpp).
-    manifests: HashMap<u32, StepManifest>,
+    cur: OpenStep<StepBuild>,
+    /// Per-step retained files for the read path (layout == fpp).
+    retained: HashMap<u32, StepFiles>,
     report: EngineReport,
 }
 
@@ -169,8 +201,8 @@ impl<'a> Deferred<'a> {
             tracker: tracker.into(),
             pool,
             pending: Vec::new(),
-            cur: None,
-            manifests: HashMap::new(),
+            cur: OpenStep::closed(),
+            retained: HashMap::new(),
             report: EngineReport::default(),
         }
     }
@@ -187,9 +219,7 @@ impl<'a> Deferred<'a> {
             pool.wait_idle()?;
         }
         for f in self.pending.drain(..) {
-            if let Some(content) = &f.content {
-                self.vfs.write_file_concat(&f.path, content)?;
-            }
+            f.drain(&*self.vfs)?;
         }
         Ok(())
     }
@@ -205,8 +235,7 @@ impl IoBackend for Deferred<'_> {
     }
 
     fn begin_step(&mut self, step: u32, _container: &str) {
-        assert!(self.cur.is_none(), "begin_step: step already open");
-        self.cur = Some(StepBuild::new(step));
+        self.cur.begin(StepBuild::new(step));
     }
 
     fn create_dir_all(&mut self, path: &str) -> io::Result<()> {
@@ -214,7 +243,7 @@ impl IoBackend for Deferred<'_> {
     }
 
     fn put(&mut self, put: Put) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("put: no open step");
+        let cur = self.cur.get();
         self.tracker
             .record(put.key, put.kind, put.payload.logical_len());
         cur.push(put);
@@ -222,43 +251,30 @@ impl IoBackend for Deferred<'_> {
     }
 
     fn end_step(&mut self) -> io::Result<StepStats> {
-        let cur = self.cur.take().expect("end_step: no open step");
+        let cur = self.cur.end();
         // Double buffering: the buffer we are about to fill must have
         // finished draining.
         self.drain_previous()?;
 
-        let step = cur.step;
-        let mut stats = StepStats {
-            step,
-            ..StepStats::default()
-        };
-        let files = cur.into_files();
-        self.manifests.insert(step, manifest_of(&files));
-        let mut staged = Vec::new();
-        for (path, build) in files {
-            stats.files += 1;
-            stats.bytes += build.bytes;
-            stats.logical_bytes += build.logical_bytes;
-            stats.requests.push(WriteRequest {
-                rank: build.rank,
-                path: path.clone(),
-                bytes: build.bytes,
-                start: 0.0,
-            });
+        let mut stats = StepStats::of(cur.step);
+        let mut files = cur.into_files();
+        let mut staged = Vec::with_capacity(files.len());
+        for (path, build) in &mut files {
+            build.book(path.clone(), &mut stats);
+            let segs = build.seal();
             staged.push(StagedFile {
-                path,
-                content: (!build.account_only).then_some(build.segs),
+                step: stats.step,
+                path: path.clone(),
+                content: (!build.account_only).then_some(segs),
             });
         }
+        self.retained.insert(stats.step, files);
         if let Some(pool) = &self.pool {
             pool.submit(staged);
         } else {
             self.pending = staged;
         }
-        self.report.steps += 1;
-        self.report.files += stats.files;
-        self.report.bytes += stats.bytes;
-        self.report.logical_bytes += stats.logical_bytes;
+        self.report.add_step(&stats);
         Ok(stats)
     }
 
@@ -268,20 +284,20 @@ impl IoBackend for Deferred<'_> {
         _container: &str,
         sel: &ReadSelection,
     ) -> io::Result<StepRead> {
-        assert!(self.cur.is_none(), "read_step: step still open");
+        self.cur.assert_closed("read_step");
         // Read-after-write consistency: the requested step may still be
         // staged (in the drain pool or the inline pending buffer) —
         // barrier every in-flight drain before touching the filesystem.
         self.drain_previous()?;
-        let manifest = self
-            .manifests
+        let files = self
+            .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        read_manifest_step(&self.vfs, &self.tracker, manifest, step, sel)
+        SpanReader::new(&self.tracker, step, sel).read_files(files, Source::Stored(&self.vfs))
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
-        assert!(self.cur.is_none(), "close: step still open");
+        self.cur.assert_closed("close");
         self.drain_previous()?;
         if let Some(pool) = &mut self.pool {
             pool.shutdown();
@@ -413,5 +429,92 @@ mod tests {
         let tracker = IoTracker::new();
         let b = Deferred::new(&fs as &dyn Vfs, &tracker, 1);
         assert!(b.overlapped());
+    }
+
+    /// A filesystem with one poisoned path: writing it is refused.
+    struct PoisonFs {
+        inner: MemFs,
+        poisoned: &'static str,
+    }
+
+    impl Vfs for PoisonFs {
+        fn create_dir_all(&self, path: &str) -> io::Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn write_file(&self, path: &str, data: &[u8]) -> io::Result<u64> {
+            if path == self.poisoned {
+                return Err(io::Error::new(
+                    io::ErrorKind::PermissionDenied,
+                    "poisoned path",
+                ));
+            }
+            self.inner.write_file(path, data)
+        }
+        fn file_size(&self, path: &str) -> Option<u64> {
+            self.inner.file_size(path)
+        }
+        fn read_file(&self, path: &str) -> Option<Vec<u8>> {
+            self.inner.read_file(path)
+        }
+        fn list(&self, prefix: &str) -> Vec<String> {
+            self.inner.list(prefix)
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+        fn nfiles(&self) -> usize {
+            self.inner.nfiles()
+        }
+    }
+
+    /// A failed drain write surfaces at the next barrier — `end_step`,
+    /// `read_step` or `close` — with the original kind, the path and the
+    /// step, inline and pooled alike.
+    #[test]
+    fn drain_failure_keeps_its_kind_path_and_step() {
+        fn poison() -> PoisonFs {
+            PoisonFs {
+                inner: MemFs::new(),
+                poisoned: "/s7/bad",
+            }
+        }
+        type Barrier = fn(&mut Deferred<'_>) -> io::Result<()>;
+        // Stages step 7 (one good file, one poisoned), then hits `barrier`.
+        fn check(mut b: Deferred<'_>, barrier: Barrier, label: &str) {
+            b.begin_step(7, "/");
+            b.put(put(7, 0, "/s7/good", b"fine")).unwrap();
+            b.put(put(7, 1, "/s7/bad", b"lost")).unwrap();
+            b.end_step().unwrap();
+            let err = barrier(&mut b).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::PermissionDenied,
+                "{label}: {err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("'/s7/bad'"), "{label}: {msg}");
+            assert!(msg.contains("step 7"), "{label}: {msg}");
+        }
+        let barriers: [(&str, Barrier); 3] = [
+            ("end_step", |b| {
+                b.begin_step(8, "/");
+                b.end_step().map(|_| ())
+            }),
+            ("read_step", |b| b.read_step(7, "/").map(|_| ())),
+            ("close", |b| b.close().map(|_| ())),
+        ];
+        for (name, barrier) in barriers {
+            let fs = poison();
+            let tracker = IoTracker::new();
+            check(
+                Deferred::new(&fs as &dyn Vfs, &tracker, 1),
+                barrier,
+                &format!("inline {name}"),
+            );
+            let shared: Arc<dyn Vfs> = Arc::new(poison());
+            let pooled = Deferred::new(shared, Arc::new(IoTracker::new()), 2);
+            assert!(pooled.is_async());
+            check(pooled, barrier, &format!("pooled {name}"));
+        }
     }
 }

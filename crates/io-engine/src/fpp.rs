@@ -1,57 +1,36 @@
 //! File-per-process backend: the workspace's original N-to-N write path,
 //! refactored behind [`IoBackend`].
 //!
-//! Every distinct put path in a step becomes one physical file whose
-//! content is the concatenation of its puts in submission order. That
-//! single rule reproduces both prior behaviours: AMReX plotfile writers
-//! choose one path per `(rank, level)` (true N-to-N), and MACSio's MIF
-//! mode points the ranks of a file group at one shared group path
-//! (baton-passing appends).
+//! What it adds to the shared layout plane (`layout.rs`):
+//!
+//! * **placement** — per path (`StepBuild`, shared with
+//!   [`crate::Deferred`] and [`crate::Streaming`]): every distinct put
+//!   path in a step becomes one physical file whose content is the
+//!   concatenation of its puts in submission order. That single rule
+//!   reproduces both prior behaviours: AMReX plotfile writers choose one
+//!   path per `(rank, level)` (true N-to-N), and MACSio's MIF mode points
+//!   the ranks of a file group at one shared group path (baton-passing
+//!   appends).
+//! * **delivery** — write now: `end_step` lands each file before it
+//!   returns.
+//!
+//! The file format itself stores no put boundaries (exactly like the
+//! original writers), so what makes this write-optimized layout
+//! selectively readable is the retained file list: a file none of whose
+//! spans match a selection is not opened, and a partially matching one
+//! is seeked through its spans.
 
 use crate::backend::{
-    unsupported_read, ChunkRead, EngineReport, IoBackend, Payload, Put, ReadStats, StepRead,
-    StepStats, TrackerHandle, VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
+    VfsHandle,
 };
+use crate::layout::{FileBuild, Source, SpanReader};
 use crate::selection::ReadSelection;
-use bytes::Bytes;
-use iosim::{IoKey, IoKind, ReadRequest, WriteRequest};
 use std::collections::HashMap;
 use std::io;
 
-/// Boundaries of one put inside a coalesced physical file — what a
-/// restart reader needs to slice the file back into logical chunks.
-#[derive(Clone, Debug)]
-pub(crate) struct ChunkSpan {
-    pub key: IoKey,
-    pub kind: IoKind,
-    /// Physical offset inside the file.
-    pub offset: u64,
-    /// Physical length.
-    pub len: u64,
-    /// Logical (pre-compression) length.
-    pub logical_len: u64,
-}
-
-/// One physical file being assembled for the open step.
-#[derive(Debug, Default)]
-pub(crate) struct FileBuild {
-    /// Rank attributed to the write request (first producer).
-    pub rank: usize,
-    /// Materialized content as shared segments in submission order
-    /// (empty in account-only mode) — adopted zero-copy from the puts.
-    pub segs: Vec<Bytes>,
-    /// Total physical payload bytes (tracks `content.len()` unless
-    /// account-only).
-    pub bytes: u64,
-    /// Total logical (pre-compression) payload bytes.
-    pub logical_bytes: u64,
-    /// True when any payload arrived as a bare size.
-    pub account_only: bool,
-    /// Per-put boundaries, in submission order.
-    pub chunks: Vec<ChunkSpan>,
-}
-
-/// Coalesces puts by path, preserving first-put order.
+/// The per-path placement rule: coalesces puts by path, preserving
+/// first-put order.
 #[derive(Debug, Default)]
 pub(crate) struct StepBuild {
     pub step: u32,
@@ -68,35 +47,23 @@ impl StepBuild {
         }
     }
 
-    /// Appends a put to its file, creating the file on first use.
+    /// Appends a put to its file, creating the file on first use
+    /// (attributed to its first producer).
     pub fn push(&mut self, put: Put) {
         let build = match self.files.get_mut(&put.path) {
             Some(b) => b,
             None => {
                 self.order.push(put.path.clone());
-                self.files.entry(put.path.clone()).or_insert(FileBuild {
-                    rank: put.key.task as usize,
-                    ..FileBuild::default()
-                })
+                self.files
+                    .entry(put.path)
+                    .or_insert(FileBuild::for_rank(put.key.task))
             }
         };
-        build.chunks.push(ChunkSpan {
-            key: put.key,
-            kind: put.kind,
-            offset: build.bytes,
-            len: put.payload.len(),
-            logical_len: put.payload.logical_len(),
-        });
-        build.bytes += put.payload.len();
-        build.logical_bytes += put.payload.logical_len();
-        match put.payload {
-            Payload::Bytes(b) | Payload::Encoded { data: b, .. } => build.segs.push(b),
-            Payload::Size(_) | Payload::EncodedSize { .. } => build.account_only = true,
-        }
+        build.push(put.key, put.kind, None, put.payload);
     }
 
     /// Finished files in first-put order.
-    pub fn into_files(mut self) -> Vec<(String, FileBuild)> {
+    pub fn into_files(mut self) -> StepFiles {
         self.order
             .drain(..)
             .map(|path| {
@@ -107,172 +74,17 @@ impl StepBuild {
     }
 }
 
-/// One written file as remembered for the read path (no content; byte
-/// totals derive from the chunk spans).
-#[derive(Clone, Debug)]
-pub(crate) struct ManifestFile {
-    pub path: String,
-    pub rank: usize,
-    pub account_only: bool,
-    pub chunks: Vec<ChunkSpan>,
-}
-
-/// Per-step manifest of the N-to-N layout, retained so `read_step` can
-/// slice the coalesced files back into logical chunks (the file format
-/// itself stores no boundaries — exactly like the original writers).
-///
-/// Manifests are kept for *every* step because wr-mode workloads read
-/// all dumps back, and they hold only spans and paths (tens of bytes per
-/// put), never payload content — a deliberate memory-for-readability
-/// trade even in write-only runs.
-pub(crate) type StepManifest = Vec<ManifestFile>;
-
-/// Reads one step back through its manifest: the shared read path of the
-/// [`FilePerProcess`] and [`crate::Deferred`] backends (identical
-/// physical layout, different write timing). Materialized files must be
-/// on the filesystem; truncated retained content (content-limited
-/// [`iosim::MemFs`]) degrades to a modeled size-only read.
-///
-/// Only chunks matching `sel` are returned and fetched: a file none of
-/// whose chunks match is not opened at all, and a partially matching
-/// file is seeked through the manifest's spans, so its read request
-/// carries only the matched bytes (the manifest is what makes the
-/// write-optimized N-to-N layout selectively readable — the file format
-/// itself stores no boundaries).
-pub(crate) fn read_manifest_step(
-    vfs: &VfsHandle<'_>,
-    tracker: &TrackerHandle<'_>,
-    manifest: &StepManifest,
-    step: u32,
-    sel: &ReadSelection,
-) -> io::Result<StepRead> {
-    let mut out = StepRead {
-        stats: ReadStats {
-            step,
-            ..ReadStats::default()
-        },
-        ..StepRead::default()
-    };
-    for file in manifest {
-        let matched: Vec<&ChunkSpan> = file
-            .chunks
-            .iter()
-            .filter(|span| sel.matches(&span.key, &file.path))
-            .collect();
-        if matched.is_empty() {
-            continue; // file untouched: no open, no bytes
-        }
-        let content = if file.account_only {
-            None
-        } else {
-            let c = vfs.read_file_exact_shared(&file.path);
-            if c.is_none() && vfs.file_size(&file.path).is_none() {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("read_step: missing file '{}'", file.path),
-                ));
-            }
-            c
-        };
-        let mut ranges = RangeCoalescer::new();
-        for span in &matched {
-            let payload = match &content {
-                Some(bytes) => {
-                    // O(1) sub-view sharing the file's stored buffer.
-                    let slice =
-                        bytes.slice(span.offset as usize..(span.offset + span.len) as usize);
-                    if span.len == span.logical_len {
-                        Payload::Bytes(slice)
-                    } else {
-                        // Encoded by a compression stage; the stage (or
-                        // the caller) decodes with the logical length.
-                        Payload::Encoded {
-                            data: slice,
-                            logical: span.logical_len,
-                        }
-                    }
-                }
-                None => Payload::Size(span.logical_len),
-            };
-            tracker.record_read(span.key, span.kind, span.logical_len);
-            ranges.push(span.offset, span.len);
-            out.stats.logical_bytes += span.logical_len;
-            out.chunks.push(ChunkRead {
-                key: span.key,
-                kind: span.kind,
-                path: file.path.clone(),
-                payload,
-            });
-        }
-        out.stats.files += 1;
-        out.stats.bytes += ranges.bytes();
-        ranges.requests_into(file.rank, &file.path, &mut out.stats.requests);
-    }
-    Ok(out)
-}
-
-/// Coalesces byte spans of one file into maximal contiguous ranges — a
-/// selective reader issues one request (one seek + fetch) per range, so
-/// scattered matches cost more opens than clustered ones. This is the
-/// accounting that makes layout *contiguity*, not just byte volume, a
-/// simulated quantity (the lever online reorganization pulls).
-pub(crate) struct RangeCoalescer {
-    ranges: Vec<(u64, u64)>,
-}
-
-impl RangeCoalescer {
-    pub fn new() -> Self {
-        Self { ranges: Vec::new() }
-    }
-
-    /// Adds a span, merging it into the previous range when contiguous.
-    /// Spans must arrive in non-decreasing offset order (read paths walk
-    /// their chunk tables in layout order).
-    pub fn push(&mut self, offset: u64, len: u64) {
-        match self.ranges.last_mut() {
-            Some((start, rlen)) if *start + *rlen == offset => *rlen += len,
-            _ => self.ranges.push((offset, len)),
-        }
-    }
-
-    /// Total bytes across all ranges.
-    pub fn bytes(&self) -> u64 {
-        self.ranges.iter().map(|(_, l)| *l).sum()
-    }
-
-    /// Emits one [`ReadRequest`] per contiguous range.
-    pub fn requests_into(&self, rank: usize, path: &str, out: &mut Vec<ReadRequest>) {
-        for &(_, len) in &self.ranges {
-            out.push(ReadRequest {
-                rank,
-                path: path.to_string(),
-                bytes: len,
-                start: 0.0,
-            });
-        }
-    }
-}
-
-/// Builds the retained manifest from a step's finished files.
-pub(crate) fn manifest_of(files: &[(String, FileBuild)]) -> StepManifest {
-    files
-        .iter()
-        .map(|(path, build)| ManifestFile {
-            path: path.clone(),
-            rank: build.rank,
-            account_only: build.account_only,
-            chunks: build.chunks.clone(),
-        })
-        .collect()
-}
+/// The files of one step under per-path placement, in first-put order —
+/// while being delivered, and as retained for the read path.
+pub(crate) type StepFiles = Vec<(String, FileBuild)>;
 
 /// The N-to-N backend (see module docs).
 pub struct FilePerProcess<'a> {
     vfs: VfsHandle<'a>,
     tracker: TrackerHandle<'a>,
-    cur: Option<StepBuild>,
-    /// Per-step layout manifests for the read path.
-    manifests: HashMap<u32, StepManifest>,
+    cur: OpenStep<StepBuild>,
+    /// Per-step retained files for the read path.
+    retained: HashMap<u32, StepFiles>,
     report: EngineReport,
 }
 
@@ -282,8 +94,8 @@ impl<'a> FilePerProcess<'a> {
         Self {
             vfs: vfs.into(),
             tracker: tracker.into(),
-            cur: None,
-            manifests: HashMap::new(),
+            cur: OpenStep::closed(),
+            retained: HashMap::new(),
             report: EngineReport::default(),
         }
     }
@@ -295,8 +107,7 @@ impl IoBackend for FilePerProcess<'_> {
     }
 
     fn begin_step(&mut self, step: u32, _container: &str) {
-        assert!(self.cur.is_none(), "begin_step: step already open");
-        self.cur = Some(StepBuild::new(step));
+        self.cur.begin(StepBuild::new(step));
     }
 
     fn create_dir_all(&mut self, path: &str) -> io::Result<()> {
@@ -304,7 +115,7 @@ impl IoBackend for FilePerProcess<'_> {
     }
 
     fn put(&mut self, put: Put) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("put: no open step");
+        let cur = self.cur.get();
         self.tracker
             .record(put.key, put.kind, put.payload.logical_len());
         cur.push(put);
@@ -312,33 +123,15 @@ impl IoBackend for FilePerProcess<'_> {
     }
 
     fn end_step(&mut self) -> io::Result<StepStats> {
-        let cur = self.cur.take().expect("end_step: no open step");
-        let step = cur.step;
-        let mut stats = StepStats {
-            step,
-            ..StepStats::default()
-        };
-        let files = cur.into_files();
-        self.manifests.insert(step, manifest_of(&files));
-        for (path, build) in files {
-            if !build.account_only {
-                let written = self.vfs.write_file_concat(&path, &build.segs)?;
-                debug_assert_eq!(written, build.bytes);
-            }
-            stats.files += 1;
-            stats.bytes += build.bytes;
-            stats.logical_bytes += build.logical_bytes;
-            stats.requests.push(WriteRequest {
-                rank: build.rank,
-                path,
-                bytes: build.bytes,
-                start: 0.0,
-            });
+        let cur = self.cur.end();
+        let mut stats = StepStats::of(cur.step);
+        let mut files = cur.into_files();
+        for (path, build) in &mut files {
+            build.write_now(&*self.vfs, path)?;
+            build.book(path.clone(), &mut stats);
         }
-        self.report.steps += 1;
-        self.report.files += stats.files;
-        self.report.bytes += stats.bytes;
-        self.report.logical_bytes += stats.logical_bytes;
+        self.retained.insert(stats.step, files);
+        self.report.add_step(&stats);
         Ok(stats)
     }
 
@@ -348,16 +141,16 @@ impl IoBackend for FilePerProcess<'_> {
         _container: &str,
         sel: &ReadSelection,
     ) -> io::Result<StepRead> {
-        assert!(self.cur.is_none(), "read_step: step still open");
-        let manifest = self
-            .manifests
+        self.cur.assert_closed("read_step");
+        let files = self
+            .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        read_manifest_step(&self.vfs, &self.tracker, manifest, step, sel)
+        SpanReader::new(&self.tracker, step, sel).read_files(files, Source::Stored(&self.vfs))
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
-        assert!(self.cur.is_none(), "close: step still open");
+        self.cur.assert_closed("close");
         Ok(self.report.clone())
     }
 }
@@ -365,6 +158,7 @@ impl IoBackend for FilePerProcess<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Payload;
     use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
 
     fn put(step: u32, task: u32, path: &str, data: &[u8]) -> Put {

@@ -43,21 +43,31 @@
 //! charged as application compute time by the burst scheduler — the
 //! compression trade (CPU for wire bytes) is simulated on both sides.
 //!
-//! Every backend also exposes the **read plane**
+//! Underneath, every backend shares one private **layout plane**: a
+//! backend is only a *placement rule* (which physical file a put is
+//! appended to — per path, per aggregator, per level) plus a *delivery*
+//! (write now, stage to a drain pool, ship to a consumer window). A put's
+//! span inside a physical file, the file being assembled and retained,
+//! and the selective reader that cuts spans back out are stated once,
+//! for all of them (`docs/MODEL.md` has the table).
+//!
+//! That plane is what serves the **read plane**
 //! ([`IoBackend::read_step`] / [`IoBackend::read_selection`]): the
 //! restart/analysis path that reads a written step — or a selected
 //! subset of it ([`ReadSelection`]: one level, one field, a `(level,
-//! task)` key box) — back into logical chunks. [`FilePerProcess`] and
-//! [`Deferred`] slice their coalesced files through a retained layout
-//! manifest (deferred barriers any in-flight drain first — read-after-
-//! write consistency); [`Aggregated`] seeks through its on-disk per-step
-//! `md.idx` chunk table; the compression stage decodes each chunk through
-//! its codec, so restart bytes round-trip to the logical bytes written
-//! (byte-exact for lossless codecs, an error-bounded reconstruction of
-//! the same length for the lossy quantizer). Reads are recorded in the
-//! tracker's separate read plane at logical size, and
-//! [`ReadStats::requests`] — one request per maximal contiguous byte
-//! range fetched — feed `iosim`'s read-burst timing
+//! task)` key box) — back into logical chunks. [`FilePerProcess`],
+//! [`Deferred`] and [`Streaming`] walk their retained per-path files
+//! (deferred barriers any in-flight drain first — read-after-write
+//! consistency; streaming serves from the window at zero physical cost);
+//! [`Aggregated`] seeks through its on-disk per-step `md.idx` chunk
+//! table; the compression stage decodes each chunk through its codec, so
+//! restart bytes round-trip to the logical bytes written (byte-exact for
+//! lossless codecs, an error-bounded reconstruction of the same length
+//! for the lossy quantizer). File content is outside input by read time:
+//! a span that no longer fits its file is an `InvalidData` error, never a
+//! panic. Reads are recorded in the tracker's separate read plane at
+//! logical size, and [`ReadStats::requests`] — one request per maximal
+//! contiguous byte range fetched — feed `iosim`'s read-burst timing
 //! (`simulate_read_burst`: own bandwidth, per-file open charge), so a
 //! selection scattered across a write-optimized layout costs more than
 //! the same bytes clustered.
@@ -129,6 +139,7 @@ pub mod deferred;
 pub mod driver;
 pub mod fpp;
 pub mod grammar;
+mod layout;
 pub mod reorg;
 pub mod scenario;
 pub mod selection;

@@ -1,6 +1,11 @@
 //! Online data-layout reorganization: rewriting a written step from its
 //! write-optimized layout into a read-optimized one.
 //!
+//! What it adds to the shared layout plane (`layout.rs`): a third
+//! **placement** — data chunks cluster by level, path-sorted inside each
+//! level file, with a *segmented* index — delivered by writing now; its
+//! reads run through the same span reader as every backend's.
+//!
 //! Wan et al. ("Improving I/O Performance for Exascale Applications
 //! through Online Data Layout Reorganization") show that the layout a
 //! parallel writer produces — per-rank coalesced files, BP-style
@@ -49,56 +54,21 @@
 //! wall-clock win is cleanest on bandwidth-bound (few-server) storage,
 //! which is where the examples and regression tests pin it.
 
-use crate::backend::{
-    ChunkRead, IoBackend, Payload, ReadStats, StepRead, TrackerHandle, VfsHandle,
-};
+use crate::backend::{IoBackend, ReadStats, StepRead, StepStats, TrackerHandle, VfsHandle};
 use crate::codec::{encode_payload, Codec, CodecContext, CodecSpec};
+use crate::layout::{index_tail, FileBuild, Source, Span, SpanReader};
 use crate::selection::ReadSelection;
-use iosim::{IoKey, IoKind, ReadRequest, WriteRequest};
+use crate::stage::decode_chunks;
+use bytes::Bytes;
+use iosim::{IoKind, WriteRequest};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
 
-/// One chunk retained in a reorganized level cluster (physical spans
-/// inside the level file).
-#[derive(Clone)]
-struct ReorgChunk {
-    key: IoKey,
-    path: String,
-    offset: u64,
-    len: u64,
-    logical_len: u64,
-}
-
-/// One level cluster of a reorganized step.
-struct LevelCluster {
-    /// Physical path of the coalesced level file.
-    file: String,
-    /// Total physical bytes of the level file.
-    bytes: u64,
-    /// True when any chunk was account-only (the file is then modeled,
-    /// never materialized — mirroring the backends' per-file rule).
-    account_only: bool,
-    /// Byte length of this level's chunk-table segment in the index.
-    table_bytes: u64,
-    /// Chunks in cluster order (path-sorted, stable).
-    chunks: Vec<ReorgChunk>,
-}
-
-/// One metadata chunk retained in the index's embedded blob.
-struct MetaEntry {
-    key: IoKey,
-    path: String,
-    /// Offset inside the metadata blob.
-    offset: u64,
-    len: u64,
-    logical_len: u64,
-}
-
 /// Everything retained about one reorganized step.
 struct ReorgStep {
-    /// Physical path of the rewritten index.
-    index_path: String,
+    /// The step's directory: `reorg.idx` and the `level.N` files.
+    dir: String,
     /// Directory header bytes (always fetched by a reader).
     header_bytes: u64,
     /// Byte length of the metadata table segment.
@@ -107,12 +77,12 @@ struct ReorgStep {
     blob_offset: u64,
     /// True when the index was physically written.
     index_written: bool,
-    /// Level clusters, coarsest first.
-    levels: BTreeMap<u32, LevelCluster>,
-    /// Metadata entries in submission order.
-    meta: Vec<MetaEntry>,
-    /// True when any metadata payload was account-only.
-    meta_account_only: bool,
+    /// Level clusters, coarsest first: the coalesced level file (chunks
+    /// path-sorted, stable) and the byte length of its chunk-table
+    /// segment in the index.
+    levels: BTreeMap<u32, (FileBuild, u64)>,
+    /// Metadata chunks in submission order, embedded in the index blob.
+    meta: FileBuild,
 }
 
 /// Accounting of one [`Reorganizer::reorganize`] pass: what the rewrite
@@ -189,89 +159,43 @@ impl<'a> Reorganizer<'a> {
         let src = source.read_step(step, container)?;
         let dir = Self::step_dir(container, step);
         self.vfs.create_dir_all(&dir)?;
-        let mut stats = ReorgStats {
-            step,
-            read: src.stats.clone(),
-            ..ReorgStats::default()
-        };
 
         // Split and re-cluster: data by (level, path) — stable sort, so
         // chunks of one path keep their submission order and concatenate
         // back to the path's logical content — metadata into the index
         // blob in submission order.
-        let mut data: Vec<&ChunkRead> = Vec::new();
-        let mut meta_src: Vec<&ChunkRead> = Vec::new();
-        for c in &src.chunks {
-            match c.kind {
-                IoKind::Data => data.push(c),
-                IoKind::Metadata => meta_src.push(c),
-            }
-        }
+        let (mut data, meta_src): (Vec<_>, Vec<_>) =
+            src.chunks.into_iter().partition(|c| c.kind == IoKind::Data);
         data.sort_by(|a, b| a.key.level.cmp(&b.key.level).then(a.path.cmp(&b.path)));
 
-        let mut levels: BTreeMap<u32, LevelCluster> = BTreeMap::new();
+        // Each level's file and its chunk-table segment of the index.
+        let mut levels: BTreeMap<u32, (FileBuild, String)> = BTreeMap::new();
         let mut encode_ns = 0.0f64;
-        let mut contents: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for c in &data {
-            let level = c.key.level;
-            let cluster = levels.entry(level).or_insert_with(|| LevelCluster {
-                file: format!("{dir}/level.{level}"),
-                bytes: 0,
-                account_only: false,
-                table_bytes: 0,
-                chunks: Vec::new(),
-            });
+        for c in data {
             let ctx = CodecContext {
-                level,
+                level: c.key.level,
                 kind: c.kind,
                 path: &c.path,
             };
             // Re-encode through the reorganizer's codec: the source stack
             // delivered logical bytes (or a logical size), and the new
             // layout should cost what the old one did on the wire.
-            let logical = c.payload.logical_len();
-            encode_ns += logical as f64 * self.codec.cpu_ns_per_byte();
-            let (encoded, _) = encode_payload(self.codec.as_ref(), c.payload.clone(), &ctx);
-            let len = encoded.len();
-            match encoded {
-                Payload::Bytes(b) | Payload::Encoded { data: b, .. } => {
-                    contents.entry(level).or_default().extend_from_slice(&b);
-                }
-                Payload::Size(_) | Payload::EncodedSize { .. } => cluster.account_only = true,
-            }
-            cluster.chunks.push(ReorgChunk {
-                key: c.key,
-                path: c.path.clone(),
-                offset: cluster.bytes,
-                len,
-                logical_len: logical,
-            });
-            cluster.bytes += len;
+            encode_ns += c.payload.logical_len() as f64 * self.codec.cpu_ns_per_byte();
+            let (encoded, _) = encode_payload(self.codec.as_ref(), c.payload, &ctx);
+            let (file, table) = levels.entry(c.key.level).or_default();
+            file.push(c.key, c.kind, Some(c.path), encoded);
+            file.write_last_row(table);
         }
-        stats.codec_seconds = encode_ns / 1e9;
 
         // Metadata blob (uncompressed, like the compression stage).
-        let mut meta = Vec::new();
-        let mut blob = Vec::new();
-        let mut meta_account_only = false;
-        for c in &meta_src {
-            let len = c.payload.len();
-            match &c.payload {
-                Payload::Bytes(b) => blob.extend_from_slice(b),
-                Payload::Encoded { data, .. } => blob.extend_from_slice(data),
-                Payload::Size(_) | Payload::EncodedSize { .. } => meta_account_only = true,
-            }
-            meta.push(MetaEntry {
-                key: c.key,
-                path: c.path.clone(),
-                offset: meta
-                    .last()
-                    .map(|m: &MetaEntry| m.offset + m.len)
-                    .unwrap_or(0),
-                len,
-                logical_len: c.payload.logical_len(),
-            });
+        let mut meta = FileBuild::default();
+        let mut meta_table = String::new();
+        for c in meta_src {
+            meta.push(c.key, c.kind, Some(c.path), c.payload);
+            meta.write_last_row(&mut meta_table);
         }
+        // Only materialized metadata is in the blob.
+        let blob_len: u64 = meta.segs().iter().map(|s| s.len() as u64).sum();
 
         // The rewritten index: a small directory (one line per segment)
         // followed by per-level chunk tables, the metadata table, and the
@@ -279,124 +203,81 @@ impl<'a> Reorganizer<'a> {
         // *partially* fetchable — a selective reader pulls the directory
         // plus only the segments its level range touches, instead of the
         // monolithic blob the write-optimized layouts store.
-        let mut tables: BTreeMap<u32, String> = BTreeMap::new();
-        for (&level, cluster) in &levels {
-            let mut t = String::new();
-            for c in &cluster.chunks {
-                let _ = writeln!(
-                    t,
-                    "{offset} {len} {logical_len} {step} {level} {task} {path}",
-                    offset = c.offset,
-                    len = c.len,
-                    logical_len = c.logical_len,
-                    step = c.key.step,
-                    level = c.key.level,
-                    task = c.key.task,
-                    path = c.path,
-                );
-            }
-            tables.insert(level, t);
-        }
-        let mut meta_table = String::new();
-        for m in &meta {
-            let _ = writeln!(
-                meta_table,
-                "{offset} {len} {logical_len} {step} {level} {task} {path}",
-                offset = m.offset,
-                len = m.len,
-                logical_len = m.logical_len,
-                step = m.key.step,
-                level = m.key.level,
-                task = m.key.task,
-                path = m.path,
-            );
-        }
-        let mut header = format!(
+        let mut index = format!(
             "# io-engine reorg index, step {step}, codec {}\n",
             self.codec.name()
         );
-        for (&level, cluster) in &levels {
+        for (level, (file, table)) in &levels {
             let _ = writeln!(
-                header,
-                "L {level} {file} {bytes} {table} {n}",
-                file = cluster.file,
-                bytes = cluster.bytes,
-                table = tables[&level].len(),
-                n = cluster.chunks.len(),
+                index,
+                "L {level} {dir}/level.{level} {bytes} {table} {n}",
+                bytes = file.bytes(),
+                table = table.len(),
+                n = file.spans.len(),
             );
         }
         let _ = writeln!(
-            header,
-            "M {n} {table} {blob}",
-            n = meta.len(),
+            index,
+            "M {n} {table} {blob_len}",
+            n = meta.spans.len(),
             table = meta_table.len(),
-            blob = blob.len(),
         );
-
-        let header_bytes = header.len() as u64;
-        let mut index = header.into_bytes();
-        for (&level, cluster) in levels.iter_mut() {
-            cluster.table_bytes = tables[&level].len() as u64;
-            index.extend_from_slice(tables[&level].as_bytes());
+        let header_bytes = index.len() as u64;
+        for (_, table) in levels.values() {
+            index.push_str(table);
         }
-        let meta_table_bytes = meta_table.len() as u64;
-        index.extend_from_slice(meta_table.as_bytes());
+        index.push_str(&meta_table);
         let blob_offset = index.len() as u64;
-        index.extend_from_slice(&blob);
         let index_path = format!("{dir}/reorg.idx");
-        let index_bytes = index.len() as u64;
+        let index_bytes = blob_offset + blob_len;
 
         // Physical writes: level files whose content fully materialized,
         // and the index whenever anything did (mirrors the backends'
         // account-only rule: a fully modeled step stays write-free).
-        let any_materialized =
-            levels.values().any(|c| !c.account_only && c.bytes > 0) || !blob.is_empty();
-        for (&level, cluster) in &levels {
-            if !cluster.account_only {
-                let written = self
-                    .vfs
-                    .write_file(&cluster.file, contents.get(&level).map_or(&[], |v| &v[..]))?;
-                debug_assert_eq!(written, cluster.bytes);
-            }
-            stats.files += 1;
-            stats.bytes += cluster.bytes;
-            stats.requests.push(WriteRequest {
-                // Attributed to the lowest task with data at this level.
-                rank: cluster.chunks.iter().map(|c| c.key.task).min().unwrap_or(0) as usize,
-                path: cluster.file.clone(),
-                bytes: cluster.bytes,
-                start: 0.0,
-            });
+        let any_materialized = levels
+            .values()
+            .any(|(f, _)| !f.account_only && f.bytes() > 0)
+            || blob_len > 0;
+        let mut written = StepStats::of(step);
+        let mut retained = BTreeMap::new();
+        for (level, (mut file, table)) in levels {
+            // Attributed to the lowest task with data at this level.
+            file.rank = file.spans.iter().map(|c| c.key.task).min().unwrap_or(0);
+            let path = format!("{dir}/level.{level}");
+            file.write_now(&*self.vfs, &path)?;
+            written.add_file(file.rank as usize, path, file.bytes(), 0);
+            retained.insert(level, (file, table.len() as u64));
         }
-        let index_written = any_materialized && !meta_account_only;
+        let index_written = any_materialized && !meta.account_only;
+        let mut index_segs = vec![Bytes::from(index)];
+        index_segs.extend(meta.seal());
         if index_written {
-            let written = self.vfs.write_file(&index_path, &index)?;
-            debug_assert_eq!(written, index_bytes);
+            let bytes = self.vfs.write_file_concat(&index_path, &index_segs)?;
+            debug_assert_eq!(bytes, index_bytes);
         }
-        stats.files += 1;
-        stats.bytes += index_bytes;
-        stats.overhead_bytes += index_bytes;
-        stats.requests.push(WriteRequest {
-            rank: 0,
-            path: index_path.clone(),
-            bytes: index_bytes,
-            start: 0.0,
-        });
+        written.add_file(0, index_path, index_bytes, 0);
 
         self.steps.insert(
             step,
             ReorgStep {
-                index_path,
+                dir,
                 header_bytes,
-                meta_table_bytes,
+                meta_table_bytes: meta_table.len() as u64,
                 blob_offset,
                 index_written,
-                levels,
+                levels: retained,
                 meta,
-                meta_account_only,
             },
         );
-        Ok(stats)
+        Ok(ReorgStats {
+            step,
+            read: src.stats,
+            files: written.files,
+            bytes: written.bytes,
+            overhead_bytes: index_bytes,
+            codec_seconds: encode_ns / 1e9,
+            requests: written.requests,
+        })
     }
 
     /// Serves an analysis read from the reorganized layout of `step`.
@@ -405,8 +286,8 @@ impl<'a> Reorganizer<'a> {
     ///
     /// * one index request covering the directory, the chunk-table
     ///   segments of the levels the selection can touch, the metadata
-    ///   table, and the *matched* metadata bytes (sliced out of the
-    ///   blob at directory-known offsets);
+    ///   table, and the *matched* metadata bytes (cut out of the blob at
+    ///   directory-known offsets);
     /// * one request per touched level file carrying only the matched
     ///   chunk bytes (matched chunks of one path are contiguous by
     ///   construction); level files outside the selection's
@@ -424,141 +305,52 @@ impl<'a> Reorganizer<'a> {
                 format!("reorg read: step {step} was never reorganized"),
             )
         })?;
-        let mut out = StepRead {
-            stats: ReadStats {
-                step,
-                ..ReadStats::default()
-            },
-            ..StepRead::default()
-        };
+        let mut reader = SpanReader::new(&self.tracker, step, sel);
 
         // Index fetch: directory + touched table segments + metadata
         // table + matched metadata bytes.
         let level_range = sel.level_range();
-        let in_range = |level: u32| match level_range {
+        let in_range = |level: &u32| match level_range {
             None => true,
-            Some((lo, hi)) => (lo..=hi).contains(&level),
+            Some((lo, hi)) => (lo..=hi).contains(level),
         };
-        let mut index_fetch = info.header_bytes + info.meta_table_bytes;
-        for (&level, cluster) in &info.levels {
-            if in_range(level) {
-                index_fetch += cluster.table_bytes;
-            }
-        }
-        let matched_meta: Vec<&MetaEntry> = info
-            .meta
-            .iter()
-            .filter(|m| sel.matches(&m.key, &m.path))
+        let index_path = format!("{}/reorg.idx", info.dir);
+        let meta = &info.meta;
+        let matched_meta: Vec<&Span> = (meta.spans.iter().enumerate())
+            .filter(|(i, m)| sel.matches(&m.key, meta.logical_path(*i, &index_path)))
+            .map(|(_, m)| m)
             .collect();
-        index_fetch += matched_meta.iter().map(|m| m.len).sum::<u64>();
-        out.stats.files += 1;
-        out.stats.bytes += index_fetch;
-        out.stats.requests.push(ReadRequest {
-            rank: 0,
-            path: info.index_path.clone(),
-            bytes: index_fetch,
-            start: 0.0,
-        });
-
-        // The on-disk index content, for slicing materialized metadata —
-        // loaded only when a matched metadata entry will consume it
-        // (data-only queries, the common analysis case, skip the copy).
-        let index_content =
-            (!matched_meta.is_empty() && !info.meta_account_only && info.index_written)
-                .then(|| self.vfs.read_file_exact_shared(&info.index_path))
-                .flatten();
-
-        // Data: matched chunks per level cluster, decoded.
-        let mut decode_ns = 0.0f64;
-        for (&level, cluster) in &info.levels {
-            if !in_range(level) {
-                continue;
-            }
-            let matched: Vec<&ReorgChunk> = cluster
-                .chunks
+        let index_fetch = info.header_bytes
+            + info.meta_table_bytes
+            + info
+                .levels
                 .iter()
-                .filter(|c| sel.matches(&c.key, &c.path))
-                .collect();
-            if matched.is_empty() {
-                continue;
-            }
-            let content = if cluster.account_only {
-                None
-            } else {
-                let c = self.vfs.read_file_exact_shared(&cluster.file);
-                if c.is_none() && self.vfs.file_size(&cluster.file).is_none() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("reorg read: missing level file '{}'", cluster.file),
-                    ));
-                }
-                c
-            };
-            let mut ranges = crate::fpp::RangeCoalescer::new();
-            for chunk in matched {
-                decode_ns += chunk.logical_len as f64 * self.codec.cpu_ns_per_byte();
-                let payload = match &content {
-                    Some(bytes) => {
-                        // Zero-copy view into the level file; decode only
-                        // when the chunk was actually encoded.
-                        let slice =
-                            bytes.slice(chunk.offset as usize..(chunk.offset + chunk.len) as usize);
-                        if chunk.len == chunk.logical_len {
-                            Payload::Bytes(slice)
-                        } else {
-                            let ctx = CodecContext {
-                                level,
-                                kind: IoKind::Data,
-                                path: &chunk.path,
-                            };
-                            Payload::Bytes(
-                                self.codec.decode(&slice, chunk.logical_len, &ctx).into(),
-                            )
-                        }
-                    }
-                    None => Payload::Size(chunk.logical_len),
-                };
-                self.tracker
-                    .record_read(chunk.key, IoKind::Data, chunk.logical_len);
-                ranges.push(chunk.offset, chunk.len);
-                out.stats.logical_bytes += chunk.logical_len;
-                out.chunks.push(ChunkRead {
-                    key: chunk.key,
-                    kind: IoKind::Data,
-                    path: chunk.path.clone(),
-                    payload,
-                });
-            }
-            out.stats.files += 1;
-            out.stats.bytes += ranges.bytes();
-            ranges.requests_into(
-                cluster.chunks.iter().map(|c| c.key.task).min().unwrap_or(0) as usize,
-                &cluster.file,
-                &mut out.stats.requests,
-            );
-        }
-        out.stats.codec_seconds += decode_ns / 1e9;
+                .filter(|(level, _)| in_range(level))
+                .map(|(_, (_, table_bytes))| table_bytes)
+                .sum::<u64>()
+            + matched_meta.iter().map(|m| m.len).sum::<u64>();
+        reader.out.stats.add_fetch(index_path.clone(), index_fetch);
 
-        // Matched metadata, sliced out of the index blob.
-        for m in matched_meta {
-            let payload = match &index_content {
-                Some(content) if !info.meta_account_only => {
-                    let start = (info.blob_offset + m.offset) as usize;
-                    Payload::Bytes(content.slice(start..start + m.len as usize))
-                }
-                _ => Payload::Size(m.logical_len),
-            };
-            self.tracker
-                .record_read(m.key, IoKind::Metadata, m.logical_len);
-            out.stats.logical_bytes += m.logical_len;
-            out.chunks.push(ChunkRead {
-                key: m.key,
-                kind: IoKind::Metadata,
-                path: m.path.clone(),
-                payload,
-            });
+        // The on-disk metadata blob — loaded only when a matched metadata
+        // entry will consume it (data-only queries, the common analysis
+        // case, skip the fetch).
+        let blob = (!matched_meta.is_empty() && !info.meta.account_only && info.index_written)
+            .then(|| self.vfs.read_file_exact_shared(&index_path))
+            .flatten()
+            .map(|content| index_tail(&content, &index_path, info.blob_offset))
+            .transpose()?;
+
+        // Data: matched chunks per level cluster, then matched metadata.
+        for (level, (file, _)) in info.levels.iter().filter(|(level, _)| in_range(level)) {
+            let path = format!("{}/level.{level}", info.dir);
+            reader.read_file(&path, file, Source::Stored(&self.vfs))?;
         }
-        Ok(out)
+        reader.read_file(&index_path, &info.meta, Source::Fetched(blob.as_ref()))?;
+
+        // Decode what the rewrite encoded.
+        let mut read = reader.out;
+        decode_chunks(self.codec.as_ref(), &mut read);
+        Ok(read)
     }
 
     /// Whole-step read from the reorganized layout
@@ -571,9 +363,9 @@ impl<'a> Reorganizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Put;
+    use crate::backend::{ChunkRead, Payload, Put};
     use crate::spec::BackendSpec;
-    use iosim::{IoTracker, MemFs, Vfs};
+    use iosim::{IoKey, IoTracker, MemFs, Vfs};
 
     const FIELDS: [&str; 3] = ["density", "pressure", "velocity"];
 

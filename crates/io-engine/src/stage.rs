@@ -39,13 +39,42 @@
 //! body all keep their capacity from step to step, so a steady-state
 //! step allocates only the encoded payloads themselves.
 
-use crate::backend::{EngineReport, IoBackend, Payload, Put, StepRead, StepStats, VfsHandle};
+use crate::backend::{
+    EngineReport, IoBackend, OpenStep, Payload, Put, StepRead, StepStats, VfsHandle,
+};
 use crate::codec::{encode_payload, Codec, CodecContext};
 use crate::selection::ReadSelection;
-use iosim::{IoKind, ReadRequest, WriteRequest};
+use iosim::IoKind;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
+
+/// Decodes every data chunk of `read` that a codec encoded back to its
+/// logical bytes — the read-side tail shared by the compression stage
+/// and the reorganizer. Raw-fallback chunks come back as `Bytes` already
+/// (physical == logical) and pass through untouched. The decode CPU cost
+/// mirrors the encode side: charged per logical byte of every returned
+/// data chunk, summed in chunk order.
+pub(crate) fn decode_chunks(codec: &dyn Codec, read: &mut StepRead) {
+    let mut decode_ns = 0.0f64;
+    for chunk in &mut read.chunks {
+        if chunk.kind != IoKind::Data {
+            continue;
+        }
+        decode_ns += chunk.payload.logical_len() as f64 * codec.cpu_ns_per_byte();
+        if let Payload::Encoded { data, logical } = &chunk.payload {
+            let ctx = CodecContext {
+                level: chunk.key.level,
+                kind: chunk.kind,
+                path: &chunk.path,
+            };
+            let decoded = codec.decode(data, *logical, &ctx);
+            debug_assert_eq!(decoded.len() as u64, *logical, "decode length");
+            chunk.payload = Payload::Bytes(decoded.into());
+        }
+    }
+    read.stats.codec_seconds += decode_ns / 1e9;
+}
 
 /// One data chunk the stage processed in the open step.
 struct ChunkRec {
@@ -90,7 +119,7 @@ pub struct CompressionStage<'a> {
     chunk_pool: Vec<ChunkRec>,
     /// Recycled sidecar body.
     sidecar_buf: String,
-    cur: Option<StageStep>,
+    cur: OpenStep<StageStep>,
     /// Steps that wrote (or modeled) a sidecar, for read accounting.
     sidecars: HashMap<u32, SidecarInfo>,
     /// Sidecar files written across the run (added to the close report).
@@ -138,7 +167,7 @@ impl<'a> CompressionStage<'a> {
             results: Vec::new(),
             chunk_pool: Vec::new(),
             sidecar_buf: String::new(),
-            cur: None,
+            cur: OpenStep::closed(),
             sidecars: HashMap::new(),
             sidecar_files: 0,
             sidecar_bytes: 0,
@@ -200,8 +229,7 @@ impl IoBackend for CompressionStage<'_> {
     }
 
     fn begin_step(&mut self, step: u32, container: &str) {
-        assert!(self.cur.is_none(), "begin_step: step already open");
-        self.cur = Some(StageStep {
+        self.cur.begin(StageStep {
             step,
             dir: container.to_string(),
             chunks: std::mem::take(&mut self.chunk_pool),
@@ -216,7 +244,7 @@ impl IoBackend for CompressionStage<'_> {
     }
 
     fn put(&mut self, put: Put) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("put: no open step");
+        let cur = self.cur.get();
         if self.parallel {
             // Defer: the whole step encodes in parallel at seal time,
             // then forwards in this submission order.
@@ -244,7 +272,7 @@ impl IoBackend for CompressionStage<'_> {
     }
 
     fn end_step(&mut self) -> io::Result<StepStats> {
-        let mut cur = self.cur.take().expect("end_step: no open step");
+        let mut cur = self.cur.end();
         if self.parallel {
             // Parallel map over the buffered puts: each data chunk is
             // encoded independently (payload clones are O(1) shared
@@ -348,17 +376,10 @@ impl IoBackend for CompressionStage<'_> {
                 let written = self.vfs.write_file(&path, body.as_bytes())?;
                 debug_assert_eq!(written, bytes);
             }
-            stats.files += 1;
-            stats.bytes += bytes;
+            stats.add_file(0, path, bytes, 0);
             stats.overhead_bytes += bytes;
             self.sidecar_files += 1;
             self.sidecar_bytes += bytes;
-            stats.requests.push(WriteRequest {
-                rank: 0,
-                path,
-                bytes,
-                start: 0.0,
-            });
         }
         // Recycle the step's chunk records into the arena.
         cur.chunks.clear();
@@ -372,51 +393,22 @@ impl IoBackend for CompressionStage<'_> {
         container: &str,
         sel: &ReadSelection,
     ) -> io::Result<StepRead> {
-        assert!(self.cur.is_none(), "read_step: step still open");
+        self.cur.assert_closed("read_step");
         let mut read = self.inner.read_selection(step, container, sel)?;
-        // Decode every returned data chunk the write side encoded back to
-        // its logical bytes; raw-fallback chunks come back as `Bytes`
-        // already (physical == logical) and pass through untouched. The
-        // decode CPU cost mirrors the encode side: charged per logical
-        // byte of every returned data chunk.
-        let mut decode_ns = 0.0f64;
-        for chunk in &mut read.chunks {
-            if chunk.kind != IoKind::Data {
-                continue;
-            }
-            decode_ns += chunk.payload.logical_len() as f64 * self.codec.cpu_ns_per_byte();
-            if let Payload::Encoded { data, logical } = &chunk.payload {
-                let ctx = CodecContext {
-                    level: chunk.key.level,
-                    kind: chunk.kind,
-                    path: &chunk.path,
-                };
-                let decoded = self.codec.decode(data, *logical, &ctx);
-                debug_assert_eq!(decoded.len() as u64, *logical, "decode length");
-                chunk.payload = Payload::Bytes(decoded.into());
-            }
-        }
-        read.stats.codec_seconds += decode_ns / 1e9;
+        decode_chunks(self.codec.as_ref(), &mut read);
         // A reader consults the uncompressed-logical-size sidecar before
         // touching data: account its fetch. The sidecar is one small flat
         // file fetched whole even for narrow selections (it has no
         // per-chunk directory of its own).
         if let Some(info) = self.sidecars.get(&step) {
-            let path = Self::sidecar_path(&info.dir, step);
-            read.stats.files += 1;
-            read.stats.bytes += info.bytes;
-            read.stats.requests.push(ReadRequest {
-                rank: 0,
-                path,
-                bytes: info.bytes,
-                start: 0.0,
-            });
+            read.stats
+                .add_fetch(Self::sidecar_path(&info.dir, step), info.bytes);
         }
         Ok(read)
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
-        assert!(self.cur.is_none(), "close: step still open");
+        self.cur.assert_closed("close");
         let mut report = self.inner.close()?;
         // The inner backend never saw the sidecars; fold them into the
         // run totals so per-step stats and the close report agree.

@@ -1,6 +1,12 @@
 //! In-transit streaming backend: steps leave the node over the modeled
 //! interconnect instead of through the storage plane.
 //!
+//! What it adds to the shared layout plane (`layout.rs`): placement is
+//! [`crate::FilePerProcess`]'s per-path rule, and the **delivery** is a
+//! *ship*: sealed files keep their segments in a bounded consumer window
+//! instead of landing on storage, so the shared reader serves selections
+//! from the window's own segments and prices nothing.
+//!
 //! The pre-exascale pattern this reproduces is ADIOS2/SST-style
 //! streaming (see "Accelerating WRF I/O with ADIOS2 and network-based
 //! streaming", PAPERS.md): producers publish each output step to
@@ -30,18 +36,14 @@
 //! the link never stalls the producer (the defaults).
 
 use crate::backend::{
-    unsupported_read, ChunkRead, EngineReport, IoBackend, Payload, Put, ReadStats, StepRead,
-    StepStats, TrackerHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
 };
-use crate::fpp::{FileBuild, StepBuild};
+use crate::fpp::{StepBuild, StepFiles};
+use crate::layout::{Source, SpanReader};
 use crate::selection::ReadSelection;
 use mpi_sim::NetworkModel;
 use std::collections::HashMap;
 use std::io;
-
-/// One shipped step as retained in the consumer window: the finished
-/// files of the step (segments + chunk spans), never materialized.
-type StepShip = Vec<(String, FileBuild)>;
 
 /// The in-transit streaming backend (see module docs).
 pub struct Streaming<'a> {
@@ -51,9 +53,10 @@ pub struct Streaming<'a> {
     window_cap: u64,
     /// Consumer drain rate in bytes/s (`f64::INFINITY` = keeps up).
     consumer_rate: f64,
-    cur: Option<StepBuild>,
-    /// Shipped steps, retained for window-served analysis reads.
-    window: HashMap<u32, StepShip>,
+    cur: OpenStep<StepBuild>,
+    /// Shipped steps, retained (segments and spans, never materialized)
+    /// for window-served analysis reads.
+    window: HashMap<u32, StepFiles>,
     /// Fluid window occupancy in bytes.
     occupancy: f64,
     peak_occupancy: f64,
@@ -92,7 +95,7 @@ impl<'a> Streaming<'a> {
             net,
             window_cap: window_cap.unwrap_or(u64::MAX),
             consumer_rate: consumer_rate.unwrap_or(f64::INFINITY),
-            cur: None,
+            cur: OpenStep::closed(),
             window: HashMap::new(),
             occupancy: 0.0,
             peak_occupancy: 0.0,
@@ -198,8 +201,7 @@ impl IoBackend for Streaming<'_> {
     }
 
     fn begin_step(&mut self, step: u32, _container: &str) {
-        assert!(self.cur.is_none(), "begin_step: step already open");
-        self.cur = Some(StepBuild::new(step));
+        self.cur.begin(StepBuild::new(step));
     }
 
     fn create_dir_all(&mut self, _path: &str) -> io::Result<()> {
@@ -209,7 +211,7 @@ impl IoBackend for Streaming<'_> {
     }
 
     fn put(&mut self, put: Put) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("put: no open step");
+        let cur = self.cur.get();
         self.tracker
             .record(put.key, put.kind, put.payload.logical_len());
         cur.push(put);
@@ -217,17 +219,13 @@ impl IoBackend for Streaming<'_> {
     }
 
     fn end_step(&mut self) -> io::Result<StepStats> {
-        let cur = self.cur.take().expect("end_step: no open step");
-        let step = cur.step;
-        let mut stats = StepStats {
-            step,
-            ..StepStats::default()
-        };
+        let cur = self.cur.end();
+        let mut stats = StepStats::of(cur.step);
         let files = cur.into_files();
         let mut ship_bytes = 0u64;
         for (_, build) in &files {
-            stats.logical_bytes += build.logical_bytes;
-            ship_bytes += build.bytes;
+            stats.logical_bytes += build.logical_bytes();
+            ship_bytes += build.bytes();
         }
         let (transfer, stall) = self.ship(ship_bytes);
         stats.net_bytes = ship_bytes;
@@ -235,9 +233,8 @@ impl IoBackend for Streaming<'_> {
         stats.window_stall = stall;
         // The storage plane stays untouched: no files, no bytes, no
         // write requests to burst-time.
-        self.window.insert(step, files);
-        self.report.steps += 1;
-        self.report.logical_bytes += stats.logical_bytes;
+        self.window.insert(stats.step, files);
+        self.report.add_step(&stats);
         Ok(stats)
     }
 
@@ -247,58 +244,18 @@ impl IoBackend for Streaming<'_> {
         _container: &str,
         sel: &ReadSelection,
     ) -> io::Result<StepRead> {
-        assert!(self.cur.is_none(), "read_step: step still open");
+        self.cur.assert_closed("read_step");
         let ship = self
             .window
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never streamed"))?;
-        let mut out = StepRead {
-            stats: ReadStats {
-                step,
-                ..ReadStats::default()
-            },
-            ..StepRead::default()
-        };
-        for (path, build) in ship {
-            // Materialized puts map 1:1 onto retained segments, in
-            // submission order; account-only files have spans only.
-            let mut seg = 0usize;
-            for span in &build.chunks {
-                let payload = if build.account_only {
-                    Payload::Size(span.logical_len)
-                } else {
-                    let data = build.segs[seg].clone();
-                    seg += 1;
-                    if span.len == span.logical_len {
-                        Payload::Bytes(data)
-                    } else {
-                        Payload::Encoded {
-                            data,
-                            logical: span.logical_len,
-                        }
-                    }
-                };
-                if !sel.matches(&span.key, path) {
-                    continue;
-                }
-                // Window-served: logical read plane recorded, physical
-                // plane untouched (no files, no bytes, no requests).
-                self.tracker
-                    .record_read(span.key, span.kind, span.logical_len);
-                out.stats.logical_bytes += span.logical_len;
-                out.chunks.push(ChunkRead {
-                    key: span.key,
-                    kind: span.kind,
-                    path: path.clone(),
-                    payload,
-                });
-            }
-        }
-        Ok(out)
+        // Window-served: logical read plane recorded, physical plane
+        // untouched (no files, no bytes, no requests).
+        SpanReader::new(&self.tracker, step, sel).read_files(ship, Source::Window)
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
-        assert!(self.cur.is_none(), "close: step still open");
+        self.cur.assert_closed("close");
         Ok(self.report.clone())
     }
 }
@@ -306,6 +263,7 @@ impl IoBackend for Streaming<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Payload;
     use iosim::{IoKey, IoKind, IoTracker};
 
     fn put(step: u32, level: u32, task: u32, path: &str, data: &[u8]) -> Put {

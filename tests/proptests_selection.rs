@@ -1,15 +1,16 @@
 //! Property tests for the selection-driven read plane: for any workload
 //! and any selection, `read_selection` returns *exactly* the chunks of a
 //! full-step read for which the selection predicate holds — across the
-//! whole backend × codec × {raw, reorganized} cube — and the physical
-//! bytes fetched never exceed the full read's. Plus deterministic edge
+//! whole backend × codec × {raw, reorganized} cube (the three storage
+//! backends and the streaming window) — and the physical bytes fetched
+//! never exceed the full read's. Plus deterministic edge
 //! cases: empty selections, boxes touching no chunks, selections on
 //! account-only (modeled) steps, and selections through the lossy
 //! quantizer.
 
 use amr_proxy_io::io_engine::{
     BackendSpec, ChunkRead, CodecSpec, IoBackend, Payload, Put, ReadSelection, Reorganizer,
-    StepRead,
+    StepRead, StreamSpec,
 };
 use amr_proxy_io::iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
 use proptest::prelude::*;
@@ -126,10 +127,18 @@ fn filtered(full: &StepRead, sel: &ReadSelection) -> Contents {
     contents(&subset)
 }
 
-const BACKENDS: [BackendSpec; 3] = [
+/// The in-transit backend: selections are served from the consumer
+/// window through the same span reader as the storage layouts.
+const STREAMING: BackendSpec = BackendSpec::Streaming(StreamSpec {
+    link_mbps: 12_500,
+    window_mib: 0,
+    consumer_mbps: 0,
+});
+const BACKENDS: [BackendSpec; 4] = [
     BackendSpec::FilePerProcess,
     BackendSpec::Aggregated(2),
     BackendSpec::Deferred(1),
+    STREAMING,
 ];
 const CODECS: [CodecSpec; 3] = [
     CodecSpec::Identity,
@@ -176,6 +185,21 @@ proptest! {
                 prop_assert_eq!(contents(&got), filtered(&full, &sel), "raw {}", &label);
                 prop_assert!(got.stats.bytes <= full.stats.bytes, "raw bytes {}", &label);
                 prop_assert!(got.stats.files <= full.stats.files, "raw files {}", &label);
+                if backend == STREAMING {
+                    // Window-served: the per-path layout's chunk set at
+                    // zero physical cost.
+                    prop_assert_eq!(got.stats.files, 0, "window files {}", &label);
+                    prop_assert_eq!(got.stats.bytes, 0, "window bytes {}", &label);
+                    prop_assert!(got.stats.requests.is_empty(), "window requests {}", &label);
+                    let fs_fpp = MemFs::new();
+                    let tracker_fpp = IoTracker::new();
+                    let mut fpp = write_step(
+                        &fs_fpp, &tracker_fpp, BackendSpec::FilePerProcess, codec,
+                        nlevels, ntasks, values, account_only,
+                    );
+                    let stored = fpp.read_selection(1, "/plt", &sel).unwrap();
+                    prop_assert_eq!(contents(&got), contents(&stored), "window vs fpp {}", &label);
+                }
 
                 // Reorganized layout returns the same chunk set.
                 let mut reorg = Reorganizer::new(&fs as &dyn Vfs, &tracker, codec);
