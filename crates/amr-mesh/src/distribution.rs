@@ -92,13 +92,25 @@ impl DistributionMapping {
         &self.owners
     }
 
-    /// Box indices owned by `rank`.
+    /// Box indices owned by `rank`, ascending. O(boxes) per call: meant for
+    /// single-rank queries — a loop over every rank is quadratic, use
+    /// [`DistributionMapping::boxes_by_rank`] there.
     pub fn boxes_of(&self, rank: usize) -> Vec<usize> {
         self.owners
             .iter()
             .enumerate()
             .filter_map(|(i, &r)| (r == rank).then_some(i))
             .collect()
+    }
+
+    /// Every rank's box indices in one O(boxes + ranks) pass: entry `r`
+    /// equals `boxes_of(r)` (ascending box index; empty for an idle rank).
+    pub fn boxes_by_rank(&self) -> Vec<Vec<usize>> {
+        let mut by_rank = vec![Vec::new(); self.nranks];
+        for (i, &r) in self.owners.iter().enumerate() {
+            by_rank[r].push(i);
+        }
+        by_rank
     }
 
     /// Per-rank total weight given per-box weights (e.g. cell counts).
@@ -288,6 +300,26 @@ mod tests {
     #[should_panic(expected = "zero ranks")]
     fn zero_ranks_panics() {
         DistributionMapping::new(&BoxArray::empty(), 0, DistributionStrategy::RoundRobin);
+    }
+
+    #[test]
+    fn boxes_by_rank_matches_boxes_of_for_every_rank() {
+        let ba = grid_ba(64, 64, 8); // 64 boxes
+        for strategy in [
+            DistributionStrategy::RoundRobin,
+            DistributionStrategy::Knapsack,
+            DistributionStrategy::Sfc,
+        ] {
+            // 100 ranks over 64 boxes: some ranks are idle.
+            for nranks in [1, 3, 64, 100] {
+                let dm = DistributionMapping::new(&ba, nranks, strategy);
+                let by_rank = dm.boxes_by_rank();
+                assert_eq!(by_rank.len(), nranks);
+                for (rank, boxes) in by_rank.iter().enumerate() {
+                    assert_eq!(*boxes, dm.boxes_of(rank), "{strategy:?} rank {rank}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::config::{CastroSedovConfig, Engine};
 use crate::driver::{try_run_scenario_attached, AmrSource, OracleSource};
 use hydro::StepInfo;
 use iosim::{BurstTimeline, IoTracker, MemFs, StorageModel, Vfs};
-use mpi_sim::{collectives::allreduce_max, SimComm};
+use mpi_sim::{SimClock, SimComm};
 
 /// Everything measured from one run.
 pub struct RunResult {
@@ -185,7 +185,9 @@ pub fn try_run_simulation_attached(
 /// a splitmix64-style hash, so any two distinct `(rank, step)` pairs
 /// draw independent factors — steps 8 apart are as decorrelated as
 /// steps 1 apart (the old draw-burning scheme cycled with period 8).
-pub(crate) fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
+/// A pure function of its arguments: no RNG stream is created or
+/// advanced, so it can be evaluated for any rank in any order.
+pub fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
     let mut z =
         seed ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -198,10 +200,22 @@ pub(crate) fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
 
 /// Advances the simulated wall clock through one compute phase: every
 /// rank works through its share of `total_cells` with a small
-/// deterministic per-rank speed jitter, then all ranks hit the barrier
-/// preceding the plot dump (the paper's "bursty" pattern: CPU activity
-/// followed by intense I/O activity). Returns the post-barrier time.
-pub(crate) fn compute_phase(
+/// deterministic per-rank speed jitter ([`rank_step_jitter`] of the
+/// communicator's seed), then all ranks hit the barrier preceding the
+/// plot dump (the paper's "bursty" pattern: CPU activity followed by
+/// intense I/O activity). Returns the post-barrier time: the latest
+/// rank's `t0 + share * jitter`.
+///
+/// The barrier is a closed form — a sequential max over the ranks'
+/// jitter hashes, O(ranks) with no allocation — bit-identical to running
+/// a clock per rank through [`SimComm::run`] and reducing with
+/// `allreduce_max`, which a phase that needs no per-rank RNG stream has
+/// no reason to pay for.
+///
+/// # Panics
+/// Panics as [`SimClock`] does: if `t0` is negative or not finite, or if
+/// the per-rank compute time is.
+pub fn compute_phase(
     comm: &SimComm,
     step: u64,
     t0: f64,
@@ -210,12 +224,14 @@ pub(crate) fn compute_phase(
 ) -> f64 {
     let per_rank_seconds = total_cells as f64 * ns_per_cell / 1e9 / comm.nranks() as f64;
     let seed = comm.seed();
-    let finish_times = comm.run(t0, |ctx| {
-        let jitter = rank_step_jitter(seed, ctx.rank as u64, step);
-        ctx.clock.advance(per_rank_seconds * jitter);
-        ctx.clock.now()
-    });
-    allreduce_max(&finish_times)
+    let start = SimClock::at(t0);
+    (0..comm.nranks() as u64)
+        .map(|rank| {
+            let mut clock = start;
+            clock.advance(per_rank_seconds * rank_step_jitter(seed, rank, step));
+            clock.now()
+        })
+        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]
@@ -521,6 +537,44 @@ mod tests {
             })
             .sum();
         assert!(a.wall_time > exact, "barrier waits on the slowest rank");
+    }
+
+    proptest::proptest! {
+        /// The closed-form barrier against the rank loop it replaced —
+        /// one context per rank, each clock advanced, `allreduce_max`
+        /// over the finish times — compared bit for bit.
+        #[test]
+        fn compute_phase_equals_the_rank_loop_reference(
+            seed in 0..=u64::MAX,
+            nranks in 1..4096usize,
+            step in 0..=u64::MAX,
+            t0 in 0.0..1e7f64,
+            total_cells in 0..(1i64 << 40),
+            ns_per_cell in 0.0..1e5f64,
+        ) {
+            let comm = SimComm::summit(nranks, seed);
+            let per_rank_seconds = total_cells as f64 * ns_per_cell / 1e9 / nranks as f64;
+            let finish_times = comm.run_seq(t0, |ctx| {
+                let jitter = rank_step_jitter(seed, ctx.rank as u64, step);
+                ctx.clock.advance(per_rank_seconds * jitter);
+                ctx.clock.now()
+            });
+            let reference = mpi_sim::collectives::allreduce_max(&finish_times);
+            let got = compute_phase(&comm, step, t0, total_cells, ns_per_cell);
+            proptest::prop_assert_eq!(got.to_bits(), reference.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad start time")]
+    fn compute_phase_refuses_a_negative_start() {
+        compute_phase(&SimComm::summit(4, 0), 0, -1.0, 100, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad advance")]
+    fn compute_phase_refuses_a_non_finite_compute_time() {
+        compute_phase(&SimComm::summit(4, 0), 0, 0.0, 100, f64::NAN);
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //! Rank loops execute through rayon, but each rank's closure receives an
 //! independent [`RankCtx`], so results are deterministic and identical to
 //! a sequential execution.
+//!
+//! **When [`SimComm::run`] is the right tool.** A rank loop builds one
+//! [`RankCtx`] per rank per call, and that seeds a ChaCha [`StdRng`]
+//! stream for the rank — far more work than most closures do with it —
+//! and forks a rayon task, nested when the caller already runs on a rayon
+//! pool. Use it for closures that draw from `ctx.rng` or carry `ctx.clock`
+//! through several operations (`ctx.send`, staged phases). A per-rank
+//! value that is a pure function of `(seed, rank, ..)` needs neither:
+//! loop over the ranks and reduce directly, as `amrproxy`'s compute
+//! barrier does (`amrproxy::run::compute_phase`).
 
 use crate::clock::SimClock;
 use crate::network::NetworkModel;
@@ -95,7 +105,8 @@ impl SimComm {
         self.seed
     }
 
-    /// Builds the context for one rank, with its clock at `t0`.
+    /// Builds the context for one rank, with its clock at `t0` and its
+    /// RNG stream seeded from `(seed, rank)` (one ChaCha key set-up).
     pub fn rank_ctx(&self, rank: usize, t0: f64) -> RankCtx {
         RankCtx {
             rank,
@@ -107,7 +118,9 @@ impl SimComm {
     }
 
     /// Runs `f` once per rank in parallel, returning results ordered by
-    /// rank. Each rank gets a fresh context with its clock at `t0`.
+    /// rank. Each rank gets a fresh context with its clock at `t0` — and
+    /// a freshly seeded ChaCha stream, on every call: see the module docs
+    /// for when that is worth paying.
     pub fn run<T, F>(&self, t0: f64, f: F) -> Vec<T>
     where
         T: Send,

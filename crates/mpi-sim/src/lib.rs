@@ -16,7 +16,10 @@
 //!   of through storage.
 //!
 //! Rank loops execute through rayon but are bit-reproducible: each rank's
-//! context is derived only from `(seed, rank)`.
+//! context is derived only from `(seed, rank)`. [`SimComm::run`] seeds one
+//! ChaCha stream per rank per call, so it is for closures that use the
+//! per-rank RNG or clock; a per-rank value computable from `(seed, rank)`
+//! alone is cheaper as a plain loop (see [`comm`]).
 //!
 //! **Layer position:** the very bottom of the workspace — no other
 //! workspace crate sits below it; `iosim` and the workloads build on its

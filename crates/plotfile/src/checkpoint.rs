@@ -11,7 +11,8 @@
 //! Checkpoint bytes are recorded with the same `(step, level, task)` keys
 //! as plotfiles, so the model machinery applies unchanged.
 
-use crate::format::{cell_h, fab_header, format_box, FabOnDisk};
+use crate::format::format_box;
+use crate::sizer::account_levels;
 use crate::writer::PlotfileStats;
 use amr_mesh::{BoxArray, DistributionMapping, Geometry};
 use io_engine::{IoBackend, Payload, Put};
@@ -107,11 +108,8 @@ pub fn account_checkpoint_with(
     backend: &mut dyn IoBackend,
     spec: &CheckpointSpec,
 ) -> std::io::Result<PlotfileStats> {
-    assert!(!spec.levels.is_empty(), "account_checkpoint: no levels");
-    assert!(spec.ncomp > 0, "account_checkpoint: zero components");
     backend.begin_step(spec.output_counter, &spec.dir);
-    let nranks = spec.levels[0].dm.nranks();
-    let put = |backend: &mut dyn IoBackend, level: u32, task: u32, kind, path: String, bytes| {
+    account_checkpoint_files(spec, |level, task, kind, path, bytes| {
         backend.put(Put {
             key: IoKey {
                 step: spec.output_counter,
@@ -122,157 +120,49 @@ pub fn account_checkpoint_with(
             path,
             payload: Payload::Size(bytes),
         })
-    };
-
-    for (lev, level) in spec.levels.iter().enumerate() {
-        let lev_dir = format!("{}/Level_{}", spec.dir, lev);
-        let mut fabs_on_disk: Vec<Option<FabOnDisk>> = (0..level.ba.len()).map(|_| None).collect();
-        for rank in 0..nranks {
-            let my_boxes = level.dm.boxes_of(rank);
-            if my_boxes.is_empty() {
-                continue;
-            }
-            let file_name = format!("Cell_D_{rank:05}");
-            let mut bytes = 0u64;
-            for &bi in &my_boxes {
-                let valid = level.ba.get(bi);
-                fabs_on_disk[bi] = Some(FabOnDisk {
-                    file: file_name.clone(),
-                    offset: bytes,
-                });
-                bytes += fab_header(&valid, spec.ncomp).len() as u64;
-                bytes += valid.num_pts() as u64 * spec.ncomp as u64 * 8;
-            }
-            put(
-                backend,
-                lev as u32,
-                rank as u32,
-                IoKind::Data,
-                format!("{lev_dir}/{file_name}"),
-                bytes,
-            )?;
-        }
-        let boxes: Vec<_> = level.ba.iter().copied().collect();
-        let fods: Vec<FabOnDisk> = fabs_on_disk
-            .into_iter()
-            .map(|f| f.expect("every box has an owner"))
-            .collect();
-        let zeros = vec![vec![0.0; spec.ncomp]; boxes.len()];
-        let content = cell_h(spec.ncomp, &boxes, &fods, &zeros, &zeros);
-        put(
-            backend,
-            lev as u32,
-            0,
-            IoKind::Metadata,
-            format!("{lev_dir}/Cell_H"),
-            content.len() as u64,
-        )?;
-    }
-
-    let header = checkpoint_header(spec);
-    put(
-        backend,
-        0,
-        0,
-        IoKind::Metadata,
-        format!("{}/Header", spec.dir),
-        header.len() as u64,
-    )?;
+    })?;
     Ok(PlotfileStats::from_step(backend.end_step()?))
 }
 
 /// Accounts a checkpoint dump into `tracker` (exact sizes; nothing is
 /// materialized — checkpoint payloads are pure state dumps).
 pub fn account_checkpoint(tracker: &IoTracker, spec: &CheckpointSpec) -> CheckpointStats {
-    assert!(!spec.levels.is_empty(), "account_checkpoint: no levels");
-    assert!(spec.ncomp > 0, "account_checkpoint: zero components");
     let mut stats = CheckpointStats::default();
-    let nranks = spec.levels[0].dm.nranks();
-
-    for (lev, level) in spec.levels.iter().enumerate() {
-        let lev_dir = format!("{}/Level_{}", spec.dir, lev);
-        let mut fabs_on_disk: Vec<Option<FabOnDisk>> = (0..level.ba.len()).map(|_| None).collect();
-        for rank in 0..nranks {
-            let my_boxes = level.dm.boxes_of(rank);
-            if my_boxes.is_empty() {
-                continue;
-            }
-            let file_name = format!("Cell_D_{rank:05}");
-            let mut bytes = 0u64;
-            for &bi in &my_boxes {
-                let valid = level.ba.get(bi);
-                fabs_on_disk[bi] = Some(FabOnDisk {
-                    file: file_name.clone(),
-                    offset: bytes,
-                });
-                bytes += fab_header(&valid, spec.ncomp).len() as u64;
-                bytes += valid.num_pts() as u64 * spec.ncomp as u64 * 8;
-            }
-            tracker.record(
-                IoKey {
-                    step: spec.output_counter,
-                    level: lev as u32,
-                    task: rank as u32,
-                },
-                IoKind::Data,
-                bytes,
-            );
-            stats.total_bytes += bytes;
-            stats.nfiles += 1;
-            stats.requests.push(WriteRequest {
-                rank,
-                path: format!("{lev_dir}/{file_name}"),
-                bytes,
-                start: 0.0,
-            });
-        }
-        let boxes: Vec<_> = level.ba.iter().copied().collect();
-        let fods: Vec<FabOnDisk> = fabs_on_disk
-            .into_iter()
-            .map(|f| f.expect("every box has an owner"))
-            .collect();
-        let zeros = vec![vec![0.0; spec.ncomp]; boxes.len()];
-        let content = cell_h(spec.ncomp, &boxes, &fods, &zeros, &zeros);
-        let bytes = content.len() as u64;
-        tracker.record(
-            IoKey {
-                step: spec.output_counter,
-                level: lev as u32,
-                task: 0,
-            },
-            IoKind::Metadata,
-            bytes,
-        );
+    account_checkpoint_files(spec, |level, task, kind, path, bytes| {
+        let key = IoKey {
+            step: spec.output_counter,
+            level,
+            task,
+        };
+        tracker.record(key, kind, bytes);
         stats.total_bytes += bytes;
         stats.nfiles += 1;
         stats.requests.push(WriteRequest {
-            rank: 0,
-            path: format!("{lev_dir}/Cell_H"),
+            rank: task as usize,
+            path,
             bytes,
             start: 0.0,
         });
-    }
-
-    let header = checkpoint_header(spec);
-    let bytes = header.len() as u64;
-    tracker.record(
-        IoKey {
-            step: spec.output_counter,
-            level: 0,
-            task: 0,
-        },
-        IoKind::Metadata,
-        bytes,
-    );
-    stats.total_bytes += bytes;
-    stats.nfiles += 1;
-    stats.requests.push(WriteRequest {
-        rank: 0,
-        path: format!("{}/Header", spec.dir),
-        bytes,
-        start: 0.0,
-    });
+        Ok(())
+    })
+    .expect("recording into a tracker cannot fail");
     stats
+}
+
+/// Every file of a checkpoint dump, in write order, to `emit(level, task,
+/// kind, path, bytes)`: the per-level state files and `Cell_H`
+/// ([`account_levels`]), then the restart `Header`.
+fn account_checkpoint_files(
+    spec: &CheckpointSpec,
+    mut emit: impl FnMut(u32, u32, IoKind, String, u64) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    assert!(!spec.levels.is_empty(), "account_checkpoint: no levels");
+    assert!(spec.ncomp > 0, "account_checkpoint: zero components");
+    let levels: Vec<_> = spec.levels.iter().map(|l| (&l.ba, &l.dm)).collect();
+    account_levels(&spec.dir, spec.ncomp, &levels, &mut emit)?;
+    let header = checkpoint_header(spec);
+    let path = format!("{}/Header", spec.dir);
+    emit(0, 0, IoKind::Metadata, path, header.len() as u64)
 }
 
 #[cfg(test)]

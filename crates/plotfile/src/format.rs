@@ -5,8 +5,14 @@
 //! `Cell_H` metadata, and the `FAB` record headers inside `Cell_D` files.
 //! Faithful formatting matters because the paper's dependent variable is
 //! *bytes produced*, and header/metadata bytes are part of the workload.
+//!
+//! **The `x_len` rule.** Account-only dumps need these strings' lengths
+//! per box and per rank, never the strings, so each per-box formatter `x`
+//! has an arithmetic twin `x_len` directly below it that returns
+//! `x(..).len()` without allocating. A proptest in this file pins every
+//! pair; change a formatter and its twin together.
 
-use amr_mesh::{Geometry, IndexBox};
+use amr_mesh::{Coord, Geometry, IndexBox};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -33,6 +39,16 @@ fn push_e17(out: &mut String, v: f64) {
     });
 }
 
+/// `n.to_string().len()`.
+fn dec_len(n: u64) -> u64 {
+    u64::from(n.checked_ilog10().map_or(1, |d| d + 1))
+}
+
+/// `c.to_string().len()`, minus sign included.
+fn coord_len(c: Coord) -> u64 {
+    dec_len(c.unsigned_abs()) + u64::from(c < 0)
+}
+
 /// Formats a box the way AMReX prints 2-D boxes in headers:
 /// `((lo_x,lo_y) (hi_x,hi_y) (0,0))`.
 pub fn format_box(b: &IndexBox) -> String {
@@ -45,15 +61,38 @@ pub fn format_box(b: &IndexBox) -> String {
     )
 }
 
+/// `format_box(b).len()`.
+fn format_box_len(b: &IndexBox) -> u64 {
+    "((,) (,) (0,0))".len() as u64
+        + coord_len(b.lo().x)
+        + coord_len(b.lo().y)
+        + coord_len(b.hi().x)
+        + coord_len(b.hi().y)
+}
+
+/// AMReX's native IEEE 754 little-endian f64 descriptor, opening every
+/// `FAB` record header.
+const FAB_DESCRIPTOR: &str = "FAB ((8, (64 11 52 0 1 12 0 1023)),(8, (8 7 6 5 4 3 2 1)))";
+
 /// The `FAB` record header preceding each fab's binary payload in a
-/// `Cell_D` file. The descriptor strings are AMReX's native IEEE 754
-/// little-endian f64 descriptor.
+/// `Cell_D` file.
 pub fn fab_header(valid: &IndexBox, ncomp: usize) -> String {
-    format!(
-        "FAB ((8, (64 11 52 0 1 12 0 1023)),(8, (8 7 6 5 4 3 2 1))){} {}\n",
-        format_box(valid),
-        ncomp
-    )
+    format!("{FAB_DESCRIPTOR}{} {}\n", format_box(valid), ncomp)
+}
+
+/// `fab_header(valid, ncomp).len()`.
+pub(crate) fn fab_header_len(valid: &IndexBox, ncomp: usize) -> u64 {
+    FAB_DESCRIPTOR.len() as u64 + format_box_len(valid) + 1 + dec_len(ncomp as u64) + 1
+}
+
+/// Name of the `Cell_D` file `rank` writes in a level directory.
+pub(crate) fn cell_d_name(rank: usize) -> String {
+    format!("Cell_D_{rank:05}")
+}
+
+/// `cell_d_name(rank).len()`.
+pub(crate) fn cell_d_name_len(rank: usize) -> u64 {
+    "Cell_D_".len() as u64 + dec_len(rank as u64).max(5)
 }
 
 /// Input description for one level of the plotfile Header.
@@ -210,6 +249,35 @@ pub fn cell_h(
     s
 }
 
+/// `cell_h(ncomp, boxes, fods, zeros, zeros).len()` — the accounting
+/// paths' `Cell_H`, whose min/max tables are all-zero placeholders.
+/// `grids` yields, per grid and in any order (the length is a sum), its
+/// box, the length of its `FabOnDisk` file name and its byte offset.
+pub(crate) fn cell_h_len<'a>(
+    ncomp: usize,
+    grids: impl Iterator<Item = (&'a IndexBox, u64, u64)>,
+) -> u64 {
+    let len = |s: &str| s.len() as u64;
+    let (mut n, mut box_lines, mut fab_lines) = (0u64, 0u64, 0u64);
+    for (b, file_len, offset) in grids {
+        n += 1;
+        box_lines += format_box_len(b) + 1;
+        fab_lines += len("FabOnDisk:  \n") + file_len + dec_len(offset);
+    }
+    let (n_len, ncomp_len) = (dec_len(n), dec_len(ncomp as u64));
+    // One `{:.17e}` zero and its comma per component, a newline per grid.
+    let minmax_rows = n * (ncomp as u64 * len("0.00000000000000000e0,") + 1);
+    len("1\n1\n")
+        + (ncomp_len + 1)
+        + len("0\n")
+        + (len("( 0\n") + n_len)
+        + box_lines
+        + len(")\n")
+        + (n_len + 1)
+        + fab_lines
+        + 2 * (len(",\n") + n_len + ncomp_len + minmax_rows)
+}
+
 /// Builds the `job_info` file AMReX applications drop at the plotfile
 /// root: build/runtime provenance. Content is synthetic but representative
 /// in size and structure.
@@ -267,6 +335,64 @@ pub fn castro_sedov_plot_vars() -> Vec<String> {
 mod tests {
     use super::*;
     use amr_mesh::IntVect;
+    use proptest::prelude::*;
+
+    #[test]
+    fn decimal_lengths_at_digit_boundaries() {
+        for n in [0, 9, 10, 99, 100, 99_999, 100_000, u64::MAX] {
+            assert_eq!(dec_len(n), n.to_string().len() as u64, "{n}");
+        }
+        for c in [0, -1, -9, -10, 9, 10, Coord::MIN, Coord::MAX] {
+            assert_eq!(coord_len(c), c.to_string().len() as u64, "{c}");
+        }
+    }
+
+    /// A value whose decimal width is uniform over `1..=digits`, so digit
+    /// boundaries (9|10, 99_999|100_000, ...) are hit as often as not.
+    fn any_width(digits: u32) -> impl Strategy<Value = u64> {
+        (1..=digits, 0.0..1.0f64).prop_map(|(d, u)| {
+            let lo = if d == 1 { 0 } else { 10u64.pow(d - 1) };
+            lo + ((10u64.pow(d) - lo) as f64 * u) as u64
+        })
+    }
+
+    fn any_coord() -> impl Strategy<Value = Coord> {
+        (any_width(7), 0..2i64).prop_map(|(v, neg)| v as Coord * (1 - 2 * neg))
+    }
+
+    fn any_box() -> impl Strategy<Value = IndexBox> {
+        (any_coord(), any_coord(), 1..5000i64, 1..5000i64)
+            .prop_map(|(x, y, w, h)| IndexBox::from_lo_size(IntVect::new(x, y), IntVect::new(w, h)))
+    }
+
+    proptest! {
+        /// The `x_len` rule: every arithmetic twin equals the length of
+        /// the string its formatter builds.
+        #[test]
+        fn len_twins_match_their_formatters(
+            grids in proptest::collection::vec((any_box(), any_width(7), any_width(15)), 0..40),
+            ncomp in any_width(3),
+        ) {
+            let ncomp = ncomp as usize;
+            for (b, rank, _) in &grids {
+                prop_assert_eq!(format_box_len(b), format_box(b).len() as u64);
+                prop_assert_eq!(fab_header_len(b, ncomp), fab_header(b, ncomp).len() as u64);
+                let rank = *rank as usize;
+                prop_assert_eq!(cell_d_name_len(rank), cell_d_name(rank).len() as u64);
+            }
+            let boxes: Vec<IndexBox> = grids.iter().map(|g| g.0).collect();
+            let fods: Vec<FabOnDisk> = grids
+                .iter()
+                .map(|&(_, rank, offset)| FabOnDisk { file: cell_d_name(rank as usize), offset })
+                .collect();
+            let zeros = vec![vec![0.0; ncomp]; boxes.len()];
+            let by_len = cell_h_len(
+                ncomp,
+                boxes.iter().zip(&fods).map(|(b, f)| (b, f.file.len() as u64, f.offset)),
+            );
+            prop_assert_eq!(by_len, cell_h(ncomp, &boxes, &fods, &zeros, &zeros).len() as u64);
+        }
+    }
 
     #[test]
     fn box_formatting_matches_amrex() {

@@ -2,17 +2,24 @@
 //!
 //! The paper's largest runs produce tens of gigabytes per dump; the oracle
 //! path must account for those bytes without allocating or serializing the
-//! payload. The `Cell_D` byte count is deterministic — FAB headers are
-//! pure functions of the box and component count, payloads are
-//! `cells * vars * 8` — and the metadata files are cheap to synthesize
-//! exactly. Equivalence with [`crate::writer::write_plotfile`] is enforced
-//! by tests.
+//! payload — or formatting a header just to measure it. The `Cell_D` byte
+//! count is deterministic (FAB header plus `cells * vars * 8` per box) and
+//! every per-box length comes from the arithmetic `*_len` twin of its
+//! formatter (the rule in [`crate::format`]), so a level costs
+//! O(ranks + boxes) integer work. `account_levels` is the one per-level
+//! loop; the plotfile and both checkpoint entry points hand it their sink.
+//! Tests enforce equivalence with [`crate::writer::write_plotfile`] and
+//! with the string-building sizer this replaced (kept as their oracle).
 
-use crate::format::{cell_h, fab_header, job_info, plotfile_header, FabOnDisk, HeaderLevel};
+use crate::format::{
+    cell_d_name, cell_d_name_len, cell_h, cell_h_len, fab_header, fab_header_len, job_info,
+    plotfile_header, FabOnDisk, HeaderLevel,
+};
 use crate::writer::PlotfileStats;
 use amr_mesh::{BoxArray, DistributionMapping, Geometry};
 use io_engine::{FilePerProcess, IoBackend, Payload, Put};
 use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
+use std::io;
 
 /// One level described by layout only (no data).
 pub struct LayoutLevel {
@@ -63,66 +70,23 @@ pub fn account_plotfile_with(
 ) -> PlotfileStats {
     assert!(!layout.levels.is_empty(), "account_plotfile: no levels");
     backend.begin_step(layout.output_counter, &layout.dir);
-    let nranks = layout.levels[0].dm.nranks();
-    let ncomp = layout.var_names.len();
-    let put = |backend: &mut dyn IoBackend, level: u32, task: u32, kind, path: String, bytes| {
-        backend
-            .put(Put {
-                key: IoKey {
-                    step: layout.output_counter,
-                    level,
-                    task,
-                },
-                kind,
-                path,
-                payload: Payload::Size(bytes),
-            })
-            .expect("size-only puts cannot fail");
+    let mut put = |level, task, kind, path, bytes| {
+        backend.put(Put {
+            key: IoKey {
+                step: layout.output_counter,
+                level,
+                task,
+            },
+            kind,
+            path,
+            payload: Payload::Size(bytes),
+        })
     };
+    let levels: Vec<_> = layout.levels.iter().map(|l| (&l.ba, &l.dm)).collect();
+    account_levels(&layout.dir, layout.var_names.len(), &levels, &mut put)
+        .expect("size-only puts cannot fail");
 
-    for (lev, level) in layout.levels.iter().enumerate() {
-        let lev_dir = format!("{}/Level_{}", layout.dir, lev);
-        // Per-rank Cell_D sizes.
-        let mut fabs_on_disk: Vec<Option<FabOnDisk>> = (0..level.ba.len()).map(|_| None).collect();
-        for rank in 0..nranks {
-            let my_boxes = level.dm.boxes_of(rank);
-            if my_boxes.is_empty() {
-                continue;
-            }
-            let file_name = format!("Cell_D_{rank:05}");
-            let path = format!("{lev_dir}/{file_name}");
-            let mut bytes = 0u64;
-            for &bi in &my_boxes {
-                let valid = level.ba.get(bi);
-                fabs_on_disk[bi] = Some(FabOnDisk {
-                    file: file_name.clone(),
-                    offset: bytes,
-                });
-                bytes += fab_header(&valid, ncomp).len() as u64;
-                bytes += valid.num_pts() as u64 * ncomp as u64 * 8;
-            }
-            put(backend, lev as u32, rank as u32, IoKind::Data, path, bytes);
-        }
-
-        // Cell_H with zero min/max placeholders (size-representative).
-        let boxes: Vec<_> = level.ba.iter().copied().collect();
-        let fods: Vec<FabOnDisk> = fabs_on_disk
-            .into_iter()
-            .map(|f| f.expect("every box has an owner"))
-            .collect();
-        let zeros = vec![vec![0.0; ncomp]; boxes.len()];
-        let content = cell_h(ncomp, &boxes, &fods, &zeros, &zeros);
-        put(
-            backend,
-            lev as u32,
-            0,
-            IoKind::Metadata,
-            format!("{lev_dir}/Cell_H"),
-            content.len() as u64,
-        );
-    }
-
-    // Header + job_info.
+    // Header + job_info: formatted, they are per dump, not per box.
     let header_levels: Vec<HeaderLevel> = layout
         .levels
         .iter()
@@ -139,31 +103,106 @@ pub fn account_plotfile_with(
         layout.ref_ratio,
     );
     let ji = job_info(
-        nranks,
+        layout.levels[0].dm.nranks(),
         layout.levels[0].level_steps,
         layout.time,
         &layout.inputs,
     );
     for (name, content) in [("Header", header), ("job_info", ji)] {
-        put(
-            backend,
-            0,
-            0,
-            IoKind::Metadata,
-            format!("{}/{}", layout.dir, name),
-            content.len() as u64,
-        );
+        let path = format!("{}/{}", layout.dir, name);
+        put(0, 0, IoKind::Metadata, path, content.len() as u64)
+            .expect("size-only puts cannot fail");
     }
     let step = backend.end_step().expect("size-only steps cannot fail");
     PlotfileStats::from_step(step)
 }
 
+/// The per-level accounting loop every account-only dump shares: for each
+/// level, one `Level_<l>/Cell_D_<rank>` data file per rank owning a box
+/// (rank order, task = rank), then the level's `Cell_H` (task 0) — the
+/// order [`crate::writer::write_plotfile_with`] writes them in. Each file
+/// goes to `emit(level, task, kind, path, bytes)`.
+///
+/// # Panics
+/// Panics, before anything is emitted, if a level is mapped over a
+/// different number of ranks than level 0.
+pub(crate) fn account_levels(
+    dir: &str,
+    ncomp: usize,
+    levels: &[(&BoxArray, &DistributionMapping)],
+    mut emit: impl FnMut(u32, u32, IoKind, String, u64) -> io::Result<()>,
+) -> io::Result<()> {
+    let nranks = levels[0].1.nranks();
+    for (lev, (_, dm)) in levels.iter().enumerate() {
+        assert_eq!(
+            dm.nranks(),
+            nranks,
+            "account: level {lev} is mapped over {} ranks but level 0 over {nranks}",
+            dm.nranks()
+        );
+    }
+    for (lev, (ba, dm)) in levels.iter().enumerate() {
+        let lev_dir = format!("{dir}/Level_{lev}");
+        let (cell_d, cell_h) = level_sizes(ba, dm, ncomp);
+        for (rank, &bytes) in cell_d.iter().enumerate() {
+            // Zero bytes means no box (a FAB record is never empty), and a
+            // rank owning no box at this level writes no file.
+            if bytes > 0 {
+                let path = format!("{lev_dir}/{}", cell_d_name(rank));
+                emit(lev as u32, rank as u32, IoKind::Data, path, bytes)?;
+            }
+        }
+        let path = format!("{lev_dir}/Cell_H");
+        emit(lev as u32, 0, IoKind::Metadata, path, cell_h)?;
+    }
+    Ok(())
+}
+
+/// Sizes one level in a single pass over the box owners: the `Cell_D`
+/// bytes by rank (0 for a rank owning no box) and the `Cell_H` length. A
+/// rank's fabs land in its `Cell_D` in box-index order, so the running
+/// per-rank total is each fab's `FabOnDisk` offset.
+fn level_sizes(ba: &BoxArray, dm: &DistributionMapping, ncomp: usize) -> (Vec<u64>, u64) {
+    assert_eq!(ba.len(), dm.len(), "account: box array and mapping differ");
+    let mut cell_d = vec![0u64; dm.nranks()];
+    let grids = ba.iter().zip(dm.owners()).map(|(valid, &rank)| {
+        let offset = cell_d[rank];
+        cell_d[rank] += fab_header_len(valid, ncomp) + valid.num_pts() as u64 * ncomp as u64 * 8;
+        (valid, cell_d_name_len(rank), offset)
+    });
+    let cell_h = cell_h_len(ncomp, grids);
+    debug_assert_eq!(cell_h, formatted_cell_h_len(ba, dm, ncomp), "cell_h_len");
+    (cell_d, cell_h)
+}
+
+/// The level's `Cell_H` length the way the string-building sizer found
+/// it: format every FAB header for the offsets, build the file, measure.
+/// Debug builds check every accounted level against it.
+fn formatted_cell_h_len(ba: &BoxArray, dm: &DistributionMapping, ncomp: usize) -> u64 {
+    let mut next = vec![0u64; dm.nranks()];
+    let fods: Vec<FabOnDisk> = (ba.iter().zip(dm.owners()))
+        .map(|(valid, &rank)| {
+            let offset = next[rank];
+            next[rank] += fab_header(valid, ncomp).len() as u64;
+            next[rank] += valid.num_pts() as u64 * ncomp as u64 * 8;
+            let file = cell_d_name(rank);
+            FabOnDisk { file, offset }
+        })
+        .collect();
+    let zeros = vec![vec![0.0; ncomp]; ba.len()];
+    cell_h(ncomp, ba.as_slice(), &fods, &zeros, &zeros).len() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{
+        account_checkpoint, account_checkpoint_with, checkpoint_header, CheckpointLevel,
+        CheckpointSpec,
+    };
     use crate::writer::{write_plotfile, PlotLevel, PlotfileSpec};
     use amr_mesh::prelude::*;
-    use iosim::MemFs;
+    use proptest::prelude::*;
 
     fn ba_dm(n: i64, max: i64, nranks: usize) -> (BoxArray, DistributionMapping) {
         let ba = BoxArray::single(IndexBox::at_origin(IntVect::splat(n))).max_size(max);
@@ -236,6 +275,230 @@ mod tests {
                 assert_eq!(rw.bytes, rs.bytes, "bytes differ for {}", rw.path);
             }
         }
+    }
+
+    /// One file of a dump as the accounting emits it.
+    type Emitted = (u32, u32, IoKind, String, u64);
+
+    /// The string-building sizer [`account_levels`] replaced, kept as the
+    /// oracle: per rank `boxes_of`, every FAB header and the whole
+    /// `Cell_H` formatted just to take `.len()`.
+    fn oracle_levels(
+        dir: &str,
+        ncomp: usize,
+        levels: &[(&BoxArray, &DistributionMapping)],
+    ) -> Vec<Emitted> {
+        let nranks = levels[0].1.nranks();
+        let mut out = Vec::new();
+        for (lev, (ba, dm)) in levels.iter().enumerate() {
+            let lev_dir = format!("{dir}/Level_{lev}");
+            let mut fabs_on_disk: Vec<Option<FabOnDisk>> = (0..ba.len()).map(|_| None).collect();
+            for rank in 0..nranks {
+                let my_boxes = dm.boxes_of(rank);
+                if my_boxes.is_empty() {
+                    continue;
+                }
+                let file_name = format!("Cell_D_{rank:05}");
+                let path = format!("{lev_dir}/{file_name}");
+                let mut bytes = 0u64;
+                for &bi in &my_boxes {
+                    let valid = ba.get(bi);
+                    fabs_on_disk[bi] = Some(FabOnDisk {
+                        file: file_name.clone(),
+                        offset: bytes,
+                    });
+                    bytes += fab_header(&valid, ncomp).len() as u64;
+                    bytes += valid.num_pts() as u64 * ncomp as u64 * 8;
+                }
+                out.push((lev as u32, rank as u32, IoKind::Data, path, bytes));
+            }
+            let boxes: Vec<_> = ba.iter().copied().collect();
+            let fods: Vec<FabOnDisk> = fabs_on_disk
+                .into_iter()
+                .map(|f| f.expect("every box has an owner"))
+                .collect();
+            let zeros = vec![vec![0.0; ncomp]; boxes.len()];
+            let content = cell_h(ncomp, &boxes, &fods, &zeros, &zeros);
+            let path = format!("{lev_dir}/Cell_H");
+            out.push((lev as u32, 0, IoKind::Metadata, path, content.len() as u64));
+        }
+        out
+    }
+
+    /// What a dump of `files` must leave behind: the pass-through
+    /// backend's request list (one per put, in put order) and the tracker
+    /// records under output counter `step`.
+    fn expected(step: u32, files: &[Emitted]) -> (Vec<(usize, String, u64)>, IoTracker) {
+        let tracker = IoTracker::new();
+        let mut requests = Vec::new();
+        for (level, task, kind, path, bytes) in files {
+            let key = IoKey {
+                step,
+                level: *level,
+                task: *task,
+            };
+            tracker.record(key, *kind, *bytes);
+            requests.push((*task as usize, path.clone(), *bytes));
+        }
+        (requests, tracker)
+    }
+
+    fn request_list(requests: &[iosim::WriteRequest]) -> Vec<(usize, String, u64)> {
+        (requests.iter())
+            .map(|r| (r.rank, r.path.clone(), r.bytes))
+            .collect()
+    }
+
+    /// Levels of random (not necessarily disjoint — sizing never looks)
+    /// boxes, negative coordinates included, with random owners. The rank
+    /// count is either small (many boxes per rank: `FabOnDisk` offsets
+    /// climb through several decimal widths) or past 100 000 (idle ranks;
+    /// half the boxes go to the top 300 ranks, whose `Cell_D` names are
+    /// wider than `{:05}`).
+    fn any_levels() -> impl Strategy<Value = Vec<(BoxArray, DistributionMapping)>> {
+        let a_box =
+            (-3000..3000i64, -3000..3000i64, 1..40i64, 1..40i64).prop_map(|(x, y, w, h)| {
+                IndexBox::from_lo_size(IntVect::new(x, y), IntVect::new(w, h))
+            });
+        let level = proptest::collection::vec((a_box, 0.0..1.0f64), 1..48);
+        let nranks = prop_oneof![1..6usize, 100_300..100_400usize];
+        (nranks, proptest::collection::vec(level, 1..4)).prop_map(|(nranks, levels)| {
+            (levels.into_iter())
+                .map(|grids| {
+                    let owners = (grids.iter())
+                        .map(|&(_, u)| match nranks > 300 && u < 0.5 {
+                            true => nranks - 1 - (u * 600.0) as usize,
+                            false => (u * nranks as f64) as usize,
+                        })
+                        .collect();
+                    let ba = BoxArray::new(grids.into_iter().map(|g| g.0).collect());
+                    (ba, DistributionMapping::from_owners(owners, nranks))
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The arithmetic sizer against the string-building oracle: the
+        /// shared level loop tuple for tuple, then each of the three
+        /// entry points by request list and tracker records.
+        #[test]
+        fn accounting_matches_the_string_building_oracle(
+            levels in any_levels(),
+            ncomp in prop_oneof![1..10usize, 10..130usize],
+        ) {
+            let pairs: Vec<_> = levels.iter().map(|(ba, dm)| (ba, dm)).collect();
+            let oracle = oracle_levels("/d", ncomp, &pairs);
+
+            let mut emitted: Vec<Emitted> = Vec::new();
+            account_levels("/d", ncomp, &pairs, |level, task, kind, path, bytes| {
+                emitted.push((level, task, kind, path, bytes));
+                Ok(())
+            })
+            .unwrap();
+            prop_assert_eq!(&emitted, &oracle);
+
+            let geom = Geometry::unit_square(IntVect::splat(64));
+
+            // Plotfile: the level files, then Header and job_info.
+            let layout = PlotfileLayout {
+                dir: "/d".into(),
+                output_counter: 3,
+                time: 0.25,
+                var_names: (0..ncomp).map(|i| format!("v{i}")).collect(),
+                ref_ratio: 2,
+                levels: (levels.iter())
+                    .map(|(ba, dm)| LayoutLevel {
+                        geom,
+                        ba: ba.clone(),
+                        dm: dm.clone(),
+                        level_steps: 7,
+                    })
+                    .collect(),
+                inputs: vec![("k".into(), "v".into())],
+            };
+            let header_levels: Vec<HeaderLevel> = (levels.iter())
+                .map(|(ba, _)| HeaderLevel {
+                    geom,
+                    boxes: ba.iter().copied().collect(),
+                    level_steps: 7,
+                })
+                .collect();
+            let header = plotfile_header(&layout.var_names, 0.25, &header_levels, 2);
+            let ji = job_info(pairs[0].1.nranks(), 7, 0.25, &layout.inputs);
+            let mut files = oracle.clone();
+            files.push((0, 0, IoKind::Metadata, "/d/Header".into(), header.len() as u64));
+            files.push((0, 0, IoKind::Metadata, "/d/job_info".into(), ji.len() as u64));
+            let (want_requests, want_tracker) = expected(3, &files);
+            let tracker = IoTracker::new();
+            let stats = account_plotfile(&tracker, &layout);
+            prop_assert_eq!(request_list(&stats.requests), want_requests);
+            prop_assert_eq!(tracker.export(), want_tracker.export());
+
+            // Checkpoint, both entry points: the level files, then Header.
+            let spec = CheckpointSpec {
+                dir: "/d".into(),
+                output_counter: 3,
+                time: 0.25,
+                ncomp,
+                ref_ratio: 2,
+                levels: (levels.iter())
+                    .map(|(ba, dm)| CheckpointLevel {
+                        geom,
+                        ba: ba.clone(),
+                        dm: dm.clone(),
+                        level_steps: 7,
+                        dt: 1e-3,
+                    })
+                    .collect(),
+            };
+            let mut files = oracle;
+            let header = checkpoint_header(&spec);
+            files.push((0, 0, IoKind::Metadata, "/d/Header".into(), header.len() as u64));
+            let (want_requests, want_tracker) = expected(3, &files);
+
+            let tracker = IoTracker::new();
+            let plain = account_checkpoint(&tracker, &spec);
+            prop_assert_eq!(request_list(&plain.requests), want_requests.clone());
+            prop_assert_eq!(tracker.export(), want_tracker.export());
+            prop_assert_eq!(plain.nfiles, files.len() as u64);
+
+            let tracker = IoTracker::new();
+            let fs = MemFs::with_retention(0);
+            let mut backend = FilePerProcess::new(&fs as &dyn Vfs, &tracker);
+            let routed = account_checkpoint_with(&mut backend, &spec).unwrap();
+            prop_assert_eq!(request_list(&routed.requests), want_requests);
+            prop_assert_eq!(tracker.export(), want_tracker.export());
+        }
+    }
+
+    /// Regression: the sizer took the rank count from level 0, so a finer
+    /// level mapped over more ranks died later, on "every box has an
+    /// owner". It is refused up front, naming the level and both counts.
+    #[test]
+    #[should_panic(expected = "level 1 is mapped over 8 ranks but level 0 over 4")]
+    fn level_mapped_over_more_ranks_than_level_zero_is_refused() {
+        let (ba0, dm0) = ba_dm(64, 16, 4);
+        let (ba1, dm1) = ba_dm(64, 16, 8);
+        let geom = Geometry::unit_square(IntVect::splat(64));
+        let level = |ba, dm| LayoutLevel {
+            geom,
+            ba,
+            dm,
+            level_steps: 0,
+        };
+        let layout = PlotfileLayout {
+            dir: "/p".into(),
+            output_counter: 1,
+            time: 0.0,
+            var_names: vec!["v".into()],
+            ref_ratio: 2,
+            levels: vec![level(ba0, dm0), level(ba1, dm1)],
+            inputs: vec![],
+        };
+        account_plotfile(&IoTracker::new(), &layout);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! Every byte goes through a [`Vfs`] and is recorded in an [`IoTracker`]
 //! under the `(step, level, task)` key the model consumes.
 
-use crate::format::{cell_h, fab_header, job_info, plotfile_header, FabOnDisk, HeaderLevel};
+use crate::format::{
+    cell_d_name, cell_h, fab_header, job_info, plotfile_header, FabOnDisk, HeaderLevel,
+};
 use amr_mesh::{Geometry, MultiFab};
 use bytes::{BufMut, BytesMut};
 use io_engine::{BackendSpec, CodecSpec, FilePerProcess, IoBackend, Payload, Put};
@@ -142,15 +144,15 @@ pub fn write_plotfile_with(
         // Group boxes by owning rank; a rank with no boxes at this level
         // writes no file (the paper calls this out explicitly).
         let mut fabs_on_disk: Vec<Option<FabOnDisk>> = (0..mf.nfabs()).map(|_| None).collect();
-        for rank in 0..nranks {
-            let my_boxes = mf.distribution_map().boxes_of(rank);
+        let by_rank = mf.distribution_map().boxes_by_rank();
+        for (rank, my_boxes) in by_rank.iter().enumerate() {
             if my_boxes.is_empty() {
                 continue;
             }
-            let file_name = format!("Cell_D_{rank:05}");
+            let file_name = cell_d_name(rank);
             let path = format!("{lev_dir}/{file_name}");
             let mut buf = BytesMut::new();
-            for &bi in &my_boxes {
+            for &bi in my_boxes {
                 let valid = mf.valid_box(bi);
                 let offset = buf.len() as u64;
                 buf.put_slice(fab_header(&valid, ncomp).as_bytes());

@@ -1,0 +1,96 @@
+#!/bin/sh
+# Alternating parent/change benchmark pairs (choosing-metrics section 8):
+# the evidence a PR that claims a gain on a BENCHMARK.json workload owes.
+#
+#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [first-seed=101]
+#
+# Extracts <parent-ref> (git archive) into a scratch directory under the
+# ignored .amrbench_out/, builds amrbench on both sides, then runs <pairs>
+# pairs of parent and change (this working tree) through BENCHMARK.json's
+# own command line and run length — one fresh --seed per pair, shared by
+# its two sides, and the side that runs first alternating. Prints every
+# run, then per end-to-end metric each side's median and quartiles and the
+# pairs the change won, and whether every run was correct with one digest.
+# Removes its scratch directory on exit; nothing else is written.
+set -eu
+cd "$(dirname "$0")/.."
+[ "$#" -ge 2 ] || {
+    echo "usage: $0 <parent-ref> <workload> [pairs=10] [first-seed=101]" >&2
+    exit 2
+}
+ref=$1 workload=$2 pairs=${3:-10} seed0=${4:-101}
+unset CARGO_TARGET_DIR # each side builds into its own amrbench/target
+
+cmd=$(awk '/"command"/{f=1; next} f && /\]/{exit} f{gsub(/[",]/, ""); printf "%s ", $1}' BENCHMARK.json)
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+metrics=$(awk '/"end_to_end"/{f=1} f && /\]/{exit} f && /"name"/{gsub(/[",]/, ""); print $2}' BENCHMARK.json)
+
+change=$PWD
+out=$change/.amrbench_out/bench_pairs.$$
+parent=$out/parent
+trap 'rm -rf "$out"' EXIT
+trap 'exit 130' INT TERM
+mkdir -p "$parent"
+git archive "$ref" | tar -x -C "$parent"
+
+# One run: the full output lands in $out/<side>.<pair>.
+run() {
+    (cd "$1" && $cmd --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0) \
+        >"$out/$2.$4" || echo "  $2 pair $4: exit status $?" >&2
+}
+# A metric's value on the driver's (last) line of one run.
+value() {
+    tail -n 1 "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
+}
+
+echo "building $ref and the working tree ..." >&2
+for dir in "$parent" "$change"; do
+    (cd "$dir" && $cmd list >/dev/null)
+done
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+    seed=$((seed0 + i - 1))
+    if [ $((i % 2)) -eq 1 ]; then
+        run "$parent" parent "$seed" "$i"
+        run "$change" change "$seed" "$i"
+    else
+        run "$change" change "$seed" "$i"
+        run "$parent" parent "$seed" "$i"
+    fi
+    for m in $metrics; do
+        echo "pair $i seed $seed $m parent $(value "$out/parent.$i" "$m") change $(value "$out/change.$i" "$m")"
+    done
+    i=$((i + 1))
+done
+
+echo
+for m in $metrics; do
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            value "$out/$side.$i" "$m"
+            i=$((i + 1))
+        done >"$out/$side.$m"
+    done
+    # Quartiles by linear interpolation between order statistics.
+    for side in parent change; do
+        sort -g "$out/$side.$m" | awk -v side="$side" -v m="$m" '
+            { v[NR] = $1 }
+            function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return lo + 2 > NR ? v[NR] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) }
+            END { printf "%-12s %-6s n=%d median %.6g  q1 %.6g  q3 %.6g  min %.6g  max %.6g\n", m, side, NR, q(0.5), q(0.25), q(0.75), v[1], v[NR] }'
+    done
+    paste "$out/parent.$m" "$out/change.$m" | awk -v m="$m" '
+        $2 < $1 { win++ } $2 > $1 { loss++ }
+        END { printf "%-12s change lower in %d of %d pairs, higher in %d\n", m, win, NR, loss }'
+done
+
+correct=$(cat "$out"/parent.[0-9]* "$out"/change.[0-9]* | grep -c '^{"correct":true,' || true)
+digests=$(cat "$out"/parent.[0-9]* "$out"/change.[0-9]* | sed -n 's/.*; digest \([0-9a-f]*\);.*/\1/p' | sort -u | tr '\n' ' ')
+echo "correct runs: $correct of $((2 * pairs)); digests seen: ${digests:-none}"
+if [ "$correct" -eq $((2 * pairs)) ] && [ "$(echo "$digests" | wc -w)" -eq 1 ]; then
+    echo "every run correct, every digest equal"
+else
+    echo "NOT every run correct with one digest" >&2
+    exit 1
+fi
