@@ -1,48 +1,362 @@
-//! Shared plumbing for the figure/table regeneration benches.
+//! The figure runner behind `cargo run --release -p bench --bin figures`.
 //!
-//! Every bench prints a human-readable table to stdout (the series the
-//! paper plots) and writes a JSON artifact under `results/` for the
-//! reader. Tracked performance numbers come from `amrbench`
+//! One registration table ([`FIGURES`]) names every table and figure of
+//! the paper plus this repo's follow-on studies; one runner ([`run`])
+//! prints the banner, calls the figure function, writes
+//! `results/<name>.json` and turns an I/O failure into a non-zero exit
+//! naming the path. A target that is not a registered name is a path to
+//! an experiment spec (`specs/*.toml`), which is compiled, executed
+//! against its own store under `results/store/` and printed as a table.
+//! Tracked performance numbers come from `amrbench`
 //! (`amrbench/README.md`), not from these artifacts.
 //!
-//! **Layer position:** top of the workspace, next to `core` — the
-//! benches under `benches/` drive every lower layer to regenerate the
-//! paper's figures/tables; this library is only their shared output
-//! plumbing. Key items: [`banner`], [`print_series`], [`write_artifact`],
-//! [`results_dir`].
+//! **Layer position:** top of the workspace, next to `core` — the figure
+//! functions drive every lower layer; a figure that runs a matrix goes
+//! `ExperimentSpec` → `run_spec` → the shared store, so a second
+//! invocation resumes instead of re-simulating. A paper claim is a Rust
+//! `assert!` inside its figure function: a failed claim panics.
 //!
 //! ```
-//! // The stdout shape every figure bench uses.
-//! bench::banner("fig99", "demo", "doc-example banner");
+//! // `figures --list` is the registration table, one line per figure.
+//! assert_eq!(bench::list().lines().count(), bench::FIGURES.len());
 //! bench::print_series("cumulative bytes", &[(1.0, 10.0), (2.0, 30.0)]);
 //! ```
 
-use serde::Serialize;
-use std::path::PathBuf;
+mod extensions;
+mod paper;
 
-/// Directory where benches drop their JSON artifacts.
+use amrproxy::store::Query;
+use amrproxy::{run_spec, CastroSedovConfig, ExperimentSpec, ResultsStore, SpecReport};
+use iosim::StorageModel;
+use serde_json::Value;
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// One registered figure: `(name, paper reference, description, body)`.
+/// The body prints its series and returns the artifact.
+pub type Figure = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&mut Ctx) -> io::Result<Value>,
+);
+
+/// Every target `figures` can regenerate by name, in run order.
+pub const FIGURES: &[Figure] = &[
+    (
+        "table1",
+        "Table I of the paper",
+        "Subset of AMReX Castro input parameters varied to understand output behaviour",
+        paper::table1,
+    ),
+    (
+        "table2",
+        "Table II of the paper",
+        "MACSio command line arguments used to model AMReX-Castro outputs",
+        paper::table2,
+    ),
+    (
+        "table3",
+        "Table III of the paper",
+        "AMReX Castro input parameter ranges for the 47-run Sedov campaign",
+        paper::table3,
+    ),
+    (
+        "listing1",
+        "Listing 1 + Eq. (3) of the paper",
+        "g(): AMReX-Castro inputs -> MACSio executable arguments",
+        paper::listing1,
+    ),
+    (
+        "fig02",
+        "Fig. 2 of the paper",
+        "Castro plotfile output structure, Sedov 2D cylinder-in-Cartesian case",
+        paper::fig02,
+    ),
+    (
+        "fig03",
+        "Fig. 3 of the paper",
+        "MACSio N-to-N output pattern (miftmpl interface), by task and step",
+        paper::fig03,
+    ),
+    (
+        "fig04",
+        "Fig. 4 of the paper",
+        "Sedov blast after 20 steps: (a) AMR mesh levels, (b) Mach number",
+        paper::fig04,
+    ),
+    (
+        "fig05",
+        "Fig. 5 of the paper",
+        "Cumulative output size vs cumulative output cells (log-log), Table III campaign",
+        paper::fig05,
+    ),
+    (
+        "fig06",
+        "Fig. 6 of the paper",
+        "Cumulative output size vs (CFL, max_level) for the 512^2 case4 pivot",
+        paper::fig06,
+    ),
+    (
+        "fig07",
+        "Fig. 7 of the paper",
+        "Per-level cumulative output size for the case4 pivot (L0 ~ constant, L1/L2 smooth)",
+        paper::fig07,
+    ),
+    (
+        "fig08",
+        "Fig. 8 of the paper",
+        "Per-task bytes per output step at each of the 4 mesh levels (case27)",
+        paper::fig08,
+    ),
+    (
+        "fig09",
+        "Fig. 9 of the paper",
+        "MACSio dataset_growth calibration trace for case4 (cfl 0.4, 4 levels)",
+        paper::fig09,
+    ),
+    (
+        "fig10",
+        "Fig. 10 of the paper",
+        "AMR vs calibrated MACSio per-step sizes across the (CFL, max_level) grid",
+        paper::fig10,
+    ),
+    (
+        "fig11",
+        "Fig. 11 of the paper",
+        "Large 8192^2 mesh: non-smooth output vs the MACSio kernel approximation",
+        paper::fig11,
+    ),
+    (
+        "ablations",
+        "design-choice ablations (docs/MODEL.md, documented substitutions)",
+        "DM strategy, grid_eff, MIF grouping, storage scaling",
+        extensions::ablations,
+    ),
+    (
+        "backend_matrix",
+        "io-engine backend x codec matrix (ADIOS2/AMRIC-style levers, specs/backend_matrix.toml)",
+        "N-to-N vs aggregation vs deferred staging x codecs, metadata- and bandwidth-bound storage",
+        extensions::backend_matrix,
+    ),
+    (
+        "machine_room",
+        "multi-tenant extension of the paper's storage model",
+        "tenancy ladder on the shared fabric: solo vs 2/4/8-tenant walls, wall-vs-tenancy fit",
+        extensions::machine_room,
+    ),
+];
+
+/// What a figure function is handed: where results go, and the one
+/// store every registered figure shares (`results/store/paper`), opened
+/// on first use.
+pub struct Ctx {
+    results: PathBuf,
+    store: Option<ResultsStore>,
+}
+
+impl Ctx {
+    /// A context writing under `results`.
+    pub fn new(results: impl Into<PathBuf>) -> Self {
+        Self {
+            results: results.into(),
+            store: None,
+        }
+    }
+
+    fn store(&mut self) -> io::Result<&mut ResultsStore> {
+        if self.store.is_none() {
+            self.store = Some(open_store(&self.results.join("store/paper"))?);
+        }
+        Ok(self.store.as_mut().expect("opened above"))
+    }
+
+    /// Executes `spec` against the shared store (`storage` prices cells
+    /// without a `storage` axis value) and prints the `executed=/resumed=`
+    /// split; persisted cells are served back instead of re-simulated.
+    fn run(
+        &mut self,
+        spec: &ExperimentSpec,
+        storage: Option<&StorageModel>,
+    ) -> io::Result<SpecReport> {
+        let report = run_spec(spec, self.store()?, storage).map_err(io::Error::other)?;
+        println!(
+            "{}: executed={} resumed={}",
+            spec.name, report.executed, report.resumed
+        );
+        Ok(report)
+    }
+
+    /// The shared store's rows of the matrix over `base`, which `report`
+    /// just ran. The registered matrices run pairwise distinct
+    /// `(n_cell, nprocs)` workloads, which is what tells their rows apart
+    /// in the one store; rows an older version of the matrix left behind
+    /// would skew every aggregate, so they are an error.
+    fn rows_of(&mut self, base: &CastroSedovConfig, report: &SpecReport) -> io::Result<Query> {
+        let store = self.store()?;
+        let rows = store
+            .query()
+            .filter("n_cell", &base.n_cell.to_string())
+            .filter("nprocs", &base.nprocs.to_string());
+        if rows.len() != report.summaries.len() {
+            return Err(io::Error::other(format!(
+                "{}: {} rows of this workload, the matrix has {}; stale rows from an older \
+                 run? delete the store to re-simulate",
+                store.dir().display(),
+                rows.len(),
+                report.summaries.len()
+            )));
+        }
+        Ok(rows)
+    }
+}
+
+fn open_store(dir: &Path) -> io::Result<ResultsStore> {
+    ResultsStore::open(dir).map_err(|e| at(dir, e))
+}
+
+/// `e`, with the path it happened at in the message.
+fn at(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Directory where artifacts and stores land by default: `results/` at
+/// the workspace root.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    workspace
+        .expect("crates/bench sits two levels down")
+        .join("results")
 }
 
-/// Writes a JSON artifact for experiment `name` (e.g. `fig05`).
-pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize artifact");
-    std::fs::write(&path, json).expect("write artifact");
-    println!("\n[artifact] {}", path.display());
+/// Writes the JSON artifact of figure `name` under `results`.
+fn write_artifact(results: &Path, name: &str, value: &Value) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(results).map_err(|e| at(results, e))?;
+    let path = results.join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    std::fs::write(&path, json).map_err(|e| at(&path, e))?;
+    Ok(path)
 }
 
-/// Prints a banner naming the experiment and its paper counterpart.
-pub fn banner(name: &str, paper_ref: &str, description: &str) {
+/// A run that did not succeed: the process exit code and the line for
+/// stderr.
+#[derive(Debug)]
+pub struct Failure {
+    /// 1 for an I/O or spec failure, 2 for a usage error.
+    pub code: u8,
+    /// What went wrong, naming the path where there is one.
+    pub message: String,
+}
+
+const USAGE: &str = "usage: figures [--list | TARGET...]   (TARGET: a name from --list, or a \
+                     spec .toml path; no target runs every figure)";
+
+/// The `--list` text: one `name  paper reference  description` line per
+/// registered figure.
+pub fn list() -> String {
+    FIGURES
+        .iter()
+        .map(|(name, paper_ref, description, _)| {
+            format!("{name:<16} {paper_ref} — {description}\n")
+        })
+        .collect()
+}
+
+/// Runs `figures` with `args` (the process arguments after the program
+/// name), writing under `results`.
+pub fn run(args: &[String], results: &Path) -> Result<(), Failure> {
+    if args.len() == 1 && args[0] == "--list" {
+        print!("{}", list());
+        return Ok(());
+    }
+    let figure = |name: &str| FIGURES.iter().find(|f| f.0 == name);
+    if let Some(bad) = args
+        .iter()
+        .find(|a| figure(a).is_none() && !a.ends_with(".toml"))
+    {
+        return Err(Failure {
+            code: 2,
+            message: format!("figures: unknown target '{bad}'\n{USAGE}"),
+        });
+    }
+    let targets: Vec<&str> = match args {
+        [] => FIGURES.iter().map(|f| f.0).collect(),
+        _ => args.iter().map(String::as_str).collect(),
+    };
+    let mut ctx = Ctx::new(results);
+    targets
+        .into_iter()
+        .try_for_each(|target| match figure(target) {
+            Some(f) => run_figure(&mut ctx, f),
+            None => run_spec_file(Path::new(target), results),
+        })
+        .map_err(|e| Failure {
+            code: 1,
+            message: format!("figures: {e}"),
+        })
+}
+
+fn run_figure(ctx: &mut Ctx, (name, paper_ref, description, body): &Figure) -> io::Result<()> {
     println!("================================================================");
     println!("{name} — {paper_ref}");
     println!("{description}");
     println!("================================================================");
+    let artifact = body(ctx)?;
+    let path = write_artifact(&ctx.results, name, &artifact)?;
+    println!("\n[artifact] {}", path.display());
+    Ok(())
+}
+
+/// Compiles and executes the spec at `path` into
+/// `results/store/<experiment name>`, then prints one row per run.
+fn run_spec_file(path: &Path, results: &Path) -> io::Result<()> {
+    let spec = ExperimentSpec::load(path).map_err(io::Error::other)?;
+    // The experiment name becomes a directory under `results/store/`.
+    if spec.name.is_empty() || spec.name.starts_with('.') || spec.name.contains(['/', '\\']) {
+        return Err(io::Error::other(format!(
+            "{}: experiment name '{}' is not a directory name",
+            path.display(),
+            spec.name
+        )));
+    }
+    let mut store = open_store(&results.join("store").join(&spec.name))?;
+    let report = run_spec(&spec, &mut store, None).map_err(io::Error::other)?;
+    // One row per run: bytes shipped (to storage or over the link), the
+    // restart and selective reads' physical bytes and seconds, the wall.
+    println!(
+        "{:<52} {:>7} {:>11} {:>10} {:>10} {:>8} {:>10} {:>8} {:>8}",
+        "run",
+        "tenants",
+        "shipped_B",
+        "read_B",
+        "sel_B",
+        "read_s",
+        "sel_read_s",
+        "wall_s",
+        "slowdown"
+    );
+    for s in &report.summaries {
+        println!(
+            "{:<52} {:>7} {:>11} {:>10} {:>10} {:>8.4} {:>10.5} {:>8.4} {:>8.3}",
+            s.name,
+            s.tenants,
+            s.physical_bytes + s.net_bytes,
+            s.physical_read_bytes,
+            s.selective_physical_read_bytes,
+            s.read_wall,
+            s.selective_read_wall,
+            s.wall_time,
+            s.slowdown
+        );
+    }
+    println!(
+        "{} -> {}: executed={} resumed={}",
+        path.display(),
+        store.dir().display(),
+        report.executed,
+        report.resumed
+    );
+    Ok(())
 }
 
 /// Prints an `(x, y)` series as an aligned two-column table.
@@ -109,6 +423,110 @@ pub fn human_bytes(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("figures_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn list_is_the_registration_table_and_names_are_unique() {
+        let listed: Vec<String> = list()
+            .lines()
+            .map(|l| l.split_whitespace().next().unwrap().to_string())
+            .collect();
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
+        assert_eq!(listed, names);
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+    }
+
+    #[test]
+    fn no_simulation_figures_run_end_to_end_and_their_artifacts_parse() {
+        let dir = tmp_dir("nosim");
+        let targets = ["table1", "table2", "table3", "listing1", "fig02", "fig03"];
+        run(&args(&targets), &dir).expect("figures run");
+        for name in targets {
+            let text = std::fs::read_to_string(dir.join(format!("{name}.json"))).unwrap();
+            let value: Value = serde_json::from_str(&text).expect(name);
+            assert!(!value.is_null(), "{name}");
+        }
+        assert!(!dir.join("store").exists(), "no figure here runs a matrix");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unwritable_results_directory_is_exit_1_naming_the_path_not_a_panic() {
+        // A regular file where the results directory should be.
+        let blocker = tmp_dir("blocked");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke.toml");
+        for target in ["table1", spec] {
+            let failure = run(&args(&[target]), &blocker).unwrap_err();
+            assert_eq!(failure.code, 1, "{}", failure.message);
+            assert!(
+                failure.message.contains(blocker.to_str().unwrap()),
+                "{}",
+                failure.message
+            );
+        }
+        std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
+    fn anything_but_list_a_name_or_a_spec_path_is_usage_exit_2() {
+        for bad in [&["--help"][..], &["fig99"], &["--list", "table1"]] {
+            let failure = run(&args(bad), Path::new("unused")).unwrap_err();
+            assert_eq!(failure.code, 2, "{bad:?}");
+            assert!(failure.message.ends_with(USAGE), "{}", failure.message);
+        }
+        let missing = run(&args(&["no/such/spec.toml"]), Path::new("unused")).unwrap_err();
+        assert_eq!(missing.code, 1);
+        assert!(missing.message.contains("no/such/spec.toml"));
+    }
+
+    #[test]
+    fn a_spec_whose_name_is_not_a_directory_name_is_refused() {
+        let dir = tmp_dir("badname");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("escape.toml");
+        std::fs::write(&spec, "[experiment]\nname = \"../elsewhere\"\n").unwrap();
+        let failure = run(&args(&[spec.to_str().unwrap()]), &dir.join("results")).unwrap_err();
+        assert_eq!(failure.code, 1);
+        assert!(
+            failure
+                .message
+                .contains("'../elsewhere' is not a directory name"),
+            "{}",
+            failure.message
+        );
+        assert!(!dir.join("results").exists(), "nothing was created");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_spec_file_loads_and_compiles() {
+        let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&specs).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "toml") {
+                let cells = ExperimentSpec::load(&path)
+                    .and_then(|spec| spec.compile())
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(!cells.is_empty(), "{}", path.display());
+                seen += 1;
+            }
+        }
+        assert!(seen >= 7, "specs/ holds the campaign specs, found {seen}");
+    }
 
     #[test]
     fn human_bytes_scales() {

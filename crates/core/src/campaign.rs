@@ -242,7 +242,7 @@ impl RunSummary {
 /// Scales and ranks follow the paper's ladder (32^2 on 1 task up to
 /// 8192^2 on the equivalent of 64 nodes); the paper's two largest
 /// configurations (17 G cells) are represented by the 8192^2 oracle runs,
-/// as documented in DESIGN.md.
+/// as documented in docs/MODEL.md ("Documented substitutions").
 pub fn table3_campaign() -> Vec<CastroSedovConfig> {
     let mut runs = Vec::new();
     let grid = GridParams {

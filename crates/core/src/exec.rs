@@ -10,13 +10,13 @@
 //!
 //! ```no_run
 //! use amrproxy::{run_spec, ExperimentSpec, ResultsStore};
-//! use iosim::StorageModel;
 //!
+//! // What `figures specs/smoke.toml` does; the spec's `storage` axis
+//! // names the machine, so no default storage model is passed.
 //! let spec = ExperimentSpec::load("specs/smoke.toml").unwrap();
-//! let mut store = ResultsStore::open("results/store").unwrap();
-//! let storage = StorageModel::ideal(4, 2.5e8);
-//! let first = run_spec(&spec, &mut store, Some(&storage)).unwrap();
-//! let again = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+//! let mut store = ResultsStore::open("results/store/smoke").unwrap();
+//! let first = run_spec(&spec, &mut store, None).unwrap();
+//! let again = run_spec(&spec, &mut store, None).unwrap();
 //! assert_eq!(again.executed, 0, "second run is resume-only");
 //! let walls = store.query().filter("backend", "fpp").numbers("wall_time");
 //! assert_eq!(walls.len(), first.summaries.len() / 2);

@@ -12,10 +12,10 @@
 //! * annulus coverage is produced at blocking-factor granularity with the
 //!   same alignment / `max_grid_size` chopping as [`make_fine_grids`]
 //!   (Berger–Rigoutsos is replaced by exact row-run coverage of the
-//!   annulus — the one documented substitution, see DESIGN.md).
+//!   annulus — a documented substitution, see docs/MODEL.md).
 //!
 //! The small-scale agreement between this oracle and the real solver is
-//! checked by integration tests and the `fig11` bench.
+//! checked by integration tests and the `fig11` figure.
 
 use crate::amr::StepInfo;
 use crate::sedov::SedovProblem;

@@ -1,6 +1,6 @@
 //! Physics validation of the Sedov solve against the similarity solution —
 //! the evidence that the large-scale oracle substitutes faithfully for the
-//! PDE solver (DESIGN.md §2).
+//! PDE solver (docs/MODEL.md, "Documented substitutions").
 
 use amr_mesh::prelude::*;
 use hydro::{

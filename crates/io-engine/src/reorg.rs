@@ -36,7 +36,7 @@
 //!    the selection can touch ([`ReadSelection::level_range`]), the
 //!    matched metadata bytes, and one contiguous run per touched level
 //!    file — strictly fewer physical bytes and fewer file opens for
-//!    by-level and by-field queries (the `analysis_sweep` example and
+//!    by-level and by-field queries (`specs/analysis.toml` prices it,
 //!    regression tests pin the inequality).
 //!
 //! Both sides of the trade are priced: [`ReorgStats`] carries the source

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub enum Interface {
     /// The `miftmpl` template interface: JSON object header with the bulk
     /// variable data appended as raw little-endian doubles (size-faithful
-    /// to the nominal request size; see DESIGN.md on the substitution for
+    /// to the nominal request size; see docs/MODEL.md on the substitution for
     /// json-cwx).
     Miftmpl,
     /// Pure-text JSON: every value formatted as text. Inflates bytes per

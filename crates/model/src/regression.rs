@@ -192,7 +192,7 @@ pub fn fit_read_time(physical_read_bytes: &[f64], read_walls: &[f64]) -> LinearF
 /// bytes: `selective_read_wall = a + b * touched_physical_bytes` — the
 /// analysis plane's regression target, fitted across read patterns and
 /// layouts ({raw, reorganized} × {level, field, box} from
-/// `analysis_sweep` summaries:
+/// `specs/analysis.toml` summaries:
 /// `RunSummary::{selective_physical_read_bytes, selective_read_wall}`).
 /// `1 / b` is the effective selective-read bandwidth, `a` the per-query
 /// fixed cost (index/directory fetches, file opens). A layout change

@@ -1,13 +1,19 @@
 //! Property-based tests for the multi-tenant storage fabric: solo-tenant
 //! equivalence with the legacy per-run storage model across the backend ×
 //! codec matrix, fair-share slowdown and throughput conservation for
-//! identical tenants, and QoS priority dominance.
+//! identical tenants, QoS priority dominance, a mixed Sedov + MACSio
+//! fleet contending on one fabric, and the campaign runner's QoS and
+//! staging-pool settings.
 
 use amr_proxy_io::amrproxy::{
-    run_campaign_fabric, run_campaign_timed_serial, CastroSedovConfig, Engine, FabricSettings,
+    run_campaign_fabric, run_campaign_timed_serial, run_simulation_attached, CastroSedovConfig,
+    Engine, FabricSettings,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
-use amr_proxy_io::iosim::{Fabric, QosPolicy, StorageModel, WriteRequest};
+use amr_proxy_io::iosim::{
+    Fabric, IoTracker, MemFs, QosPolicy, StorageAttach, StorageModel, WriteRequest,
+};
+use amr_proxy_io::macsio::{self, MacsioConfig};
 use proptest::prelude::*;
 
 fn oracle_cfg(name: &str, n_cell: i64, max_step: u64, plot_int: u64) -> CastroSedovConfig {
@@ -22,6 +28,14 @@ fn oracle_cfg(name: &str, n_cell: i64, max_step: u64, plot_int: u64) -> CastroSe
         account_only: true,
         compute_ns_per_cell: 40_000.0,
         ..Default::default()
+    }
+}
+
+/// The machine-room tenant: a 128^2 Sedov oracle campaign on 8 ranks.
+fn sedov128(name: &str) -> CastroSedovConfig {
+    CastroSedovConfig {
+        nprocs: 8,
+        ..oracle_cfg(name, 128, 16, 4)
     }
 }
 
@@ -150,4 +164,100 @@ proptest! {
             "prioritized {prioritized} must not lose to fair {fair}"
         );
     }
+}
+
+/// A Sedov AMR campaign and a back-to-back MACSio dump stream overlap on
+/// the same two slow servers: neither tenant beats its solo wall, and
+/// the interference plane attributes the contention.
+#[test]
+fn mixed_sedov_and_macsio_fleet_contends_on_one_fabric() {
+    let fabric = Fabric::new(StorageModel {
+        metadata_latency: 1e-4,
+        ..StorageModel::ideal(2, 5e6)
+    });
+    let sedov = fabric.tenant("sedov");
+    let dumps = fabric.tenant("macsio");
+    std::thread::scope(|s| {
+        let amr = s.spawn(move || {
+            run_simulation_attached(&sedov128("mixed"), None, StorageAttach::Fabric(sedov))
+                .wall_time
+        });
+        let mac = s.spawn(move || {
+            let cfg = MacsioConfig {
+                nprocs: 8,
+                num_dumps: 6,
+                part_size: 512 * 1024,
+                compute_time: 0.0,
+                ..Default::default()
+            };
+            let fs = MemFs::with_retention(0);
+            let tracker = IoTracker::new();
+            macsio::dump::run_attached(&cfg, &fs, &tracker, StorageAttach::Fabric(dumps))
+                .expect("macsio run")
+                .wall_time
+        });
+        assert!(amr.join().expect("sedov tenant") > 0.0);
+        assert!(mac.join().expect("macsio tenant") > 0.0);
+    });
+    let stats = fabric.tenant_stats();
+    assert_eq!(stats.len(), 2);
+    assert!(
+        stats.iter().all(|t| t.slowdown() >= 1.0 - 1e-12),
+        "sharing never beats solo: {stats:?}"
+    );
+    assert!(
+        stats.iter().any(|t| t.contention_stall > 0.0),
+        "overlapping fleets must contend somewhere"
+    );
+}
+
+/// `FabricSettings::{qos, staging_bytes}` reach the fabric a campaign
+/// runs on: a weight-4 tenant beats its own fair-share wall and leads
+/// the weighted run (the competitor may also improve — faster drains
+/// desynchronize the fleets — so the robust invariant is the ordering),
+/// and deferred-backend tenants contending for a burst buffer smaller
+/// than their bursts accrue `staging_wait` instead of free overlap.
+#[test]
+fn campaign_qos_and_staging_settings_reach_the_fabric() {
+    let storage = StorageModel {
+        metadata_latency: 1e-4,
+        ..StorageModel::ideal(4, 5e7)
+    };
+    let plain = FabricSettings::default();
+    let pair = [sedov128("hi"), sedov128("lo")];
+    let fair = run_campaign_fabric(&pair, &storage, &plain);
+    let weighted = run_campaign_fabric(
+        &pair,
+        &storage,
+        &FabricSettings {
+            qos: &[QosPolicy::weighted(4.0), QosPolicy::default()],
+            ..plain
+        },
+    );
+    assert!(
+        weighted[0].wall_time <= fair[0].wall_time + 1e-9,
+        "priority must not hurt the prioritized tenant"
+    );
+    assert!(
+        weighted[0].wall_time <= weighted[1].wall_time + 1e-9,
+        "the prioritized tenant leads the weighted run"
+    );
+
+    let deferred = ["staged_t0", "staged_t1"].map(|name| CastroSedovConfig {
+        backend: BackendSpec::Deferred(1),
+        ..sedov128(name)
+    });
+    let staged = run_campaign_fabric(
+        &deferred,
+        &storage,
+        &FabricSettings {
+            staging_bytes: Some(256 * 1024),
+            ..plain
+        },
+    );
+    let waited: f64 = staged.iter().map(|s| s.staging_wait).sum();
+    assert!(
+        waited > 0.0,
+        "a pool smaller than the bursts must back-pressure"
+    );
 }

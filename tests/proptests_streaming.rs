@@ -11,13 +11,16 @@
 //!   stall is non-negative;
 //! * plus the typed error path: `read_selection` of a step no backend
 //!   ever wrote is an `ErrorKind::Unsupported` naming the backend, for
-//!   all four backends — never a panic.
+//!   all four backends — never a panic;
+//! * and the stored-vs-streamed trade on the simulated clock: a fast
+//!   link beats bandwidth-bound disks, a throttled one loses to them.
 
 use amr_proxy_io::amrproxy::{run_simulation, CastroSedovConfig, Engine};
 use amr_proxy_io::io_engine::{
-    BackendSpec, CodecSpec, CompressionStage, IoBackend, Payload, Put, ReadSelection, Streaming,
+    BackendSpec, CodecSpec, CompressionStage, IoBackend, Payload, Put, ReadSelection, Scenario,
+    Streaming,
 };
-use amr_proxy_io::iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
+use amr_proxy_io::iosim::{IoKey, IoKind, IoTracker, MemFs, StorageModel, Vfs};
 use amr_proxy_io::mpi_sim::NetworkModel;
 use proptest::prelude::*;
 
@@ -255,4 +258,51 @@ fn unwritten_step_reads_are_typed_unsupported_errors_for_every_backend() {
         assert!(msg.contains(&sel.name()), "{spec}: {msg}");
         b.close().unwrap();
     }
+}
+
+/// In-transit is a bandwidth trade, not a free lunch: with dumps bound
+/// by a 50 MB/s disk array, streaming over the default 12.5 GB/s link
+/// wins the wall clock and a 10 MB/s link loses it — while throttling
+/// changes timing only, never the shipped volume.
+#[test]
+fn fast_link_beats_bandwidth_bound_disks_and_a_throttled_link_loses() {
+    let storage = StorageModel::ideal(2, 2.5e7);
+    let run = |backend: &str| {
+        let mut cfg = base_config(128, 20, 4, 8);
+        cfg.max_level = 2;
+        cfg.compute_ns_per_cell = 40_000.0;
+        cfg.scenario = Some(Scenario::in_run_analysis(2, ReadSelection::Level(1)));
+        cfg.backend = BackendSpec::parse(backend).unwrap();
+        run_simulation(&cfg, None, Some(&storage))
+    };
+    let stored = run("fpp");
+    let streamed = run("streaming");
+    let throttled = run("streaming:10");
+    assert!(
+        streamed.wall_time < stored.wall_time,
+        "12.5 GB/s link must beat 50 MB/s disks: {} vs {}",
+        streamed.wall_time,
+        stored.wall_time
+    );
+    assert!(
+        throttled.wall_time > stored.wall_time,
+        "10 MB/s link must lose to 50 MB/s disks: {} vs {}",
+        throttled.wall_time,
+        stored.wall_time
+    );
+    assert_eq!(
+        throttled.net_bytes, streamed.net_bytes,
+        "throttling changes timing, not shipped volume"
+    );
+    assert_eq!(
+        streamed.net_bytes, streamed.logical_bytes,
+        "identity codec: every logical byte ships exactly once"
+    );
+    // Re-routing the bytes never changes what the workload logically
+    // wrote or analyzed.
+    assert_eq!(streamed.tracker.export(), stored.tracker.export());
+    assert_eq!(
+        streamed.tracker.export_reads(),
+        stored.tracker.export_reads()
+    );
 }
