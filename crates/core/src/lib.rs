@@ -51,7 +51,5 @@ pub use driver::{
 pub use exec::{run_spec, run_spec_serial, SpecReport};
 pub use io_engine::{Scenario, ScenarioOp};
 pub use run::{run_simulation, run_simulation_attached, try_run_simulation_attached, RunResult};
-pub use spec::{
-    Delivery, ExperimentSpec, Layout, RunMode, ScalingMode, SpecCell, SpecError, StorageProfile,
-};
+pub use spec::{ExperimentSpec, Layout, RunMode, ScalingMode, SpecCell, SpecError, StorageProfile};
 pub use store::ResultsStore;

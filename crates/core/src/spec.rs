@@ -120,10 +120,15 @@ impl StorageProfile {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| format!("ideal:<servers>:<bandwidth>, got '{s}'"))?;
-                let bandwidth = parts
+                let bandwidth: f64 = parts
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| format!("ideal:<servers>:<bandwidth>, got '{s}'"))?;
+                // Zero, negative or NaN would starve every request
+                // (`inf` is the supported infinitely-fast idealisation).
+                if bandwidth.is_nan() || bandwidth <= 0.0 {
+                    return Err(format!("ideal bandwidth must be > 0, got {bandwidth}"));
+                }
                 Ok(Self::Ideal { servers, bandwidth })
             }
             Some("summit") => {
@@ -183,40 +188,6 @@ pub enum Layout {
     Reorg,
 }
 
-/// How a dump leaves the application — the `delivery` axis. A coarse
-/// three-way cut across the backend space for sweeps that compare
-/// delivery *strategies* rather than backend parameters: each value maps
-/// to a canonical backend (use the `backend` axis for tuned variants).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Delivery {
-    /// Synchronous storage writes ([`BackendSpec::FilePerProcess`]).
-    Storage,
-    /// In-transit streaming over the modeled interconnect
-    /// ([`BackendSpec::Streaming`] with the default link).
-    Stream,
-    /// Overlapped burst-buffer staging ([`BackendSpec::Deferred`]).
-    Deferred,
-}
-
-impl Delivery {
-    /// The canonical backend this delivery strategy maps to.
-    pub fn backend(self) -> BackendSpec {
-        match self {
-            Delivery::Storage => BackendSpec::FilePerProcess,
-            Delivery::Stream => BackendSpec::Streaming(io_engine::StreamSpec::default()),
-            Delivery::Deferred => BackendSpec::Deferred(1),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Delivery::Storage => "storage",
-            Delivery::Stream => "stream",
-            Delivery::Deferred => "deferred",
-        }
-    }
-}
-
 /// One named axis with its values. Declaration order is loop order.
 #[derive(Clone, Debug)]
 enum Axis {
@@ -229,7 +200,6 @@ enum Axis {
     Scale(Vec<usize>),
     Rung(Vec<i64>),
     Storage(Vec<StorageProfile>),
-    Delivery(Vec<Delivery>),
 }
 
 impl Axis {
@@ -244,7 +214,6 @@ impl Axis {
             Axis::Scale(_) => "scale",
             Axis::Rung(_) => "rung",
             Axis::Storage(_) => "storage",
-            Axis::Delivery(_) => "delivery",
         }
     }
 
@@ -259,7 +228,6 @@ impl Axis {
             Axis::Scale(v) => v.len(),
             Axis::Rung(v) => v.len(),
             Axis::Storage(v) => v.len(),
-            Axis::Delivery(v) => v.len(),
         }
     }
 
@@ -282,7 +250,6 @@ impl Axis {
             Axis::Scale(v) => v[i].to_string(),
             Axis::Rung(v) => v[i].to_string(),
             Axis::Storage(v) => v[i].name(),
-            Axis::Delivery(v) => v[i].name().to_string(),
         }
     }
 
@@ -348,7 +315,6 @@ impl Axis {
                 .collect(),
             Axis::Rung(v) => v.iter().map(|n| format!("n{n}")).collect(),
             Axis::Storage(v) => v.iter().map(StorageProfile::tag).collect(),
-            Axis::Delivery(v) => v.iter().map(|d| d.name().to_string()).collect(),
         }
     }
 }
@@ -552,12 +518,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Declares the delivery axis (storage / stream / deferred).
-    pub fn deliveries(mut self, deliveries: &[Delivery]) -> Self {
-        self.axes.push(Axis::Delivery(deliveries.to_vec()));
-        self
-    }
-
     /// Zips the named axes: they advance in lockstep instead of
     /// crossing (members must have equal lengths).
     pub fn zip(mut self, members: &[&str]) -> Self {
@@ -723,7 +683,6 @@ impl ExperimentSpec {
                 },
                 Axis::Rung(v) => cfg.n_cell = v[i],
                 Axis::Storage(v) => storage = Some(v[i]),
-                Axis::Delivery(v) => cfg.backend = v[i].backend(),
             }
         }
         cfg.name = label;
@@ -1005,19 +964,6 @@ fn parse_axis(key: &str, value: &TomlValue) -> Result<Axis, SpecError> {
                 .collect::<Result<_, _>>()
                 .map_err(SpecError::Parse)?,
         )),
-        "delivery" => Ok(Axis::Delivery(
-            strings()?
-                .into_iter()
-                .map(|s| match s {
-                    "storage" => Ok(Delivery::Storage),
-                    "stream" => Ok(Delivery::Stream),
-                    "deferred" => Ok(Delivery::Deferred),
-                    other => Err(SpecError::Parse(format!(
-                        "unknown delivery '{other}' (storage, stream, deferred)"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        )),
         other => Err(SpecError::UnknownAxis(other.to_string())),
     }
 }
@@ -1267,41 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_axis_maps_to_canonical_backends() {
-        let cells = ExperimentSpec::new("t")
-            .base(base("m"))
-            .deliveries(&[Delivery::Storage, Delivery::Stream, Delivery::Deferred])
-            .compile()
-            .unwrap();
-        let labels: Vec<&str> = cells.iter().map(|c| c.config.name.as_str()).collect();
-        assert_eq!(labels, ["m_storage", "m_stream", "m_deferred"]);
-        let backends: Vec<String> = cells.iter().map(|c| c.config.backend.name()).collect();
-        assert_eq!(backends, ["fpp", "streaming", "deferred:1"]);
-        assert!(cells[1].config.backend.in_transit());
-    }
-
-    #[test]
-    fn delivery_axis_parses_from_toml() {
-        let spec = ExperimentSpec::from_toml(
-            r#"
-            [experiment]
-            name = "d"
-            [axes]
-            delivery = ["storage", "stream"]
-            "#,
-        )
-        .unwrap();
-        let cells = spec.compile().unwrap();
-        assert_eq!(cells.len(), 2);
-        assert!(cells[1].config.backend.in_transit());
-
-        let bad = ExperimentSpec::from_toml("[axes]\ndelivery = [\"carrier-pigeon\"]").unwrap_err();
-        assert!(bad
-            .to_string()
-            .contains("unknown delivery 'carrier-pigeon'"));
-    }
-
-    #[test]
     fn toml_round_trip_compiles_the_matrix() {
         let spec = ExperimentSpec::from_toml(
             r#"
@@ -1360,6 +1271,11 @@ mod tests {
             ExperimentSpec::from_toml("[axes]\nghost = [1]").unwrap_err(),
             SpecError::UnknownAxis(_)
         ));
+        // The retired `delivery` axis: spell the values on `backend`.
+        assert!(matches!(
+            ExperimentSpec::from_toml("[axes]\ndelivery = [\"stream\"]").unwrap_err(),
+            SpecError::UnknownAxis(axis) if axis == "delivery"
+        ));
         assert!(ExperimentSpec::from_toml("[base]\nnot_a_field = 3").is_err());
         let unequal = ExperimentSpec::from_toml(
             "[experiment]\nzip = [\"backend+codec\"]\n[axes]\nbackend = [\"fpp\"]\ncodec = [\"identity\", \"rle:2\"]",
@@ -1384,5 +1300,26 @@ mod tests {
         }
         assert!(StorageProfile::parse("summit:1.5").is_err());
         assert!(StorageProfile::parse("lustre:3").is_err());
+    }
+
+    #[test]
+    fn ideal_bandwidth_must_be_positive() {
+        // Regression: a zero or NaN bandwidth starves every request (the
+        // run hung) and a negative one finished before it started.
+        for (spelling, value) in [
+            ("ideal:4:0", "0"),
+            ("ideal:4:nan", "NaN"),
+            ("ideal:4:-1", "-1"),
+        ] {
+            let err = StorageProfile::parse(spelling).unwrap_err();
+            assert!(err.contains(&format!("got {value}")), "{spelling}: {err}");
+        }
+        assert!(matches!(
+            ExperimentSpec::from_toml("[axes]\nstorage = [\"ideal:4:0\"]").unwrap_err(),
+            SpecError::Parse(_)
+        ));
+        // An infinitely fast model stays a legal idealisation.
+        let fast = StorageProfile::parse("ideal:1:inf").unwrap();
+        assert_eq!(StorageProfile::parse(&fast.name()).unwrap(), fast);
     }
 }

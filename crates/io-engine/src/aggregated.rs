@@ -38,13 +38,12 @@
 //! rewritten index removes.
 
 use crate::backend::{
-    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
-    VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats,
 };
-use crate::layout::{index_tail, FileBuild, Source, Span, SpanReader};
+use crate::layout::{index_tail, read_file_exact, FileBuild, Source, Span, SpanReader};
 use crate::selection::ReadSelection;
 use bytes::Bytes;
-use iosim::IoKind;
+use iosim::{IoKind, IoTracker, Vfs};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
@@ -81,8 +80,8 @@ struct RetainedStep {
 
 /// The aggregating backend (see module docs).
 pub struct Aggregated<'a> {
-    vfs: VfsHandle<'a>,
-    tracker: TrackerHandle<'a>,
+    vfs: &'a dyn Vfs,
+    tracker: &'a IoTracker,
     /// Producer tasks per aggregator (>= 1).
     ratio: usize,
     cur: OpenStep<AggStep>,
@@ -92,14 +91,10 @@ pub struct Aggregated<'a> {
 
 impl<'a> Aggregated<'a> {
     /// A backend aggregating `ratio` producer tasks per subfile.
-    pub fn new(
-        vfs: impl Into<VfsHandle<'a>>,
-        tracker: impl Into<TrackerHandle<'a>>,
-        ratio: usize,
-    ) -> Self {
+    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker, ratio: usize) -> Self {
         Self {
-            vfs: vfs.into(),
-            tracker: tracker.into(),
+            vfs,
+            tracker,
             ratio: ratio.max(1),
             cur: OpenStep::closed(),
             retained: HashMap::new(),
@@ -228,7 +223,7 @@ impl IoBackend for Aggregated<'_> {
         let mut subfiles = BTreeMap::new();
         for (agg, (mut file, table)) in cur.aggs {
             let path = format!("{}/data.{agg}", cur.dir);
-            file.write_now(&*self.vfs, &path)?;
+            file.write_now(self.vfs, &path)?;
             file.book(path, &mut stats);
             if !table.is_empty() {
                 index_segs.push(Bytes::from(table));
@@ -273,7 +268,7 @@ impl IoBackend for Aggregated<'_> {
             .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        let mut reader = SpanReader::new(&self.tracker, step, sel);
+        let mut reader = SpanReader::new(self.tracker, step, sel);
 
         // Resolve the chunk table: seek through the on-disk md.idx when
         // the step materialized one (the honest restart path), falling
@@ -281,7 +276,7 @@ impl IoBackend for Aggregated<'_> {
         let index_path = format!("{}/md.idx", info.dir);
         let index_content = info
             .index_written
-            .then(|| self.vfs.read_file_exact_shared(&index_path))
+            .then(|| read_file_exact(self.vfs, &index_path))
             .flatten();
         let (on_disk, meta_blob) = match &index_content {
             Some(content) => {
@@ -310,7 +305,7 @@ impl IoBackend for Aggregated<'_> {
         // match stay unopened.
         for (agg, subfile) in on_disk.as_ref().unwrap_or(&info.subfiles) {
             let path = format!("{}/data.{agg}", info.dir);
-            reader.read_file(&path, subfile, Source::Stored(&self.vfs))?;
+            reader.read_file(&path, subfile, Source::Stored(self.vfs))?;
         }
         // Metadata chunks: cut out of the index file's embedded blob
         // (already fetched with the index request), filtered like data.
@@ -328,7 +323,7 @@ impl IoBackend for Aggregated<'_> {
 mod tests {
     use super::*;
     use crate::backend::Payload;
-    use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
+    use iosim::{IoKey, MemFs};
 
     fn put(task: u32, kind: IoKind, path: &str, data: &[u8]) -> Put {
         Put {

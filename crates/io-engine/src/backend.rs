@@ -2,11 +2,9 @@
 
 use crate::selection::ReadSelection;
 use bytes::Bytes;
-use iosim::{IoKey, IoKind, IoTracker, ReadRequest, Vfs, WriteRequest};
+use iosim::{IoKey, IoKind, ReadRequest, WriteRequest};
 use mpi_sim::NetworkModel;
 use std::io;
-use std::ops::Deref;
-use std::sync::Arc;
 
 /// Payload of one [`Put`]: real bytes, or a size for account-only runs
 /// (the oracle engine sizes terabyte-scale dumps without materializing
@@ -268,101 +266,6 @@ impl EngineReport {
         self.bytes += stats.bytes;
         self.logical_bytes += stats.logical_bytes;
         self.overhead_bytes += stats.overhead_bytes;
-    }
-}
-
-/// A filesystem handle a backend can hold either borrowed (synchronous
-/// backends) or shared (backends that flush from worker threads). It
-/// dereferences to the [`Vfs`] it holds.
-#[derive(Clone)]
-pub enum VfsHandle<'a> {
-    /// Borrowed from the caller; writes happen on the calling thread.
-    Borrowed(&'a dyn Vfs),
-    /// Shared ownership; writes may happen on drain threads.
-    Shared(Arc<dyn Vfs>),
-}
-
-impl<'a> Deref for VfsHandle<'a> {
-    type Target = dyn Vfs + 'a;
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            VfsHandle::Borrowed(v) => *v,
-            VfsHandle::Shared(v) => v.as_ref(),
-        }
-    }
-}
-
-impl VfsHandle<'_> {
-    /// Exact full content of a file: `None` when the file is absent *or*
-    /// its retained content is truncated below its size (content-limited
-    /// in-memory filesystems) — readers then fall back to modeled reads.
-    pub fn read_file_exact(&self, path: &str) -> Option<Vec<u8>> {
-        let size = self.file_size(path)?;
-        let content = self.read_file(path)?;
-        (content.len() as u64 == size).then_some(content)
-    }
-
-    /// [`VfsHandle::read_file_exact`], but zero-copy: the returned
-    /// [`Bytes`] shares the filesystem's stored buffer, and chunk
-    /// sub-slices of it share it too.
-    pub fn read_file_exact_shared(&self, path: &str) -> Option<Bytes> {
-        let size = self.file_size(path)?;
-        let content = self.read_file_shared(path)?;
-        (content.len() as u64 == size).then_some(content)
-    }
-
-    /// The shared handle, when this is one.
-    pub fn shared(&self) -> Option<Arc<dyn Vfs>> {
-        match self {
-            VfsHandle::Borrowed(_) => None,
-            VfsHandle::Shared(v) => Some(Arc::clone(v)),
-        }
-    }
-}
-
-impl<'a> From<&'a dyn Vfs> for VfsHandle<'a> {
-    fn from(v: &'a dyn Vfs) -> Self {
-        VfsHandle::Borrowed(v)
-    }
-}
-
-impl<'a> From<Arc<dyn Vfs>> for VfsHandle<'a> {
-    fn from(v: Arc<dyn Vfs>) -> Self {
-        VfsHandle::Shared(v)
-    }
-}
-
-/// A tracker handle, borrowed or shared (mirrors [`VfsHandle`]); it
-/// dereferences to the [`IoTracker`] it holds.
-#[derive(Clone)]
-pub enum TrackerHandle<'a> {
-    /// Borrowed from the caller.
-    Borrowed(&'a IoTracker),
-    /// Shared ownership.
-    Shared(Arc<IoTracker>),
-}
-
-impl Deref for TrackerHandle<'_> {
-    type Target = IoTracker;
-
-    fn deref(&self) -> &IoTracker {
-        match self {
-            TrackerHandle::Borrowed(t) => t,
-            TrackerHandle::Shared(t) => t,
-        }
-    }
-}
-
-impl<'a> From<&'a IoTracker> for TrackerHandle<'a> {
-    fn from(t: &'a IoTracker) -> Self {
-        TrackerHandle::Borrowed(t)
-    }
-}
-
-impl<'a> From<Arc<IoTracker>> for TrackerHandle<'a> {
-    fn from(t: Arc<IoTracker>) -> Self {
-        TrackerHandle::Shared(t)
     }
 }
 

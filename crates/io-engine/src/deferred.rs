@@ -1,43 +1,33 @@
-//! Deferred (burst-buffer) backend: double-buffered staging with an
-//! asynchronous drain pool.
+//! Deferred (burst-buffer) backend: double-buffered staging, flushed one
+//! step late.
 //!
 //! What it adds to the shared layout plane (`layout.rs`): placement is
 //! [`crate::FilePerProcess`]'s — one file per logical path, so the read
 //! path is the same retained file list — and only the **delivery**
 //! differs: a sealed file is *staged*, not written. Puts stage in memory
 //! at full speed (the "burst buffer absorb" phase); the physical flush of
-//! step `k` happens while the application computes step `k+1`, modelling
-//! in-transit staging (AMRIC-style):
+//! step `k` happens at the next `end_step` / read / `close`, modelling
+//! in-transit staging (AMRIC-style) with two staging buffers.
 //!
-//! * with a shared (`Arc`) filesystem handle, a pool of drain threads
-//!   performs the writes truly asynchronously; `end_step` blocks only
-//!   while the *previous* step is still draining (two staging buffers);
-//! * with a borrowed handle (no `'static` lifetime for threads), the
-//!   previous step's staging is flushed inline at the next `end_step` /
-//!   `close`, preserving the same deferred write ordering.
-//!
-//! Either way [`IoBackend::overlapped`] reports `true`, and the burst
-//! scheduler in `iosim` overlaps the simulated drain with the following
-//! compute phase — which is what makes deferred runs finish in less
-//! simulated wall-clock than file-per-process for the same byte volume.
-//! Reads barrier any in-flight drain first (read-after-write
-//! consistency), and a failed drain write surfaces at the next barrier
-//! with its original [`io::ErrorKind`], the file's path and the step.
+//! The overlap itself is simulated, not performed: [`IoBackend::overlapped`]
+//! reports `true`, and the burst scheduler in `iosim` overlaps the
+//! simulated drain with the following compute phase — which is what
+//! makes deferred runs finish in less simulated wall-clock than
+//! file-per-process for the same byte volume. Reads barrier the staged
+//! step first (read-after-write consistency), and a failed drain write
+//! surfaces at the next barrier with its original [`io::ErrorKind`], the
+//! file's path and the step.
 
 use crate::backend::{
-    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
-    VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats,
 };
 use crate::fpp::{StepBuild, StepFiles};
 use crate::layout::{Source, SpanReader};
 use crate::selection::ReadSelection;
 use bytes::Bytes;
-use iosim::Vfs;
+use iosim::{IoTracker, Vfs};
 use std::collections::HashMap;
 use std::io;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 /// One staged physical file awaiting drain. Content is the put
 /// payloads' shared segments — staging holds references to the same
@@ -69,115 +59,11 @@ impl StagedFile {
     }
 }
 
-/// Shared drain-pool state: outstanding file count and the first drain
-/// failure since the last barrier.
-struct PoolState {
-    outstanding: Mutex<usize>,
-    idle: Condvar,
-    first_error: Mutex<Option<io::Error>>,
-}
-
-/// A pool of threads flushing staged files to a shared [`Vfs`].
-struct DrainPool {
-    tx: Option<Sender<StagedFile>>,
-    state: Arc<PoolState>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl DrainPool {
-    fn new(vfs: Arc<dyn Vfs>, nworkers: usize) -> Self {
-        let (tx, rx) = channel::<StagedFile>();
-        let rx = Arc::new(Mutex::new(rx));
-        let state = Arc::new(PoolState {
-            outstanding: Mutex::new(0),
-            idle: Condvar::new(),
-            first_error: Mutex::new(None),
-        });
-        let workers = (0..nworkers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let vfs = Arc::clone(&vfs);
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || loop {
-                    let msg = {
-                        let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.recv()
-                    };
-                    let Ok(file) = msg else { return };
-                    if let Err(e) = file.drain(vfs.as_ref()) {
-                        let mut first = state.first_error.lock().unwrap_or_else(|e| e.into_inner());
-                        first.get_or_insert(e);
-                    }
-                    let mut n = state.outstanding.lock().unwrap_or_else(|e| e.into_inner());
-                    *n -= 1;
-                    if *n == 0 {
-                        state.idle.notify_all();
-                    }
-                })
-            })
-            .collect();
-        Self {
-            tx: Some(tx),
-            state,
-            workers,
-        }
-    }
-
-    fn submit(&self, files: Vec<StagedFile>) {
-        let tx = self.tx.as_ref().expect("drain pool closed");
-        {
-            let mut n = self
-                .state
-                .outstanding
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *n += files.len();
-        }
-        for f in files {
-            tx.send(f).expect("drain pool receiver alive");
-        }
-    }
-
-    /// Blocks until every submitted file has been flushed; the first
-    /// failure among them, if any, is the result.
-    fn wait_idle(&self) -> io::Result<()> {
-        let mut n = self
-            .state
-            .outstanding
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        while *n > 0 {
-            n = self.state.idle.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-        let first = self
-            .state
-            .first_error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        first.map_or(Ok(()), Err)
-    }
-
-    fn shutdown(&mut self) {
-        self.tx.take(); // closing the channel stops the workers
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for DrainPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// The burst-buffer backend (see module docs).
 pub struct Deferred<'a> {
-    vfs: VfsHandle<'a>,
-    tracker: TrackerHandle<'a>,
-    pool: Option<DrainPool>,
-    /// Staged files awaiting inline flush (borrowed-handle mode only).
+    vfs: &'a dyn Vfs,
+    tracker: &'a IoTracker,
+    /// The previous step's staged files, flushed at the next barrier.
     pending: Vec<StagedFile>,
     cur: OpenStep<StepBuild>,
     /// Per-step retained files for the read path (layout == fpp).
@@ -186,20 +72,11 @@ pub struct Deferred<'a> {
 }
 
 impl<'a> Deferred<'a> {
-    /// A deferred backend over `vfs`, staging through `nworkers` drain
-    /// threads when the handle is shared (threads need `'static` access;
-    /// with a borrowed handle the drain degrades to flush-at-next-step).
-    pub fn new(
-        vfs: impl Into<VfsHandle<'a>>,
-        tracker: impl Into<TrackerHandle<'a>>,
-        nworkers: usize,
-    ) -> Self {
-        let vfs = vfs.into();
-        let pool = vfs.shared().map(|shared| DrainPool::new(shared, nworkers));
+    /// A deferred backend over `vfs`.
+    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker) -> Self {
         Self {
             vfs,
-            tracker: tracker.into(),
-            pool,
+            tracker,
             pending: Vec::new(),
             cur: OpenStep::closed(),
             retained: HashMap::new(),
@@ -207,19 +84,10 @@ impl<'a> Deferred<'a> {
         }
     }
 
-    /// True when a real drain pool is running (shared handle).
-    pub fn is_async(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    /// Flushes the previous step's staging (inline mode) or waits for the
-    /// pool to finish it (async mode).
+    /// Flushes the previous step's staging.
     fn drain_previous(&mut self) -> io::Result<()> {
-        if let Some(pool) = &self.pool {
-            pool.wait_idle()?;
-        }
         for f in self.pending.drain(..) {
-            f.drain(&*self.vfs)?;
+            f.drain(self.vfs)?;
         }
         Ok(())
     }
@@ -269,11 +137,7 @@ impl IoBackend for Deferred<'_> {
             });
         }
         self.retained.insert(stats.step, files);
-        if let Some(pool) = &self.pool {
-            pool.submit(staged);
-        } else {
-            self.pending = staged;
-        }
+        self.pending = staged;
         self.report.add_step(&stats);
         Ok(stats)
     }
@@ -286,23 +150,18 @@ impl IoBackend for Deferred<'_> {
     ) -> io::Result<StepRead> {
         self.cur.assert_closed("read_step");
         // Read-after-write consistency: the requested step may still be
-        // staged (in the drain pool or the inline pending buffer) —
-        // barrier every in-flight drain before touching the filesystem.
+        // staged — flush it before touching the filesystem.
         self.drain_previous()?;
         let files = self
             .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        SpanReader::new(&self.tracker, step, sel).read_files(files, Source::Stored(&self.vfs))
+        SpanReader::new(self.tracker, step, sel).read_files(files, Source::Stored(self.vfs))
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
         self.cur.assert_closed("close");
         self.drain_previous()?;
-        if let Some(pool) = &mut self.pool {
-            pool.shutdown();
-        }
-        self.pool = None;
         Ok(self.report.clone())
     }
 }
@@ -327,11 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_mode_defers_writes_one_step() {
+    fn writes_are_deferred_one_step() {
         let fs = MemFs::new();
         let tracker = IoTracker::new();
-        let mut b = Deferred::new(&fs as &dyn Vfs, &tracker, 2);
-        assert!(!b.is_async());
+        let mut b = Deferred::new(&fs, &tracker);
 
         b.begin_step(1, "/");
         b.put(put(1, 0, "/s1", b"one")).unwrap();
@@ -352,31 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn async_mode_flushes_through_worker_threads() {
-        let fs: Arc<dyn Vfs> = Arc::new(MemFs::new());
-        let tracker = Arc::new(IoTracker::new());
-        let mut b = Deferred::new(Arc::clone(&fs), Arc::clone(&tracker), 2);
-        assert!(b.is_async());
-        for step in 1..=4u32 {
-            b.begin_step(step, "/");
-            b.put(put(step, 0, &format!("/f{step}"), b"payload"))
-                .unwrap();
-            b.put(put(step, 1, &format!("/g{step}"), b"payload2"))
-                .unwrap();
-            b.end_step().unwrap();
-        }
-        let report = b.close().unwrap();
-        assert_eq!(report.files, 8);
-        assert_eq!(fs.nfiles(), 8);
-        assert_eq!(fs.read_file("/f3"), Some(b"payload".to_vec()));
-        assert_eq!(tracker.total_bytes(), report.bytes);
-    }
-
-    #[test]
     fn stats_match_fpp_layout() {
         let fs = MemFs::new();
         let tracker = IoTracker::new();
-        let mut b = Deferred::new(&fs as &dyn Vfs, &tracker, 1);
+        let mut b = Deferred::new(&fs, &tracker);
         b.begin_step(1, "/");
         b.put(put(1, 0, "/shared", b"aa")).unwrap();
         b.put(put(1, 1, "/shared", b"bb")).unwrap();
@@ -391,11 +228,11 @@ mod tests {
 
     #[test]
     fn read_step_barriers_staged_drains() {
-        // The just-ended step is still staged (borrowed mode defers it);
-        // a restart read must flush it first and then round-trip.
+        // The just-ended step is still staged; a restart read must flush
+        // it first and then round-trip.
         let fs = MemFs::new();
         let tracker = IoTracker::new();
-        let mut b = Deferred::new(&fs as &dyn Vfs, &tracker, 1);
+        let mut b = Deferred::new(&fs, &tracker);
         b.begin_step(1, "/");
         b.put(put(1, 0, "/s1", b"staged")).unwrap();
         b.end_step().unwrap();
@@ -407,27 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn async_read_step_waits_for_drain_pool() {
-        let fs: Arc<dyn Vfs> = Arc::new(MemFs::new());
-        let tracker = Arc::new(IoTracker::new());
-        let mut b = Deferred::new(Arc::clone(&fs), Arc::clone(&tracker), 2);
-        for step in 1..=3u32 {
-            b.begin_step(step, "/");
-            b.put(put(step, 0, &format!("/f{step}"), b"payload"))
-                .unwrap();
-            b.end_step().unwrap();
-        }
-        // Reading the last (possibly in-flight) step must see its bytes.
-        let read = b.read_step(3, "/").unwrap();
-        assert_eq!(read.logical_content("/f3"), Some(b"payload".to_vec()));
-        b.close().unwrap();
-    }
-
-    #[test]
     fn reports_overlap_capability() {
         let fs = MemFs::new();
         let tracker = IoTracker::new();
-        let b = Deferred::new(&fs as &dyn Vfs, &tracker, 1);
+        let b = Deferred::new(&fs, &tracker);
         assert!(b.overlapped());
     }
 
@@ -469,7 +289,7 @@ mod tests {
 
     /// A failed drain write surfaces at the next barrier — `end_step`,
     /// `read_step` or `close` — with the original kind, the path and the
-    /// step, inline and pooled alike.
+    /// step.
     #[test]
     fn drain_failure_keeps_its_kind_path_and_step() {
         fn poison() -> PoisonFs {
@@ -506,15 +326,7 @@ mod tests {
         for (name, barrier) in barriers {
             let fs = poison();
             let tracker = IoTracker::new();
-            check(
-                Deferred::new(&fs as &dyn Vfs, &tracker, 1),
-                barrier,
-                &format!("inline {name}"),
-            );
-            let shared: Arc<dyn Vfs> = Arc::new(poison());
-            let pooled = Deferred::new(shared, Arc::new(IoTracker::new()), 2);
-            assert!(pooled.is_async());
-            check(pooled, barrier, &format!("pooled {name}"));
+            check(Deferred::new(&fs, &tracker), barrier, name);
         }
     }
 }

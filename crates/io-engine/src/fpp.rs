@@ -21,11 +21,11 @@
 //! is seeked through its spans.
 
 use crate::backend::{
-    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
-    VfsHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats,
 };
 use crate::layout::{FileBuild, Source, SpanReader};
 use crate::selection::ReadSelection;
+use iosim::{IoTracker, Vfs};
 use std::collections::HashMap;
 use std::io;
 
@@ -80,8 +80,8 @@ pub(crate) type StepFiles = Vec<(String, FileBuild)>;
 
 /// The N-to-N backend (see module docs).
 pub struct FilePerProcess<'a> {
-    vfs: VfsHandle<'a>,
-    tracker: TrackerHandle<'a>,
+    vfs: &'a dyn Vfs,
+    tracker: &'a IoTracker,
     cur: OpenStep<StepBuild>,
     /// Per-step retained files for the read path.
     retained: HashMap<u32, StepFiles>,
@@ -90,10 +90,10 @@ pub struct FilePerProcess<'a> {
 
 impl<'a> FilePerProcess<'a> {
     /// A backend writing through `vfs` and recording into `tracker`.
-    pub fn new(vfs: impl Into<VfsHandle<'a>>, tracker: impl Into<TrackerHandle<'a>>) -> Self {
+    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker) -> Self {
         Self {
-            vfs: vfs.into(),
-            tracker: tracker.into(),
+            vfs,
+            tracker,
             cur: OpenStep::closed(),
             retained: HashMap::new(),
             report: EngineReport::default(),
@@ -127,7 +127,7 @@ impl IoBackend for FilePerProcess<'_> {
         let mut stats = StepStats::of(cur.step);
         let mut files = cur.into_files();
         for (path, build) in &mut files {
-            build.write_now(&*self.vfs, path)?;
+            build.write_now(self.vfs, path)?;
             build.book(path.clone(), &mut stats);
         }
         self.retained.insert(stats.step, files);
@@ -146,7 +146,7 @@ impl IoBackend for FilePerProcess<'_> {
             .retained
             .get(&step)
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never written"))?;
-        SpanReader::new(&self.tracker, step, sel).read_files(files, Source::Stored(&self.vfs))
+        SpanReader::new(self.tracker, step, sel).read_files(files, Source::Stored(self.vfs))
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
@@ -159,7 +159,7 @@ impl IoBackend for FilePerProcess<'_> {
 mod tests {
     use super::*;
     use crate::backend::Payload;
-    use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
+    use iosim::{IoKey, IoKind, MemFs};
 
     fn put(step: u32, task: u32, path: &str, data: &[u8]) -> Put {
         Put {

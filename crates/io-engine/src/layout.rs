@@ -6,7 +6,7 @@
 //! layout carries them — the layout is the one thing a writer chooses
 //! (Wan et al., PAPERS.md). So a backend is only a **placement rule**
 //! (which physical file a put is appended to) plus a **delivery** (what
-//! happens to a sealed file: written now, staged to a drain pool, shipped
+//! happens to a sealed file: written now, staged one step late, shipped
 //! to a consumer window). Everything in between is stated once, here:
 //!
 //! * [`Span`] — the boundaries of one put inside a physical file;
@@ -19,7 +19,7 @@
 //!   payloads out zero-copy, record the tracker's read plane, and price
 //!   the fetch as one [`ReadRequest`] per maximal contiguous range.
 
-use crate::backend::{ChunkRead, Payload, ReadStats, StepRead, StepStats, VfsHandle};
+use crate::backend::{ChunkRead, Payload, ReadStats, StepRead, StepStats};
 use crate::selection::ReadSelection;
 use bytes::Bytes;
 use iosim::{IoKey, IoKind, IoTracker, ReadRequest, Vfs};
@@ -291,13 +291,24 @@ impl RangeCoalescer {
 pub(crate) enum Source<'a> {
     /// On the filesystem: fetched on first match and priced — the file
     /// counts as opened, and its matched ranges become read requests.
-    Stored(&'a VfsHandle<'a>),
+    Stored(&'a dyn Vfs),
     /// A region the caller already fetched and priced (the metadata blob
     /// of an index file); `None` when the index never materialized.
     Fetched(Option<&'a Bytes>),
     /// The streaming consumer window: the file's own retained segments,
     /// one per span — no storage plane at all.
     Window,
+}
+
+/// Exact full content of a stored file, zero-copy (the returned [`Bytes`]
+/// shares the filesystem's buffer, and chunk sub-slices of it share it
+/// too): `None` when the file is absent *or* its retained content is
+/// truncated below its size (content-limited in-memory filesystems) —
+/// readers then fall back to modeled reads.
+pub(crate) fn read_file_exact(vfs: &dyn Vfs, path: &str) -> Option<Bytes> {
+    let size = vfs.file_size(path)?;
+    let content = vfs.read_file_shared(path)?;
+    (content.len() as u64 == size).then_some(content)
 }
 
 /// The one selective span reader (see module docs): backends walk their
@@ -355,7 +366,7 @@ impl<'a> SpanReader<'a> {
         }
         let held = match source {
             _ if file.account_only => Held::Modeled,
-            Source::Stored(vfs) => match vfs.read_file_exact_shared(path) {
+            Source::Stored(vfs) => match read_file_exact(vfs, path) {
                 Some(content) => Held::Whole(content),
                 None if vfs.file_size(path).is_none() => {
                     return Err(io::Error::new(

@@ -14,8 +14,8 @@
 //!   from N producers funnel into `ceil(N / ratio)` aggregator subfiles
 //!   per step plus one index/metadata file, with chunk coalescing.
 //! * [`Deferred`] — a burst-buffer model: puts stage in memory,
-//!   double-buffered; a drain pool flushes the previous step's staging
-//!   while the application computes, so compute and flush overlap.
+//!   double-buffered, and land one step late; the simulated clock
+//!   overlaps the drain with the next compute phase.
 //! * [`Streaming`] — ADIOS2/SST-style in-transit staging: steps ship to
 //!   consumer ranks as point-to-point transfers over a modeled
 //!   interconnect ([`mpi_sim::NetworkModel`]), and analysis reads are
@@ -46,7 +46,7 @@
 //! Underneath, every backend shares one private **layout plane**: a
 //! backend is only a *placement rule* (which physical file a put is
 //! appended to — per path, per aggregator, per level) plus a *delivery*
-//! (write now, stage to a drain pool, ship to a consumer window). A put's
+//! (write now, stage one step late, ship to a consumer window). A put's
 //! span inside a physical file, the file being assembled and retained,
 //! and the selective reader that cuts spans back out are stated once,
 //! for all of them (`docs/MODEL.md` has the table).
@@ -150,7 +150,7 @@ pub mod streaming;
 pub use aggregated::Aggregated;
 pub use backend::{
     unsupported_read, ChunkRead, EngineReport, IoBackend, Payload, Put, ReadStats, StepRead,
-    StepStats, TrackerHandle, VfsHandle,
+    StepStats,
 };
 pub use codec::{Codec, CodecContext, CodecSpec, Identity, LossyQuant, Rle};
 pub use deferred::Deferred;

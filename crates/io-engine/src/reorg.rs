@@ -54,13 +54,13 @@
 //! wall-clock win is cleanest on bandwidth-bound (few-server) storage,
 //! which is where the examples and regression tests pin it.
 
-use crate::backend::{IoBackend, ReadStats, StepRead, StepStats, TrackerHandle, VfsHandle};
+use crate::backend::{IoBackend, ReadStats, StepRead, StepStats};
 use crate::codec::{encode_payload, Codec, CodecContext, CodecSpec};
-use crate::layout::{index_tail, FileBuild, Source, Span, SpanReader};
+use crate::layout::{index_tail, read_file_exact, FileBuild, Source, Span, SpanReader};
 use crate::selection::ReadSelection;
 use crate::stage::decode_chunks;
 use bytes::Bytes;
-use iosim::{IoKind, WriteRequest};
+use iosim::{IoKind, IoTracker, Vfs, WriteRequest};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
@@ -114,8 +114,8 @@ pub struct ReorgStats {
 /// The online reorganization pass and the read-optimized layout it
 /// produces (see module docs).
 pub struct Reorganizer<'a> {
-    vfs: VfsHandle<'a>,
-    tracker: TrackerHandle<'a>,
+    vfs: &'a dyn Vfs,
+    tracker: &'a IoTracker,
     codec: Box<dyn Codec>,
     steps: HashMap<u32, ReorgStep>,
 }
@@ -125,14 +125,10 @@ impl<'a> Reorganizer<'a> {
     /// into `tracker`'s read plane, and re-encoding data chunks through
     /// `codec` (pass the run's codec to keep the reorganized layout at
     /// wire size; [`CodecSpec::Identity`] stores logical bytes).
-    pub fn new(
-        vfs: impl Into<VfsHandle<'a>>,
-        tracker: impl Into<TrackerHandle<'a>>,
-        codec: CodecSpec,
-    ) -> Self {
+    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker, codec: CodecSpec) -> Self {
         Self {
-            vfs: vfs.into(),
-            tracker: tracker.into(),
+            vfs,
+            tracker,
             codec: codec.build(),
             steps: HashMap::new(),
         }
@@ -244,7 +240,7 @@ impl<'a> Reorganizer<'a> {
             // Attributed to the lowest task with data at this level.
             file.rank = file.spans.iter().map(|c| c.key.task).min().unwrap_or(0);
             let path = format!("{dir}/level.{level}");
-            file.write_now(&*self.vfs, &path)?;
+            file.write_now(self.vfs, &path)?;
             written.add_file(file.rank as usize, path, file.bytes(), 0);
             retained.insert(level, (file, table.len() as u64));
         }
@@ -305,7 +301,7 @@ impl<'a> Reorganizer<'a> {
                 format!("reorg read: step {step} was never reorganized"),
             )
         })?;
-        let mut reader = SpanReader::new(&self.tracker, step, sel);
+        let mut reader = SpanReader::new(self.tracker, step, sel);
 
         // Index fetch: directory + touched table segments + metadata
         // table + matched metadata bytes.
@@ -335,7 +331,7 @@ impl<'a> Reorganizer<'a> {
         // entry will consume it (data-only queries, the common analysis
         // case, skip the fetch).
         let blob = (!matched_meta.is_empty() && !info.meta.account_only && info.index_written)
-            .then(|| self.vfs.read_file_exact_shared(&index_path))
+            .then(|| read_file_exact(self.vfs, &index_path))
             .flatten()
             .map(|content| index_tail(&content, &index_path, info.blob_offset))
             .transpose()?;
@@ -343,7 +339,7 @@ impl<'a> Reorganizer<'a> {
         // Data: matched chunks per level cluster, then matched metadata.
         for (level, (file, _)) in info.levels.iter().filter(|(level, _)| in_range(level)) {
             let path = format!("{}/level.{level}", info.dir);
-            reader.read_file(&path, file, Source::Stored(&self.vfs))?;
+            reader.read_file(&path, file, Source::Stored(self.vfs))?;
         }
         reader.read_file(&index_path, &info.meta, Source::Fetched(blob.as_ref()))?;
 
@@ -365,7 +361,7 @@ mod tests {
     use super::*;
     use crate::backend::{ChunkRead, Payload, Put};
     use crate::spec::BackendSpec;
-    use iosim::{IoKey, IoTracker, MemFs, Vfs};
+    use iosim::{IoKey, MemFs};
 
     const FIELDS: [&str; 3] = ["density", "pressure", "velocity"];
 

@@ -1,11 +1,12 @@
 //! Backend selection: a small, serializable spec that CLIs and campaign
 //! configs carry, turned into a live backend at run time.
 
-use crate::backend::{IoBackend, TrackerHandle, VfsHandle};
+use crate::backend::IoBackend;
 use crate::codec::CodecSpec;
 use crate::stage::CompressionStage;
 use crate::streaming::Streaming;
 use crate::{Aggregated, Deferred, FilePerProcess};
+use iosim::{IoTracker, Vfs};
 use mpi_sim::NetworkModel;
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +63,10 @@ pub enum BackendSpec {
     /// BP-style two-level aggregation with the given ratio (producer
     /// tasks per aggregator subfile).
     Aggregated(usize),
-    /// Burst-buffer staging with the given drain-pool worker count.
+    /// Burst-buffer staging. The count is part of the cell's name
+    /// (`deferred:<w>` in run labels and content keys) and changes no
+    /// simulated number: the drain is priced by `iosim`, not run by
+    /// host threads.
     Deferred(usize),
     /// In-transit streaming over a modeled interconnect link: steps
     /// ship to consumers instead of storage, analysis reads are served
@@ -175,17 +179,13 @@ impl BackendSpec {
         matches!(self, BackendSpec::Streaming(_))
     }
 
-    /// Builds the live backend over borrowed (or shared, via the handle
-    /// enums) filesystem and tracker handles.
-    pub fn build<'a>(
-        &self,
-        vfs: impl Into<VfsHandle<'a>>,
-        tracker: impl Into<TrackerHandle<'a>>,
-    ) -> Box<dyn IoBackend + 'a> {
+    /// Builds the live backend over borrowed filesystem and tracker
+    /// handles.
+    pub fn build<'a>(&self, vfs: &'a dyn Vfs, tracker: &'a IoTracker) -> Box<dyn IoBackend + 'a> {
         match *self {
             BackendSpec::FilePerProcess => Box::new(FilePerProcess::new(vfs, tracker)),
             BackendSpec::Aggregated(ratio) => Box::new(Aggregated::new(vfs, tracker, ratio)),
-            BackendSpec::Deferred(workers) => Box::new(Deferred::new(vfs, tracker, workers)),
+            BackendSpec::Deferred(_) => Box::new(Deferred::new(vfs, tracker)),
             BackendSpec::Streaming(s) => Box::new(Streaming::new(
                 tracker,
                 s.network(),
@@ -202,14 +202,13 @@ impl BackendSpec {
     pub fn build_with_codec<'a>(
         &self,
         codec: CodecSpec,
-        vfs: impl Into<VfsHandle<'a>>,
-        tracker: impl Into<TrackerHandle<'a>>,
+        vfs: &'a dyn Vfs,
+        tracker: &'a IoTracker,
     ) -> Box<dyn IoBackend + 'a> {
-        let vfs = vfs.into();
         if codec.is_identity() {
             return self.build(vfs, tracker);
         }
-        let inner = self.build(vfs.clone(), tracker);
+        let inner = self.build(vfs, tracker);
         Box::new(CompressionStage::new(inner, codec.build(), vfs))
     }
 }

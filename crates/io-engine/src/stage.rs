@@ -39,12 +39,10 @@
 //! body all keep their capacity from step to step, so a steady-state
 //! step allocates only the encoded payloads themselves.
 
-use crate::backend::{
-    EngineReport, IoBackend, OpenStep, Payload, Put, StepRead, StepStats, VfsHandle,
-};
+use crate::backend::{EngineReport, IoBackend, OpenStep, Payload, Put, StepRead, StepStats};
 use crate::codec::{encode_payload, Codec, CodecContext};
 use crate::selection::ReadSelection;
-use iosim::IoKind;
+use iosim::{IoKind, Vfs};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
@@ -102,7 +100,7 @@ struct SidecarInfo {
 pub struct CompressionStage<'a> {
     inner: Box<dyn IoBackend + 'a>,
     codec: Box<dyn Codec>,
-    vfs: VfsHandle<'a>,
+    vfs: &'a dyn Vfs,
     /// Encode data chunks in parallel at seal time (the default); the
     /// serial mode is the byte-identical reference implementation.
     parallel: bool,
@@ -133,35 +131,27 @@ impl<'a> CompressionStage<'a> {
     /// same filesystem the inner backend writes to). Data chunks are
     /// encoded in parallel at seal time; use
     /// [`CompressionStage::serial`] for the reference serial mode.
-    pub fn new(
-        inner: Box<dyn IoBackend + 'a>,
-        codec: Box<dyn Codec>,
-        vfs: impl Into<VfsHandle<'a>>,
-    ) -> Self {
+    pub fn new(inner: Box<dyn IoBackend + 'a>, codec: Box<dyn Codec>, vfs: &'a dyn Vfs) -> Self {
         Self::with_parallel(inner, codec, vfs, true)
     }
 
     /// The serial reference stage: encodes each put inline on the
     /// calling thread. Byte-identical output to the parallel default —
     /// kept for the property tests that pin that equivalence.
-    pub fn serial(
-        inner: Box<dyn IoBackend + 'a>,
-        codec: Box<dyn Codec>,
-        vfs: impl Into<VfsHandle<'a>>,
-    ) -> Self {
+    pub fn serial(inner: Box<dyn IoBackend + 'a>, codec: Box<dyn Codec>, vfs: &'a dyn Vfs) -> Self {
         Self::with_parallel(inner, codec, vfs, false)
     }
 
     fn with_parallel(
         inner: Box<dyn IoBackend + 'a>,
         codec: Box<dyn Codec>,
-        vfs: impl Into<VfsHandle<'a>>,
+        vfs: &'a dyn Vfs,
         parallel: bool,
     ) -> Self {
         Self {
             inner,
             codec,
-            vfs: vfs.into(),
+            vfs,
             parallel,
             pending: Vec::new(),
             results: Vec::new(),
@@ -424,7 +414,7 @@ mod tests {
     use super::*;
     use crate::codec::{LossyQuant, Rle};
     use crate::FilePerProcess;
-    use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
+    use iosim::{IoKey, IoTracker, MemFs};
 
     fn put(task: u32, kind: IoKind, path: &str, payload: Payload) -> Put {
         Put {

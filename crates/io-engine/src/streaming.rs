@@ -36,18 +36,19 @@
 //! the link never stalls the producer (the defaults).
 
 use crate::backend::{
-    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats, TrackerHandle,
+    unsupported_read, EngineReport, IoBackend, OpenStep, Put, StepRead, StepStats,
 };
 use crate::fpp::{StepBuild, StepFiles};
 use crate::layout::{Source, SpanReader};
 use crate::selection::ReadSelection;
+use iosim::IoTracker;
 use mpi_sim::NetworkModel;
 use std::collections::HashMap;
 use std::io;
 
 /// The in-transit streaming backend (see module docs).
 pub struct Streaming<'a> {
-    tracker: TrackerHandle<'a>,
+    tracker: &'a IoTracker,
     net: NetworkModel,
     /// Window capacity in bytes (`u64::MAX` = unbounded).
     window_cap: u64,
@@ -76,7 +77,7 @@ impl<'a> Streaming<'a> {
     /// that can hold nothing (or a consumer that never drains) deadlocks
     /// the producer by construction.
     pub fn new(
-        tracker: impl Into<TrackerHandle<'a>>,
+        tracker: &'a IoTracker,
         net: NetworkModel,
         window_cap: Option<u64>,
         consumer_rate: Option<f64>,
@@ -91,7 +92,7 @@ impl<'a> Streaming<'a> {
             );
         }
         Self {
-            tracker: tracker.into(),
+            tracker,
             net,
             window_cap: window_cap.unwrap_or(u64::MAX),
             consumer_rate: consumer_rate.unwrap_or(f64::INFINITY),
@@ -251,7 +252,7 @@ impl IoBackend for Streaming<'_> {
             .ok_or_else(|| unsupported_read(&self.name(), step, sel, "step was never streamed"))?;
         // Window-served: logical read plane recorded, physical plane
         // untouched (no files, no bytes, no requests).
-        SpanReader::new(&self.tracker, step, sel).read_files(ship, Source::Window)
+        SpanReader::new(self.tracker, step, sel).read_files(ship, Source::Window)
     }
 
     fn close(&mut self) -> io::Result<EngineReport> {
@@ -264,7 +265,7 @@ impl IoBackend for Streaming<'_> {
 mod tests {
     use super::*;
     use crate::backend::Payload;
-    use iosim::{IoKey, IoKind, IoTracker};
+    use iosim::{IoKey, IoKind};
 
     fn put(step: u32, level: u32, task: u32, path: &str, data: &[u8]) -> Put {
         Put {

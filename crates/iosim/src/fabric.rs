@@ -6,11 +6,13 @@
 //! event-driven clock and accepts bursts from N concurrent tenants via
 //! per-tenant [`FabricHandle`]s. Overlapping bursts time-share each
 //! server's bandwidth exactly the way a single burst's requests always
-//! have (fair processor sharing per server), so a solo tenant's results
-//! are **bit-identical** to [`StorageModel::simulate_burst`] /
-//! [`StorageModel::simulate_read_burst`] — same noise draws, same event
-//! arithmetic, same retirement epsilon (pinned by tests here and by
-//! property tests across the backend × codec matrix).
+//! have, because it is the same code: a burst is priced by the one
+//! [`StorageModel`] pricing rule and served by the one processor-sharing
+//! server (`server.rs`) a private model runs to exhaustion — the fabric
+//! only keeps every server live, interleaves their events in global time
+//! order, and supplies the rate policy. A solo tenant's results are
+//! therefore **bit-identical** to [`StorageModel::simulate_burst`] /
+//! [`StorageModel::simulate_read_burst`].
 //!
 //! On top of plain fair sharing the fabric layers:
 //!
@@ -70,7 +72,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use mpi_sim::NetworkModel;
 
 use crate::schedule::BurstScheduler;
-use crate::storage::{BurstResult, ReadRequest, ReqView, StorageModel, WriteRequest, RETIRE_EPS};
+use crate::server::{Job, RatePolicy, Rates, ServerState};
+use crate::storage::{BurstResult, Class, Priced, ReadRequest, StorageModel, WriteRequest};
 
 /// Per-tenant quality-of-service policy on the fabric.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -175,12 +178,12 @@ impl TenantStats {
 }
 
 /// What a run's burst scheduler is bound to: nothing (byte accounting
-/// only), a private [`StorageModel`] (the legacy solo path), or one
-/// tenant's seat on a shared [`Fabric`].
+/// only), a private [`StorageModel`], or one tenant's seat on a shared
+/// [`Fabric`].
 pub enum StorageAttach<'a> {
     /// No storage timing: bursts are free, only codec CPU costs time.
     None,
-    /// A private storage model — the legacy one-run-one-filesystem path.
+    /// A private storage model: one run, one filesystem.
     Model(&'a StorageModel),
     /// One tenant of a shared machine room.
     Fabric(FabricHandle),
@@ -207,7 +210,6 @@ impl<'a> StorageAttach<'a> {
     }
 }
 
-/// Which bandwidth/latency class a burst runs in.
 /// How a fabric tenant's solo-equivalent wall is produced at seal time.
 ///
 /// The default is an exact shadow replay (the scheduler re-runs the
@@ -288,74 +290,6 @@ impl SoloMemo {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Class {
-    Write,
-    Read,
-}
-
-/// One request in flight on a server. Ordering (and every deterministic
-/// tie-break) uses `(arrival, tenant, seq, req)` — never insertion
-/// order, which depends on thread scheduling.
-#[derive(Clone, Debug)]
-struct Job {
-    tenant: usize,
-    /// Tenant-local burst sequence number.
-    seq: u64,
-    /// Global burst key (completion bookkeeping only).
-    burst: u64,
-    /// Index of this request within its burst's submission order.
-    req: usize,
-    arrival: f64,
-    /// Remaining seconds of service demand.
-    work: f64,
-}
-
-impl Job {
-    fn key(&self) -> (f64, usize, u64, usize) {
-        (self.arrival, self.tenant, self.seq, self.req)
-    }
-
-    fn before(&self, other: &Job) -> bool {
-        let (a, b) = (self.key(), other.key());
-        a.0.total_cmp(&b.0)
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-            .then(a.3.cmp(&b.3))
-            .is_lt()
-    }
-}
-
-/// One server's slice of the shared event engine. Servers never interact
-/// (requests are pinned to servers by path hash, and QoS caps are
-/// per-server fractions), so each keeps its *own* local event time and
-/// its arithmetic sequence is identical to the solo simulation's — the
-/// global loop merely interleaves per-server events in time order.
-#[derive(Clone, Debug, Default)]
-struct ServerState {
-    /// Time of this server's last processed event.
-    last_t: f64,
-    /// Requests currently sharing the server (admission order, which is
-    /// deterministic: arrivals are admitted in `Job::key` order).
-    active: Vec<Job>,
-    /// Future arrivals, sorted *descending* by `Job::key` (pop from the
-    /// end is the earliest).
-    queue: Vec<Job>,
-}
-
-impl ServerState {
-    fn enqueue(&mut self, job: Job) {
-        // Descending order: everything that sorts after `job` stays in
-        // front of it, so popping from the end yields the earliest.
-        let pos = self.queue.partition_point(|q| job.before(q));
-        self.queue.insert(pos, job);
-    }
-
-    fn next_arrival(&self) -> Option<f64> {
-        self.queue.last().map(|j| j.arrival)
-    }
-}
-
 /// An unresolved burst: its owner is parked until `remaining` hits zero.
 #[derive(Debug)]
 struct PendingBurst {
@@ -365,12 +299,6 @@ struct PendingBurst {
     /// True for a mirror slot's copy of a clone-group burst: no thread
     /// is parked on it, so resolving it must not touch `Engine::parked`.
     mirror: bool,
-}
-
-/// A resolved burst, keyed by burst in `Engine::results`.
-#[derive(Debug)]
-struct BurstDone {
-    finish: Vec<f64>,
 }
 
 /// One staging-pool allocation, held from burst handoff until the drain
@@ -458,7 +386,9 @@ struct Engine {
     tenants: Vec<TenantSlot>,
     servers: Vec<ServerState>,
     pending: Vec<PendingBurst>,
-    results: HashMap<u64, BurstDone>,
+    /// Resolved bursts' per-request finish times, until their owners
+    /// collect them.
+    results: HashMap<u64, Vec<f64>>,
     /// Tenants currently parked inside a fabric call.
     parked: usize,
     /// Engine time: the latest resolution (bursts only ever arrive at or
@@ -476,65 +406,46 @@ struct Engine {
     mirrored: bool,
 }
 
-/// Per-job rates over one event interval: actual, uncapped-fair (for
-/// throttle attribution) and solo-equivalent (tenant alone).
-struct Rates {
-    rate: Vec<f64>,
-    fair: Vec<f64>,
-    solo: Vec<f64>,
-    /// True when attribution can be skipped (one tenant, no caps).
-    solo_only: bool,
-}
-
-/// Weighted + capped shares for one server's active set, by
-/// water-filling: capped tenants clamp to their cap, the freed bandwidth
-/// redistributes weight-proportionally among the rest. Iterates in
-/// tenant-index order so float sums are deterministic.
-fn job_rates(active: &[Job], tenants: &[TenantSlot]) -> Rates {
-    let n = active.len();
-    // Group by tenant (sorted by tenant index).
-    let mut groups: Vec<(usize, usize)> = Vec::new(); // (tenant, count)
+/// One server's active jobs by tenant: `(tenant, job count)`, ascending
+/// by tenant index so float sums over groups are deterministic.
+fn tenant_groups(active: &[Job]) -> Vec<(usize, usize)> {
+    let mut groups: Vec<(usize, usize)> = Vec::new();
     for j in active {
         match groups.binary_search_by_key(&j.tenant, |g| g.0) {
             Ok(i) => groups[i].1 += 1,
             Err(i) => groups.insert(i, (j.tenant, 1)),
         }
     }
-    let uniform = active.iter().all(|j| tenants[j.tenant].qos.is_default());
-    let count_of = |tenant: usize| groups[groups.binary_search_by_key(&tenant, |g| g.0).unwrap()].1;
-    if uniform {
-        let rate = 1.0 / n as f64;
-        return Rates {
-            rate: vec![rate; n],
-            fair: vec![rate; n],
-            solo: active
-                .iter()
-                .map(|j| 1.0 / count_of(j.tenant) as f64)
-                .collect(),
-            solo_only: groups.len() == 1,
-        };
-    }
-    // Uncapped weighted shares (the "fair" reference for throttling).
-    let total_wn: f64 = groups
-        .iter()
-        .map(|&(t, c)| tenants[t].qos.weight * c as f64)
-        .sum();
-    let fair_share: Vec<f64> = groups
-        .iter()
-        .map(|&(t, c)| tenants[t].qos.weight * c as f64 / total_wn)
-        .collect();
-    // Water-filling: clamp binding caps, redistribute to the rest.
+    groups
+}
+
+/// The index of `tenant`'s group.
+fn group_of(groups: &[(usize, usize)], tenant: usize) -> usize {
+    groups
+        .binary_search_by_key(&tenant, |g| g.0)
+        .expect("every active job's tenant has a group")
+}
+
+/// Uncapped weight-proportional server shares per tenant group (the
+/// "fair" reference throttling is measured against).
+fn fair_shares(groups: &[(usize, usize)], tenants: &[TenantSlot]) -> Vec<f64> {
+    let weight = |&(t, c): &(usize, usize)| tenants[t].qos.weight * c as f64;
+    let total: f64 = groups.iter().map(weight).sum();
+    groups.iter().map(|g| weight(g) / total).collect()
+}
+
+/// Weighted + capped server shares per tenant group, by water-filling:
+/// capped tenants clamp to their cap, the freed bandwidth redistributes
+/// weight-proportionally among the rest.
+fn water_fill(groups: &[(usize, usize)], tenants: &[TenantSlot]) -> Vec<f64> {
     let mut binding = vec![false; groups.len()];
-    let mut share = fair_share.clone();
+    let mut share = vec![0.0; groups.len()];
     loop {
         let cap_sum: f64 = groups
             .iter()
             .enumerate()
             .filter(|&(g, _)| binding[g])
-            .map(|(g, &(t, _))| {
-                let _ = g;
-                tenants[t].qos.bandwidth_cap.unwrap_or(1.0)
-            })
+            .map(|(_, &(t, _))| tenants[t].qos.bandwidth_cap.unwrap_or(1.0))
             .sum();
         let denom: f64 = groups
             .iter()
@@ -576,27 +487,46 @@ fn job_rates(active: &[Job], tenants: &[TenantSlot]) -> Rates {
             *s /= total;
         }
     }
-    let idx_of = |tenant: usize| groups.binary_search_by_key(&tenant, |g| g.0).unwrap();
-    Rates {
-        rate: active
-            .iter()
-            .map(|j| {
-                let g = idx_of(j.tenant);
-                share[g] / groups[g].1 as f64
-            })
-            .collect(),
-        fair: active
-            .iter()
-            .map(|j| {
-                let g = idx_of(j.tenant);
-                fair_share[g] / groups[g].1 as f64
-            })
-            .collect(),
-        solo: active
-            .iter()
-            .map(|j| 1.0 / count_of(j.tenant) as f64)
-            .collect(),
-        solo_only: false,
+    share
+}
+
+/// The fabric's rate policy is its tenant table: [`QosPolicy`] decides
+/// the rates, [`TenantStats`] takes the attribution.
+impl RatePolicy for [TenantSlot] {
+    fn unequal_rates(&self, active: &[Job]) -> Option<Vec<f64>> {
+        if active.iter().all(|j| self[j.tenant].qos.is_default()) {
+            return None;
+        }
+        let groups = tenant_groups(active);
+        let share = water_fill(&groups, self);
+        let rate = |j: &Job| {
+            let g = group_of(&groups, j.tenant);
+            share[g] / groups[g].1 as f64
+        };
+        Some(active.iter().map(rate).collect())
+    }
+
+    /// Lost service is the gap to the rate a job would have had with its
+    /// tenant alone on the server; the part of it below the tenant's
+    /// uncapped fair rate is its own cap's doing (throttle), the rest is
+    /// other tenants' traffic (contention). An equal split *is* the fair
+    /// rate, so all of its loss is contention.
+    fn attribute(&mut self, active: &[Job], rates: &Rates, elapsed: f64) {
+        let groups = tenant_groups(active);
+        let fair = matches!(rates, Rates::PerJob(_)).then(|| fair_shares(&groups, self));
+        for (i, j) in active.iter().enumerate() {
+            let g = group_of(&groups, j.tenant);
+            let count = groups[g].1 as f64;
+            let rate = rates.of(i);
+            let lost = ((1.0 / count - rate) * elapsed).max(0.0);
+            if lost > 0.0 {
+                let fair = fair.as_ref().map_or(rate, |fair| fair[g] / count);
+                let throttle = ((fair - rate) * elapsed).max(0.0).min(lost);
+                let stats = &mut self[j.tenant].stats;
+                stats.contention_stall += lost - throttle;
+                stats.throttle_stall += throttle;
+            }
+        }
     }
 }
 
@@ -605,11 +535,16 @@ impl Engine {
         self.tenants.iter().filter(|t| !t.finished).count()
     }
 
+    fn new_key(&mut self) -> u64 {
+        self.next_burst += 1;
+        self.next_burst - 1
+    }
+
     /// One scheduling decision, taken only when every live tenant is
     /// parked (the caller guarantees it): first re-check staging waiters
     /// in tenant order (a grant unparks exactly one tenant), else advance
     /// the event engine to the next burst resolution.
-    fn decide(&mut self, model: &StorageModel) {
+    fn decide(&mut self) {
         if let Some(staging) = &mut self.staging {
             let mut order: Vec<usize> = (0..staging.waiters.len()).collect();
             order.sort_by_key(|&i| staging.waiters[i].tenant);
@@ -630,12 +565,12 @@ impl Engine {
                 }
             }
         }
-        self.advance_until_resolution(model);
+        self.advance_until_resolution();
     }
 
     /// Advances the shared clock, processing per-server events in global
     /// time order, until at least one pending burst fully completes.
-    fn advance_until_resolution(&mut self, model: &StorageModel) {
+    fn advance_until_resolution(&mut self) {
         assert!(
             !self.pending.is_empty(),
             "machine-room deadlock: every live tenant is parked waiting for \
@@ -644,170 +579,67 @@ impl Engine {
         );
         loop {
             let mut best: Option<(f64, usize)> = None;
-            for s in 0..self.servers.len() {
-                let Some(t) = self.server_next_event(s) else {
+            for (s, srv) in self.servers.iter().enumerate() {
+                let Some(t) = srv.next_event(s, self.tenants.as_slice()) else {
                     continue;
                 };
-                assert!(
-                    t.is_finite(),
-                    "fabric: starved request on server {s} (QoS shares left zero bandwidth)"
-                );
                 if best.is_none_or(|(bt, _)| t < bt) {
                     best = Some((t, s));
                 }
             }
             let (t, s) = best.expect("a pending burst implies a future server event");
-            if self.process_server_event(s, t, model) {
+            if self.process_server_event(s, t) {
                 return;
             }
         }
     }
 
-    /// This server's next event time: its earliest queued arrival vs the
-    /// earliest completion of its active set at current rates.
-    fn server_next_event(&self, s: usize) -> Option<f64> {
-        let srv = &self.servers[s];
-        let arrive = srv.next_arrival();
-        if srv.active.is_empty() {
-            return arrive;
-        }
-        let uniform = srv
-            .active
-            .iter()
-            .all(|j| self.tenants[j.tenant].qos.is_default());
-        let t_complete = if uniform {
-            // Identical expressions to the solo event loop, so a solo
-            // tenant's event times round identically.
-            let rate = 1.0 / srv.active.len() as f64;
-            let min_work = srv
-                .active
-                .iter()
-                .map(|j| j.work)
-                .fold(f64::INFINITY, f64::min);
-            srv.last_t + min_work / rate
-        } else {
-            let rates = job_rates(&srv.active, &self.tenants);
-            srv.active
-                .iter()
-                .zip(&rates.rate)
-                .map(|(j, &r)| srv.last_t + j.work / r)
-                .fold(f64::INFINITY, f64::min)
-        };
-        Some(match arrive {
-            Some(a) => t_complete.min(a),
-            None => t_complete,
-        })
-    }
-
-    /// Processes one event of server `s` at time `t`: progress the active
-    /// set over `[last_t, t]` (accumulating interference attribution),
-    /// retire finished requests, admit arrivals due at or before `t`.
-    /// Returns true when a burst fully resolved (its result is posted and
-    /// its owner unparked).
-    fn process_server_event(&mut self, s: usize, t: f64, _model: &StorageModel) -> bool {
-        let mut retired: Vec<Job> = Vec::new();
-        {
-            let uniform = self.servers[s]
-                .active
-                .iter()
-                .all(|j| self.tenants[j.tenant].qos.is_default());
-            let srv_last_t = self.servers[s].last_t;
-            if !self.servers[s].active.is_empty() {
-                let elapsed = t - srv_last_t;
-                if uniform {
-                    let rate = 1.0 / self.servers[s].active.len() as f64;
-                    let rates = job_rates(&self.servers[s].active, &self.tenants);
-                    for j in self.servers[s].active.iter_mut() {
-                        j.work -= rate * elapsed;
-                    }
-                    if !rates.solo_only && elapsed > 0.0 {
-                        // Equal sharing across tenants: the whole gap to
-                        // the solo rate is contention.
-                        let losses: Vec<(usize, f64)> = self.servers[s]
-                            .active
-                            .iter()
-                            .zip(&rates.solo)
-                            .map(|(j, &solo)| (j.tenant, ((solo - rate) * elapsed).max(0.0)))
-                            .collect();
-                        for (tenant, loss) in losses {
-                            self.tenants[tenant].stats.contention_stall += loss;
-                        }
-                    }
-                } else {
-                    let rates = job_rates(&self.servers[s].active, &self.tenants);
-                    let mut attributions: Vec<(usize, f64, f64)> = Vec::new();
-                    for (i, j) in self.servers[s].active.iter_mut().enumerate() {
-                        j.work -= rates.rate[i] * elapsed;
-                        if elapsed > 0.0 {
-                            let lost = ((rates.solo[i] - rates.rate[i]) * elapsed).max(0.0);
-                            if lost > 0.0 {
-                                let throttle = ((rates.fair[i] - rates.rate[i]) * elapsed)
-                                    .max(0.0)
-                                    .min(lost);
-                                attributions.push((j.tenant, lost - throttle, throttle));
-                            }
-                        }
-                    }
-                    for (tenant, contention, throttle) in attributions {
-                        self.tenants[tenant].stats.contention_stall += contention;
-                        self.tenants[tenant].stats.throttle_stall += throttle;
-                    }
-                }
-            }
-            let srv = &mut self.servers[s];
-            srv.last_t = t;
-            srv.active.retain(|j| {
-                if j.work <= RETIRE_EPS {
-                    retired.push(j.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            while srv.queue.last().is_some_and(|j| j.arrival <= t) {
-                let j = srv.queue.pop().expect("checked non-empty");
-                srv.active.push(j);
-            }
-        }
-        // Record finishes; resolve bursts whose last request retired.
+    /// Processes server `s`'s event at time `t` and records the
+    /// finishes. Returns true when a burst fully resolved (its result is
+    /// posted and its owner unparked).
+    fn process_server_event(&mut self, s: usize, t: f64) -> bool {
+        let Engine {
+            tenants,
+            servers,
+            pending,
+            results,
+            parked,
+            time,
+            staging,
+            ..
+        } = self;
         let mut resolved_any = false;
-        for j in retired {
-            let p = self
-                .pending
-                .iter_mut()
-                .find(|p| p.key == j.burst)
+        servers[s].process(t, tenants.as_mut_slice(), |j| {
+            let at = pending
+                .iter()
+                .position(|p| p.key == j.burst)
                 .expect("retired request belongs to a pending burst");
-            p.finish[j.req] = t;
-            p.remaining -= 1;
-            if p.remaining == 0 {
-                let key = p.key;
-                let finish = std::mem::take(&mut p.finish);
-                let mirror = p.mirror;
-                self.pending.retain(|p| p.key != key);
-                self.results.insert(key, BurstDone { finish });
-                self.time = t;
-                if !mirror {
-                    self.parked -= 1;
-                }
-                resolved_any = true;
-                if let Some(staging) = &mut self.staging {
-                    if let Some(a) = staging.allocs.iter_mut().find(|a| a.burst == key) {
-                        a.released_at = Some(t);
-                    }
-                    // Garbage-collect releases no outstanding waiter (nor
-                    // any future one: bases never precede engine time)
-                    // can still observe.
-                    let floor = staging
-                        .waiters
-                        .iter()
-                        .map(|w| w.base)
-                        .fold(self.time, f64::min);
-                    staging
-                        .allocs
-                        .retain(|a| a.released_at.is_none_or(|r| r > floor));
-                }
+            pending[at].finish[j.req] = t;
+            pending[at].remaining -= 1;
+            if pending[at].remaining > 0 {
+                return;
             }
-        }
+            // The burst's last request retired: resolve it.
+            let done = pending.remove(at);
+            results.insert(done.key, done.finish);
+            *time = t;
+            if !done.mirror {
+                *parked -= 1;
+            }
+            resolved_any = true;
+            if let Some(staging) = staging {
+                if let Some(a) = staging.allocs.iter_mut().find(|a| a.burst == done.key) {
+                    a.released_at = Some(t);
+                }
+                // Garbage-collect releases no outstanding waiter (nor
+                // any future one: bases never precede engine time)
+                // can still observe.
+                let floor = staging.waiters.iter().map(|w| w.base).fold(t, f64::min);
+                staging
+                    .allocs
+                    .retain(|a| a.released_at.is_none_or(|r| r > floor));
+            }
+        });
         resolved_any
     }
 }
@@ -899,7 +731,8 @@ impl Fabric {
             "Fabric::tenant: register every tenant before the first burst"
         );
         if g.servers.is_empty() {
-            g.servers = vec![ServerState::default(); self.shared.model.nservers.max(1)];
+            g.servers
+                .resize_with(self.shared.model.effective_nservers(), ServerState::default);
         }
         let tenant = g.tenants.len();
         g.tenants.push(TenantSlot {
@@ -1049,36 +882,26 @@ impl FabricHandle {
     /// times must already be set. Blocks until the burst completes on the
     /// shared clock. Solo-tenant results are bit-identical to the model's.
     pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
-        if reqs.is_empty() {
-            return self.shared.model.simulate_burst(reqs);
-        }
-        let views: Vec<ReqView<'_>> = reqs
-            .iter()
-            .map(|r| ReqView {
-                path: &r.path,
-                bytes: r.bytes,
-                start: r.start,
-            })
-            .collect();
-        let g = self.shared.state.lock().expect("fabric lock");
-        self.submit_and_wait(g, Class::Write, &views, None)
+        self.serve(&self.shared.model.price(Class::Write, reqs), |i| {
+            reqs[i].start
+        })
     }
 
     /// Fabric twin of [`StorageModel::simulate_read_burst`].
     pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
-        if reqs.is_empty() {
-            return self.shared.model.simulate_read_burst(reqs);
+        self.serve(&self.shared.model.price(Class::Read, reqs), |i| {
+            reqs[i].start
+        })
+    }
+
+    /// Serves a priced burst, request `i` arriving at `start_of(i)`, on
+    /// the shared servers. An empty burst never enters the engine.
+    pub(crate) fn serve(&self, priced: &Priced, start_of: impl Fn(usize) -> f64) -> BurstResult {
+        if priced.len() == 0 {
+            return priced.result(Vec::new(), start_of);
         }
-        let views: Vec<ReqView<'_>> = reqs
-            .iter()
-            .map(|r| ReqView {
-                path: &r.path,
-                bytes: r.bytes,
-                start: r.start,
-            })
-            .collect();
         let g = self.shared.state.lock().expect("fabric lock");
-        self.submit_and_wait(g, Class::Read, &views, None)
+        self.submit_and_wait(g, priced, start_of, None)
     }
 
     /// Staged (deferred-backend) write burst: acquires staging-pool space
@@ -1091,17 +914,24 @@ impl FabricHandle {
         base: f64,
         reqs: &mut [WriteRequest],
     ) -> (f64, BurstResult) {
-        if reqs.is_empty() {
-            for r in reqs.iter_mut() {
-                r.start = base;
-            }
-            return (base, self.shared.model.simulate_burst(reqs));
+        let (handoff, result) =
+            self.serve_staged(base, &self.shared.model.price(Class::Write, reqs));
+        for r in reqs.iter_mut() {
+            r.start = handoff;
         }
-        let bytes: u64 = reqs.iter().map(|r| r.bytes).sum();
+        (handoff, result)
+    }
+
+    /// [`FabricHandle::simulate_staged_burst`] over a priced burst: every
+    /// request arrives at the granted handoff.
+    pub(crate) fn serve_staged(&self, base: f64, priced: &Priced) -> (f64, BurstResult) {
+        if priced.len() == 0 {
+            return (base, priced.result(Vec::new(), |_| base));
+        }
+        let bytes = priced.total_bytes;
         let shared = &*self.shared;
         let mut g = shared.state.lock().expect("fabric lock");
-        let key = g.next_burst;
-        g.next_burst += 1;
+        let key = g.new_key();
         let handoff = if g.staging.is_some() {
             g.staging
                 .as_mut()
@@ -1126,8 +956,7 @@ impl FabricHandle {
                     break w.granted.expect("granted");
                 }
                 if g.parked == g.live() {
-                    let model = shared.model;
-                    g.decide(&model);
+                    g.decide();
                     shared.cv.notify_all();
                     continue;
                 }
@@ -1139,18 +968,7 @@ impl FabricHandle {
         if handoff > base {
             g.tenants[self.tenant].stats.staging_wait += handoff - base;
         }
-        for r in reqs.iter_mut() {
-            r.start = handoff;
-        }
-        let views: Vec<ReqView<'_>> = reqs
-            .iter()
-            .map(|r| ReqView {
-                path: &r.path,
-                bytes: r.bytes,
-                start: r.start,
-            })
-            .collect();
-        let result = self.submit_and_wait(g, Class::Write, &views, Some(key));
+        let result = self.submit_and_wait(g, priced, |_| handoff, Some(key));
         (handoff, result)
     }
 
@@ -1183,107 +1001,64 @@ impl FabricHandle {
         self.shared.cv.notify_all();
     }
 
-    /// Submits `views` (starts already stamped) and parks until the
-    /// engine resolves the burst. `staged_key` reuses a burst key
-    /// pre-allocated by the staging path so the pool allocation releases
-    /// when this burst's drain completes.
+    /// Submits a priced burst and parks until the engine resolves it.
+    /// `staged_key` reuses a burst key pre-allocated by the staging path
+    /// so the pool allocation releases when this burst's drain completes.
     fn submit_and_wait(
         &self,
         mut g: MutexGuard<'_, Engine>,
-        class: Class,
-        views: &[ReqView<'_>],
+        priced: &Priced,
+        start_of: impl Fn(usize) -> f64,
         staged_key: Option<u64>,
     ) -> BurstResult {
         let shared = &*self.shared;
-        let model = shared.model;
-        let (bw, per_file_latency) = match class {
-            Class::Write => (model.server_bandwidth, model.metadata_latency),
-            Class::Read => (model.server_read_bandwidth, model.open_latency),
-        };
-        let per_server = model.place(views);
-        let works = model.service_demands(&per_server, views, bw, per_file_latency);
-        let key = match staged_key {
-            Some(k) => k,
-            None => {
-                let k = g.next_burst;
-                g.next_burst += 1;
-                k
-            }
-        };
-        let seq = g.tenants[self.tenant].seq;
-        g.tenants[self.tenant].seq += 1;
-        for (s, ids) in per_server.iter().enumerate() {
-            for &id in ids {
-                g.servers[s].enqueue(Job {
-                    tenant: self.tenant,
-                    seq,
-                    burst: key,
-                    req: id,
-                    arrival: views[id].start,
-                    work: works[id],
-                });
-            }
-        }
-        g.pending.push(PendingBurst {
-            key,
-            remaining: views.len(),
-            finish: vec![0.0; views.len()],
-            mirror: false,
-        });
-        let total_bytes: u64 = views.iter().map(|v| v.bytes).sum();
-        {
-            let st = &mut g.tenants[self.tenant].stats;
-            st.bursts += 1;
-            match class {
-                Class::Write => st.write_bytes += total_bytes,
-                Class::Read => st.read_bytes += total_bytes,
-            }
-        }
-        // Clone group: synthesize the mirrors' copies of this burst —
-        // same arrivals, same placement, same service demands (placement
-        // and noise depend only on the request set), distinct tenant ids
-        // and burst keys. The engine then prices exactly the job set N
-        // threaded clones would have submitted.
-        let mut mirror_keys: Vec<u64> = Vec::with_capacity(self.mirrors);
-        for m in 1..=self.mirrors {
-            let tenant = self.tenant + m;
-            let mseq = g.tenants[tenant].seq;
-            g.tenants[tenant].seq += 1;
-            let mkey = g.next_burst;
-            g.next_burst += 1;
-            for (s, ids) in per_server.iter().enumerate() {
-                for &id in ids {
-                    g.servers[s].enqueue(Job {
-                        tenant,
-                        seq: mseq,
-                        burst: mkey,
-                        req: id,
-                        arrival: views[id].start,
-                        work: works[id],
-                    });
-                }
+        let n = priced.len();
+        // One submission per slot this handle drives. A clone group's
+        // mirrors get the real burst's arrivals, placement and demands
+        // (pricing depends only on the request set) under their own
+        // tenant ids and burst keys, so the engine prices exactly the
+        // job set N threaded clones would have submitted.
+        let mut slots: Vec<(usize, u64, u64)> = Vec::with_capacity(self.mirrors + 1);
+        for tenant in self.tenant..=self.tenant + self.mirrors {
+            let key = match staged_key {
+                Some(key) if tenant == self.tenant => key,
+                _ => g.new_key(),
+            };
+            let slot = &mut g.tenants[tenant];
+            slots.push((tenant, slot.seq, key));
+            slot.seq += 1;
+            slot.stats.bursts += 1;
+            match priced.class {
+                Class::Write => slot.stats.write_bytes += priced.total_bytes,
+                Class::Read => slot.stats.read_bytes += priced.total_bytes,
             }
             g.pending.push(PendingBurst {
-                key: mkey,
-                remaining: views.len(),
-                finish: vec![0.0; views.len()],
-                mirror: true,
+                key,
+                remaining: n,
+                finish: vec![0.0; n],
+                mirror: tenant != self.tenant,
             });
-            let st = &mut g.tenants[tenant].stats;
-            st.bursts += 1;
-            match class {
-                Class::Write => st.write_bytes += total_bytes,
-                Class::Read => st.read_bytes += total_bytes,
-            }
-            mirror_keys.push(mkey);
+        }
+        let start_of = &start_of;
+        for (s, jobs) in priced.per_server.iter().enumerate() {
+            g.servers[s].load(slots.iter().flat_map(|&(tenant, seq, burst)| {
+                jobs.iter().map(move |&(req, work)| Job {
+                    tenant,
+                    seq,
+                    burst,
+                    req,
+                    arrival: start_of(req),
+                    work,
+                })
+            }));
         }
         g.parked += 1;
-        let done = loop {
-            if let Some(d) = g.results.remove(&key) {
-                break d;
+        let finish = loop {
+            if let Some(finish) = g.results.remove(&slots[0].2) {
+                break finish;
             }
             if g.parked == g.live() {
-                g.decide(&model);
+                g.decide();
                 shared.cv.notify_all();
                 continue;
             }
@@ -1291,7 +1066,7 @@ impl FabricHandle {
         };
         // Mirror copies are symmetric to the real burst, so they resolve
         // at the same engine event; their results are never read.
-        for mkey in mirror_keys {
+        for &(_, _, mkey) in &slots[1..] {
             let mirrored = g.results.remove(&mkey);
             debug_assert!(
                 mirrored.is_some(),
@@ -1299,29 +1074,7 @@ impl FabricHandle {
             );
         }
         drop(g);
-        // Epilogue identical to the solo `simulate_views`.
-        let finish = done.finish;
-        let t_start = views.iter().map(|v| v.start).fold(f64::INFINITY, f64::min);
-        let t_end = finish.iter().copied().fold(0.0, f64::max);
-        let duration = (t_end - t_start).max(0.0);
-        let effective = if total_bytes > 0 {
-            duration.max(per_file_latency)
-        } else {
-            duration
-        };
-        BurstResult {
-            finish,
-            t_start,
-            t_end,
-            total_bytes,
-            aggregate_bandwidth: if total_bytes == 0 {
-                0.0
-            } else if effective > 0.0 {
-                total_bytes as f64 / effective
-            } else {
-                f64::INFINITY
-            },
-        }
+        priced.result(finish, start_of)
     }
 }
 
@@ -1576,6 +1329,48 @@ mod tests {
         assert!((rb.0.t_end - 2.0).abs() < 1e-9);
         // b's second burst runs alone after a retired: 7 -> 8.
         assert!((rb.1.t_end - 8.0).abs() < 1e-9, "{}", rb.1.t_end);
+    }
+
+    #[test]
+    fn panicking_tenant_cannot_hang_the_quorum() {
+        // Three tenants, two bursts each; `doomed` panics between its
+        // first and second burst. Its handle drops during unwinding and
+        // must retire it from the quorum, or the survivors' second
+        // bursts would wait for its arrival forever.
+        let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
+        let handles: Vec<FabricHandle> = ["a", "doomed", "c"]
+            .iter()
+            .map(|name| fabric.tenant(name))
+            .collect();
+        let walls: Vec<Option<f64>> = std::thread::scope(|s| {
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    s.spawn(move || {
+                        let r = h.simulate_burst(&[req(0, &format!("/t{i}/one"), 100, 0.0)]);
+                        assert!(i != 1, "tenant {i} fails between its bursts");
+                        h.simulate_burst(&[req(0, &format!("/t{i}/two"), 100, r.t_end + 1.0)])
+                            .t_end
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|j| j.join().ok())
+                .collect()
+        });
+        assert!(walls[1].is_none(), "the doomed tenant did panic");
+        for i in [0, 2] {
+            // 3 x 1s shared -> 3; then 2 x 1s from t=4 shared -> 6.
+            let wall = walls[i].expect("survivor finished");
+            assert!((wall - 6.0).abs() < 1e-9, "tenant {i}: {wall}");
+        }
+        let stats = fabric.tenant_stats();
+        assert_eq!(stats[1].bursts, 1, "{:?}", stats[1]);
+        for i in [0, 2] {
+            assert_eq!(stats[i].bursts, 2);
+            assert!(stats[i].contention_stall > 0.0, "{:?}", stats[i]);
+        }
     }
 
     /// One clone tenant's driver loop: identical bursts (writes and a

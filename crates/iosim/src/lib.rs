@@ -12,9 +12,12 @@
 //! * [`storage`] + [`timeline`] — a seeded, deterministic timing model of a
 //!   striped parallel filesystem (fair-share servers, metadata latency,
 //!   lognormal variability) for the paper's *dynamic* burstiness
-//!   discussion. Write bursts and read bursts (restart and selective
-//!   analysis fetches) run through the same event-driven core with
-//!   separate bandwidth and per-file charges.
+//!   discussion. A burst — write or read (restart and selective
+//!   analysis fetches), on a private model or a shared [`Fabric`] — is
+//!   priced once (placement, seeded demand, the class's bandwidth and
+//!   per-file charge) and served by one processor-sharing server core,
+//!   driven two ways: a private model runs each server to exhaustion,
+//!   the fabric interleaves all servers' events in global time order.
 //!
 //! **Layer position:** the bottom I/O substrate — everything above
 //! (`io-engine` backends, `plotfile`/`macsio` writers, `core`
@@ -47,6 +50,7 @@
 pub mod characterize;
 pub mod fabric;
 pub mod schedule;
+mod server;
 pub mod storage;
 pub mod timeline;
 pub mod tracker;

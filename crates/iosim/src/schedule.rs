@@ -8,34 +8,92 @@
 //! application only stalls when it reaches the next dump before the
 //! previous drain finished (double buffering with one drain in flight).
 //!
-//! A scheduler drains into either a private [`StorageModel`] (the legacy
-//! solo path) or one tenant's [`FabricHandle`] on a shared
-//! [`crate::Fabric`]. The fabric path additionally runs a *shadow* solo
-//! replay — the identical burst sequence against a private copy of the
-//! model — so [`BurstScheduler::seal`] can report an exact
-//! solo-equivalent wall (not an estimate) for the tenant's slowdown
+//! A scheduler drains into either a private [`StorageModel`] or one
+//! tenant's [`FabricHandle`] on a shared [`crate::Fabric`]. Every burst is
+//! priced once; on the fabric the same priced record is also served to a
+//! *shadow* — the tenant's own policy state over a private copy of the
+//! servers, on its own clock — so [`BurstScheduler::seal`] can report an
+//! exact solo-equivalent wall (not an estimate) for the tenant's slowdown
 //! factor.
 
 use crate::fabric::FabricHandle;
-use crate::storage::{ReadRequest, StorageModel, WriteRequest};
+use crate::storage::{Class, Priced, ReadRequest, StorageModel, WriteRequest};
 use crate::timeline::Burst;
-use std::borrow::Cow;
 
 /// Where bursts drain to.
 enum Sink<'a> {
-    /// A private model: the caller's, or a fabric tenant's own copy
-    /// (the [`Shadow`]).
-    Model(Cow<'a, StorageModel>),
+    Model(&'a StorageModel),
     Fabric(FabricHandle),
 }
 
-/// Exact solo replay of a fabric tenant's burst sequence: a
-/// private-model scheduler fed the same requests on its own clock,
-/// advanced by the same compute deltas (app time between scheduler calls
-/// is pure compute, so the shared clock's increments between calls
-/// transfer verbatim).
+/// One policy's state: the drain in flight and the stalls paid so far.
+/// The run has one; a fabric tenant's solo shadow has another.
+#[derive(Default)]
+struct Lane {
+    /// Completion time of the drain in flight (overlapped mode).
+    drain_end: f64,
+    /// Seconds the application waited on drains before write handoffs
+    /// (includes staging-pool back-pressure on the fabric path).
+    write_stall: f64,
+    /// Seconds reads waited barriering an in-flight drain.
+    read_stall: f64,
+    /// Fabric only: the share of `write_stall` spent waiting for shared
+    /// staging-pool space rather than this run's own previous drain.
+    staging_wait: f64,
+}
+
+impl Lane {
+    /// `clock` barriered against the drain in flight. A synchronous
+    /// policy never has one, so there this is `clock`.
+    fn barrier(&self, clock: f64) -> f64 {
+        clock.max(self.drain_end)
+    }
+
+    /// Times one burst arriving at application time `clock`: returns its
+    /// `(t_start, t_end)` and the clock after the call returns. `drain`
+    /// serves a non-empty burst (`None` is an empty one) no earlier than
+    /// the time it is given — `staged` when the handoff goes through a
+    /// staging buffer — and returns `(handoff, t_end)`.
+    fn admit(
+        &mut self,
+        overlapped: bool,
+        class: Class,
+        clock: f64,
+        drain: Option<impl FnOnce(f64, bool) -> (f64, f64)>,
+    ) -> (f64, f64, f64) {
+        // An empty write is free: nothing is handed off, nothing waits.
+        if drain.is_none() && class == Class::Write {
+            return (clock, clock, clock);
+        }
+        // Writes wait for the in-flight drain (double-buffer swap); reads
+        // barrier it (read-after-write consistency), even with nothing
+        // to fetch.
+        let base = self.barrier(clock);
+        // Only an overlapped write returns at its handoff: reads are
+        // synchronous in both policies.
+        let staged = overlapped && class == Class::Write;
+        let (handoff, t_end) = drain.map_or((base, base), |drain| drain(base, staged));
+        match class {
+            Class::Write => {
+                self.staging_wait += handoff - base;
+                self.write_stall += handoff - clock;
+            }
+            Class::Read => self.read_stall += base - clock,
+        }
+        if staged {
+            self.drain_end = t_end;
+        }
+        (handoff, t_end, if staged { handoff } else { t_end })
+    }
+}
+
+/// Exact solo replay of a fabric tenant's burst sequence: the same
+/// priced bursts served to a private copy of the servers on the
+/// shadow's own clock, advanced by the same compute deltas (app time
+/// between scheduler calls is pure compute, so the shared clock's
+/// increments between calls transfer verbatim).
 struct Shadow {
-    solo: Box<BurstScheduler<'static>>,
+    lane: Lane,
     clock: f64,
     /// Shared-run clock when the scheduler last returned control.
     last_shared_clock: f64,
@@ -52,16 +110,7 @@ impl Shadow {
 pub struct BurstScheduler<'a> {
     sink: Sink<'a>,
     overlapped: bool,
-    /// Completion time of the drain in flight (overlapped mode).
-    drain_end: f64,
-    /// Seconds the application waited on drains before write handoffs
-    /// (includes staging-pool back-pressure on the fabric path).
-    write_stall: f64,
-    /// Seconds reads waited barriering an in-flight drain.
-    read_stall: f64,
-    /// Fabric only: the share of `write_stall` spent waiting for shared
-    /// staging-pool space rather than this run's own previous drain.
-    staging_wait: f64,
+    lane: Lane,
     shadow: Option<Shadow>,
     /// Fabric only: a memoized solo wall ([`crate::SoloPricing::Known`])
     /// reported at seal in place of a shadow replay.
@@ -69,23 +118,16 @@ pub struct BurstScheduler<'a> {
 }
 
 impl<'a> BurstScheduler<'a> {
-    fn over(sink: Sink<'a>, overlapped: bool) -> Self {
-        Self {
-            sink,
-            overlapped,
-            drain_end: 0.0,
-            write_stall: 0.0,
-            read_stall: 0.0,
-            staging_wait: 0.0,
-            shadow: None,
-            known_solo: None,
-        }
-    }
-
     /// A scheduler over a private `model`; `overlapped` selects the
     /// deferred (compute/flush overlap) policy.
     pub fn new(model: &'a StorageModel, overlapped: bool) -> Self {
-        Self::over(Sink::Model(Cow::Borrowed(model)), overlapped)
+        Self {
+            sink: Sink::Model(model),
+            overlapped,
+            lane: Lane::default(),
+            shadow: None,
+            known_solo: None,
+        }
     }
 
     /// A scheduler draining into one tenant's seat on a shared fabric.
@@ -101,10 +143,7 @@ impl<'a> BurstScheduler<'a> {
         let (shadow, known_solo) = match handle.solo_pricing() {
             crate::SoloPricing::Replay => (
                 Some(Shadow {
-                    solo: Box::new(BurstScheduler::over(
-                        Sink::Model(Cow::Owned(handle.model())),
-                        overlapped,
-                    )),
+                    lane: Lane::default(),
                     clock: 0.0,
                     last_shared_clock: 0.0,
                 }),
@@ -113,10 +152,60 @@ impl<'a> BurstScheduler<'a> {
             crate::SoloPricing::Known(wall) => (None, Some(wall)),
         };
         Self {
+            sink: Sink::Fabric(handle),
+            overlapped,
+            lane: Lane::default(),
             shadow,
             known_solo,
-            ..Self::over(Sink::Fabric(handle), overlapped)
         }
+    }
+
+    /// The one body behind every submit door: price the burst once,
+    /// serve it to the shadow, serve it to the sink, stamp the handoff.
+    fn burst(
+        &mut self,
+        class: Class,
+        step: u32,
+        clock: f64,
+        requests: &mut [WriteRequest],
+        bytes: u64,
+    ) -> (Burst, f64) {
+        let priced: Option<Priced> = (!requests.is_empty()).then(|| match &self.sink {
+            Sink::Model(m) => m.price(class, requests),
+            Sink::Fabric(h) => h.model().price(class, requests),
+        });
+        // A private drain: handed off when asked, done when served.
+        let solo = |p: &Priced, base| (base, p.serve(|_| base).t_end);
+        if let Some(sh) = &mut self.shadow {
+            sh.advance(clock);
+            let drain = priced.as_ref().map(|p| move |base, _| solo(p, base));
+            sh.clock = sh.lane.admit(self.overlapped, class, sh.clock, drain).2;
+        }
+        let sink = &self.sink;
+        let drain = priced.as_ref().map(|p| {
+            move |base, staged| match sink {
+                Sink::Model(_) => solo(p, base),
+                Sink::Fabric(h) if staged => {
+                    let (handoff, result) = h.serve_staged(base, p);
+                    (handoff, result.t_end)
+                }
+                Sink::Fabric(h) => (base, h.serve(p, |_| base).t_end),
+            }
+        });
+        let (t_start, t_end, clock_after) = self.lane.admit(self.overlapped, class, clock, drain);
+        for r in requests.iter_mut() {
+            r.start = t_start;
+        }
+        if let Some(sh) = &mut self.shadow {
+            sh.last_shared_clock = clock_after;
+        }
+        let burst = Burst {
+            step,
+            t_start,
+            t_end,
+            bytes,
+        };
+        (burst, clock_after)
     }
 
     /// Submits the burst of `step` at application time `clock`; request
@@ -129,66 +218,7 @@ impl<'a> BurstScheduler<'a> {
         requests: &mut [WriteRequest],
         bytes: u64,
     ) -> (Burst, f64) {
-        if let Some(sh) = &mut self.shadow {
-            sh.advance(clock);
-            sh.clock = sh
-                .solo
-                .submit(step, sh.clock, &mut requests.to_vec(), bytes)
-                .1;
-        }
-        let (burst, clock_after) = if requests.is_empty() {
-            let burst = Burst {
-                step,
-                t_start: clock,
-                t_end: clock,
-                bytes,
-            };
-            (burst, clock)
-        } else if !self.overlapped {
-            for r in requests.iter_mut() {
-                r.start = clock;
-            }
-            let result = match &self.sink {
-                Sink::Model(m) => m.simulate_burst(requests),
-                Sink::Fabric(h) => h.simulate_burst(requests),
-            };
-            let burst = Burst {
-                step,
-                t_start: clock,
-                t_end: result.t_end,
-                bytes,
-            };
-            (burst, result.t_end)
-        } else {
-            // Wait for the in-flight drain (double-buffer swap), then hand
-            // off; the new drain overlaps whatever the app does next. On
-            // the fabric the handoff may slip further while the shared
-            // staging pool is full.
-            let base = clock.max(self.drain_end);
-            let (handoff, result) = match &self.sink {
-                Sink::Model(m) => {
-                    for r in requests.iter_mut() {
-                        r.start = base;
-                    }
-                    (base, m.simulate_burst(requests))
-                }
-                Sink::Fabric(h) => h.simulate_staged_burst(base, requests),
-            };
-            self.staging_wait += handoff - base;
-            self.write_stall += handoff - clock;
-            self.drain_end = result.t_end;
-            let burst = Burst {
-                step,
-                t_start: handoff,
-                t_end: result.t_end,
-                bytes,
-            };
-            (burst, handoff)
-        };
-        if let Some(sh) = &mut self.shadow {
-            sh.last_shared_clock = clock_after;
-        }
-        (burst, clock_after)
+        self.burst(Class::Write, step, clock, requests, bytes)
     }
 
     /// Like [`BurstScheduler::submit`], charging `compute_seconds` of
@@ -222,50 +252,14 @@ impl<'a> BurstScheduler<'a> {
         requests: &mut [ReadRequest],
         bytes: u64,
     ) -> (Burst, f64) {
-        if let Some(sh) = &mut self.shadow {
-            sh.advance(clock);
-            sh.clock = sh
-                .solo
-                .submit_read(step, sh.clock, &mut requests.to_vec(), bytes)
-                .1;
-        }
-        let start = clock.max(self.drain_end);
-        self.read_stall += start - clock;
-        let (burst, clock_after) = if requests.is_empty() {
-            let burst = Burst {
-                step,
-                t_start: start,
-                t_end: start,
-                bytes,
-            };
-            (burst, start)
-        } else {
-            for r in requests.iter_mut() {
-                r.start = start;
-            }
-            let result = match &self.sink {
-                Sink::Model(m) => m.simulate_read_burst(requests),
-                Sink::Fabric(h) => h.simulate_read_burst(requests),
-            };
-            let burst = Burst {
-                step,
-                t_start: start,
-                t_end: result.t_end,
-                bytes,
-            };
-            (burst, result.t_end)
-        };
-        if let Some(sh) = &mut self.shadow {
-            sh.last_shared_clock = clock_after;
-        }
-        (burst, clock_after)
+        self.burst(Class::Read, step, clock, requests, bytes)
     }
 
     /// Final wall-clock time: the application clock barriered against any
     /// drain still in flight (the run's closing flush). Pure — safe to
     /// use as a mid-run barrier query.
     pub fn finish(&self, clock: f64) -> f64 {
-        clock.max(self.drain_end)
+        self.lane.barrier(clock)
     }
 
     /// Ends the run at application time `clock`: returns the final wall
@@ -279,7 +273,7 @@ impl<'a> BurstScheduler<'a> {
             Some(sh) => {
                 sh.advance(clock);
                 sh.last_shared_clock = clock;
-                sh.solo.finish(sh.clock)
+                sh.lane.barrier(sh.clock)
             }
             // Memoized shadow if one was handed over; the private-model
             // path has neither and a solo run's wall *is* its solo wall.
@@ -295,24 +289,24 @@ impl<'a> BurstScheduler<'a> {
     /// Seconds the application stalled waiting on in-flight drains
     /// (writes and reads combined).
     pub fn stall_time(&self) -> f64 {
-        self.write_stall + self.read_stall
+        self.lane.write_stall + self.lane.read_stall
     }
 
     /// Stall seconds paid at write handoffs (double-buffer waits, plus
     /// staging back-pressure on the fabric path).
     pub fn write_stall(&self) -> f64 {
-        self.write_stall
+        self.lane.write_stall
     }
 
     /// Stall seconds paid by reads barriering an in-flight drain.
     pub fn read_stall(&self) -> f64 {
-        self.read_stall
+        self.lane.read_stall
     }
 
     /// Seconds lost to shared staging-pool back-pressure (always zero on
     /// the private-model path, which has a dedicated stage).
     pub fn staging_wait(&self) -> f64 {
-        self.staging_wait
+        self.lane.staging_wait
     }
 }
 

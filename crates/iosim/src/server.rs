@@ -1,0 +1,204 @@
+//! The one processor-sharing server: every simulated second of burst
+//! service, private or shared, is produced by [`ServerState`].
+//!
+//! A server holds the requests currently sharing it (`active`) and its
+//! future arrivals (`queue`), and moves from event to event: the next
+//! arrival or the earliest completion at the current rates. Work is in
+//! *seconds of server demand*, not bytes, which keeps the loop
+//! well-defined for idealized infinite-bandwidth models (`bytes / inf`
+//! is 0, where a byte-domain `latency * bw` term would be NaN and jobs
+//! could never retire). Who decides the rates is the only parameter
+//! ([`RatePolicy`]): an equal split with nothing to attribute for a
+//! private [`crate::StorageModel`], QoS water-filling with stall
+//! attribution for the [`crate::Fabric`].
+//!
+//! Servers never interact (requests are pinned to servers by path hash,
+//! QoS caps are per-server fractions), so the same state machine is
+//! driven two ways: a private model loads one server's jobs and runs it
+//! to exhaustion ([`ServerState::run`]); the fabric keeps every server
+//! live and interleaves their events in global time order.
+
+use std::cmp::Ordering;
+
+/// Remaining-work threshold below which a request retires (seconds of
+/// service demand; floating-point tolerance).
+pub(crate) const RETIRE_EPS: f64 = 1e-6;
+
+/// One request in flight on a server. Ordering (and every deterministic
+/// tie-break) uses `(arrival, tenant, seq, req)` — never insertion
+/// order, which on the fabric depends on thread scheduling. A private
+/// model's jobs all carry tenant, sequence and burst 0.
+#[derive(Debug)]
+pub(crate) struct Job {
+    pub(crate) tenant: usize,
+    /// Tenant-local burst sequence number.
+    pub(crate) seq: u64,
+    /// Global burst key (completion bookkeeping only).
+    pub(crate) burst: u64,
+    /// Index of this request within its burst's submission order.
+    pub(crate) req: usize,
+    pub(crate) arrival: f64,
+    /// Remaining seconds of service demand.
+    pub(crate) work: f64,
+}
+
+impl Job {
+    fn order(&self, other: &Job) -> Ordering {
+        self.arrival
+            .total_cmp(&other.arrival)
+            .then(self.tenant.cmp(&other.tenant))
+            .then(self.seq.cmp(&other.seq))
+            .then(self.req.cmp(&other.req))
+    }
+}
+
+/// Who decides how a server's active set shares it. The defaults are the
+/// private model's policy: an equal split, nothing to attribute.
+pub(crate) trait RatePolicy {
+    /// Per-job service rates (server seconds per second, in `active`
+    /// order) when the split is not equal; `None` for an equal split.
+    /// Called from the next-event scan, so it computes rates only.
+    fn unequal_rates(&self, _active: &[Job]) -> Option<Vec<f64>> {
+        None
+    }
+
+    /// Books the service `active` lost over an interval of `elapsed > 0`
+    /// seconds at `rates`.
+    fn attribute(&mut self, _active: &[Job], _rates: &Rates, _elapsed: f64) {}
+}
+
+/// The private model's policy: [`RatePolicy`]'s defaults.
+pub(crate) struct EqualSplit;
+
+impl RatePolicy for EqualSplit {}
+
+/// The rates of one event interval.
+pub(crate) enum Rates {
+    /// Every active job progresses at this rate (`1 / n`).
+    Equal(f64),
+    /// One rate per active job, in `active` order.
+    PerJob(Vec<f64>),
+}
+
+impl Rates {
+    /// The rate of the `i`-th active job.
+    pub(crate) fn of(&self, i: usize) -> f64 {
+        match self {
+            Rates::Equal(rate) => *rate,
+            Rates::PerJob(rates) => rates[i],
+        }
+    }
+}
+
+/// One server's event state (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct ServerState {
+    /// Time of this server's last processed event.
+    last_t: f64,
+    /// Requests currently sharing the server (admission order, which is
+    /// deterministic: arrivals are admitted in [`Job::order`]).
+    active: Vec<Job>,
+    /// Future arrivals, sorted *descending* by [`Job::order`] (pop from
+    /// the end is the earliest).
+    queue: Vec<Job>,
+}
+
+impl ServerState {
+    /// Adds future arrivals with one sort (job keys are unique, so the
+    /// queue's order never depends on who loaded first).
+    pub(crate) fn load(&mut self, jobs: impl IntoIterator<Item = Job>) {
+        self.queue.extend(jobs);
+        self.queue.sort_by(|a, b| b.order(a));
+    }
+
+    fn rates(&self, policy: &(impl RatePolicy + ?Sized)) -> Rates {
+        match policy.unequal_rates(&self.active) {
+            Some(rates) => Rates::PerJob(rates),
+            None => Rates::Equal(1.0 / self.active.len() as f64),
+        }
+    }
+
+    /// This server's next event time: its earliest queued arrival or the
+    /// earliest completion of its active set at current rates; `None`
+    /// when it has nothing left to do.
+    ///
+    /// # Panics
+    /// Panics when a pending request can never complete (a zero or NaN
+    /// bandwidth, or QoS shares that left it no rate); `server` names
+    /// the server in the message.
+    pub(crate) fn next_event(
+        &self,
+        server: usize,
+        policy: &(impl RatePolicy + ?Sized),
+    ) -> Option<f64> {
+        let arrive = self.queue.last().map(|j| j.arrival);
+        let t = if self.active.is_empty() {
+            arrive?
+        } else {
+            let works = self.active.iter().map(|j| j.work);
+            // Dividing by a positive rate and adding `last_t` are
+            // monotone under IEEE rounding, so the least quotient is the
+            // earliest completion — and under an equal split the least
+            // demand is the least quotient.
+            let least = match self.rates(policy) {
+                Rates::Equal(rate) => works.fold(f64::INFINITY, f64::min) / rate,
+                Rates::PerJob(rates) => works
+                    .zip(rates)
+                    .map(|(work, rate)| work / rate)
+                    .fold(f64::INFINITY, f64::min),
+            };
+            arrive.map_or(self.last_t + least, |a| a.min(self.last_t + least))
+        };
+        assert!(
+            t.is_finite(),
+            "starved request on server {server} (zero bandwidth, or QoS shares left it none)"
+        );
+        Some(t)
+    }
+
+    /// Processes this server's event at time `t`: progress the active
+    /// set over `[last_t, t]` (the policy books what it lost), hand
+    /// every finished request to `retired`, admit arrivals due at or
+    /// before `t`.
+    pub(crate) fn process(
+        &mut self,
+        t: f64,
+        policy: &mut (impl RatePolicy + ?Sized),
+        mut retired: impl FnMut(&Job),
+    ) {
+        if !self.active.is_empty() {
+            let elapsed = t - self.last_t;
+            let rates = self.rates(policy);
+            for (i, j) in self.active.iter_mut().enumerate() {
+                j.work -= rates.of(i) * elapsed;
+            }
+            if elapsed > 0.0 {
+                policy.attribute(&self.active, &rates, elapsed);
+            }
+        }
+        self.last_t = t;
+        self.active.retain(|j| {
+            let done = j.work <= RETIRE_EPS;
+            if done {
+                retired(j);
+            }
+            !done
+        });
+        while self.queue.last().is_some_and(|j| j.arrival <= t) {
+            self.active.extend(self.queue.pop());
+        }
+    }
+
+    /// Runs the loaded jobs to exhaustion, reporting each retirement and
+    /// its time.
+    pub(crate) fn run(
+        &mut self,
+        server: usize,
+        policy: &mut impl RatePolicy,
+        mut retired: impl FnMut(&Job, f64),
+    ) {
+        while let Some(t) = self.next_event(server, policy) {
+            self.process(t, policy, |j| retired(j, t));
+        }
+    }
+}

@@ -8,20 +8,19 @@
 //! the same bytes in few aggregated files — the effect the io-engine's
 //! BP-style aggregation exists to exploit; service demand carries
 //! lognormal variability. Reads (restart and post-hoc analysis bursts)
-//! run through the same event-driven server simulation with their own
-//! bandwidth and per-file open charge. Only the *dynamic* aspect of the
-//! paper (burst durations, bandwidth) depends on this model — byte counts
-//! never do.
+//! are the same requests priced in their own class: read bandwidth and a
+//! per-file open charge. This module owns what a burst *costs*
+//! (`StorageModel::price`) and what it *reports* (`Priced::result`);
+//! how its servers share time lives in `server.rs`. Only the *dynamic*
+//! aspect of the paper (burst durations, bandwidth) depends on this
+//! model — byte counts never do.
 
 use mpi_sim::rank_seed;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Remaining-work threshold below which a request retires (seconds of
-/// service demand; floating-point tolerance shared with the fabric's
-/// shared event engine so both retire requests identically).
-pub(crate) const RETIRE_EPS: f64 = 1e-6;
+use crate::server::{EqualSplit, Job, ServerState};
 
 /// Storage system parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -49,13 +48,89 @@ pub struct StorageModel {
     pub seed: u64,
 }
 
-/// Internal request view shared by the write and read burst simulations
-/// (and by the multi-tenant fabric engine, which replays the exact same
-/// placement and noise draws).
-pub(crate) struct ReqView<'a> {
-    pub(crate) path: &'a str,
-    pub(crate) bytes: u64,
-    pub(crate) start: f64,
+/// Which bandwidth/latency class a burst runs in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Class {
+    Write,
+    Read,
+}
+
+/// A burst priced once: where each request lands and what it demands.
+/// Pricing never looks at start times, so one record serves the real
+/// sink, the solo shadow and every slot of a clone group — each only
+/// brings its own starts.
+pub(crate) struct Priced {
+    pub(crate) class: Class,
+    /// `(request index, seconds of server demand)` by server, submission
+    /// order within a server. Demand is the noisy transfer time plus the
+    /// per-file charge (serialized on the server, which is what makes
+    /// file count a first-order cost).
+    pub(crate) per_server: Vec<Vec<(usize, f64)>>,
+    pub(crate) total_bytes: u64,
+    /// The class's per-file charge, seconds.
+    per_file_latency: f64,
+}
+
+impl Priced {
+    /// Requests in the burst.
+    pub(crate) fn len(&self) -> usize {
+        self.per_server.iter().map(Vec::len).sum()
+    }
+
+    /// Serves the burst on a private model: each server runs its share
+    /// to exhaustion under an equal split. Request `i` starts at
+    /// `start_of(i)`.
+    pub(crate) fn serve(&self, start_of: impl Fn(usize) -> f64) -> BurstResult {
+        let mut finish = vec![0.0f64; self.len()];
+        let mut server = ServerState::default();
+        for (s, jobs) in self.per_server.iter().enumerate() {
+            server.load(jobs.iter().map(|&(req, work)| Job {
+                tenant: 0,
+                seq: 0,
+                burst: 0,
+                req,
+                arrival: start_of(req),
+                work,
+            }));
+            server.run(s, &mut EqualSplit, |j, t| finish[j.req] = t);
+        }
+        self.result(finish, start_of)
+    }
+
+    /// The one burst epilogue: statistics over per-request `finish`
+    /// times, however they were produced.
+    pub(crate) fn result(&self, finish: Vec<f64>, start_of: impl Fn(usize) -> f64) -> BurstResult {
+        let total_bytes = self.total_bytes;
+        let t_start = (0..finish.len())
+            .map(start_of)
+            .fold(f64::INFINITY, f64::min);
+        let t_end = finish.iter().copied().fold(0.0, f64::max);
+        let duration = (t_end - t_start).max(0.0);
+        // A zero-duration burst that still moved payload (an idealized
+        // infinitely fast model) must not report bandwidth 0 — downstream
+        // bytes/s regressions would ingest fake zeros. Floor the duration
+        // at the per-file charge; if that is zero too the model really is
+        // infinitely fast and the sample is `INFINITY` (non-finite, so
+        // consumers can skip it).
+        let effective = if total_bytes > 0 {
+            duration.max(self.per_file_latency)
+        } else {
+            duration
+        };
+        BurstResult {
+            t_start: if finish.is_empty() { 0.0 } else { t_start },
+            finish,
+            t_end,
+            total_bytes,
+            aggregate_bandwidth: if total_bytes == 0 {
+                0.0
+            } else if effective > 0.0 {
+                total_bytes as f64 / effective
+            } else {
+                f64::INFINITY
+            },
+        }
+    }
 }
 
 impl StorageModel {
@@ -94,7 +169,7 @@ impl StorageModel {
     }
 
     /// The server count the simulation actually uses (never zero).
-    fn effective_nservers(&self) -> usize {
+    pub(crate) fn effective_nservers(&self) -> usize {
         self.nservers.max(1)
     }
 
@@ -112,127 +187,109 @@ impl StorageModel {
     /// its file's server, fair-sharing server write bandwidth with the
     /// per-file creation charge. Returns per-request finish times and
     /// aggregate statistics.
+    ///
+    /// # Panics
+    /// Panics when a request can never complete (a zero or NaN
+    /// bandwidth).
     pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
-        let views: Vec<ReqView<'_>> = reqs
-            .iter()
-            .map(|r| ReqView {
-                path: &r.path,
-                bytes: r.bytes,
-                start: r.start,
-            })
-            .collect();
-        self.simulate_views(&views, self.server_bandwidth, self.metadata_latency)
+        self.price(Class::Write, reqs).serve(|i| reqs[i].start)
     }
 
     /// Read-side mirror of [`StorageModel::simulate_burst`]: the same
     /// event-driven fair sharing, at the read bandwidth with the per-file
     /// open charge.
     pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
-        let views: Vec<ReqView<'_>> = reqs
-            .iter()
-            .map(|r| ReqView {
-                path: &r.path,
-                bytes: r.bytes,
-                start: r.start,
-            })
-            .collect();
-        self.simulate_views(&views, self.server_read_bandwidth, self.open_latency)
+        self.price(Class::Read, reqs).serve(|i| reqs[i].start)
     }
 
-    /// Groups request indices by their file's server (submission order
-    /// preserved within a server).
-    pub(crate) fn place(&self, reqs: &[ReqView<'_>]) -> Vec<Vec<usize>> {
-        let mut per_server: Vec<Vec<usize>> = vec![Vec::new(); self.effective_nservers()];
-        for (i, r) in reqs.iter().enumerate() {
-            per_server[self.server_of(r.path)].push(i);
-        }
-        per_server
-    }
-
-    /// Per-request seconds of server demand: noisy transfer time plus the
-    /// per-file charge. The lognormal draws are seeded per burst by the
-    /// request count and consumed server-ascending, submission order
-    /// within a server — the exact sequence `simulate_burst` has always
-    /// used, so the fabric engine (which calls this directly) prices a
-    /// given burst identically to the solo path.
-    pub(crate) fn service_demands(
-        &self,
-        per_server: &[Vec<usize>],
-        reqs: &[ReqView<'_>],
-        bw: f64,
-        per_file_latency: f64,
-    ) -> Vec<f64> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(rank_seed(self.seed, reqs.len()));
-        let mut works = vec![0.0f64; reqs.len()];
-        for ids in per_server.iter().filter(|v| !v.is_empty()) {
-            for &id in ids.iter() {
-                let noise = if self.variability_sigma > 0.0 {
-                    // Lognormal via Box-Muller on two uniform draws.
-                    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                    let u2: f64 = rng.gen_range(0.0..1.0);
-                    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                    (self.variability_sigma * z).exp()
-                } else {
-                    1.0
-                };
-                works[id] = reqs[id].bytes as f64 / bw * noise + per_file_latency;
-            }
-        }
-        works
-    }
-
-    fn simulate_views(&self, reqs: &[ReqView<'_>], bw: f64, per_file_latency: f64) -> BurstResult {
-        let mut finish = vec![0.0f64; reqs.len()];
-        let per_server = self.place(reqs);
-        let works = self.service_demands(&per_server, reqs, bw, per_file_latency);
-        for ids in per_server.iter().filter(|v| !v.is_empty()) {
-            self.simulate_server(ids, reqs, &works, &mut finish);
-        }
-        let total_bytes: u64 = reqs.iter().map(|r| r.bytes).sum();
-        let t_start = reqs.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
-        let t_end = finish.iter().copied().fold(0.0, f64::max);
-        let duration = (t_end - t_start).max(0.0);
-        // A zero-duration burst that still moved payload (an idealized
-        // infinitely fast model) must not report bandwidth 0 — downstream
-        // bytes/s regressions would ingest fake zeros. Floor the duration
-        // at the per-file charge; if that is zero too the model really is
-        // infinitely fast and the sample is `INFINITY` (non-finite, so
-        // consumers can skip it).
-        let effective = if total_bytes > 0 {
-            duration.max(per_file_latency)
-        } else {
-            duration
+    /// Prices a burst of `class`: FNV placement, then each request's
+    /// demand. The lognormal draws are seeded per burst by the request
+    /// count and consumed server-ascending, submission order within a
+    /// server — the sequence every golden digest was drawn with.
+    pub(crate) fn price(&self, class: Class, reqs: &[WriteRequest]) -> Priced {
+        let (bw, per_file_latency) = match class {
+            Class::Write => (self.server_bandwidth, self.metadata_latency),
+            Class::Read => (self.server_read_bandwidth, self.open_latency),
         };
-        BurstResult {
-            finish,
-            t_start: if reqs.is_empty() { 0.0 } else { t_start },
-            t_end,
-            total_bytes,
-            aggregate_bandwidth: if total_bytes == 0 {
-                0.0
-            } else if effective > 0.0 {
-                total_bytes as f64 / effective
+        let mut per_server = vec![Vec::new(); self.effective_nservers()];
+        for (i, r) in reqs.iter().enumerate() {
+            per_server[self.server_of(&r.path)].push((i, 0.0));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(rank_seed(self.seed, reqs.len()));
+        for (i, work) in per_server.iter_mut().flatten() {
+            let noise = if self.variability_sigma > 0.0 {
+                // Lognormal via Box-Muller on two uniform draws.
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                (self.variability_sigma * z).exp()
             } else {
-                f64::INFINITY
-            },
+                1.0
+            };
+            *work = reqs[*i].bytes as f64 / bw * noise + per_file_latency;
+        }
+        Priced {
+            class,
+            per_server,
+            total_bytes: reqs.iter().map(|r| r.bytes).sum(),
+            per_file_latency,
+        }
+    }
+}
+
+/// One file request submitted to a burst: a write, or (as
+/// [`ReadRequest`]) a read.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WriteRequest {
+    /// Rank issuing the request (for reporting).
+    pub rank: usize,
+    /// The file's path (determines the server).
+    pub path: String,
+    /// Payload size in bytes (for a read: the whole file or a seeked
+    /// range).
+    pub bytes: u64,
+    /// Simulated time at which the request is issued.
+    pub start: f64,
+}
+
+/// One file read submitted to a read burst (restart / analysis phase):
+/// the same record as a write — the burst's class decides the price.
+pub type ReadRequest = WriteRequest;
+
+/// Outcome of a simulated burst (write or read).
+#[derive(Clone, Debug, PartialEq)]
+pub struct BurstResult {
+    /// Completion time of each request, in submission order.
+    pub finish: Vec<f64>,
+    /// Earliest request start.
+    pub t_start: f64,
+    /// Latest completion.
+    pub t_end: f64,
+    /// Total payload bytes.
+    pub total_bytes: u64,
+    /// `total_bytes` over the burst duration floored at the per-file
+    /// charge; `INFINITY` when payload moved in zero simulated time
+    /// (consumers skip non-finite samples), `0.0` for empty bursts.
+    pub aggregate_bandwidth: f64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn req(rank: usize, path: &str, bytes: u64, start: f64) -> WriteRequest {
+        WriteRequest {
+            rank,
+            path: path.to_string(),
+            bytes,
+            start,
         }
     }
 
-    /// Event-driven fair processor sharing of one server among `ids`.
-    fn simulate_server(
-        &self,
-        ids: &[usize],
-        reqs: &[ReqView<'_>],
-        works: &[f64],
-        finish: &mut [f64],
-    ) {
-        // Arrival = request start; work = noisy transfer seconds plus the
-        // per-file charge (serialized on the server, which is what makes
-        // file count a first-order cost). Working in *seconds of server
-        // demand* rather than bytes keeps the event loop well-defined for
-        // idealized infinite-bandwidth models (bytes / inf = 0, where the
-        // byte-domain `latency * bw` term would be NaN or infinite and
-        // jobs could never retire).
+    /// The event loop `StorageModel` ran before the shared server core
+    /// replaced it, kept verbatim as the oracle the core is compared to.
+    fn simulate_server(ids: &[usize], reqs: &[WriteRequest], works: &[f64], finish: &mut [f64]) {
         struct Job {
             id: usize,
             arrival: f64,
@@ -281,7 +338,7 @@ impl StorageModel {
             }
             t = t_next;
             // Retire finished jobs (floating-point tolerant; seconds).
-            let eps = RETIRE_EPS;
+            let eps = crate::server::RETIRE_EPS;
             active.retain(|j| {
                 if j.work <= eps {
                     finish[j.id] = t;
@@ -292,62 +349,74 @@ impl StorageModel {
             });
         }
     }
-}
 
-/// One file write submitted to a burst.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WriteRequest {
-    /// Rank issuing the write (for reporting).
-    pub rank: usize,
-    /// Target file path (determines the server).
-    pub path: String,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Simulated time at which the write is issued.
-    pub start: f64,
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-/// One file read submitted to a read burst (restart / analysis phase).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReadRequest {
-    /// Rank issuing the read (for reporting).
-    pub rank: usize,
-    /// Source file path (determines the server).
-    pub path: String,
-    /// Bytes fetched from the file (whole file or a seeked range).
-    pub bytes: u64,
-    /// Simulated time at which the read is issued.
-    pub start: f64,
-}
+        /// The shared server core, run to exhaustion under an equal
+        /// split, is bit-identical to the loop it replaced — including
+        /// per-request staggered starts, which campaign bursts (and so
+        /// the golden digests) never exercise.
+        #[test]
+        fn server_core_matches_the_replaced_loop_bit_for_bit(
+            nservers in 1usize..=6,
+            noisy in 0usize..2,
+            read in 0usize..2,
+            raw in proptest::collection::vec((0u64..40, 1u64..5_000_000, 0.0f64..3.0), 1..201),
+        ) {
+            let model = StorageModel {
+                variability_sigma: [0.0, 0.3][noisy],
+                metadata_latency: 2e-3,
+                open_latency: 1e-3,
+                server_read_bandwidth: 3e6,
+                ..StorageModel::ideal(nservers, 2e6)
+            };
+            let reqs: Vec<WriteRequest> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(p, bytes, start))| {
+                    // Starts on a coarse grid, so simultaneous arrivals occur.
+                    let start = (start * 4.0).floor() / 4.0;
+                    req(i, &format!("/d{}/f{p}", i % 3), bytes, start)
+                })
+                .collect();
+            let (class, per_file) = [(Class::Write, 2e-3), (Class::Read, 1e-3)][read];
+            let priced = model.price(class, &reqs);
+            let got = priced.serve(|i| reqs[i].start);
 
-/// Outcome of a simulated burst (write or read).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BurstResult {
-    /// Completion time of each request, in submission order.
-    pub finish: Vec<f64>,
-    /// Earliest request start.
-    pub t_start: f64,
-    /// Latest completion.
-    pub t_end: f64,
-    /// Total payload bytes.
-    pub total_bytes: u64,
-    /// `total_bytes` over the burst duration floored at the per-file
-    /// charge; `INFINITY` when payload moved in zero simulated time
-    /// (consumers skip non-finite samples), `0.0` for empty bursts.
-    pub aggregate_bandwidth: f64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn req(rank: usize, path: &str, bytes: u64, start: f64) -> WriteRequest {
-        WriteRequest {
-            rank,
-            path: path.to_string(),
-            bytes,
-            start,
+            let mut works = vec![0.0; reqs.len()];
+            let mut finish = vec![0.0; reqs.len()];
+            for jobs in &priced.per_server {
+                let ids: Vec<usize> = jobs.iter().map(|j| j.0).collect();
+                for &(id, work) in jobs {
+                    works[id] = work;
+                }
+                simulate_server(&ids, &reqs, &works, &mut finish);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.finish), bits(&finish));
+            let t_start = reqs.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
+            let t_end = finish.iter().copied().fold(0.0, f64::max);
+            let bandwidth = priced.total_bytes as f64 / (t_end - t_start).max(per_file);
+            prop_assert_eq!(
+                bits(&[got.t_start, got.t_end, got.aggregate_bandwidth]),
+                bits(&[t_start, t_end, bandwidth])
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "starved request on server 0")]
+    fn zero_bandwidth_panics_instead_of_hanging() {
+        // Regression: demand was `inf`, the event step computed
+        // `inf - inf = NaN`, and `NaN <= RETIRE_EPS` is false forever.
+        StorageModel::ideal(1, 0.0).simulate_burst(&[req(0, "/f", 10, 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "starved request on server 0")]
+    fn nan_bandwidth_panics_instead_of_hanging() {
+        StorageModel::ideal(1, f64::NAN).simulate_burst(&[req(0, "/f", 10, 0.0)]);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub fn usage() -> &'static str {
                                        (default: 5062979 = 0x4D4143 \"MAC\")\n\
        --io_backend SPEC               write path: fpp (N-to-N, default),\n\
                                        agg:<ratio> (BP-style two-level\n\
-                                       aggregation), deferred[:<workers>]\n\
-                                       (burst-buffer staging, async drain),\n\
+                                       aggregation), deferred[:<w>] (burst\n\
+                                       buffer; <w> only names the run),\n\
                                        streaming[:<link>[:<win>[:<cons>]]]\n\
                                        (in-transit: dumps ship over a\n\
                                        modeled link, no files written)\n\
