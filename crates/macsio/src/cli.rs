@@ -155,7 +155,7 @@ where
         }
         i += 1;
     }
-    cfg.validate();
+    cfg.check()?;
     Ok(cfg)
 }
 

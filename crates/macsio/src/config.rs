@@ -220,38 +220,52 @@ impl MacsioConfig {
     /// Validates parameter ranges.
     ///
     /// # Panics
-    /// Panics on non-positive sizes, growth, or process count.
+    /// Panics naming the first field that is zero, non-finite or out of range.
     pub fn validate(&self) {
-        assert!(self.nprocs > 0, "MacsioConfig: nprocs must be positive");
-        assert!(
-            self.part_size > 0,
-            "MacsioConfig: part_size must be positive"
-        );
-        assert!(
-            self.avg_num_parts > 0.0,
-            "MacsioConfig: avg_num_parts must be positive"
-        );
-        assert!(
-            self.vars_per_part > 0,
-            "MacsioConfig: vars_per_part must be positive"
-        );
-        assert!(
-            self.dataset_growth > 0.0,
-            "MacsioConfig: dataset_growth must be positive"
-        );
-        assert!(
-            self.compute_time >= 0.0,
-            "MacsioConfig: compute_time must be non-negative"
-        );
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The fallible [`Self::validate`], with that message as the error.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0 && x < f64::INFINITY;
+        // One rank's largest dump, doubled for headers and topology rounding.
+        let rank_bytes = 2.0
+            * (self.part_size as f64 * self.dataset_growth.powi(self.num_dumps as i32).max(1.0))
+            * (self.avg_num_parts.ceil() * self.vars_per_part as f64);
+        let refused = if self.nprocs == 0 {
+            "nprocs must be positive"
+        } else if self.part_size == 0 {
+            "part_size must be positive"
+        } else if !positive(self.avg_num_parts) {
+            "avg_num_parts must be positive and finite"
+        } else if self.vars_per_part == 0 {
+            "vars_per_part must be positive"
+        } else if !positive(self.dataset_growth) {
+            "dataset_growth must be positive and finite"
+        } else if !(0.0..f64::INFINITY).contains(&self.compute_time) {
+            "compute_time must be non-negative and finite"
+        } else if rank_bytes > isize::MAX as f64 {
+            "part_size x dataset_growth^num_dumps cannot be allocated"
+        } else {
+            return Ok(());
+        };
+        Err(format!("MacsioConfig: {refused}"))
+    }
+
+    /// Global ids of `rank`'s parts: the [`Self::parts_of_rank`] rule,
+    /// numbered in rank order.
+    pub(crate) fn part_ids(&self, rank: usize) -> std::ops::Range<usize> {
+        let base = self.avg_num_parts.floor() as usize;
+        let extra_ranks =
+            ((self.avg_num_parts - base as f64) * self.nprocs as f64).round() as usize;
+        let first = rank * base + rank.min(extra_ranks);
+        first..first + base + usize::from(rank < extra_ranks)
     }
 
     /// Parts assigned to `rank`: `floor(avg)` everywhere plus one extra on
     /// the first `round((avg - floor(avg)) * nprocs)` ranks.
     pub fn parts_of_rank(&self, rank: usize) -> usize {
-        let base = self.avg_num_parts.floor() as usize;
-        let extra_ranks =
-            ((self.avg_num_parts - base as f64) * self.nprocs as f64).round() as usize;
-        base + usize::from(rank < extra_ranks)
+        self.part_ids(rank).len()
     }
 
     /// Total parts across the world.
@@ -353,6 +367,54 @@ mod tests {
         assert_eq!(cfg.parts_of_rank(2), 2);
         assert_eq!(cfg.parts_of_rank(3), 2);
         assert_eq!(cfg.total_parts(), 10);
+    }
+
+    #[test]
+    fn part_ids_are_the_prefix_sums_of_parts_of_rank() {
+        for (avg_num_parts, nprocs) in [(1.0, 8), (2.5, 4), (1.5, 5), (0.4, 5), (3.0, 1), (1.99, 7)]
+        {
+            let cfg = MacsioConfig {
+                avg_num_parts,
+                nprocs,
+                ..Default::default()
+            };
+            let mut next = 0;
+            for rank in 0..nprocs {
+                let ids = cfg.part_ids(rank);
+                assert_eq!(ids.start, next, "avg {avg_num_parts} rank {rank}");
+                assert_eq!(ids.len(), cfg.parts_of_rank(rank));
+                next = ids.end;
+            }
+            assert_eq!(next, cfg.total_parts());
+        }
+    }
+
+    #[test]
+    fn check_accepts_the_edges_validate_accepts() {
+        let cfg = MacsioConfig {
+            compute_time: 0.0,
+            num_dumps: 0,
+            avg_num_parts: 0.25,
+            dataset_growth: 0.5,
+            ..Default::default()
+        };
+        assert_eq!(cfg.check(), Ok(()));
+        cfg.validate();
+        // A shrinking series is sized by its first dump, not its last.
+        let big = MacsioConfig {
+            part_size: 1 << 40,
+            num_dumps: 400,
+            dataset_growth: 0.9,
+            ..Default::default()
+        };
+        assert_eq!(big.check(), Ok(()));
+        let err = MacsioConfig {
+            part_size: u64::MAX,
+            ..Default::default()
+        }
+        .check()
+        .unwrap_err();
+        assert!(err.contains("cannot be allocated"), "{err}");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! * `json` — everything as JSON text, inflating every value to its
 //!   decimal representation. Exists to quantify how output-format
 //!   expansion shifts the Eq. (3) correction factor (`ablations` bench).
+//!
+//! Marshalling is append-style: [`marshal_part_into`] writes header and
+//! values straight into the caller's buffer (a rank's final blob), so each
+//! value is stored once; [`marshal_part`] is its allocating wrapper.
 
 use crate::config::Interface;
 use crate::mesh::MeshPart;
@@ -22,30 +26,61 @@ pub const JSON_BYTES_PER_VALUE: f64 = 13.0;
 /// Byte length of the part header alone (everything before the bulk data)
 /// for the given interface — used by the size predictor.
 pub fn marshal_header_len(part: &MeshPart, dump: u32, interface: Interface) -> usize {
-    let encoding = match interface {
-        Interface::Miftmpl => "miftmpl",
-        Interface::Json => "json",
-    };
-    let header = header_json(part, dump, encoding);
-    let text = serde_json::to_string(&header).expect("header serializes");
+    let text = header_text(part, dump, interface);
     match interface {
         Interface::Miftmpl => text.len() + 1, // newline before payload
         Interface::Json => text.len() + ",\"data\":[]}".len() - 1,
     }
 }
 
-/// Serialized form of one part.
+/// Serialized form of one part, in a buffer of its own.
 pub fn marshal_part(part: &MeshPart, dump: u32, interface: Interface) -> Vec<u8> {
+    let mut out = Vec::new();
+    marshal_part_into(part, dump, interface, &mut out);
+    out
+}
+
+/// Appends the serialized form of one part to `out`, which for `miftmpl`
+/// grows at most once, to the exact size — never when the caller pre-sized it.
+pub fn marshal_part_into(part: &MeshPart, dump: u32, interface: Interface, out: &mut Vec<u8>) {
+    let header = header_text(part, dump, interface);
     match interface {
-        Interface::Miftmpl => marshal_miftmpl(part, dump),
-        Interface::Json => marshal_json(part, dump),
+        Interface::Miftmpl => {
+            out.reserve_exact(header.len() + 1 + part.payload_bytes() as usize);
+            out.extend_from_slice(header.as_bytes());
+            out.push(b'\n');
+            for var in 0..part.vars {
+                part.for_each_row(var, dump, |row| {
+                    out.extend(row.iter().flat_map(|v| v.to_le_bytes()))
+                });
+            }
+        }
+        Interface::Json => {
+            use std::io::Write as _;
+            // Strip the closing '}' to splice in the data field. Values and
+            // variables each write a trailing comma; the last one is dropped.
+            out.extend_from_slice(&header.as_bytes()[..header.len() - 1]);
+            out.extend_from_slice(b",\"data\":[");
+            for var in 0..part.vars {
+                out.push(b'[');
+                part.for_each_row(var, dump, |row| {
+                    for v in row {
+                        let _ = write!(out, "{v:.8e},");
+                    }
+                });
+                out.pop_if(|b| *b == b',');
+                out.extend_from_slice(b"],");
+            }
+            out.pop_if(|b| *b == b',');
+            out.extend_from_slice(b"]}");
+        }
     }
 }
 
-fn header_json(part: &MeshPart, dump: u32, encoding: &str) -> serde_json::Value {
-    json!({
+fn header_text(part: &MeshPart, dump: u32, interface: Interface) -> String {
+    let header = json!({
         "macsio": {
-            "interface": encoding,
+            "interface": interface.name(),
             "dump": dump,
             "part": {
                 "id": part.id,
@@ -54,44 +89,8 @@ fn header_json(part: &MeshPart, dump: u32, encoding: &str) -> serde_json::Value 
                 "vars": part.vars,
             },
         }
-    })
-}
-
-fn marshal_miftmpl(part: &MeshPart, dump: u32) -> Vec<u8> {
-    let header = header_json(part, dump, "miftmpl");
-    let header_text = serde_json::to_string(&header).expect("header serializes");
-    let mut out = Vec::with_capacity(header_text.len() + 1 + part.payload_bytes() as usize);
-    out.extend_from_slice(header_text.as_bytes());
-    out.push(b'\n');
-    for var in 0..part.vars {
-        for v in part.var_data(var, dump) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn marshal_json(part: &MeshPart, dump: u32) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let header = header_json(part, dump, "json");
-    let mut text = serde_json::to_string(&header).expect("header serializes");
-    text.pop(); // strip the closing '}' to splice in the data field
-    text.push_str(",\"data\":[");
-    for var in 0..part.vars {
-        if var > 0 {
-            text.push(',');
-        }
-        text.push('[');
-        for (i, v) in part.var_data(var, dump).into_iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            let _ = write!(text, "{v:.8e}");
-        }
-        text.push(']');
-    }
-    text.push_str("]}");
-    text.into_bytes()
+    });
+    serde_json::to_string(&header).expect("header serializes")
 }
 
 /// Root (per-dump) metadata file content: run description, part table,
@@ -112,11 +111,105 @@ pub fn marshal_root(dump: u32, nprocs: usize, parts_per_rank: &[usize], meta_siz
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::mesh::tests::var_data_oracle;
+    use proptest::prelude::*;
 
     fn part() -> MeshPart {
         MeshPart::from_nominal_size(3, 8 * 1000, 2)
+    }
+
+    /// `marshal_part` as it was before the append-style marshal, verbatim
+    /// over the per-cell field oracle: the byte-equality reference.
+    pub(crate) fn marshal_part_oracle(part: &MeshPart, dump: u32, interface: Interface) -> Vec<u8> {
+        use std::fmt::Write as _;
+        let encoding = match interface {
+            Interface::Miftmpl => "miftmpl",
+            Interface::Json => "json",
+        };
+        let header = json!({
+            "macsio": {
+                "interface": encoding,
+                "dump": dump,
+                "part": {
+                    "id": part.id,
+                    "topology": "rectilinear2d",
+                    "dims": [part.nx, part.ny],
+                    "vars": part.vars,
+                },
+            }
+        });
+        let header_text = serde_json::to_string(&header).expect("header serializes");
+        match interface {
+            Interface::Miftmpl => {
+                let mut out =
+                    Vec::with_capacity(header_text.len() + 1 + part.payload_bytes() as usize);
+                out.extend_from_slice(header_text.as_bytes());
+                out.push(b'\n');
+                for var in 0..part.vars {
+                    for v in var_data_oracle(part, var, dump) {
+                        out.extend_from_slice(&v.to_le_bytes());
+                    }
+                }
+                out
+            }
+            Interface::Json => {
+                let mut text = header_text;
+                text.pop(); // strip the closing '}' to splice in the data field
+                text.push_str(",\"data\":[");
+                for var in 0..part.vars {
+                    if var > 0 {
+                        text.push(',');
+                    }
+                    text.push('[');
+                    for (i, v) in var_data_oracle(part, var, dump).into_iter().enumerate() {
+                        if i > 0 {
+                            text.push(',');
+                        }
+                        let _ = write!(text, "{v:.8e}");
+                    }
+                    text.push(']');
+                }
+                text.push_str("]}");
+                text.into_bytes()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn marshal_part_matches_the_oracle_bytes(
+            id in 0usize..5000,
+            nx in 1usize..90,
+            ny in 1usize..70,
+            vars in 1usize..5,
+            dump in 0u32..301,
+        ) {
+            let part = MeshPart { id, nx, ny, vars };
+            for interface in [Interface::Miftmpl, Interface::Json] {
+                let want = marshal_part_oracle(&part, dump, interface);
+                prop_assert_eq!(&marshal_part(&part, dump, interface), &want);
+                // Appending leaves what the buffer already held alone.
+                let mut out = b"prefix".to_vec();
+                marshal_part_into(&part, dump, interface, &mut out);
+                prop_assert_eq!(&out[..6], b"prefix");
+                prop_assert_eq!(&out[6..], &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn miftmpl_wrapper_allocates_exactly_once() {
+        let p = part();
+        let bytes = marshal_part(&p, 4, Interface::Miftmpl);
+        assert_eq!(bytes.capacity(), bytes.len());
+        assert_eq!(
+            bytes.len(),
+            marshal_header_len(&p, 4, Interface::Miftmpl) + p.payload_bytes() as usize
+        );
     }
 
     #[test]
@@ -180,7 +273,7 @@ mod tests {
         // The predictor's mean-width constant must track the real
         // formatting cost of the synthetic field's value range.
         let p = MeshPart::from_nominal_size(0, 8 * 4096, 1);
-        let total = marshal_json(&p, 0).len();
+        let total = marshal_part(&p, 0, Interface::Json).len();
         let header = marshal_header_len(&p, 0, Interface::Json);
         let per_value = (total - header) as f64 / p.cells() as f64;
         assert!(

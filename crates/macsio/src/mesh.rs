@@ -4,6 +4,12 @@
 //! size; the part dimensions must form a valid 2-D rectilinear topology,
 //! which rounds the actual size up from the request — the paper calls this
 //! out as one source of its correction factor.
+//!
+//! The synthetic field is separable, `sin(i * fx + phase) * cos(j * fy) + 2`:
+//! a variable is generated from an `nx`-entry sine table and one cosine per
+//! row — `nx + ny` libm calls with the per-cell loop's exact arguments and
+//! its multiply-add per cell, so the same bits as `2 * nx * ny` calls (no
+//! recurrence, no approximation; the per-cell loop is the tests' oracle).
 
 use serde::{Deserialize, Serialize};
 
@@ -52,21 +58,92 @@ impl MeshPart {
     /// irrelevant to the workload; determinism matters).
     pub fn var_data(&self, var: usize, dump: u32) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cells());
+        self.for_each_row(var, dump, |row| out.extend_from_slice(row));
+        out
+    }
+
+    /// Feeds the field of [`MeshPart::var_data`] to `put` one row at a time
+    /// (row-major, `ny` rows of `nx` values) without materializing it.
+    pub(crate) fn for_each_row(&self, var: usize, dump: u32, mut put: impl FnMut(&[f64])) {
         let fx = 2.0 * std::f64::consts::PI / self.nx.max(1) as f64;
         let fy = 2.0 * std::f64::consts::PI / self.ny.max(1) as f64;
         let phase = (self.id as f64) * 0.7 + (var as f64) * 1.3 + (dump as f64) * 0.1;
+        let sin_x: Vec<f64> = (0..self.nx)
+            .map(|i| (i as f64 * fx + phase).sin())
+            .collect();
+        let mut row = vec![0.0; self.nx];
         for j in 0..self.ny {
-            for i in 0..self.nx {
+            let cos_y = (j as f64 * fy).cos();
+            for (v, &s) in row.iter_mut().zip(&sin_x) {
+                *v = s * cos_y + 2.0;
+            }
+            put(&row);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-cell loop `var_data` was before the separable kernel,
+    /// verbatim: the bit-equality oracle.
+    pub(crate) fn var_data_oracle(part: &MeshPart, var: usize, dump: u32) -> Vec<f64> {
+        let mut out = Vec::with_capacity(part.cells());
+        let fx = 2.0 * std::f64::consts::PI / part.nx.max(1) as f64;
+        let fy = 2.0 * std::f64::consts::PI / part.ny.max(1) as f64;
+        let phase = (part.id as f64) * 0.7 + (var as f64) * 1.3 + (dump as f64) * 0.1;
+        for j in 0..part.ny {
+            for i in 0..part.nx {
                 out.push((i as f64 * fx + phase).sin() * (j as f64 * fy).cos() + 2.0);
             }
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn separable_kernel_matches_the_per_cell_loop_bit_for_bit(
+            id in 0usize..5000,
+            nx in 1usize..260,
+            ny in 1usize..200,
+            vars in 1usize..5,
+            dump in 0u32..301,
+        ) {
+            let part = MeshPart { id, nx, ny, vars };
+            for var in 0..vars {
+                let fast = part.var_data(var, dump);
+                let slow = var_data_oracle(&part, var, dump);
+                prop_assert_eq!(fast.len(), slow.len());
+                for (k, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "cell {} of var {}", k, var);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn separable_kernel_matches_on_degenerate_and_paper_sized_shapes() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let shapes = [(1, 1), (1, 37), (37, 1), (2, 3)].map(|(nx, ny)| MeshPart {
+            id: 11,
+            nx,
+            ny,
+            vars: 1,
+        });
+        // The Listing-1 part: 1.55 MB, 441 x 440 cells.
+        let paper = MeshPart::from_nominal_size(31, 1_550_000, 1);
+        for part in shapes.iter().chain([&paper]) {
+            assert_eq!(
+                bits(part.var_data(0, 9)),
+                bits(var_data_oracle(part, 0, 9)),
+                "{part:?}"
+            );
+        }
+    }
 
     #[test]
     fn nominal_size_is_met_or_exceeded() {

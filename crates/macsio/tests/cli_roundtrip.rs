@@ -123,3 +123,30 @@ proptest! {
         }
     }
 }
+
+/// An out-of-range flag value is a parse error naming the field, and the
+/// binary reports it and exits non-zero instead of panicking.
+#[test]
+fn out_of_range_flags_are_errors_not_panics() {
+    for (flag, value, field) in [
+        ("--nprocs", "0", "nprocs"),
+        ("--part_size", "0", "part_size"),
+        ("--avg_num_parts", "-2", "avg_num_parts"),
+        ("--vars_per_part", "0", "vars_per_part"),
+        ("--dataset_growth", "NaN", "dataset_growth"),
+        ("--compute_time", "inf", "compute_time"),
+        ("--dataset_growth", "1e40", "cannot be allocated"),
+    ] {
+        let err = parse_args([flag, value]).unwrap_err();
+        assert!(err.contains(field), "{flag} {value}: {err}");
+
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_macsio"))
+            .args([flag, value])
+            .output()
+            .expect("the macsio binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
