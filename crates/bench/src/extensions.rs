@@ -257,7 +257,7 @@ pub fn backend_matrix(ctx: &mut Ctx) -> io::Result<Value> {
     // The per-backend aggregate, straight from the store.
     println!("\nmean wall by backend (store group_mean):");
     let by_backend = ctx
-        .rows_of(&cells[0].config, &report)?
+        .rows_of(&spec, &report)?
         .group_mean("backend", "wall_time");
     for (backend, wall) in &by_backend {
         println!("  {backend:<12} {wall:.4} s");
@@ -341,7 +341,7 @@ pub fn machine_room(ctx: &mut Ctx) -> io::Result<Value> {
         rungs[3].2
     );
 
-    let fit = ctx.rows_of(&base, &report)?.fit("tenants", "wall_time");
+    let fit = ctx.rows_of(&spec, &report)?.fit("tenants", "wall_time");
     println!(
         "wall vs tenancy over the stored rows: slope {:.3} s/tenant, r2 {:.4}",
         fit.slope, fit.r2

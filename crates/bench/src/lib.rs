@@ -26,7 +26,7 @@ mod extensions;
 mod paper;
 
 use amrproxy::store::Query;
-use amrproxy::{run_spec, CastroSedovConfig, ExperimentSpec, ResultsStore, SpecReport};
+use amrproxy::{run_spec, ExperimentSpec, ResultsStore, SpecReport};
 use iosim::StorageModel;
 use serde_json::Value;
 use std::io;
@@ -187,21 +187,19 @@ impl Ctx {
         Ok(report)
     }
 
-    /// The shared store's rows of the matrix over `base`, which `report`
-    /// just ran. The registered matrices run pairwise distinct
-    /// `(n_cell, nprocs)` workloads, which is what tells their rows apart
-    /// in the one store; rows an older version of the matrix left behind
-    /// would skew every aggregate, so they are an error.
-    fn rows_of(&mut self, base: &CastroSedovConfig, report: &SpecReport) -> io::Result<Query> {
+    /// The shared store's rows of the cells of `spec`, which `report`
+    /// just ran, selected by the cells' content keys. A cell holding
+    /// more rows than it returned would skew every aggregate, so that is
+    /// an error.
+    fn rows_of(&mut self, spec: &ExperimentSpec, report: &SpecReport) -> io::Result<Query> {
+        let cells = spec.compile().map_err(io::Error::other)?;
+        let keys: Vec<&str> = cells.iter().map(|cell| cell.key.as_str()).collect();
         let store = self.store()?;
-        let rows = store
-            .query()
-            .filter("n_cell", &base.n_cell.to_string())
-            .filter("nprocs", &base.nprocs.to_string());
+        let rows = store.query().cells(&keys);
         if rows.len() != report.summaries.len() {
             return Err(io::Error::other(format!(
-                "{}: {} rows of this workload, the matrix has {}; stale rows from an older \
-                 run? delete the store to re-simulate",
+                "{}: {} rows under this matrix's cells, it returned {}; stale rows from an \
+                 older run? delete the store to re-simulate",
                 store.dir().display(),
                 rows.len(),
                 report.summaries.len()
@@ -518,14 +516,25 @@ mod tests {
         for entry in std::fs::read_dir(&specs).unwrap() {
             let path = entry.unwrap().path();
             if path.extension().is_some_and(|e| e == "toml") {
-                let cells = ExperimentSpec::load(&path)
-                    .and_then(|spec| spec.compile())
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                assert!(!cells.is_empty(), "{}", path.display());
+                // `macsio_*.toml` speak the grammar's other client.
+                let text = std::fs::read_to_string(&path).unwrap();
+                let macsio_spec = path
+                    .file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("macsio_");
+                let cells = if macsio_spec {
+                    macsio::parse_spec(&text).map(|cells| cells.len())
+                } else {
+                    let cells = ExperimentSpec::from_toml(&text).and_then(|spec| spec.compile());
+                    cells.map(|cells| cells.len()).map_err(|e| e.to_string())
+                };
+                let cells = cells.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(cells > 0, "{}", path.display());
                 seen += 1;
             }
         }
-        assert!(seen >= 7, "specs/ holds the campaign specs, found {seen}");
+        assert!(seen >= 8, "specs/ holds the campaign specs, found {seen}");
     }
 
     #[test]

@@ -596,9 +596,9 @@ mod tests {
         bases: &[CastroSedovConfig],
         axes: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
     ) -> Vec<CastroSedovConfig> {
-        axes(ExperimentSpec::over("matrix", bases))
-            .compile_configs()
-            .expect("base run labels are distinct")
+        let cells = axes(ExperimentSpec::over("matrix", bases)).compile();
+        let cells = cells.expect("base run labels are distinct");
+        cells.into_iter().map(|c| c.config).collect()
     }
 
     #[test]

@@ -385,6 +385,51 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_tail_at_any_byte_reopens_and_reruns_only_that_cell() {
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        let spec = ExperimentSpec::new("torn")
+            .base(small_base("t"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)]);
+        let mut whole = ResultsStore::open(tmp_dir("torn_whole")).unwrap();
+        run_spec_serial(&spec, &mut whole, Some(&storage)).unwrap();
+        let log = std::fs::read(whole.dir().join("runs.jsonl")).unwrap();
+        // The last cell's batch: the final line of the log.
+        let batch = 1 + log[..log.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap();
+        let dir = tmp_dir("torn_cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        for cut in batch..log.len() {
+            std::fs::write(dir.join("runs.jsonl"), &log[..cut]).unwrap();
+            let mut store = ResultsStore::open(&dir).unwrap();
+            assert_eq!(store.len(), 1, "cut at {cut}: the first cell survives");
+            let report = run_spec(&spec, &mut store, Some(&storage)).unwrap();
+            assert_eq!((report.executed, report.resumed), (1, 1), "cut at {cut}");
+            assert_eq!(store.query().rows(), whole.query().rows(), "cut at {cut}");
+            let healed = std::fs::read(dir.join("runs.jsonl")).unwrap();
+            assert!(healed == log, "cut at {cut}: the log is whole again");
+        }
+        // A handle that was open across the crash heals the same way.
+        let mut reader = ResultsStore::open(&dir).unwrap();
+        let mut torn = std::fs::OpenOptions::new();
+        let mut torn = torn.append(true).open(dir.join("runs.jsonl")).unwrap();
+        std::io::Write::write_all(&mut torn, &log[batch..log.len() - 9]).unwrap();
+        assert_eq!(reader.refresh().unwrap(), 0);
+        assert!(std::fs::read(dir.join("runs.jsonl")).unwrap() == log);
+        // A bad line that has its newline is corruption, wherever it is.
+        let mut bad = log[..batch - 9].to_vec();
+        bad.push(b'\n');
+        for tail in [&log[batch..], &[][..]] {
+            std::fs::write(dir.join("runs.jsonl"), [&bad[..], tail].concat()).unwrap();
+            let err = ResultsStore::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(whole.dir()).unwrap();
+    }
+
+    #[test]
     fn parallel_run_spec_matches_the_serial_reference() {
         let storage = iosim::StorageModel::ideal(2, 5e7);
         // Mixed spec: solo cells (rayon pool) and tenancy cells (native

@@ -3,14 +3,19 @@
 //! The paper's 47-run Summit campaign — and every sweep this repo grew
 //! after it — is a cross product of a few named axes: I/O backend,
 //! compression codec, read mode, analysis read pattern, storage layout,
-//! scenario program, task count, AMR rung, storage profile. The five
-//! `*_sweep` functions in [`crate::campaign`] hand-enumerated five
-//! corners of that product; this module replaces them with one compiler.
-//! An `ExperimentSpec` *declares* the matrix (builder API or a TOML
-//! file), and [`ExperimentSpec::compile`] turns it into
-//! [`SpecCell`]s — concrete [`CastroSedovConfig`]s with deterministic,
-//! collision-checked run labels and a content hash the results store
-//! ([`crate::store`]) keys persistence and resume on.
+//! scenario program, task count, AMR rung, storage profile. An
+//! `ExperimentSpec` *declares* the matrix (builder API or a TOML file),
+//! and [`ExperimentSpec::compile`] turns it into [`SpecCell`]s —
+//! concrete [`CastroSedovConfig`]s with deterministic, collision-checked
+//! run labels and a content hash the results store ([`crate::store`])
+//! keys persistence and resume on.
+//!
+//! The matrix itself — sections, zips, excludes, enumeration, labels,
+//! collisions — is [`io_engine::grammar::Matrix`], shared with `macsio
+//! --spec`. This module adds what an axis *means*: the `scaling` key,
+//! typed values and content keys. A new axis is one `AxisValue`
+//! variant, one arm in each of its four matches (`parse`, `name`, `tag`,
+//! `apply`) and a one-line builder method, all in this file.
 //!
 //! The grammar follows the benchpark experiment-spec shape: axes are
 //! crossed in declaration order (last declared varies fastest, exactly
@@ -49,7 +54,7 @@
 //! ```
 
 use crate::config::CastroSedovConfig;
-use io_engine::grammar::{disambiguate_tags, MatrixShape, TomlDoc, TomlSection, TomlValue};
+use io_engine::grammar::{disambiguate_tags, Matrix, MatrixError, TomlDoc, TomlSection};
 use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
 
 /// What the `scale` axis varies (benchpark's experiment modes).
@@ -188,133 +193,131 @@ pub enum Layout {
     Reorg,
 }
 
-/// One named axis with its values. Declaration order is loop order.
+/// One typed value of an axis. An axis is a key plus a `Vec<AxisValue>`
+/// (declaration order is loop order); a new axis is one variant here and
+/// one arm in each of the four matches below.
 #[derive(Clone, Debug)]
-enum Axis {
-    Backend(Vec<BackendSpec>),
-    Codec(Vec<CodecSpec>),
-    Mode(Vec<RunMode>),
-    Pattern(Vec<ReadSelection>),
-    Layout(Vec<Layout>),
-    Scenario(Vec<Scenario>),
-    Scale(Vec<usize>),
-    Rung(Vec<i64>),
-    Storage(Vec<StorageProfile>),
+enum AxisValue {
+    Backend(BackendSpec),
+    Codec(CodecSpec),
+    Mode(RunMode),
+    Pattern(ReadSelection),
+    Layout(Layout),
+    Scenario(Scenario),
+    Scale(usize),
+    Rung(i64),
+    Storage(StorageProfile),
 }
 
-impl Axis {
-    fn key(&self) -> &'static str {
-        match self {
-            Axis::Backend(_) => "backend",
-            Axis::Codec(_) => "codec",
-            Axis::Mode(_) => "mode",
-            Axis::Pattern(_) => "pattern",
-            Axis::Layout(_) => "layout",
-            Axis::Scenario(_) => "scenario",
-            Axis::Scale(_) => "scale",
-            Axis::Rung(_) => "rung",
-            Axis::Storage(_) => "storage",
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Axis::Backend(v) => v.len(),
-            Axis::Codec(v) => v.len(),
-            Axis::Mode(v) => v.len(),
-            Axis::Pattern(v) => v.len(),
-            Axis::Layout(v) => v.len(),
-            Axis::Scenario(v) => v.len(),
-            Axis::Scale(v) => v.len(),
-            Axis::Rung(v) => v.len(),
-            Axis::Storage(v) => v.len(),
-        }
-    }
-
-    /// Canonical (lossless) spelling of value `i` — what excludes match
-    /// on and what collision errors print.
-    fn value_name(&self, i: usize) -> String {
-        match self {
-            Axis::Backend(v) => v[i].name(),
-            Axis::Codec(v) => v[i].name(),
-            Axis::Mode(v) => match v[i] {
-                RunMode::Write => "write".to_string(),
-                RunMode::Restart => "restart".to_string(),
+impl AxisValue {
+    /// Parses one value of the `[axes]` entry `key` from its TOML
+    /// spelling.
+    fn parse(key: &str, s: &str) -> Result<Self, SpecError> {
+        let int = || {
+            let parsed = s.parse::<i64>();
+            parsed.map_err(|_| format!("axis '{key}' wants integers, got '{s}'"))
+        };
+        let parsed = match key {
+            "backend" => BackendSpec::parse(s).map(Self::Backend),
+            "codec" => CodecSpec::parse(s).map(Self::Codec),
+            "mode" => match s {
+                "write" => Ok(Self::Mode(RunMode::Write)),
+                "restart" => Ok(Self::Mode(RunMode::Restart)),
+                other => Err(format!("unknown mode '{other}' (write, restart)")),
             },
-            Axis::Pattern(v) => v[i].name(),
-            Axis::Layout(v) => match v[i] {
-                Layout::Raw => "raw".to_string(),
-                Layout::Reorg => "reorg".to_string(),
+            "pattern" => ReadSelection::parse(s).map(Self::Pattern),
+            "layout" => match s {
+                "raw" => Ok(Self::Layout(Layout::Raw)),
+                "reorg" => Ok(Self::Layout(Layout::Reorg)),
+                other => Err(format!("unknown layout '{other}' (raw, reorg)")),
             },
-            Axis::Scenario(v) => v[i].name(),
-            Axis::Scale(v) => v[i].to_string(),
-            Axis::Rung(v) => v[i].to_string(),
-            Axis::Storage(v) => v[i].name(),
+            "scenario" => Scenario::parse(s).map(Self::Scenario),
+            "scale" => int().map(|v| Self::Scale(v.max(1) as usize)),
+            "rung" => int().map(Self::Rung),
+            "storage" => StorageProfile::parse(s).map(Self::Storage),
+            other => return Err(SpecError::Matrix(MatrixError::UnknownAxis(other.into()))),
+        };
+        parsed.map_err(SpecError::Parse)
+    }
+
+    /// Canonical (lossless) spelling — what excludes match on and what
+    /// coordinates and collision errors print.
+    fn name(&self) -> String {
+        match self {
+            Self::Backend(b) => b.name(),
+            Self::Codec(c) => c.name(),
+            Self::Mode(RunMode::Write) => "write".to_string(),
+            Self::Mode(RunMode::Restart) => "restart".to_string(),
+            Self::Pattern(p) => p.name(),
+            Self::Layout(Layout::Raw) => "raw".to_string(),
+            Self::Layout(Layout::Reorg) => "reorg".to_string(),
+            Self::Scenario(s) => s.name(),
+            Self::Scale(v) => v.to_string(),
+            Self::Rung(n) => n.to_string(),
+            Self::Storage(s) => s.name(),
         }
     }
 
-    /// Name-safe label tags for every value, matching the legacy sweep
-    /// spellings exactly (lossy flattenings are index-disambiguated
-    /// with the same prefix characters the sweeps used).
-    fn tags(&self, mode: ScalingMode) -> Vec<String> {
+    /// Name-safe label tag, matching the legacy sweep spellings exactly.
+    /// The pattern and scenario flattenings are lossy; `compile`
+    /// index-disambiguates those two axes.
+    fn tag(&self, mode: ScalingMode) -> String {
         match self {
-            Axis::Backend(v) => v.iter().map(|b| b.name().replace(':', "")).collect(),
+            Self::Backend(b) => b.name().replace(':', ""),
             // Codec spellings keep '.' distinct ('p', as in "2p5") so
             // fractional Rle ratios cannot collide (2.1 vs 21).
-            Axis::Codec(v) => v
-                .iter()
-                .map(|c| c.name().replace(':', "").replace('.', "p"))
-                .collect(),
-            Axis::Mode(v) => v
-                .iter()
-                .map(|m| match m {
-                    RunMode::Write => String::new(),
-                    RunMode::Restart => "restart".to_string(),
-                })
-                .collect(),
-            Axis::Pattern(v) => {
-                let mut tags: Vec<String> = v
-                    .iter()
-                    .map(|p| {
-                        p.name()
-                            .replace(':', "")
-                            .replace('-', "to")
-                            .replace([',', '/', '.'], "_")
-                    })
-                    .collect();
-                disambiguate_tags(&mut tags, 'p');
-                tags
-            }
-            Axis::Layout(v) => v
-                .iter()
-                .map(|l| match l {
-                    Layout::Raw => "raw".to_string(),
-                    Layout::Reorg => "reorg".to_string(),
-                })
-                .collect(),
-            Axis::Scenario(v) => {
-                let mut tags: Vec<String> = v
-                    .iter()
-                    .map(|s| {
-                        s.name()
-                            .replace([';', ','], "_")
-                            .replace('-', "to")
-                            .replace([':', '@', '.', '/'], "")
-                    })
-                    .collect();
-                disambiguate_tags(&mut tags, 's');
-                tags
-            }
-            Axis::Scale(v) => v
-                .iter()
-                .map(|s| match mode {
-                    ScalingMode::Strong => format!("p{s}"),
-                    ScalingMode::Weak => format!("p{s}w"),
-                    ScalingMode::Throughput => format!("x{s}"),
-                })
-                .collect(),
-            Axis::Rung(v) => v.iter().map(|n| format!("n{n}")).collect(),
-            Axis::Storage(v) => v.iter().map(StorageProfile::tag).collect(),
+            Self::Codec(c) => c.name().replace(':', "").replace('.', "p"),
+            // The write half of the legacy `restart_sweep` carries no
+            // suffix.
+            Self::Mode(RunMode::Write) => String::new(),
+            Self::Pattern(p) => p
+                .name()
+                .replace(':', "")
+                .replace('-', "to")
+                .replace([',', '/', '.'], "_"),
+            Self::Scenario(s) => s
+                .name()
+                .replace([';', ','], "_")
+                .replace('-', "to")
+                .replace([':', '@', '.', '/'], ""),
+            Self::Scale(v) => match mode {
+                ScalingMode::Strong => format!("p{v}"),
+                ScalingMode::Weak => format!("p{v}w"),
+                ScalingMode::Throughput => format!("x{v}"),
+            },
+            Self::Rung(n) => format!("n{n}"),
+            Self::Storage(s) => s.tag(),
+            Self::Mode(RunMode::Restart) | Self::Layout(_) => self.name(),
+        }
+    }
+
+    /// Applies the value to a cell under construction (its `config`
+    /// still holds the base's values for every field no earlier axis
+    /// set).
+    fn apply(&self, mode: ScalingMode, cell: &mut SpecCell) {
+        let cfg = &mut cell.config;
+        match self {
+            Self::Backend(b) => cfg.backend = *b,
+            Self::Codec(c) => cfg.codec = *c,
+            Self::Mode(m) => cfg.read_after_write |= *m == RunMode::Restart,
+            Self::Pattern(p) => cfg.analysis_read = Some(p.clone()),
+            Self::Layout(l) => cfg.reorganize = *l == Layout::Reorg,
+            Self::Scenario(s) => cfg.scenario = Some(s.clone()),
+            Self::Scale(v) => match mode {
+                ScalingMode::Strong => cfg.nprocs = *v,
+                ScalingMode::Weak => {
+                    // `scale` is the one axis that sets `nprocs`, so it
+                    // still reads the base's rank count here.
+                    let factor = (*v as f64 / cfg.nprocs.max(1) as f64).sqrt();
+                    let bf = cfg.grid.blocking_factor.max(1);
+                    let scaled = (cfg.n_cell as f64 * factor).round() as i64;
+                    cfg.n_cell = ((scaled + bf - 1) / bf).max(1) * bf;
+                    cfg.nprocs = *v;
+                }
+                ScalingMode::Throughput => cell.tenants = (*v).max(1),
+            },
+            Self::Rung(n) => cfg.n_cell = *n,
+            Self::Storage(s) => cell.storage = Some(*s),
         }
     }
 }
@@ -324,20 +327,10 @@ impl Axis {
 pub enum SpecError {
     /// TOML or value parse failure.
     Parse(String),
-    /// Two compiled cells produced the same run label; the payload names
-    /// both cells by their canonical axis coordinates.
-    LabelCollision {
-        /// The clashing label.
-        label: String,
-        /// Canonical `axis=value` coordinates of the first cell.
-        first: String,
-        /// Canonical `axis=value` coordinates of the second cell.
-        second: String,
-    },
-    /// A zip or exclude referenced an axis the spec does not declare.
-    UnknownAxis(String),
-    /// Zip group validation failed (unequal lengths, overlap, ...).
-    Zip(String),
+    /// The matrix does not expand: an unknown or twice-declared axis, a
+    /// bad zip group, an exclude clause that spells no declared value,
+    /// or two cells with one run label (named by their coordinates).
+    Matrix(MatrixError),
     /// The spec has no base configuration.
     NoBase,
     /// A cell's scenario cannot run against its cadence (a malformed
@@ -359,19 +352,7 @@ impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecError::Parse(msg) => write!(f, "spec parse error: {msg}"),
-            SpecError::LabelCollision {
-                label,
-                first,
-                second,
-            } => write!(
-                f,
-                "run label collision: '{label}' is produced by both cell ({first}) \
-                 and cell ({second}); rename the base or add a distinguishing axis"
-            ),
-            SpecError::UnknownAxis(name) => {
-                write!(f, "spec references unknown axis '{name}'")
-            }
-            SpecError::Zip(msg) => write!(f, "zip group error: {msg}"),
+            SpecError::Matrix(e) => write!(f, "{e}"),
             SpecError::NoBase => write!(f, "spec has no base configuration"),
             SpecError::Scenario {
                 label,
@@ -414,16 +395,6 @@ pub struct SpecCell {
     pub coords: Vec<(String, String)>,
 }
 
-impl SpecCell {
-    fn coords_string(&self) -> String {
-        self.coords
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
-
 /// A declarative experiment: bases × axes, zips, excludes, scaling mode.
 /// See the module docs for the grammar; build with the fluent API or
 /// [`ExperimentSpec::from_toml`].
@@ -432,7 +403,7 @@ pub struct ExperimentSpec {
     /// Spec name (campaigns in the store are grouped under it).
     pub name: String,
     bases: Vec<CastroSedovConfig>,
-    axes: Vec<Axis>,
+    axes: Vec<(String, Vec<AxisValue>)>,
     zips: Vec<Vec<String>>,
     excludes: Vec<Vec<(String, String)>>,
     mode: ScalingMode,
@@ -463,59 +434,58 @@ impl ExperimentSpec {
         self
     }
 
-    /// Declares the backend axis.
-    pub fn backends(mut self, backends: &[BackendSpec]) -> Self {
-        self.axes.push(Axis::Backend(backends.to_vec()));
+    fn axis(mut self, key: &str, values: impl Iterator<Item = AxisValue>) -> Self {
+        self.axes.push((key.to_string(), values.collect()));
         self
+    }
+
+    /// Declares the backend axis.
+    pub fn backends(self, backends: &[BackendSpec]) -> Self {
+        self.axis("backend", backends.iter().copied().map(AxisValue::Backend))
     }
 
     /// Declares the codec axis.
-    pub fn codecs(mut self, codecs: &[CodecSpec]) -> Self {
-        self.axes.push(Axis::Codec(codecs.to_vec()));
-        self
+    pub fn codecs(self, codecs: &[CodecSpec]) -> Self {
+        self.axis("codec", codecs.iter().copied().map(AxisValue::Codec))
     }
 
     /// Declares the read-mode axis (write / restart).
-    pub fn modes(mut self, modes: &[RunMode]) -> Self {
-        self.axes.push(Axis::Mode(modes.to_vec()));
-        self
+    pub fn modes(self, modes: &[RunMode]) -> Self {
+        self.axis("mode", modes.iter().copied().map(AxisValue::Mode))
     }
 
     /// Declares the analysis read-pattern axis.
-    pub fn patterns(mut self, patterns: &[ReadSelection]) -> Self {
-        self.axes.push(Axis::Pattern(patterns.to_vec()));
-        self
+    pub fn patterns(self, patterns: &[ReadSelection]) -> Self {
+        self.axis("pattern", patterns.iter().cloned().map(AxisValue::Pattern))
     }
 
     /// Declares the layout axis (raw / reorganized).
-    pub fn layouts(mut self, layouts: &[Layout]) -> Self {
-        self.axes.push(Axis::Layout(layouts.to_vec()));
-        self
+    pub fn layouts(self, layouts: &[Layout]) -> Self {
+        self.axis("layout", layouts.iter().copied().map(AxisValue::Layout))
     }
 
     /// Declares the scenario axis.
-    pub fn scenarios(mut self, scenarios: &[Scenario]) -> Self {
-        self.axes.push(Axis::Scenario(scenarios.to_vec()));
-        self
+    pub fn scenarios(self, scenarios: &[Scenario]) -> Self {
+        self.axis(
+            "scenario",
+            scenarios.iter().cloned().map(AxisValue::Scenario),
+        )
     }
 
     /// Declares the scale axis; what it varies depends on
     /// [`ExperimentSpec::scaling`].
-    pub fn scales(mut self, scales: &[usize]) -> Self {
-        self.axes.push(Axis::Scale(scales.to_vec()));
-        self
+    pub fn scales(self, scales: &[usize]) -> Self {
+        self.axis("scale", scales.iter().copied().map(AxisValue::Scale))
     }
 
     /// Declares the AMR-rung axis (level-0 `n_cell` per direction).
-    pub fn rungs(mut self, rungs: &[i64]) -> Self {
-        self.axes.push(Axis::Rung(rungs.to_vec()));
-        self
+    pub fn rungs(self, rungs: &[i64]) -> Self {
+        self.axis("rung", rungs.iter().copied().map(AxisValue::Rung))
     }
 
     /// Declares the storage-profile axis.
-    pub fn storages(mut self, storages: &[StorageProfile]) -> Self {
-        self.axes.push(Axis::Storage(storages.to_vec()));
-        self
+    pub fn storages(self, storages: &[StorageProfile]) -> Self {
+        self.axis("storage", storages.iter().copied().map(AxisValue::Storage))
     }
 
     /// Zips the named axes: they advance in lockstep instead of
@@ -545,148 +515,66 @@ impl ExperimentSpec {
         self
     }
 
-    /// Compiles the spec: enumerates the (zipped) matrix per base, in
-    /// declaration order with the last axis varying fastest, applies
-    /// excludes, stamps deterministic labels, and rejects collisions.
+    /// Compiles the spec: the bases are the outermost axis of one
+    /// [`Matrix`], which enumerates the (zipped) product in declaration
+    /// order with the last axis varying fastest, applies excludes,
+    /// joins the labels and rejects collisions; each surviving cell is
+    /// the base with its axis values applied in declaration order.
     pub fn compile(&self) -> Result<Vec<SpecCell>, SpecError> {
         if self.bases.is_empty() {
             return Err(SpecError::NoBase);
         }
-        for zip in &self.zips {
-            for member in zip {
-                if !self.axes.iter().any(|a| a.key() == member.as_str()) {
-                    return Err(SpecError::UnknownAxis(member.clone()));
-                }
+        let names: Vec<String> = self.bases.iter().map(|b| b.name.clone()).collect();
+        let mut matrix = Matrix {
+            name: self.name.clone(),
+            axes: vec![("base".to_string(), names.clone(), names)],
+            zips: self.zips.clone(),
+            excludes: self.excludes.clone(),
+        };
+        for (key, values) in &self.axes {
+            let mut tags: Vec<String> = values.iter().map(|v| v.tag(self.mode)).collect();
+            // The two free-text axes flatten lossily; the legacy sweeps
+            // told colliding tags apart by index, behind the key's
+            // initial.
+            if let "pattern" | "scenario" = key.as_str() {
+                disambiguate_tags(&mut tags, key.chars().next().expect("non-empty key"));
             }
+            let spellings = values.iter().map(AxisValue::name).collect();
+            matrix.axes.push((key.clone(), spellings, tags));
         }
-        for clause in self.excludes.iter().flatten() {
-            if !self.axes.iter().any(|a| a.key() == clause.0) {
-                return Err(SpecError::UnknownAxis(clause.0.clone()));
+        let mut cells = Vec::new();
+        for matrix_cell in matrix.cells().map_err(SpecError::Matrix)? {
+            let mut cell = SpecCell {
+                config: self.bases[matrix_cell.index[0]].clone(),
+                storage: None,
+                tenants: 1,
+                key: String::new(),
+                solo_key: String::new(),
+                coords: Vec::new(),
+            };
+            for ((_, values), &i) in self.axes.iter().zip(&matrix_cell.index[1..]) {
+                values[i].apply(self.mode, &mut cell);
             }
-        }
-        let mut shape = MatrixShape::new();
-        for axis in &self.axes {
-            shape = shape.axis(axis.key(), axis.len());
-        }
-        for zip in &self.zips {
-            let members: Vec<&str> = zip.iter().map(String::as_str).collect();
-            shape = shape.zip(&members);
-        }
-        let indices = shape.enumerate().map_err(SpecError::Zip)?;
-        let tags: Vec<Vec<String>> = self.axes.iter().map(|a| a.tags(self.mode)).collect();
-
-        let mut cells = Vec::with_capacity(self.bases.len() * indices.len());
-        for base in &self.bases {
-            'cell: for cell_idx in &indices {
-                let mut coords = vec![("base".to_string(), base.name.clone())];
-                for (axis, &i) in self.axes.iter().zip(cell_idx) {
-                    coords.push((axis.key().to_string(), axis.value_name(i)));
-                }
-                for clauses in &self.excludes {
-                    let hit = clauses
-                        .iter()
-                        .all(|(k, v)| coords.iter().any(|(ck, cv)| ck == k && cv == v));
-                    if !clauses.is_empty() && hit {
-                        continue 'cell;
-                    }
-                }
-                let mut label = base.name.clone();
-                for (a, &i) in cell_idx.iter().enumerate() {
-                    let tag = &tags[a][i];
-                    if !tag.is_empty() {
-                        label.push('_');
-                        label.push_str(tag);
-                    }
-                }
-                let (config, storage, tenants) = self.apply(base, cell_idx, label);
-                let key = cell_key(&config, storage.as_ref(), tenants);
-                let solo_key = {
-                    let mut solo = config.clone();
-                    solo.name = String::new();
-                    cell_key(&solo, storage.as_ref(), 1)
-                };
-                let cell = SpecCell {
-                    config,
-                    storage,
-                    tenants,
-                    key,
-                    solo_key,
-                    coords,
-                };
-                // The executors reach the driver through infallible
-                // wrappers on worker threads: refuse here what its
-                // compiler would refuse there.
-                let scenario = cell.config.effective_scenario();
-                if let Err(reason) = crate::driver::cadence(&cell.config).admits(&scenario) {
-                    return Err(SpecError::Scenario {
-                        label: cell.config.name.clone(),
-                        coords: cell.coords_string(),
-                        reason,
-                    });
-                }
-                cells.push(cell);
-            }
-        }
-        let mut seen: Vec<(&str, usize)> = Vec::with_capacity(cells.len());
-        for (i, cell) in cells.iter().enumerate() {
-            if let Some(&(_, j)) = seen.iter().find(|(l, _)| *l == cell.config.name) {
-                return Err(SpecError::LabelCollision {
-                    label: cell.config.name.clone(),
-                    first: cells[j].coords_string(),
-                    second: cell.coords_string(),
+            // The executors reach the driver through infallible wrappers
+            // on worker threads: refuse here what its compiler would
+            // refuse there.
+            let scenario = cell.config.effective_scenario();
+            if let Err(reason) = crate::driver::cadence(&cell.config).admits(&scenario) {
+                return Err(SpecError::Scenario {
+                    coords: matrix_cell.coords_string(),
+                    label: matrix_cell.label,
+                    reason,
                 });
             }
-            seen.push((cell.config.name.as_str(), i));
+            cell.coords = matrix_cell.coords;
+            // The solo key hashes the unlabelled config at tenancy 1.
+            cell.config.name.clear();
+            cell.solo_key = cell_key(&cell.config, cell.storage.as_ref(), 1);
+            cell.config.name = matrix_cell.label;
+            cell.key = cell_key(&cell.config, cell.storage.as_ref(), cell.tenants);
+            cells.push(cell);
         }
         Ok(cells)
-    }
-
-    /// Compiles straight to run configurations (the legacy sweeps'
-    /// return type); storage/tenancy cells keep their config half.
-    pub fn compile_configs(&self) -> Result<Vec<CastroSedovConfig>, SpecError> {
-        Ok(self.compile()?.into_iter().map(|c| c.config).collect())
-    }
-
-    /// Applies one cell's axis values to a base, in declaration order.
-    fn apply(
-        &self,
-        base: &CastroSedovConfig,
-        cell_idx: &[usize],
-        label: String,
-    ) -> (CastroSedovConfig, Option<StorageProfile>, usize) {
-        let mut cfg = base.clone();
-        let mut storage = None;
-        let mut tenants = 1usize;
-        for (axis, &i) in self.axes.iter().zip(cell_idx) {
-            match axis {
-                Axis::Backend(v) => cfg.backend = v[i],
-                Axis::Codec(v) => cfg.codec = v[i],
-                Axis::Mode(v) => {
-                    if v[i] == RunMode::Restart {
-                        cfg.read_after_write = true;
-                    }
-                }
-                Axis::Pattern(v) => cfg.analysis_read = Some(v[i].clone()),
-                Axis::Layout(v) => cfg.reorganize = v[i] == Layout::Reorg,
-                Axis::Scenario(v) => cfg.scenario = Some(v[i].clone()),
-                Axis::Scale(v) => match self.mode {
-                    ScalingMode::Strong => cfg.nprocs = v[i],
-                    ScalingMode::Weak => {
-                        let base_procs = base.nprocs.max(1) as f64;
-                        let factor = (v[i] as f64 / base_procs).sqrt();
-                        let bf = cfg.grid.blocking_factor.max(1);
-                        let scaled = (cfg.n_cell as f64 * factor).round() as i64;
-                        cfg.n_cell = ((scaled + bf - 1) / bf).max(1) * bf;
-                        cfg.nprocs = v[i];
-                    }
-                    ScalingMode::Throughput => tenants = v[i].max(1),
-                },
-                Axis::Rung(v) => cfg.n_cell = v[i],
-                Axis::Storage(v) => storage = Some(v[i]),
-            }
-        }
-        cfg.name = label;
-        (cfg, storage, tenants)
     }
 
     /// Parses a spec from the TOML grammar. Sections:
@@ -713,62 +601,28 @@ impl ExperimentSpec {
     /// ```
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
         let doc = TomlDoc::parse(text).map_err(SpecError::Parse)?;
-        let mut spec = ExperimentSpec::new("experiment");
-        if let Some(exp) = doc.section("experiment") {
-            for (key, value) in &exp.entries {
-                match key.as_str() {
-                    "name" => {
-                        spec.name = value
-                            .as_str()
-                            .ok_or_else(|| {
-                                SpecError::Parse("experiment.name must be a string".into())
-                            })?
-                            .to_string();
-                    }
-                    "scaling" => {
-                        let s = value.as_str().ok_or_else(|| {
-                            SpecError::Parse("experiment.scaling must be a string".into())
-                        })?;
-                        spec.mode = ScalingMode::parse(s).map_err(SpecError::Parse)?;
-                    }
-                    "zip" => {
-                        let items = value.as_array().ok_or_else(|| {
-                            SpecError::Parse("experiment.zip must be an array".into())
-                        })?;
-                        for item in items {
-                            let group = item.as_str().ok_or_else(|| {
-                                SpecError::Parse("zip entries must be strings".into())
-                            })?;
-                            spec.zips
-                                .push(group.split('+').map(|m| m.trim().to_string()).collect());
-                        }
-                    }
-                    other => {
-                        return Err(SpecError::Parse(format!(
-                            "unknown [experiment] key '{other}'"
-                        )))
-                    }
-                }
-            }
-        }
-        let base = match doc.section("base") {
+        let mut mode = ScalingMode::default();
+        let matrix = Matrix::from_doc(&doc, "experiment", |key, value| {
+            mode = match (key, value.as_str()) {
+                ("scaling", Some(s)) => ScalingMode::parse(s)?,
+                ("scaling", None) => return Err("experiment.scaling must be a string".into()),
+                _ => return Err(format!("unknown [experiment] key '{key}'")),
+            };
+            Ok(())
+        })
+        .map_err(SpecError::Parse)?;
+        let mut spec = ExperimentSpec::new(matrix.name).scaling(mode);
+        spec.bases.push(match doc.section("base") {
             Some(section) => parse_base(section)?,
             None => CastroSedovConfig::default(),
-        };
-        spec.bases.push(base);
-        if let Some(axes) = doc.section("axes") {
-            for (key, value) in &axes.entries {
-                spec.axes.push(parse_axis(key, value)?);
-            }
+        });
+        for (key, spellings, _) in matrix.axes {
+            let values = spellings.iter().map(|s| AxisValue::parse(&key, s));
+            spec.axes
+                .push((key.clone(), values.collect::<Result<_, _>>()?));
         }
-        for table in doc.all("exclude") {
-            let clauses: Vec<(String, String)> = table
-                .entries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.render()))
-                .collect();
-            spec.excludes.push(clauses);
-        }
+        spec.zips = matrix.zips;
+        spec.excludes = matrix.excludes;
         Ok(spec)
     }
 
@@ -875,99 +729,6 @@ fn parse_base(section: &TomlSection) -> Result<CastroSedovConfig, SpecError> {
     Ok(cfg)
 }
 
-fn parse_axis(key: &str, value: &TomlValue) -> Result<Axis, SpecError> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| SpecError::Parse(format!("axis '{key}' must be an array")))?;
-    if items.is_empty() {
-        return Err(SpecError::Parse(format!("axis '{key}' is empty")));
-    }
-    let strings = || -> Result<Vec<&str>, SpecError> {
-        items
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| SpecError::Parse(format!("axis '{key}' wants strings")))
-            })
-            .collect()
-    };
-    let ints = || -> Result<Vec<i64>, SpecError> {
-        items
-            .iter()
-            .map(|v| {
-                v.as_i64()
-                    .ok_or_else(|| SpecError::Parse(format!("axis '{key}' wants integers")))
-            })
-            .collect()
-    };
-    match key {
-        "backend" => Ok(Axis::Backend(
-            strings()?
-                .into_iter()
-                .map(BackendSpec::parse)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Parse)?,
-        )),
-        "codec" => Ok(Axis::Codec(
-            strings()?
-                .into_iter()
-                .map(CodecSpec::parse)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Parse)?,
-        )),
-        "mode" => Ok(Axis::Mode(
-            strings()?
-                .into_iter()
-                .map(|s| match s {
-                    "write" => Ok(RunMode::Write),
-                    "restart" => Ok(RunMode::Restart),
-                    other => Err(SpecError::Parse(format!(
-                        "unknown mode '{other}' (write, restart)"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        )),
-        "pattern" => Ok(Axis::Pattern(
-            strings()?
-                .into_iter()
-                .map(ReadSelection::parse)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Parse)?,
-        )),
-        "layout" => Ok(Axis::Layout(
-            strings()?
-                .into_iter()
-                .map(|s| match s {
-                    "raw" => Ok(Layout::Raw),
-                    "reorg" => Ok(Layout::Reorg),
-                    other => Err(SpecError::Parse(format!(
-                        "unknown layout '{other}' (raw, reorg)"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        )),
-        "scenario" => Ok(Axis::Scenario(
-            strings()?
-                .into_iter()
-                .map(Scenario::parse)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Parse)?,
-        )),
-        "scale" => Ok(Axis::Scale(
-            ints()?.into_iter().map(|v| v.max(1) as usize).collect(),
-        )),
-        "rung" => Ok(Axis::Rung(ints()?)),
-        "storage" => Ok(Axis::Storage(
-            strings()?
-                .into_iter()
-                .map(StorageProfile::parse)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Parse)?,
-        )),
-        other => Err(SpecError::UnknownAxis(other.to_string())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1057,6 +818,57 @@ mod tests {
     }
 
     #[test]
+    fn an_axis_declared_twice_is_refused() {
+        // Regression: the second list used to overwrite the first on
+        // every cell, under labels that named both.
+        let err = ExperimentSpec::new("t")
+            .base(base("b"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)])
+            .backends(&[BackendSpec::Aggregated(2), BackendSpec::Deferred(1)])
+            .compile()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::Matrix(MatrixError::DuplicateAxis("backend".into()))
+        );
+        assert_eq!(err.to_string(), "axis 'backend' is declared twice");
+    }
+
+    #[test]
+    fn an_exclude_that_spells_no_declared_value_is_refused() {
+        // Regression: the label tag `agg4` where the canonical `agg:4`
+        // was meant used to drop nothing and say nothing.
+        let built = ExperimentSpec::new("t")
+            .base(base("m"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)])
+            .exclude(&[("backend", "agg4")]);
+        let parsed = ExperimentSpec::from_toml(
+            "[axes]\nbackend = [\"fpp\", \"agg:4\"]\n[[exclude]]\nbackend = \"agg4\"",
+        )
+        .unwrap();
+        for spec in [built, parsed] {
+            let err = spec.compile().unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::Matrix(MatrixError::UnknownValue {
+                    axis: "backend".into(),
+                    value: "agg4".into(),
+                    declared: vec!["fpp".into(), "agg:4".into()],
+                })
+            );
+            assert!(err.to_string().contains("(declared: fpp, agg:4)"), "{err}");
+        }
+        // Values are matched as the axis canonicalizes them: `rle` is
+        // declared as `rle:2`.
+        let short = ExperimentSpec::from_toml(
+            "[axes]\ncodec = [\"identity\", \"rle\"]\n[[exclude]]\ncodec = \"rle\"",
+        )
+        .unwrap();
+        let text = short.compile().unwrap_err().to_string();
+        assert!(text.contains("(declared: identity, rle:2)"), "{text}");
+    }
+
+    #[test]
     fn label_collisions_are_rejected_naming_both_cells() {
         // Two bases that differ in configuration but not in name: every
         // axis tag is appended to both, so their labels collide cell for
@@ -1072,11 +884,11 @@ mod tests {
             .compile()
             .unwrap_err();
         match &err {
-            SpecError::LabelCollision {
+            SpecError::Matrix(MatrixError::LabelCollision {
                 label,
                 first,
                 second,
-            } => {
+            }) => {
                 assert_eq!(label, "m_fpp_identity");
                 assert!(first.contains("base=m"), "{first}");
                 assert!(second.contains("backend=fpp"), "{second}");
@@ -1269,26 +1081,29 @@ mod tests {
 
         assert!(matches!(
             ExperimentSpec::from_toml("[axes]\nghost = [1]").unwrap_err(),
-            SpecError::UnknownAxis(_)
+            SpecError::Matrix(MatrixError::UnknownAxis(_))
         ));
         // The retired `delivery` axis: spell the values on `backend`.
         assert!(matches!(
             ExperimentSpec::from_toml("[axes]\ndelivery = [\"stream\"]").unwrap_err(),
-            SpecError::UnknownAxis(axis) if axis == "delivery"
+            SpecError::Matrix(MatrixError::UnknownAxis(axis)) if axis == "delivery"
         ));
         assert!(ExperimentSpec::from_toml("[base]\nnot_a_field = 3").is_err());
         let unequal = ExperimentSpec::from_toml(
             "[experiment]\nzip = [\"backend+codec\"]\n[axes]\nbackend = [\"fpp\"]\ncodec = [\"identity\", \"rle:2\"]",
         )
         .unwrap();
-        assert!(matches!(unequal.compile().unwrap_err(), SpecError::Zip(_)));
+        assert!(matches!(
+            unequal.compile().unwrap_err(),
+            SpecError::Matrix(MatrixError::Zip(_))
+        ));
         let ghost_zip = ExperimentSpec::from_toml(
             "[experiment]\nzip = [\"backend+ghost\"]\n[axes]\nbackend = [\"fpp\"]",
         )
         .unwrap();
         assert!(matches!(
             ghost_zip.compile().unwrap_err(),
-            SpecError::UnknownAxis(_)
+            SpecError::Matrix(MatrixError::UnknownAxis(_))
         ));
     }
 

@@ -9,11 +9,15 @@
 //!   record per run, `{"schema":1,"cell":"<hash>","summary":{...}}`,
 //!   keyed by the compiled cell's content hash. Appends never
 //!   rewrite existing bytes, so a crashed campaign loses at most its
-//!   in-flight record and concurrent readers never see torn state.
+//!   in-flight record: a final line the crash cut short is dropped when
+//!   the log is next read, and the cell re-runs.
 //! * **A query API** ([`Query`]): filter rows by column values, project
 //!   columns, group/aggregate — the summaries are queried as JSON rows,
 //!   so every present *and future* `RunSummary` column is addressable
-//!   without store migrations. `model` fits plug in via
+//!   without store migrations. Rows come in (cell key, append order
+//!   within the cell) order, never log order, so every aggregate is a
+//!   pure function of the *set* of cells, whatever order the parallel
+//!   executor committed them in. `model` fits plug in via
 //!   [`Query::xy`] / [`Query::fit`].
 //! * **Keyed resume**: [`ResultsStore::contains`] / [`ResultsStore::get`]
 //!   answer "is this cell already persisted" by content hash, and
@@ -23,7 +27,7 @@
 
 use crate::campaign::RunSummary;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -43,13 +47,18 @@ pub struct ResultsStore {
     dir: PathBuf,
     file: File,
     rows: Vec<(String, Value)>,
-    /// Row indices per cell key, in append order.
-    index: HashMap<String, Vec<usize>>,
+    /// Row indices per cell key, in append order; iterating it is the
+    /// canonical row order of [`Self::query`].
+    index: BTreeMap<String, Vec<usize>>,
     /// Bytes of `runs.jsonl` already replayed into `rows` — the
     /// [`Self::refresh`] fast path's cursor. Every append (ours or a
     /// replayed one) advances it, so a reused store object never
     /// re-reads bytes it has already ingested.
     log_len: u64,
+}
+
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 /// Parses one log line into its `(cell, summary)` pair, or `None` for a
@@ -60,21 +69,17 @@ fn parse_record(line: &str, at: impl Fn() -> String) -> std::io::Result<Option<(
     if line.is_empty() {
         return Ok(None);
     }
-    let record: Value = serde_json::from_str(line).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {e}", at()))
-    })?;
+    let record: Value =
+        serde_json::from_str(line).map_err(|e| invalid_data(format!("{}: {e}", at())))?;
     let schema = record
         .get("schema")
         .and_then(Value::as_u64)
         .unwrap_or_default() as u32;
     if schema != STORE_SCHEMA {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "{}: record schema {schema}, this reader speaks {STORE_SCHEMA}",
-                at()
-            ),
-        ));
+        return Err(invalid_data(format!(
+            "{}: record schema {schema}, this reader speaks {STORE_SCHEMA}",
+            at()
+        )));
     }
     let cell = record
         .get("cell")
@@ -98,7 +103,7 @@ impl ResultsStore {
             dir,
             file,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: BTreeMap::new(),
             log_len: 0,
         };
         let log = BufReader::new(File::open(&path)?);
@@ -119,15 +124,12 @@ impl ResultsStore {
             return Ok(0);
         }
         if size < self.log_len {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{}: log shrank ({} bytes, {} already replayed) — appends never rewrite",
-                    path.display(),
-                    size,
-                    self.log_len
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "{}: log shrank ({} bytes, {} already replayed) — appends never rewrite",
+                path.display(),
+                size,
+                self.log_len
+            )));
         }
         let mut tail = File::open(&path)?;
         tail.seek(SeekFrom::Start(self.log_len))?;
@@ -140,22 +142,40 @@ impl ResultsStore {
     /// `self.log_len`) into the resident rows, advancing the cursor, and
     /// returns the rows added. `at` renders a bad line's location from
     /// its byte offset and its 1-based line number within this replay.
+    ///
+    /// A record is complete once its newline is written. A final line
+    /// without one is an append its writer died in (the store has one
+    /// writer at a time): it is reported, the log is truncated back to
+    /// the last complete record so the next append starts a fresh line,
+    /// and the resume predicate re-runs the cell. (A multi-row batch cut
+    /// exactly between two of its lines is not detectable here.) An
+    /// unparseable line anywhere else stays `InvalidData`.
     fn replay(
         &mut self,
         mut log: impl BufRead,
         at: impl Fn(u64, usize) -> String,
     ) -> std::io::Result<usize> {
         let before = self.rows.len();
-        let mut line = String::new();
+        let mut line = Vec::new();
         for lineno in 1.. {
             line.clear();
-            let n = log.read_line(&mut line)?;
+            let n = log.read_until(b'\n', &mut line)?;
             if n == 0 {
                 break;
             }
             let offset = self.log_len;
+            if line.last() != Some(&b'\n') {
+                eprintln!(
+                    "{}: dropping a torn {n}-byte final record; its cell will re-run",
+                    at(offset, lineno)
+                );
+                self.file.set_len(offset)?;
+                break;
+            }
+            let text = std::str::from_utf8(&line)
+                .map_err(|e| invalid_data(format!("{}: {e}", at(offset, lineno))))?;
             self.log_len += n as u64;
-            if let Some((cell, row)) = parse_record(&line, || at(offset, lineno))? {
+            if let Some((cell, row)) = parse_record(text, || at(offset, lineno))? {
                 self.ingest(cell, row);
             }
         }
@@ -238,8 +258,7 @@ impl ResultsStore {
             ("cell".to_string(), Value::String(cell.to_string())),
             ("summary".to_string(), row.clone()),
         ]);
-        let line = serde_json::to_string(&record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let line = serde_json::to_string(&record).map_err(|e| invalid_data(e.to_string()))?;
         batch.push_str(&line);
         batch.push('\n');
         Ok(())
@@ -258,10 +277,13 @@ impl ResultsStore {
             .unwrap_or_default()
     }
 
-    /// A query over every persisted summary row.
+    /// A query over every persisted summary row, ordered by (cell key,
+    /// append order within the cell) — not log order, which under the
+    /// parallel executor is the thread schedule's.
     pub fn query(&self) -> Query {
+        let order = self.index.values().flatten();
         Query {
-            rows: self.rows.clone(),
+            rows: order.map(|&i| self.rows[i].clone()).collect(),
         }
     }
 }
@@ -298,6 +320,13 @@ impl Query {
     /// The raw `(cell, row)` pairs.
     pub fn rows(&self) -> &[(String, Value)] {
         &self.rows
+    }
+
+    /// Keeps the rows persisted under the given cell keys — how one
+    /// matrix's rows are told apart in a store several matrices share.
+    pub fn cells(mut self, keys: &[&str]) -> Self {
+        self.rows.retain(|(cell, _)| keys.contains(&cell.as_str()));
+        self
     }
 
     /// Keeps rows whose `column` renders equal to `value` (strings
@@ -392,10 +421,10 @@ impl Query {
     }
 
     /// Groups rows by a key column's rendered value and averages a
-    /// numeric column per group, in first-seen group order — the
+    /// numeric column per group, groups in key order — the
     /// campaign-table aggregate (`group_mean("backend", "wall_time")`).
     pub fn group_mean(&self, key: &str, value: &str) -> Vec<(String, f64)> {
-        let mut groups: Vec<(String, f64, usize)> = Vec::new();
+        let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
         for (_, row) in &self.rows {
             let Some(k) = row.get(key).map(|v| match v {
                 Value::String(s) => s.clone(),
@@ -403,21 +432,14 @@ impl Query {
             }) else {
                 continue;
             };
-            let Some(v) = row.get(value).and_then(Value::as_f64) else {
-                continue;
-            };
-            match groups.iter_mut().find(|(g, _, _)| *g == k) {
-                Some((_, sum, n)) => {
-                    *sum += v;
-                    *n += 1;
-                }
-                None => groups.push((k, v, 1)),
+            if let Some(v) = row.get(value).and_then(Value::as_f64) {
+                let (sum, n) = groups.entry(k).or_default();
+                *sum += v;
+                *n += 1;
             }
         }
-        groups
-            .into_iter()
-            .map(|(k, sum, n)| (k, sum / n as f64))
-            .collect()
+        let means = groups.into_iter().map(|(k, (sum, n))| (k, sum / n as f64));
+        means.collect()
     }
 }
 
@@ -515,11 +537,19 @@ pub(crate) mod tests {
         assert!(q.mean("wall_time") > 0.0);
         // Boolean columns filter by JSON spelling.
         assert_eq!(q.clone().filter("restart", "false").len(), 4);
-        // Grouped aggregation, first-seen order.
+        // Grouped aggregation, groups in key order.
         let by_backend = q.group_mean("backend", "physical_bytes");
         assert_eq!(by_backend.len(), 2);
-        assert_eq!(by_backend[0].0, "fpp");
+        assert_eq!(
+            (by_backend[0].0.as_str(), by_backend[1].0.as_str()),
+            ("agg:2", "fpp")
+        );
         assert!(by_backend.iter().all(|(_, v)| *v > 0.0));
+        // Rows come in cell-key order, and a key set selects its cells.
+        let keys: Vec<&str> = q.rows().iter().map(|(cell, _)| cell.as_str()).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert_eq!(q.clone().cells(&keys[1..3]).len(), 2);
+        assert!(q.clone().cells(&["no such cell"]).is_empty());
         // The store → model bridge.
         let fit = q.fit("physical_bytes", "wall_time");
         assert!(fit.slope.is_finite());

@@ -10,17 +10,22 @@
 //!   `key = value` entries with string/integer/float/boolean scalars and
 //!   single-line arrays — parsed without any external crate (this
 //!   workspace builds offline);
-//! * the **axis-matrix engine** ([`MatrixShape`]): given named axes with
-//!   lengths and optional `zip` groups (axes that advance in lockstep,
-//!   benchpark-style), it enumerates every cell as one index per axis,
-//!   deterministically — declaration order is loop order, the last
-//!   declared slot varies fastest, exactly like the nested loops the
-//!   legacy sweeps wrote by hand.
+//! * the **matrix compiler** ([`Matrix`]): experiment name, axes as
+//!   `(key, canonical value spellings, name-safe tags)`, `zip` groups
+//!   (axes that advance in lockstep, benchpark-style) and `exclude`
+//!   clauses. [`Matrix::from_doc`] is the one reader of `[experiment]
+//!   name / zip`, `[axes]` and `[[exclude]]`; [`Matrix::cells`] is the one
+//!   copy of axis / zip / exclude validation, the enumeration
+//!   (declaration order is loop order, the last declared slot varies
+//!   fastest, exactly like the nested loops the legacy sweeps wrote by
+//!   hand), exclude matching, label joining and collision detection.
 //!
-//! Value interpretation (what an axis *means*) stays with the callers:
-//! `amrproxy::spec` maps axes onto `CastroSedovConfig` fields, `macsio`
-//! maps them onto command-line flags. Both share this enumeration, so
-//! zips, excludes, and ordering behave identically everywhere.
+//! The grammar has two clients, and what an axis *means* stays with
+//! them: `amrproxy::spec` adds the `scaling` key, typed values applied to
+//! `CastroSedovConfig` fields and content keys; `macsio --spec` spells
+//! axes as command-line flags. A new axis is added in the client (one
+//! enum arm and four match arms in `crates/core/src/spec.rs`; nothing at
+//! all for a MACSio flag) — never here.
 
 /// A scalar or array value from a spec file.
 #[derive(Clone, Debug, PartialEq)]
@@ -270,117 +275,281 @@ fn split_array_items(body: &str) -> Result<Vec<&str>, String> {
     Ok(items)
 }
 
-/// The shape of an experiment matrix: named axes with lengths, plus
-/// `zip` groups whose members advance together (and must therefore have
-/// equal lengths). [`MatrixShape::enumerate`] yields every cell as one
-/// value index per axis, in declaration order.
-#[derive(Clone, Debug, Default)]
-pub struct MatrixShape {
-    axes: Vec<(String, usize)>,
-    zips: Vec<Vec<String>>,
+/// An experiment matrix in spelled form: the part of a campaign spec
+/// every client shares. Clients keep what an axis *means* (typed
+/// values, flag names); the matrix keeps what it is called.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Matrix {
+    /// Experiment name (`[experiment] name`).
+    pub name: String,
+    /// Axes as `(key, canonical value spellings, name-safe tags)`.
+    /// Declaration order is loop order: later axes vary faster. Excludes
+    /// match on the spellings; a cell's label joins its tags.
+    pub axes: Vec<(String, Vec<String>, Vec<String>)>,
+    /// Zip groups: the named axes advance in lockstep instead of
+    /// crossing. A group occupies the loop position of its
+    /// earliest-declared member.
+    pub zips: Vec<Vec<String>>,
+    /// Exclude clauses: a cell whose values match every `(axis, value)`
+    /// pair of one clause is dropped.
+    pub excludes: Vec<Vec<(String, String)>>,
 }
 
-impl MatrixShape {
-    /// Empty shape (a single cell with no axes).
-    pub fn new() -> Self {
-        Self::default()
+/// One cell of an expanded [`Matrix`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct MatrixCell {
+    /// One value index per axis, in declaration order.
+    pub index: Vec<usize>,
+    /// The cell's non-empty tags joined by `_`.
+    pub label: String,
+    /// Canonical `(axis, value)` coordinates, in declaration order.
+    pub coords: Vec<(String, String)>,
+}
+
+/// Why a [`Matrix`] does not expand into cells.
+#[derive(Clone, Debug, PartialEq)]
+pub enum MatrixError {
+    /// A zip or exclude names an axis the matrix does not declare (or a
+    /// client met an axis key it has no meaning for).
+    UnknownAxis(String),
+    /// An axis is declared twice; the second declaration would silently
+    /// overwrite what the first one set.
+    DuplicateAxis(String),
+    /// Zip group validation failed (one member, unequal lengths,
+    /// overlapping groups).
+    Zip(String),
+    /// An exclude clause spells no declared value of its axis, so it
+    /// could never drop a cell.
+    UnknownValue {
+        /// The clause's axis.
+        axis: String,
+        /// The value as the clause spells it.
+        value: String,
+        /// The canonical spellings the axis declares.
+        declared: Vec<String>,
+    },
+    /// Two cells produced the same label.
+    LabelCollision {
+        /// The clashing label.
+        label: String,
+        /// `axis=value` coordinates of the first cell.
+        first: String,
+        /// `axis=value` coordinates of the second cell.
+        second: String,
+    },
+}
+
+impl std::fmt::Display for MatrixError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UnknownAxis(name) => write!(f, "spec references unknown axis '{name}'"),
+            Self::DuplicateAxis(name) => write!(f, "axis '{name}' is declared twice"),
+            Self::Zip(msg) => write!(f, "zip group error: {msg}"),
+            Self::UnknownValue {
+                axis,
+                value,
+                declared,
+            } => write!(
+                f,
+                "exclude {axis} = '{value}' matches no value of that axis (declared: {})",
+                declared.join(", ")
+            ),
+            Self::LabelCollision {
+                label,
+                first,
+                second,
+            } => write!(
+                f,
+                "run label collision: '{label}' is produced by both cell ({first}) and cell \
+                 ({second}); rename a base or add a distinguishing axis"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MatrixError {}
+
+impl Matrix {
+    /// Reads the matrix half of a spec file: `[experiment] name` (else
+    /// `default_name`) and `zip = ["a+b"]`, the `[axes]` arrays and the
+    /// `[[exclude]]` tables. Values are kept as the file spells them and
+    /// tags start out equal to the values; the client canonicalizes and
+    /// flattens both. Every other `[experiment]` entry is handed to
+    /// `other`, for the client to interpret or refuse.
+    pub fn from_doc(
+        doc: &TomlDoc,
+        default_name: &str,
+        mut other: impl FnMut(&str, &TomlValue) -> Result<(), String>,
+    ) -> Result<Self, String> {
+        let mut matrix = Self {
+            name: default_name.to_string(),
+            ..Self::default()
+        };
+        for (key, value) in doc.section("experiment").iter().flat_map(|s| &s.entries) {
+            match key.as_str() {
+                "name" => {
+                    let name = value.as_str();
+                    matrix.name = name.ok_or("experiment.name must be a string")?.to_string();
+                }
+                "zip" => {
+                    let groups = value.as_array();
+                    for group in groups.ok_or("experiment.zip must be an array")? {
+                        let group = group.as_str().ok_or("zip entries must be strings")?;
+                        let members = group.split('+').map(|m| m.trim().to_string());
+                        matrix.zips.push(members.collect());
+                    }
+                }
+                _ => other(key, value)?,
+            }
+        }
+        for (key, value) in doc.section("axes").iter().flat_map(|s| &s.entries) {
+            let items = value.as_array();
+            let items = items.ok_or_else(|| format!("axis '{key}' must be an array"))?;
+            if items.is_empty() {
+                return Err(format!("axis '{key}' is empty"));
+            }
+            let values: Vec<String> = items.iter().map(TomlValue::render).collect();
+            matrix.axes.push((key.clone(), values.clone(), values));
+        }
+        for table in doc.all("exclude") {
+            let clause = table.entries.iter().map(|(k, v)| (k.clone(), v.render()));
+            matrix.excludes.push(clause.collect());
+        }
+        Ok(matrix)
     }
 
-    /// Declares an axis. Declaration order is loop order: later axes
-    /// vary faster.
-    pub fn axis(mut self, name: impl Into<String>, len: usize) -> Self {
-        self.axes.push((name.into(), len));
-        self
+    /// Expands the matrix: validates axes, zips and excludes, enumerates
+    /// the (zipped) cross product in declaration order with the last
+    /// slot varying fastest — exactly the nested loops a hand-written
+    /// sweep would be — drops excluded cells, joins each cell's tags
+    /// into its label and refuses two cells with one label.
+    pub fn cells(&self) -> Result<Vec<MatrixCell>, MatrixError> {
+        for (i, (key, ..)) in self.axes.iter().enumerate() {
+            if self.axes[..i].iter().any(|(k, ..)| k == key) {
+                return Err(MatrixError::DuplicateAxis(key.clone()));
+            }
+        }
+        // A clause that cannot match is a spec mistake, not a no-op.
+        for (axis, value) in self.excludes.iter().flatten() {
+            let declared = &self.axes[self.axis_index(axis)?].1;
+            if !declared.contains(value) {
+                return Err(MatrixError::UnknownValue {
+                    axis: axis.clone(),
+                    value: value.clone(),
+                    declared: declared.clone(),
+                });
+            }
+        }
+        let mut cells: Vec<MatrixCell> = Vec::new();
+        for index in self.enumerate()? {
+            let picked = || self.axes.iter().zip(&index).map(|(axis, &i)| (axis, i));
+            let coords: Vec<(String, String)> = picked()
+                .map(|((key, values, _), i)| (key.clone(), values[i].clone()))
+                .collect();
+            let excluded = |clause: &Vec<(String, String)>| {
+                !clause.is_empty() && clause.iter().all(|pair| coords.contains(pair))
+            };
+            if self.excludes.iter().any(excluded) {
+                continue;
+            }
+            let tags = picked().map(|(axis, i)| axis.2[i].as_str());
+            let label = tags.filter(|t| !t.is_empty()).collect::<Vec<_>>().join("_");
+            cells.push(MatrixCell {
+                index,
+                label,
+                coords,
+            });
+        }
+        let mut seen = std::collections::HashMap::with_capacity(cells.len());
+        for cell in &cells {
+            if let Some(first) = seen.insert(cell.label.as_str(), cell) {
+                return Err(MatrixError::LabelCollision {
+                    label: cell.label.clone(),
+                    first: first.coords_string(),
+                    second: cell.coords_string(),
+                });
+            }
+        }
+        Ok(cells)
     }
 
-    /// Declares a zip group: the named axes advance in lockstep. The
-    /// group occupies the loop position of its earliest-declared member.
-    pub fn zip(mut self, members: &[&str]) -> Self {
-        self.zips
-            .push(members.iter().map(|m| m.to_string()).collect());
-        self
+    fn axis_index(&self, name: &str) -> Result<usize, MatrixError> {
+        let found = self.axes.iter().position(|(key, ..)| key == name);
+        found.ok_or_else(|| MatrixError::UnknownAxis(name.to_string()))
     }
 
-    /// Number of declared axes.
-    pub fn num_axes(&self) -> usize {
-        self.axes.len()
-    }
-
-    /// Enumerates every cell of the (zipped) cross product. Each cell is
-    /// one value index per axis, ordered like the axis declarations.
-    ///
-    /// Errors when a zip names an unknown axis, an axis twice, or
+    /// Every cell of the (zipped) cross product as one value index per
+    /// axis. Errors when a zip names an unknown axis, an axis twice, or
     /// members of unequal lengths — the spec mistakes that silently
     /// corrupt a hand-written sweep.
-    pub fn enumerate(&self) -> Result<Vec<Vec<usize>>, String> {
+    fn enumerate(&self) -> Result<Vec<Vec<usize>>, MatrixError> {
         // Resolve each axis to its slot: zipped axes share one.
-        let find = |name: &str| self.axes.iter().position(|(n, _)| n == name);
-        let mut slot_of_axis: Vec<Option<usize>> = vec![None; self.axes.len()];
+        let mut zipped = vec![false; self.axes.len()];
         let mut slots: Vec<(Vec<usize>, usize)> = Vec::new(); // (member axes, len)
         for zip in &self.zips {
             if zip.len() < 2 {
-                return Err(format!("zip group {zip:?} needs at least two axes"));
+                let msg = format!("zip group {zip:?} needs at least two axes");
+                return Err(MatrixError::Zip(msg));
             }
             let mut members = Vec::new();
             let mut len = None;
             for name in zip {
-                let idx = find(name).ok_or_else(|| format!("zip names unknown axis '{name}'"))?;
-                if slot_of_axis[idx].is_some() {
-                    return Err(format!("axis '{name}' appears in two zip groups"));
+                let idx = self.axis_index(name)?;
+                if std::mem::replace(&mut zipped[idx], true) {
+                    let msg = format!("axis '{name}' appears in two zip groups");
+                    return Err(MatrixError::Zip(msg));
                 }
-                let axis_len = self.axes[idx].1;
+                let axis_len = self.axes[idx].1.len();
                 match len {
                     None => len = Some(axis_len),
                     Some(l) if l != axis_len => {
-                        return Err(format!(
+                        return Err(MatrixError::Zip(format!(
                             "zip group {zip:?} has unequal lengths ({l} vs {axis_len} for '{name}')"
-                        ));
+                        )));
                     }
                     Some(_) => {}
                 }
                 members.push(idx);
             }
-            // The slot sits at the earliest member's declaration position;
-            // record placeholders now, order slots after the loop.
-            let slot_id = slots.len();
-            for &idx in &members {
-                slot_of_axis[idx] = Some(slot_id);
-            }
             slots.push((members, len.expect("non-empty zip")));
         }
-        for (idx, (_, len)) in self.axes.iter().enumerate() {
-            if slot_of_axis[idx].is_none() {
-                slot_of_axis[idx] = Some(slots.len());
-                slots.push((vec![idx], *len));
+        for (idx, (_, values, _)) in self.axes.iter().enumerate() {
+            if !zipped[idx] {
+                slots.push((vec![idx], values.len()));
             }
         }
         // Loop order: slots sorted by their earliest member's position.
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by_key(|&s| slots[s].0.iter().min().copied().unwrap_or(usize::MAX));
+        slots.sort_by_key(|(members, _)| members.iter().min().copied());
 
         let mut cells = Vec::new();
         let mut current = vec![0usize; self.axes.len()];
         fn recurse(
-            order: &[usize],
             slots: &[(Vec<usize>, usize)],
-            depth: usize,
             current: &mut Vec<usize>,
             cells: &mut Vec<Vec<usize>>,
         ) {
-            if depth == order.len() {
+            let Some(((members, len), inner)) = slots.split_first() else {
                 cells.push(current.clone());
                 return;
-            }
-            let (members, len) = &slots[order[depth]];
+            };
             for k in 0..*len {
                 for &axis in members {
                     current[axis] = k;
                 }
-                recurse(order, slots, depth + 1, current, cells);
+                recurse(inner, current, cells);
             }
         }
-        recurse(&order, &slots, 0, &mut current, &mut cells);
+        recurse(&slots, &mut current, &mut cells);
         Ok(cells)
+    }
+}
+
+impl MatrixCell {
+    /// The coordinates as `axis=value, axis=value` — how errors name a
+    /// cell.
+    pub fn coords_string(&self) -> String {
+        let pairs = self.coords.iter().map(|(k, v)| format!("{k}={v}"));
+        pairs.collect::<Vec<_>>().join(", ")
     }
 }
 
@@ -488,16 +657,34 @@ mod tests {
         );
     }
 
+    /// A matrix over `axes` of `(key, length)`: value `i` of axis `k` is
+    /// spelled and tagged `k{i}`.
+    fn matrix(axes: &[(&str, usize)], zips: &[&[&str]]) -> Matrix {
+        let owned = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        Matrix {
+            name: "t".into(),
+            axes: axes
+                .iter()
+                .map(|&(key, len)| {
+                    let values: Vec<String> = (0..len).map(|i| format!("{key}{i}")).collect();
+                    (key.to_string(), values.clone(), values)
+                })
+                .collect(),
+            zips: zips.iter().map(|z| owned(z)).collect(),
+            excludes: Vec::new(),
+        }
+    }
+
+    fn indices(m: &Matrix) -> Vec<Vec<usize>> {
+        m.cells().unwrap().into_iter().map(|c| c.index).collect()
+    }
+
     #[test]
     fn cross_product_matches_nested_loops() {
-        let cells = MatrixShape::new()
-            .axis("b", 2)
-            .axis("c", 3)
-            .enumerate()
-            .unwrap();
+        let m = matrix(&[("b", 2), ("c", 3)], &[]);
         // b outermost, c fastest — the legacy sweep loop order.
         assert_eq!(
-            cells,
+            indices(&m),
             vec![
                 vec![0, 0],
                 vec![0, 1],
@@ -507,20 +694,17 @@ mod tests {
                 vec![1, 2],
             ]
         );
+        let last = m.cells().unwrap().pop().unwrap();
+        assert_eq!(last.label, "b1_c2");
+        assert_eq!(last.coords_string(), "b=b1, c=c2");
     }
 
     #[test]
     fn zip_advances_members_in_lockstep() {
-        let cells = MatrixShape::new()
-            .axis("a", 2)
-            .axis("b", 3)
-            .axis("c", 2)
-            .zip(&["a", "c"])
-            .enumerate()
-            .unwrap();
+        let m = matrix(&[("a", 2), ("b", 3), ("c", 2)], &[&["a", "c"]]);
         // The a+c zip occupies a's (outermost) slot; b stays inner.
         assert_eq!(
-            cells,
+            indices(&m),
             vec![
                 vec![0, 0, 0],
                 vec![0, 1, 0],
@@ -534,42 +718,138 @@ mod tests {
 
     #[test]
     fn zip_validation_catches_spec_mistakes() {
-        let err = MatrixShape::new()
-            .axis("a", 2)
-            .axis("b", 3)
-            .zip(&["a", "b"])
-            .enumerate()
-            .unwrap_err();
+        let zip_err = |axes: &[(&str, usize)], zips: &[&[&str]]| match matrix(axes, zips).cells() {
+            Err(MatrixError::Zip(msg)) => msg,
+            other => panic!("expected a zip error, got {other:?}"),
+        };
+        let err = zip_err(&[("a", 2), ("b", 3)], &[&["a", "b"]]);
         assert!(err.contains("unequal lengths"), "{err}");
-        let err = MatrixShape::new()
-            .axis("a", 2)
-            .zip(&["a", "ghost"])
-            .enumerate()
-            .unwrap_err();
-        assert!(err.contains("unknown axis"), "{err}");
-        let err = MatrixShape::new()
-            .axis("a", 2)
-            .axis("b", 2)
-            .axis("c", 2)
-            .zip(&["a", "b"])
-            .zip(&["b", "c"])
-            .enumerate()
-            .unwrap_err();
+        let err = zip_err(&[("a", 2), ("b", 2), ("c", 2)], &[&["a", "b"], &["b", "c"]]);
         assert!(err.contains("two zip groups"), "{err}");
-        let err = MatrixShape::new()
-            .axis("a", 2)
-            .zip(&["a"])
-            .enumerate()
-            .unwrap_err();
+        let err = zip_err(&[("a", 2)], &[&["a"]]);
         assert!(err.contains("at least two"), "{err}");
+        assert_eq!(
+            matrix(&[("a", 2)], &[&["a", "ghost"]]).cells().unwrap_err(),
+            MatrixError::UnknownAxis("ghost".into())
+        );
     }
 
     #[test]
     fn empty_shape_is_one_cell() {
+        let cells = matrix(&[], &[]).cells().unwrap();
+        assert_eq!(cells.len(), 1);
+        assert!(cells[0].index.is_empty() && cells[0].label.is_empty());
+    }
+
+    #[test]
+    fn excludes_match_canonical_spellings_and_refuse_what_cannot_match() {
+        let mut m = matrix(&[("a", 2), ("b", 2)], &[]);
+        m.excludes = vec![
+            vec![("a".into(), "a1".into()), ("b".into(), "b0".into())],
+            Vec::new(), // an empty table drops nothing
+        ];
+        assert_eq!(indices(&m), vec![vec![0, 0], vec![0, 1], vec![1, 1]]);
+        // The tag is not the spelling: say so, and say what is.
+        m.axes[0].2 = vec!["x".into(), "y".into()];
+        m.excludes = vec![vec![("a".into(), "y".into())]];
+        let err = m.cells().unwrap_err();
         assert_eq!(
-            MatrixShape::new().enumerate().unwrap(),
-            vec![Vec::<usize>::new()]
+            err,
+            MatrixError::UnknownValue {
+                axis: "a".into(),
+                value: "y".into(),
+                declared: vec!["a0".into(), "a1".into()],
+            }
         );
+        assert!(err.to_string().contains("declared: a0, a1"), "{err}");
+        m.excludes = vec![vec![("ghost".into(), "a0".into())]];
+        assert_eq!(
+            m.cells().unwrap_err(),
+            MatrixError::UnknownAxis("ghost".into())
+        );
+    }
+
+    #[test]
+    fn duplicate_axes_and_colliding_labels_are_refused() {
+        let twice = matrix(&[("a", 2), ("b", 2), ("a", 3)], &[]);
+        assert_eq!(
+            twice.cells().unwrap_err(),
+            MatrixError::DuplicateAxis("a".into())
+        );
+        // Lossy tags: `x` + `y_z` and `x_y` + `z` join to one label.
+        let mut m = matrix(&[("a", 2), ("b", 2)], &[&["a", "b"]]);
+        m.axes[0].2 = vec!["x".into(), "x_y".into()];
+        m.axes[1].2 = vec!["y_z".into(), "z".into()];
+        assert_eq!(
+            m.cells().unwrap_err(),
+            MatrixError::LabelCollision {
+                label: "x_y_z".into(),
+                first: "a=a0, b=b0".into(),
+                second: "a=a1, b=b1".into(),
+            }
+        );
+        // Empty tags are skipped, not joined.
+        m.axes[1].2 = vec![String::new(), "z".into()];
+        let labels: Vec<String> = m.cells().unwrap().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels, ["x", "x_y_z"]);
+    }
+
+    #[test]
+    fn from_doc_reads_the_matrix_sections_and_returns_the_rest() {
+        let doc = TomlDoc::parse(
+            r#"
+            [experiment]
+            name = "smoke"
+            scaling = "weak"
+            zip = ["backend + codec"]
+            [axes]
+            backend = ["fpp", "agg:4"]
+            codec = ["identity", "rle:2.5"]
+            scale = [2, 4]
+            [[exclude]]
+            scale = 4
+            backend = "agg:4"
+            "#,
+        )
+        .unwrap();
+        let mut unread = Vec::new();
+        let m = Matrix::from_doc(&doc, "fallback", |key, _| {
+            unread.push(key.to_string());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(m.name, "smoke");
+        assert_eq!(m.zips, vec![vec!["backend".to_string(), "codec".into()]]);
+        assert_eq!(m.axes[2].0, "scale");
+        assert_eq!(m.axes[2].1, ["2", "4"]);
+        assert_eq!(m.axes[1].1, m.axes[1].2, "tags start as the spellings");
+        let labels: Vec<String> = m.cells().unwrap().into_iter().map(|c| c.label).collect();
+        assert_eq!(
+            labels,
+            ["fpp_identity_2", "fpp_identity_4", "agg:4_rle:2.5_2"]
+        );
+        assert_eq!(unread, ["scaling"]);
+        let refused = Matrix::from_doc(&doc, "fallback", |key, _| Err(format!("no '{key}'")));
+        assert_eq!(refused.unwrap_err(), "no 'scaling'");
+
+        let bare = TomlDoc::parse("[axes]\nx = [1]").unwrap();
+        assert_eq!(
+            Matrix::from_doc(&bare, "fallback", |_, _| Ok(()))
+                .unwrap()
+                .name,
+            "fallback"
+        );
+        for (text, want) in [
+            ("[experiment]\nname = 3", "name must be a string"),
+            ("[experiment]\nzip = \"a+b\"", "zip must be an array"),
+            ("[experiment]\nzip = [1]", "zip entries must be strings"),
+            ("[axes]\nx = 3", "axis 'x' must be an array"),
+            ("[axes]\nx = []", "axis 'x' is empty"),
+        ] {
+            let err =
+                Matrix::from_doc(&TomlDoc::parse(text).unwrap(), "f", |_, _| Ok(())).unwrap_err();
+            assert!(err.contains(want), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -159,7 +159,9 @@ pub use driver::{
     ScheduledPhase,
 };
 pub use fpp::FilePerProcess;
-pub use grammar::{disambiguate_tags, MatrixShape, TomlDoc, TomlSection, TomlValue};
+pub use grammar::{
+    disambiguate_tags, Matrix, MatrixCell, MatrixError, TomlDoc, TomlSection, TomlValue,
+};
 pub use reorg::{ReorgStats, Reorganizer};
 pub use scenario::{Scenario, ScenarioOp};
 pub use selection::{KeyBox, ReadSelection};

@@ -4,9 +4,11 @@
 //! `--parallel_file_mode MIF n | SIF`, `--num_dumps`, `--part_size`,
 //! `--avg_num_parts`, `--vars_per_part`, `--compute_time`, `--meta_size`,
 //! `--dataset_growth`) plus `--nprocs` standing in for `jsrun -n`.
+//! [`parse_spec`] crosses the same flags into a campaign matrix: every
+//! flag [`parse_args`] accepts is an axis, so a new axis is a new flag.
 
 use crate::config::{FileMode, Interface, MacsioConfig, RunMode};
-use io_engine::grammar::{disambiguate_tags, MatrixShape, TomlDoc};
+use io_engine::grammar::{disambiguate_tags, Matrix, TomlDoc};
 use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
 
 /// One-screen flag reference (printed by the `macsio` binary on bad
@@ -162,139 +164,52 @@ where
 /// Parses a declarative MACSio campaign spec (the `--spec FILE` grammar)
 /// into one labelled configuration per matrix cell.
 ///
-/// The spec reuses the command-line surface: `[base]` keys are flag
-/// names without the `--` prefix (values with spaces, like
-/// `parallel_file_mode = "MIF 8"`, split into flag arguments), `[axes]`
-/// entries are arrays of flag values crossed in declaration order (last
-/// fastest), `[experiment] zip = ["a+b"]` advances axes in lockstep, and
-/// `[[exclude]]` tables drop cells whose axis values match. Every cell
-/// is parsed by [`parse_args`], so spec files and command lines accept
-/// exactly the same spellings and validation.
+/// The matrix — `[experiment] name` / `zip = ["a+b"]`, `[axes]` arrays
+/// crossed in declaration order (last fastest), `[[exclude]]` tables,
+/// labels and their collisions — is [`Matrix`], shared with
+/// `amrproxy::spec`. This client adds the flag spellings: `[base]` keys
+/// and axis keys are flag names without the `--` prefix (values with
+/// spaces, like `parallel_file_mode = "MIF 8"`, split into flag
+/// arguments) and every cell is parsed by [`parse_args`], so spec files
+/// and command lines accept exactly the same spellings and validation.
 ///
 /// Labels are `<experiment name>_<axis tags>` with the axis value
-/// flattened name-safe (`agg:4` -> `agg4`, `rle:2.5` -> `rle2p5`);
-/// lossy flattenings are index-disambiguated and resulting label
-/// collisions rejected with an error naming the clashing cells.
+/// flattened name-safe (`agg:4` -> `agg4`, `rle:2.5` -> `rle2_5`),
+/// lossy flattenings index-disambiguated.
 pub fn parse_spec(text: &str) -> Result<Vec<(String, MacsioConfig)>, String> {
     let doc = TomlDoc::parse(text)?;
-    let mut name = "macsio".to_string();
-    let mut zips: Vec<Vec<String>> = Vec::new();
-    if let Some(exp) = doc.section("experiment") {
-        for (key, value) in &exp.entries {
-            match key.as_str() {
-                "name" => {
-                    name = value
-                        .as_str()
-                        .ok_or("experiment.name must be a string")?
-                        .to_string()
-                }
-                "zip" => {
-                    for item in value.as_array().ok_or("experiment.zip must be an array")? {
-                        let group = item.as_str().ok_or("zip entries must be strings")?;
-                        zips.push(group.split('+').map(|m| m.trim().to_string()).collect());
-                    }
-                }
-                other => return Err(format!("unknown [experiment] key '{other}'")),
-            }
-        }
-    }
+    let unknown = |key: &str, _: &_| Err(format!("unknown [experiment] key '{key}'"));
+    let mut matrix = Matrix::from_doc(&doc, "macsio", unknown)?;
     // Base flags: every key becomes `--key value...` (space-separated
     // values split into separate arguments, so "MIF 8" works).
     let mut base_args: Vec<String> = Vec::new();
-    if let Some(base) = doc.section("base") {
-        for (key, value) in &base.entries {
-            base_args.push(format!("--{key}"));
-            base_args.extend(value.render().split_whitespace().map(String::from));
-        }
+    for (key, value) in doc.section("base").iter().flat_map(|s| &s.entries) {
+        base_args.push(format!("--{key}"));
+        base_args.extend(value.render().split_whitespace().map(String::from));
     }
-    // Axes: flag name -> value spellings, in declaration order.
-    let mut axes: Vec<(String, Vec<String>)> = Vec::new();
-    if let Some(section) = doc.section("axes") {
-        for (key, value) in &section.entries {
-            let values: Vec<String> = value
-                .as_array()
-                .ok_or_else(|| format!("axis '{key}' must be an array"))?
-                .iter()
-                .map(|v| v.render())
-                .collect();
-            if values.is_empty() {
-                return Err(format!("axis '{key}' is empty"));
-            }
-            axes.push((key.clone(), values));
-        }
+    // An axis is a flag name and its value spellings; the tags flatten
+    // the spellings name-safe, lossy flattenings index-disambiguated.
+    for (_, values, tags) in &mut matrix.axes {
+        let flatten = |v: &String| {
+            v.replace('-', "to")
+                .replace([':', ' '], "")
+                .replace([',', '/', '.', ';', '@'], "_")
+        };
+        *tags = values.iter().map(flatten).collect();
+        disambiguate_tags(tags, 'v');
     }
-    let mut excludes: Vec<Vec<(String, String)>> = Vec::new();
-    for table in doc.all("exclude") {
-        let clauses: Vec<(String, String)> = table
-            .entries
-            .iter()
-            .map(|(k, v)| (k.clone(), v.render()))
-            .collect();
-        for (axis, _) in &clauses {
-            if !axes.iter().any(|(a, _)| a == axis) {
-                return Err(format!("exclude references unknown axis '{axis}'"));
-            }
-        }
-        excludes.push(clauses);
-    }
-    let mut shape = MatrixShape::new();
-    for (key, values) in &axes {
-        shape = shape.axis(key.clone(), values.len());
-    }
-    for zip in &zips {
-        for member in zip {
-            if !axes.iter().any(|(a, _)| a == member) {
-                return Err(format!("zip references unknown axis '{member}'"));
-            }
-        }
-        let members: Vec<&str> = zip.iter().map(String::as_str).collect();
-        shape = shape.zip(&members);
-    }
-    // Per-axis name-safe tags, lossy flattenings index-disambiguated.
-    let tags: Vec<Vec<String>> = axes
-        .iter()
-        .map(|(_, values)| {
-            let mut tags: Vec<String> = values
-                .iter()
-                .map(|v| {
-                    v.replace('-', "to")
-                        .replace([':', ' '], "")
-                        .replace([',', '/', '.', ';', '@'], "_")
-                })
-                .collect();
-            disambiguate_tags(&mut tags, 'v');
-            tags
-        })
-        .collect();
-
     let mut cells = Vec::new();
-    'cell: for indices in shape.enumerate()? {
-        for clauses in &excludes {
-            let hit = clauses.iter().all(|(axis, value)| {
-                axes.iter()
-                    .zip(&indices)
-                    .any(|((a, values), &i)| a == axis && &values[i] == value)
-            });
-            if !clauses.is_empty() && hit {
-                continue 'cell;
-            }
-        }
+    for cell in matrix.cells().map_err(|e| e.to_string())? {
         let mut args = base_args.clone();
-        let mut label = name.clone();
-        for (((key, values), tag), &i) in axes.iter().zip(&tags).zip(&indices) {
+        for ((key, values, _), &i) in matrix.axes.iter().zip(&cell.index) {
             args.push(format!("--{key}"));
             args.extend(values[i].split_whitespace().map(String::from));
-            label.push('_');
-            label.push_str(&tag[i]);
         }
-        let cfg = parse_args(args.iter().map(String::as_str))
-            .map_err(|e| format!("cell '{label}': {e}"))?;
-        if cells.iter().any(|(l, _)| *l == label) {
-            return Err(format!(
-                "run label collision: '{label}' is produced by two cells; \
-                 rename the experiment or add a distinguishing axis"
-            ));
-        }
+        let label = match cell.label.as_str() {
+            "" => matrix.name.clone(),
+            tags => format!("{}_{tags}", matrix.name),
+        };
+        let cfg = parse_args(&args).map_err(|e| format!("cell '{label}': {e}"))?;
         cells.push((label, cfg));
     }
     Ok(cells)
@@ -577,6 +492,20 @@ mod tests {
         let cells = parse_spec("[axes]\ncompression = [\"rle:2.5\", \"rle:25\"]").unwrap();
         assert_eq!(cells.len(), 2);
         assert_ne!(cells[0].0, cells[1].0);
+    }
+
+    #[test]
+    fn spec_exclude_that_spells_no_declared_value_is_refused() {
+        // Regression: the label tag `agg4` where the flag value `agg:4`
+        // was meant used to drop nothing and say nothing.
+        let err = parse_spec(
+            "[axes]\nio_backend = [\"fpp\", \"agg:4\"]\n[[exclude]]\nio_backend = \"agg4\"",
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "exclude io_backend = 'agg4' matches no value of that axis (declared: fpp, agg:4)"
+        );
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! `campaign.rs`) — an independent reference for label order, tag
 //! flattening and disambiguation. Each must stay byte-identical — full
 //! config-list equality through the serde wire format — to the
-//! `ExperimentSpec` builder declaring the same axes. The store
-//! properties cover the append/reopen round trip (byte-identical rows)
+//! `ExperimentSpec` builder declaring the same axes. The matrix compiler
+//! under both (`io_engine::grammar::Matrix`) is held to a nested-loop
+//! oracle over random axes, zips and excludes. The store properties cover the append/reopen round trip (byte-identical rows)
 //! and resume (exactly the persisted cells are skipped).
 
 use amr_proxy_io::amrproxy::{
     run_campaign_serial, run_spec, CastroSedovConfig, Engine, ExperimentSpec, Layout, ResultsStore,
     RunMode, Scenario,
 };
-use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, ReadSelection};
+use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, Matrix, ReadSelection};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -248,10 +249,86 @@ fn arb_scenarios() -> impl Strategy<Value = Vec<Scenario>> {
     ])
 }
 
+/// A random matrix: up to four axes `a`..`d` of one to three values
+/// (`a0`, `a1`, ...; tags equal spellings), at most one zip group (its
+/// members' lengths equalized) and up to two exclude clauses that spell
+/// declared values.
+fn arb_matrix() -> impl Strategy<Value = Matrix> {
+    (
+        prop::collection::vec((1usize..4, 0u8..2), 1..5),
+        prop::collection::vec(prop::collection::vec((0usize..4, 0usize..3), 0..3), 0..3),
+    )
+        .prop_map(|(axes, excludes)| {
+            let zipped: Vec<usize> = (0..axes.len()).filter(|&a| axes[a].1 == 1).collect();
+            let zipped = if zipped.len() < 2 { Vec::new() } else { zipped };
+            let len = |a: usize| match zipped.contains(&a) {
+                true => axes[zipped[0]].0,
+                false => axes[a].0,
+            };
+            let key = |a: usize| ["a", "b", "c", "d"][a].to_string();
+            let value = |a: usize, i: usize| format!("{}{i}", key(a));
+            Matrix {
+                name: "m".into(),
+                axes: (0..axes.len())
+                    .map(|a| {
+                        let values: Vec<String> = (0..len(a)).map(|i| value(a, i)).collect();
+                        (key(a), values.clone(), values)
+                    })
+                    .collect(),
+                zips: match zipped.is_empty() {
+                    true => Vec::new(),
+                    false => vec![zipped.iter().map(|&a| key(a)).collect()],
+                },
+                excludes: excludes
+                    .iter()
+                    .map(|clause| {
+                        let pair = |&(a, i): &(usize, usize)| {
+                            let a = a % axes.len();
+                            (key(a), value(a, i % len(a)))
+                        };
+                        clause.iter().map(pair).collect()
+                    })
+                    .collect(),
+            }
+        })
+}
+
+/// The hand-written sweep a [`Matrix`] stands for: nested loops over
+/// every axis in declaration order (an odometer, last axis fastest),
+/// keeping the cells whose zipped axes agree and no exclude clause
+/// matches. Yields `(index, label)`.
+fn nested_loop_oracle(m: &Matrix) -> Vec<(Vec<usize>, String)> {
+    let position = |key: &String| m.axes.iter().position(|(k, ..)| k == key).unwrap();
+    let mut out = Vec::new();
+    let mut index = vec![0usize; m.axes.len()];
+    'cells: loop {
+        let value = |a: usize| &m.axes[a].1[index[a]];
+        let in_step = m.zips.iter().all(|zip| {
+            zip.iter()
+                .all(|k| index[position(k)] == index[position(&zip[0])])
+        });
+        let excluded = m.excludes.iter().any(|clause| {
+            !clause.is_empty() && clause.iter().all(|(k, v)| value(position(k)) == v)
+        });
+        if in_step && !excluded {
+            let tags: Vec<&str> = (0..index.len()).map(|a| value(a).as_str()).collect();
+            out.push((index.clone(), tags.join("_")));
+        }
+        for a in (0..index.len()).rev() {
+            index[a] += 1;
+            if index[a] < m.axes[a].1.len() {
+                continue 'cells;
+            }
+            index[a] = 0;
+        }
+        return out;
+    }
+}
+
 /// A builder-declared matrix, compiled to its configurations.
 fn compiled(spec: ExperimentSpec) -> Vec<CastroSedovConfig> {
-    spec.compile_configs()
-        .expect("base run labels are distinct")
+    let cells = spec.compile().expect("base run labels are distinct");
+    cells.into_iter().map(|c| c.config).collect()
 }
 
 /// Canonical wire form of a config list — byte-level equality.
@@ -275,6 +352,23 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The matrix compiler == nested loops with zip and exclude filters:
+    /// same cells, same order, same labels, coordinates spelling the
+    /// indexed values.
+    #[test]
+    fn matrix_cells_match_the_nested_loop_oracle(matrix in arb_matrix()) {
+        let cells = matrix.cells().expect("the strategy builds valid matrices");
+        let got: Vec<(Vec<usize>, String)> =
+            cells.iter().map(|c| (c.index.clone(), c.label.clone())).collect();
+        prop_assert_eq!(got, nested_loop_oracle(&matrix));
+        for cell in &cells {
+            for (a, (key, value)) in cell.coords.iter().enumerate() {
+                prop_assert_eq!(key, &matrix.axes[a].0);
+                prop_assert_eq!(value, &matrix.axes[a].1[cell.index[a]]);
+            }
+        }
+    }
 
     /// The backend enumeration == its spec compilation, byte-identical.
     #[test]
@@ -393,6 +487,73 @@ proptest! {
             prop_assert_eq!(wire_orig, wire_got, "row {} drifted on disk", i);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every query is a pure function of the *set* of cells: committing
+    /// the same cells in another order (the parallel executor commits in
+    /// completion order) changes no row order and no aggregate bit.
+    #[test]
+    fn queries_do_not_depend_on_commit_order(
+        cells in prop::collection::vec(
+            (0.001f64..100.0, 1u64..1_000_000, 0usize..3, 1usize..3),
+            2..9,
+        ),
+        shuffle in prop::collection::vec(0u32..1000, 9..10),
+    ) {
+        let template = run_campaign_serial(&[CastroSedovConfig {
+            name: "q".into(),
+            engine: Engine::Oracle,
+            n_cell: 16,
+            max_step: 2,
+            plot_int: 1,
+            nprocs: 2,
+            account_only: true,
+            ..Default::default()
+        }])
+        .remove(0);
+        // Cell i holds 1-2 rows (a tenancy cell holds one per tenant).
+        let batches: Vec<Vec<_>> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(wall, bytes, backend, rows))| {
+                (0..rows)
+                    .map(|t| {
+                        let mut s = template.clone();
+                        s.name = format!("cell{i}_t{t}");
+                        s.wall_time = wall * (t + 1) as f64;
+                        s.physical_bytes = bytes + 1_000_000 * i as u64; // distinct: the fit needs two x
+                        s.backend = ["fpp", "agg:4", "deferred:1"][backend].to_string();
+                        s
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut shuffled: Vec<usize> = (0..batches.len()).collect();
+        shuffled.sort_by_key(|&i| shuffle[i]);
+        let in_order: Vec<usize> = (0..batches.len()).collect();
+        let mut answers = Vec::new();
+        for order in [&in_order, &shuffled] {
+            let dir = scratch("order");
+            let mut store = ResultsStore::open(&dir).unwrap();
+            for &i in order {
+                store.append_cell(&format!("key{i}"), &batches[i]).unwrap();
+            }
+            let q = store.query();
+            let fit = q.fit("physical_bytes", "wall_time");
+            let groups: Vec<(String, u64)> = q
+                .group_mean("backend", "wall_time")
+                .into_iter()
+                .map(|(k, v)| (k, v.to_bits()))
+                .collect();
+            answers.push((
+                q.rows().to_vec(),
+                q.mean("wall_time").to_bits(),
+                groups,
+                (fit.slope.to_bits(), fit.intercept.to_bits(), fit.r2.to_bits()),
+            ));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        prop_assert_eq!(&answers[0], &answers[1]);
     }
 
     /// Resume skips exactly the persisted cells: pre-persist an arbitrary
