@@ -5,6 +5,7 @@
 
 use crate::index_box::IndexBox;
 use crate::intvect::IntVect;
+use std::ops::Range;
 
 /// Multi-component `f64` data over a box of cells.
 ///
@@ -100,29 +101,60 @@ impl FArrayBox {
         &mut self.data[comp * n..(comp + 1) * n]
     }
 
+    /// Mutable slices of every component at once, in component order.
+    pub fn comps_mut(&mut self) -> std::slice::ChunksExactMut<'_, f64> {
+        let n = self.cells_per_comp();
+        self.data.chunks_exact_mut(n)
+    }
+
     /// Full backing storage (component-major).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
+    /// Flat index ranges, within one component's slice, of the rows of
+    /// `region` (one per y, low to high), which must lie inside the fab.
+    pub fn rows(&self, region: &IndexBox) -> impl Iterator<Item = Range<usize>> {
+        debug_assert!(self.domain.contains_box(region));
+        let size = region.size();
+        let start = if region.is_valid() {
+            self.domain.offset(region.lo())
+        } else {
+            0
+        };
+        let (width, nx) = (self.domain.length(0) as usize, size.x as usize);
+        (0..size.y as usize).map(move |r| {
+            let s = start + r * width;
+            s..s + nx
+        })
+    }
+
     /// Copies `comp`-component data from `src` over the cells of `region`,
     /// which must lie inside both fabs' domains.
     pub fn copy_from(&mut self, src: &FArrayBox, region: &IndexBox, comp_map: &[(usize, usize)]) {
-        debug_assert!(self.domain.contains_box(region));
-        debug_assert!(src.domain.contains_box(region));
-        for (sc, dc) in comp_map {
-            for p in region.cells() {
-                let v = src.get(p, *sc);
-                self.set(p, *dc, v);
-            }
+        for &(sc, dc) in comp_map {
+            self.copy_comp(src, region, sc, dc);
         }
     }
 
     /// Copies all matching components from `src` over `region`.
     pub fn copy_all_from(&mut self, src: &FArrayBox, region: &IndexBox) {
-        let ncomp = self.ncomp.min(src.ncomp);
-        let map: Vec<(usize, usize)> = (0..ncomp).map(|c| (c, c)).collect();
-        self.copy_from(src, region, &map);
+        for c in 0..self.ncomp.min(src.ncomp) {
+            self.copy_comp(src, region, c, c);
+        }
+    }
+
+    /// Copies component `sc` of `src` into component `dc` over `region`,
+    /// one row slice at a time.
+    fn copy_comp(&mut self, src: &FArrayBox, region: &IndexBox, sc: usize, dc: usize) {
+        debug_assert!(self.domain.contains_box(region));
+        debug_assert!(src.domain.contains_box(region));
+        let from = src.comp(sc);
+        let rows = self.rows(region).zip(src.rows(region));
+        let to = self.comp_mut(dc);
+        for (d, s) in rows {
+            to[d].copy_from_slice(&from[s]);
+        }
     }
 
     /// Fills every cell of component `comp` inside `region` with `v`.
@@ -171,6 +203,65 @@ impl FArrayBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Test oracle for [`FArrayBox::copy_from`]: one `get` / `set` per cell.
+    fn copy_from_reference(
+        dst: &mut FArrayBox,
+        src: &FArrayBox,
+        region: &IndexBox,
+        comp_map: &[(usize, usize)],
+    ) {
+        for (sc, dc) in comp_map {
+            for p in region.cells() {
+                let v = src.get(p, *sc);
+                dst.set(p, *dc, v);
+            }
+        }
+    }
+
+    /// A fab over `domain` whose every value is distinct.
+    fn numbered(domain: IndexBox, ncomp: usize, offset: f64) -> FArrayBox {
+        let mut f = FArrayBox::new(domain, ncomp);
+        for (i, v) in f.data.iter_mut().enumerate() {
+            *v = offset + i as f64;
+        }
+        f
+    }
+
+    proptest! {
+        /// Row-slice copies write exactly the reference's cells and values,
+        /// for any sub-region of two overlapping fabs and any component map.
+        #[test]
+        fn copy_from_matches_reference(
+            a in (-5i64..5, -5i64..5, 1i64..12, 1i64..12),
+            b in (-5i64..5, -5i64..5, 1i64..12, 1i64..12),
+            cut in (0i64..12, 0i64..12, 0i64..12, 0i64..12),
+            map in prop::collection::vec((0usize..3, 0usize..3), 0..4),
+        ) {
+            let da = IndexBox::from_lo_size(IntVect::new(a.0, a.1), IntVect::new(a.2, a.3));
+            let db = IndexBox::from_lo_size(IntVect::new(b.0, b.1), IntVect::new(b.2, b.3));
+            prop_assume!(da.intersects(&db));
+            let overlap = da.intersection(&db).unwrap();
+            let (lo, size) = (overlap.lo(), overlap.size());
+            let region = IndexBox::from_lo_size(
+                lo + IntVect::new(cut.0 % size.x, cut.1 % size.y),
+                IntVect::new(1 + cut.2 % size.x, 1 + cut.3 % size.y),
+            )
+            .intersection(&overlap)
+            .unwrap();
+            let src = numbered(db, 3, 1e6);
+            let mut dst = numbered(da, 3, 0.0);
+            let mut oracle = dst.clone();
+            dst.copy_from(&src, &region, &map);
+            copy_from_reference(&mut oracle, &src, &region, &map);
+            prop_assert!(dst == oracle);
+            let all = [(0, 0), (1, 1), (2, 2)];
+            dst.copy_all_from(&src, &overlap);
+            copy_from_reference(&mut oracle, &src, &overlap, &all);
+            prop_assert!(dst == oracle);
+        }
+    }
 
     fn dom() -> IndexBox {
         IndexBox::at_origin(IntVect::new(4, 3))

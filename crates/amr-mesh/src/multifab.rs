@@ -94,7 +94,7 @@ impl MultiFab {
         &mut self.fabs[i]
     }
 
-    /// Mutable access to all fabs at once (for rayon-parallel level loops).
+    /// Mutable access to all fabs at once.
     pub fn fabs_mut(&mut self) -> &mut [FArrayBox] {
         &mut self.fabs
     }
@@ -143,12 +143,11 @@ impl MultiFab {
     /// BoxArray) into the valid regions of `self` where they overlap
     /// (AMReX `ParallelCopy`).
     pub fn parallel_copy_from(&mut self, src: &MultiFab) {
-        let ncomp = self.ncomp.min(src.ncomp);
-        let map: Vec<(usize, usize)> = (0..ncomp).map(|c| (c, c)).collect();
-        for di in 0..self.fabs.len() {
-            let dst_valid = self.ba.get(di);
-            for (si, overlap) in src.ba.intersections(&dst_valid) {
-                self.fabs[di].copy_from(src.fab(si), &overlap, &map);
+        for (dst_valid, dst) in self.ba.iter().zip(&mut self.fabs) {
+            for (src_valid, sfab) in src.iter() {
+                if let Some(overlap) = dst_valid.intersection(&src_valid) {
+                    dst.copy_all_from(sfab, &overlap);
+                }
             }
         }
     }
@@ -178,6 +177,65 @@ mod tests {
     use super::*;
     use crate::distribution::DistributionStrategy;
     use crate::intvect::IntVect;
+    use proptest::prelude::*;
+
+    /// Test oracle for [`MultiFab::parallel_copy_from`]: the overlap list
+    /// and component map built per destination fab.
+    fn parallel_copy_reference(dst: &mut MultiFab, src: &MultiFab) {
+        let ncomp = dst.ncomp.min(src.ncomp);
+        let map: Vec<(usize, usize)> = (0..ncomp).map(|c| (c, c)).collect();
+        for di in 0..dst.fabs.len() {
+            let dst_valid = dst.ba.get(di);
+            for (si, overlap) in src.ba.intersections(&dst_valid) {
+                dst.fabs[di].copy_from(src.fab(si), &overlap, &map);
+            }
+        }
+    }
+
+    /// A level over `n` x `n` cells at `lo`, chopped to `max`, whose every
+    /// stored value (ghosts included) is distinct.
+    fn numbered(
+        lo: IntVect,
+        n: Coord,
+        max: Coord,
+        ncomp: usize,
+        ngrow: Coord,
+        offset: f64,
+    ) -> MultiFab {
+        let ba = BoxArray::single(IndexBox::from_lo_size(lo, IntVect::splat(n))).max_size(max);
+        let dm = DistributionMapping::new(&ba, 1, DistributionStrategy::Sfc);
+        let mut mf = MultiFab::new(ba, dm, ncomp, ngrow);
+        let mut next = offset;
+        for f in &mut mf.fabs {
+            for c in f.comps_mut() {
+                for v in c {
+                    *v = next;
+                    next += 1.0;
+                }
+            }
+        }
+        mf
+    }
+
+    proptest! {
+        /// Allocation-free copies between levels of different layouts and
+        /// component counts match the per-fab overlap-list reference.
+        #[test]
+        fn parallel_copy_matches_reference(
+            shift in (-6i64..6, -6i64..6),
+            n in (1i64..14, 1i64..14),
+            max in (1i64..8, 1i64..8),
+            ncomp in (1usize..4, 1usize..4),
+            ngrow in (0i64..3, 0i64..3),
+        ) {
+            let mut dst = numbered(IntVect::ZERO, n.0, max.0, ncomp.0, ngrow.0, 0.0);
+            let src = numbered(IntVect::new(shift.0, shift.1), n.1, max.1, ncomp.1, ngrow.1, 1e6);
+            let mut oracle = dst.clone();
+            dst.parallel_copy_from(&src);
+            parallel_copy_reference(&mut oracle, &src);
+            prop_assert!(dst.fabs == oracle.fabs);
+        }
+    }
 
     fn make(n: Coord, max: Coord, nranks: usize, ncomp: usize, ngrow: Coord) -> MultiFab {
         let ba = BoxArray::single(IndexBox::at_origin(IntVect::splat(n))).max_size(max);

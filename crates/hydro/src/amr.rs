@@ -9,7 +9,7 @@
 
 use crate::eos::GammaLaw;
 use crate::sedov::SedovProblem;
-use crate::solver::{advance_level, apply_outflow_bc, NGROW};
+use crate::solver::{advance_level, apply_outflow_bc, runs_outside, SweepScratch, NGROW};
 use crate::state::NCOMP;
 use crate::tagging::{tag_gradients, TagCriteria};
 use crate::timestep::{cfl_dt, limit_dt, TimestepControl};
@@ -101,6 +101,8 @@ pub struct AmrSim {
     time: f64,
     step: u64,
     dt_prev: Option<f64>,
+    /// The level advance's row scratch, reused by every sweep.
+    scratch: SweepScratch,
 }
 
 impl AmrSim {
@@ -126,6 +128,7 @@ impl AmrSim {
             time: 0.0,
             step: 0,
             dt_prev: None,
+            scratch: SweepScratch::default(),
             cfg,
         };
         // Iterative initial grid generation.
@@ -189,20 +192,14 @@ impl AmrSim {
     /// Fills ghost cells of level `lev`: coarse-fine interpolation (from
     /// `lev-1`), same-level exchange, then physical outflow boundaries.
     fn fill_ghosts(&mut self, lev: usize) {
-        if lev > 0 {
-            let (coarse_slice, fine_slice) = self.levels.split_at_mut(lev);
-            let coarse = &coarse_slice[lev - 1].mf;
-            let fine = &mut fine_slice[0].mf;
-            interp_ghosts_from_coarse(
-                fine,
-                coarse,
-                self.cfg.grid.ref_ratio,
-                &fine_slice[0].geom.domain,
-            );
-        }
-        let domain = self.levels[lev].geom.domain;
-        self.levels[lev].mf.fill_boundary();
-        apply_outflow_bc(&mut self.levels[lev].mf, &domain);
+        let (coarser, rest) = self.levels.split_at_mut(lev);
+        let level = &mut rest[0];
+        fill_level_ghosts(
+            &mut level.mf,
+            coarser.last().map(|l| &l.mf),
+            self.cfg.grid.ref_ratio,
+            &level.geom.domain,
+        );
     }
 
     /// Conservatively averages every fine level onto its parent.
@@ -260,31 +257,20 @@ impl AmrSim {
     /// Advances level `lev` by `dt`, then subcycles the finer level and
     /// averages it down (Castro's recursive `timeStep`).
     fn advance_recursive(&mut self, lev: usize, dt: f64) {
-        let geom = self.levels[lev].geom;
-        // advance_level refills ghosts per sweep via the closure; take the
-        // MultiFab out temporarily to satisfy the borrow checker.
-        let mut mf = std::mem::replace(
-            &mut self.levels[lev].mf,
-            MultiFab::new(
-                BoxArray::single(IndexBox::at_origin(IntVect::splat(1))),
-                DistributionMapping::from_owners(vec![0], 1),
-                NCOMP,
-                0,
-            ),
+        let ratio = self.cfg.grid.ref_ratio;
+        let (coarser, rest) = self.levels.split_at_mut(lev);
+        let level = &mut rest[0];
+        let coarse = coarser.last().map(|l| &l.mf);
+        let domain = level.geom.domain;
+        advance_level(
+            &mut level.mf,
+            &level.geom,
+            dt,
+            &self.eos,
+            &mut self.scratch,
+            |m: &mut MultiFab| fill_level_ghosts(m, coarse, ratio, &domain),
         );
-        {
-            let levels = &mut self.levels;
-            let ratio = self.cfg.grid.ref_ratio;
-            advance_level(&mut mf, &geom, dt, &self.eos, |m: &mut MultiFab| {
-                if lev > 0 {
-                    interp_ghosts_from_coarse(m, &levels[lev - 1].mf, ratio, &geom.domain);
-                }
-                m.fill_boundary();
-                apply_outflow_bc(m, &geom.domain);
-            });
-        }
-        self.levels[lev].mf = mf;
-        self.levels[lev].steps += 1;
+        level.steps += 1;
 
         if lev + 1 < self.levels.len() {
             let r = self.cfg.grid.ref_ratio as usize;
@@ -320,8 +306,7 @@ impl AmrSim {
         }
         // Nesting: a level must refine wherever its child will refine.
         for lev in (0..top).rev() {
-            let finer = tags[lev + 1].clone().coarsen(ratio);
-            let mut buffered = finer.clone();
+            let mut buffered = tags[lev + 1].coarsen(ratio);
             buffered.buffer(1);
             for p in buffered.domain().cells() {
                 if buffered.get(p) {
@@ -330,16 +315,15 @@ impl AmrSim {
             }
         }
 
-        // Build new levels coarse-to-fine.
+        // Build new levels coarse-to-fine. Level 0 is immutable and moves
+        // over as is; each old finer level is consumed as its replacement
+        // is built (level geometry depends only on the level index).
+        let mut old = std::mem::take(&mut self.levels).into_iter();
         let mut new_levels: Vec<Level> = Vec::with_capacity(max_lev + 1);
-        // Level 0 is immutable.
-        new_levels.push(Level {
-            geom: self.levels[0].geom,
-            mf: self.levels[0].mf.clone(),
-            steps: self.levels[0].steps,
-        });
+        new_levels.push(old.next().expect("level 0 always exists"));
         for lev in 0..=top {
-            let fine_ba = make_fine_grids(&tags[lev], self.levels[lev].geom.domain, &self.cfg.grid);
+            let old_fine = old.next();
+            let fine_ba = make_fine_grids(&tags[lev], new_levels[lev].geom.domain, &self.cfg.grid);
             if fine_ba.is_empty() {
                 break;
             }
@@ -372,14 +356,10 @@ impl AmrSim {
             // Fill: prolongate from the new parent, then overwrite with
             // old same-level data where it exists.
             prolongate(&mut mf, &new_levels[lev].mf, self.cfg.grid.ref_ratio);
-            if lev + 1 < self.levels.len() {
-                mf.parallel_copy_from(&self.levels[lev + 1].mf);
+            if let Some(old_fine) = &old_fine {
+                mf.parallel_copy_from(&old_fine.mf);
             }
-            let steps = self
-                .levels
-                .get(lev + 1)
-                .map(|l| l.steps)
-                .unwrap_or(new_levels[lev].steps);
+            let steps = old_fine.map_or(new_levels[lev].steps, |l| l.steps);
             new_levels.push(Level {
                 geom: fine_geom,
                 mf,
@@ -391,6 +371,22 @@ impl AmrSim {
     }
 }
 
+/// Ghost fill of one level: coarse-fine interpolation from `coarse` (the
+/// next coarser level, if any), same-level exchange, then physical
+/// outflow boundaries.
+fn fill_level_ghosts(
+    mf: &mut MultiFab,
+    coarse: Option<&MultiFab>,
+    ref_ratio: Coord,
+    domain: &IndexBox,
+) {
+    if let Some(coarse) = coarse {
+        interp_ghosts_from_coarse(mf, coarse, ref_ratio, domain);
+    }
+    mf.fill_boundary();
+    apply_outflow_bc(mf, domain);
+}
+
 /// Piecewise-constant interpolation of coarse data into the ghost region
 /// of every fine fab (cells inside `fine_domain` only).
 pub fn interp_ghosts_from_coarse(
@@ -399,24 +395,165 @@ pub fn interp_ghosts_from_coarse(
     ref_ratio: Coord,
     fine_domain: &IndexBox,
 ) {
-    let ratio = IntVect::splat(ref_ratio);
-    let ncomp = fine.ncomp().min(coarse.ncomp());
     let ngrow = fine.ngrow();
     for fi in 0..fine.nfabs() {
         let valid = fine.valid_box(fi);
-        let grown = match valid.grow(ngrow).intersection(fine_domain) {
-            Some(g) => g,
-            None => continue,
+        let Some(grown) = valid.grow(ngrow).intersection(fine_domain) else {
+            continue;
         };
-        // Ghost strips = grown region minus the valid box.
-        let strips = BoxArray::single(valid).complement_in(&grown);
         let fab = fine.fab_mut(fi);
-        for strip in strips {
-            let cstrip = strip.coarsen(ratio);
-            for (ci, isect) in coarse.box_array().intersections(&cstrip) {
+        for (cbox, cfab) in coarse.iter() {
+            if let Some(region) = cbox.refine(IntVect::splat(ref_ratio)).intersection(&grown) {
+                inject(fab, cfab, &region, Some(&valid), ref_ratio);
+            }
+        }
+    }
+}
+
+/// Piecewise-constant prolongation of the full valid region of `fine`
+/// from `coarse` (used to seed new grids at regrid).
+pub fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
+    for fi in 0..fine.nfabs() {
+        let valid = fine.valid_box(fi);
+        let fab = fine.fab_mut(fi);
+        for (cbox, cfab) in coarse.iter() {
+            if let Some(region) = cbox.refine(IntVect::splat(ref_ratio)).intersection(&valid) {
+                inject(fab, cfab, &region, None, ref_ratio);
+            }
+        }
+    }
+}
+
+/// Copies into every cell of `region` except those in `hole` the value of
+/// the coarse cell above it in `cfab`, for every component both fabs
+/// hold. `region` must lie inside `fab` and refine cells of `cfab`.
+fn inject(
+    fab: &mut FArrayBox,
+    cfab: &FArrayBox,
+    region: &IndexBox,
+    hole: Option<&IndexBox>,
+    ref_ratio: Coord,
+) {
+    let (fdom, cdom) = (fab.domain(), cfab.domain());
+    let ncomp = fab.ncomp().min(cfab.ncomp());
+    for (comp, dst) in fab.comps_mut().take(ncomp).enumerate() {
+        let src = cfab.comp(comp);
+        for y in region.lo().y..=region.hi().y {
+            let cy = y.div_euclid(ref_ratio);
+            let hole_x = hole
+                .filter(|h| (h.lo().y..=h.hi().y).contains(&y))
+                .map(|h| (h.lo().x, h.hi().x));
+            for x in runs_outside(region.lo().x, region.hi().x, hole_x)
+                .into_iter()
+                .flatten()
+            {
+                let cp = IntVect::new(x.div_euclid(ref_ratio), cy);
+                dst[fdom.offset(IntVect::new(x, y))] = src[cdom.offset(cp)];
+            }
+        }
+    }
+}
+
+/// Conservative average of `fine` onto the overlapping region of
+/// `coarse`: each covered coarse cell becomes the mean of its fine cells.
+/// Coarse cells only partly covered by one fine box are left alone
+/// (alignment makes that rare; skipping it stays conservative).
+pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
+    let r = ref_ratio;
+    let ratio = IntVect::splat(r);
+    let ncomp = coarse.ncomp().min(fine.ncomp());
+    let n = ratio.prod() as f64;
+    for ci in 0..coarse.nfabs() {
+        let fine_region = coarse.valid_box(ci).refine(ratio);
+        let cfab = coarse.fab_mut(ci);
+        let cdom = cfab.domain();
+        for (fbox, ffab) in fine.iter() {
+            let Some(fisect) = fbox.intersection(&fine_region) else {
+                continue;
+            };
+            // Coarse cells whose whole r x r block lies in `fisect`.
+            let (flo, fhi) = (fisect.lo(), fisect.hi());
+            let (lo, hi) = (
+                IntVect::new((flo.x + r - 1).div_euclid(r), (flo.y + r - 1).div_euclid(r)),
+                IntVect::new((fhi.x + 1).div_euclid(r) - 1, (fhi.y + 1).div_euclid(r) - 1),
+            );
+            let fdom = ffab.domain();
+            for (comp, dst) in cfab.comps_mut().take(ncomp).enumerate() {
+                let src = ffab.comp(comp);
+                for cy in lo.y..=hi.y {
+                    for cx in lo.x..=hi.x {
+                        let mut sum = 0.0;
+                        for fy in cy * r..(cy + 1) * r {
+                            let row = fdom.offset(IntVect::new(cx * r, fy));
+                            for v in &src[row..row + r as usize] {
+                                sum += v;
+                            }
+                        }
+                        dst[cdom.offset(IntVect::new(cx, cy))] = sum / n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Test oracles: the per-coarse-cell transfers the flat ones above must
+/// reproduce bit for bit.
+#[cfg(test)]
+mod reference {
+    use amr_mesh::prelude::*;
+    use amr_mesh::Coord;
+
+    pub fn interp_ghosts_from_coarse(
+        fine: &mut MultiFab,
+        coarse: &MultiFab,
+        ref_ratio: Coord,
+        fine_domain: &IndexBox,
+    ) {
+        let ratio = IntVect::splat(ref_ratio);
+        let ncomp = fine.ncomp().min(coarse.ncomp());
+        let ngrow = fine.ngrow();
+        for fi in 0..fine.nfabs() {
+            let valid = fine.valid_box(fi);
+            let grown = match valid.grow(ngrow).intersection(fine_domain) {
+                Some(g) => g,
+                None => continue,
+            };
+            let strips = BoxArray::single(valid).complement_in(&grown);
+            let fab = fine.fab_mut(fi);
+            for strip in strips {
+                let cstrip = strip.coarsen(ratio);
+                for (ci, isect) in coarse.box_array().intersections(&cstrip) {
+                    let cfab = coarse.fab(ci);
+                    for cp in isect.cells() {
+                        let fine_cells =
+                            match IndexBox::new(cp, cp).refine(ratio).intersection(&strip) {
+                                Some(r) => r,
+                                None => continue,
+                            };
+                        for comp in 0..ncomp {
+                            let v = cfab.get(cp, comp);
+                            for fp in fine_cells.cells() {
+                                fab.set(fp, comp, v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
+        let ratio = IntVect::splat(ref_ratio);
+        let ncomp = fine.ncomp().min(coarse.ncomp());
+        for fi in 0..fine.nfabs() {
+            let valid = fine.valid_box(fi);
+            let cregion = valid.coarsen(ratio);
+            let fab = fine.fab_mut(fi);
+            for (ci, isect) in coarse.box_array().intersections(&cregion) {
                 let cfab = coarse.fab(ci);
                 for cp in isect.cells() {
-                    let fine_cells = match IndexBox::new(cp, cp).refine(ratio).intersection(&strip)
+                    let fine_cells = match IndexBox::new(cp, cp).refine(ratio).intersection(&valid)
                     {
                         Some(r) => r,
                         None => continue,
@@ -431,63 +568,32 @@ pub fn interp_ghosts_from_coarse(
             }
         }
     }
-}
 
-/// Piecewise-constant prolongation of the full valid region of `fine`
-/// from `coarse` (used to seed new grids at regrid).
-pub fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
-    let ratio = IntVect::splat(ref_ratio);
-    let ncomp = fine.ncomp().min(coarse.ncomp());
-    for fi in 0..fine.nfabs() {
-        let valid = fine.valid_box(fi);
-        let cregion = valid.coarsen(ratio);
-        let fab = fine.fab_mut(fi);
-        for (ci, isect) in coarse.box_array().intersections(&cregion) {
-            let cfab = coarse.fab(ci);
-            for cp in isect.cells() {
-                let fine_cells = match IndexBox::new(cp, cp).refine(ratio).intersection(&valid) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                for comp in 0..ncomp {
-                    let v = cfab.get(cp, comp);
-                    for fp in fine_cells.cells() {
-                        fab.set(fp, comp, v);
+    pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
+        let ratio = IntVect::splat(ref_ratio);
+        let ncomp = coarse.ncomp().min(fine.ncomp());
+        for ci in 0..coarse.nfabs() {
+            let cvalid = coarse.valid_box(ci);
+            let fine_region = cvalid.refine(ratio);
+            for (fi, fisect) in fine.box_array().intersections(&fine_region) {
+                let ffab = fine.fab(fi);
+                let covered = fisect.coarsen(ratio);
+                for cp in covered.cells() {
+                    let cells = match IndexBox::new(cp, cp).refine(ratio).intersection(&fisect) {
+                        Some(r) => r,
+                        None => continue,
+                    };
+                    let n = cells.num_pts() as f64;
+                    if cells.num_pts() != ratio.prod() {
+                        continue;
                     }
-                }
-            }
-        }
-    }
-}
-
-/// Conservative average of `fine` onto the overlapping region of
-/// `coarse`: each covered coarse cell becomes the mean of its fine cells.
-pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
-    let ratio = IntVect::splat(ref_ratio);
-    let ncomp = coarse.ncomp().min(fine.ncomp());
-    for ci in 0..coarse.nfabs() {
-        let cvalid = coarse.valid_box(ci);
-        let fine_region = cvalid.refine(ratio);
-        for (fi, fisect) in fine.box_array().intersections(&fine_region) {
-            let ffab = fine.fab(fi);
-            let covered = fisect.coarsen(ratio);
-            for cp in covered.cells() {
-                let cells = match IndexBox::new(cp, cp).refine(ratio).intersection(&fisect) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                let n = cells.num_pts() as f64;
-                // Only replace fully covered coarse cells (alignment makes
-                // partial coverage rare; skip it to stay conservative).
-                if cells.num_pts() != ratio.prod() {
-                    continue;
-                }
-                for comp in 0..ncomp {
-                    let mut sum = 0.0;
-                    for fp in cells.cells() {
-                        sum += ffab.get(fp, comp);
+                    for comp in 0..ncomp {
+                        let mut sum = 0.0;
+                        for fp in cells.cells() {
+                            sum += ffab.get(fp, comp);
+                        }
+                        coarse.fab_mut(ci).set(cp, comp, sum / n);
                     }
-                    coarse.fab_mut(ci).set(cp, comp, sum / n);
                 }
             }
         }
@@ -498,6 +604,68 @@ pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
 mod tests {
     use super::*;
     use crate::state::{UEDEN, URHO};
+    use crate::test_support::{boxed, level_bits, random_level};
+    use proptest::prelude::*;
+
+    /// A coarse level over a domain with a negative low corner and a fine
+    /// level over an unaligned sub-box of its refinement, both cut into
+    /// many fabs and filled (ghosts included) with random states.
+    fn two_levels(
+        lo: (Coord, Coord),
+        size: (Coord, Coord),
+        sub: (Coord, Coord, Coord, Coord),
+        ratio: Coord,
+        max: Coord,
+        ngrow: Coord,
+        seed: u64,
+    ) -> (MultiFab, MultiFab, IndexBox) {
+        let cdomain = boxed(lo.0, lo.1, size.0, size.1);
+        let coarse = random_level(cdomain, max, ngrow, seed, 3);
+        let fdomain = cdomain.refine(IntVect::splat(ratio));
+        let (fl, fs) = (fdomain.lo(), fdomain.size());
+        let region = boxed(
+            fl.x + sub.0 % fs.x,
+            fl.y + sub.1 % fs.y,
+            1 + sub.2 % fs.x,
+            1 + sub.3 % fs.y,
+        )
+        .intersection(&fdomain)
+        .expect("the sub-box starts inside the fine domain");
+        let fine = random_level(region, max + 1, ngrow, seed ^ 1, 3);
+        (coarse, fine, fdomain)
+    }
+
+    proptest! {
+        /// Ghost interpolation, prolongation and averaging down reproduce
+        /// the per-coarse-cell reference transfers bit for bit.
+        #[test]
+        fn transfers_match_reference_bits(
+            lo in (-7i64..5, -7i64..5),
+            size in (1i64..9, 1i64..9),
+            sub in (0i64..64, 0i64..64, 0i64..64, 0i64..64),
+            ratio in 2i64..5,
+            max in 1i64..10,
+            ngrow in 0i64..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (coarse, fine, fdomain) = two_levels(lo, size, sub, ratio, max, ngrow, seed);
+
+            let (mut a, mut b) = (fine.clone(), fine.clone());
+            interp_ghosts_from_coarse(&mut a, &coarse, ratio, &fdomain);
+            reference::interp_ghosts_from_coarse(&mut b, &coarse, ratio, &fdomain);
+            prop_assert_eq!(level_bits(&a), level_bits(&b), "interp");
+
+            let (mut a, mut b) = (fine.clone(), fine.clone());
+            prolongate(&mut a, &coarse, ratio);
+            reference::prolongate(&mut b, &coarse, ratio);
+            prop_assert_eq!(level_bits(&a), level_bits(&b), "prolongate");
+
+            let (mut a, mut b) = (coarse.clone(), coarse);
+            average_down(&fine, &mut a, ratio);
+            reference::average_down(&fine, &mut b, ratio);
+            prop_assert_eq!(level_bits(&a), level_bits(&b), "average_down");
+        }
+    }
 
     fn small_cfg() -> AmrConfig {
         AmrConfig {

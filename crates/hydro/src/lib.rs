@@ -43,6 +43,8 @@ pub mod sedov;
 pub mod solver;
 pub mod state;
 pub mod tagging;
+#[cfg(test)]
+mod test_support;
 pub mod timestep;
 
 pub use amr::{
@@ -53,7 +55,7 @@ pub use exact_riemann::{sample_exact, star_state};
 pub use oracle::{annulus_fine_grids, OracleConfig, OracleLevel, OracleSim};
 pub use riemann::hllc_flux;
 pub use sedov::SedovProblem;
-pub use solver::{advance_level, apply_outflow_bc, sweep_fab, NGROW};
+pub use solver::{advance_level, apply_outflow_bc, sweep_fab, SweepScratch, NGROW};
 pub use state::{flux, Conserved, Primitive, NCOMP, UEDEN, UMX, UMY, URHO};
 pub use tagging::{tag_gradients, TagCriteria};
 pub use timestep::{cfl_dt, limit_dt, TimestepControl};

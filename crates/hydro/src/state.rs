@@ -52,6 +52,7 @@ impl Conserved {
     }
 
     /// Converts to primitives under `eos`, applying floors.
+    #[inline]
     pub fn to_primitive(&self, eos: &GammaLaw) -> Primitive {
         let rho = self.rho.max(SMALL_DENS);
         let u = self.mx / rho;
@@ -74,6 +75,7 @@ impl Primitive {
     }
 
     /// Converts to conserved form under `eos`.
+    #[inline]
     pub fn to_conserved(&self, eos: &GammaLaw) -> Conserved {
         let e_int = eos.internal_energy(self.rho, self.p);
         Conserved {
@@ -85,6 +87,7 @@ impl Primitive {
     }
 
     /// Sound speed under `eos`.
+    #[inline]
     pub fn sound_speed(&self, eos: &GammaLaw) -> f64 {
         eos.sound_speed(self.rho, self.p)
     }
@@ -107,8 +110,13 @@ impl Primitive {
 
 /// Physical flux of the conserved state along `dir` given primitives.
 pub fn flux(w: &Primitive, eos: &GammaLaw, dir: usize) -> Conserved {
+    flux_from(w, &w.to_conserved(eos), dir)
+}
+
+/// [`flux`] of `w` whose conserved form `cons` the caller already holds.
+#[inline]
+pub(crate) fn flux_from(w: &Primitive, cons: &Conserved, dir: usize) -> Conserved {
     let un = w.vel(dir);
-    let cons = w.to_conserved(eos);
     let mut f = Conserved {
         rho: cons.rho * un,
         mx: cons.mx * un,

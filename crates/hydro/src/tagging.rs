@@ -32,6 +32,38 @@ impl Default for TagCriteria {
 /// criteria. Ghost cells must be filled (1 layer used).
 pub fn tag_gradients(mf: &MultiFab, eos: &GammaLaw, crit: &TagCriteria) -> TagMap {
     let mut tags = TagMap::new(mf.box_array().minimal_box());
+    for (valid, fab) in mf.iter() {
+        let dom = fab.domain();
+        let (lo, hi) = (dom.lo(), dom.hi());
+        let width = dom.length(0) as usize;
+        let [rho, mx, my, e] = [URHO, UMX, UMY, UEDEN].map(|c| fab.comp(c));
+        let prim = |k: usize| Conserved::new(rho[k], mx[k], my[k], e[k]).to_primitive(eos);
+        for (row, y) in fab.rows(&valid).zip(valid.lo().y..) {
+            for (k, x) in row.zip(valid.lo().x..) {
+                let w = prim(k);
+                let steep = |q: usize| {
+                    let wn = prim(q);
+                    (wn.rho - w.rho).abs() / w.rho.max(1e-300) > crit.dengrad_rel
+                        || (wn.p - w.p).abs() / w.p.max(1e-300) > crit.presgrad_rel
+                };
+                // Neighbours +x, -x, +y, -y, where the fab holds them.
+                if (x < hi.x && steep(k + 1))
+                    || (x > lo.x && steep(k - 1))
+                    || (y < hi.y && steep(k + width))
+                    || (y > lo.y && steep(k - width))
+                {
+                    tags.set(IntVect::new(x, y), true);
+                }
+            }
+        }
+    }
+    tags
+}
+
+/// Test oracle for [`tag_gradients`]: the same test with `get` addressing.
+#[cfg(test)]
+fn tag_gradients_reference(mf: &MultiFab, eos: &GammaLaw, crit: &TagCriteria) -> TagMap {
+    let mut tags = TagMap::new(mf.box_array().minimal_box());
     let offsets = [
         IntVect::new(1, 0),
         IntVect::new(-1, 0),
@@ -80,7 +112,27 @@ mod tests {
     use super::*;
     use crate::solver::NGROW;
     use crate::state::{Primitive, NCOMP};
+    use crate::test_support::{boxed, random_level, KINDS};
     use amr_mesh::prelude::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The flat test tags exactly the reference's cells, including
+        /// fabs without ghosts, where edge cells lack neighbours.
+        #[test]
+        fn tags_match_reference(
+            lo in (-6i64..6, -6i64..6),
+            size in (1i64..20, 1i64..20),
+            max in 1i64..12,
+            ngrow in 0i64..3,
+            seed in 0u64..u64::MAX,
+            kind in 0u8..KINDS,
+        ) {
+            let mf = random_level(boxed(lo.0, lo.1, size.0, size.1), max, ngrow, seed, kind);
+            let (eos, crit) = (GammaLaw::default(), TagCriteria::default());
+            prop_assert!(tag_gradients(&mf, &eos, &crit) == tag_gradients_reference(&mf, &eos, &crit));
+        }
+    }
 
     fn uniform(n: i64) -> MultiFab {
         let geom = Geometry::unit_square(IntVect::splat(n));

@@ -39,14 +39,9 @@ pub fn cfl_dt(mf: &MultiFab, geom: &Geometry, eos: &GammaLaw, cfl: f64) -> f64 {
     let dx = geom.dx();
     let mut dt = f64::INFINITY;
     for (valid, fab) in mf.iter() {
-        for p in valid.cells() {
-            let w = Conserved::new(
-                fab.get(p, URHO),
-                fab.get(p, UMX),
-                fab.get(p, UMY),
-                fab.get(p, UEDEN),
-            )
-            .to_primitive(eos);
+        let [rho, mx, my, e] = [URHO, UMX, UMY, UEDEN].map(|c| fab.comp(c));
+        for k in fab.rows(&valid).flatten() {
+            let w = Conserved::new(rho[k], mx[k], my[k], e[k]).to_primitive(eos);
             let c = w.sound_speed(eos);
             dt = dt.min(dx[0] / (w.u.abs() + c));
             dt = dt.min(dx[1] / (w.v.abs() + c));
@@ -64,12 +59,59 @@ pub fn limit_dt(ctrl: &TimestepControl, dt_cfl: f64, dt_prev: Option<f64>) -> f6
     }
 }
 
+/// Test oracle for [`cfl_dt`]: the same scan with `get` addressing.
+#[cfg(test)]
+fn cfl_dt_reference(mf: &MultiFab, geom: &Geometry, eos: &GammaLaw, cfl: f64) -> f64 {
+    let dx = geom.dx();
+    let mut dt = f64::INFINITY;
+    for (valid, fab) in mf.iter() {
+        for p in valid.cells() {
+            let w = Conserved::new(
+                fab.get(p, URHO),
+                fab.get(p, UMX),
+                fab.get(p, UMY),
+                fab.get(p, UEDEN),
+            )
+            .to_primitive(eos);
+            let c = w.sound_speed(eos);
+            dt = dt.min(dx[0] / (w.u.abs() + c));
+            dt = dt.min(dx[1] / (w.v.abs() + c));
+        }
+    }
+    cfl * dt
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::NGROW;
     use crate::state::{Primitive, NCOMP};
+    use crate::test_support::{boxed, random_level, KINDS};
     use amr_mesh::prelude::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The flat scan returns the reference's bits on multi-fab levels
+        /// of physical, near-floor and strong-shock states.
+        #[test]
+        fn cfl_dt_matches_reference_bits(
+            size in (1i64..20, 1i64..20),
+            max in 1i64..12,
+            ngrow in 0i64..3,
+            seed in 0u64..u64::MAX,
+            kind in 0u8..KINDS,
+            cfl in 0.1f64..1.0,
+        ) {
+            let domain = boxed(0, 0, size.0, size.1);
+            let geom = Geometry::new(domain, [0.0, 0.0], [1.0, size.1 as f64 / size.0 as f64]);
+            let mf = random_level(domain, max, ngrow, seed, kind);
+            let eos = GammaLaw::default();
+            prop_assert_eq!(
+                cfl_dt(&mf, &geom, &eos, cfl).to_bits(),
+                cfl_dt_reference(&mf, &geom, &eos, cfl).to_bits()
+            );
+        }
+    }
 
     fn static_mf(n: i64, p: f64) -> (MultiFab, Geometry) {
         let geom = Geometry::unit_square(IntVect::splat(n));

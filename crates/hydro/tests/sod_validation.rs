@@ -4,7 +4,8 @@
 use amr_mesh::prelude::*;
 use hydro::exact_riemann::sample_exact;
 use hydro::{
-    advance_level, apply_outflow_bc, GammaLaw, Primitive, NCOMP, NGROW, UEDEN, UMX, UMY, URHO,
+    advance_level, apply_outflow_bc, GammaLaw, Primitive, SweepScratch, NCOMP, NGROW, UEDEN, UMX,
+    UMY, URHO,
 };
 
 /// Runs a 1-D Sod tube along direction `dir` embedded in a thin 2-D strip
@@ -45,13 +46,21 @@ fn run_sod(dir: usize, n: i64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let t_end = 0.2;
     let mut t = 0.0;
     let dx = geom.dx()[dir];
+    let mut scratch = SweepScratch::default();
     while t < t_end {
         let dt = (0.4 * dx / 2.0).min(t_end - t); // max speed < 2 for Sod
         let domain = geom.domain;
-        advance_level(&mut mf, &geom, dt, &eos, |m: &mut MultiFab| {
-            m.fill_boundary();
-            apply_outflow_bc(m, &domain);
-        });
+        advance_level(
+            &mut mf,
+            &geom,
+            dt,
+            &eos,
+            &mut scratch,
+            |m: &mut MultiFab| {
+                m.fill_boundary();
+                apply_outflow_bc(m, &domain);
+            },
+        );
         t += dt;
     }
 

@@ -9,9 +9,13 @@
 # pairs of parent and change (this working tree) through BENCHMARK.json's
 # own command line and run length — one fresh --seed per pair, shared by
 # its two sides, and the side that runs first alternating. Prints every
-# run, then per end-to-end metric each side's median and quartiles and the
-# pairs the change won, and whether every run was correct with one digest.
-# Removes its scratch directory on exit; nothing else is written.
+# run, then per end-to-end metric each side's median and quartiles, the
+# pairs the change won, and the choosing-metrics section 8 verdict: a gain
+# holds only when the change is better in at least nine tenths of the
+# pairs (ties count for neither side) and its median is better than the
+# parent's by more than the parent's q3 - q1. Last, whether every run was
+# correct with one digest. Removes its scratch directory on exit; nothing
+# else is written.
 set -eu
 cd "$(dirname "$0")/.."
 [ "$#" -ge 2 ] || {
@@ -24,6 +28,12 @@ unset CARGO_TARGET_DIR # each side builds into its own amrbench/target
 cmd=$(awk '/"command"/{f=1; next} f && /\]/{exit} f{gsub(/[",]/, ""); printf "%s ", $1}' BENCHMARK.json)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 metrics=$(awk '/"end_to_end"/{f=1} f && /\]/{exit} f && /"name"/{gsub(/[",]/, ""); print $2}' BENCHMARK.json)
+# The better direction of metric $1 ("lower" or "higher").
+better() {
+    awk -v m="$1" '/"end_to_end"/{f=1} f && /\]/{exit}
+        f && /"name"/{gsub(/[",]/, ""); n = $2}
+        f && /"better"/ && n == m {gsub(/[",]/, ""); print $2; exit}' BENCHMARK.json
+}
 
 change=$PWD
 out=$change/.amrbench_out/bench_pairs.$$
@@ -73,16 +83,31 @@ for m in $metrics; do
             i=$((i + 1))
         done >"$out/$side.$m"
     done
-    # Quartiles by linear interpolation between order statistics.
+    # Quartiles by linear interpolation between order statistics; each
+    # side's "median q1 q3" also lands in $out/<side>.<metric>.q.
     for side in parent change; do
-        sort -g "$out/$side.$m" | awk -v side="$side" -v m="$m" '
+        sort -g "$out/$side.$m" | awk -v side="$side" -v m="$m" -v qfile="$out/$side.$m.q" '
             { v[NR] = $1 }
             function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return lo + 2 > NR ? v[NR] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) }
-            END { printf "%-12s %-6s n=%d median %.6g  q1 %.6g  q3 %.6g  min %.6g  max %.6g\n", m, side, NR, q(0.5), q(0.25), q(0.75), v[1], v[NR] }'
+            END { printf "%-12s %-6s n=%d median %.6g  q1 %.6g  q3 %.6g  min %.6g  max %.6g\n", m, side, NR, q(0.5), q(0.25), q(0.75), v[1], v[NR]
+                  printf "%.17g %.17g %.17g\n", q(0.5), q(0.25), q(0.75) > qfile }'
     done
-    paste "$out/parent.$m" "$out/change.$m" | awk -v m="$m" '
-        $2 < $1 { win++ } $2 > $1 { loss++ }
-        END { printf "%-12s change lower in %d of %d pairs, higher in %d\n", m, win, NR, loss }'
+    paste "$out/parent.$m" "$out/change.$m" | awk -v m="$m" -v better="$(better "$m")" \
+        -v parent="$(cat "$out/parent.$m.q")" -v change="$(cat "$out/change.$m.q")" '
+        { d = (better == "higher") ? $1 - $2 : $2 - $1 }
+        d < 0 { win++ } d > 0 { loss++ }
+        END {
+            split(parent, p, " "); split(change, c, " ")
+            worse = (better == "higher") ? "lower" : "higher"
+            gap = (better == "higher") ? c[1] - p[1] : p[1] - c[1]
+            iqr = p[3] - p[2]
+            ratio = (p[1] == 0) ? 0 : c[1] / p[1]
+            need = int((9 * NR + 9) / 10)
+            verdict = (win + 0 >= need && gap > iqr) ? "GAIN" : "no gain"
+            printf "%-12s change %s in %d of %d pairs, %s in %d\n", m, better, win, NR, worse, loss
+            printf "%-12s median change/parent %.4g; better by %.6g against parent q3-q1 %.6g\n", m, ratio, gap, iqr
+            printf "%-12s verdict: %s (needs %d of %d pairs and a median gap over q3-q1)\n", m, verdict, need, NR
+        }'
 done
 
 correct=$(cat "$out"/parent.[0-9]* "$out"/change.[0-9]* | grep -c '^{"correct":true,' || true)
