@@ -56,6 +56,8 @@
 use crate::config::CastroSedovConfig;
 use io_engine::grammar::{disambiguate_tags, Matrix, MatrixError, TomlDoc, TomlSection};
 use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
+use serde::Value;
+use std::io::Write as _;
 
 /// What the `scale` axis varies (benchpark's experiment modes).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -567,11 +569,15 @@ impl ExperimentSpec {
                 });
             }
             cell.coords = matrix_cell.coords;
-            // The solo key hashes the unlabelled config at tenancy 1.
-            cell.config.name.clear();
-            cell.solo_key = cell_key(&cell.config, cell.storage.as_ref(), 1);
             cell.config.name = matrix_cell.label;
-            cell.key = cell_key(&cell.config, cell.storage.as_ref(), cell.tenants);
+            // One value tree, hashed twice: as labelled, then (the solo
+            // key) unlabelled at tenancy 1.
+            let mut config = serde_json::to_value(&cell.config);
+            cell.key = cell_key(&config, cell.storage.as_ref(), cell.tenants);
+            if let Some(name) = config.get_mut("name") {
+                *name = Value::String(String::new());
+            }
+            cell.solo_key = cell_key(&config, cell.storage.as_ref(), 1);
             cells.push(cell);
         }
         Ok(cells)
@@ -636,25 +642,41 @@ impl ExperimentSpec {
 }
 
 /// Content key of a compiled cell: FNV-1a 64 over the canonical config
-/// JSON plus the storage/tenancy half. Deterministic across processes
-/// (no hasher randomization), so stores written yesterday resume today.
-fn cell_key(
-    config: &CastroSedovConfig,
-    storage: Option<&StorageProfile>,
-    tenants: usize,
-) -> String {
-    let canonical = format!(
-        "{}|{}|{}",
-        serde_json::to_string(config).unwrap_or_default(),
-        storage.map(StorageProfile::name).unwrap_or_default(),
-        tenants
-    );
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in canonical.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// JSON plus the storage/tenancy half, `{json}|{storage}|{tenants}`.
+/// Deterministic across processes (no hasher randomization), so stores
+/// written yesterday resume today. The JSON is printed straight into
+/// the hash; a config the printer refuses hashes as empty JSON.
+fn cell_key(config: &Value, storage: Option<&StorageProfile>, tenants: usize) -> String {
+    let mut fnv = Fnv1a::default();
+    if serde_json::to_writer(&mut fnv, config).is_err() {
+        fnv = Fnv1a::default();
     }
-    format!("{hash:016x}")
+    let storage = storage.map(StorageProfile::name).unwrap_or_default();
+    let _ = write!(fnv, "|{storage}|{tenants}");
+    format!("{:016x}", fnv.0)
+}
+
+/// An FNV-1a 64 hasher as a byte sink.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn parse_base(section: &TomlSection) -> Result<CastroSedovConfig, SpecError> {

@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Wire schema of a store record. Bump when a record's *envelope*
 /// changes shape; `RunSummary` column additions ride on serde defaults
@@ -41,12 +42,13 @@ pub const STORE_SCHEMA: u32 = 1;
 ///
 /// All records stay resident in memory (a campaign is thousands of rows,
 /// not millions); the file is the durable log. Opening replays the log,
-/// appending writes one line and flushes.
+/// appending writes one line and flushes. Each resident row is one
+/// shared allocation that every [`Query`] over it points at.
 #[derive(Debug)]
 pub struct ResultsStore {
     dir: PathBuf,
     file: File,
-    rows: Vec<(String, Value)>,
+    rows: Vec<Row>,
     /// Row indices per cell key, in append order; iterating it is the
     /// canonical row order of [`Self::query`].
     index: BTreeMap<String, Vec<usize>>,
@@ -56,6 +58,10 @@ pub struct ResultsStore {
     /// re-reads bytes it has already ingested.
     log_len: u64,
 }
+
+/// One resident `(cell, summary)` row, shared between the store and
+/// every [`Query`] taken over it.
+pub type Row = Arc<(String, Value)>;
 
 fn invalid_data(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -69,7 +75,7 @@ fn parse_record(line: &str, at: impl Fn() -> String) -> std::io::Result<Option<(
     if line.is_empty() {
         return Ok(None);
     }
-    let record: Value =
+    let mut record: Value =
         serde_json::from_str(line).map_err(|e| invalid_data(format!("{}: {e}", at())))?;
     let schema = record
         .get("schema")
@@ -86,8 +92,9 @@ fn parse_record(line: &str, at: impl Fn() -> String) -> std::io::Result<Option<(
         .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string();
-    let summary = record.get("summary").cloned().unwrap_or(Value::Null);
-    Ok(Some((cell, summary)))
+    // Moved, not cloned, out of the owned record.
+    let summary = record.get_mut("summary").map(std::mem::take);
+    Ok(Some((cell, summary.unwrap_or(Value::Null))))
 }
 
 impl ResultsStore {
@@ -188,7 +195,7 @@ impl ResultsStore {
             .entry(cell.clone())
             .or_default()
             .push(self.rows.len());
-        self.rows.push((cell, row));
+        self.rows.push(Arc::new((cell, row)));
     }
 
     /// The store directory.
@@ -279,11 +286,13 @@ impl ResultsStore {
 
     /// A query over every persisted summary row, ordered by (cell key,
     /// append order within the cell) — not log order, which under the
-    /// parallel executor is the thread schedule's.
+    /// parallel executor is the thread schedule's. The query shares the
+    /// resident rows (one handle per row, no copy) and is a snapshot:
+    /// rows appended afterwards do not reach it.
     pub fn query(&self) -> Query {
         let order = self.index.values().flatten();
         Query {
-            rows: order.map(|&i| self.rows[i].clone()).collect(),
+            rows: order.map(|&i| Arc::clone(&self.rows[i])).collect(),
         }
     }
 }
@@ -301,9 +310,16 @@ impl ResultsStore {
 /// Filters narrow, projections extract, aggregates reduce; all columns
 /// are addressed by their JSON field name, so queries keep working as
 /// `RunSummary` grows columns.
+///
+/// A query is an immutable snapshot of the store at
+/// [`ResultsStore::query`] time. It holds shared handles to the store's
+/// resident rows, not copies: taking one costs a handle per row, a
+/// filter only narrows the handle list, and cloning a query clones
+/// handles. Rows the store appends later never appear in a query taken
+/// before, and nothing a query does can change a row.
 #[derive(Clone, Debug)]
 pub struct Query {
-    rows: Vec<(String, Value)>,
+    rows: Vec<Row>,
 }
 
 impl Query {
@@ -317,23 +333,28 @@ impl Query {
         self.rows.is_empty()
     }
 
-    /// The raw `(cell, row)` pairs.
-    pub fn rows(&self) -> &[(String, Value)] {
+    /// The raw `(cell, row)` pairs, shared with the store.
+    pub fn rows(&self) -> &[Row] {
         &self.rows
+    }
+
+    /// The remaining summary rows, without their cell keys.
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        self.rows.iter().map(|row| &row.1)
     }
 
     /// Keeps the rows persisted under the given cell keys — how one
     /// matrix's rows are told apart in a store several matrices share.
     pub fn cells(mut self, keys: &[&str]) -> Self {
-        self.rows.retain(|(cell, _)| keys.contains(&cell.as_str()));
+        self.rows.retain(|row| keys.contains(&row.0.as_str()));
         self
     }
 
     /// Keeps rows whose `column` renders equal to `value` (strings
     /// compare directly; numbers and booleans by their JSON spelling).
     pub fn filter(mut self, column: &str, value: &str) -> Self {
-        self.rows.retain(|(_, row)| {
-            row.get(column).is_some_and(|v| match v {
+        self.rows.retain(|row| {
+            row.1.get(column).is_some_and(|v| match v {
                 Value::String(s) => s == value,
                 other => serde_json::to_string(other)
                     .map(|s| s == value)
@@ -346,8 +367,9 @@ impl Query {
     /// Keeps rows where `predicate` holds on `column`'s numeric value
     /// (rows without the column or with a non-number are dropped).
     pub fn filter_num(mut self, column: &str, predicate: impl Fn(f64) -> bool) -> Self {
-        self.rows.retain(|(_, row)| {
-            row.get(column)
+        self.rows.retain(|row| {
+            row.1
+                .get(column)
                 .and_then(Value::as_f64)
                 .is_some_and(&predicate)
         });
@@ -356,25 +378,22 @@ impl Query {
 
     /// Projects one column (missing → `Null`).
     pub fn column(&self, column: &str) -> Vec<Value> {
-        self.rows
-            .iter()
-            .map(|(_, row)| row.get(column).cloned().unwrap_or(Value::Null))
+        self.values()
+            .map(|row| row.get(column).cloned().unwrap_or(Value::Null))
             .collect()
     }
 
     /// Projects a numeric column (non-numbers are skipped).
     pub fn numbers(&self, column: &str) -> Vec<f64> {
-        self.rows
-            .iter()
-            .filter_map(|(_, row)| row.get(column).and_then(Value::as_f64))
+        self.values()
+            .filter_map(|row| row.get(column).and_then(Value::as_f64))
             .collect()
     }
 
     /// Projects a string column (non-strings are skipped).
     pub fn strings(&self, column: &str) -> Vec<String> {
-        self.rows
-            .iter()
-            .filter_map(|(_, row)| row.get(column).and_then(Value::as_str).map(String::from))
+        self.values()
+            .filter_map(|row| row.get(column).and_then(Value::as_str).map(String::from))
             .collect()
     }
 
@@ -382,9 +401,8 @@ impl Query {
     /// that do not parse — e.g. bench rows from
     /// [`ResultsStore::append_row`] — are skipped).
     pub fn summaries(&self) -> Vec<RunSummary> {
-        self.rows
-            .iter()
-            .filter_map(|(_, row)| RunSummary::from_value(row).ok())
+        self.values()
+            .filter_map(|row| RunSummary::from_value(row).ok())
             .collect()
     }
 
@@ -392,9 +410,8 @@ impl Query {
     /// the bridge from store rows to the regression plane.
     pub fn xy(&self, x: &str, y: &str, label: impl Into<String>) -> model::XySeries {
         let pairs: Vec<(f64, f64)> = self
-            .rows
-            .iter()
-            .filter_map(|(_, row)| {
+            .values()
+            .filter_map(|row| {
                 Some((
                     row.get(x).and_then(Value::as_f64)?,
                     row.get(y).and_then(Value::as_f64)?,
@@ -425,7 +442,7 @@ impl Query {
     /// campaign-table aggregate (`group_mean("backend", "wall_time")`).
     pub fn group_mean(&self, key: &str, value: &str) -> Vec<(String, f64)> {
         let mut groups: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for (_, row) in &self.rows {
+        for row in self.values() {
             let Some(k) = row.get(key).map(|v| match v {
                 Value::String(s) => s.clone(),
                 other => serde_json::to_string(other).unwrap_or_default(),
@@ -546,7 +563,7 @@ pub(crate) mod tests {
         );
         assert!(by_backend.iter().all(|(_, v)| *v > 0.0));
         // Rows come in cell-key order, and a key set selects its cells.
-        let keys: Vec<&str> = q.rows().iter().map(|(cell, _)| cell.as_str()).collect();
+        let keys: Vec<&str> = q.rows().iter().map(|row| row.0.as_str()).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
         assert_eq!(q.clone().cells(&keys[1..3]).len(), 2);
         assert!(q.clone().cells(&["no such cell"]).is_empty());
@@ -587,6 +604,56 @@ pub(crate) mod tests {
         }
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn a_query_is_a_snapshot_sharing_the_stores_rows() {
+        let dir = tmp_dir("snapshot");
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        let summaries: Vec<_> = ["one", "two"]
+            .iter()
+            .map(|n| run_campaign_timed_serial(&[small_base(n)], &storage).remove(0))
+            .collect();
+        let mut store = ResultsStore::open(&dir).unwrap();
+        store.append_cell("k1", &summaries[..1]).unwrap();
+        let before = store.query();
+        store.append_cell("k2", &summaries[1..]).unwrap();
+        // Taken before the append, the query does not see the new row.
+        assert_eq!(before.len(), 1);
+        assert!(before.clone().cells(&["k2"]).is_empty());
+        assert_eq!(store.query().len(), 2);
+        // Two queries hold the same allocations, not copies of them.
+        let (a, b) = (store.query(), store.query());
+        assert!(a
+            .rows()
+            .iter()
+            .zip(b.rows())
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
+        assert!(Arc::ptr_eq(&before.rows()[0], &a.rows()[0]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reopened_store_queries_the_writers_rows() {
+        let dir = tmp_dir("reopen_rows");
+        let mut writer = ResultsStore::open(&dir).unwrap();
+        let storage = iosim::StorageModel::ideal(2, 5e7);
+        let spec = ExperimentSpec::new("r")
+            .base(small_base("r"))
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)])
+            .codecs(&[CodecSpec::Identity, CodecSpec::Rle(2.0)]);
+        for cell in spec.compile().unwrap() {
+            let s = run_campaign_timed_serial(&[cell.config], &storage).remove(0);
+            writer.append_cell(&cell.key, &[s.clone(), s]).unwrap();
+        }
+        writer
+            .append_row("bench", &serde_json::json!({"name": "é€😀\"\\", "x": 1.5}))
+            .unwrap();
+        let reopened = ResultsStore::open(&dir).unwrap();
+        let (written, read) = (writer.query(), reopened.query());
+        assert_eq!(read.len(), 9);
+        assert_eq!(written.rows(), read.rows(), "row for row");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl Payload {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// True when the payload carries real bytes ([`Payload::Bytes`] or
+    /// [`Payload::Encoded`]) rather than a byte count.
+    pub(crate) fn is_materialized(&self) -> bool {
+        matches!(self, Payload::Bytes(_) | Payload::Encoded { .. })
+    }
 }
 
 /// One logical write submitted to a backend.

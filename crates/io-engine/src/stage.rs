@@ -26,13 +26,19 @@
 //! ## Parallel encode
 //!
 //! By default the stage buffers the open step's puts and encodes every
-//! data chunk **in parallel** at seal time (per-chunk encode is a pure
-//! function of the chunk and its [`CodecContext`]), then forwards all
-//! puts to the inner backend in their original submission order. Output
-//! is therefore byte-identical to the serial reference mode
+//! data chunk at seal time (per-chunk encode is a pure function of the
+//! chunk and its [`CodecContext`]), then forwards all puts to the inner
+//! backend in their original submission order. The encode fans out over
+//! scoped threads **only when the step carries real bytes** (a data put
+//! with a [`Payload::Bytes`] or [`Payload::Encoded`] payload). A
+//! size-only step's encoded sizes are closed forms
+//! ([`Codec::encoded_size`]), so it encodes inline on the calling
+//! thread: an account-only cell spawns no thread at all, and its cores
+//! stay with the executor that fans the cells out. Either way the output
+//! is byte-identical to the serial reference mode
 //! ([`CompressionStage::serial`]) — file contents, sidecar line order,
 //! and modeled `codec_seconds` alike — which a 3×3 backend × codec
-//! property test pins.
+//! property test pins, over real and size-only payloads.
 //!
 //! The seal-time buffers form a reused *encode arena*: the pending-put
 //! list, the per-put result slots, the chunk records, and the sidecar
@@ -101,8 +107,9 @@ pub struct CompressionStage<'a> {
     inner: Box<dyn IoBackend + 'a>,
     codec: Box<dyn Codec>,
     vfs: &'a dyn Vfs,
-    /// Encode data chunks in parallel at seal time (the default); the
-    /// serial mode is the byte-identical reference implementation.
+    /// Encode data chunks at seal time, in parallel when the step carries
+    /// real bytes (the default); the serial mode is the byte-identical
+    /// reference implementation.
     parallel: bool,
     /// Buffered puts of the open step (parallel mode only), in
     /// submission order.
@@ -129,7 +136,8 @@ pub struct CompressionStage<'a> {
 impl<'a> CompressionStage<'a> {
     /// Wraps `inner` with `codec`, writing sidecars through `vfs` (the
     /// same filesystem the inner backend writes to). Data chunks are
-    /// encoded in parallel at seal time; use
+    /// encoded at seal time, in parallel when the step carries real
+    /// bytes; use
     /// [`CompressionStage::serial`] for the reference serial mode.
     pub fn new(inner: Box<dyn IoBackend + 'a>, codec: Box<dyn Codec>, vfs: &'a dyn Vfs) -> Self {
         Self::with_parallel(inner, codec, vfs, true)
@@ -164,7 +172,8 @@ impl<'a> CompressionStage<'a> {
         }
     }
 
-    /// True when the stage encodes in parallel at seal time.
+    /// True when the stage encodes at seal time, fanning out the steps
+    /// that carry real bytes.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
@@ -188,9 +197,8 @@ impl<'a> CompressionStage<'a> {
         encoded: bool,
     ) -> io::Result<()> {
         let logical = put.payload.logical_len();
-        let materialized = matches!(put.payload, Payload::Bytes(_) | Payload::Encoded { .. });
         cur.codec_ns += logical as f64 * codec_ns_per_byte;
-        cur.any_materialized |= materialized;
+        cur.any_materialized |= put.payload.is_materialized();
         cur.chunks.push(ChunkRec {
             path: put.path.clone(),
             logical,
@@ -264,11 +272,12 @@ impl IoBackend for CompressionStage<'_> {
     fn end_step(&mut self) -> io::Result<StepStats> {
         let mut cur = self.cur.end();
         if self.parallel {
-            // Parallel map over the buffered puts: each data chunk is
-            // encoded independently (payload clones are O(1) shared
-            // views, not copies) into its slot of the reused result
-            // table, so results line up with submissions and the arena
-            // keeps its capacity across steps.
+            // Map over the buffered puts: each data chunk is encoded
+            // independently (payload clones are O(1) shared views, not
+            // copies) into its slot of the reused result table, so
+            // results line up with submissions and the arena keeps its
+            // capacity across steps. Only real bytes are worth a thread:
+            // a size-only step's encoded sizes are closed forms.
             let codec = self.codec.as_ref();
             self.results.clear();
             self.results.resize_with(self.pending.len(), || None);
@@ -283,7 +292,15 @@ impl IoBackend for CompressionStage<'_> {
                 };
                 *out = Some(encode_payload(codec, p.payload.clone(), &ctx));
             };
-            let threads = rayon::current_num_threads().min(self.pending.len()).max(1);
+            let real_bytes = self
+                .pending
+                .iter()
+                .any(|p| p.kind == IoKind::Data && p.payload.is_materialized());
+            let threads = if real_bytes {
+                rayon::current_num_threads().min(self.pending.len())
+            } else {
+                1
+            };
             if threads <= 1 {
                 for (p, out) in self.pending.iter().zip(self.results.iter_mut()) {
                     encode_slot(p, out);
@@ -708,6 +725,80 @@ mod tests {
                 line.ends_with(&format!("/f_{i:05}")),
                 "line {i} out of order: {line}"
             );
+        }
+    }
+
+    /// A codec that records the thread of every `encode` and
+    /// `encoded_size` call (bytes pass through; sizes halve).
+    #[derive(Clone, Default)]
+    struct ThreadLog(std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl ThreadLog {
+        fn record(&self) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    impl Codec for ThreadLog {
+        fn name(&self) -> String {
+            "threadlog".to_string()
+        }
+
+        fn encode(&self, data: &[u8], _ctx: &CodecContext<'_>) -> Vec<u8> {
+            self.record();
+            data.to_vec()
+        }
+
+        fn decode(&self, data: &[u8], _logical_len: u64, _ctx: &CodecContext<'_>) -> Vec<u8> {
+            data.to_vec()
+        }
+
+        fn encoded_size(&self, logical: u64, _ctx: &CodecContext<'_>) -> u64 {
+            self.record();
+            logical / 2
+        }
+
+        fn cpu_ns_per_byte(&self) -> f64 {
+            1.0
+        }
+    }
+
+    /// The threads one 16-chunk step's encode ran on, one per chunk.
+    fn encode_threads(payload: impl Fn(u32) -> Payload) -> Vec<std::thread::ThreadId> {
+        let fs = MemFs::new();
+        let tracker = IoTracker::new();
+        let log = ThreadLog::default();
+        let mut b = stage(&fs, &tracker, Box::new(log.clone()));
+        b.begin_step(1, "/");
+        for task in 0..16 {
+            b.put(put(task, IoKind::Data, &format!("/f{task}"), payload(task)))
+                .unwrap();
+        }
+        b.end_step().unwrap();
+        let ids = log.0.lock().unwrap().clone();
+        assert_eq!(ids.len(), 16, "one encode call per data chunk");
+        ids
+    }
+
+    #[test]
+    fn size_only_step_encodes_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = encode_threads(|_| Payload::Size(4096));
+        assert!(ids.iter().all(|&id| id == me), "a size-only step spawned");
+    }
+
+    #[test]
+    fn step_with_real_bytes_still_fans_out() {
+        let me = std::thread::current().id();
+        let all_bytes = encode_threads(|task| Payload::Bytes(vec![task as u8; 4096].into()));
+        // One real chunk is enough to fan the whole step out.
+        let one_real = encode_threads(|task| match task {
+            0 => Payload::Bytes(vec![7u8; 4096].into()),
+            _ => Payload::Size(4096),
+        });
+        for ids in [all_bytes, one_real] {
+            let spawned = ids.iter().any(|&id| id != me);
+            assert_eq!(spawned, rayon::current_num_threads() > 1, "{ids:?}");
         }
     }
 

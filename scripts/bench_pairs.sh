@@ -13,9 +13,10 @@
 # pairs the change won, and the choosing-metrics section 8 verdict: a gain
 # holds only when the change is better in at least nine tenths of the
 # pairs (ties count for neither side) and its median is better than the
-# parent's by more than the parent's q3 - q1. Last, whether every run was
-# correct with one digest. Removes its scratch directory on exit; nothing
-# else is written.
+# parent's by more than the parent's q3 - q1. Then each side's median of
+# every workload detail line (wide_resume's phase rates, say). Last,
+# whether every run was correct with one digest. Removes its scratch
+# directory on exit; nothing else is written.
 set -eu
 cd "$(dirname "$0")/.."
 [ "$#" -ge 2 ] || {
@@ -107,6 +108,36 @@ for m in $metrics; do
             printf "%-12s change %s in %d of %d pairs, %s in %d\n", m, better, win, NR, worse, loss
             printf "%-12s median change/parent %.4g; better by %.6g against parent q3-q1 %.6g\n", m, ratio, gap, iqr
             printf "%-12s verdict: %s (needs %d of %d pairs and a median gap over q3-q1)\n", m, verdict, need, NR
+        }'
+done
+
+# Every other "<workload> <name> <value> <unit>" line a run prints is a
+# workload detail (wide_resume's execute_cells_per_s, query_ms, ...):
+# each side's median of it over the same runs, so a phase split comes
+# from the runs that carry the verdicts.
+echo
+skip=" $(echo $metrics) fail_share FAILED "
+names=$(cat "$out"/parent.[0-9]* "$out"/change.[0-9]* |
+    awk -v w="$workload" '$1 == w && NF >= 4 { print $2 }' | sort -u)
+for d in $names; do
+    case $skip in *" $d "*) continue ;; esac
+    unit=$(cat "$out"/parent.[0-9]* "$out"/change.[0-9]* |
+        awk -v w="$workload" -v d="$d" '$1 == w && $2 == d { print $4; exit }')
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            awk -v w="$workload" -v d="$d" '$1 == w && $2 == d { print $3 }' "$out/$side.$i"
+            i=$((i + 1))
+        done | sort -g | awk '{ v[NR] = $1 }
+            END { h = (NR - 1) / 2; lo = int(h)
+                  print (NR == 0 ? "-" : (lo + 2 > NR ? v[NR] : v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]))) }' \
+            >"$out/$side.$d.median"
+    done
+    awk -v d="$d" -v unit="$unit" -v p="$(cat "$out/parent.$d.median")" -v c="$(cat "$out/change.$d.median")" '
+        function show(x) { return x == "-" ? "-" : sprintf("%.6g", x) }
+        BEGIN {
+            ratio = (p == "-" || c == "-" || p == 0) ? "-" : sprintf("%.4g", c / p)
+            printf "%-24s median parent %s  change %s %s  change/parent %s\n", d, show(p), show(c), unit, ratio
         }'
 done
 

@@ -11,6 +11,11 @@
 //!   sequence that feeds burst timing;
 //! * the close [`EngineReport`] and both tracker planes equal.
 //!
+//! The same holds for account-only steps (every payload a
+//! [`Payload::Size`]), which the default stage encodes inline instead of
+//! fanning out: equal step stats, sidecar records and `codec_seconds`
+//! bits.
+//!
 //! This is the contract that lets the throughput plane encode on all
 //! cores without perturbing a single modeled number.
 
@@ -40,9 +45,10 @@ fn chunk_bytes(&(level, task, size, seed): &ChunkSpec) -> Vec<u8> {
     }
 }
 
-/// One step's flattened `StepStats` row: step, logical, physical,
-/// overhead, files, codec seconds, and the (path, bytes) sidecar list.
-type StatRow = (u32, u64, u64, u64, u64, f64, Vec<(String, u64)>);
+/// One step's flattened `StepStats` row: step, files, physical, logical,
+/// overhead, the bits of the codec seconds, and the (path, bytes) write
+/// requests (sidecars included).
+type StatRow = (u32, u64, u64, u64, u64, u64, Vec<(String, u64)>);
 
 /// Everything observable about one run: the full filesystem image plus
 /// every accounting surface.
@@ -55,8 +61,19 @@ struct Snapshot {
     read_back: Vec<(String, Option<Vec<u8>>)>,
 }
 
+/// One chunk's payload: its bytes, or only their count when
+/// `account_only`.
+fn payload(bytes: Vec<u8>, account_only: bool) -> Payload {
+    if account_only {
+        Payload::Size(bytes.len() as u64)
+    } else {
+        Payload::Bytes(bytes.into())
+    }
+}
+
 fn run(
     parallel: bool,
+    account_only: bool,
     backend: BackendSpec,
     codec: CodecSpec,
     steps: &[Vec<ChunkSpec>],
@@ -82,7 +99,7 @@ fn run(
                     key: IoKey { step, level, task },
                     kind: IoKind::Data,
                     path: format!("{dir}/L{level}/f{ci:04}_{task:05}"),
-                    payload: Payload::Bytes(chunk_bytes(spec).into()),
+                    payload: payload(chunk_bytes(spec), account_only),
                 })
                 .unwrap();
         }
@@ -95,7 +112,7 @@ fn run(
                 },
                 kind: IoKind::Metadata,
                 path: format!("{dir}/Header"),
-                payload: Payload::Bytes(vec![b'#'; 120].into()),
+                payload: payload(vec![b'#'; 120], account_only),
             })
             .unwrap();
         let s = stack.end_step().unwrap();
@@ -105,7 +122,7 @@ fn run(
             s.bytes,
             s.logical_bytes,
             s.overhead_bytes,
-            s.codec_seconds,
+            s.codec_seconds.to_bits(),
             s.requests
                 .iter()
                 .map(|r| (r.path.clone(), r.bytes))
@@ -149,72 +166,100 @@ fn run(
     }
 }
 
+/// Serial vs parallel encode across 3 backends × 3 codecs: every
+/// observable byte and number agrees.
+fn assert_parallel_equals_serial(
+    account_only: bool,
+    steps: &[Vec<ChunkSpec>],
+    agg_ratio: usize,
+    quant_bits: u8,
+) {
+    let backends = [
+        BackendSpec::FilePerProcess,
+        BackendSpec::Aggregated(agg_ratio),
+        BackendSpec::Deferred(1),
+    ];
+    let codecs = [
+        CodecSpec::Identity,
+        CodecSpec::Rle(2.0),
+        CodecSpec::LossyQuant(quant_bits),
+    ];
+    for backend in backends {
+        for codec in codecs {
+            let serial = run(false, account_only, backend, codec, steps);
+            let parallel = run(true, account_only, backend, codec, steps);
+            let tag = format!("{}+{}", backend.name(), codec.name());
+
+            // Filesystem images byte-identical — subfiles, md.idx
+            // indexes, and .csc sidecars alike (none of them for an
+            // account-only run, which stays write-free).
+            assert_eq!(
+                &serial.files, &parallel.files,
+                "file images differ for {tag}"
+            );
+            assert_eq!(serial.files.is_empty(), account_only, "{tag}");
+            // Every step books its sidecar, written or modeled.
+            assert!(
+                serial
+                    .step_stats
+                    .iter()
+                    .all(|row| row.6.iter().any(|(p, _)| p.ends_with(".csc"))),
+                "a step booked no sidecar for {tag}"
+            );
+
+            // Accounting surfaces equal.
+            assert_eq!(
+                &serial.step_stats, &parallel.step_stats,
+                "step stats differ for {tag}"
+            );
+            assert_eq!(
+                &serial.report, &parallel.report,
+                "close report differs for {tag}"
+            );
+            assert_eq!(
+                &serial.writes, &parallel.writes,
+                "tracker write plane differs for {tag}"
+            );
+            assert_eq!(
+                &serial.reads, &parallel.reads,
+                "tracker read plane differs for {tag}"
+            );
+            assert_eq!(
+                &serial.read_back, &parallel.read_back,
+                "decoded restart reads differ for {tag}"
+            );
+        }
+    }
+}
+
+/// Steps of 1-23 generated chunks each.
+fn arb_steps() -> impl Strategy<Value = Vec<Vec<ChunkSpec>>> {
+    prop::collection::vec(
+        prop::collection::vec((0u32..3, 0u32..8, 1usize..3000, 0u8..=255), 1..24),
+        1..3,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serial vs parallel encode across 3 backends × 3 codecs: every
-    /// observable byte and number agrees.
+    /// Real bytes: the parallel stage fans the encode out.
     #[test]
     fn parallel_encode_is_byte_identical_to_serial(
-        steps in prop::collection::vec(
-            prop::collection::vec(
-                (0u32..3, 0u32..8, 1usize..3000, 0u8..=255),
-                1..24,
-            ),
-            1..3,
-        ),
+        steps in arb_steps(),
         agg_ratio in 1usize..5,
         quant_bits in 2u8..13,
     ) {
-        let backends = [
-            BackendSpec::FilePerProcess,
-            BackendSpec::Aggregated(agg_ratio),
-            BackendSpec::Deferred(1),
-        ];
-        let codecs = [
-            CodecSpec::Identity,
-            CodecSpec::Rle(2.0),
-            CodecSpec::LossyQuant(quant_bits),
-        ];
-        for backend in backends {
-            for codec in codecs {
-                let serial = run(false, backend, codec, &steps);
-                let parallel = run(true, backend, codec, &steps);
-                let tag = format!("{}+{}", backend.name(), codec.name());
+        assert_parallel_equals_serial(false, &steps, agg_ratio, quant_bits);
+    }
 
-                // Filesystem images byte-identical — subfiles, md.idx
-                // indexes, and .csc sidecars alike.
-                prop_assert_eq!(
-                    &serial.files, &parallel.files,
-                    "file images differ for {}", &tag
-                );
-                prop_assert!(
-                    serial.files.keys().any(|p| p.ends_with(".csc")),
-                    "workload produced no sidecar for {}", &tag
-                );
-
-                // Accounting surfaces equal.
-                prop_assert_eq!(
-                    &serial.step_stats, &parallel.step_stats,
-                    "step stats differ for {}", &tag
-                );
-                prop_assert_eq!(
-                    &serial.report, &parallel.report,
-                    "close report differs for {}", &tag
-                );
-                prop_assert_eq!(
-                    &serial.writes, &parallel.writes,
-                    "tracker write plane differs for {}", &tag
-                );
-                prop_assert_eq!(
-                    &serial.reads, &parallel.reads,
-                    "tracker read plane differs for {}", &tag
-                );
-                prop_assert_eq!(
-                    &serial.read_back, &parallel.read_back,
-                    "decoded restart reads differ for {}", &tag
-                );
-            }
-        }
+    /// Size-only payloads: the parallel stage encodes inline.
+    #[test]
+    fn account_only_parallel_encode_equals_serial(
+        steps in arb_steps(),
+        agg_ratio in 1usize..5,
+        quant_bits in 2u8..13,
+    ) {
+        assert_parallel_equals_serial(true, &steps, agg_ratio, quant_bits);
     }
 }
