@@ -509,13 +509,14 @@ pub fn run_campaign_fabric(
 /// throughput-scaling cells, N copies of one configuration differing
 /// only in display name. Instead of N application runs on N native
 /// threads, the single real run drives a clone group
-/// ([`iosim::Fabric::tenant_clones`]): the engine synthesizes the
-/// mirrors' traffic, prices contention over the full N-tenant job set,
-/// and the clones' summaries are composed from the real run plus each
-/// mirror slot's stats. Clone symmetry makes this bit-identical to the
-/// threaded fleet (request paths and noise draws are independent of the
-/// display name), which the spec-parallel property tests pin against
-/// [`run_campaign_fabric`].
+/// ([`iosim::Fabric::tenant_clones`]): each of its requests is one
+/// server record standing for all N clones, so contention is priced over
+/// the full N-tenant load at a single tenant's cost, and the clones'
+/// summaries are composed from the real run plus each mirror slot's
+/// stats (its leader's, under the mirror's name). Clone symmetry makes
+/// this bit-identical to the threaded fleet (request paths and noise
+/// draws are independent of the display name), which the spec-parallel
+/// property tests pin against [`run_campaign_fabric`].
 ///
 /// `memo` optionally memoizes the solo shadow replay under `solo_key`
 /// (the cell's label/tenancy-independent config key), exactly as
@@ -544,10 +545,10 @@ pub fn run_campaign_fabric_cloned(
     let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
     let mut group = fabric.tenant_clones(&names);
     let unfilled = price_solo(memo, std::slice::from_mut(&mut group));
-    // One real application run; the mirror slots' traffic and stats are
-    // synthesized inside the engine. No threads: with every mirror seat
-    // permanently parked, the lone real tenant always holds the quorum
-    // and the engine advances inline.
+    // One real application run; its requests carry the mirror slots'
+    // copies, and the mirrors report its stats. No threads: with every
+    // mirror seat permanently parked, the lone real tenant always holds
+    // the quorum and the engine advances inline.
     let real = RunSummary::from_result(&run_simulation_attached(
         &configs[0],
         None,

@@ -30,6 +30,11 @@
 //!   seconds split into *contention* (other tenants on my servers) and
 //!   *throttling* (my own QoS cap), and seconds spent waiting for
 //!   staging space.
+//! * **Clone groups** ([`Fabric::tenant_clones`]): N identical tenants
+//!   driven by one handle. Each of their requests is one server record
+//!   standing for all N (`copies = N`), so an N-tenant cell costs what a
+//!   single tenant costs; a mirror slot reports its leader's stats under
+//!   its own id and name, bit-identical to N threaded tenants.
 //!
 //! # Concurrency model
 //!
@@ -296,9 +301,6 @@ struct PendingBurst {
     key: u64,
     remaining: usize,
     finish: Vec<f64>,
-    /// True for a mirror slot's copy of a clone-group burst: no thread
-    /// is parked on it, so resolving it must not touch `Engine::parked`.
-    mirror: bool,
 }
 
 /// One staging-pool allocation, held from burst handoff until the drain
@@ -378,6 +380,9 @@ struct TenantSlot {
     /// Bursts submitted so far (tenant-local sequence for ordering).
     seq: u64,
     stats: TenantStats,
+    /// A clone group's mirror slot: the leader slot whose records stand
+    /// for it, and whose stats it reports.
+    leader: Option<usize>,
 }
 
 /// The shared event engine (everything behind the fabric's one mutex).
@@ -385,6 +390,10 @@ struct TenantSlot {
 struct Engine {
     tenants: Vec<TenantSlot>,
     servers: Vec<ServerState>,
+    /// Each server's cached [`ServerState::next_event`]; `None` once the
+    /// server loads or processes (nothing else changes it) until the
+    /// next scan recomputes it.
+    next: Vec<Option<Option<f64>>>,
     pending: Vec<PendingBurst>,
     /// Resolved bursts' per-request finish times, until their owners
     /// collect them.
@@ -401,19 +410,23 @@ struct Engine {
     link: Option<NetworkModel>,
     /// How many registered tenants stream over the shared link.
     stream_tenants: usize,
-    /// True once a clone group registered mirror slots (mirror slots and
-    /// the bounded staging pool are mutually exclusive).
-    mirrored: bool,
 }
 
 /// One server's active jobs by tenant: `(tenant, job count)`, ascending
-/// by tenant index so float sums over groups are deterministic.
-fn tenant_groups(active: &[Job]) -> Vec<(usize, usize)> {
+/// by tenant index so float sums over groups are deterministic. With
+/// `clones`, a record counts once for every tenant of its clone range
+/// (the groups QoS shares are split over); without, once for its own
+/// tenant — all an equal split needs, as a mirror's count is its
+/// leader's.
+fn tenant_groups(active: &[Job], clones: bool) -> Vec<(usize, usize)> {
     let mut groups: Vec<(usize, usize)> = Vec::new();
     for j in active {
-        match groups.binary_search_by_key(&j.tenant, |g| g.0) {
-            Ok(i) => groups[i].1 += 1,
-            Err(i) => groups.insert(i, (j.tenant, 1)),
+        let span = if clones { j.copies } else { 1 };
+        for tenant in j.tenant..j.tenant + span {
+            match groups.binary_search_by_key(&tenant, |g| g.0) {
+                Ok(i) => groups[i].1 += 1,
+                Err(i) => groups.insert(i, (tenant, 1)),
+            }
         }
     }
     groups
@@ -497,7 +510,7 @@ impl RatePolicy for [TenantSlot] {
         if active.iter().all(|j| self[j.tenant].qos.is_default()) {
             return None;
         }
-        let groups = tenant_groups(active);
+        let groups = tenant_groups(active, true);
         let share = water_fill(&groups, self);
         let rate = |j: &Job| {
             let g = group_of(&groups, j.tenant);
@@ -510,10 +523,12 @@ impl RatePolicy for [TenantSlot] {
     /// tenant alone on the server; the part of it below the tenant's
     /// uncapped fair rate is its own cap's doing (throttle), the rest is
     /// other tenants' traffic (contention). An equal split *is* the fair
-    /// rate, so all of its loss is contention.
+    /// rate, so all of its loss is contention. A clone group's loss is
+    /// booked on its leader only (the mirrors report the leader's).
     fn attribute(&mut self, active: &[Job], rates: &Rates, elapsed: f64) {
-        let groups = tenant_groups(active);
-        let fair = matches!(rates, Rates::PerJob(_)).then(|| fair_shares(&groups, self));
+        let per_job = matches!(rates, Rates::PerJob(_));
+        let groups = tenant_groups(active, per_job);
+        let fair = per_job.then(|| fair_shares(&groups, self));
         for (i, j) in active.iter().enumerate() {
             let g = group_of(&groups, j.tenant);
             let count = groups[g].1 as f64;
@@ -538,6 +553,23 @@ impl Engine {
     fn new_key(&mut self) -> u64 {
         self.next_burst += 1;
         self.next_burst - 1
+    }
+
+    /// Registers the next tenant slot and returns its index.
+    fn push_slot(&mut self, name: &str, qos: QosPolicy, leader: Option<usize>) -> usize {
+        let tenant = self.tenants.len();
+        self.tenants.push(TenantSlot {
+            qos,
+            finished: false,
+            seq: 0,
+            stats: TenantStats {
+                tenant,
+                name: name.to_string(),
+                ..TenantStats::default()
+            },
+            leader,
+        });
+        tenant
     }
 
     /// One scheduling decision, taken only when every live tenant is
@@ -580,7 +612,9 @@ impl Engine {
         loop {
             let mut best: Option<(f64, usize)> = None;
             for (s, srv) in self.servers.iter().enumerate() {
-                let Some(t) = srv.next_event(s, self.tenants.as_slice()) else {
+                let next =
+                    self.next[s].get_or_insert_with(|| srv.next_event(s, self.tenants.as_slice()));
+                let Some(t) = *next else {
                     continue;
                 };
                 if best.is_none_or(|(bt, _)| t < bt) {
@@ -601,6 +635,7 @@ impl Engine {
         let Engine {
             tenants,
             servers,
+            next,
             pending,
             results,
             parked,
@@ -623,9 +658,7 @@ impl Engine {
             let done = pending.remove(at);
             results.insert(done.key, done.finish);
             *time = t;
-            if !done.mirror {
-                *parked -= 1;
-            }
+            *parked -= 1;
             resolved_any = true;
             if let Some(staging) = staging {
                 if let Some(a) = staging.allocs.iter_mut().find(|a| a.burst == done.key) {
@@ -640,6 +673,7 @@ impl Engine {
                     .retain(|a| a.released_at.is_none_or(|r| r > floor));
             }
         });
+        next[s] = None;
         resolved_any
     }
 }
@@ -675,7 +709,7 @@ impl Fabric {
         {
             let mut g = self.shared.state.lock().expect("fabric lock");
             assert!(
-                !g.mirrored,
+                g.tenants.iter().all(|t| t.leader.is_none()),
                 "Fabric::with_staging: clone groups (tenant_clones) do not \
                  support a bounded staging pool"
             );
@@ -731,20 +765,11 @@ impl Fabric {
             "Fabric::tenant: register every tenant before the first burst"
         );
         if g.servers.is_empty() {
-            g.servers
-                .resize_with(self.shared.model.effective_nservers(), ServerState::default);
+            let n = self.shared.model.effective_nservers();
+            g.servers.resize_with(n, ServerState::default);
+            g.next = vec![None; n];
         }
-        let tenant = g.tenants.len();
-        g.tenants.push(TenantSlot {
-            qos,
-            finished: false,
-            seq: 0,
-            stats: TenantStats {
-                tenant,
-                name: name.to_string(),
-                ..TenantStats::default()
-            },
-        });
+        let tenant = g.push_slot(name, qos, None);
         FabricHandle {
             shared: Arc::clone(&self.shared),
             tenant,
@@ -755,17 +780,21 @@ impl Fabric {
     }
 
     /// Registers a *clone group*: one tenant slot per name, all driven by
-    /// the **single** returned handle. The first slot is the real tenant;
-    /// the rest are mirror slots whose traffic the engine synthesizes —
-    /// every burst the handle submits is enqueued once per slot (distinct
-    /// tenant ids, own burst keys), so contention pricing sees the full
-    /// N-tenant job set while only one application run executes.
+    /// the **single** returned handle. The first slot is the real tenant
+    /// (the leader); the rest are mirror slots. Every request the handle
+    /// submits is loaded as **one** server record standing for all N
+    /// slots (`copies = N` under the leader's tenant id), so contention
+    /// pricing sees the full N-tenant load while one application run
+    /// executes and each event costs what a single tenant's does. A
+    /// mirror's [`TenantStats`] are its leader's under its own `tenant`
+    /// and `name`.
     ///
-    /// This is exact, not an approximation, for *identical clones*: the
-    /// engine orders and rates jobs by `(arrival, tenant, seq, req)` and
-    /// request placement/service demands depend only on the request set,
-    /// so N clone tenants' job sets are copies of each other and every
-    /// per-tenant outcome (burst results, stall attribution, walls) is
+    /// This is exact, not an approximation, for *identical clones*:
+    /// request placement and service demands depend only on the request
+    /// set, so N clones' copies of a request share arrival, work and
+    /// rate, and retire at the same event; each clone's stall is summed
+    /// over its own requests in the same order. Every per-tenant outcome
+    /// (burst results, stall attribution, walls) is therefore
     /// bit-identical to N threaded tenants submitting the same sequence
     /// (pinned by tests). Callers remain responsible for only grouping
     /// runs that are identical modulo their display name.
@@ -790,19 +819,8 @@ impl Fabric {
                 "Fabric::tenant_clones: clone groups do not support a \
                  bounded staging pool"
             );
-            g.mirrored = true;
             for name in &names[1..] {
-                let tenant = g.tenants.len();
-                g.tenants.push(TenantSlot {
-                    qos: QosPolicy::default(),
-                    finished: false,
-                    seq: 0,
-                    stats: TenantStats {
-                        tenant,
-                        name: name.to_string(),
-                        ..TenantStats::default()
-                    },
-                });
+                g.push_slot(name, QosPolicy::default(), Some(first.tenant));
             }
             // Mirror slots never park in a call; seat them permanently so
             // the quorum check (`parked == live`) still means "every real
@@ -818,7 +836,17 @@ impl Fabric {
     /// scheduler seal time).
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
         let g = self.shared.state.lock().expect("fabric lock");
-        g.tenants.iter().map(|t| t.stats.clone()).collect()
+        g.tenants
+            .iter()
+            .map(|t| match t.leader {
+                Some(leader) => TenantStats {
+                    tenant: t.stats.tenant,
+                    name: t.stats.name.clone(),
+                    ..g.tenants[leader].stats.clone()
+                },
+                None => t.stats.clone(),
+            })
+            .collect()
     }
 }
 
@@ -973,14 +1001,13 @@ impl FabricHandle {
     }
 
     /// Reports the run's final shared wall and the scheduler shadow's
-    /// exact solo-equivalent wall into the tenant's stats (all slots of
-    /// a clone group: the mirrors' runs are copies of the real one).
+    /// exact solo-equivalent wall into the tenant's stats (a clone
+    /// group's mirrors report their leader's).
     pub fn record_walls(&self, shared_wall: f64, solo_wall: f64) {
         let mut g = self.shared.state.lock().expect("fabric lock");
-        for t in self.tenant..=self.tenant + self.mirrors {
-            g.tenants[t].stats.shared_wall = shared_wall;
-            g.tenants[t].stats.solo_wall = solo_wall;
-        }
+        let stats = &mut g.tenants[self.tenant].stats;
+        stats.shared_wall = shared_wall;
+        stats.solo_wall = solo_wall;
     }
 
     /// Marks the tenant done: it leaves the engine's quorum so the
@@ -1013,48 +1040,41 @@ impl FabricHandle {
     ) -> BurstResult {
         let shared = &*self.shared;
         let n = priced.len();
-        // One submission per slot this handle drives. A clone group's
-        // mirrors get the real burst's arrivals, placement and demands
-        // (pricing depends only on the request set) under their own
-        // tenant ids and burst keys, so the engine prices exactly the
-        // job set N threaded clones would have submitted.
-        let mut slots: Vec<(usize, u64, u64)> = Vec::with_capacity(self.mirrors + 1);
-        for tenant in self.tenant..=self.tenant + self.mirrors {
-            let key = match staged_key {
-                Some(key) if tenant == self.tenant => key,
-                _ => g.new_key(),
-            };
-            let slot = &mut g.tenants[tenant];
-            slots.push((tenant, slot.seq, key));
-            slot.seq += 1;
-            slot.stats.bursts += 1;
-            match priced.class {
-                Class::Write => slot.stats.write_bytes += priced.total_bytes,
-                Class::Read => slot.stats.read_bytes += priced.total_bytes,
-            }
-            g.pending.push(PendingBurst {
-                key,
-                remaining: n,
-                finish: vec![0.0; n],
-                mirror: tenant != self.tenant,
-            });
+        let key = staged_key.unwrap_or_else(|| g.new_key());
+        let slot = &mut g.tenants[self.tenant];
+        let seq = slot.seq;
+        slot.seq += 1;
+        slot.stats.bursts += 1;
+        match priced.class {
+            Class::Write => slot.stats.write_bytes += priced.total_bytes,
+            Class::Read => slot.stats.read_bytes += priced.total_bytes,
         }
-        let start_of = &start_of;
+        g.pending.push(PendingBurst {
+            key,
+            remaining: n,
+            finish: vec![0.0; n],
+        });
+        // One record per request, standing for every slot this handle
+        // drives (a clone group's mirrors would submit exact copies).
+        let (tenant, copies) = (self.tenant, self.mirrors + 1);
         for (s, jobs) in priced.per_server.iter().enumerate() {
-            g.servers[s].load(slots.iter().flat_map(|&(tenant, seq, burst)| {
-                jobs.iter().map(move |&(req, work)| Job {
-                    tenant,
-                    seq,
-                    burst,
-                    req,
-                    arrival: start_of(req),
-                    work,
-                })
+            if jobs.is_empty() {
+                continue;
+            }
+            g.servers[s].load(jobs.iter().map(|&(req, work)| Job {
+                tenant,
+                copies,
+                seq,
+                burst: key,
+                req,
+                arrival: start_of(req),
+                work,
             }));
+            g.next[s] = None;
         }
         g.parked += 1;
         let finish = loop {
-            if let Some(finish) = g.results.remove(&slots[0].2) {
+            if let Some(finish) = g.results.remove(&key) {
                 break finish;
             }
             if g.parked == g.live() {
@@ -1064,15 +1084,6 @@ impl FabricHandle {
             }
             g = shared.cv.wait(g).expect("fabric lock");
         };
-        // Mirror copies are symmetric to the real burst, so they resolve
-        // at the same engine event; their results are never read.
-        for &(_, _, mkey) in &slots[1..] {
-            let mirrored = g.results.remove(&mkey);
-            debug_assert!(
-                mirrored.is_some(),
-                "clone-group mirror burst must resolve with its original"
-            );
-        }
         drop(g);
         priced.result(finish, start_of)
     }

@@ -2,7 +2,9 @@
 //! service, private or shared, is produced by [`ServerState`].
 //!
 //! A server holds the requests currently sharing it (`active`) and its
-//! future arrivals (`queue`), and moves from event to event: the next
+//! future arrivals (`queue`), one record per request — or per request
+//! of a clone group, whose identical tenants share one record
+//! ([`Job::copies`]) — and moves from event to event: the next
 //! arrival or the earliest completion at the current rates. Work is in
 //! *seconds of server demand*, not bytes, which keeps the loop
 //! well-defined for idealized infinite-bandwidth models (`bytes / inf`
@@ -31,6 +33,10 @@ pub(crate) const RETIRE_EPS: f64 = 1e-6;
 #[derive(Debug)]
 pub(crate) struct Job {
     pub(crate) tenant: usize,
+    /// Identical tenants this record stands for, `tenant..tenant +
+    /// copies` (a clone group's request; 1 otherwise). Every copy has the
+    /// same arrival, work and rate, so the copies retire as one.
+    pub(crate) copies: usize,
     /// Tenant-local burst sequence number.
     pub(crate) seq: u64,
     /// Global burst key (completion bookkeeping only).
@@ -55,8 +61,9 @@ impl Job {
 /// Who decides how a server's active set shares it. The defaults are the
 /// private model's policy: an equal split, nothing to attribute.
 pub(crate) trait RatePolicy {
-    /// Per-job service rates (server seconds per second, in `active`
-    /// order) when the split is not equal; `None` for an equal split.
+    /// Per-record service rates (server seconds per second for each
+    /// copy, in `active` order) when the split is not equal; `None` for
+    /// an equal split.
     /// Called from the next-event scan, so it computes rates only.
     fn unequal_rates(&self, _active: &[Job]) -> Option<Vec<f64>> {
         None
@@ -74,14 +81,14 @@ impl RatePolicy for EqualSplit {}
 
 /// The rates of one event interval.
 pub(crate) enum Rates {
-    /// Every active job progresses at this rate (`1 / n`).
+    /// Every active copy progresses at this rate (`1 / copies`).
     Equal(f64),
-    /// One rate per active job, in `active` order.
+    /// One rate per active record, in `active` order.
     PerJob(Vec<f64>),
 }
 
 impl Rates {
-    /// The rate of the `i`-th active job.
+    /// The rate of the `i`-th active record.
     pub(crate) fn of(&self, i: usize) -> f64 {
         match self {
             Rates::Equal(rate) => *rate,
@@ -98,6 +105,8 @@ pub(crate) struct ServerState {
     /// Requests currently sharing the server (admission order, which is
     /// deterministic: arrivals are admitted in [`Job::order`]).
     active: Vec<Job>,
+    /// The copies `active` stands for: the equal split's divisor.
+    sharing: usize,
     /// Future arrivals, sorted *descending* by [`Job::order`] (pop from
     /// the end is the earliest).
     queue: Vec<Job>,
@@ -114,7 +123,7 @@ impl ServerState {
     fn rates(&self, policy: &(impl RatePolicy + ?Sized)) -> Rates {
         match policy.unequal_rates(&self.active) {
             Some(rates) => Rates::PerJob(rates),
-            None => Rates::Equal(1.0 / self.active.len() as f64),
+            None => Rates::Equal(1.0 / self.sharing as f64),
         }
     }
 
@@ -180,12 +189,14 @@ impl ServerState {
         self.active.retain(|j| {
             let done = j.work <= RETIRE_EPS;
             if done {
+                self.sharing -= j.copies;
                 retired(j);
             }
             !done
         });
-        while self.queue.last().is_some_and(|j| j.arrival <= t) {
-            self.active.extend(self.queue.pop());
+        while let Some(j) = self.queue.pop_if(|j| j.arrival <= t) {
+            self.sharing += j.copies;
+            self.active.push(j);
         }
     }
 
@@ -199,6 +210,61 @@ impl ServerState {
     ) {
         while let Some(t) = self.next_event(server, policy) {
             self.process(t, policy, |j| retired(j, t));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Runs `jobs` on one server to exhaustion under an equal split:
+    /// every copy's `(tenant, req, retirement time bits)`, sorted.
+    fn retirements(jobs: Vec<Job>) -> Vec<(usize, usize, u64)> {
+        let mut server = ServerState::default();
+        server.load(jobs);
+        let mut out = Vec::new();
+        server.run(0, &mut EqualSplit, |j, t| {
+            out.extend((j.tenant..j.tenant + j.copies).map(|tenant| (tenant, j.req, t.to_bits())));
+        });
+        out.sort_unstable();
+        out
+    }
+
+    fn job(tenant: usize, copies: usize, req: usize, (arrival, work): (f64, f64)) -> Job {
+        Job {
+            tenant,
+            copies,
+            seq: 0,
+            burst: 0,
+            req,
+            // A coarse grid, so simultaneous arrivals occur.
+            arrival: (arrival * 4.0).floor() / 4.0,
+            work,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One record standing for `k` tenants retires every copy at the
+        /// same bits as `k` single-copy records, beside independent jobs.
+        #[test]
+        fn a_record_of_k_copies_retires_like_k_records(
+            k in 1usize..=6,
+            clone in proptest::collection::vec((0.0f64..2.0, 1e-3f64..1.0), 1..12),
+            others in proptest::collection::vec((0.0f64..2.0, 1e-3f64..1.0), 0..12),
+        ) {
+            let others = || others.iter().enumerate().map(|(req, &aw)| job(k, 1, req, aw));
+            let grouped = clone.iter().enumerate().map(|(req, &aw)| job(0, k, req, aw));
+            let copies = (0..k).flat_map(|tenant| {
+                clone.iter().enumerate().map(move |(req, &aw)| job(tenant, 1, req, aw))
+            });
+            prop_assert_eq!(
+                retirements(grouped.chain(others()).collect()),
+                retirements(copies.chain(others()).collect())
+            );
         }
     }
 }

@@ -86,6 +86,7 @@ impl Priced {
         for (s, jobs) in self.per_server.iter().enumerate() {
             server.load(jobs.iter().map(|&(req, work)| Job {
                 tenant: 0,
+                copies: 1,
                 seq: 0,
                 burst: 0,
                 req,

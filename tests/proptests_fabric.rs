@@ -2,8 +2,9 @@
 //! equivalence with the legacy per-run storage model across the backend ×
 //! codec matrix, fair-share slowdown and throughput conservation for
 //! identical tenants, QoS priority dominance, a mixed Sedov + MACSio
-//! fleet contending on one fabric, and the campaign runner's QoS and
-//! staging-pool settings.
+//! fleet contending on one fabric, the campaign runner's QoS and
+//! staging-pool settings, and a clone group against the threaded fleet
+//! it stands for.
 
 use amr_proxy_io::amrproxy::{
     run_campaign_fabric, run_campaign_timed_serial, run_simulation_attached, CastroSedovConfig,
@@ -11,7 +12,8 @@ use amr_proxy_io::amrproxy::{
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
 use amr_proxy_io::iosim::{
-    Fabric, IoTracker, MemFs, QosPolicy, StorageAttach, StorageModel, WriteRequest,
+    BurstResult, Fabric, FabricHandle, IoTracker, MemFs, QosPolicy, ReadRequest, StorageAttach,
+    StorageModel, TenantStats, WriteRequest,
 };
 use amr_proxy_io::macsio::{self, MacsioConfig};
 use proptest::prelude::*;
@@ -50,6 +52,112 @@ fn burst(tenant: usize, files: usize, bytes: u64) -> Vec<WriteRequest> {
             start: 0.0,
         })
         .collect()
+}
+
+/// One tenant's burst program: `steps` write bursts of `files`
+/// requests with staggered starts, each `gap` after the previous end,
+/// then a staggered read of the first step's files. Paths carry only
+/// `prefix`, so every clone submits the same requests.
+#[derive(Clone, Copy)]
+struct Program {
+    prefix: &'static str,
+    steps: usize,
+    files: usize,
+    kib: u64,
+    stagger: f64,
+    gap: f64,
+}
+
+impl Program {
+    /// Runs the program on `h`, reports its walls (the scheduler's
+    /// seal-time call) and retires the handle.
+    fn drive(self, h: FabricHandle) -> Vec<BurstResult> {
+        let mut out = Vec::new();
+        let mut clock = 0.0;
+        for step in 0..self.steps {
+            let reqs: Vec<WriteRequest> = (0..self.files)
+                .map(|f| WriteRequest {
+                    rank: f,
+                    path: format!("/{}/s{step}/f{f}", self.prefix),
+                    bytes: self.kib * 1024 + (f * step) as u64,
+                    start: clock + self.stagger * (f % 3) as f64,
+                })
+                .collect();
+            let r = h.simulate_burst(&reqs);
+            clock = r.t_end + self.gap;
+            out.push(r);
+        }
+        let reads: Vec<ReadRequest> = (0..self.files)
+            .map(|f| ReadRequest {
+                rank: f,
+                path: format!("/{}/s0/f{f}", self.prefix),
+                bytes: self.kib * 1024,
+                start: clock + self.stagger * (f % 2) as f64,
+            })
+            .collect();
+        out.push(h.simulate_read_burst(&reads));
+        let wall = out.last().map_or(0.0, |r| r.t_end);
+        h.record_walls(wall, 0.5 * wall);
+        out
+    }
+}
+
+/// Every burst's `finish` and `t_end`, as bits.
+fn burst_bits(results: &[BurstResult]) -> Vec<(Vec<u64>, u64)> {
+    results
+        .iter()
+        .map(|r| {
+            let finish = r.finish.iter().map(|t| t.to_bits()).collect();
+            (finish, r.t_end.to_bits())
+        })
+        .collect()
+}
+
+/// Every `TenantStats` field, floats as bits.
+type StatsBits = (usize, String, [u64; 3], [u64; 5]);
+
+fn stats_bits(s: &TenantStats) -> StatsBits {
+    let floats = [
+        s.shared_wall,
+        s.solo_wall,
+        s.contention_stall,
+        s.throttle_stall,
+        s.staging_wait,
+    ];
+    (
+        s.tenant,
+        s.name.clone(),
+        [s.bursts, s.write_bytes, s.read_bytes],
+        floats.map(f64::to_bits),
+    )
+}
+
+/// Runs `clones` (each driving `program` on its own thread) beside an
+/// optional rival tenant on `fabric`: each clone handle's results, the
+/// rival's, and every tenant's stats as bits.
+fn run_fleet(
+    fabric: &Fabric,
+    clones: Vec<FabricHandle>,
+    program: Program,
+    rival: Option<(FabricHandle, Program)>,
+) -> (
+    Vec<Vec<BurstResult>>,
+    Option<Vec<BurstResult>>,
+    Vec<StatsBits>,
+) {
+    let (ends, rival) = std::thread::scope(|s| {
+        let clones: Vec<_> = clones
+            .into_iter()
+            .map(|h| s.spawn(move || program.drive(h)))
+            .collect();
+        let rival = rival.map(|(h, p)| s.spawn(move || p.drive(h)));
+        (
+            clones.into_iter().map(|j| j.join().unwrap()).collect(),
+            rival.map(|j| j.join().unwrap()),
+        )
+    });
+    let stats = fabric.tenant_stats().iter().map(stats_bits).collect();
+    (ends, rival, stats)
 }
 
 proptest! {
@@ -163,6 +271,67 @@ proptest! {
             prioritized <= fair + 1e-9,
             "prioritized {prioritized} must not lose to fair {fair}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A clone group of N (one record per request for all N slots) is
+    /// N threaded tenants bit for bit: every burst's `finish` and
+    /// `t_end`, and every `TenantStats` field — also beside an
+    /// independent weighted or capped rival, whose QoS splits each
+    /// server per tenant.
+    #[test]
+    fn clone_group_of_n_equals_n_threaded_tenants(
+        n in 1usize..=6,
+        nservers in 1usize..=4,
+        sigma in 0.0f64..0.4,
+        files in 1usize..6,
+        kib in 1u64..128,
+        stagger in 0.0f64..0.02,
+        gap in 0.0f64..0.02,
+        rival in 0usize..3,
+    ) {
+        let model = StorageModel {
+            variability_sigma: sigma,
+            metadata_latency: 1e-4,
+            ..StorageModel::ideal(nservers, 1e7)
+        };
+        let program = Program { prefix: "c", steps: 3, files, kib, stagger, gap };
+        let rival_program = Program {
+            prefix: "r",
+            steps: 2,
+            files: files + 1,
+            kib: kib / 2 + 1,
+            gap: 0.0,
+            ..program
+        };
+        let rival_qos =
+            [None, Some(QosPolicy::weighted(3.0)), Some(QosPolicy::capped(0.4))][rival];
+        let names: Vec<String> = (0..n).map(|i| format!("c_t{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+
+        let threaded = Fabric::new(model);
+        let handles = names.iter().map(|name| threaded.tenant(name)).collect();
+        let rival_handle = rival_qos.map(|q| (threaded.tenant_with("rival", q), rival_program));
+        let (threaded_ends, threaded_rival, threaded_stats) =
+            run_fleet(&threaded, handles, program, rival_handle);
+
+        let grouped = Fabric::new(model);
+        let group = grouped.tenant_clones(&names);
+        let rival_handle = rival_qos.map(|q| (grouped.tenant_with("rival", q), rival_program));
+        let (group_ends, group_rival, group_stats) =
+            run_fleet(&grouped, vec![group], program, rival_handle);
+
+        for ends in &threaded_ends {
+            prop_assert_eq!(burst_bits(ends), burst_bits(&group_ends[0]));
+        }
+        prop_assert_eq!(
+            threaded_rival.as_deref().map(burst_bits),
+            group_rival.as_deref().map(burst_bits)
+        );
+        prop_assert_eq!(threaded_stats, group_stats);
     }
 }
 
