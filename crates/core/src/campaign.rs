@@ -9,7 +9,6 @@ use crate::config::{CastroSedovConfig, Engine};
 use crate::run::{run_simulation, run_simulation_attached, RunResult};
 use amr_mesh::GridParams;
 use hydro::TimestepControl;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Summary of one campaign run (serializable for the figure benches).
@@ -333,8 +332,9 @@ pub fn table3_campaign() -> Vec<CastroSedovConfig> {
     runs
 }
 
-/// Runs a set of configurations in parallel (the rayon stand-in fans
-/// the work across threads), returning summaries in the input order.
+/// Runs a set of configurations in parallel (one cost-ordered work
+/// queue, the spec executor's, fans the runs over the cores, costliest
+/// first), returning summaries in the input order.
 /// With a `storage` model every run is timed against it, so summaries
 /// carry comparable wall-clock times (the backend axis's dependent
 /// variable); without one, walls are zero. Deterministic: identical to
@@ -344,10 +344,8 @@ pub fn run_campaign(
     configs: &[CastroSedovConfig],
     storage: Option<&iosim::StorageModel>,
 ) -> Vec<RunSummary> {
-    configs
-        .par_iter()
-        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, storage)))
-        .collect()
+    crate::exec::Queue::new(configs.iter().map(crate::exec::cell_cost))
+        .run(|i| RunSummary::from_result(&run_simulation(&configs[i], None, storage)))
 }
 
 /// Sequential reference implementation of untimed [`run_campaign`]
@@ -445,10 +443,9 @@ fn stamp_tenancy(summary: &mut RunSummary, stats: &iosim::TenantStats, tenants: 
 /// traffic (`contention_stall`) and the tenant's own QoS cap
 /// (`throttle_stall`).
 ///
-/// Tenants run on `std::thread::scope` natives rather than rayon
-/// tasks: a tenant blocks inside the shared event engine while other
-/// tenants make progress, and parking a rayon worker on that condvar
-/// could starve the pool that is supposed to run the peers.
+/// Each tenant runs on its own `std::thread::scope` native: a tenant
+/// blocks inside the shared event engine until its peers reach the
+/// quorum, so all of them must run at once.
 pub fn run_campaign_fabric(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
@@ -1111,8 +1108,8 @@ mod tests {
 
     #[test]
     fn parallel_campaign_matches_serial_reference() {
-        // The rayon fan-out must be a pure speedup: summaries identical
-        // to the sequential path, in input order.
+        // The queue's fan-out must be a pure speedup: summaries
+        // identical to the sequential path, in input order.
         let mut configs: Vec<CastroSedovConfig> = table3_campaign()
             .into_iter()
             .filter(|c| c.n_cell <= 64)

@@ -8,6 +8,12 @@
 //! threaded fleet in the reference, a mirrored clone group in the
 //! parallel executor).
 //!
+//! The parallel executor schedules on a [`Queue`]: one worker per core
+//! takes the costliest ready cell ([`cell_cost`], a closed form over the
+//! config), and a tenancy cell waits for the head of its solo profile.
+//! [`run_campaign`](crate::campaign::run_campaign) fans out on the same
+//! queue.
+//!
 //! ```no_run
 //! use amrproxy::{run_spec, ExperimentSpec, ResultsStore};
 //!
@@ -26,10 +32,13 @@ use crate::campaign::{
     run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
     run_campaign_timed_serial, FabricSettings, RunSummary,
 };
-use crate::config::CastroSedovConfig;
+use crate::config::{CastroSedovConfig, Engine};
 use crate::spec::{ExperimentSpec, SpecCell, SpecError};
 use crate::store::ResultsStore;
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BinaryHeap;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Outcome of [`run_spec`]: the cells' summaries (spec order, resumed
 /// cells served from the store) and the execute/resume split.
@@ -138,6 +147,196 @@ fn execute_cell(
     })
 }
 
+/// Host time of a hydro cost unit (one level-0 cell solved for one
+/// step) over an oracle unit's (one cell formatted for one dump): 8-40x
+/// on the Table III cells run alone. It orders every hydro cell of that
+/// campaign ahead of every oracle cell (n32 at `l2` is 6x the n8192
+/// oracle rung).
+const HYDRO_WEIGHT: f64 = 32.0;
+
+/// A cell's predicted cost, in arbitrary units: the order in which a
+/// [`Queue`] starts it, never a result (rows are keyed, and queries
+/// reduce in key order). An oracle cell's host time follows the cells
+/// it formats — `n_cell × 2^max_level` per dump, `max_step / plot_int`
+/// dumps; a hydro cell's follows the cells it solves, `n_cell² ×
+/// (max_level + 1)` per step.
+pub(crate) fn cell_cost(cfg: &CastroSedovConfig) -> f64 {
+    let n_cell = cfg.n_cell as f64;
+    match cfg.engine {
+        Engine::Oracle => {
+            let dumps = (cfg.max_step / cfg.plot_int.max(1)) as f64;
+            dumps * n_cell * 2f64.powi(cfg.max_level as i32)
+        }
+        Engine::Hydro => {
+            HYDRO_WEIGHT * n_cell * n_cell * (cfg.max_level + 1) as f64 * cfg.max_step as f64
+        }
+    }
+}
+
+/// A cost-ordered work queue: the one fan-out of cells over cores.
+///
+/// Units are started longest-processing-time first: every worker takes
+/// the costliest *ready* unit, so a pass ends near `max(largest unit,
+/// total / workers)` however the units arrive. A unit may wait for one
+/// other unit ([`Queue::after`]); it becomes ready when that unit
+/// returns. With one worker — one unit, or one core — the queue runs on
+/// the calling thread and spawns nothing.
+pub(crate) struct Queue {
+    /// Unit indices, costliest first (equal costs in index order).
+    order: Vec<usize>,
+    /// `rank[u]`: the position of unit `u` in `order`.
+    rank: Vec<usize>,
+    /// `followers[u]`: the ranks of the units waiting for unit `u`.
+    followers: Vec<Vec<usize>>,
+    /// `waits[u]`: unit `u` waits for another unit.
+    waits: Vec<bool>,
+}
+
+/// What the workers of one [`Queue::run_on`] share, under one lock.
+struct Board<R> {
+    /// Ready units by their rank: the lowest rank is the costliest.
+    ready: BinaryHeap<Reverse<usize>>,
+    /// Units no worker has taken yet.
+    untaken: usize,
+    /// Finished units' results, by unit.
+    done: Vec<Option<R>>,
+    /// A unit panicked: no worker takes another unit.
+    aborted: bool,
+}
+
+/// Held across one unit: if the unit unwinds, marks the board aborted
+/// and wakes every waiting worker, so none is left parked on a unit
+/// that will never return.
+struct AbortOnUnwind<'a, R> {
+    board: &'a Mutex<Board<R>>,
+    wake: &'a Condvar,
+}
+
+impl<R> Drop for AbortOnUnwind<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(self.board).aborted = true;
+            self.wake.notify_all();
+        }
+    }
+}
+
+/// The board's lock. No unit runs under it and no update under it can
+/// stop halfway, so the board is whole even behind a poisoned lock.
+fn lock<R>(board: &Mutex<Board<R>>) -> MutexGuard<'_, Board<R>> {
+    board.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Queue {
+    /// A queue over units `0..costs.len()` with the given costs, none
+    /// waiting for another.
+    pub(crate) fn new(costs: impl IntoIterator<Item = f64>) -> Self {
+        let costs: Vec<f64> = costs.into_iter().collect();
+        let mut order: Vec<usize> = (0..costs.len()).collect();
+        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
+        let mut rank = vec![0; order.len()];
+        for (pos, &unit) in order.iter().enumerate() {
+            rank[unit] = pos;
+        }
+        Queue {
+            order,
+            rank,
+            followers: vec![Vec::new(); costs.len()],
+            waits: vec![false; costs.len()],
+        }
+    }
+
+    /// Makes `unit` wait until `head` has returned.
+    pub(crate) fn after(&mut self, unit: usize, head: usize) {
+        self.followers[head].push(self.rank[unit]);
+        self.waits[unit] = true;
+    }
+
+    /// Runs `f` on every unit over one worker per core; see
+    /// [`Queue::run_on`].
+    pub(crate) fn run<R: Send>(&self, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        self.run_on(io_engine::cores(), f)
+    }
+
+    /// Runs `f` on every unit over `min(workers, units)` scoped workers
+    /// and returns the results in unit order. A panicking unit stops
+    /// the queue: the other workers finish the units they hold, then
+    /// the first panic is re-raised here.
+    pub(crate) fn run_on<R, F>(&self, workers: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let units = self.order.len();
+        let workers = workers.min(units);
+        let board = Mutex::new(Board {
+            ready: (0..units)
+                .filter(|&u| !self.waits[u])
+                .map(|u| Reverse(self.rank[u]))
+                .collect(),
+            untaken: units,
+            done: (0..units).map(|_| None).collect(),
+            aborted: false,
+        });
+        let wake = Condvar::new();
+        let work = || loop {
+            let unit = {
+                let mut b = lock(&board);
+                loop {
+                    if b.aborted {
+                        return;
+                    }
+                    if let Some(Reverse(pos)) = b.ready.pop() {
+                        b.untaken -= 1;
+                        break self.order[pos];
+                    }
+                    if b.untaken == 0 {
+                        return;
+                    }
+                    // Every untaken unit waits for a unit still in progress.
+                    b = wake.wait(b).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let guard = AbortOnUnwind {
+                board: &board,
+                wake: &wake,
+            };
+            let result = f(unit);
+            drop(guard);
+            let followers = &self.followers[unit];
+            let mut b = lock(&board);
+            b.done[unit] = Some(result);
+            b.ready.extend(followers.iter().map(|&pos| Reverse(pos)));
+            drop(b);
+            if !followers.is_empty() {
+                wake.notify_all();
+            }
+        };
+        if workers <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                let mut panic = None;
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        panic.get_or_insert(payload);
+                    }
+                }
+                if let Some(payload) = panic {
+                    std::panic::resume_unwind(payload);
+                }
+            });
+        }
+        let board = board.into_inner().unwrap_or_else(PoisonError::into_inner);
+        board
+            .done
+            .into_iter()
+            .map(|r| r.expect("every unit ran"))
+            .collect()
+    }
+}
+
 /// Compiles and executes a spec against a store, resuming persisted
 /// cells: a cell whose content key is already in the store is read
 /// back instead of run, so the second invocation of the same spec
@@ -148,19 +347,19 @@ fn execute_cell(
 /// (`None` runs them untimed). Throughput cells (tenants > 1) require a
 /// storage model — they are priced on a shared fabric by construction.
 ///
-/// Pending cells execute **concurrently**: pure-storage cells fan out
-/// over the rayon pool, while fabric/tenancy cells run on dedicated
-/// `std::thread::scope` natives (same rule as [`run_campaign_fabric`] —
-/// fabric code may park on the quorum condvar, and a parked rayon
-/// worker would starve the pool). Tenancy cells themselves execute as
-/// *mirrored clone groups* ([`run_campaign_fabric_cloned`]), with the
-/// solo shadow memoized per [`SpecCell::solo_key`] across the invocation
-/// — so a throughput ladder prices its solo baseline once. Each finished cell
-/// commits through [`ResultsStore::append_cell`] under one short lock,
-/// in completion order; a row is written only when its whole cell is
-/// done, so a crash never leaves a partial cell and resume (which is
-/// keyed, not ordered) is insensitive to the interleaving. Returned
-/// summaries stay in spec cell order.
+/// Pending cells execute **concurrently**, as the units of one
+/// [`Queue`]: costliest first ([`cell_cost`]) on one worker per core.
+/// Tenancy cells execute as *mirrored clone groups*
+/// ([`run_campaign_fabric_cloned`]), with the solo shadow memoized per
+/// [`SpecCell::solo_key`] across the invocation — so a throughput ladder
+/// prices its solo baseline once. The first pending tenancy cell of a
+/// solo profile (its *head*) is ready at once; the profile's other cells
+/// wait until the head has committed and so filled the memo. Each
+/// finished cell commits through [`ResultsStore::append_cell`] under one
+/// short lock, in completion order; a row is written only when its
+/// whole cell is done, so a crash never leaves a partial cell and resume
+/// (which is keyed, not ordered) is insensitive to the interleaving.
+/// Returned summaries stay in spec cell order.
 ///
 /// [`run_spec_serial`] is the sequential reference with identical
 /// results (the parallel-equivalence property tests pin one against
@@ -170,26 +369,22 @@ pub fn run_spec(
     store: &mut ResultsStore,
     default_storage: Option<&iosim::StorageModel>,
 ) -> Result<SpecReport, SpecError> {
-    use rayon::prelude::*;
-
     let cells = spec.compile()?;
     let (mut slots, pending) = resume_partition(&cells, store);
     let executed = pending.len();
     let memo = iosim::SoloMemo::new();
-    let (fabric_cells, solo_cells): (Vec<usize>, Vec<usize>) =
-        pending.into_iter().partition(|&i| cells[i].tenants > 1);
-    // Tenancy cells sharing a solo baseline form one *chain*, run in
-    // spec order on one native thread: the chain's head prices the solo
-    // shadow cold and fills the memo, every later rung hits it. Chaining
-    // (rather than racing) keeps the memo's filler — and so the solo
-    // columns — deterministic and equal to the serial reference's, which
-    // also meets the head first.
-    let mut chains: Vec<(&str, Vec<usize>)> = Vec::new();
-    for slot in fabric_cells {
-        let key = cells[slot].solo_key.as_str();
-        match chains.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, chain)) => chain.push(slot),
-            None => chains.push((key, vec![slot])),
+    let mut queue = Queue::new(pending.iter().map(|&i| cell_cost(&cells[i].config)));
+    // Waiting for the head (rather than racing it) keeps the memo's
+    // filler — and so the solo columns — deterministic and equal to the
+    // serial reference's, which also meets the head first.
+    let mut heads: HashMap<&str, usize> = HashMap::new();
+    for (unit, &slot) in pending.iter().enumerate() {
+        let cell = &cells[slot];
+        if cell.tenants > 1 {
+            match heads.entry(cell.solo_key.as_str()) {
+                Entry::Occupied(head) => queue.after(unit, *head.get()),
+                Entry::Vacant(v) => drop(v.insert(unit)),
+            }
         }
     }
     // Completion-order sink: a worker that finishes a cell takes the
@@ -205,23 +400,15 @@ pub fn run_spec(
         slots: &mut slots,
         error: None,
     });
-    let run = |slot: usize, tenancy: Tenancy| {
+    queue.run(|unit| {
+        let slot = pending[unit];
         let cell = &cells[slot];
-        let produced = execute_cell(cell, default_storage, &memo, tenancy);
+        let produced = execute_cell(cell, default_storage, &memo, Tenancy::Clones);
         let mut sink = sink.lock().expect("a worker panicked holding the sink");
         match produced.and_then(|rows| commit(sink.store, &cell.key, &rows).map(|()| rows)) {
             Ok(rows) => sink.slots[slot] = Some(rows),
             Err(e) => drop(sink.error.get_or_insert(e)),
         }
-    };
-    std::thread::scope(|scope| {
-        for (_, chain) in &chains {
-            let run = &run;
-            scope.spawn(move || chain.iter().for_each(|&slot| run(slot, Tenancy::Clones)));
-        }
-        solo_cells
-            .par_iter()
-            .for_each(|&slot| run(slot, Tenancy::Fleet));
     });
     let sink = sink
         .into_inner()
@@ -265,6 +452,93 @@ mod tests {
     use crate::spec::ScalingMode;
     use crate::store::tests::{small_base, tmp_dir};
     use io_engine::BackendSpec;
+
+    /// Runs `queue` on `workers` workers; each unit sleeps `ms[unit]`
+    /// milliseconds. Returns the `(unit, started)` / `(unit, returned)`
+    /// events in the order they happened.
+    fn trace(queue: &Queue, workers: usize, ms: &[u64]) -> Vec<(usize, bool)> {
+        let events = Mutex::new(Vec::new());
+        queue.run_on(workers, |unit| {
+            events.lock().unwrap().push((unit, true));
+            std::thread::sleep(std::time::Duration::from_millis(ms[unit]));
+            events.lock().unwrap().push((unit, false));
+        });
+        events.into_inner().unwrap()
+    }
+
+    fn starts(events: &[(usize, bool)]) -> Vec<usize> {
+        events.iter().filter(|e| e.1).map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn the_queue_starts_the_costliest_unit_first() {
+        // Five small units, then the big one last in unit order.
+        let costs = [1.0, 3.0, 2.0, 5.0, 4.0, 100.0];
+        let queue = Queue::new(costs);
+        let one = starts(&trace(&queue, 1, &[0; 6]));
+        assert_eq!(one, [5, 3, 4, 1, 2, 0], "descending cost on one worker");
+        let two = starts(&trace(&queue, 2, &[1; 6]));
+        assert!(
+            two[..2].contains(&5),
+            "big unit not among the first two: {two:?}"
+        );
+        let mut all = two;
+        all.sort_unstable();
+        assert_eq!(all, [0, 1, 2, 3, 4, 5], "every unit ran once");
+        // Results come back in unit order, whatever ran first.
+        assert_eq!(queue.run_on(2, |unit| unit * 10), [0, 10, 20, 30, 40, 50]);
+        assert!(Queue::new([]).run_on(2, |unit| unit).is_empty());
+    }
+
+    #[test]
+    fn a_follower_never_starts_before_its_head_returns() {
+        // Unit 1 costs more than its head (unit 0); unit 2 waits for
+        // nothing.
+        let mut queue = Queue::new([1.0, 10.0, 0.5]);
+        queue.after(1, 0);
+        for workers in [1, 2, 3] {
+            let events = trace(&queue, workers, &[30, 0, 0]);
+            let head_done = events.iter().position(|&e| e == (0, false)).unwrap();
+            let follower = events.iter().position(|&e| e == (1, true)).unwrap();
+            assert!(head_done < follower, "{workers} workers: {events:?}");
+            assert_eq!(starts(&events)[0], 0, "{workers} workers: {events:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_re_raises_and_wakes_every_waiter() {
+        // The head panics while the other worker waits on its follower.
+        // The head's sleep only gives that worker time to park on the
+        // condvar; the test must pass (not hang) in any interleaving.
+        let mut queue = Queue::new([1.0, 2.0]);
+        queue.after(1, 0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                queue.run_on(2, |unit| {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    assert_ne!(unit, 0, "the head blew up");
+                })
+            });
+            tx.send(outcome.map_err(|p| p.downcast_ref::<String>().cloned()))
+                .unwrap();
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a worker was left waiting: the queue never returned");
+        let message = outcome.unwrap_err().expect("the unit's own payload");
+        assert!(message.contains("the head blew up"), "{message}");
+    }
+
+    #[test]
+    fn every_table3_hydro_cell_is_costed_ahead_of_every_oracle_cell() {
+        let (hydro, oracle): (Vec<_>, Vec<_>) = crate::table3_campaign()
+            .into_iter()
+            .partition(|c| c.engine == Engine::Hydro);
+        let cheapest_hydro = hydro.iter().map(cell_cost).fold(f64::MAX, f64::min);
+        let costliest_oracle = oracle.iter().map(cell_cost).fold(0.0, f64::max);
+        assert!(cheapest_hydro > costliest_oracle);
+    }
 
     #[test]
     fn run_spec_resumes_and_extends() {
@@ -432,8 +706,8 @@ mod tests {
     #[test]
     fn parallel_run_spec_matches_the_serial_reference() {
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        // Mixed spec: solo cells (rayon pool) and tenancy cells (native
-        // threads + mirrored clones) in one compile.
+        // Mixed spec: solo cells and tenancy cells (mirrored clones,
+        // followers behind their head) on one queue.
         let spec = ExperimentSpec::new("par")
             .base(small_base("p"))
             .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(2)])

@@ -58,8 +58,8 @@ pub struct CodecContext<'a> {
 ///   encode (write) and decode (restart read) sides.
 ///
 /// Implementations must be `Sync`: the compression stage's parallel
-/// encode mode shares one codec across rayon workers (per-chunk encode
-/// is a pure function of the chunk and its context).
+/// encode mode shares one codec across scoped worker threads (per-chunk
+/// encode is a pure function of the chunk and its context).
 pub trait Codec: Send + Sync {
     /// Short human-readable codec name (e.g. `"rle:2"`, `"quant:8"`).
     fn name(&self) -> String;

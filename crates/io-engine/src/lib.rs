@@ -168,3 +168,12 @@ pub use selection::{KeyBox, ReadSelection};
 pub use spec::{BackendSpec, StreamSpec};
 pub use stage::CompressionStage;
 pub use streaming::Streaming;
+
+/// The cores this process may run on: `available_parallelism()`, read
+/// once. The OS query walks cgroup and affinity state (~10 µs on some
+/// kernels), and every fan-out asks for it — the codec stage per step,
+/// MACSio per run, the spec executor per pass.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

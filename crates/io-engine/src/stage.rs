@@ -297,7 +297,7 @@ impl IoBackend for CompressionStage<'_> {
                 .iter()
                 .any(|p| p.kind == IoKind::Data && p.payload.is_materialized());
             let threads = if real_bytes {
-                rayon::current_num_threads().min(self.pending.len())
+                crate::cores().min(self.pending.len())
             } else {
                 1
             };
@@ -798,7 +798,7 @@ mod tests {
         });
         for ids in [all_bytes, one_real] {
             let spawned = ids.iter().any(|&id| id != me);
-            assert_eq!(spawned, rayon::current_num_threads() > 1, "{ids:?}");
+            assert_eq!(spawned, crate::cores() > 1, "{ids:?}");
         }
     }
 

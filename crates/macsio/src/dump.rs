@@ -200,8 +200,10 @@ pub fn run_attached(
     let mut backend = cfg
         .io_backend
         .build_with_codec(cfg.compression, vfs, tracker);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut stream = DumpStream { cfg, threads };
+    let mut stream = DumpStream {
+        cfg,
+        threads: io_engine::cores(),
+    };
     let t = io_engine::run_program(
         &program,
         &mut stream,

@@ -1,8 +1,9 @@
 //! Property tests for the parallel spec-campaign executor.
 //!
-//! The parallel `run_spec` (work-stealing pure-storage cells on rayon,
-//! tenancy cells as mirrored clone groups chained per solo profile,
-//! batched completion-order store appends) must be *observationally
+//! The parallel `run_spec` (every pending cell on one cost-ordered work
+//! queue, tenancy cells as mirrored clone groups that wait for their
+//! solo profile's head, batched completion-order store appends) must
+//! be *observationally
 //! identical* to the one-cell-at-a-time serial reference
 //! (`run_spec_serial`): same row set — full `RunSummary` equality, not
 //! just names — and the same resume mask against any pre-seeded store.
