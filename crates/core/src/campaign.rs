@@ -6,7 +6,7 @@
 //! small scales, oracle at paper scales) and executes it in parallel.
 
 use crate::config::{CastroSedovConfig, Engine};
-use crate::run::{run_simulation, run_simulation_attached, RunResult};
+use crate::run::{run_simulation, run_simulation_attached, try_run_simulation_attached, RunResult};
 use amr_mesh::GridParams;
 use hydro::TimestepControl;
 use serde::{Deserialize, Serialize};
@@ -443,9 +443,10 @@ fn stamp_tenancy(summary: &mut RunSummary, stats: &iosim::TenantStats, tenants: 
 /// traffic (`contention_stall`) and the tenant's own QoS cap
 /// (`throttle_stall`).
 ///
-/// Each tenant runs on its own `std::thread::scope` native: a tenant
-/// blocks inside the shared event engine until its peers reach the
-/// quorum, so all of them must run at once.
+/// Every tenant's run is a future, and [`iosim::Fabric::run`] drives
+/// them all on the calling thread: each runs until it waits on a burst,
+/// then the fabric advances its clock. A panicking tenant's panic
+/// propagates out of this call.
 pub fn run_campaign_fabric(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
@@ -463,7 +464,7 @@ pub fn run_campaign_fabric(
         fabric.set_stream_tenants(configs.iter().filter(|c| c.backend.in_transit()).count());
     }
     // Register every tenant before the first burst (the fabric's
-    // conservative clock needs the full quorum up front).
+    // conservative clock must know every tenant up front).
     let mut handles: Vec<iosim::FabricHandle> = configs
         .iter()
         .enumerate()
@@ -473,25 +474,11 @@ pub fn run_campaign_fabric(
         })
         .collect();
     let unfilled = price_solo(settings.memo, &mut handles);
-    let mut summaries: Vec<RunSummary> = std::thread::scope(|s| {
-        let joins: Vec<_> = configs
-            .iter()
-            .zip(handles)
-            .map(|(cfg, handle)| {
-                s.spawn(move || {
-                    RunSummary::from_result(&run_simulation_attached(
-                        cfg,
-                        None,
-                        iosim::StorageAttach::Fabric(handle),
-                    ))
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("fabric tenant run panicked"))
-            .collect()
-    });
+    let mut summaries = fabric.run(configs.iter().zip(handles).map(|(cfg, handle)| async move {
+        let attach = iosim::StorageAttach::Fabric(handle);
+        let run = try_run_simulation_attached(cfg, None, attach).await;
+        RunSummary::from_result(&run.unwrap_or_else(|e| panic!("scenario I/O: {e}")))
+    }));
     let stats = fabric.tenant_stats();
     if let Some((memo, key)) = unfilled {
         memo.fill(key, stats[0].solo_wall);
@@ -504,14 +491,14 @@ pub fn run_campaign_fabric(
 
 /// [`run_campaign_fabric`] specialized to *identical clones* — the
 /// throughput-scaling cells, N copies of one configuration differing
-/// only in display name. Instead of N application runs on N native
-/// threads, the single real run drives a clone group
+/// only in display name. Instead of N application runs, the single real
+/// run drives a clone group
 /// ([`iosim::Fabric::tenant_clones`]): each of its requests is one
 /// server record standing for all N clones, so contention is priced over
 /// the full N-tenant load at a single tenant's cost, and the clones'
 /// summaries are composed from the real run plus each mirror slot's
 /// stats (its leader's, under the mirror's name). Clone symmetry makes
-/// this bit-identical to the threaded fleet (request paths and noise
+/// this bit-identical to the fleet of N runs (request paths and noise
 /// draws are independent of the display name), which the spec-parallel
 /// property tests pin against [`run_campaign_fabric`].
 ///
@@ -543,9 +530,8 @@ pub fn run_campaign_fabric_cloned(
     let mut group = fabric.tenant_clones(&names);
     let unfilled = price_solo(memo, std::slice::from_mut(&mut group));
     // One real application run; its requests carry the mirror slots'
-    // copies, and the mirrors report its stats. No threads: with every
-    // mirror seat permanently parked, the lone real tenant always holds
-    // the quorum and the engine advances inline.
+    // copies, and the mirrors report its stats. The group is the
+    // fabric's only driver, so the run advances the engine inline.
     let real = RunSummary::from_result(&run_simulation_attached(
         &configs[0],
         None,

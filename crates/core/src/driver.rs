@@ -374,7 +374,8 @@ impl<S: StepSource> Producer for AmrProducer<'_, S> {
 /// can ride the same phase pipeline.
 ///
 /// `storage` is the attachment: none, a private [`iosim::StorageModel`],
-/// or one tenant's [`iosim::FabricHandle`] on a shared [`iosim::Fabric`].
+/// or one tenant's [`iosim::FabricHandle`] on a shared [`iosim::Fabric`],
+/// as for [`io_engine::run_program`].
 ///
 /// A scenario that fails to compile (malformed program, `fail@` beyond
 /// `max_step`) is an [`std::io::ErrorKind::InvalidInput`] error, and
@@ -382,7 +383,7 @@ impl<S: StepSource> Producer for AmrProducer<'_, S> {
 /// it cannot serve surfaces the typed
 /// [`std::io::ErrorKind::Unsupported`] error naming the backend and
 /// selection. Neither panics.
-pub fn try_run_scenario_attached<S: StepSource>(
+pub async fn try_run_scenario_attached<S: StepSource>(
     cfg: &CastroSedovConfig,
     src: S,
     fs: &dyn Vfs,
@@ -419,7 +420,8 @@ pub fn try_run_scenario_attached<S: StepSource>(
         &tracker,
         cfg.codec,
         storage,
-    )?;
+    )
+    .await?;
     drop(backend);
     Ok(RunResult {
         config: cfg.clone(),
@@ -661,7 +663,8 @@ mod tests {
             Scenario { ops: Vec::new() },
         ] {
             c.scenario = Some(scenario);
-            let err = try_run_scenario_attached(&c, OracleSource::new(&c), &fs, None.into())
+            let run = try_run_scenario_attached(&c, OracleSource::new(&c), &fs, None.into());
+            let err = iosim::block_on(run)
                 .err()
                 .expect("the scenario must not run");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");

@@ -4,12 +4,12 @@
 //!
 //! Both executors share the resume partition, the cell runner and the
 //! report assembly below; they differ only in *how* the pending cells
-//! are scheduled and how a throughput cell's tenants are priced (a
-//! threaded fleet in the reference, a mirrored clone group in the
-//! parallel executor).
+//! are scheduled and how a throughput cell's tenants are priced (a fleet
+//! of N runs in the reference, a mirrored clone group in the parallel
+//! executor).
 //!
-//! The parallel executor schedules on a [`Queue`]: one worker per core
-//! takes the costliest ready cell ([`cell_cost`], a closed form over the
+//! The parallel executor schedules on a `Queue`: one worker per core
+//! takes the costliest ready cell (`cell_cost`, a closed form over the
 //! config), and a tenancy cell waits for the head of its solo profile.
 //! [`run_campaign`](crate::campaign::run_campaign) fans out on the same
 //! queue.
@@ -95,8 +95,8 @@ fn commit(store: &mut ResultsStore, key: &str, rows: &[RunSummary]) -> Result<()
 
 /// How a throughput cell's N tenants are priced.
 enum Tenancy {
-    /// One native thread per tenant ([`run_campaign_fabric`]) — the
-    /// serial reference semantics.
+    /// N runs, one future per tenant on one fabric loop
+    /// ([`run_campaign_fabric`]) — the serial reference semantics.
     Fleet,
     /// A mirrored clone group ([`run_campaign_fabric_cloned`]): one
     /// real application run instead of N, bit-identical to the fleet.
@@ -348,7 +348,7 @@ impl Queue {
 /// storage model — they are priced on a shared fabric by construction.
 ///
 /// Pending cells execute **concurrently**, as the units of one
-/// [`Queue`]: costliest first ([`cell_cost`]) on one worker per core.
+/// `Queue`: costliest first (`cell_cost`) on one worker per core.
 /// Tenancy cells execute as *mirrored clone groups*
 /// ([`run_campaign_fabric_cloned`]), with the solo shadow memoized per
 /// [`SpecCell::solo_key`] across the invocation — so a throughput ladder
@@ -420,7 +420,7 @@ pub fn run_spec(
 }
 
 /// Sequential reference implementation of [`run_spec`]: one cell at a
-/// time in spec order, tenancy cells priced as a *threaded* fleet
+/// time in spec order, tenancy cells priced as a fleet of N runs
 /// ([`run_campaign_fabric`] — no clone mirroring). The solo baseline
 /// still goes through a per-invocation memo, because that defines the
 /// solo columns' semantics (see [`FabricSettings::memo`]); the first

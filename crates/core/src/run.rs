@@ -148,13 +148,15 @@ pub fn run_simulation(
 /// [`run_simulation`] with an explicit storage attachment — pass
 /// [`iosim::StorageAttach::Fabric`] to run as one tenant of a shared
 /// machine room (see [`iosim::Fabric`]), contending with every other
-/// tenant's bursts on one event-driven clock.
+/// tenant's bursts on one event-driven clock; a tenant among several
+/// runs [`try_run_simulation_attached`] under [`iosim::Fabric::run`].
 pub fn run_simulation_attached(
     cfg: &CastroSedovConfig,
     vfs: Option<&dyn Vfs>,
     storage: iosim::StorageAttach<'_>,
 ) -> RunResult {
-    try_run_simulation_attached(cfg, vfs, storage).unwrap_or_else(|e| panic!("scenario I/O: {e}"))
+    iosim::block_on(try_run_simulation_attached(cfg, vfs, storage))
+        .unwrap_or_else(|e| panic!("scenario I/O: {e}"))
 }
 
 /// [`run_simulation_attached`], but propagating phase I/O errors instead
@@ -162,7 +164,7 @@ pub fn run_simulation_attached(
 /// ask a backend for something it cannot serve (e.g. `analyze:SEL`
 /// against a step the backend never saw returns the typed
 /// [`std::io::ErrorKind::Unsupported`] error naming the backend).
-pub fn try_run_simulation_attached(
+pub async fn try_run_simulation_attached(
     cfg: &CastroSedovConfig,
     vfs: Option<&dyn Vfs>,
     storage: iosim::StorageAttach<'_>,
@@ -176,8 +178,8 @@ pub fn try_run_simulation_attached(
         }
     };
     match cfg.engine {
-        Engine::Hydro => try_run_scenario_attached(cfg, AmrSource::new(cfg), fs, storage),
-        Engine::Oracle => try_run_scenario_attached(cfg, OracleSource::new(cfg), fs, storage),
+        Engine::Hydro => try_run_scenario_attached(cfg, AmrSource::new(cfg), fs, storage).await,
+        Engine::Oracle => try_run_scenario_attached(cfg, OracleSource::new(cfg), fs, storage).await,
     }
 }
 
@@ -554,7 +556,7 @@ mod tests {
         ) {
             let comm = SimComm::summit(nranks, seed);
             let per_rank_seconds = total_cells as f64 * ns_per_cell / 1e9 / nranks as f64;
-            let finish_times = comm.run_seq(t0, |ctx| {
+            let finish_times = comm.run(t0, |ctx| {
                 let jitter = rank_step_jitter(seed, ctx.rank as u64, step);
                 ctx.clock.advance(per_rank_seconds * jitter);
                 ctx.clock.now()

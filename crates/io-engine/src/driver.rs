@@ -396,8 +396,9 @@ impl Run<'_, '_> {
     /// is compute, not I/O); then an in-transit dump ships — link
     /// transfer plus any back-pressure stall, no storage burst, no
     /// timeline entry — and a stored dump bursts against the storage
-    /// attachment, when there is one.
-    fn price_dump(&mut self, output_counter: u32, stats: &mut StepStats) -> f64 {
+    /// attachment, when there is one (the codec charge first, as
+    /// [`BurstScheduler::submit_with_compute`] does).
+    async fn price_dump(&mut self, output_counter: u32, stats: &mut StepStats) -> f64 {
         self.totals.codec_seconds += stats.codec_seconds;
         let before = self.clock;
         if self.in_transit {
@@ -406,13 +407,14 @@ impl Run<'_, '_> {
             self.totals.net_wall += stats.net_seconds;
             self.totals.window_stall += stats.window_stall;
         } else if let Some(sched) = self.scheduler.as_mut() {
-            let (burst, next) = sched.submit_with_compute(
-                output_counter,
-                self.clock,
-                stats.codec_seconds,
-                &mut stats.requests,
-                stats.bytes,
-            );
+            let (burst, next) = sched
+                .write_burst(
+                    output_counter,
+                    self.clock + stats.codec_seconds,
+                    &mut stats.requests,
+                    stats.bytes,
+                )
+                .await;
             self.totals.timeline.push(burst);
             self.clock = next;
         } else {
@@ -423,9 +425,11 @@ impl Run<'_, '_> {
 
     /// Prices one read burst at the storage model's read bandwidth,
     /// recorded in the timeline like every write burst.
-    fn read_burst(&mut self, output_counter: u32, requests: &mut [ReadRequest], bytes: u64) {
+    async fn read_burst(&mut self, output_counter: u32, requests: &mut [ReadRequest], bytes: u64) {
         if let Some(sched) = self.scheduler.as_mut() {
-            let (burst, next) = sched.submit_read(output_counter, self.clock, requests, bytes);
+            let (burst, next) = sched
+                .read_burst(output_counter, self.clock, requests, bytes)
+                .await;
             self.totals.timeline.push(burst);
             self.clock = next;
         }
@@ -440,7 +444,7 @@ impl Run<'_, '_> {
     /// and the selection is served from that layout; the rewrite lands in
     /// `reorg_wall`/`reorg_bytes` and its CPU in the returned
     /// `codec_seconds`, never in the returned `wall`.
-    fn read_phase(
+    async fn read_phase(
         &mut self,
         output_counter: u32,
         dir: &str,
@@ -452,16 +456,18 @@ impl Run<'_, '_> {
         let read = if reorganize {
             let mut reorg = Reorganizer::new(self.fs, self.tracker, self.codec);
             let mut stats = reorg.reorganize(self.backend, output_counter, dir)?;
-            self.read_burst(output_counter, &mut stats.read.requests, stats.read.bytes);
+            self.read_burst(output_counter, &mut stats.read.requests, stats.read.bytes)
+                .await;
             if let Some(sched) = self.scheduler.as_mut() {
                 self.clock += stats.read.codec_seconds;
-                let (burst, next) = sched.submit_with_compute(
-                    output_counter,
-                    self.clock,
-                    stats.codec_seconds,
-                    &mut stats.requests,
-                    stats.bytes,
-                );
+                let (burst, next) = sched
+                    .write_burst(
+                        output_counter,
+                        self.clock + stats.codec_seconds,
+                        &mut stats.requests,
+                        stats.bytes,
+                    )
+                    .await;
                 self.totals.timeline.push(burst);
                 self.clock = sched.finish(next);
             } else {
@@ -476,7 +482,8 @@ impl Run<'_, '_> {
         };
         let sel_start = self.clock;
         let mut requests = read.stats.requests;
-        self.read_burst(output_counter, &mut requests, read.stats.bytes);
+        self.read_burst(output_counter, &mut requests, read.stats.bytes)
+            .await;
         self.clock += read.stats.codec_seconds;
         Ok(ReadPlane {
             bytes: read.stats.logical_bytes,
@@ -498,12 +505,14 @@ impl Run<'_, '_> {
 /// — the machine-room path, where this run's bursts contend with every
 /// other tenant's and the scheduler reports shared vs solo-equivalent
 /// walls into the fabric's [`iosim::TenantStats`] when the run seals.
+/// Only a fabric of several tenants makes the run wait: drive it with
+/// [`iosim::block_on`], or as one tenant of [`iosim::Fabric::run`].
 ///
 /// Phase I/O errors propagate instead of panicking: a scenario that asks
 /// a backend for a read it cannot serve (the typed
 /// [`io::ErrorKind::Unsupported`] error from [`crate::unsupported_read`],
 /// naming the backend and selection) surfaces as an `Err`.
-pub fn run_program<P: Producer>(
+pub async fn run_program<P: Producer>(
     program: &[ScheduledPhase],
     producer: &mut P,
     backend: &mut dyn IoBackend,
@@ -560,7 +569,7 @@ pub fn run_program<P: Producer>(
                 let counter = run.totals.outputs;
                 let mut dump = producer.plot_dump(&mut *run.backend, counter)?;
                 run.totals.bytes_per_dump.push(dump.stats.bytes);
-                run.totals.plot_wall += run.price_dump(counter, &mut dump.stats);
+                run.totals.plot_wall += run.price_dump(counter, &mut dump.stats).await;
                 plot_dumps.push((step, counter, dump.dir));
             }
             Phase::Checkpoint => {
@@ -569,7 +578,7 @@ pub fn run_program<P: Producer>(
                 let mut dump = producer.checkpoint(&mut *run.backend, counter)?;
                 run.totals.check_bytes += dump.stats.bytes;
                 run.totals.check_files += dump.stats.files;
-                run.totals.check_wall += run.price_dump(counter, &mut dump.stats);
+                run.totals.check_wall += run.price_dump(counter, &mut dump.stats).await;
                 check_dumps.push((step, counter, dump.dir));
             }
             Phase::RestartRead {
@@ -589,7 +598,7 @@ pub fn run_program<P: Producer>(
                 else {
                     continue;
                 };
-                let phase = run.read_phase(*counter, dir, sel, false)?;
+                let phase = run.read_phase(*counter, dir, sel, false).await?;
                 run.totals.restart.add(phase);
                 run.totals.restarts += 1;
                 pending_restore = Some(*at);
@@ -598,7 +607,7 @@ pub fn run_program<P: Producer>(
                 let Some((_, counter, dir)) = plot_dumps.last() else {
                     continue;
                 };
-                let phase = run.read_phase(*counter, dir, sel, *reorganize)?;
+                let phase = run.read_phase(*counter, dir, sel, *reorganize).await?;
                 run.totals.analysis.add(phase);
             }
             Phase::Drain => {
@@ -610,8 +619,7 @@ pub fn run_program<P: Producer>(
 
     run.totals.engine = run.backend.close()?;
     // Seal rather than just barrier: on the fabric path this reports the
-    // run's shared and solo-equivalent walls to its tenant stats and
-    // retires the tenant from the machine room's quorum.
+    // run's shared and solo-equivalent walls to its tenant stats.
     run.totals.wall_time = match &mut run.scheduler {
         Some(sched) => sched.seal(run.clock),
         None => run.clock,

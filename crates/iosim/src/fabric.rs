@@ -34,45 +34,50 @@
 //!   driven by one handle. Each of their requests is one server record
 //!   standing for all N (`copies = N`), so an N-tenant cell costs what a
 //!   single tenant costs; a mirror slot reports its leader's stats under
-//!   its own id and name, bit-identical to N threaded tenants.
+//!   its own id and name, bit-identical to N separate tenants.
 //!
-//! # Concurrency model
+//! # One event loop
 //!
-//! Tenant threads interact with a conservative discrete-event engine
-//! guarded by one mutex. Every fabric call blocks until the engine
-//! resolves it, and the engine only advances when *every* live tenant is
-//! parked inside a call — at that point all arrivals before the next
-//! completion are known, so events are processed in global time order
-//! and results are deterministic regardless of thread scheduling.
-//! Register all tenants (and spawn their runs) before the first burst;
-//! a finished tenant drops out of the quorum via [`FabricHandle::finish`]
-//! (also called on drop).
+//! A tenant is a future: a run is an `async` body whose only await
+//! points are its fabric bursts and staging grants. [`Fabric::run`]
+//! drives every tenant on the calling thread. It polls each live tenant,
+//! in tenant order, until each one waits on the fabric or returns; then
+//! the engine takes one decision — grant one staging waiter, or advance
+//! the event clock to the next burst resolution — and the loop polls
+//! again. The engine decides only while every live tenant waits, so all
+//! arrivals before the next completion are known: events are processed
+//! in global time order and results are a pure function of the tenants'
+//! programs. Register every tenant before the first burst.
+//!
+//! A fabric with one driving handle — a solo tenant, or a clone group —
+//! needs no loop: its handle advances the engine itself whenever it
+//! waits, so the blocking doors ([`FabricHandle::simulate_burst`] and
+//! kin, [`block_on`]) return at once. Driving a fabric of several
+//! tenants through a blocking door panics; hand them to [`Fabric::run`].
 //!
 //! ```
 //! use iosim::{Fabric, StorageModel, WriteRequest};
 //!
 //! let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
-//! let a = fabric.tenant("a");
-//! let b = fabric.tenant("b");
 //! let burst = |rank: usize| {
 //!     vec![WriteRequest { rank, path: format!("/f{rank}"), bytes: 500, start: 0.0 }]
 //! };
-//! // Move each handle into its thread: when a tenant's run ends, the
-//! // handle drops and the tenant retires from the engine's quorum.
-//! let (ra, rb) = std::thread::scope(|s| {
-//!     let ta = s.spawn(move || a.simulate_burst(&burst(0)));
-//!     let tb = s.spawn(move || b.simulate_burst(&burst(1)));
-//!     (ta.join().unwrap(), tb.join().unwrap())
-//! });
+//! let tenants = [fabric.tenant("a"), fabric.tenant("b")];
+//! let ends = fabric.run(tenants.iter().enumerate().map(|(rank, h)| async move {
+//!     h.write_burst(&burst(rank)).await.t_end
+//! }));
 //! // Two 500-byte writes share the single 100 B/s server: both finish
 //! // at t=10 — exactly as one run's two-request burst always has.
-//! assert!((ra.t_end - 10.0).abs() < 1e-9);
-//! assert!((rb.t_end - 10.0).abs() < 1e-9);
+//! assert!(ends.iter().all(|t| (t - 10.0).abs() < 1e-9));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::future::{poll_fn, Future};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
+use std::task::{Context, Poll, Waker};
 
 use mpi_sim::NetworkModel;
 
@@ -283,19 +288,9 @@ impl SoloMemo {
     pub fn fills(&self) -> u64 {
         self.fills.load(Ordering::Relaxed)
     }
-
-    /// Distinct keys currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("solo memo lock").len()
-    }
-
-    /// True when nothing has been priced yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// An unresolved burst: its owner is parked until `remaining` hits zero.
+/// An unresolved burst: its owner waits until `remaining` hits zero.
 #[derive(Debug)]
 struct PendingBurst {
     key: u64,
@@ -312,7 +307,7 @@ struct StagingAlloc {
     released_at: Option<f64>,
 }
 
-/// A tenant blocked waiting for staging space.
+/// A tenant waiting for staging space.
 #[derive(Debug)]
 struct StagingWaiter {
     tenant: usize,
@@ -322,7 +317,7 @@ struct StagingWaiter {
     granted: Option<f64>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StagingState {
     capacity: u64,
     allocs: Vec<StagingAlloc>,
@@ -376,7 +371,6 @@ impl StagingState {
 #[derive(Debug)]
 struct TenantSlot {
     qos: QosPolicy,
-    finished: bool,
     /// Bursts submitted so far (tenant-local sequence for ordering).
     seq: u64,
     stats: TenantStats,
@@ -385,10 +379,13 @@ struct TenantSlot {
     leader: Option<usize>,
 }
 
-/// The shared event engine (everything behind the fabric's one mutex).
+/// The shared event engine: one per fabric, shared with its handles.
 #[derive(Debug, Default)]
 struct Engine {
     tenants: Vec<TenantSlot>,
+    /// Handles that submit bursts (a clone group's mirrors do not). With
+    /// one, a waiting handle advances the engine itself.
+    drivers: usize,
     servers: Vec<ServerState>,
     /// Each server's cached [`ServerState::next_event`]; `None` once the
     /// server loads or processes (nothing else changes it) until the
@@ -398,8 +395,6 @@ struct Engine {
     /// Resolved bursts' per-request finish times, until their owners
     /// collect them.
     results: HashMap<u64, Vec<f64>>,
-    /// Tenants currently parked inside a fabric call.
-    parked: usize,
     /// Engine time: the latest resolution (bursts only ever arrive at or
     /// after it — the conservative-advance causality invariant).
     time: f64,
@@ -546,10 +541,6 @@ impl RatePolicy for [TenantSlot] {
 }
 
 impl Engine {
-    fn live(&self) -> usize {
-        self.tenants.iter().filter(|t| !t.finished).count()
-    }
-
     fn new_key(&mut self) -> u64 {
         self.next_burst += 1;
         self.next_burst - 1
@@ -560,7 +551,6 @@ impl Engine {
         let tenant = self.tenants.len();
         self.tenants.push(TenantSlot {
             qos,
-            finished: false,
             seq: 0,
             stats: TenantStats {
                 tenant,
@@ -572,10 +562,10 @@ impl Engine {
         tenant
     }
 
-    /// One scheduling decision, taken only when every live tenant is
-    /// parked (the caller guarantees it): first re-check staging waiters
-    /// in tenant order (a grant unparks exactly one tenant), else advance
-    /// the event engine to the next burst resolution.
+    /// One scheduling decision, taken only when every live tenant waits
+    /// on the fabric (the caller guarantees it): first re-check staging
+    /// waiters in tenant order (a grant releases exactly one tenant),
+    /// else advance the event engine to the next burst resolution.
     fn decide(&mut self) {
         if let Some(staging) = &mut self.staging {
             let mut order: Vec<usize> = (0..staging.waiters.len()).collect();
@@ -592,7 +582,6 @@ impl Engine {
                         released_at: None,
                     });
                     staging.waiters[i].granted = Some(tau);
-                    self.parked -= 1;
                     return;
                 }
             }
@@ -605,7 +594,7 @@ impl Engine {
     fn advance_until_resolution(&mut self) {
         assert!(
             !self.pending.is_empty(),
-            "machine-room deadlock: every live tenant is parked waiting for \
+            "machine-room deadlock: every live tenant is waiting for \
              staging space and no drain is in flight to release any \
              (staging pool too small for the concurrent burst set)"
         );
@@ -630,7 +619,7 @@ impl Engine {
 
     /// Processes server `s`'s event at time `t` and records the
     /// finishes. Returns true when a burst fully resolved (its result is
-    /// posted and its owner unparked).
+    /// posted for its owner to collect).
     fn process_server_event(&mut self, s: usize, t: f64) -> bool {
         let Engine {
             tenants,
@@ -638,7 +627,6 @@ impl Engine {
             next,
             pending,
             results,
-            parked,
             time,
             staging,
             ..
@@ -658,7 +646,6 @@ impl Engine {
             let done = pending.remove(at);
             results.insert(done.key, done.finish);
             *time = t;
-            *parked -= 1;
             resolved_any = true;
             if let Some(staging) = staging {
                 if let Some(a) = staging.allocs.iter_mut().find(|a| a.burst == done.key) {
@@ -678,15 +665,27 @@ impl Engine {
     }
 }
 
-struct FabricShared {
-    model: StorageModel,
-    state: Mutex<Engine>,
-    cv: Condvar,
+/// Drives `run` to completion in one poll: the body of every blocking
+/// door. A run without a fabric never waits, and a fabric's only
+/// driving handle resolves its own waits.
+///
+/// # Panics
+/// Panics if `run` waits on a fabric of several tenants: they progress
+/// only together, under [`Fabric::run`].
+pub fn block_on<T>(run: impl Future<Output = T>) -> T {
+    match std::pin::pin!(run).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!(
+            "a fabric with several tenants cannot be driven through a blocking \
+             call: hand every tenant's run to Fabric::run"
+        ),
+    }
 }
 
 /// A shared multi-tenant storage fabric (see the module docs).
 pub struct Fabric {
-    shared: Arc<FabricShared>,
+    model: StorageModel,
+    engine: Rc<RefCell<Engine>>,
 }
 
 impl Fabric {
@@ -694,11 +693,8 @@ impl Fabric {
     /// [`Fabric::with_staging`] bounds it.
     pub fn new(model: StorageModel) -> Self {
         Self {
-            shared: Arc::new(FabricShared {
-                model,
-                state: Mutex::new(Engine::default()),
-                cv: Condvar::new(),
-            }),
+            model,
+            engine: Rc::default(),
         }
     }
 
@@ -707,7 +703,7 @@ impl Fabric {
     /// when it is exhausted, until in-flight drains release space.
     pub fn with_staging(self, bytes: u64) -> Self {
         {
-            let mut g = self.shared.state.lock().expect("fabric lock");
+            let mut g = self.engine.borrow_mut();
             assert!(
                 g.tenants.iter().all(|t| t.leader.is_none()),
                 "Fabric::with_staging: clone groups (tenant_clones) do not \
@@ -715,8 +711,7 @@ impl Fabric {
             );
             g.staging = Some(StagingState {
                 capacity: bytes,
-                allocs: Vec::new(),
-                waiters: Vec::new(),
+                ..StagingState::default()
             });
         }
         self
@@ -727,10 +722,7 @@ impl Fabric {
     /// servers. Pair with [`Fabric::set_stream_tenants`]; each streamed
     /// tenant then draws its fair share via [`FabricHandle::stream_link`].
     pub fn with_link(self, net: NetworkModel) -> Self {
-        {
-            let mut g = self.shared.state.lock().expect("fabric lock");
-            g.link = Some(net);
-        }
+        self.engine.borrow_mut().link = Some(net);
         self
     }
 
@@ -738,13 +730,7 @@ impl Fabric {
     /// (stored tenants never touch it). Zero is treated as one when
     /// shares are computed, so a lone caller can skip the declaration.
     pub fn set_stream_tenants(&self, n: usize) {
-        let mut g = self.shared.state.lock().expect("fabric lock");
-        g.stream_tenants = n;
-    }
-
-    /// The storage model the fabric wraps.
-    pub fn model(&self) -> StorageModel {
-        self.shared.model
+        self.engine.borrow_mut().stream_tenants = n;
     }
 
     /// Registers a tenant with default (fair-share) QoS. All tenants must
@@ -756,26 +742,27 @@ impl Fabric {
     /// Registers a tenant with an explicit QoS policy.
     ///
     /// # Panics
-    /// Panics if any burst has already been submitted: the conservative
-    /// engine needs the full tenant quorum before it may advance.
+    /// Panics if any burst has already been submitted: the engine must
+    /// know every tenant before it may advance.
     pub fn tenant_with(&self, name: &str, qos: QosPolicy) -> FabricHandle {
-        let mut g = self.shared.state.lock().expect("fabric lock");
+        let mut g = self.engine.borrow_mut();
         assert!(
             g.next_burst == 0,
             "Fabric::tenant: register every tenant before the first burst"
         );
         if g.servers.is_empty() {
-            let n = self.shared.model.effective_nservers();
+            let n = self.model.effective_nservers();
             g.servers.resize_with(n, ServerState::default);
             g.next = vec![None; n];
         }
+        g.drivers += 1;
         let tenant = g.push_slot(name, qos, None);
         FabricHandle {
-            shared: Arc::clone(&self.shared),
+            model: self.model,
+            engine: Rc::clone(&self.engine),
             tenant,
             mirrors: 0,
             pricing: SoloPricing::Replay,
-            finished: false,
         }
     }
 
@@ -795,13 +782,12 @@ impl Fabric {
     /// rate, and retire at the same event; each clone's stall is summed
     /// over its own requests in the same order. Every per-tenant outcome
     /// (burst results, stall attribution, walls) is therefore
-    /// bit-identical to N threaded tenants submitting the same sequence
-    /// (pinned by tests). Callers remain responsible for only grouping
-    /// runs that are identical modulo their display name.
+    /// bit-identical to N tenants submitting the same sequence (pinned
+    /// by tests). Callers remain responsible for only grouping runs that
+    /// are identical modulo their display name.
     ///
-    /// Mirror slots hold a permanent seat in the engine's quorum (they
-    /// are "always parked"), leaving the real tenant free to advance the
-    /// clock alone — no threads, no condvar hand-offs.
+    /// Mirror slots submit nothing, so a group alone on its fabric is one
+    /// driver and resolves its waits inline.
     ///
     /// # Panics
     /// Panics if `names` is empty, if any burst was already submitted, or
@@ -811,31 +797,55 @@ impl Fabric {
     pub fn tenant_clones(&self, names: &[&str]) -> FabricHandle {
         assert!(!names.is_empty(), "Fabric::tenant_clones: empty group");
         let mut first = self.tenant(names[0]);
-        let mirrors = names.len() - 1;
-        if mirrors > 0 {
-            let mut g = self.shared.state.lock().expect("fabric lock");
-            assert!(
-                g.staging.is_none(),
-                "Fabric::tenant_clones: clone groups do not support a \
-                 bounded staging pool"
-            );
-            for name in &names[1..] {
-                g.push_slot(name, QosPolicy::default(), Some(first.tenant));
-            }
-            // Mirror slots never park in a call; seat them permanently so
-            // the quorum check (`parked == live`) still means "every real
-            // tenant is blocked and all arrivals are known".
-            g.parked += mirrors;
+        let mut g = self.engine.borrow_mut();
+        assert!(
+            names.len() == 1 || g.staging.is_none(),
+            "Fabric::tenant_clones: clone groups do not support a \
+             bounded staging pool"
+        );
+        for name in &names[1..] {
+            g.push_slot(name, QosPolicy::default(), Some(first.tenant));
         }
-        first.mirrors = mirrors;
+        first.mirrors = names.len() - 1;
         first
+    }
+
+    /// Drives every tenant's run to completion on the calling thread and
+    /// returns their results in tenant order. Each round polls every
+    /// live tenant in order, until it waits on this fabric or returns,
+    /// then takes one engine decision: grant one staging waiter (in
+    /// tenant order), or advance the clock to the next burst resolution.
+    ///
+    /// Pass one future per driving handle, all registered up front. A
+    /// panicking tenant unwinds out of this call with its own payload.
+    pub fn run<T, F: Future<Output = T>>(&self, tenants: impl IntoIterator<Item = F>) -> Vec<T> {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut live: Vec<_> = tenants.into_iter().map(|f| Some(Box::pin(f))).collect();
+        let mut out: Vec<Option<T>> = live.iter().map(|_| None).collect();
+        loop {
+            let mut waiting = false;
+            for (slot, result) in live.iter_mut().zip(&mut out) {
+                let Some(run) = slot else { continue };
+                match run.as_mut().poll(&mut cx) {
+                    Poll::Ready(v) => {
+                        *result = Some(v);
+                        *slot = None;
+                    }
+                    Poll::Pending => waiting = true,
+                }
+            }
+            if !waiting {
+                return out.into_iter().flatten().collect();
+            }
+            self.engine.borrow_mut().decide();
+        }
     }
 
     /// Per-tenant interference stats, in registration order. Meaningful
     /// once the runs holding the handles are done (walls are reported at
     /// scheduler seal time).
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let g = self.shared.state.lock().expect("fabric lock");
+        let g = self.engine.borrow();
         g.tenants
             .iter()
             .map(|t| match t.leader {
@@ -851,29 +861,24 @@ impl Fabric {
 }
 
 /// One tenant's seat on a [`Fabric`]. Mirrors the [`StorageModel`] burst
-/// API, but calls block until the shared engine resolves them against
-/// every overlapping tenant's traffic.
+/// API; its `async` calls return once the shared engine resolves them
+/// against every overlapping tenant's traffic.
 pub struct FabricHandle {
-    shared: Arc<FabricShared>,
+    model: StorageModel,
+    engine: Rc<RefCell<Engine>>,
     tenant: usize,
     /// Mirror slots after `tenant` driven by this handle (clone groups;
     /// 0 for an ordinary tenant).
     mirrors: usize,
     /// How the scheduler prices this tenant's solo-equivalent wall.
-    pricing: SoloPricing,
-    finished: bool,
+    pub(crate) pricing: SoloPricing,
 }
 
 impl FabricHandle {
     /// The storage model behind the fabric (used by the scheduler's
     /// solo-replay shadow).
     pub fn model(&self) -> StorageModel {
-        self.shared.model
-    }
-
-    /// The tenant slot this handle occupies.
-    pub fn tenant(&self) -> usize {
-        self.tenant
+        self.model
     }
 
     /// Mirror slots this handle drives ([`Fabric::tenant_clones`]); 0
@@ -890,11 +895,6 @@ impl FabricHandle {
         self.pricing = pricing;
     }
 
-    /// The solo-wall pricing mode the scheduler will use.
-    pub fn solo_pricing(&self) -> SoloPricing {
-        self.pricing
-    }
-
     /// One streamed tenant's share of the fabric's interconnect: the
     /// link's bandwidth split evenly over the declared stream-tenant
     /// count ([`NetworkModel::fair_share`]) — static fair sharing, the
@@ -902,145 +902,130 @@ impl FabricHandle {
     /// when the fabric has no link attached, in which case an in-transit
     /// backend keeps the solo link its own spec configured.
     pub fn stream_link(&self) -> Option<NetworkModel> {
-        let g = self.shared.state.lock().expect("fabric lock");
+        let g = self.engine.borrow();
         g.link.map(|net| net.fair_share(g.stream_tenants.max(1)))
     }
 
     /// Fabric twin of [`StorageModel::simulate_burst`]: request `start`
-    /// times must already be set. Blocks until the burst completes on the
-    /// shared clock. Solo-tenant results are bit-identical to the model's.
-    pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
-        self.serve(&self.shared.model.price(Class::Write, reqs), |i| {
-            reqs[i].start
-        })
+    /// times must already be set. Returns once the burst completes on
+    /// the shared clock. Solo-tenant results are bit-identical to the
+    /// model's.
+    pub async fn write_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
+        self.serve(&self.model.price(Class::Write, reqs), |i| reqs[i].start)
+            .await
     }
 
     /// Fabric twin of [`StorageModel::simulate_read_burst`].
-    pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
-        self.serve(&self.shared.model.price(Class::Read, reqs), |i| {
-            reqs[i].start
-        })
-    }
-
-    /// Serves a priced burst, request `i` arriving at `start_of(i)`, on
-    /// the shared servers. An empty burst never enters the engine.
-    pub(crate) fn serve(&self, priced: &Priced, start_of: impl Fn(usize) -> f64) -> BurstResult {
-        if priced.len() == 0 {
-            return priced.result(Vec::new(), start_of);
-        }
-        let g = self.shared.state.lock().expect("fabric lock");
-        self.submit_and_wait(g, priced, start_of, None)
+    pub async fn read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
+        self.serve(&self.model.price(Class::Read, reqs), |i| reqs[i].start)
+            .await
     }
 
     /// Staged (deferred-backend) write burst: acquires staging-pool space
-    /// for the requests' bytes no earlier than `base` (blocking while the
+    /// for the requests' bytes no earlier than `base` (waiting while the
     /// pool is full), stamps every request with the granted handoff time,
     /// then runs the drain. Returns the handoff and the burst result;
     /// `handoff - base` is time the application lost to back-pressure.
-    pub fn simulate_staged_burst(
-        &self,
-        base: f64,
-        reqs: &mut [WriteRequest],
-    ) -> (f64, BurstResult) {
-        let (handoff, result) =
-            self.serve_staged(base, &self.shared.model.price(Class::Write, reqs));
+    pub async fn staged_burst(&self, base: f64, reqs: &mut [WriteRequest]) -> (f64, BurstResult) {
+        let priced = self.model.price(Class::Write, reqs);
+        let (handoff, result) = self.serve_staged(base, &priced).await;
         for r in reqs.iter_mut() {
             r.start = handoff;
         }
         (handoff, result)
     }
 
-    /// [`FabricHandle::simulate_staged_burst`] over a priced burst: every
-    /// request arrives at the granted handoff.
-    pub(crate) fn serve_staged(&self, base: f64, priced: &Priced) -> (f64, BurstResult) {
+    /// [`FabricHandle::write_burst`] for the fabric's only driver.
+    pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
+        block_on(self.write_burst(reqs))
+    }
+
+    /// [`FabricHandle::read_burst`] for the fabric's only driver.
+    pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
+        block_on(self.read_burst(reqs))
+    }
+
+    /// [`FabricHandle::staged_burst`] for the fabric's only driver.
+    pub fn simulate_staged_burst(
+        &self,
+        base: f64,
+        reqs: &mut [WriteRequest],
+    ) -> (f64, BurstResult) {
+        block_on(self.staged_burst(base, reqs))
+    }
+
+    /// Serves a priced burst, request `i` arriving at `start_of(i)`, on
+    /// the shared servers. An empty burst never enters the engine.
+    pub(crate) async fn serve(
+        &self,
+        priced: &Priced,
+        start_of: impl Fn(usize) -> f64,
+    ) -> BurstResult {
+        if priced.len() == 0 {
+            return priced.result(Vec::new(), start_of);
+        }
+        let key = self.engine.borrow_mut().new_key();
+        self.submit(key, priced, &start_of);
+        let finish = self.wait(|g| g.results.remove(&key)).await;
+        priced.result(finish, start_of)
+    }
+
+    /// [`FabricHandle::staged_burst`] over a priced burst: every request
+    /// arrives at the granted handoff.
+    pub(crate) async fn serve_staged(&self, base: f64, priced: &Priced) -> (f64, BurstResult) {
         if priced.len() == 0 {
             return (base, priced.result(Vec::new(), |_| base));
         }
-        let bytes = priced.total_bytes;
-        let shared = &*self.shared;
-        let mut g = shared.state.lock().expect("fabric lock");
-        let key = g.new_key();
-        let handoff = if g.staging.is_some() {
-            g.staging
-                .as_mut()
-                .expect("staging on")
-                .waiters
-                .push(StagingWaiter {
+        let key = {
+            let mut g = self.engine.borrow_mut();
+            let key = g.new_key();
+            if let Some(staging) = &mut g.staging {
+                staging.waiters.push(StagingWaiter {
                     tenant: self.tenant,
                     burst: key,
                     base,
-                    bytes,
+                    bytes: priced.total_bytes,
                     granted: None,
                 });
-            g.parked += 1;
-            loop {
-                let staging = g.staging.as_mut().expect("staging on");
-                if let Some(i) = staging
-                    .waiters
-                    .iter()
-                    .position(|w| w.burst == key && w.granted.is_some())
-                {
-                    let w = staging.waiters.remove(i);
-                    break w.granted.expect("granted");
-                }
-                if g.parked == g.live() {
-                    g.decide();
-                    shared.cv.notify_all();
-                    continue;
-                }
-                g = shared.cv.wait(g).expect("fabric lock");
             }
-        } else {
-            base
+            key
         };
+        let handoff = self
+            .wait(|g| match &mut g.staging {
+                // An unbounded pool hands off at once.
+                None => Some(base),
+                Some(staging) => {
+                    let waiters = &mut staging.waiters;
+                    let i = waiters
+                        .iter()
+                        .position(|w| w.burst == key && w.granted.is_some())?;
+                    waiters.remove(i).granted
+                }
+            })
+            .await;
         if handoff > base {
-            g.tenants[self.tenant].stats.staging_wait += handoff - base;
+            self.engine.borrow_mut().tenants[self.tenant]
+                .stats
+                .staging_wait += handoff - base;
         }
-        let result = self.submit_and_wait(g, priced, |_| handoff, Some(key));
-        (handoff, result)
+        self.submit(key, priced, |_| handoff);
+        let finish = self.wait(|g| g.results.remove(&key)).await;
+        (handoff, priced.result(finish, |_| handoff))
     }
 
     /// Reports the run's final shared wall and the scheduler shadow's
     /// exact solo-equivalent wall into the tenant's stats (a clone
     /// group's mirrors report their leader's).
     pub fn record_walls(&self, shared_wall: f64, solo_wall: f64) {
-        let mut g = self.shared.state.lock().expect("fabric lock");
-        let stats = &mut g.tenants[self.tenant].stats;
+        let stats = &mut self.engine.borrow_mut().tenants[self.tenant].stats;
         stats.shared_wall = shared_wall;
         stats.solo_wall = solo_wall;
     }
 
-    /// Marks the tenant done: it leaves the engine's quorum so the
-    /// remaining tenants can advance without it. A clone group retires
-    /// all its slots (and releases the mirrors' permanent quorum seats).
-    /// Idempotent; also called on drop.
-    pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let mut g = self.shared.state.lock().expect("fabric lock");
-        for t in self.tenant..=self.tenant + self.mirrors {
-            g.tenants[t].finished = true;
-        }
-        g.parked -= self.mirrors;
-        drop(g);
-        self.shared.cv.notify_all();
-    }
-
-    /// Submits a priced burst and parks until the engine resolves it.
-    /// `staged_key` reuses a burst key pre-allocated by the staging path
-    /// so the pool allocation releases when this burst's drain completes.
-    fn submit_and_wait(
-        &self,
-        mut g: MutexGuard<'_, Engine>,
-        priced: &Priced,
-        start_of: impl Fn(usize) -> f64,
-        staged_key: Option<u64>,
-    ) -> BurstResult {
-        let shared = &*self.shared;
+    /// Loads a priced burst onto the shared servers under `key`.
+    fn submit(&self, key: u64, priced: &Priced, start_of: impl Fn(usize) -> f64) {
+        let g = &mut *self.engine.borrow_mut();
         let n = priced.len();
-        let key = staged_key.unwrap_or_else(|| g.new_key());
         let slot = &mut g.tenants[self.tenant];
         let seq = slot.seq;
         slot.seq += 1;
@@ -1072,32 +1057,32 @@ impl FabricHandle {
             }));
             g.next[s] = None;
         }
-        g.parked += 1;
-        let finish = loop {
-            if let Some(finish) = g.results.remove(&key) {
-                break finish;
-            }
-            if g.parked == g.live() {
-                g.decide();
-                shared.cv.notify_all();
-                continue;
-            }
-            g = shared.cv.wait(g).expect("fabric lock");
-        };
-        drop(g);
-        priced.result(finish, start_of)
     }
-}
 
-impl Drop for FabricHandle {
-    fn drop(&mut self) {
-        self.finish();
+    /// Waits until `ready` yields. A fabric's only driver decides for
+    /// itself until it does; with several, the tenant yields to
+    /// [`Fabric::run`], which decides once every live tenant waits.
+    async fn wait<T>(&self, mut ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
+        poll_fn(|_| {
+            let mut g = self.engine.borrow_mut();
+            loop {
+                if let Some(out) = ready(&mut g) {
+                    return Poll::Ready(out);
+                }
+                if g.drivers > 1 {
+                    return Poll::Pending;
+                }
+                g.decide();
+            }
+        })
+        .await
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::pin::Pin;
 
     fn req(rank: usize, path: &str, bytes: u64, start: f64) -> WriteRequest {
         WriteRequest {
@@ -1147,16 +1132,23 @@ mod tests {
         );
     }
 
+    /// One write burst per tenant, driven together by [`Fabric::run`].
+    fn run_bursts(
+        fabric: &Fabric,
+        tenants: &[(FabricHandle, Vec<WriteRequest>)],
+    ) -> Vec<BurstResult> {
+        fabric.run(tenants.iter().map(|(h, reqs)| h.write_burst(reqs)))
+    }
+
     #[test]
     fn two_tenants_share_like_one_burst_would() {
         let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
-        let a = fabric.tenant("a");
-        let b = fabric.tenant("b");
-        let (ra, rb) = std::thread::scope(|s| {
-            let ta = s.spawn(move || a.simulate_burst(&[req(0, "/a", 500, 0.0)]));
-            let tb = s.spawn(move || b.simulate_burst(&[req(0, "/b", 500, 0.0)]));
-            (ta.join().unwrap(), tb.join().unwrap())
-        });
+        let tenants = [
+            (fabric.tenant("a"), vec![req(0, "/a", 500, 0.0)]),
+            (fabric.tenant("b"), vec![req(0, "/b", 500, 0.0)]),
+        ];
+        let results = run_bursts(&fabric, &tenants);
+        let (ra, rb) = (&results[0], &results[1]);
         // Same as one run's two-request burst: both finish at 10.
         assert!((ra.t_end - 10.0).abs() < 1e-9, "{}", ra.t_end);
         assert!((rb.t_end - 10.0).abs() < 1e-9, "{}", rb.t_end);
@@ -1173,23 +1165,16 @@ mod tests {
         let solo = model.simulate_burst(&[req(0, "/t0", 1000, 0.0)]);
         for n in [2usize, 4] {
             let fabric = Fabric::new(model);
-            let handles: Vec<FabricHandle> =
-                (0..n).map(|i| fabric.tenant(&format!("t{i}"))).collect();
-            let walls: Vec<f64> = std::thread::scope(|s| {
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| {
-                        s.spawn(move || {
-                            h.simulate_burst(&[req(0, &format!("/t{i}"), 1000, 0.0)])
-                                .t_end
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|j| j.join().unwrap())
-                    .collect()
-            });
+            let tenants: Vec<_> = (0..n)
+                .map(|i| {
+                    let h = fabric.tenant(&format!("t{i}"));
+                    (h, vec![req(0, &format!("/t{i}"), 1000, 0.0)])
+                })
+                .collect();
+            let walls: Vec<f64> = run_bursts(&fabric, &tenants)
+                .iter()
+                .map(|r| r.t_end)
+                .collect();
             for w in &walls {
                 assert!(
                     (w - solo.t_end * n as f64).abs() < 1e-9,
@@ -1204,15 +1189,15 @@ mod tests {
     fn weighted_tenant_finishes_sooner() {
         let model = StorageModel::ideal(1, 100.0);
         let fabric = Fabric::new(model);
-        let hi = fabric.tenant_with("hi", QosPolicy::weighted(3.0));
-        let lo = fabric.tenant("lo");
-        let (rhi, rlo) = std::thread::scope(|s| {
-            // Handles move into the threads so a tenant retires from the
-            // engine's quorum (handle drop) the moment its run ends.
-            let a = s.spawn(move || hi.simulate_burst(&[req(0, "/hi", 600, 0.0)]));
-            let b = s.spawn(move || lo.simulate_burst(&[req(0, "/lo", 600, 0.0)]));
-            (a.join().unwrap(), b.join().unwrap())
-        });
+        let tenants = [
+            (
+                fabric.tenant_with("hi", QosPolicy::weighted(3.0)),
+                vec![req(0, "/hi", 600, 0.0)],
+            ),
+            (fabric.tenant("lo"), vec![req(0, "/lo", 600, 0.0)]),
+        ];
+        let results = run_bursts(&fabric, &tenants);
+        let (rhi, rlo) = (&results[0], &results[1]);
         // hi at 75 B/s finishes its 600 B at t=8; lo got 25 B/s for 8s
         // (200 B) then the full server: 400 left at 100 B/s -> t=12.
         assert!((rhi.t_end - 8.0).abs() < 1e-9, "{}", rhi.t_end);
@@ -1242,13 +1227,13 @@ mod tests {
         // handoff, finishing at 20 — full serialization through staging.
         let model = StorageModel::ideal(1, 100.0);
         let fabric = Fabric::new(model).with_staging(1000);
-        let a = fabric.tenant("a");
-        let b = fabric.tenant("b");
-        let (ra, rb) = std::thread::scope(|s| {
-            let ta = s.spawn(move || a.simulate_staged_burst(0.0, &mut burst("a", 1, 1000, 0.0)));
-            let tb = s.spawn(move || b.simulate_staged_burst(0.0, &mut burst("b", 1, 1000, 0.0)));
-            (ta.join().unwrap(), tb.join().unwrap())
-        });
+        let (a, b) = (fabric.tenant("a"), fabric.tenant("b"));
+        let mut bursts = [burst("a", 1, 1000, 0.0), burst("b", 1, 1000, 0.0)];
+        let staged = [&a, &b]
+            .into_iter()
+            .zip(&mut bursts)
+            .map(|(h, reqs)| h.staged_burst(0.0, reqs));
+        let [ra, rb]: [(f64, BurstResult); 2] = fabric.run(staged).try_into().unwrap();
         let (first, second) = if ra.0 <= rb.0 { (ra, rb) } else { (rb, ra) };
         assert_eq!(first.0, 0.0, "first handoff is immediate");
         assert!((first.1.t_end - 10.0).abs() < 1e-9);
@@ -1279,32 +1264,24 @@ mod tests {
             let fabric = Fabric::new(model);
             let handles: Vec<FabricHandle> =
                 (0..4).map(|i| fabric.tenant(&format!("t{i}"))).collect();
-            let ends: Vec<Vec<f64>> = std::thread::scope(|s| {
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| {
-                        s.spawn(move || {
-                            let mut ends = Vec::new();
-                            let mut clock = 0.0;
-                            for step in 0..3 {
-                                let r = h.simulate_burst(&burst(
-                                    &format!("t{i}/s{step}/f"),
-                                    5,
-                                    40_000 + i as u64,
-                                    clock,
-                                ));
-                                ends.push(r.t_end);
-                                clock = r.t_end + 0.5 * (i + 1) as f64;
-                            }
-                            ends
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|j| j.join().unwrap())
-                    .collect()
-            });
+            let ends: Vec<Vec<f64>> =
+                fabric.run(handles.iter().enumerate().map(|(i, h)| async move {
+                    let mut ends = Vec::new();
+                    let mut clock = 0.0;
+                    for step in 0..3 {
+                        let r = h
+                            .write_burst(&burst(
+                                &format!("t{i}/s{step}/f"),
+                                5,
+                                40_000 + i as u64,
+                                clock,
+                            ))
+                            .await;
+                        ends.push(r.t_end);
+                        clock = r.t_end + 0.5 * (i + 1) as f64;
+                    }
+                    ends
+                }));
             let stats = fabric.tenant_stats();
             (ends, stats)
         };
@@ -1316,25 +1293,21 @@ mod tests {
 
     #[test]
     fn finished_tenant_leaves_the_quorum() {
-        // a runs one short burst and retires; b runs two. b's second
-        // burst can only resolve once a has left the quorum (the engine
+        // a runs one short burst and returns; b runs two. b's second
+        // burst can only resolve once a has left the loop (the engine
         // must otherwise hold time for a's potential future traffic).
         let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
-        let mut a = fabric.tenant("a");
-        let b = fabric.tenant("b");
-        let (ra, rb) = std::thread::scope(|s| {
-            let ta = s.spawn(move || {
-                let r = a.simulate_burst(&[req(0, "/a", 100, 0.0)]);
-                a.finish();
-                r
-            });
-            let tb = s.spawn(move || {
-                let r1 = b.simulate_burst(&[req(0, "/b", 100, 0.0)]);
-                let r2 = b.simulate_burst(&[req(0, "/b2", 100, r1.t_end + 5.0)]);
-                (r1, r2)
-            });
-            (ta.join().unwrap(), tb.join().unwrap())
-        });
+        let (a, b) = (fabric.tenant("a"), fabric.tenant("b"));
+        let runs: [Pin<Box<dyn Future<Output = Vec<BurstResult>>>>; 2] = [
+            Box::pin(async { vec![a.write_burst(&[req(0, "/a", 100, 0.0)]).await] }),
+            Box::pin(async {
+                let r1 = b.write_burst(&[req(0, "/b", 100, 0.0)]).await;
+                let r2 = b.write_burst(&[req(0, "/b2", 100, r1.t_end + 5.0)]).await;
+                vec![r1, r2]
+            }),
+        ];
+        let out = fabric.run(runs);
+        let (ra, rb) = (&out[0][0], (&out[1][0], &out[1][1]));
         // First two bursts share the server (1s each solo -> both at 2).
         assert!((ra.t_end - 2.0).abs() < 1e-9, "{}", ra.t_end);
         assert!((rb.0.t_end - 2.0).abs() < 1e-9);
@@ -1343,60 +1316,58 @@ mod tests {
     }
 
     #[test]
-    fn panicking_tenant_cannot_hang_the_quorum() {
+    fn a_panicking_tenant_unwinds_out_of_the_loop_with_its_payload() {
         // Three tenants, two bursts each; `doomed` panics between its
-        // first and second burst. Its handle drops during unwinding and
-        // must retire it from the quorum, or the survivors' second
-        // bursts would wait for its arrival forever.
+        // first and second burst. The panic leaves `Fabric::run` the
+        // moment the loop resumes `doomed`, carrying its own message:
+        // `a` (polled before it) has submitted its second burst, `c`
+        // (polled after it) has not.
         let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
         let handles: Vec<FabricHandle> = ["a", "doomed", "c"]
             .iter()
             .map(|name| fabric.tenant(name))
             .collect();
-        let walls: Vec<Option<f64>> = std::thread::scope(|s| {
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    s.spawn(move || {
-                        let r = h.simulate_burst(&[req(0, &format!("/t{i}/one"), 100, 0.0)]);
-                        assert!(i != 1, "tenant {i} fails between its bursts");
-                        h.simulate_burst(&[req(0, &format!("/t{i}/two"), 100, r.t_end + 1.0)])
-                            .t_end
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().ok())
-                .collect()
-        });
-        assert!(walls[1].is_none(), "the doomed tenant did panic");
-        for i in [0, 2] {
-            // 3 x 1s shared -> 3; then 2 x 1s from t=4 shared -> 6.
-            let wall = walls[i].expect("survivor finished");
-            assert!((wall - 6.0).abs() < 1e-9, "tenant {i}: {wall}");
-        }
-        let stats = fabric.tenant_stats();
-        assert_eq!(stats[1].bursts, 1, "{:?}", stats[1]);
-        for i in [0, 2] {
-            assert_eq!(stats[i].bursts, 2);
-            assert!(stats[i].contention_stall > 0.0, "{:?}", stats[i]);
-        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fabric.run(handles.iter().enumerate().map(|(i, h)| async move {
+                let r = h
+                    .write_burst(&[req(0, &format!("/t{i}/one"), 100, 0.0)])
+                    .await;
+                assert!(i != 1, "tenant {i} fails between its bursts");
+                h.write_burst(&[req(0, &format!("/t{i}/two"), 100, r.t_end + 1.0)])
+                    .await
+                    .t_end
+            }))
+        }));
+        let payload = caught.expect_err("the doomed tenant's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("tenant 1 fails between its bursts"));
+        let bursts: Vec<u64> = fabric.tenant_stats().iter().map(|s| s.bursts).collect();
+        assert_eq!(bursts, [2, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "hand every tenant's run to Fabric::run")]
+    fn a_blocking_door_on_a_shared_fabric_names_the_loop() {
+        let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
+        let (a, _b) = (fabric.tenant("a"), fabric.tenant("b"));
+        a.simulate_burst(&[req(0, "/a", 100, 0.0)]);
     }
 
     /// One clone tenant's driver loop: identical bursts (writes and a
     /// read), clocks chained through the previous result — the shape a
     /// scheduler-driven run produces.
-    fn clone_driver(h: &FabricHandle) -> Vec<f64> {
+    async fn clone_driver(h: &FabricHandle) -> Vec<f64> {
         let mut ends = Vec::new();
         let mut clock = 0.0;
         for step in 0..3 {
-            let r = h.simulate_burst(&burst(
-                &format!("s{step}/f"),
-                6,
-                120_000 + step as u64,
-                clock,
-            ));
+            let r = h
+                .write_burst(&burst(
+                    &format!("s{step}/f"),
+                    6,
+                    120_000 + step as u64,
+                    clock,
+                ))
+                .await;
             ends.push(r.t_end);
             clock = r.t_end + 0.75;
         }
@@ -1408,7 +1379,7 @@ mod tests {
                 start: clock,
             })
             .collect();
-        let r = h.simulate_read_burst(&reads);
+        let r = h.read_burst(&reads).await;
         ends.push(r.t_end);
         ends
     }
@@ -1416,7 +1387,7 @@ mod tests {
     #[test]
     fn clone_group_is_bit_identical_to_threaded_clones() {
         // The mirrored-clone engine mode (one real tenant + N-1 mirror
-        // slots, no threads) must reproduce N threaded clone tenants bit
+        // slots) must reproduce N clone tenants driven by the loop bit
         // for bit: burst end times, walls, and the full per-tenant stats
         // including contention attribution.
         let model = StorageModel {
@@ -1427,46 +1398,32 @@ mod tests {
         let n = 4;
         let names: Vec<String> = (0..n).map(|i| format!("c_t{i}")).collect();
 
-        // Threaded reference: every clone on its own native thread.
-        let threaded_fabric = Fabric::new(model);
-        let handles: Vec<FabricHandle> = names
-            .iter()
-            .map(|name| threaded_fabric.tenant(name))
-            .collect();
-        let threaded_ends: Vec<Vec<f64>> = std::thread::scope(|s| {
-            handles
-                .into_iter()
-                .map(|mut h| {
-                    s.spawn(move || {
-                        let ends = clone_driver(&h);
-                        let wall = *ends.last().unwrap();
-                        h.record_walls(wall, wall * 0.5);
-                        h.finish();
-                        ends
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .collect()
-        });
-        let threaded_stats = threaded_fabric.tenant_stats();
+        // Reference: every clone its own tenant.
+        let fleet_fabric = Fabric::new(model);
+        let handles: Vec<FabricHandle> =
+            names.iter().map(|name| fleet_fabric.tenant(name)).collect();
+        let fleet_ends: Vec<Vec<f64>> = fleet_fabric.run(handles.iter().map(|h| async move {
+            let ends = clone_driver(h).await;
+            let wall = *ends.last().unwrap();
+            h.record_walls(wall, wall * 0.5);
+            ends
+        }));
+        let fleet_stats = fleet_fabric.tenant_stats();
 
         // Mirrored mode: one real tenant drives the whole group inline.
         let mirrored_fabric = Fabric::new(model);
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut group = mirrored_fabric.tenant_clones(&name_refs);
+        let group = mirrored_fabric.tenant_clones(&name_refs);
         assert_eq!(group.mirrors(), n - 1);
-        let mirrored_ends = clone_driver(&group);
+        let mirrored_ends = block_on(clone_driver(&group));
         let wall = *mirrored_ends.last().unwrap();
         group.record_walls(wall, wall * 0.5);
-        group.finish();
         let mirrored_stats = mirrored_fabric.tenant_stats();
 
-        for ends in &threaded_ends {
+        for ends in &fleet_ends {
             assert_eq!(ends, &mirrored_ends, "clone burst ends must match");
         }
-        assert_eq!(threaded_stats, mirrored_stats);
+        assert_eq!(fleet_stats, mirrored_stats);
         // The workload genuinely contends (stats are not trivial).
         assert!(mirrored_stats.iter().all(|s| s.contention_stall > 0.0));
         assert_eq!(mirrored_stats.len(), n);
@@ -1478,43 +1435,42 @@ mod tests {
         let fabric = Fabric::new(model);
         let solo = fabric.tenant_clones(&["only"]);
         assert_eq!(solo.mirrors(), 0);
-        let ends = clone_driver(&solo);
+        let ends = block_on(clone_driver(&solo));
         let legacy: Vec<f64> = {
             let f2 = Fabric::new(model);
-            clone_driver(&f2.tenant("only"))
+            block_on(clone_driver(&f2.tenant("only")))
         };
         assert_eq!(ends, legacy);
     }
 
     #[test]
     fn clone_group_coexists_with_other_tenants() {
-        // A clone pair plus an independent threaded tenant: the group's
-        // mirror seat must not wedge the quorum, and results must match
-        // the fully threaded 3-tenant run.
+        // A clone pair plus an independent tenant: the group must not
+        // wedge the loop, and results must match the 3-tenant run.
         let model = StorageModel::ideal(1, 1000.0);
-        let run_threaded = || {
+        let run_fleet = || {
             let fabric = Fabric::new(model);
-            let ha = fabric.tenant("a0");
-            let hb = fabric.tenant("a1");
-            let hc = fabric.tenant("b");
-            std::thread::scope(|s| {
-                let ta = s.spawn(move || ha.simulate_burst(&burst("x/f", 2, 500, 0.0)).t_end);
-                let tb = s.spawn(move || hb.simulate_burst(&burst("x/f", 2, 500, 0.0)).t_end);
-                let tc = s.spawn(move || hc.simulate_burst(&burst("y/f", 2, 500, 0.0)).t_end);
-                (ta.join().unwrap(), tb.join().unwrap(), tc.join().unwrap())
-            })
+            let tenants = [
+                (fabric.tenant("a0"), burst("x/f", 2, 500, 0.0)),
+                (fabric.tenant("a1"), burst("x/f", 2, 500, 0.0)),
+                (fabric.tenant("b"), burst("y/f", 2, 500, 0.0)),
+            ];
+            let r = run_bursts(&fabric, &tenants);
+            (r[0].t_end, r[1].t_end, r[2].t_end)
         };
         let run_mirrored = || {
             let fabric = Fabric::new(model);
-            let group = fabric.tenant_clones(&["a0", "a1"]);
-            let hc = fabric.tenant("b");
-            std::thread::scope(|s| {
-                let tg = s.spawn(move || group.simulate_burst(&burst("x/f", 2, 500, 0.0)).t_end);
-                let tc = s.spawn(move || hc.simulate_burst(&burst("y/f", 2, 500, 0.0)).t_end);
-                (tg.join().unwrap(), tc.join().unwrap())
-            })
+            let tenants = [
+                (
+                    fabric.tenant_clones(&["a0", "a1"]),
+                    burst("x/f", 2, 500, 0.0),
+                ),
+                (fabric.tenant("b"), burst("y/f", 2, 500, 0.0)),
+            ];
+            let r = run_bursts(&fabric, &tenants);
+            (r[0].t_end, r[1].t_end)
         };
-        let (a0, a1, b) = run_threaded();
+        let (a0, a1, b) = run_fleet();
         let (ga, gb) = run_mirrored();
         assert_eq!(a0, a1);
         assert_eq!(ga, a0, "clone group must price like threaded clones");

@@ -59,7 +59,7 @@ pub mod vfs;
 pub use bytes::Bytes;
 pub use characterize::{characterize, IoCharacterization};
 pub use fabric::{
-    Fabric, FabricHandle, QosPolicy, SoloMemo, SoloPricing, StorageAttach, TenantStats,
+    block_on, Fabric, FabricHandle, QosPolicy, SoloMemo, SoloPricing, StorageAttach, TenantStats,
 };
 pub use schedule::BurstScheduler;
 pub use storage::{BurstResult, ReadRequest, StorageModel, WriteRequest};

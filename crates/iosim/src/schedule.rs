@@ -16,7 +16,7 @@
 //! exact solo-equivalent wall (not an estimate) for the tenant's slowdown
 //! factor.
 
-use crate::fabric::FabricHandle;
+use crate::fabric::{block_on, FabricHandle};
 use crate::storage::{Class, Priced, ReadRequest, StorageModel, WriteRequest};
 use crate::timeline::Burst;
 
@@ -54,12 +54,12 @@ impl Lane {
     /// serves a non-empty burst (`None` is an empty one) no earlier than
     /// the time it is given — `staged` when the handoff goes through a
     /// staging buffer — and returns `(handoff, t_end)`.
-    fn admit(
+    async fn admit(
         &mut self,
         overlapped: bool,
         class: Class,
         clock: f64,
-        drain: Option<impl FnOnce(f64, bool) -> (f64, f64)>,
+        drain: Option<impl AsyncFnOnce(f64, bool) -> (f64, f64)>,
     ) -> (f64, f64, f64) {
         // An empty write is free: nothing is handed off, nothing waits.
         if drain.is_none() && class == Class::Write {
@@ -72,7 +72,10 @@ impl Lane {
         // Only an overlapped write returns at its handoff: reads are
         // synchronous in both policies.
         let staged = overlapped && class == Class::Write;
-        let (handoff, t_end) = drain.map_or((base, base), |drain| drain(base, staged));
+        let (handoff, t_end) = match drain {
+            Some(drain) => drain(base, staged).await,
+            None => (base, base),
+        };
         match class {
             Class::Write => {
                 self.staging_wait += handoff - base;
@@ -131,7 +134,7 @@ impl<'a> BurstScheduler<'a> {
     }
 
     /// A scheduler draining into one tenant's seat on a shared fabric.
-    /// Bursts block until the shared engine resolves them against every
+    /// Bursts wait until the shared engine resolves them against every
     /// overlapping tenant; a shadow solo replay tracks what the identical
     /// run would have cost alone (reported at [`BurstScheduler::seal`]).
     ///
@@ -140,7 +143,7 @@ impl<'a> BurstScheduler<'a> {
     /// ([`crate::SoloMemo`]) — the shadow is skipped and that wall is
     /// reported verbatim at seal.
     pub fn on_fabric(handle: FabricHandle, overlapped: bool) -> Self {
-        let (shadow, known_solo) = match handle.solo_pricing() {
+        let (shadow, known_solo) = match handle.pricing {
             crate::SoloPricing::Replay => (
                 Some(Shadow {
                     lane: Lane::default(),
@@ -162,7 +165,7 @@ impl<'a> BurstScheduler<'a> {
 
     /// The one body behind every submit door: price the burst once,
     /// serve it to the shadow, serve it to the sink, stamp the handoff.
-    fn burst(
+    async fn burst(
         &mut self,
         class: Class,
         step: u32,
@@ -178,21 +181,26 @@ impl<'a> BurstScheduler<'a> {
         let solo = |p: &Priced, base| (base, p.serve(|_| base).t_end);
         if let Some(sh) = &mut self.shadow {
             sh.advance(clock);
-            let drain = priced.as_ref().map(|p| move |base, _| solo(p, base));
-            sh.clock = sh.lane.admit(self.overlapped, class, sh.clock, drain).2;
+            let drain = priced.as_ref().map(|p| async move |base, _| solo(p, base));
+            sh.clock = sh
+                .lane
+                .admit(self.overlapped, class, sh.clock, drain)
+                .await
+                .2;
         }
         let sink = &self.sink;
         let drain = priced.as_ref().map(|p| {
-            move |base, staged| match sink {
+            async move |base, staged| match sink {
                 Sink::Model(_) => solo(p, base),
                 Sink::Fabric(h) if staged => {
-                    let (handoff, result) = h.serve_staged(base, p);
+                    let (handoff, result) = h.serve_staged(base, p).await;
                     (handoff, result.t_end)
                 }
-                Sink::Fabric(h) => (base, h.serve(p, |_| base).t_end),
+                Sink::Fabric(h) => (base, h.serve(p, |_| base).await.t_end),
             }
         });
-        let (t_start, t_end, clock_after) = self.lane.admit(self.overlapped, class, clock, drain);
+        let (t_start, t_end, clock_after) =
+            self.lane.admit(self.overlapped, class, clock, drain).await;
         for r in requests.iter_mut() {
             r.start = t_start;
         }
@@ -210,7 +218,35 @@ impl<'a> BurstScheduler<'a> {
 
     /// Submits the burst of `step` at application time `clock`; request
     /// start times are overwritten by the policy. Returns the timed burst
-    /// and the application clock after the submit returns.
+    /// and the application clock after the submit returns. On a fabric of
+    /// several tenants the burst waits for [`crate::Fabric::run`].
+    pub async fn write_burst(
+        &mut self,
+        step: u32,
+        clock: f64,
+        requests: &mut [WriteRequest],
+        bytes: u64,
+    ) -> (Burst, f64) {
+        self.burst(Class::Write, step, clock, requests, bytes).await
+    }
+
+    /// Submits a read burst (restart / analysis phase) at application
+    /// time `clock`. Reads are synchronous in *both* policies — the
+    /// application waits until its restart bytes arrive — and
+    /// read-after-write consistency barriers any drain still in flight
+    /// before the read starts. Returns the timed burst and the clock
+    /// after the data is in memory.
+    pub async fn read_burst(
+        &mut self,
+        step: u32,
+        clock: f64,
+        requests: &mut [ReadRequest],
+        bytes: u64,
+    ) -> (Burst, f64) {
+        self.burst(Class::Read, step, clock, requests, bytes).await
+    }
+
+    /// [`BurstScheduler::write_burst`], driven in one poll.
     pub fn submit(
         &mut self,
         step: u32,
@@ -218,7 +254,7 @@ impl<'a> BurstScheduler<'a> {
         requests: &mut [WriteRequest],
         bytes: u64,
     ) -> (Burst, f64) {
-        self.burst(Class::Write, step, clock, requests, bytes)
+        block_on(self.write_burst(step, clock, requests, bytes))
     }
 
     /// Like [`BurstScheduler::submit`], charging `compute_seconds` of
@@ -239,12 +275,7 @@ impl<'a> BurstScheduler<'a> {
         self.submit(step, clock + compute_seconds, requests, bytes)
     }
 
-    /// Submits a read burst (restart / analysis phase) at application
-    /// time `clock`. Reads are synchronous in *both* policies — the
-    /// application blocks until its restart bytes arrive — and
-    /// read-after-write consistency barriers any drain still in flight
-    /// before the read starts. Returns the timed burst and the clock
-    /// after the data is in memory.
+    /// [`BurstScheduler::read_burst`], driven in one poll.
     pub fn submit_read(
         &mut self,
         step: u32,
@@ -252,7 +283,7 @@ impl<'a> BurstScheduler<'a> {
         requests: &mut [ReadRequest],
         bytes: u64,
     ) -> (Burst, f64) {
-        self.burst(Class::Read, step, clock, requests, bytes)
+        block_on(self.read_burst(step, clock, requests, bytes))
     }
 
     /// Final wall-clock time: the application clock barriered against any
@@ -265,8 +296,7 @@ impl<'a> BurstScheduler<'a> {
     /// Ends the run at application time `clock`: returns the final wall
     /// (as [`BurstScheduler::finish`]) and, on the fabric path, reports
     /// the shared wall plus the shadow's exact solo-equivalent wall to
-    /// the tenant's [`crate::TenantStats`] and retires the tenant from
-    /// the fabric's quorum.
+    /// the tenant's [`crate::TenantStats`].
     pub fn seal(&mut self, clock: f64) -> f64 {
         let wall = self.finish(clock);
         let solo = match &mut self.shadow {
@@ -279,9 +309,8 @@ impl<'a> BurstScheduler<'a> {
             // path has neither and a solo run's wall *is* its solo wall.
             None => self.known_solo.unwrap_or(wall),
         };
-        if let Sink::Fabric(h) = &mut self.sink {
+        if let Sink::Fabric(h) = &self.sink {
             h.record_walls(wall, solo);
-            h.finish();
         }
         wall
     }
@@ -557,15 +586,11 @@ mod tests {
         let fabric = crate::Fabric::new(model);
         let ha = fabric.tenant("a");
         let hb = fabric.tenant("b");
-        std::thread::scope(|sc| {
-            for h in [ha, hb] {
-                sc.spawn(move || {
-                    let mut s = BurstScheduler::on_fabric(h, false);
-                    let (_, c) = s.submit(1, 1.0, &mut reqs(1, 900), 900);
-                    s.seal(c);
-                });
-            }
-        });
+        fabric.run([ha, hb].map(|h| async move {
+            let mut s = BurstScheduler::on_fabric(h, false);
+            let (_, c) = s.write_burst(1, 1.0, &mut reqs(1, 900), 900).await;
+            s.seal(c);
+        }));
         for st in fabric.tenant_stats() {
             assert_eq!(st.solo_wall, solo_wall, "shadow replay is exact");
             // 900 B at a shared 100 B/s server: drain takes 18s not 9s.
@@ -617,22 +642,12 @@ mod tests {
         let fabric = crate::Fabric::new(model).with_staging(1000);
         let ha = fabric.tenant("a");
         let hb = fabric.tenant("b");
-        let waits: Vec<(f64, f64)> = std::thread::scope(|sc| {
-            [ha, hb]
-                .into_iter()
-                .map(|h| {
-                    sc.spawn(move || {
-                        let mut s = BurstScheduler::on_fabric(h, true);
-                        let (_, c) = s.submit(1, 0.0, &mut reqs(1, 1000), 1000);
-                        s.seal(c);
-                        (s.staging_wait(), s.write_stall())
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .collect()
-        });
+        let waits: Vec<(f64, f64)> = fabric.run([ha, hb].map(|h| async move {
+            let mut s = BurstScheduler::on_fabric(h, true);
+            let (_, c) = s.write_burst(1, 0.0, &mut reqs(1, 1000), 1000).await;
+            s.seal(c);
+            (s.staging_wait(), s.write_stall())
+        }));
         // One of the two handoffs waited 10s for pool space; the wait is
         // visible both as write stall and specifically as staging wait.
         let total_staging: f64 = waits.iter().map(|w| w.0).sum();

@@ -4,9 +4,9 @@
 //! The model crate consumes these records to build the Eq. (1)/(2)
 //! samples: `y = data_output(i)`, `i = (time step, level, task)`.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifies one output record in the AMR hierarchy.
 ///
@@ -43,6 +43,12 @@ pub struct IoTracker {
     read_records: Mutex<BTreeMap<(IoKey, IoKind), Record>>,
 }
 
+/// Takes `m`, recovering it from a panicking writer (no update leaves
+/// a record map half-written).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Default, Debug, Clone, Copy, Serialize, Deserialize)]
 struct Record {
     bytes: u64,
@@ -57,7 +63,7 @@ impl IoTracker {
 
     /// Records `bytes` written for `key`, counting one file.
     pub fn record(&self, key: IoKey, kind: IoKind, bytes: u64) {
-        let mut map = self.records.lock();
+        let mut map = lock(&self.records);
         let r = map.entry((key, kind)).or_default();
         r.bytes += bytes;
         r.files += 1;
@@ -65,13 +71,12 @@ impl IoTracker {
 
     /// Total bytes across everything.
     pub fn total_bytes(&self) -> u64 {
-        self.records.lock().values().map(|r| r.bytes).sum()
+        lock(&self.records).values().map(|r| r.bytes).sum()
     }
 
     /// Total bytes of one kind.
     pub fn total_bytes_of(&self, kind: IoKind) -> u64 {
-        self.records
-            .lock()
+        lock(&self.records)
             .iter()
             .filter(|((_, k), _)| *k == kind)
             .map(|(_, r)| r.bytes)
@@ -80,13 +85,13 @@ impl IoTracker {
 
     /// Total number of files written.
     pub fn total_files(&self) -> u64 {
-        self.records.lock().values().map(|r| r.files).sum()
+        lock(&self.records).values().map(|r| r.files).sum()
     }
 
     /// Bytes per output step (data + metadata), ordered by step.
     pub fn bytes_per_step(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in self.records.lock().iter() {
+        for ((key, _), r) in lock(&self.records).iter() {
             *out.entry(key.step).or_insert(0) += r.bytes;
         }
         out
@@ -108,7 +113,7 @@ impl IoTracker {
     /// Bytes per AMR level, ordered by level — the Fig. 7 decomposition.
     pub fn bytes_per_level(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in self.records.lock().iter() {
+        for ((key, _), r) in lock(&self.records).iter() {
             *out.entry(key.level).or_insert(0) += r.bytes;
         }
         out
@@ -119,7 +124,7 @@ impl IoTracker {
     pub fn cumulative_per_level_step(&self) -> BTreeMap<u32, Vec<(u32, u64)>> {
         // level -> Vec<(step, cumulative bytes)>
         let mut per_level_step: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
-        for ((key, _), r) in self.records.lock().iter() {
+        for ((key, _), r) in lock(&self.records).iter() {
             *per_level_step
                 .entry(key.level)
                 .or_default()
@@ -146,7 +151,7 @@ impl IoTracker {
     /// is indexed densely from task 0 to the largest task seen; tasks that
     /// wrote nothing hold 0 (AMReX writes no file for them).
     pub fn bytes_per_task(&self, step: u32, level: u32) -> Vec<u64> {
-        let map = self.records.lock();
+        let map = lock(&self.records);
         let mut max_task = 0u32;
         let mut any = false;
         for ((key, _), _) in map.iter() {
@@ -168,7 +173,7 @@ impl IoTracker {
     /// Like [`IoTracker::bytes_per_task`] but restricted to one kind —
     /// e.g. `Data` only, excluding rank 0's metadata attribution.
     pub fn bytes_per_task_of(&self, step: u32, level: u32, kind: IoKind) -> Vec<u64> {
-        let map = self.records.lock();
+        let map = lock(&self.records);
         let mut max_task = 0u32;
         let mut any = false;
         for ((key, _), _) in map.iter() {
@@ -189,7 +194,7 @@ impl IoTracker {
 
     /// Sorted list of steps with any output.
     pub fn steps(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.records.lock().keys().map(|(k, _)| k.step).collect();
+        let mut v: Vec<u32> = lock(&self.records).keys().map(|(k, _)| k.step).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -197,7 +202,7 @@ impl IoTracker {
 
     /// Sorted list of levels with any output.
     pub fn levels(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.records.lock().keys().map(|(k, _)| k.level).collect();
+        let mut v: Vec<u32> = lock(&self.records).keys().map(|(k, _)| k.level).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -206,8 +211,7 @@ impl IoTracker {
     /// Flat export of all records as `(key, kind, bytes, files)` for
     /// serialization.
     pub fn export(&self) -> Vec<(IoKey, IoKind, u64, u64)> {
-        self.records
-            .lock()
+        lock(&self.records)
             .iter()
             .map(|((k, kind), r)| (*k, *kind, r.bytes, r.files))
             .collect()
@@ -217,7 +221,7 @@ impl IoTracker {
 
     /// Records `bytes` read back for `key`, counting one chunk read.
     pub fn record_read(&self, key: IoKey, kind: IoKind, bytes: u64) {
-        let mut map = self.read_records.lock();
+        let mut map = lock(&self.read_records);
         let r = map.entry((key, kind)).or_default();
         r.bytes += bytes;
         r.files += 1;
@@ -225,13 +229,12 @@ impl IoTracker {
 
     /// Total logical bytes read back across everything.
     pub fn total_read_bytes(&self) -> u64 {
-        self.read_records.lock().values().map(|r| r.bytes).sum()
+        lock(&self.read_records).values().map(|r| r.bytes).sum()
     }
 
     /// Total logical bytes read back of one kind.
     pub fn total_read_bytes_of(&self, kind: IoKind) -> u64 {
-        self.read_records
-            .lock()
+        lock(&self.read_records)
             .iter()
             .filter(|((_, k), _)| *k == kind)
             .map(|(_, r)| r.bytes)
@@ -240,13 +243,13 @@ impl IoTracker {
 
     /// Number of chunk reads recorded.
     pub fn total_read_records(&self) -> u64 {
-        self.read_records.lock().values().map(|r| r.files).sum()
+        lock(&self.read_records).values().map(|r| r.files).sum()
     }
 
     /// Logical bytes read back per output step, ordered by step.
     pub fn read_bytes_per_step(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in self.read_records.lock().iter() {
+        for ((key, _), r) in lock(&self.read_records).iter() {
             *out.entry(key.step).or_insert(0) += r.bytes;
         }
         out
@@ -258,7 +261,7 @@ impl IoTracker {
     /// the selection read plane pin.
     pub fn read_bytes_per_level(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in self.read_records.lock().iter() {
+        for ((key, _), r) in lock(&self.read_records).iter() {
             *out.entry(key.level).or_insert(0) += r.bytes;
         }
         out
@@ -266,8 +269,7 @@ impl IoTracker {
 
     /// Flat export of all read records as `(key, kind, bytes, reads)`.
     pub fn export_reads(&self) -> Vec<(IoKey, IoKind, u64, u64)> {
-        self.read_records
-            .lock()
+        lock(&self.read_records)
             .iter()
             .map(|((k, kind), r)| (*k, *kind, r.bytes, r.files))
             .collect()

@@ -6,10 +6,10 @@
 //! wrote terabytes to GPFS that we must account for without storing).
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Minimal filesystem surface needed by the N-to-N writers.
 pub trait Vfs: Send + Sync {
@@ -85,6 +85,16 @@ impl MemFile {
     }
 }
 
+// Lock access that survives a panicking writer: every update leaves
+// the maps consistent, so poisoning is recovered, never propagated.
+fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Deterministic in-memory filesystem.
 ///
 /// Stores file sizes exactly; content is retained up to a configurable
@@ -114,7 +124,7 @@ impl MemFs {
 
     /// True when `path` was created as a directory.
     pub fn dir_exists(&self, path: &str) -> bool {
-        self.dirs.read().contains(&normalize(path))
+        read_lock(&self.dirs).contains(&normalize(path))
     }
 }
 
@@ -139,7 +149,7 @@ fn normalize(path: &str) -> String {
 impl Vfs for MemFs {
     fn create_dir_all(&self, path: &str) -> io::Result<()> {
         let norm = normalize(path);
-        let mut dirs = self.dirs.write();
+        let mut dirs = write_lock(&self.dirs);
         let mut acc = String::new();
         for part in norm.split('/').filter(|p| !p.is_empty()) {
             acc.push('/');
@@ -152,7 +162,7 @@ impl Vfs for MemFs {
     fn write_file(&self, path: &str, data: &[u8]) -> io::Result<u64> {
         let norm = normalize(path);
         let head_len = data.len().min(self.retention);
-        self.files.write().insert(
+        write_lock(&self.files).insert(
             norm,
             MemFile {
                 size: data.len() as u64,
@@ -184,24 +194,24 @@ impl Vfs for MemFs {
             });
             retained += take;
         }
-        self.files
-            .write()
-            .insert(norm, MemFile { size, segs: kept });
+        write_lock(&self.files).insert(norm, MemFile { size, segs: kept });
         Ok(size)
     }
 
     fn file_size(&self, path: &str) -> Option<u64> {
-        self.files.read().get(&normalize(path)).map(|f| f.size)
+        read_lock(&self.files).get(&normalize(path)).map(|f| f.size)
     }
 
     fn read_file(&self, path: &str) -> Option<Vec<u8>> {
-        self.files.read().get(&normalize(path)).map(|f| f.flatten())
+        read_lock(&self.files)
+            .get(&normalize(path))
+            .map(|f| f.flatten())
     }
 
     fn read_file_shared(&self, path: &str) -> Option<Bytes> {
         let norm = normalize(path);
         {
-            let files = self.files.read();
+            let files = read_lock(&self.files);
             let f = files.get(&norm)?;
             if let [one] = f.segs.as_slice() {
                 return Some(one.clone());
@@ -209,7 +219,7 @@ impl Vfs for MemFs {
         }
         // Multi-segment file: flatten once under the write lock and
         // cache the contiguous buffer so later reads are zero-copy.
-        let mut files = self.files.write();
+        let mut files = write_lock(&self.files);
         let f = files.get_mut(&norm)?;
         if f.segs.len() != 1 {
             f.segs = vec![Bytes::from(f.flatten())];
@@ -219,8 +229,7 @@ impl Vfs for MemFs {
 
     fn list(&self, prefix: &str) -> Vec<String> {
         let norm = normalize(prefix);
-        self.files
-            .read()
+        read_lock(&self.files)
             .keys()
             .filter(|k| k.starts_with(&norm))
             .cloned()
@@ -228,11 +237,11 @@ impl Vfs for MemFs {
     }
 
     fn total_bytes(&self) -> u64 {
-        self.files.read().values().map(|f| f.size).sum()
+        read_lock(&self.files).values().map(|f| f.size).sum()
     }
 
     fn nfiles(&self) -> usize {
-        self.files.read().len()
+        read_lock(&self.files).len()
     }
 }
 

@@ -137,7 +137,7 @@ pub fn run(
     tracker: &IoTracker,
     storage: Option<&StorageModel>,
 ) -> io::Result<MacsioReport> {
-    run_attached(cfg, vfs, tracker, storage.into())
+    iosim::block_on(run_attached(cfg, vfs, tracker, storage.into()))
 }
 
 /// Like [`run`] but accepting any storage attachment — in particular a
@@ -149,7 +149,8 @@ pub fn run(
 /// layout — pass-through (file-per-process), BP-style aggregation,
 /// deferred burst-buffer staging, or in-transit streaming — and the
 /// phase driver prices each dump under the matching policy.
-pub fn run_attached(
+/// Like [`io_engine::run_program`], it is `async`.
+pub async fn run_attached(
     cfg: &MacsioConfig,
     vfs: &dyn Vfs,
     tracker: &IoTracker,
@@ -212,7 +213,8 @@ pub fn run_attached(
         tracker,
         cfg.compression,
         storage,
-    )?;
+    )
+    .await?;
     // MACSio reports one read plane: restart-class and analysis-class
     // reads together.
     Ok(MacsioReport {

@@ -2,15 +2,13 @@
 //!
 //! `SimComm` plays the role of `MPI_COMM_WORLD` plus the `jsrun` resource
 //! layout on Summit: `nranks` MPI tasks packed `ranks_per_node` to a node.
-//! Rank loops execute through rayon, but each rank's closure receives an
-//! independent [`RankCtx`], so results are deterministic and identical to
-//! a sequential execution.
+//! A rank loop runs the ranks one after another, each with its own
+//! [`RankCtx`], so its results depend only on `(seed, rank)`.
 //!
 //! **When [`SimComm::run`] is the right tool.** A rank loop builds one
 //! [`RankCtx`] per rank per call, and that seeds a ChaCha [`StdRng`]
-//! stream for the rank — far more work than most closures do with it —
-//! and forks a rayon task, nested when the caller already runs on a rayon
-//! pool. Use it for closures that draw from `ctx.rng` or carry `ctx.clock`
+//! stream for the rank — far more work than most closures do with it.
+//! Use it for closures that draw from `ctx.rng` or carry `ctx.clock`
 //! through several operations (`ctx.send`, staged phases). A per-rank
 //! value that is a pure function of `(seed, rank, ..)` needs neither:
 //! loop over the ranks and reduce directly, as `amrproxy`'s compute
@@ -20,7 +18,6 @@ use crate::clock::SimClock;
 use crate::network::NetworkModel;
 use crate::rng::rank_rng;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 /// The simulated world: rank count and node topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,35 +114,13 @@ impl SimComm {
         }
     }
 
-    /// Runs `f` once per rank in parallel, returning results ordered by
-    /// rank. Each rank gets a fresh context with its clock at `t0` — and
-    /// a freshly seeded ChaCha stream, on every call: see the module docs
-    /// for when that is worth paying.
-    pub fn run<T, F>(&self, t0: f64, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
+    /// Runs `f` once per rank, in rank order, returning the results in
+    /// that order. Each rank gets a fresh context with its clock at `t0`
+    /// — and a freshly seeded ChaCha stream, on every call: see the
+    /// module docs for when that is worth paying.
+    pub fn run<T>(&self, t0: f64, mut f: impl FnMut(&mut RankCtx) -> T) -> Vec<T> {
         (0..self.nranks)
-            .into_par_iter()
-            .map(|rank| {
-                let mut ctx = self.rank_ctx(rank, t0);
-                f(&mut ctx)
-            })
-            .collect()
-    }
-
-    /// Sequential variant of [`SimComm::run`] (useful for debugging and for
-    /// asserting determinism in tests).
-    pub fn run_seq<T, F>(&self, t0: f64, mut f: F) -> Vec<T>
-    where
-        F: FnMut(&mut RankCtx) -> T,
-    {
-        (0..self.nranks)
-            .map(|rank| {
-                let mut ctx = self.rank_ctx(rank, t0);
-                f(&mut ctx)
-            })
+            .map(|rank| f(&mut self.rank_ctx(rank, t0)))
             .collect()
     }
 }
@@ -153,7 +128,6 @@ impl SimComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn topology_packing() {
@@ -177,22 +151,6 @@ mod tests {
         let c = SimComm::new(16, 4, 0);
         let out = c.run(0.0, |ctx| ctx.rank * 10);
         assert_eq!(out, (0..16).map(|r| r * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let c = SimComm::new(32, 2, 99);
-        let par = c.run(1.0, |ctx| {
-            let x: f64 = ctx.rng.gen();
-            ctx.clock.advance(x);
-            (ctx.rank, ctx.node, ctx.clock.now())
-        });
-        let seq = c.run_seq(1.0, |ctx| {
-            let x: f64 = ctx.rng.gen();
-            ctx.clock.advance(x);
-            (ctx.rank, ctx.node, ctx.clock.now())
-        });
-        assert_eq!(par, seq);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   streaming backends that ship steps over the interconnect instead
 //!   of through storage.
 //!
-//! Rank loops execute through rayon but are bit-reproducible: each rank's
-//! context is derived only from `(seed, rank)`. [`SimComm::run`] seeds one
-//! ChaCha stream per rank per call, so it is for closures that use the
-//! per-rank RNG or clock; a per-rank value computable from `(seed, rank)`
-//! alone is cheaper as a plain loop (see [`comm`]).
+//! Rank loops run the ranks in order and are bit-reproducible: each
+//! rank's context is derived only from `(seed, rank)`. [`SimComm::run`]
+//! seeds one ChaCha stream per rank per call, so it is for closures that
+//! use the per-rank RNG or clock; a per-rank value computable from
+//! `(seed, rank)` alone is cheaper as a plain loop (see [`comm`]).
 //!
 //! **Layer position:** the very bottom of the workspace — no other
 //! workspace crate sits below it; `iosim` and the workloads build on its

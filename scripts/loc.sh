@@ -3,7 +3,8 @@
 # before its first `#[cfg(test)]` (blank lines and comments included, unit
 # tests excluded). Size claims in issues, PRs and reviews use this table.
 #
-#   scripts/loc.sh          per-crate table and total
+#   scripts/loc.sh          per-crate table and total, then the vendored
+#                           stand-ins under third_party/ (not in the total)
 #   scripts/loc.sh DIR...   the same count over the given directories
 set -eu
 cd "$(dirname "$0")/.."
@@ -13,8 +14,10 @@ count() {
         'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
 }
 
+vendored=
 if [ "$#" -eq 0 ]; then
     set -- src crates/*/src
+    vendored=third_party
 fi
 total=0
 printf '%-24s %8s\n' crate lines
@@ -25,3 +28,6 @@ for dir in "$@"; do
     printf '%-24s %8d\n' "${name#crates/}" "$n"
 done
 printf '%-24s %8d\n' total "$total"
+if [ -n "$vendored" ]; then
+    printf '%-24s %8d\n' "$vendored" "$(count "$vendored")"
+fi

@@ -3,20 +3,25 @@
 //! codec matrix, fair-share slowdown and throughput conservation for
 //! identical tenants, QoS priority dominance, a mixed Sedov + MACSio
 //! fleet contending on one fabric, the campaign runner's QoS and
-//! staging-pool settings, and a clone group against the threaded fleet
-//! it stands for.
+//! staging-pool settings, and a clone group against the fleet of tenants
+//! it stands for. Fleets of several tenants run under `Fabric::run`.
 
 use amr_proxy_io::amrproxy::{
-    run_campaign_fabric, run_campaign_timed_serial, run_simulation_attached, CastroSedovConfig,
+    run_campaign_fabric, run_campaign_timed_serial, try_run_simulation_attached, CastroSedovConfig,
     Engine, FabricSettings,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
 use amr_proxy_io::iosim::{
     BurstResult, Fabric, FabricHandle, IoTracker, MemFs, QosPolicy, ReadRequest, StorageAttach,
-    StorageModel, TenantStats, WriteRequest,
+    StorageModel, WriteRequest,
 };
 use amr_proxy_io::macsio::{self, MacsioConfig};
+use common::{burst_bits, stats_bits, StatsBits};
 use proptest::prelude::*;
+use std::future::Future;
+use std::pin::Pin;
+
+mod common;
 
 fn oracle_cfg(name: &str, n_cell: i64, max_step: u64, plot_int: u64) -> CastroSedovConfig {
     CastroSedovConfig {
@@ -69,9 +74,9 @@ struct Program {
 }
 
 impl Program {
-    /// Runs the program on `h`, reports its walls (the scheduler's
-    /// seal-time call) and retires the handle.
-    fn drive(self, h: FabricHandle) -> Vec<BurstResult> {
+    /// Runs the program on `h` and reports its walls (the scheduler's
+    /// seal-time call).
+    async fn drive(self, h: FabricHandle) -> Vec<BurstResult> {
         let mut out = Vec::new();
         let mut clock = 0.0;
         for step in 0..self.steps {
@@ -83,7 +88,7 @@ impl Program {
                     start: clock + self.stagger * (f % 3) as f64,
                 })
                 .collect();
-            let r = h.simulate_burst(&reqs);
+            let r = h.write_burst(&reqs).await;
             clock = r.t_end + self.gap;
             out.push(r);
         }
@@ -95,46 +100,16 @@ impl Program {
                 start: clock + self.stagger * (f % 2) as f64,
             })
             .collect();
-        out.push(h.simulate_read_burst(&reads));
+        out.push(h.read_burst(&reads).await);
         let wall = out.last().map_or(0.0, |r| r.t_end);
         h.record_walls(wall, 0.5 * wall);
         out
     }
 }
 
-/// Every burst's `finish` and `t_end`, as bits.
-fn burst_bits(results: &[BurstResult]) -> Vec<(Vec<u64>, u64)> {
-    results
-        .iter()
-        .map(|r| {
-            let finish = r.finish.iter().map(|t| t.to_bits()).collect();
-            (finish, r.t_end.to_bits())
-        })
-        .collect()
-}
-
-/// Every `TenantStats` field, floats as bits.
-type StatsBits = (usize, String, [u64; 3], [u64; 5]);
-
-fn stats_bits(s: &TenantStats) -> StatsBits {
-    let floats = [
-        s.shared_wall,
-        s.solo_wall,
-        s.contention_stall,
-        s.throttle_stall,
-        s.staging_wait,
-    ];
-    (
-        s.tenant,
-        s.name.clone(),
-        [s.bursts, s.write_bytes, s.read_bytes],
-        floats.map(f64::to_bits),
-    )
-}
-
-/// Runs `clones` (each driving `program` on its own thread) beside an
-/// optional rival tenant on `fabric`: each clone handle's results, the
-/// rival's, and every tenant's stats as bits.
+/// Runs `clones` (each driving `program`) beside an optional rival
+/// tenant on `fabric`: each clone handle's results, the rival's, and
+/// every tenant's stats as bits.
 fn run_fleet(
     fabric: &Fabric,
     clones: Vec<FabricHandle>,
@@ -145,17 +120,13 @@ fn run_fleet(
     Option<Vec<BurstResult>>,
     Vec<StatsBits>,
 ) {
-    let (ends, rival) = std::thread::scope(|s| {
-        let clones: Vec<_> = clones
-            .into_iter()
-            .map(|h| s.spawn(move || program.drive(h)))
-            .collect();
-        let rival = rival.map(|(h, p)| s.spawn(move || p.drive(h)));
-        (
-            clones.into_iter().map(|j| j.join().unwrap()).collect(),
-            rival.map(|j| j.join().unwrap()),
-        )
-    });
+    let has_rival = rival.is_some();
+    let runs = clones
+        .into_iter()
+        .map(|h| program.drive(h))
+        .chain(rival.map(|(h, p)| p.drive(h)));
+    let mut ends = fabric.run(runs);
+    let rival = has_rival.then(|| ends.pop().expect("the rival ran"));
     let stats = fabric.tenant_stats().iter().map(stats_bits).collect();
     (ends, rival, stats)
 }
@@ -223,14 +194,9 @@ proptest! {
         let solo = model.simulate_burst(&burst(0, files, bytes)).t_end;
         let fabric = Fabric::new(model);
         let handles: Vec<_> = (0..n).map(|i| fabric.tenant(&format!("t{i}"))).collect();
-        let ends: Vec<f64> = std::thread::scope(|s| {
-            let joins: Vec<_> = handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| s.spawn(move || h.simulate_burst(&burst(i, files, bytes)).t_end))
-                .collect();
-            joins.into_iter().map(|j| j.join().unwrap()).collect()
-        });
+        let ends: Vec<f64> = fabric.run(handles.iter().enumerate().map(|(i, h)| async move {
+            h.write_burst(&burst(i, files, bytes)).await.t_end
+        }));
         let makespan = ends.iter().cloned().fold(0.0f64, f64::max);
         for (i, &t_end) in ends.iter().enumerate() {
             prop_assert!(
@@ -256,14 +222,11 @@ proptest! {
             let fabric = Fabric::new(model);
             let hi = fabric.tenant_with("hi", hi_qos);
             let lo = fabric.tenant("lo");
-            std::thread::scope(|s| {
-                let jh = s.spawn(move || hi.simulate_burst(&burst(0, files, kib * 1024)).t_end);
-                let jl =
-                    s.spawn(move || lo.simulate_burst(&burst(1, rival_files, kib * 1024)).t_end);
-                let t = jh.join().unwrap();
-                jl.join().unwrap();
-                t
-            })
+            let bursts = [burst(0, files, kib * 1024), burst(1, rival_files, kib * 1024)];
+            let ends = fabric.run([&hi, &lo].into_iter().zip(&bursts).map(|(h, b)| async move {
+                h.write_burst(b).await.t_end
+            }));
+            ends[0]
         };
         let fair = run_pair(QosPolicy::default());
         let prioritized = run_pair(QosPolicy::weighted(weight));
@@ -278,7 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A clone group of N (one record per request for all N slots) is
-    /// N threaded tenants bit for bit: every burst's `finish` and
+    /// N separate tenants bit for bit: every burst's `finish` and
     /// `t_end`, and every `TenantStats` field — also beside an
     /// independent weighted or capped rival, whose QoS splits each
     /// server per tenant.
@@ -312,11 +275,11 @@ proptest! {
         let names: Vec<String> = (0..n).map(|i| format!("c_t{i}")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
 
-        let threaded = Fabric::new(model);
-        let handles = names.iter().map(|name| threaded.tenant(name)).collect();
-        let rival_handle = rival_qos.map(|q| (threaded.tenant_with("rival", q), rival_program));
-        let (threaded_ends, threaded_rival, threaded_stats) =
-            run_fleet(&threaded, handles, program, rival_handle);
+        let fleet = Fabric::new(model);
+        let handles = names.iter().map(|name| fleet.tenant(name)).collect();
+        let rival_handle = rival_qos.map(|q| (fleet.tenant_with("rival", q), rival_program));
+        let (fleet_ends, fleet_rival, fleet_stats) =
+            run_fleet(&fleet, handles, program, rival_handle);
 
         let grouped = Fabric::new(model);
         let group = grouped.tenant_clones(&names);
@@ -324,14 +287,14 @@ proptest! {
         let (group_ends, group_rival, group_stats) =
             run_fleet(&grouped, vec![group], program, rival_handle);
 
-        for ends in &threaded_ends {
+        for ends in &fleet_ends {
             prop_assert_eq!(burst_bits(ends), burst_bits(&group_ends[0]));
         }
         prop_assert_eq!(
-            threaded_rival.as_deref().map(burst_bits),
+            fleet_rival.as_deref().map(burst_bits),
             group_rival.as_deref().map(burst_bits)
         );
-        prop_assert_eq!(threaded_stats, group_stats);
+        prop_assert_eq!(fleet_stats, group_stats);
     }
 }
 
@@ -346,28 +309,32 @@ fn mixed_sedov_and_macsio_fleet_contends_on_one_fabric() {
     });
     let sedov = fabric.tenant("sedov");
     let dumps = fabric.tenant("macsio");
-    std::thread::scope(|s| {
-        let amr = s.spawn(move || {
-            run_simulation_attached(&sedov128("mixed"), None, StorageAttach::Fabric(sedov))
-                .wall_time
-        });
-        let mac = s.spawn(move || {
-            let cfg = MacsioConfig {
-                nprocs: 8,
-                num_dumps: 6,
-                part_size: 512 * 1024,
-                compute_time: 0.0,
-                ..Default::default()
-            };
-            let fs = MemFs::with_retention(0);
-            let tracker = IoTracker::new();
-            macsio::dump::run_attached(&cfg, &fs, &tracker, StorageAttach::Fabric(dumps))
-                .expect("macsio run")
-                .wall_time
-        });
-        assert!(amr.join().expect("sedov tenant") > 0.0);
-        assert!(mac.join().expect("macsio tenant") > 0.0);
-    });
+    let amr_cfg = sedov128("mixed");
+    let cfg = MacsioConfig {
+        nprocs: 8,
+        num_dumps: 6,
+        part_size: 512 * 1024,
+        compute_time: 0.0,
+        ..Default::default()
+    };
+    let fs = MemFs::with_retention(0);
+    let tracker = IoTracker::new();
+    let amr = async {
+        try_run_simulation_attached(&amr_cfg, None, StorageAttach::Fabric(sedov))
+            .await
+            .expect("sedov tenant")
+            .wall_time
+    };
+    let mac = async {
+        macsio::dump::run_attached(&cfg, &fs, &tracker, StorageAttach::Fabric(dumps))
+            .await
+            .expect("macsio run")
+            .wall_time
+    };
+    let tenants: [Pin<Box<dyn Future<Output = f64> + '_>>; 2] = [Box::pin(amr), Box::pin(mac)];
+    let walls = fabric.run(tenants);
+    assert!(walls[0] > 0.0);
+    assert!(walls[1] > 0.0);
     let stats = fabric.tenant_stats();
     assert_eq!(stats.len(), 2);
     assert!(

@@ -216,7 +216,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A solo-memo hit is bit-identical to the cold replay it stands in
-    /// for, on the one threaded fleet: without a memo, with a cold memo
+    /// for, on one fleet of N runs: without a memo, with a cold memo
     /// (one fill) and with a warm one (one hit, no further fill) every
     /// summary is byte-for-byte the same on the serde wire — and a
     /// mirrored clone group prices the same configs to the same bytes.

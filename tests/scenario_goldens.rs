@@ -18,7 +18,9 @@ use amr_proxy_io::amrproxy::{
     try_run_simulation_attached, CastroSedovConfig, Engine, RunResult, Scenario,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, ReadSelection};
-use amr_proxy_io::iosim::{BurstTimeline, Fabric, IoTracker, MemFs, StorageAttach, StorageModel};
+use amr_proxy_io::iosim::{
+    block_on, BurstTimeline, Fabric, IoTracker, MemFs, StorageAttach, StorageModel,
+};
 use amr_proxy_io::macsio::{self, MacsioConfig, MacsioReport};
 use std::fmt::Write as _;
 
@@ -185,7 +187,11 @@ fn amr_line(id: &str, r: std::io::Result<RunResult>) -> String {
 fn run_macsio(cfg: &MacsioConfig, attach: StorageAttach<'_>) -> std::io::Result<MacsioReport> {
     let fs = MemFs::new();
     let tracker = IoTracker::new();
-    macsio::dump::run_attached(cfg, &fs, &tracker, attach)
+    block_on(macsio::dump::run_attached(cfg, &fs, &tracker, attach))
+}
+
+fn run_amr(cfg: &CastroSedovConfig, attach: StorageAttach<'_>) -> std::io::Result<RunResult> {
+    block_on(try_run_simulation_attached(cfg, None, attach))
 }
 
 /// One solo tenant on a fabric: the run's line plus the tenant's walls.
@@ -213,7 +219,7 @@ fn render() -> String {
             for scenario in SCENARIOS.iter().chain(&AMR_SCENARIOS) {
                 let id = format!("amr/{backend}/{}/{scenario}", codec.name());
                 let cfg = amr_cfg(scenario, backend, codec);
-                let r = try_run_simulation_attached(&cfg, None, StorageAttach::Model(&model));
+                let r = run_amr(&cfg, StorageAttach::Model(&model));
                 writeln!(out, "{}", amr_line(&id, r)).unwrap();
             }
         }
@@ -244,7 +250,7 @@ fn render() -> String {
         .unwrap();
         let id = format!("amr-untimed/fpp/rle:2/{scenario}");
         let cfg = amr_cfg(scenario, "fpp", CodecSpec::Rle(2.0));
-        let r = try_run_simulation_attached(&cfg, None, StorageAttach::None);
+        let r = run_amr(&cfg, StorageAttach::None);
         writeln!(out, "{}", amr_line(&id, r)).unwrap();
     }
     // One solo tenant on a shared fabric: the shadow's solo wall.
@@ -259,7 +265,7 @@ fn render() -> String {
         let fabric = Fabric::new(model);
         let cfg = amr_cfg(scenario, backend, CodecSpec::Identity);
         let attach = StorageAttach::Fabric(fabric.tenant("solo"));
-        let r = try_run_simulation_attached(&cfg, None, attach);
+        let r = run_amr(&cfg, attach);
         let id = format!("amr-fabric/{backend}/identity/{scenario}");
         writeln!(out, "{}{}", amr_line(&id, r), fabric_suffix(&fabric)).unwrap();
     }
