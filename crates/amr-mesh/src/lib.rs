@@ -36,6 +36,8 @@
 //! assert!(!fine.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod box_array;
 pub mod cluster;
 pub mod distribution;

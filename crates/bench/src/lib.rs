@@ -22,6 +22,8 @@
 //! bench::print_series("cumulative bytes", &[(1.0, 10.0), (2.0, 30.0)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod extensions;
 mod paper;
 

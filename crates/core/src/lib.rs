@@ -27,6 +27,8 @@
 //! assert!(result.tracker.total_bytes() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod cases;
 pub mod compare;

@@ -34,6 +34,8 @@
 //! assert!(sim.time() > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod amr;
 pub mod eos;
 pub mod exact_riemann;

@@ -13,6 +13,15 @@
 //! the `u` / `mx` slots, so one kernel serves both directions. Each pass
 //! (primitives, predicted face states, HLLC fluxes, update) is a loop over
 //! structure-of-arrays rows of a caller-owned [`SweepScratch`].
+//!
+//! The pencil loop has one source body compiled twice: for the target's
+//! baseline (SSE2 on x86-64, two f64 lanes per vector) and with AVX2
+//! enabled (four lanes). [`sweep_fab`] takes the AVX2 copy when
+//! `is_x86_feature_detected!("avx2")` holds — std caches the answer, so
+//! the check is one load per fab — and the baseline copy on every other
+//! CPU. The copies agree bit for bit: `+ - * /` and `sqrt` are correctly
+//! rounded and `min` / `max` keep one semantics at any vector width, and
+//! Rust never contracts `a * b + c` into an FMA.
 
 use crate::eos::GammaLaw;
 use crate::riemann::hllc_flux;
@@ -133,6 +142,7 @@ impl SweepScratch {
     /// transverse momentum, energy); the pencil's cells, two ghosts at
     /// each end included, sit at `first + i * stride` for `i` in
     /// `0..len + 4`.
+    #[inline(always)]
     fn pencil(
         &mut self,
         u: &mut [&mut [f64]; NCOMP],
@@ -216,6 +226,22 @@ pub fn sweep_fab(
     eos: &GammaLaw,
     scratch: &mut SweepScratch,
 ) {
+    sweep(fab, valid, dir, dt_over_dx, eos, scratch, true);
+}
+
+/// [`sweep_fab`], running the AVX2 copy of [`lanes`] when `wide` is set
+/// and the CPU has AVX2, and the baseline copy otherwise — the tests pin
+/// each copy in turn.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn sweep(
+    fab: &mut FArrayBox,
+    valid: &IndexBox,
+    dir: usize,
+    dt_over_dx: f64,
+    eos: &GammaLaw,
+    scratch: &mut SweepScratch,
+    wide: bool,
+) {
     let dom = fab.domain();
     let ghosts = if dir == 0 {
         IntVect::new(NGROW, 0)
@@ -230,29 +256,87 @@ pub fn sweep_fab(
     let size = valid.size();
     // Pencils run along `dir`; consecutive pencils are one cell apart
     // across it.
-    let (stride, len, lanes, lane_step) = if dir == 0 {
+    let (stride, len, count, lane_step) = if dir == 0 {
         (1, size.x, size.y, width)
     } else {
         (width, size.y, size.x, 1)
     };
-    let first = dom.offset(valid.lo() - ghosts);
+    let pencils = Pencils {
+        first: dom.offset(valid.lo() - ghosts),
+        lane_step,
+        count: count as usize,
+        stride,
+        len: len as usize,
+    };
     let [rho, mx, my, e] = conserved_mut(fab);
     let mut u = if dir == 0 {
         [rho, mx, my, e]
     } else {
         [rho, my, mx, e]
     };
-    scratch.fit(len as usize + 4);
-    for lane in 0..lanes as usize {
+    scratch.fit(pencils.len + 4);
+    #[cfg(target_arch = "x86_64")]
+    if wide && std::arch::is_x86_feature_detected!("avx2") {
+        #[allow(unsafe_code)]
+        // SAFETY: `lanes_avx2` requires only that the CPU support AVX2,
+        // which `is_x86_feature_detected!("avx2")` has just confirmed.
+        unsafe {
+            lanes_avx2(scratch, &mut u, &pencils, dt_over_dx, eos)
+        };
+        return;
+    }
+    lanes(scratch, &mut u, &pencils, dt_over_dx, eos);
+}
+
+/// Where a fab's pencils lie in its component slices: `count` pencils of
+/// `len` valid cells, the first starting (ghosts included) at `first`,
+/// consecutive pencils `lane_step` apart and a pencil's cells `stride`
+/// apart.
+struct Pencils {
+    first: usize,
+    lane_step: usize,
+    count: usize,
+    stride: usize,
+    len: usize,
+}
+
+/// Sweeps every pencil of a fab: the one loop body of the sweep, inlined
+/// into [`sweep`] at the target's baseline width and into [`lanes_avx2`]
+/// at AVX2 width.
+#[inline(always)]
+fn lanes(
+    scratch: &mut SweepScratch,
+    u: &mut [&mut [f64]; NCOMP],
+    pencils: &Pencils,
+    dt_over_dx: f64,
+    eos: &GammaLaw,
+) {
+    for lane in 0..pencils.count {
         scratch.pencil(
-            &mut u,
-            first + lane * lane_step,
-            stride,
-            len as usize,
+            u,
+            pencils.first + lane * pencils.lane_step,
+            pencils.stride,
+            pencils.len,
             dt_over_dx,
             eos,
         );
     }
+}
+
+/// [`lanes`] compiled with AVX2 enabled; the module doc says why its
+/// results equal the baseline copy's bit for bit. Only `avx2` is enabled:
+/// with `fma` off, no fused multiply-add can round differently from the
+/// baseline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lanes_avx2(
+    scratch: &mut SweepScratch,
+    u: &mut [&mut [f64]; NCOMP],
+    pencils: &Pencils,
+    dt_over_dx: f64,
+    eos: &GammaLaw,
+) {
+    lanes(scratch, u, pencils, dt_over_dx, eos);
 }
 
 /// Advances one level by `dt` with Strang-ordered directional sweeps.
@@ -535,7 +619,9 @@ mod tests {
         /// the floors after each, reproduce the per-cell reference bit for
         /// bit on every component of the whole fab: boxes from 1x1 to
         /// 17x17 with a negative low corner, physical, near-floor and
-        /// strong-shock states.
+        /// strong-shock states. Each case runs the baseline copy of the
+        /// pencil loop, then (on a CPU with AVX2) the AVX2 copy, each on
+        /// its own fab.
         #[test]
         fn sweep_and_floors_match_reference_bits(
             lo in (-9i64..4, -9i64..4),
@@ -548,16 +634,19 @@ mod tests {
         ) {
             let eos = GammaLaw::default();
             let valid = boxed(lo.0, lo.1, size.0, size.1);
-            let mut fab = random_fab(valid, ngrow, seed, kind);
-            let mut oracle = fab.clone();
-            let mut scratch = SweepScratch::default();
-            for dir in [first_dir, 1 - first_dir] {
-                sweep_fab(&mut fab, &valid, dir, dt_over_dx, &eos, &mut scratch);
-                reference::sweep_fab(&mut oracle, &valid, dir, dt_over_dx, &eos);
-                prop_assert_eq!(fab_bits(&fab), fab_bits(&oracle), "sweep {:?} dir {}", valid, dir);
-                enforce_floors(&mut fab, &valid);
-                reference::enforce_floors(&mut oracle, &valid);
-                prop_assert_eq!(fab_bits(&fab), fab_bits(&oracle), "floors {:?} dir {}", valid, dir);
+            let start = random_fab(valid, ngrow, seed, kind);
+            for wide in [false, true] {
+                let mut fab = start.clone();
+                let mut oracle = start.clone();
+                let mut scratch = SweepScratch::default();
+                for dir in [first_dir, 1 - first_dir] {
+                    sweep(&mut fab, &valid, dir, dt_over_dx, &eos, &mut scratch, wide);
+                    reference::sweep_fab(&mut oracle, &valid, dir, dt_over_dx, &eos);
+                    prop_assert_eq!(fab_bits(&fab), fab_bits(&oracle), "sweep {:?} dir {} wide {}", valid, dir, wide);
+                    enforce_floors(&mut fab, &valid);
+                    reference::enforce_floors(&mut oracle, &valid);
+                    prop_assert_eq!(fab_bits(&fab), fab_bits(&oracle), "floors {:?} dir {} wide {}", valid, dir, wide);
+                }
             }
         }
 

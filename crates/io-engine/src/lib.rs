@@ -132,6 +132,8 @@
 //! assert_eq!(tracker.total_read_bytes(), 3 * 64 + 64);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregated;
 pub mod backend;
 pub mod codec;

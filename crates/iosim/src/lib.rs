@@ -47,6 +47,8 @@
 //! assert!((burst.t_end - 1.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod characterize;
 pub mod fabric;
 pub mod schedule;

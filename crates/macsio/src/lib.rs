@@ -36,6 +36,8 @@
 //! assert_eq!(report.bytes_per_dump.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod config;
 pub mod dump;

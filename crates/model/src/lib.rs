@@ -47,6 +47,8 @@
 //! assert!((1.0 / fit.slope - 1e9).abs() / 1e9 < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod metrics;
 pub mod partsize;

@@ -39,6 +39,8 @@
 //! assert_eq!(allreduce_max(&finish), 1.75);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod collectives;
 pub mod comm;

@@ -54,6 +54,8 @@
 //! assert_eq!(tracker.total_bytes(), stats.total_bytes);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod format;
 pub mod reader;

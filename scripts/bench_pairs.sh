@@ -15,8 +15,9 @@
 # pairs (ties count for neither side) and its median is better than the
 # parent's by more than the parent's q3 - q1. Then each side's median of
 # every workload detail line (wide_resume's phase rates, say). Last,
-# whether every run was correct with one digest. Removes its scratch
-# directory on exit; nothing else is written.
+# whether every run was correct with one digest. On exit puts back
+# amrbench/Cargo.lock, which building amrbench rewrites, and removes its
+# scratch directory; nothing else is written.
 set -eu
 cd "$(dirname "$0")/.."
 [ "$#" -ge 2 ] || {
@@ -39,9 +40,10 @@ better() {
 change=$PWD
 out=$change/.amrbench_out/bench_pairs.$$
 parent=$out/parent
-trap 'rm -rf "$out"' EXIT
+trap '[ ! -f "$out/Cargo.lock" ] || cp "$out/Cargo.lock" "$change/amrbench/Cargo.lock"; rm -rf "$out"' EXIT
 trap 'exit 130' INT TERM
 mkdir -p "$parent"
+cp "$change/amrbench/Cargo.lock" "$out/Cargo.lock"
 git archive "$ref" | tar -x -C "$parent"
 
 # One run: the full output lands in $out/<side>.<pair>.

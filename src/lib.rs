@@ -3,6 +3,8 @@
 //! Downstream users can depend on this single crate; the workspace examples
 //! and integration tests are hosted here.
 
+#![forbid(unsafe_code)]
+
 pub use amr_mesh;
 pub use amrproxy;
 pub use hydro;
