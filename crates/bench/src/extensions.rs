@@ -300,8 +300,8 @@ pub fn machine_room(ctx: &mut Ctx) -> io::Result<Value> {
     let report = ctx.run(&spec, Some(&storage))?;
 
     println!(
-        "\n{:>8} {:>12} {:>12} {:>9} {:>12} {:>12}",
-        "tenants", "wall[s]", "solo[s]", "slowdown", "contention", "throttle"
+        "\n{:>8} {:>12} {:>12} {:>9} {:>12}",
+        "tenants", "wall[s]", "solo[s]", "slowdown", "contention"
     );
     let mean = |rung: &[&RunSummary], f: fn(&RunSummary) -> f64| {
         rung.iter().map(|s| f(s)).sum::<f64>() / rung.len() as f64
@@ -323,8 +323,8 @@ pub fn machine_room(ctx: &mut Ctx) -> io::Result<Value> {
         }
         let (wall, slowdown) = (mean(&rung, |s| s.wall_time), mean(&rung, |s| s.slowdown));
         println!(
-            "{n:>8} {wall:>12.3} {:>12.3} {slowdown:>9.3} {:>12.3} {:>12.3}",
-            rung[0].solo_wall, rung[0].contention_stall, rung[0].throttle_stall
+            "{n:>8} {wall:>12.3} {:>12.3} {slowdown:>9.3} {:>12.3}",
+            rung[0].solo_wall, rung[0].contention_stall
         );
         rungs.push((n, wall, slowdown));
     }

@@ -125,11 +125,10 @@ pub struct RunSummary {
     /// below solo rate).
     #[serde(default)]
     pub contention_stall: f64,
-    /// Simulated seconds lost to this tenant's own QoS cap (rate below
-    /// fair share).
+    /// Always 0; kept so stored rows and artifacts keep their bytes.
     #[serde(default)]
     pub throttle_stall: f64,
-    /// Simulated seconds bursts waited for shared burst-buffer space.
+    /// Always 0; kept so stored rows and artifacts keep their bytes.
     #[serde(default)]
     pub staging_wait: f64,
     /// Bytes shipped over the modeled interconnect instead of storage
@@ -142,7 +141,7 @@ pub struct RunSummary {
     #[serde(default)]
     pub net_wall: f64,
     /// Producer seconds stalled on consumer-window back-pressure
-    /// (disjoint from `net_wall`; the streaming twin of `staging_wait`).
+    /// (disjoint from `net_wall`).
     #[serde(default)]
     pub window_stall: f64,
 }
@@ -368,44 +367,8 @@ pub fn run_campaign_timed_serial(
         .collect()
 }
 
-/// The settings of [`run_campaign_fabric`]. The default is a plain
-/// machine room: unbounded staging, fair QoS, no shared interconnect,
-/// and a solo shadow replayed cold.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FabricSettings<'a> {
-    /// Bounds a shared burst-buffer pool for deferred-backend tenants
-    /// (`None` = unbounded).
-    pub staging_bytes: Option<u64>,
-    /// Per-tenant policies, assigned positionally; missing entries get
-    /// the fair default.
-    pub qos: &'a [iosim::QosPolicy],
-    /// A shared interconnect: streamed (in-transit) tenants split its
-    /// bandwidth evenly — the network twin of stored tenants sharing
-    /// the servers — while stored tenants never touch it. Without one,
-    /// streamed tenants keep the solo link their own backend spec
-    /// configured.
-    pub link: Option<mpi_sim::NetworkModel>,
-    /// Memoizes the solo shadow under a key: the solo baseline is
-    /// priced once per key across a campaign. On a hit every tenant's
-    /// scheduler gets [`iosim::SoloPricing::Known`] and skips its shadow
-    /// replay; on a miss the replay runs cold and the first tenant's
-    /// solo wall fills the memo. The shadow is a passive observer (a
-    /// private model copy), so pricing mode never perturbs the shared
-    /// simulation — `known_solo_pricing_matches_the_cold_shadow_bit_for_bit`
-    /// in `iosim::schedule` pins that.
-    ///
-    /// This is also the *semantic anchor* for the solo columns: one
-    /// configuration has one solo baseline, taken from the first cell
-    /// that prices it. Re-deriving it per tenancy rung reproduces the
-    /// same number only to within an ulp (the shared clock's magnitude
-    /// leaks into the float rounding of the replayed compute deltas),
-    /// so the spec executors — serial and parallel alike — route every
-    /// tenancy cell through a memo to keep their outputs bit-identical.
-    pub memo: Option<(&'a iosim::SoloMemo, &'a str)>,
-}
-
 /// Serves the solo shadow of one fabric run's tenants from `memo` when
-/// it already holds the key (see [`FabricSettings::memo`]). On a miss
+/// it already holds the key (see [`run_campaign_fabric`]). On a miss
 /// the memo comes back for the caller to fill from the first tenant's
 /// sealed solo wall.
 fn price_solo<'m>(
@@ -429,8 +392,6 @@ fn stamp_tenancy(summary: &mut RunSummary, stats: &iosim::TenantStats, tenants: 
     summary.solo_wall = stats.solo_wall;
     summary.slowdown = stats.slowdown();
     summary.contention_stall = stats.contention_stall;
-    summary.throttle_stall = stats.throttle_stall;
-    summary.staging_wait = stats.staging_wait;
 }
 
 /// Runs a set of configurations *concurrently* against one shared
@@ -439,41 +400,44 @@ fn stamp_tenancy(summary: &mut RunSummary, stats: &iosim::TenantStats, tenants: 
 /// overlap in simulated time, and the returned summaries carry the
 /// tenancy columns: shared wall (`wall_time`), the exact solo wall the
 /// same workload would have taken alone (`solo_wall`), their ratio
-/// (`slowdown`), and the stall attribution split between neighbour
-/// traffic (`contention_stall`) and the tenant's own QoS cap
-/// (`throttle_stall`).
+/// (`slowdown`), and the service lost to neighbour traffic
+/// (`contention_stall`).
 ///
 /// Every tenant's run is a future, and [`iosim::Fabric::run`] drives
 /// them all on the calling thread: each runs until it waits on a burst,
 /// then the fabric advances its clock. A panicking tenant's panic
 /// propagates out of this call.
+///
+/// `memo` memoizes the solo shadow under a key: the solo baseline is
+/// priced once per key across a campaign. On a hit every tenant's
+/// scheduler gets [`iosim::SoloPricing::Known`] and skips its shadow
+/// replay; on a miss the replay runs cold and the first tenant's solo
+/// wall fills the memo. The shadow is a passive observer (a private
+/// model copy), so pricing mode never perturbs the shared simulation —
+/// `known_solo_pricing_matches_the_cold_shadow_bit_for_bit` in
+/// `iosim::schedule` pins that.
+///
+/// The memo is also the *semantic anchor* for the solo columns: one
+/// configuration has one solo baseline, taken from the first cell that
+/// prices it. Re-deriving it per tenancy rung reproduces the same number
+/// only to within an ulp (the shared clock's magnitude leaks into the
+/// float rounding of the replayed compute deltas), so the spec executors
+/// — serial and parallel alike — route every tenancy cell through a memo
+/// to keep their outputs bit-identical.
 pub fn run_campaign_fabric(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
-    settings: &FabricSettings<'_>,
+    memo: Option<(&iosim::SoloMemo, &str)>,
 ) -> Vec<RunSummary> {
     if configs.is_empty() {
         return Vec::new();
     }
-    let mut fabric = iosim::Fabric::new(*storage);
-    if let Some(bytes) = settings.staging_bytes {
-        fabric = fabric.with_staging(bytes);
-    }
-    if let Some(net) = settings.link {
-        fabric = fabric.with_link(net);
-        fabric.set_stream_tenants(configs.iter().filter(|c| c.backend.in_transit()).count());
-    }
+    let fabric = iosim::Fabric::new(*storage);
     // Register every tenant before the first burst (the fabric's
     // conservative clock must know every tenant up front).
-    let mut handles: Vec<iosim::FabricHandle> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| {
-            let qos = settings.qos.get(i).copied().unwrap_or_default();
-            fabric.tenant_with(&cfg.name, qos)
-        })
-        .collect();
-    let unfilled = price_solo(settings.memo, &mut handles);
+    let mut handles: Vec<iosim::FabricHandle> =
+        configs.iter().map(|cfg| fabric.tenant(&cfg.name)).collect();
+    let unfilled = price_solo(memo, &mut handles);
     let mut summaries = fabric.run(configs.iter().zip(handles).map(|(cfg, handle)| async move {
         let attach = iosim::StorageAttach::Fabric(handle);
         let run = try_run_simulation_attached(cfg, None, attach).await;
@@ -504,7 +468,7 @@ pub fn run_campaign_fabric(
 ///
 /// `memo` optionally memoizes the solo shadow replay under `solo_key`
 /// (the cell's label/tenancy-independent config key), exactly as
-/// [`FabricSettings::memo`] does for the fleet.
+/// [`run_campaign_fabric`]'s `memo` does for the fleet.
 ///
 /// # Panics
 /// Panics if `configs` are not identical modulo `name` — the caller
@@ -650,9 +614,9 @@ mod tests {
 
     #[test]
     fn streamed_tenant_attributes_stall_to_the_window_not_contention() {
-        // A lone streamed tenant on a linked fabric: the slow consumer
-        // (10 MB/s behind the shared 100 MB/s link) stalls the producer,
-        // and the stall lands in `window_stall` — never in the fabric's
+        // A lone streamed tenant on a fabric: the slow consumer (10 MB/s
+        // behind its 100 MB/s link) stalls the producer, and the stall
+        // lands in `window_stall` — never in the fabric's
         // `contention_stall`, which belongs to server-plane neighbours.
         let cfg = CastroSedovConfig {
             name: "streamed".into(),
@@ -666,12 +630,7 @@ mod tests {
             ..Default::default()
         };
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let link = mpi_sim::NetworkModel::ideal(100e6);
-        let settings = FabricSettings {
-            link: Some(link),
-            ..Default::default()
-        };
-        let summaries = run_campaign_fabric(&[cfg], &storage, &settings);
+        let summaries = run_campaign_fabric(&[cfg], &storage, None);
         let s = &summaries[0];
         assert!(s.net_bytes > 0, "the run streamed");
         assert!(s.net_wall > 0.0);

@@ -393,16 +393,6 @@ pub async fn try_run_scenario_attached<S: StepSource>(
         compile_phases(cfg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let tracker = IoTracker::new();
     let mut backend = cfg.backend.build_with_codec(cfg.codec, fs, &tracker);
-    // On a machine room with an interconnect, a streamed tenant draws
-    // its fair share of the shared link — the stream-plane twin of
-    // stored tenants sharing the servers.
-    if backend.in_transit() {
-        if let StorageAttach::Fabric(h) = &storage {
-            if let Some(net) = h.stream_link() {
-                backend.attach_network(net);
-            }
-        }
-    }
     let mut producer = AmrProducer {
         cfg,
         src,

@@ -30,7 +30,7 @@
 
 use crate::campaign::{
     run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
-    run_campaign_timed_serial, FabricSettings, RunSummary,
+    run_campaign_timed_serial, RunSummary,
 };
 use crate::config::{CastroSedovConfig, Engine};
 use crate::spec::{ExperimentSpec, SpecCell, SpecError};
@@ -130,13 +130,7 @@ fn execute_cell(
             .collect();
         let memo = Some((memo, cell.solo_key.as_str()));
         return Ok(match tenancy {
-            Tenancy::Fleet => {
-                let settings = FabricSettings {
-                    memo,
-                    ..Default::default()
-                };
-                run_campaign_fabric(&clones, storage, &settings)
-            }
+            Tenancy::Fleet => run_campaign_fabric(&clones, storage, memo),
             Tenancy::Clones => run_campaign_fabric_cloned(&clones, storage, memo),
         });
     }
@@ -423,7 +417,7 @@ pub fn run_spec(
 /// time in spec order, tenancy cells priced as a fleet of N runs
 /// ([`run_campaign_fabric`] — no clone mirroring). The solo baseline
 /// still goes through a per-invocation memo, because that defines the
-/// solo columns' semantics (see [`FabricSettings::memo`]); the first
+/// solo columns' semantics (see [`run_campaign_fabric`]); the first
 /// pending cell per [`SpecCell::solo_key`] fills it in spec order,
 /// exactly the cell the parallel executor's chains elect. The parallel
 /// executor must be indistinguishable from this by results — same

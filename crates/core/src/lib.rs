@@ -41,7 +41,7 @@ pub mod store;
 
 pub use campaign::{
     run_campaign, run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
-    run_campaign_timed_serial, table3_campaign, FabricSettings, RunSummary,
+    run_campaign_timed_serial, table3_campaign, RunSummary,
 };
 pub use cases::{big8192, case27, case4, case4_hydro_scaled};
 pub use compare::{compare_with_macsio, Comparison};

@@ -104,7 +104,7 @@ pub struct RunResult {
     pub net_wall: f64,
     /// Simulated seconds the producer stalled on consumer-window
     /// back-pressure (inside `plot_wall`/`check_wall`, disjoint from
-    /// `net_wall`) — accounted like the staging pool's `staging_wait`.
+    /// `net_wall`).
     pub window_stall: f64,
     /// Burst timeline (empty without a storage model).
     pub timeline: BurstTimeline,

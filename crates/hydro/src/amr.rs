@@ -604,7 +604,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::state::{UEDEN, URHO};
-    use crate::test_support::{boxed, level_bits, random_level};
+    use crate::test_support::{boxed, multifab_bits, random_level};
     use proptest::prelude::*;
 
     /// A coarse level over a domain with a negative low corner and a fine
@@ -653,17 +653,17 @@ mod tests {
             let (mut a, mut b) = (fine.clone(), fine.clone());
             interp_ghosts_from_coarse(&mut a, &coarse, ratio, &fdomain);
             reference::interp_ghosts_from_coarse(&mut b, &coarse, ratio, &fdomain);
-            prop_assert_eq!(level_bits(&a), level_bits(&b), "interp");
+            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "interp");
 
             let (mut a, mut b) = (fine.clone(), fine.clone());
             prolongate(&mut a, &coarse, ratio);
             reference::prolongate(&mut b, &coarse, ratio);
-            prop_assert_eq!(level_bits(&a), level_bits(&b), "prolongate");
+            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "prolongate");
 
             let (mut a, mut b) = (coarse.clone(), coarse);
             average_down(&fine, &mut a, ratio);
             reference::average_down(&fine, &mut b, ratio);
-            prop_assert_eq!(level_bits(&a), level_bits(&b), "average_down");
+            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "average_down");
         }
     }
 

@@ -585,7 +585,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::state::{UMX, UMY};
-    use crate::test_support::{boxed, fab_bits, level_bits, random_fab, random_level, KINDS};
+    use crate::test_support::{boxed, fab_bits, multifab_bits, random_fab, random_level, KINDS};
     use amr_mesh::prelude::*;
     use proptest::prelude::*;
 
@@ -666,7 +666,7 @@ mod tests {
             let mut oracle = mf.clone();
             apply_outflow_bc(&mut mf, &domain);
             reference::apply_outflow_bc(&mut oracle, &domain);
-            prop_assert_eq!(level_bits(&mf), level_bits(&oracle));
+            prop_assert_eq!(multifab_bits(&mf), multifab_bits(&oracle));
         }
     }
 

@@ -129,7 +129,7 @@ pub fn random_level(domain: IndexBox, max: Coord, ngrow: Coord, seed: u64, kind:
 }
 
 /// Every stored bit of every fab of `mf`, ghosts included.
-pub fn level_bits(mf: &MultiFab) -> Vec<u64> {
+pub fn multifab_bits(mf: &MultiFab) -> Vec<u64> {
     (0..mf.nfabs()).flat_map(|i| fab_bits(mf.fab(i))).collect()
 }
 

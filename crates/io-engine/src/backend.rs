@@ -3,7 +3,6 @@
 use crate::selection::ReadSelection;
 use bytes::Bytes;
 use iosim::{IoKey, IoKind, ReadRequest, WriteRequest};
-use mpi_sim::NetworkModel;
 use std::io;
 
 /// Payload of one [`Put`]: real bytes, or a size for account-only runs
@@ -221,7 +220,7 @@ pub struct StepStats {
     /// (latency + bytes/bandwidth; 0 for storage-backed backends).
     pub net_seconds: f64,
     /// Producer seconds stalled on consumer-window back-pressure this
-    /// step — accounted like `staging_wait`, never negative.
+    /// step, never negative.
     pub window_stall: f64,
 }
 
@@ -341,14 +340,6 @@ pub trait IoBackend: Send {
     /// so streamed runs touch zero physical bytes end to end.
     fn in_transit(&self) -> bool {
         false
-    }
-
-    /// Replaces the backend's interconnect link (no-op for
-    /// storage-backed backends). The fabric uses this to hand streamed
-    /// tenants their fair share of a shared link the way stored tenants
-    /// share servers; wrappers delegate to their inner backend.
-    fn attach_network(&mut self, net: NetworkModel) {
-        let _ = net;
     }
 
     /// Opens a step. `container` is the logical directory of the dump

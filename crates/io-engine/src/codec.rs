@@ -16,8 +16,6 @@
 //!   packed bits per value (the AMRIC-style error-bounded reduction).
 //!   The encoded size is a pure function of the logical size, so the
 //!   account-only oracle path and the materialized path agree exactly.
-//!   Quantization precision can be overridden per AMR level and per field
-//!   (path substring), modeling per-level/per-field error bounds.
 //!
 //! Codecs also carry a modeled CPU cost ([`Codec::cpu_ns_per_byte`], per
 //! *logical* byte) which the burst scheduler charges as application
@@ -35,8 +33,7 @@ pub struct CodecContext<'a> {
     pub level: u32,
     /// Data or metadata classification.
     pub kind: IoKind,
-    /// Logical file path of the put (field-specific overrides match on
-    /// path substrings).
+    /// Logical file path of the put.
     pub path: &'a str,
 }
 
@@ -253,13 +250,8 @@ pub const QUANT_BLOCK_HEADER: u64 = 16;
 /// Block-wise lossy quantization of `f64` fields (see module docs).
 #[derive(Clone, Debug)]
 pub struct LossyQuant {
-    /// Default packed bits per value (1..=16).
+    /// Packed bits per value (1..=16).
     pub bits: u8,
-    /// Per-level overrides, indexed by AMR level (last entry repeats for
-    /// deeper levels). Empty means "use `bits` everywhere".
-    pub level_bits: Vec<u8>,
-    /// Per-field overrides: `(path substring, bits)` — first match wins.
-    pub field_bits: Vec<(String, u8)>,
     /// Modeled CPU cost per logical byte (ns).
     pub cpu_ns: f64,
 }
@@ -268,44 +260,7 @@ impl LossyQuant {
     /// A quantizer packing `bits` bits per value everywhere.
     pub fn new(bits: u8) -> Self {
         assert!((1..=16).contains(&bits), "LossyQuant: bits must be 1..=16");
-        Self {
-            bits,
-            level_bits: Vec::new(),
-            field_bits: Vec::new(),
-            cpu_ns: 1.5,
-        }
-    }
-
-    /// Sets per-level precisions (index = level; last repeats).
-    pub fn with_level_bits(mut self, level_bits: &[u8]) -> Self {
-        assert!(
-            level_bits.iter().all(|b| (1..=16).contains(b)),
-            "LossyQuant: level bits must be 1..=16"
-        );
-        self.level_bits = level_bits.to_vec();
-        self
-    }
-
-    /// Adds a per-field precision override matched as a path substring.
-    pub fn with_field_bits(mut self, field: impl Into<String>, bits: u8) -> Self {
-        assert!((1..=16).contains(&bits), "LossyQuant: bits must be 1..=16");
-        self.field_bits.push((field.into(), bits));
-        self
-    }
-
-    /// The precision used for one put.
-    pub fn bits_for(&self, ctx: &CodecContext<'_>) -> u8 {
-        for (field, bits) in &self.field_bits {
-            if ctx.path.contains(field.as_str()) {
-                return *bits;
-            }
-        }
-        if self.level_bits.is_empty() {
-            self.bits
-        } else {
-            let idx = (ctx.level as usize).min(self.level_bits.len() - 1);
-            self.level_bits[idx]
-        }
+        Self { bits, cpu_ns: 1.5 }
     }
 
     /// Exact encoded size of `nvals` values plus `tail` raw bytes.
@@ -329,8 +284,8 @@ impl Codec for LossyQuant {
         false
     }
 
-    fn encode(&self, data: &[u8], ctx: &CodecContext<'_>) -> Vec<u8> {
-        let bits = self.bits_for(ctx) as u32;
+    fn encode(&self, data: &[u8], _ctx: &CodecContext<'_>) -> Vec<u8> {
+        let bits = self.bits as u32;
         let nvals = (data.len() / 8) as u64;
         let tail = data.len() - nvals as usize * 8;
         let mut out = Vec::with_capacity(Self::size_for(bits as u8, nvals, tail as u64) as usize);
@@ -388,8 +343,8 @@ impl Codec for LossyQuant {
         out
     }
 
-    fn decode(&self, data: &[u8], logical_len: u64, ctx: &CodecContext<'_>) -> Vec<u8> {
-        let bits = self.bits_for(ctx) as u32;
+    fn decode(&self, data: &[u8], logical_len: u64, _ctx: &CodecContext<'_>) -> Vec<u8> {
+        let bits = self.bits as u32;
         let nvals = (logical_len / 8) as usize;
         let tail = (logical_len % 8) as usize;
         let mut out = Vec::with_capacity(logical_len as usize);
@@ -424,8 +379,8 @@ impl Codec for LossyQuant {
         out
     }
 
-    fn encoded_size(&self, logical: u64, ctx: &CodecContext<'_>) -> u64 {
-        let bits = self.bits_for(ctx);
+    fn encoded_size(&self, logical: u64, _ctx: &CodecContext<'_>) -> u64 {
+        let bits = self.bits;
         let nvals = logical / 8;
         let tail = logical % 8;
         Self::size_for(bits, nvals, tail).min(logical)
@@ -777,22 +732,6 @@ mod tests {
             Codec::decode(&c, &enc, data.len() as u64, &ctx(0, "/f")),
             data
         );
-    }
-
-    #[test]
-    fn quant_per_level_and_per_field_overrides() {
-        let c = LossyQuant::new(8)
-            .with_level_bits(&[12, 8, 4])
-            .with_field_bits("density", 16);
-        assert_eq!(c.bits_for(&ctx(0, "/p/L0/a")), 12);
-        assert_eq!(c.bits_for(&ctx(1, "/p/L1/a")), 8);
-        assert_eq!(c.bits_for(&ctx(5, "/p/L5/a")), 4, "last entry repeats");
-        assert_eq!(c.bits_for(&ctx(0, "/p/density_0")), 16, "field wins");
-        // Deeper levels produce smaller physical sizes for the same bytes.
-        let logical = 80_000u64;
-        let l0 = c.encoded_size(logical, &ctx(0, "/p/L0/a"));
-        let l2 = c.encoded_size(logical, &ctx(2, "/p/L2/a"));
-        assert!(l2 < l0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   is exactly [`crate::IoBackend::read_step`].
 //! * [`ReadSelection::Level`] — chunks of one AMR level.
 //! * [`ReadSelection::Field`] — chunks whose logical path contains a
-//!   substring (the same matching rule the codec's per-field overrides
-//!   use; for workloads that name fields in their paths this is a
+//!   substring (for workloads that name fields in their paths this is a
 //!   by-variable query).
 //! * [`ReadSelection::Box`] — a rectangular box in the retained key
 //!   space: an inclusive `(level, task)` range. Spatial queries lower to
@@ -130,12 +129,6 @@ impl ReadSelection {
                 b.level_lo, b.level_hi, b.task_lo, b.task_hi
             ),
         }
-    }
-
-    /// True for the whole-step selection (lets callers keep the plain
-    /// restart path).
-    pub fn is_full(&self) -> bool {
-        matches!(self, ReadSelection::Full)
     }
 
     /// True when a chunk written under `key` at logical `path` belongs to

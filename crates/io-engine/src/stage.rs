@@ -172,12 +172,6 @@ impl<'a> CompressionStage<'a> {
         }
     }
 
-    /// True when the stage encodes at seal time, fanning out the steps
-    /// that carry real bytes.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Sidecar path for a step under `container`.
     fn sidecar_path(container: &str, step: u32) -> String {
         let base = container.trim_end_matches('/');
@@ -220,10 +214,6 @@ impl IoBackend for CompressionStage<'_> {
 
     fn in_transit(&self) -> bool {
         self.inner.in_transit()
-    }
-
-    fn attach_network(&mut self, net: mpi_sim::NetworkModel) {
-        self.inner.attach_network(net);
     }
 
     fn begin_step(&mut self, step: u32, container: &str) {

@@ -25,8 +25,7 @@
 //!   storage bursts;
 //! * **network** — a new priced column: shipped bytes cost
 //!   [`NetworkModel::transfer_seconds`] on the simulated clock, plus a
-//!   producer stall whenever the bounded consumer window is full
-//!   (accounted like the deferred backend's `staging_wait`).
+//!   producer stall whenever the bounded consumer window is full.
 //!
 //! The consumer window is a fluid model: the consumer drains at a fixed
 //! byte rate while the producer pushes at link bandwidth. When the
@@ -141,8 +140,7 @@ impl<'a> Streaming<'a> {
     /// window only empties — no stall. With `c < b` the window fills at
     /// rate `b - c` until the cap, after which the producer is
     /// throttled to `c`; the extra time past the unthrottled push is
-    /// the `window_stall` (the exact analogue of the staged burst's
-    /// `staging_wait = handoff - base`).
+    /// the `window_stall`.
     fn ship(&mut self, bytes: u64) -> (f64, f64) {
         let b = self.net.link_bandwidth;
         let c = self.consumer_rate;
@@ -195,10 +193,6 @@ impl IoBackend for Streaming<'_> {
 
     fn in_transit(&self) -> bool {
         true
-    }
-
-    fn attach_network(&mut self, net: NetworkModel) {
-        self.net = net;
     }
 
     fn begin_step(&mut self, step: u32, _container: &str) {
@@ -412,16 +406,5 @@ mod tests {
         assert_eq!(report.bytes, 0);
         assert_eq!(report.logical_bytes, 6);
         assert_eq!(b.net_bytes(), 6);
-    }
-
-    #[test]
-    fn attach_network_swaps_the_link() {
-        let tracker = IoTracker::new();
-        let mut b = Streaming::new(&tracker, NetworkModel::ideal(1e6), None, None);
-        b.attach_network(NetworkModel::ideal(2e6));
-        b.begin_step(1, "/");
-        b.put(put(1, 0, 0, "/f", &[0u8; 100])).unwrap();
-        let stats = b.end_step().unwrap();
-        assert!((stats.net_seconds - 100.0 / 2e6).abs() < 1e-15);
     }
 }

@@ -10,26 +10,16 @@
 //! [`StorageModel`] pricing rule and served by the one processor-sharing
 //! server (`server.rs`) a private model runs to exhaustion — the fabric
 //! only keeps every server live, interleaves their events in global time
-//! order, and supplies the rate policy. A solo tenant's results are
+//! order, and books what each tenant lost. A solo tenant's results are
 //! therefore **bit-identical** to [`StorageModel::simulate_burst`] /
 //! [`StorageModel::simulate_read_burst`].
 //!
-//! On top of plain fair sharing the fabric layers:
+//! Every request on a server gets an equal share of it (fair processor
+//! sharing). On top of that the fabric layers:
 //!
-//! * **QoS** ([`QosPolicy`]): per-tenant priority weights (a tenant's
-//!   requests get `weight`-proportional shares of each server) and
-//!   optional per-tenant bandwidth caps (a fraction of every server's
-//!   bandwidth; excess redistributes to uncapped tenants by
-//!   water-filling).
-//! * **A bounded staging pool** ([`Fabric::with_staging`]): deferred
-//!   backends hand bursts to a shared burst-buffer; when the pool is
-//!   exhausted a new handoff back-pressures (the application blocks)
-//!   until an in-flight drain releases space.
 //! * **An interference plane** ([`TenantStats`]): shared vs
-//!   solo-equivalent wall (the slowdown factor), plus lost service
-//!   seconds split into *contention* (other tenants on my servers) and
-//!   *throttling* (my own QoS cap), and seconds spent waiting for
-//!   staging space.
+//!   solo-equivalent wall (the slowdown factor), plus the service
+//!   seconds lost to other tenants' traffic (*contention*).
 //! * **Clone groups** ([`Fabric::tenant_clones`]): N identical tenants
 //!   driven by one handle. Each of their requests is one server record
 //!   standing for all N (`copies = N`), so an N-tenant cell costs what a
@@ -39,12 +29,11 @@
 //! # One event loop
 //!
 //! A tenant is a future: a run is an `async` body whose only await
-//! points are its fabric bursts and staging grants. [`Fabric::run`]
-//! drives every tenant on the calling thread. It polls each live tenant,
-//! in tenant order, until each one waits on the fabric or returns; then
-//! the engine takes one decision — grant one staging waiter, or advance
-//! the event clock to the next burst resolution — and the loop polls
-//! again. The engine decides only while every live tenant waits, so all
+//! points are its fabric bursts. [`Fabric::run`] drives every tenant on
+//! the calling thread. It polls each live tenant, in tenant order, until
+//! each one waits on the fabric or returns; then the engine advances the
+//! event clock to the next burst resolution, and the loop polls again.
+//! The engine advances only while every live tenant waits, so all
 //! arrivals before the next completion are known: events are processed
 //! in global time order and results are a pure function of the tenants'
 //! programs. Register every tenant before the first burst.
@@ -79,76 +68,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 
-use mpi_sim::NetworkModel;
-
 use crate::schedule::BurstScheduler;
-use crate::server::{Job, RatePolicy, Rates, ServerState};
+use crate::server::{Job, RatePolicy, ServerState};
 use crate::storage::{BurstResult, Class, Priced, ReadRequest, StorageModel, WriteRequest};
-
-/// Per-tenant quality-of-service policy on the fabric.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QosPolicy {
-    /// Priority weight: a tenant's requests receive `weight`-proportional
-    /// shares of each server they occupy (default 1.0 = fair share).
-    pub weight: f64,
-    /// Optional hard cap, as a fraction of *each* server's bandwidth in
-    /// `(0, 1]`; bandwidth the cap forfeits redistributes to uncapped
-    /// tenants (water-filling).
-    pub bandwidth_cap: Option<f64>,
-}
-
-impl Default for QosPolicy {
-    fn default() -> Self {
-        Self {
-            weight: 1.0,
-            bandwidth_cap: None,
-        }
-    }
-}
-
-impl QosPolicy {
-    /// A fair-share policy with priority `weight`.
-    ///
-    /// # Panics
-    /// Panics unless `weight` is finite and positive.
-    pub fn weighted(weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "QosPolicy: weight must be finite and positive"
-        );
-        Self {
-            weight,
-            bandwidth_cap: None,
-        }
-    }
-
-    /// A default-weight policy capped at `frac` of each server.
-    ///
-    /// # Panics
-    /// Panics unless `frac` is in `(0, 1]`.
-    pub fn capped(frac: f64) -> Self {
-        assert!(
-            frac > 0.0 && frac <= 1.0,
-            "QosPolicy: bandwidth cap must be in (0, 1]"
-        );
-        Self {
-            weight: 1.0,
-            bandwidth_cap: Some(frac),
-        }
-    }
-
-    fn is_default(&self) -> bool {
-        self.weight == 1.0 && self.bandwidth_cap.is_none()
-    }
-}
 
 /// Interference metrics for one tenant of a [`Fabric`].
 ///
-/// Stall fields are *lost service seconds*: over each event interval the
-/// engine integrates the gap between the rate a request would have had
-/// with the tenant alone on the machine and the rate it actually got,
-/// attributing the loss to other tenants' traffic (`contention_stall`)
-/// or to the tenant's own bandwidth cap (`throttle_stall`).
+/// `contention_stall` is *lost service seconds*: over each event interval
+/// the engine integrates the gap between the rate a request would have
+/// had with the tenant alone on the machine and the rate it actually got.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantStats {
     /// Tenant slot index (registration order).
@@ -169,10 +97,6 @@ pub struct TenantStats {
     pub solo_wall: f64,
     /// Service seconds lost to other tenants' traffic.
     pub contention_stall: f64,
-    /// Service seconds lost to the tenant's own QoS bandwidth cap.
-    pub throttle_stall: f64,
-    /// Seconds the application blocked waiting for staging-pool space.
-    pub staging_wait: f64,
 }
 
 impl TenantStats {
@@ -298,79 +222,9 @@ struct PendingBurst {
     finish: Vec<f64>,
 }
 
-/// One staging-pool allocation, held from burst handoff until the drain
-/// completes (`released_at`).
-#[derive(Debug)]
-struct StagingAlloc {
-    burst: u64,
-    bytes: u64,
-    released_at: Option<f64>,
-}
-
-/// A tenant waiting for staging space.
-#[derive(Debug)]
-struct StagingWaiter {
-    tenant: usize,
-    burst: u64,
-    base: f64,
-    bytes: u64,
-    granted: Option<f64>,
-}
-
-#[derive(Debug, Default)]
-struct StagingState {
-    capacity: u64,
-    allocs: Vec<StagingAlloc>,
-    waiters: Vec<StagingWaiter>,
-}
-
-impl StagingState {
-    /// Earliest handoff time `τ ≥ base` at which `bytes` fit, treating
-    /// unresolved allocations as permanently occupying (they resolve in
-    /// global completion-time order, so by the time resolved releases
-    /// suffice every earlier release is known). `None` means "not yet
-    /// determinable — advance the engine".
-    fn try_grant(&self, base: f64, bytes: u64) -> Option<f64> {
-        if bytes > self.capacity {
-            // A burst larger than the whole pool proceeds only with the
-            // pool to itself (everything else drained).
-            if self.allocs.iter().any(|a| a.released_at.is_none()) {
-                return None;
-            }
-            return Some(
-                self.allocs
-                    .iter()
-                    .filter_map(|a| a.released_at)
-                    .fold(base, f64::max),
-            );
-        }
-        let occupied_at = |tau: f64| -> u64 {
-            self.allocs
-                .iter()
-                .filter(|a| a.released_at.is_none_or(|r| r > tau))
-                .map(|a| a.bytes)
-                .sum()
-        };
-        if occupied_at(base) + bytes <= self.capacity {
-            return Some(base);
-        }
-        let mut releases: Vec<f64> = self
-            .allocs
-            .iter()
-            .filter_map(|a| a.released_at)
-            .filter(|&r| r > base)
-            .collect();
-        releases.sort_by(f64::total_cmp);
-        releases
-            .into_iter()
-            .find(|&tau| occupied_at(tau) + bytes <= self.capacity)
-    }
-}
-
 /// One registered tenant.
 #[derive(Debug)]
 struct TenantSlot {
-    qos: QosPolicy,
     /// Bursts submitted so far (tenant-local sequence for ordering).
     seq: u64,
     stats: TenantStats,
@@ -395,146 +249,40 @@ struct Engine {
     /// Resolved bursts' per-request finish times, until their owners
     /// collect them.
     results: HashMap<u64, Vec<f64>>,
-    /// Engine time: the latest resolution (bursts only ever arrive at or
-    /// after it — the conservative-advance causality invariant).
-    time: f64,
     next_burst: u64,
-    staging: Option<StagingState>,
-    /// The fabric's interconnect, when one is attached: streamed
-    /// (in-transit) tenants split its bandwidth instead of the servers'.
-    link: Option<NetworkModel>,
-    /// How many registered tenants stream over the shared link.
-    stream_tenants: usize,
 }
 
 /// One server's active jobs by tenant: `(tenant, job count)`, ascending
-/// by tenant index so float sums over groups are deterministic. With
-/// `clones`, a record counts once for every tenant of its clone range
-/// (the groups QoS shares are split over); without, once for its own
-/// tenant — all an equal split needs, as a mirror's count is its
-/// leader's.
-fn tenant_groups(active: &[Job], clones: bool) -> Vec<(usize, usize)> {
+/// by tenant index. A record counts once for its own tenant — all an
+/// equal split needs, as a clone group's mirrors count what its leader
+/// does.
+fn tenant_groups(active: &[Job]) -> Vec<(usize, usize)> {
     let mut groups: Vec<(usize, usize)> = Vec::new();
     for j in active {
-        let span = if clones { j.copies } else { 1 };
-        for tenant in j.tenant..j.tenant + span {
-            match groups.binary_search_by_key(&tenant, |g| g.0) {
-                Ok(i) => groups[i].1 += 1,
-                Err(i) => groups.insert(i, (tenant, 1)),
-            }
+        match groups.binary_search_by_key(&j.tenant, |g| g.0) {
+            Ok(i) => groups[i].1 += 1,
+            Err(i) => groups.insert(i, (j.tenant, 1)),
         }
     }
     groups
 }
 
-/// The index of `tenant`'s group.
-fn group_of(groups: &[(usize, usize)], tenant: usize) -> usize {
-    groups
-        .binary_search_by_key(&tenant, |g| g.0)
-        .expect("every active job's tenant has a group")
-}
-
-/// Uncapped weight-proportional server shares per tenant group (the
-/// "fair" reference throttling is measured against).
-fn fair_shares(groups: &[(usize, usize)], tenants: &[TenantSlot]) -> Vec<f64> {
-    let weight = |&(t, c): &(usize, usize)| tenants[t].qos.weight * c as f64;
-    let total: f64 = groups.iter().map(weight).sum();
-    groups.iter().map(|g| weight(g) / total).collect()
-}
-
-/// Weighted + capped server shares per tenant group, by water-filling:
-/// capped tenants clamp to their cap, the freed bandwidth redistributes
-/// weight-proportionally among the rest.
-fn water_fill(groups: &[(usize, usize)], tenants: &[TenantSlot]) -> Vec<f64> {
-    let mut binding = vec![false; groups.len()];
-    let mut share = vec![0.0; groups.len()];
-    loop {
-        let cap_sum: f64 = groups
-            .iter()
-            .enumerate()
-            .filter(|&(g, _)| binding[g])
-            .map(|(_, &(t, _))| tenants[t].qos.bandwidth_cap.unwrap_or(1.0))
-            .sum();
-        let denom: f64 = groups
-            .iter()
-            .enumerate()
-            .filter(|&(g, _)| !binding[g])
-            .map(|(_, &(t, c))| tenants[t].qos.weight * c as f64)
-            .sum();
-        let remaining = (1.0 - cap_sum).max(0.0);
-        let mut changed = false;
-        for (g, &(t, c)) in groups.iter().enumerate() {
-            if binding[g] {
-                share[g] = tenants[t].qos.bandwidth_cap.unwrap_or(1.0);
-                continue;
-            }
-            let s = if denom > 0.0 {
-                remaining * tenants[t].qos.weight * c as f64 / denom
-            } else {
-                0.0
-            };
-            if let Some(cap) = tenants[t].qos.bandwidth_cap {
-                if s > cap {
-                    binding[g] = true;
-                    changed = true;
-                    share[g] = cap;
-                    continue;
-                }
-            }
-            share[g] = s;
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Infeasible cap sets (> 1.0 combined) scale down proportionally so
-    // every request keeps a positive rate.
-    let total: f64 = share.iter().sum();
-    if total > 1.0 {
-        for s in &mut share {
-            *s /= total;
-        }
-    }
-    share
-}
-
-/// The fabric's rate policy is its tenant table: [`QosPolicy`] decides
-/// the rates, [`TenantStats`] takes the attribution.
+/// The fabric's rate policy is its tenant table: [`TenantStats`] takes
+/// the attribution.
 impl RatePolicy for [TenantSlot] {
-    fn unequal_rates(&self, active: &[Job]) -> Option<Vec<f64>> {
-        if active.iter().all(|j| self[j.tenant].qos.is_default()) {
-            return None;
-        }
-        let groups = tenant_groups(active, true);
-        let share = water_fill(&groups, self);
-        let rate = |j: &Job| {
-            let g = group_of(&groups, j.tenant);
-            share[g] / groups[g].1 as f64
-        };
-        Some(active.iter().map(rate).collect())
-    }
-
     /// Lost service is the gap to the rate a job would have had with its
-    /// tenant alone on the server; the part of it below the tenant's
-    /// uncapped fair rate is its own cap's doing (throttle), the rest is
-    /// other tenants' traffic (contention). An equal split *is* the fair
-    /// rate, so all of its loss is contention. A clone group's loss is
-    /// booked on its leader only (the mirrors report the leader's).
-    fn attribute(&mut self, active: &[Job], rates: &Rates, elapsed: f64) {
-        let per_job = matches!(rates, Rates::PerJob(_));
-        let groups = tenant_groups(active, per_job);
-        let fair = per_job.then(|| fair_shares(&groups, self));
-        for (i, j) in active.iter().enumerate() {
-            let g = group_of(&groups, j.tenant);
-            let count = groups[g].1 as f64;
-            let rate = rates.of(i);
-            let lost = ((1.0 / count - rate) * elapsed).max(0.0);
+    /// tenant alone on the server, all of it other tenants' traffic
+    /// (contention). A clone group's loss is booked on its leader only
+    /// (the mirrors report the leader's).
+    fn attribute(&mut self, active: &[Job], rate: f64, elapsed: f64) {
+        let groups = tenant_groups(active);
+        for j in active {
+            let g = groups
+                .binary_search_by_key(&j.tenant, |g| g.0)
+                .expect("every active job's tenant has a group");
+            let lost = ((1.0 / groups[g].1 as f64 - rate) * elapsed).max(0.0);
             if lost > 0.0 {
-                let fair = fair.as_ref().map_or(rate, |fair| fair[g] / count);
-                let throttle = ((fair - rate) * elapsed).max(0.0).min(lost);
-                let stats = &mut self[j.tenant].stats;
-                stats.contention_stall += lost - throttle;
-                stats.throttle_stall += throttle;
+                self[j.tenant].stats.contention_stall += lost;
             }
         }
     }
@@ -547,10 +295,9 @@ impl Engine {
     }
 
     /// Registers the next tenant slot and returns its index.
-    fn push_slot(&mut self, name: &str, qos: QosPolicy, leader: Option<usize>) -> usize {
+    fn push_slot(&mut self, name: &str, leader: Option<usize>) -> usize {
         let tenant = self.tenants.len();
         self.tenants.push(TenantSlot {
-            qos,
             seq: 0,
             stats: TenantStats {
                 tenant,
@@ -562,47 +309,13 @@ impl Engine {
         tenant
     }
 
-    /// One scheduling decision, taken only when every live tenant waits
-    /// on the fabric (the caller guarantees it): first re-check staging
-    /// waiters in tenant order (a grant releases exactly one tenant),
-    /// else advance the event engine to the next burst resolution.
-    fn decide(&mut self) {
-        if let Some(staging) = &mut self.staging {
-            let mut order: Vec<usize> = (0..staging.waiters.len()).collect();
-            order.sort_by_key(|&i| staging.waiters[i].tenant);
-            for i in order {
-                let w = &staging.waiters[i];
-                if w.granted.is_some() {
-                    continue;
-                }
-                if let Some(tau) = staging.try_grant(w.base, w.bytes) {
-                    staging.allocs.push(StagingAlloc {
-                        burst: w.burst,
-                        bytes: w.bytes,
-                        released_at: None,
-                    });
-                    staging.waiters[i].granted = Some(tau);
-                    return;
-                }
-            }
-        }
-        self.advance_until_resolution();
-    }
-
     /// Advances the shared clock, processing per-server events in global
     /// time order, until at least one pending burst fully completes.
     fn advance_until_resolution(&mut self) {
-        assert!(
-            !self.pending.is_empty(),
-            "machine-room deadlock: every live tenant is waiting for \
-             staging space and no drain is in flight to release any \
-             (staging pool too small for the concurrent burst set)"
-        );
         loop {
             let mut best: Option<(f64, usize)> = None;
             for (s, srv) in self.servers.iter().enumerate() {
-                let next =
-                    self.next[s].get_or_insert_with(|| srv.next_event(s, self.tenants.as_slice()));
+                let next = self.next[s].get_or_insert_with(|| srv.next_event(s));
                 let Some(t) = *next else {
                     continue;
                 };
@@ -627,8 +340,6 @@ impl Engine {
             next,
             pending,
             results,
-            time,
-            staging,
             ..
         } = self;
         let mut resolved_any = false;
@@ -645,20 +356,7 @@ impl Engine {
             // The burst's last request retired: resolve it.
             let done = pending.remove(at);
             results.insert(done.key, done.finish);
-            *time = t;
             resolved_any = true;
-            if let Some(staging) = staging {
-                if let Some(a) = staging.allocs.iter_mut().find(|a| a.burst == done.key) {
-                    a.released_at = Some(t);
-                }
-                // Garbage-collect releases no outstanding waiter (nor
-                // any future one: bases never precede engine time)
-                // can still observe.
-                let floor = staging.waiters.iter().map(|w| w.base).fold(t, f64::min);
-                staging
-                    .allocs
-                    .retain(|a| a.released_at.is_none_or(|r| r > floor));
-            }
         });
         next[s] = None;
         resolved_any
@@ -689,8 +387,7 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric over one storage model. Stage capacity is unbounded until
-    /// [`Fabric::with_staging`] bounds it.
+    /// A fabric over one storage model.
     pub fn new(model: StorageModel) -> Self {
         Self {
             model,
@@ -698,53 +395,12 @@ impl Fabric {
         }
     }
 
-    /// Bounds the shared burst-buffer pool: staged (overlapped-backend)
-    /// handoffs allocate from `bytes` of staging space and back-pressure
-    /// when it is exhausted, until in-flight drains release space.
-    pub fn with_staging(self, bytes: u64) -> Self {
-        {
-            let mut g = self.engine.borrow_mut();
-            assert!(
-                g.tenants.iter().all(|t| t.leader.is_none()),
-                "Fabric::with_staging: clone groups (tenant_clones) do not \
-                 support a bounded staging pool"
-            );
-            g.staging = Some(StagingState {
-                capacity: bytes,
-                ..StagingState::default()
-            });
-        }
-        self
-    }
-
-    /// Attaches a modeled interconnect: streamed (in-transit) tenants
-    /// share this link's bandwidth the way stored tenants share the
-    /// servers. Pair with [`Fabric::set_stream_tenants`]; each streamed
-    /// tenant then draws its fair share via [`FabricHandle::stream_link`].
-    pub fn with_link(self, net: NetworkModel) -> Self {
-        self.engine.borrow_mut().link = Some(net);
-        self
-    }
-
-    /// Declares how many registered tenants stream over the shared link
-    /// (stored tenants never touch it). Zero is treated as one when
-    /// shares are computed, so a lone caller can skip the declaration.
-    pub fn set_stream_tenants(&self, n: usize) {
-        self.engine.borrow_mut().stream_tenants = n;
-    }
-
-    /// Registers a tenant with default (fair-share) QoS. All tenants must
-    /// be registered before any burst is submitted.
-    pub fn tenant(&self, name: &str) -> FabricHandle {
-        self.tenant_with(name, QosPolicy::default())
-    }
-
-    /// Registers a tenant with an explicit QoS policy.
+    /// Registers a tenant.
     ///
     /// # Panics
     /// Panics if any burst has already been submitted: the engine must
     /// know every tenant before it may advance.
-    pub fn tenant_with(&self, name: &str, qos: QosPolicy) -> FabricHandle {
+    pub fn tenant(&self, name: &str) -> FabricHandle {
         let mut g = self.engine.borrow_mut();
         assert!(
             g.next_burst == 0,
@@ -756,7 +412,7 @@ impl Fabric {
             g.next = vec![None; n];
         }
         g.drivers += 1;
-        let tenant = g.push_slot(name, qos, None);
+        let tenant = g.push_slot(name, None);
         FabricHandle {
             model: self.model,
             engine: Rc::clone(&self.engine),
@@ -790,21 +446,13 @@ impl Fabric {
     /// driver and resolves its waits inline.
     ///
     /// # Panics
-    /// Panics if `names` is empty, if any burst was already submitted, or
-    /// if the fabric has a bounded staging pool (clone groups and staged
-    /// back-pressure are mutually exclusive; spec throughput cells run
-    /// unstaged).
+    /// Panics if `names` is empty or if any burst was already submitted.
     pub fn tenant_clones(&self, names: &[&str]) -> FabricHandle {
         assert!(!names.is_empty(), "Fabric::tenant_clones: empty group");
         let mut first = self.tenant(names[0]);
         let mut g = self.engine.borrow_mut();
-        assert!(
-            names.len() == 1 || g.staging.is_none(),
-            "Fabric::tenant_clones: clone groups do not support a \
-             bounded staging pool"
-        );
         for name in &names[1..] {
-            g.push_slot(name, QosPolicy::default(), Some(first.tenant));
+            g.push_slot(name, Some(first.tenant));
         }
         first.mirrors = names.len() - 1;
         first
@@ -813,8 +461,7 @@ impl Fabric {
     /// Drives every tenant's run to completion on the calling thread and
     /// returns their results in tenant order. Each round polls every
     /// live tenant in order, until it waits on this fabric or returns,
-    /// then takes one engine decision: grant one staging waiter (in
-    /// tenant order), or advance the clock to the next burst resolution.
+    /// then advances the clock to the next burst resolution.
     ///
     /// Pass one future per driving handle, all registered up front. A
     /// panicking tenant unwinds out of this call with its own payload.
@@ -837,7 +484,7 @@ impl Fabric {
             if !waiting {
                 return out.into_iter().flatten().collect();
             }
-            self.engine.borrow_mut().decide();
+            self.engine.borrow_mut().advance_until_resolution();
         }
     }
 
@@ -895,17 +542,6 @@ impl FabricHandle {
         self.pricing = pricing;
     }
 
-    /// One streamed tenant's share of the fabric's interconnect: the
-    /// link's bandwidth split evenly over the declared stream-tenant
-    /// count ([`NetworkModel::fair_share`]) — static fair sharing, the
-    /// stream-plane analogue of the servers' processor sharing. `None`
-    /// when the fabric has no link attached, in which case an in-transit
-    /// backend keeps the solo link its own spec configured.
-    pub fn stream_link(&self) -> Option<NetworkModel> {
-        let g = self.engine.borrow();
-        g.link.map(|net| net.fair_share(g.stream_tenants.max(1)))
-    }
-
     /// Fabric twin of [`StorageModel::simulate_burst`]: request `start`
     /// times must already be set. Returns once the burst completes on
     /// the shared clock. Solo-tenant results are bit-identical to the
@@ -921,20 +557,6 @@ impl FabricHandle {
             .await
     }
 
-    /// Staged (deferred-backend) write burst: acquires staging-pool space
-    /// for the requests' bytes no earlier than `base` (waiting while the
-    /// pool is full), stamps every request with the granted handoff time,
-    /// then runs the drain. Returns the handoff and the burst result;
-    /// `handoff - base` is time the application lost to back-pressure.
-    pub async fn staged_burst(&self, base: f64, reqs: &mut [WriteRequest]) -> (f64, BurstResult) {
-        let priced = self.model.price(Class::Write, reqs);
-        let (handoff, result) = self.serve_staged(base, &priced).await;
-        for r in reqs.iter_mut() {
-            r.start = handoff;
-        }
-        (handoff, result)
-    }
-
     /// [`FabricHandle::write_burst`] for the fabric's only driver.
     pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
         block_on(self.write_burst(reqs))
@@ -943,15 +565,6 @@ impl FabricHandle {
     /// [`FabricHandle::read_burst`] for the fabric's only driver.
     pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
         block_on(self.read_burst(reqs))
-    }
-
-    /// [`FabricHandle::staged_burst`] for the fabric's only driver.
-    pub fn simulate_staged_burst(
-        &self,
-        base: f64,
-        reqs: &mut [WriteRequest],
-    ) -> (f64, BurstResult) {
-        block_on(self.staged_burst(base, reqs))
     }
 
     /// Serves a priced burst, request `i` arriving at `start_of(i)`, on
@@ -966,51 +579,8 @@ impl FabricHandle {
         }
         let key = self.engine.borrow_mut().new_key();
         self.submit(key, priced, &start_of);
-        let finish = self.wait(|g| g.results.remove(&key)).await;
+        let finish = self.wait(key).await;
         priced.result(finish, start_of)
-    }
-
-    /// [`FabricHandle::staged_burst`] over a priced burst: every request
-    /// arrives at the granted handoff.
-    pub(crate) async fn serve_staged(&self, base: f64, priced: &Priced) -> (f64, BurstResult) {
-        if priced.len() == 0 {
-            return (base, priced.result(Vec::new(), |_| base));
-        }
-        let key = {
-            let mut g = self.engine.borrow_mut();
-            let key = g.new_key();
-            if let Some(staging) = &mut g.staging {
-                staging.waiters.push(StagingWaiter {
-                    tenant: self.tenant,
-                    burst: key,
-                    base,
-                    bytes: priced.total_bytes,
-                    granted: None,
-                });
-            }
-            key
-        };
-        let handoff = self
-            .wait(|g| match &mut g.staging {
-                // An unbounded pool hands off at once.
-                None => Some(base),
-                Some(staging) => {
-                    let waiters = &mut staging.waiters;
-                    let i = waiters
-                        .iter()
-                        .position(|w| w.burst == key && w.granted.is_some())?;
-                    waiters.remove(i).granted
-                }
-            })
-            .await;
-        if handoff > base {
-            self.engine.borrow_mut().tenants[self.tenant]
-                .stats
-                .staging_wait += handoff - base;
-        }
-        self.submit(key, priced, |_| handoff);
-        let finish = self.wait(|g| g.results.remove(&key)).await;
-        (handoff, priced.result(finish, |_| handoff))
     }
 
     /// Reports the run's final shared wall and the scheduler shadow's
@@ -1059,20 +629,21 @@ impl FabricHandle {
         }
     }
 
-    /// Waits until `ready` yields. A fabric's only driver decides for
-    /// itself until it does; with several, the tenant yields to
-    /// [`Fabric::run`], which decides once every live tenant waits.
-    async fn wait<T>(&self, mut ready: impl FnMut(&mut Engine) -> Option<T>) -> T {
+    /// Waits until burst `key` resolves and returns its finish times. A
+    /// fabric's only driver advances the engine itself until it does;
+    /// with several, the tenant yields to [`Fabric::run`], which advances
+    /// once every live tenant waits.
+    async fn wait(&self, key: u64) -> Vec<f64> {
         poll_fn(|_| {
             let mut g = self.engine.borrow_mut();
             loop {
-                if let Some(out) = ready(&mut g) {
-                    return Poll::Ready(out);
+                if let Some(finish) = g.results.remove(&key) {
+                    return Poll::Ready(finish);
                 }
                 if g.drivers > 1 {
                     return Poll::Pending;
                 }
-                g.decide();
+                g.advance_until_resolution();
             }
         })
         .await
@@ -1156,7 +727,6 @@ mod tests {
         // Each lost half the server for 10s: 5 lost service seconds.
         assert!((stats[0].contention_stall - 5.0).abs() < 1e-9);
         assert!((stats[1].contention_stall - 5.0).abs() < 1e-9);
-        assert_eq!(stats[0].throttle_stall, 0.0);
     }
 
     #[test]
@@ -1183,75 +753,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn weighted_tenant_finishes_sooner() {
-        let model = StorageModel::ideal(1, 100.0);
-        let fabric = Fabric::new(model);
-        let tenants = [
-            (
-                fabric.tenant_with("hi", QosPolicy::weighted(3.0)),
-                vec![req(0, "/hi", 600, 0.0)],
-            ),
-            (fabric.tenant("lo"), vec![req(0, "/lo", 600, 0.0)]),
-        ];
-        let results = run_bursts(&fabric, &tenants);
-        let (rhi, rlo) = (&results[0], &results[1]);
-        // hi at 75 B/s finishes its 600 B at t=8; lo got 25 B/s for 8s
-        // (200 B) then the full server: 400 left at 100 B/s -> t=12.
-        assert!((rhi.t_end - 8.0).abs() < 1e-9, "{}", rhi.t_end);
-        assert!((rlo.t_end - 12.0).abs() < 1e-9, "{}", rlo.t_end);
-        assert!(rhi.t_end < rlo.t_end);
-    }
-
-    #[test]
-    fn bandwidth_cap_throttles_and_is_attributed() {
-        let model = StorageModel::ideal(1, 100.0);
-        let fabric = Fabric::new(model);
-        let capped = fabric.tenant_with("capped", QosPolicy::capped(0.25));
-        let r = capped.simulate_burst(&[req(0, "/c", 100, 0.0)]);
-        // Alone but capped at 25 B/s: 100 B take 4s.
-        assert!((r.t_end - 4.0).abs() < 1e-9, "{}", r.t_end);
-        let stats = fabric.tenant_stats();
-        // Lost 3 service seconds (would have finished in 1s solo), all
-        // attributable to the cap, none to contention.
-        assert!((stats[0].throttle_stall - 3.0).abs() < 1e-6, "{:?}", stats);
-        assert!(stats[0].contention_stall.abs() < 1e-9);
-    }
-
-    #[test]
-    fn staging_pool_backpressures_concurrent_staged_bursts() {
-        // Pool fits one 1000-byte staged burst; two tenants hand off at
-        // t=0: the second must wait for the first drain (t=10) before its
-        // handoff, finishing at 20 — full serialization through staging.
-        let model = StorageModel::ideal(1, 100.0);
-        let fabric = Fabric::new(model).with_staging(1000);
-        let (a, b) = (fabric.tenant("a"), fabric.tenant("b"));
-        let mut bursts = [burst("a", 1, 1000, 0.0), burst("b", 1, 1000, 0.0)];
-        let staged = [&a, &b]
-            .into_iter()
-            .zip(&mut bursts)
-            .map(|(h, reqs)| h.staged_burst(0.0, reqs));
-        let [ra, rb]: [(f64, BurstResult); 2] = fabric.run(staged).try_into().unwrap();
-        let (first, second) = if ra.0 <= rb.0 { (ra, rb) } else { (rb, ra) };
-        assert_eq!(first.0, 0.0, "first handoff is immediate");
-        assert!((first.1.t_end - 10.0).abs() < 1e-9);
-        assert!((second.0 - 10.0).abs() < 1e-9, "second staged at drain end");
-        assert!((second.1.t_end - 20.0).abs() < 1e-9);
-        let stats = fabric.tenant_stats();
-        let waited: f64 = stats.iter().map(|s| s.staging_wait).sum();
-        assert!((waited - 10.0).abs() < 1e-9, "{waited}");
-    }
-
-    #[test]
-    fn oversized_staged_burst_proceeds_when_pool_is_empty() {
-        let model = StorageModel::ideal(1, 100.0);
-        let fabric = Fabric::new(model).with_staging(10);
-        let a = fabric.tenant("a");
-        let (handoff, r) = a.simulate_staged_burst(1.0, &mut burst("big", 1, 1000, 0.0));
-        assert_eq!(handoff, 1.0);
-        assert!((r.t_end - 11.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1475,26 +976,5 @@ mod tests {
         assert_eq!(a0, a1);
         assert_eq!(ga, a0, "clone group must price like threaded clones");
         assert_eq!(gb, b);
-    }
-
-    #[test]
-    fn stream_link_is_none_without_a_link() {
-        let fabric = Fabric::new(StorageModel::ideal(1, 100.0));
-        let t = fabric.tenant("solo");
-        assert!(t.stream_link().is_none());
-    }
-
-    #[test]
-    fn stream_link_fair_shares_across_declared_tenants() {
-        let fabric =
-            Fabric::new(StorageModel::ideal(1, 100.0)).with_link(NetworkModel::ideal(1000.0));
-        fabric.set_stream_tenants(4);
-        let t = fabric.tenant("streamer");
-        let net = t.stream_link().expect("link attached");
-        assert!((net.link_bandwidth - 250.0).abs() < 1e-9, "{net:?}");
-        // A lone streamer that never declared a count gets the full link.
-        fabric.set_stream_tenants(0);
-        let solo = t.stream_link().expect("link attached");
-        assert!((solo.link_bandwidth - 1000.0).abs() < 1e-9, "{solo:?}");
     }
 }

@@ -61,7 +61,7 @@ pub mod vfs;
 pub use bytes::Bytes;
 pub use characterize::{characterize, IoCharacterization};
 pub use fabric::{
-    block_on, Fabric, FabricHandle, QosPolicy, SoloMemo, SoloPricing, StorageAttach, TenantStats,
+    block_on, Fabric, FabricHandle, SoloMemo, SoloPricing, StorageAttach, TenantStats,
 };
 pub use schedule::BurstScheduler;
 pub use storage::{BurstResult, ReadRequest, StorageModel, WriteRequest};

@@ -7,6 +7,8 @@
 //! drain that proceeds concurrently with the next compute phase; the
 //! application only stalls when it reaches the next dump before the
 //! previous drain finished (double buffering with one drain in flight).
+//! The stage itself is unbounded: a handoff never waits for buffer space,
+//! on a private model or on the fabric.
 //!
 //! A scheduler drains into either a private [`StorageModel`] or one
 //! tenant's [`FabricHandle`] on a shared [`crate::Fabric`]. Every burst is
@@ -32,14 +34,10 @@ enum Sink<'a> {
 struct Lane {
     /// Completion time of the drain in flight (overlapped mode).
     drain_end: f64,
-    /// Seconds the application waited on drains before write handoffs
-    /// (includes staging-pool back-pressure on the fabric path).
+    /// Seconds the application waited on drains before write handoffs.
     write_stall: f64,
     /// Seconds reads waited barriering an in-flight drain.
     read_stall: f64,
-    /// Fabric only: the share of `write_stall` spent waiting for shared
-    /// staging-pool space rather than this run's own previous drain.
-    staging_wait: f64,
 }
 
 impl Lane {
@@ -51,15 +49,14 @@ impl Lane {
 
     /// Times one burst arriving at application time `clock`: returns its
     /// `(t_start, t_end)` and the clock after the call returns. `drain`
-    /// serves a non-empty burst (`None` is an empty one) no earlier than
-    /// the time it is given — `staged` when the handoff goes through a
-    /// staging buffer — and returns `(handoff, t_end)`.
+    /// serves a non-empty burst (`None` is an empty one) handed off at
+    /// the time it is given and returns its `t_end`.
     async fn admit(
         &mut self,
         overlapped: bool,
         class: Class,
         clock: f64,
-        drain: Option<impl AsyncFnOnce(f64, bool) -> (f64, f64)>,
+        drain: Option<impl AsyncFnOnce(f64) -> f64>,
     ) -> (f64, f64, f64) {
         // An empty write is free: nothing is handed off, nothing waits.
         if drain.is_none() && class == Class::Write {
@@ -72,21 +69,18 @@ impl Lane {
         // Only an overlapped write returns at its handoff: reads are
         // synchronous in both policies.
         let staged = overlapped && class == Class::Write;
-        let (handoff, t_end) = match drain {
-            Some(drain) => drain(base, staged).await,
-            None => (base, base),
+        let t_end = match drain {
+            Some(drain) => drain(base).await,
+            None => base,
         };
         match class {
-            Class::Write => {
-                self.staging_wait += handoff - base;
-                self.write_stall += handoff - clock;
-            }
+            Class::Write => self.write_stall += base - clock,
             Class::Read => self.read_stall += base - clock,
         }
         if staged {
             self.drain_end = t_end;
         }
-        (handoff, t_end, if staged { handoff } else { t_end })
+        (base, t_end, if staged { base } else { t_end })
     }
 }
 
@@ -177,11 +171,11 @@ impl<'a> BurstScheduler<'a> {
             Sink::Model(m) => m.price(class, requests),
             Sink::Fabric(h) => h.model().price(class, requests),
         });
-        // A private drain: handed off when asked, done when served.
-        let solo = |p: &Priced, base| (base, p.serve(|_| base).t_end);
+        // A private drain: done when served.
+        let solo = |p: &Priced, base| p.serve(|_| base).t_end;
         if let Some(sh) = &mut self.shadow {
             sh.advance(clock);
-            let drain = priced.as_ref().map(|p| async move |base, _| solo(p, base));
+            let drain = priced.as_ref().map(|p| async move |base| solo(p, base));
             sh.clock = sh
                 .lane
                 .admit(self.overlapped, class, sh.clock, drain)
@@ -190,13 +184,9 @@ impl<'a> BurstScheduler<'a> {
         }
         let sink = &self.sink;
         let drain = priced.as_ref().map(|p| {
-            async move |base, staged| match sink {
+            async move |base| match sink {
                 Sink::Model(_) => solo(p, base),
-                Sink::Fabric(h) if staged => {
-                    let (handoff, result) = h.serve_staged(base, p).await;
-                    (handoff, result.t_end)
-                }
-                Sink::Fabric(h) => (base, h.serve(p, |_| base).await.t_end),
+                Sink::Fabric(h) => h.serve(p, |_| base).await.t_end,
             }
         });
         let (t_start, t_end, clock_after) =
@@ -275,17 +265,6 @@ impl<'a> BurstScheduler<'a> {
         self.submit(step, clock + compute_seconds, requests, bytes)
     }
 
-    /// [`BurstScheduler::read_burst`], driven in one poll.
-    pub fn submit_read(
-        &mut self,
-        step: u32,
-        clock: f64,
-        requests: &mut [ReadRequest],
-        bytes: u64,
-    ) -> (Burst, f64) {
-        block_on(self.read_burst(step, clock, requests, bytes))
-    }
-
     /// Final wall-clock time: the application clock barriered against any
     /// drain still in flight (the run's closing flush). Pure — safe to
     /// use as a mid-run barrier query.
@@ -315,14 +294,7 @@ impl<'a> BurstScheduler<'a> {
         wall
     }
 
-    /// Seconds the application stalled waiting on in-flight drains
-    /// (writes and reads combined).
-    pub fn stall_time(&self) -> f64 {
-        self.lane.write_stall + self.lane.read_stall
-    }
-
-    /// Stall seconds paid at write handoffs (double-buffer waits, plus
-    /// staging back-pressure on the fabric path).
+    /// Stall seconds paid at write handoffs (double-buffer waits).
     pub fn write_stall(&self) -> f64 {
         self.lane.write_stall
     }
@@ -330,12 +302,6 @@ impl<'a> BurstScheduler<'a> {
     /// Stall seconds paid by reads barriering an in-flight drain.
     pub fn read_stall(&self) -> f64 {
         self.lane.read_stall
-    }
-
-    /// Seconds lost to shared staging-pool back-pressure (always zero on
-    /// the private-model path, which has a dedicated stage).
-    pub fn staging_wait(&self) -> f64 {
-        self.lane.staging_wait
     }
 }
 
@@ -390,7 +356,7 @@ mod tests {
         let (burst2, clock2) = s.submit(2, 4.0, &mut reqs(1, 1000), 1000);
         assert!((clock2 - 10.0).abs() < 1e-9);
         assert!((burst2.t_start - 10.0).abs() < 1e-9);
-        assert!((s.stall_time() - 6.0).abs() < 1e-9);
+        assert!((s.write_stall() - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -448,7 +414,7 @@ mod tests {
         let model = StorageModel::ideal(1, 100.0);
         for overlapped in [false, true] {
             let mut s = BurstScheduler::new(&model, overlapped);
-            let (burst, clock) = s.submit_read(1, 5.0, &mut read_reqs(1, 1000), 1000);
+            let (burst, clock) = block_on(s.read_burst(1, 5.0, &mut read_reqs(1, 1000), 1000));
             assert_eq!(burst.t_start, 5.0);
             assert!((burst.t_end - 15.0).abs() < 1e-9);
             assert_eq!(clock, burst.t_end, "reads never overlap (ov={overlapped})");
@@ -463,10 +429,10 @@ mod tests {
         let (_, clock) = s.submit(1, 0.0, &mut reqs(1, 1000), 1000);
         assert_eq!(clock, 0.0);
         // The restart read at t=2 must wait for the drain, then read.
-        let (burst, clock2) = s.submit_read(1, 2.0, &mut read_reqs(1, 500), 500);
+        let (burst, clock2) = block_on(s.read_burst(1, 2.0, &mut read_reqs(1, 500), 500));
         assert!((burst.t_start - 10.0).abs() < 1e-9, "read-after-write");
         assert!((clock2 - 15.0).abs() < 1e-9);
-        assert!((s.stall_time() - 8.0).abs() < 1e-9);
+        assert!((s.read_stall() - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -483,7 +449,7 @@ mod tests {
     // to the read plane, not the write that caused it) ----
 
     #[test]
-    fn stall_time_never_negative_even_when_clock_outruns_drains() {
+    fn stalls_never_negative_even_when_clock_outruns_drains() {
         let model = StorageModel::ideal(1, 1e6);
         let mut s = BurstScheduler::new(&model, true);
         // Long compute gaps: every handoff happens after the drain ended,
@@ -494,8 +460,7 @@ mod tests {
             let (_, c) = s.submit(step, clock, &mut reqs(2, 1000), 2000);
             clock = c;
         }
-        let (_, c) = s.submit_read(5, clock + 50.0, &mut read_reqs(1, 1000), 1000);
-        assert_eq!(s.stall_time(), 0.0);
+        let (_, c) = block_on(s.read_burst(5, clock + 50.0, &mut read_reqs(1, 1000), 1000));
         assert_eq!(s.write_stall(), 0.0);
         assert_eq!(s.read_stall(), 0.0);
         assert!(s.finish(c) >= c);
@@ -512,11 +477,10 @@ mod tests {
         assert_eq!(c1, 0.0);
         let (_, c2) = s.submit(2, 4.0, &mut reqs(1, 1000), 1000);
         assert!((c2 - 10.0).abs() < 1e-9);
-        let (burst, _) = s.submit_read(3, 12.0, &mut read_reqs(1, 100), 100);
+        let (burst, _) = block_on(s.read_burst(3, 12.0, &mut read_reqs(1, 100), 100));
         assert!((burst.t_start - 20.0).abs() < 1e-9);
         assert!((s.write_stall() - 6.0).abs() < 1e-9);
         assert!((s.read_stall() - 8.0).abs() < 1e-9);
-        assert!((s.stall_time() - 14.0).abs() < 1e-9);
     }
 
     #[test]
@@ -527,7 +491,7 @@ mod tests {
         let model = StorageModel::ideal(1, 100.0);
         let mut s = BurstScheduler::new(&model, true);
         let (_, _) = s.submit(1, 0.0, &mut reqs(1, 1000), 1000);
-        let (burst, clock) = s.submit_read(2, 3.0, &mut [], 0);
+        let (burst, clock) = block_on(s.read_burst(2, 3.0, &mut [], 0));
         assert!((burst.t_start - 10.0).abs() < 1e-9);
         assert!((clock - 10.0).abs() < 1e-9);
         assert!((s.read_stall() - 7.0).abs() < 1e-9);
@@ -557,11 +521,14 @@ mod tests {
                 lc = cl;
                 sc = cs;
             }
-            let (bl, cl) = legacy.submit_read(4, lc + 1.0, &mut read_reqs(3, 30_000), 90_000);
-            let (bs, cs) = shared.submit_read(4, sc + 1.0, &mut read_reqs(3, 30_000), 90_000);
+            let (bl, cl) =
+                block_on(legacy.read_burst(4, lc + 1.0, &mut read_reqs(3, 30_000), 90_000));
+            let (bs, cs) =
+                block_on(shared.read_burst(4, sc + 1.0, &mut read_reqs(3, 30_000), 90_000));
             assert_eq!(bl, bs);
             assert_eq!(cl, cs);
-            assert_eq!(legacy.stall_time(), shared.stall_time());
+            assert_eq!(legacy.write_stall(), shared.write_stall());
+            assert_eq!(legacy.read_stall(), shared.read_stall());
             let wall = shared.seal(cs);
             assert_eq!(wall, legacy.finish(cl), "sealed wall == legacy wall");
             let stats = fabric.tenant_stats();
@@ -634,26 +601,5 @@ mod tests {
         drive(BurstScheduler::on_fabric(group, false));
         let warm_stats = warm.tenant_stats();
         assert_eq!(cold_stats, warm_stats, "memo hit must be bit-identical");
-    }
-
-    #[test]
-    fn fabric_staging_backpressure_counts_as_staging_wait() {
-        let model = StorageModel::ideal(1, 100.0);
-        let fabric = crate::Fabric::new(model).with_staging(1000);
-        let ha = fabric.tenant("a");
-        let hb = fabric.tenant("b");
-        let waits: Vec<(f64, f64)> = fabric.run([ha, hb].map(|h| async move {
-            let mut s = BurstScheduler::on_fabric(h, true);
-            let (_, c) = s.write_burst(1, 0.0, &mut reqs(1, 1000), 1000).await;
-            s.seal(c);
-            (s.staging_wait(), s.write_stall())
-        }));
-        // One of the two handoffs waited 10s for pool space; the wait is
-        // visible both as write stall and specifically as staging wait.
-        let total_staging: f64 = waits.iter().map(|w| w.0).sum();
-        assert!((total_staging - 10.0).abs() < 1e-9, "{waits:?}");
-        for (staging, write) in waits {
-            assert!(write >= staging);
-        }
     }
 }

@@ -9,16 +9,17 @@
 //! *seconds of server demand*, not bytes, which keeps the loop
 //! well-defined for idealized infinite-bandwidth models (`bytes / inf`
 //! is 0, where a byte-domain `latency * bw` term would be NaN and jobs
-//! could never retire). Who decides the rates is the only parameter
-//! ([`RatePolicy`]): an equal split with nothing to attribute for a
-//! private [`crate::StorageModel`], QoS water-filling with stall
-//! attribution for the [`crate::Fabric`].
+//! could never retire). Every copy in the active set progresses at one
+//! rate, one over the copies sharing the server: fair processor sharing.
+//! What is done with the lost service is the only parameter
+//! ([`RatePolicy`]): nothing for a private [`crate::StorageModel`],
+//! contention attribution for the [`crate::Fabric`].
 //!
-//! Servers never interact (requests are pinned to servers by path hash,
-//! QoS caps are per-server fractions), so the same state machine is
-//! driven two ways: a private model loads one server's jobs and runs it
-//! to exhaustion ([`ServerState::run`]); the fabric keeps every server
-//! live and interleaves their events in global time order.
+//! Servers never interact (requests are pinned to servers by path hash),
+//! so the same state machine is driven two ways: a private model loads
+//! one server's jobs and runs it to exhaustion ([`ServerState::run`]);
+//! the fabric keeps every server live and interleaves their events in
+//! global time order.
 
 use std::cmp::Ordering;
 
@@ -58,44 +59,18 @@ impl Job {
     }
 }
 
-/// Who decides how a server's active set shares it. The defaults are the
-/// private model's policy: an equal split, nothing to attribute.
+/// What a server does with the service its active set loses to sharing.
+/// The default is the private model's policy: nothing to attribute.
 pub(crate) trait RatePolicy {
-    /// Per-record service rates (server seconds per second for each
-    /// copy, in `active` order) when the split is not equal; `None` for
-    /// an equal split.
-    /// Called from the next-event scan, so it computes rates only.
-    fn unequal_rates(&self, _active: &[Job]) -> Option<Vec<f64>> {
-        None
-    }
-
     /// Books the service `active` lost over an interval of `elapsed > 0`
-    /// seconds at `rates`.
-    fn attribute(&mut self, _active: &[Job], _rates: &Rates, _elapsed: f64) {}
+    /// seconds, every copy progressing at `rate`.
+    fn attribute(&mut self, _active: &[Job], _rate: f64, _elapsed: f64) {}
 }
 
-/// The private model's policy: [`RatePolicy`]'s defaults.
+/// The private model's policy: [`RatePolicy`]'s default.
 pub(crate) struct EqualSplit;
 
 impl RatePolicy for EqualSplit {}
-
-/// The rates of one event interval.
-pub(crate) enum Rates {
-    /// Every active copy progresses at this rate (`1 / copies`).
-    Equal(f64),
-    /// One rate per active record, in `active` order.
-    PerJob(Vec<f64>),
-}
-
-impl Rates {
-    /// The rate of the `i`-th active record.
-    pub(crate) fn of(&self, i: usize) -> f64 {
-        match self {
-            Rates::Equal(rate) => *rate,
-            Rates::PerJob(rates) => rates[i],
-        }
-    }
-}
 
 /// One server's event state (see the module docs).
 #[derive(Debug, Default)]
@@ -120,47 +95,37 @@ impl ServerState {
         self.queue.sort_by(|a, b| b.order(a));
     }
 
-    fn rates(&self, policy: &(impl RatePolicy + ?Sized)) -> Rates {
-        match policy.unequal_rates(&self.active) {
-            Some(rates) => Rates::PerJob(rates),
-            None => Rates::Equal(1.0 / self.sharing as f64),
-        }
+    /// The rate every active copy progresses at.
+    fn rate(&self) -> f64 {
+        1.0 / self.sharing as f64
     }
 
     /// This server's next event time: its earliest queued arrival or the
-    /// earliest completion of its active set at current rates; `None`
+    /// earliest completion of its active set at the current rate; `None`
     /// when it has nothing left to do.
     ///
     /// # Panics
     /// Panics when a pending request can never complete (a zero or NaN
-    /// bandwidth, or QoS shares that left it no rate); `server` names
-    /// the server in the message.
-    pub(crate) fn next_event(
-        &self,
-        server: usize,
-        policy: &(impl RatePolicy + ?Sized),
-    ) -> Option<f64> {
+    /// bandwidth); `server` names the server in the message.
+    pub(crate) fn next_event(&self, server: usize) -> Option<f64> {
         let arrive = self.queue.last().map(|j| j.arrival);
         let t = if self.active.is_empty() {
             arrive?
         } else {
-            let works = self.active.iter().map(|j| j.work);
             // Dividing by a positive rate and adding `last_t` are
-            // monotone under IEEE rounding, so the least quotient is the
-            // earliest completion — and under an equal split the least
-            // demand is the least quotient.
-            let least = match self.rates(policy) {
-                Rates::Equal(rate) => works.fold(f64::INFINITY, f64::min) / rate,
-                Rates::PerJob(rates) => works
-                    .zip(rates)
-                    .map(|(work, rate)| work / rate)
-                    .fold(f64::INFINITY, f64::min),
-            };
+            // monotone under IEEE rounding, so the least demand is the
+            // earliest completion.
+            let least = self
+                .active
+                .iter()
+                .map(|j| j.work)
+                .fold(f64::INFINITY, f64::min)
+                / self.rate();
             arrive.map_or(self.last_t + least, |a| a.min(self.last_t + least))
         };
         assert!(
             t.is_finite(),
-            "starved request on server {server} (zero bandwidth, or QoS shares left it none)"
+            "starved request on server {server} (zero or NaN bandwidth)"
         );
         Some(t)
     }
@@ -177,12 +142,12 @@ impl ServerState {
     ) {
         if !self.active.is_empty() {
             let elapsed = t - self.last_t;
-            let rates = self.rates(policy);
-            for (i, j) in self.active.iter_mut().enumerate() {
-                j.work -= rates.of(i) * elapsed;
+            let rate = self.rate();
+            for j in &mut self.active {
+                j.work -= rate * elapsed;
             }
             if elapsed > 0.0 {
-                policy.attribute(&self.active, &rates, elapsed);
+                policy.attribute(&self.active, rate, elapsed);
             }
         }
         self.last_t = t;
@@ -208,7 +173,7 @@ impl ServerState {
         policy: &mut impl RatePolicy,
         mut retired: impl FnMut(&Job, f64),
     ) {
-        while let Some(t) = self.next_event(server, policy) {
+        while let Some(t) = self.next_event(server) {
             self.process(t, policy, |j| retired(j, t));
         }
     }

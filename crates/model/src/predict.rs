@@ -123,18 +123,6 @@ impl GrowthPredictor {
         let raw: f64 = x.iter().zip(&self.f_coefs).map(|(a, b)| a * b).sum();
         raw.max(1.0)
     }
-
-    /// Mean absolute prediction error of growth over a held-out set.
-    pub fn growth_mae(&self, observations: &[Observation]) -> f64 {
-        if observations.is_empty() {
-            return 0.0;
-        }
-        observations
-            .iter()
-            .map(|o| (self.predict_growth(o.cfl, o.max_level, o.n_cell) - o.dataset_growth).abs())
-            .sum::<f64>()
-            / observations.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +163,6 @@ mod tests {
             let f = p.predict_f(o.cfl, o.max_level, o.n_cell);
             assert!((f - o.f).abs() < 1e-4, "{f}");
         }
-        assert!(p.growth_mae(&obs) < 1e-6);
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl XySeries {
         }
     }
 
-    /// Per-step (non-cumulative) byte series, ordered by output counter.
-    pub fn per_step_from_tracker(
-        label: impl Into<String>,
-        tracker: &IoTracker,
-    ) -> (String, Vec<(u32, u64)>) {
-        let series: Vec<(u32, u64)> = tracker.bytes_per_step().into_iter().collect();
-        (label.into(), series)
-    }
-
     /// Builds a series from raw `(x, y)` pairs — the bridge from the
     /// results-store query plane (`amrproxy::store::Query::xy`) and any
     /// other tabular source into the regression plane.
@@ -142,12 +133,5 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-12);
         assert!(fit.intercept.abs() < 1e-9);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_step_series_is_not_cumulative() {
-        let t = tracker_with(&[(1, 100), (2, 150)]);
-        let (_, series) = XySeries::per_step_from_tracker("run", &t);
-        assert_eq!(series, vec![(1, 100), (2, 150)]);
     }
 }

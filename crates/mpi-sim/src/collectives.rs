@@ -1,24 +1,8 @@
 //! Collective operations over per-rank values.
 //!
 //! In the simulated runtime a "collective" is a pure function over the
-//! rank-ordered result vector of a rank loop. These helpers mirror the MPI
-//! collectives the AMReX I/O path uses (gathers of byte counts, reductions
-//! of timestep sizes) and keep call sites self-documenting.
-
-/// Sum reduction (MPI_Allreduce with MPI_SUM).
-pub fn allreduce_sum<T>(values: &[T]) -> T
-where
-    T: Copy + std::iter::Sum<T>,
-{
-    values.iter().copied().sum()
-}
-
-/// Minimum reduction (MPI_Allreduce with MPI_MIN) for floats.
-///
-/// Returns `f64::INFINITY` for an empty world.
-pub fn allreduce_min(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::INFINITY, f64::min)
-}
+//! rank-ordered result vector of a rank loop. The one left is the
+//! reduction a rank loop's finish times need.
 
 /// Maximum reduction (MPI_Allreduce with MPI_MAX) for floats.
 ///
@@ -27,49 +11,13 @@ pub fn allreduce_max(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Gather to root (MPI_Gather): clones the rank-ordered values.
-pub fn gather<T: Clone>(values: &[T]) -> Vec<T> {
-    values.to_vec()
-}
-
-/// Exclusive prefix sum (MPI_Exscan with MPI_SUM): element `i` receives the
-/// sum of values from ranks `< i`. Rank 0 receives zero.
-pub fn exscan_sum(values: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0u64;
-    for &v in values {
-        out.push(acc);
-        acc += v;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sum_reduction() {
-        assert_eq!(allreduce_sum(&[1u64, 2, 3]), 6);
-        assert_eq!(allreduce_sum::<u64>(&[]), 0);
-    }
-
-    #[test]
-    fn min_max_reduction() {
-        let v = [3.0, -1.0, 2.0];
-        assert_eq!(allreduce_min(&v), -1.0);
-        assert_eq!(allreduce_max(&v), 3.0);
-        assert_eq!(allreduce_min(&[]), f64::INFINITY);
-    }
-
-    #[test]
-    fn exscan_offsets() {
-        assert_eq!(exscan_sum(&[10, 20, 30]), vec![0, 10, 30]);
-        assert_eq!(exscan_sum(&[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn gather_preserves_order() {
-        assert_eq!(gather(&[5, 6, 7]), vec![5, 6, 7]);
+    fn max_reduction() {
+        assert_eq!(allreduce_max(&[3.0, -1.0, 2.0]), 3.0);
+        assert_eq!(allreduce_max(&[]), f64::NEG_INFINITY);
     }
 }

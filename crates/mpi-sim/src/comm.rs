@@ -84,12 +84,6 @@ impl SimComm {
         self.ranks_per_node
     }
 
-    /// Number of nodes in use.
-    #[inline]
-    pub fn nnodes(&self) -> usize {
-        self.nranks.div_ceil(self.ranks_per_node)
-    }
-
     /// Node hosting `rank`.
     #[inline]
     pub fn node_of(&self, rank: usize) -> usize {
@@ -132,7 +126,6 @@ mod tests {
     #[test]
     fn topology_packing() {
         let c = SimComm::new(7, 3, 0);
-        assert_eq!(c.nnodes(), 3);
         assert_eq!(c.node_of(0), 0);
         assert_eq!(c.node_of(2), 0);
         assert_eq!(c.node_of(3), 1);
@@ -142,7 +135,7 @@ mod tests {
     #[test]
     fn summit_layout() {
         let c = SimComm::summit(1024, 0);
-        assert_eq!(c.nnodes(), 512);
+        assert_eq!(c.node_of(1023), 511);
         assert_eq!(c.ranks_per_node(), 2);
     }
 

@@ -9,7 +9,7 @@
 //! * [`RankCtx`] — per-rank clock and deterministic RNG stream;
 //! * [`clock::barrier`] — synchronization that produces the "burst" I/O
 //!   timing pattern the paper describes;
-//! * [`collectives`] — the reductions/gathers the I/O path needs;
+//! * [`collectives`] — the max-reduction over a rank loop's results;
 //! * [`NetworkModel`] — per-link bandwidth/latency with a
 //!   transfer-timing API on the simulated clock, for in-transit
 //!   streaming backends that ship steps over the interconnect instead

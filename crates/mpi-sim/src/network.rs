@@ -19,8 +19,7 @@
 use crate::clock::SimClock;
 
 /// A point-to-point interconnect link: fixed per-transfer latency plus a
-/// byte rate. Summit's EDR InfiniBand NIC is ~12.5 GB/s per port with
-/// microsecond-scale latency; see [`NetworkModel::summit_nic`].
+/// byte rate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Sustained link bandwidth in bytes per second.
@@ -55,24 +54,6 @@ impl NetworkModel {
     /// A zero-latency link — pure bandwidth, handy in tests.
     pub fn ideal(link_bandwidth: f64) -> Self {
         Self::new(link_bandwidth, 0.0)
-    }
-
-    /// The paper machine's node injection link: one Summit EDR
-    /// InfiniBand port, ~12.5 GB/s with ~10 µs setup.
-    pub fn summit_nic() -> Self {
-        Self::new(12.5e9, 1e-5)
-    }
-
-    /// A link with `1/n`-th of this link's bandwidth (same latency):
-    /// the fair share each of `n` concurrent streams gets — how the
-    /// fabric models streamed tenants sharing one link the way stored
-    /// tenants share servers.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn fair_share(&self, n: usize) -> Self {
-        assert!(n > 0, "NetworkModel: zero-way link share");
-        Self::new(self.link_bandwidth / n as f64, self.link_latency)
     }
 
     /// Seconds a point-to-point transfer of `bytes` occupies the link.
@@ -112,23 +93,6 @@ mod tests {
         let dt = net.send(&mut clock, 2_000_000);
         assert!((dt - 2.0).abs() < 1e-12);
         assert!((clock.now() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fair_share_divides_bandwidth_keeps_latency() {
-        let net = NetworkModel::new(1e9, 1e-5);
-        let share = net.fair_share(4);
-        assert!((share.link_bandwidth - 2.5e8).abs() < 1.0);
-        assert_eq!(share.link_latency, 1e-5);
-        // A solo share is the link itself.
-        assert_eq!(net.fair_share(1), net);
-    }
-
-    #[test]
-    fn summit_nic_is_the_documented_port() {
-        let nic = NetworkModel::summit_nic();
-        assert_eq!(nic.link_bandwidth, 12.5e9);
-        assert_eq!(nic.link_latency, 1e-5);
     }
 
     #[test]

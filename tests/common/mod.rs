@@ -15,16 +15,10 @@ pub fn burst_bits(results: &[BurstResult]) -> Vec<(Vec<u64>, u64)> {
 }
 
 /// Every `TenantStats` field, floats as bits.
-pub type StatsBits = (usize, String, [u64; 3], [u64; 5]);
+pub type StatsBits = (usize, String, [u64; 3], [u64; 3]);
 
 pub fn stats_bits(s: &TenantStats) -> StatsBits {
-    let floats = [
-        s.shared_wall,
-        s.solo_wall,
-        s.contention_stall,
-        s.throttle_stall,
-        s.staging_wait,
-    ];
+    let floats = [s.shared_wall, s.solo_wall, s.contention_stall];
     (
         s.tenant,
         s.name.clone(),

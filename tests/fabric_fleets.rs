@@ -2,11 +2,10 @@
 //! on one [`Fabric`], every simulated float recorded as its bit pattern.
 //!
 //! Two kinds of fleet are pinned. Burst fleets drive 1-4 tenants of
-//! random burst programs (writes, staged writes through a bounded pool
-//! on half of them, trailing reads) under mixed QoS, sometimes beside a
-//! clone group. Campaign fleets run small oracle configurations through
-//! `run_campaign_fabric`: stored, deferred and streamed backends, a
-//! shared link, a QoS pair and a staging pool. Any change to how the
+//! random burst programs (writes, then trailing reads), sometimes with
+//! a clone group in the lead. Campaign fleets run small oracle
+//! configurations through `run_campaign_fabric`: stored, deferred and
+//! streamed backends, and a restart pair. Any change to how the
 //! fabric drives its tenants must reproduce `fixtures/fabric_fleets.txt`
 //! byte for byte. After a change that is meant to move a simulated
 //! number, regenerate it with
@@ -15,14 +14,11 @@
 //! BLESS_GOLDEN=1 cargo test --test fabric_fleets
 //! ```
 
-use amr_proxy_io::amrproxy::{
-    run_campaign_fabric, CastroSedovConfig, Engine, FabricSettings, RunSummary,
-};
+use amr_proxy_io::amrproxy::{run_campaign_fabric, CastroSedovConfig, Engine, RunSummary};
 use amr_proxy_io::io_engine::{BackendSpec, Scenario};
 use amr_proxy_io::iosim::{
-    BurstResult, Fabric, FabricHandle, QosPolicy, ReadRequest, StorageModel, WriteRequest,
+    BurstResult, Fabric, FabricHandle, ReadRequest, StorageModel, WriteRequest,
 };
-use amr_proxy_io::mpi_sim::NetworkModel;
 use common::{burst_bits, stats_bits};
 use serde_json::{Number, Value};
 use std::fmt::Write as _;
@@ -58,9 +54,7 @@ impl SplitMix {
 
 /// One tenant's burst program: `steps` write bursts of `files` requests
 /// with staggered starts, each `gap` after the previous return, then a
-/// staggered read of the first step's files. With `staged`, writes are
-/// handed to the fabric's staging pool and the tenant resumes at the
-/// handoff.
+/// staggered read of the first step's files.
 #[derive(Clone, Copy, Debug)]
 struct Program {
     prefix: usize,
@@ -69,14 +63,14 @@ struct Program {
     kib: u64,
     stagger: f64,
     gap: f64,
-    staged: bool,
 }
 
-/// A burst's handoff (its start for unstaged bursts) and its result.
+/// A burst's handoff (the application clock it was issued at) and its
+/// result.
 type Timed = (f64, BurstResult);
 
 impl Program {
-    fn draw(rng: &mut SplitMix, prefix: usize, staged: bool) -> Self {
+    fn draw(rng: &mut SplitMix, prefix: usize) -> Self {
         Self {
             prefix,
             steps: rng.range(1, 3) as usize,
@@ -84,16 +78,7 @@ impl Program {
             kib: rng.range(1, 128),
             stagger: 0.02 * rng.unit(),
             gap: 0.02 * rng.unit(),
-            staged,
         }
-    }
-
-    /// Bytes of the largest write burst.
-    fn peak_bytes(&self) -> u64 {
-        (0..self.steps)
-            .map(|step| self.writes(step, 0.0).iter().map(|r| r.bytes).sum())
-            .max()
-            .unwrap_or(0)
     }
 
     fn writes(&self, step: usize, clock: f64) -> Vec<WriteRequest> {
@@ -113,27 +98,22 @@ impl Program {
         let mut out = Vec::new();
         let mut clock = 0.0;
         for step in 0..self.steps {
-            let mut reqs = self.writes(step, clock);
-            let (handoff, r) = if self.staged {
-                h.staged_burst(clock, &mut reqs).await
-            } else {
-                (clock, h.write_burst(&reqs).await)
-            };
-            clock = if self.staged { handoff } else { r.t_end } + self.gap;
-            out.push((handoff, r));
+            let r = h.write_burst(&self.writes(step, clock)).await;
+            let next = r.t_end + self.gap;
+            out.push((clock, r));
+            clock = next;
         }
-        let last_end = out.iter().map(|(_, r)| r.t_end).fold(clock, f64::max);
         let reads: Vec<ReadRequest> = (0..self.files)
             .map(|f| ReadRequest {
                 rank: f,
                 path: format!("/p{}/s0/f{f}", self.prefix),
                 bytes: self.kib * 1024,
-                start: last_end + self.stagger * (f % 2) as f64,
+                start: clock + self.stagger * (f % 2) as f64,
             })
             .collect();
         let r = h.read_burst(&reads).await;
-        out.push((last_end, r));
-        let wall = out.last().map_or(0.0, |(_, r)| r.t_end);
+        let wall = r.t_end;
+        out.push((clock, r));
         h.record_walls(wall, 0.5 * wall);
         out
     }
@@ -147,50 +127,35 @@ fn hex(x: f64) -> String {
 fn burst_fleet(index: u64, out: &mut String) {
     let mut rng = SplitMix(index.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0xF1EE7);
     let tenants = rng.range(1, 4) as usize;
-    let staged = index % 2 == 1;
     let model = StorageModel {
         variability_sigma: 0.4 * rng.unit(),
         metadata_latency: 1e-4,
         seed: rng.range(0, 999),
         ..StorageModel::ideal(rng.range(1, 4) as usize, 1e7)
     };
-    let programs: Vec<Program> = (0..tenants)
-        .map(|t| Program::draw(&mut rng, t, staged))
-        .collect();
-    let qos: Vec<QosPolicy> = (0..tenants)
-        .map(|_| {
-            [
-                QosPolicy::default(),
-                QosPolicy::weighted(3.0),
-                QosPolicy::capped(0.4),
-            ][rng.range(0, 2) as usize]
-        })
-        .collect();
-    // A clone group leads a third of the unstaged fleets.
-    let clones = if !staged && rng.range(0, 2) == 0 {
+    let programs: Vec<Program> = (0..tenants).map(|t| Program::draw(&mut rng, t)).collect();
+    // One discarded draw per tenant, where each once drew a QoS policy:
+    // it keeps the clone draw below, and so the pinned fleets, in place.
+    for _ in 0..tenants {
+        rng.next();
+    }
+    // A clone group leads a third of the fleets.
+    let clones = if rng.range(0, 2) == 0 {
         rng.range(2, 3) as usize
     } else {
         1
     };
-    let mut fabric = Fabric::new(model);
-    let mut pool = None;
-    if staged {
-        let peak = programs.iter().map(Program::peak_bytes).max().unwrap_or(0);
-        let bytes = (peak as f64 * (0.6 + 1.6 * rng.unit())) as u64;
-        fabric = fabric.with_staging(bytes);
-        pool = Some(bytes);
-    }
+    let fabric = Fabric::new(model);
     let handles: Vec<(FabricHandle, Program)> = programs
         .iter()
-        .zip(&qos)
         .enumerate()
-        .map(|(t, (&p, &q))| {
+        .map(|(t, &p)| {
             let h = if t == 0 && clones > 1 {
                 let names: Vec<String> = (0..clones).map(|c| format!("g_t{c}")).collect();
                 let names: Vec<&str> = names.iter().map(String::as_str).collect();
                 fabric.tenant_clones(&names)
             } else {
-                fabric.tenant_with(&format!("t{t}"), q)
+                fabric.tenant(&format!("t{t}"))
             };
             (h, p)
         })
@@ -198,13 +163,9 @@ fn burst_fleet(index: u64, out: &mut String) {
     let results = fabric.run(handles.into_iter().map(|(h, p)| p.drive(h)));
     writeln!(
         out,
-        "burst_fleet {index:02} tenants={tenants} clones={clones} servers={} \
-         sigma={} pool={pool:?} qos={:?}",
+        "burst_fleet {index:02} tenants={tenants} clones={clones} servers={} sigma={}",
         model.nservers,
         hex(model.variability_sigma),
-        qos.iter()
-            .map(|q| (q.weight, q.bandwidth_cap))
-            .collect::<Vec<_>>()
     )
     .unwrap();
     for (t, timed) in results.iter().enumerate() {
@@ -281,47 +242,36 @@ fn campaign_fleets(out: &mut String) {
         metadata_latency: 1e-4,
         ..StorageModel::ideal(3, 2e7)
     };
-    let plain = FabricSettings::default();
     let fpp = |name: &str| oracle(name, BackendSpec::FilePerProcess);
     let deferred = |name: &str| oracle(name, BackendSpec::Deferred(1));
     let streamed = |name: &str| oracle(name, BackendSpec::parse("streaming:200").unwrap());
 
-    let rows = run_campaign_fabric(&[fpp("a"), fpp("b"), fpp("c")], &storage, &plain);
+    let rows = run_campaign_fabric(&[fpp("a"), fpp("b"), fpp("c")], &storage, None);
     summary_lines("fpp", &rows, out);
 
-    let rows = run_campaign_fabric(&[deferred("a"), fpp("b")], &storage, &plain);
+    let rows = run_campaign_fabric(&[deferred("a"), fpp("b")], &storage, None);
     summary_lines("deferred", &rows, out);
 
-    let link = FabricSettings {
-        link: Some(NetworkModel::new(4e8, 1e-5)),
-        ..plain
-    };
-    let rows = run_campaign_fabric(&[streamed("a"), streamed("b"), fpp("c")], &storage, &link);
-    summary_lines("streaming_link", &rows, out);
+    let rows = run_campaign_fabric(&[streamed("a"), streamed("b"), fpp("c")], &storage, None);
+    summary_lines("streaming", &rows, out);
 
-    let qos = [QosPolicy::weighted(4.0), QosPolicy::capped(0.5)];
-    let weighted = FabricSettings { qos: &qos, ..plain };
     let restart = |name: &str| CastroSedovConfig {
         scenario: Some(Scenario::write_restart()),
         ..fpp(name)
     };
-    let rows = run_campaign_fabric(&[restart("hi"), restart("lo")], &storage, &weighted);
-    summary_lines("qos_pair", &rows, out);
+    let rows = run_campaign_fabric(&[restart("hi"), restart("lo")], &storage, None);
+    summary_lines("restart_pair", &rows, out);
 
-    let pool = FabricSettings {
-        staging_bytes: Some(256 * 1024),
-        ..plain
-    };
-    let rows = run_campaign_fabric(&[deferred("a"), deferred("b")], &storage, &pool);
-    summary_lines("staging_pool", &rows, out);
+    let rows = run_campaign_fabric(&[deferred("a"), deferred("b")], &storage, None);
+    summary_lines("deferred_pair", &rows, out);
 
     let mixed = [
         fpp("a"),
         oracle("b", BackendSpec::Aggregated(2)),
         deferred("c"),
     ];
-    let rows = run_campaign_fabric(&mixed, &storage, &pool);
-    summary_lines("mixed_pool", &rows, out);
+    let rows = run_campaign_fabric(&mixed, &storage, None);
+    summary_lines("mixed", &rows, out);
 }
 
 #[test]

@@ -1,19 +1,18 @@
 //! Property-based tests for the multi-tenant storage fabric: solo-tenant
 //! equivalence with the legacy per-run storage model across the backend ×
 //! codec matrix, fair-share slowdown and throughput conservation for
-//! identical tenants, QoS priority dominance, a mixed Sedov + MACSio
-//! fleet contending on one fabric, the campaign runner's QoS and
-//! staging-pool settings, and a clone group against the fleet of tenants
-//! it stands for. Fleets of several tenants run under `Fabric::run`.
+//! identical tenants, a mixed Sedov + MACSio fleet contending on one
+//! fabric, and a clone group against the fleet of tenants it stands for.
+//! Fleets of several tenants run under `Fabric::run`.
 
 use amr_proxy_io::amrproxy::{
     run_campaign_fabric, run_campaign_timed_serial, try_run_simulation_attached, CastroSedovConfig,
-    Engine, FabricSettings,
+    Engine,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec};
 use amr_proxy_io::iosim::{
-    BurstResult, Fabric, FabricHandle, IoTracker, MemFs, QosPolicy, ReadRequest, StorageAttach,
-    StorageModel, WriteRequest,
+    BurstResult, Fabric, FabricHandle, IoTracker, MemFs, ReadRequest, StorageAttach, StorageModel,
+    WriteRequest,
 };
 use amr_proxy_io::macsio::{self, MacsioConfig};
 use common::{burst_bits, stats_bits, StatsBits};
@@ -168,7 +167,7 @@ proptest! {
                     ..oracle_cfg("solo", n_cell, max_step, plot_int)
                 };
                 let legacy = run_campaign_timed_serial(std::slice::from_ref(&cfg), &storage);
-                let fabric = run_campaign_fabric(&[cfg], &storage, &FabricSettings::default());
+                let fabric = run_campaign_fabric(&[cfg], &storage, None);
                 prop_assert_eq!(
                     &legacy, &fabric,
                     "{} / {} diverged", backend.name(), codec.name()
@@ -207,34 +206,6 @@ proptest! {
         let total_bytes = (n * files) as f64 * bytes as f64;
         prop_assert!((total_bytes / makespan / bw - 1.0).abs() < 1e-9);
     }
-
-    /// A strictly prioritized tenant never finishes later than the same
-    /// tenant under fair sharing against the same competitor workload.
-    #[test]
-    fn prioritized_tenant_beats_its_fair_share_wall(
-        weight in 2.0f64..16.0,
-        files in 1usize..5,
-        kib in 1u64..64,
-        rival_files in 1usize..7,
-    ) {
-        let model = StorageModel::ideal(1, 1e6);
-        let run_pair = |hi_qos: QosPolicy| -> f64 {
-            let fabric = Fabric::new(model);
-            let hi = fabric.tenant_with("hi", hi_qos);
-            let lo = fabric.tenant("lo");
-            let bursts = [burst(0, files, kib * 1024), burst(1, rival_files, kib * 1024)];
-            let ends = fabric.run([&hi, &lo].into_iter().zip(&bursts).map(|(h, b)| async move {
-                h.write_burst(b).await.t_end
-            }));
-            ends[0]
-        };
-        let fair = run_pair(QosPolicy::default());
-        let prioritized = run_pair(QosPolicy::weighted(weight));
-        prop_assert!(
-            prioritized <= fair + 1e-9,
-            "prioritized {prioritized} must not lose to fair {fair}"
-        );
-    }
 }
 
 proptest! {
@@ -243,8 +214,7 @@ proptest! {
     /// A clone group of N (one record per request for all N slots) is
     /// N separate tenants bit for bit: every burst's `finish` and
     /// `t_end`, and every `TenantStats` field — also beside an
-    /// independent weighted or capped rival, whose QoS splits each
-    /// server per tenant.
+    /// independent rival tenant.
     #[test]
     fn clone_group_of_n_equals_n_threaded_tenants(
         n in 1usize..=6,
@@ -254,7 +224,7 @@ proptest! {
         kib in 1u64..128,
         stagger in 0.0f64..0.02,
         gap in 0.0f64..0.02,
-        rival in 0usize..3,
+        rival in prop_oneof![Just(false), Just(true)],
     ) {
         let model = StorageModel {
             variability_sigma: sigma,
@@ -270,20 +240,18 @@ proptest! {
             gap: 0.0,
             ..program
         };
-        let rival_qos =
-            [None, Some(QosPolicy::weighted(3.0)), Some(QosPolicy::capped(0.4))][rival];
         let names: Vec<String> = (0..n).map(|i| format!("c_t{i}")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
 
         let fleet = Fabric::new(model);
         let handles = names.iter().map(|name| fleet.tenant(name)).collect();
-        let rival_handle = rival_qos.map(|q| (fleet.tenant_with("rival", q), rival_program));
+        let rival_handle = rival.then(|| (fleet.tenant("rival"), rival_program));
         let (fleet_ends, fleet_rival, fleet_stats) =
             run_fleet(&fleet, handles, program, rival_handle);
 
         let grouped = Fabric::new(model);
         let group = grouped.tenant_clones(&names);
-        let rival_handle = rival_qos.map(|q| (grouped.tenant_with("rival", q), rival_program));
+        let rival_handle = rival.then(|| (grouped.tenant("rival"), rival_program));
         let (group_ends, group_rival, group_stats) =
             run_fleet(&grouped, vec![group], program, rival_handle);
 
@@ -344,56 +312,5 @@ fn mixed_sedov_and_macsio_fleet_contends_on_one_fabric() {
     assert!(
         stats.iter().any(|t| t.contention_stall > 0.0),
         "overlapping fleets must contend somewhere"
-    );
-}
-
-/// `FabricSettings::{qos, staging_bytes}` reach the fabric a campaign
-/// runs on: a weight-4 tenant beats its own fair-share wall and leads
-/// the weighted run (the competitor may also improve — faster drains
-/// desynchronize the fleets — so the robust invariant is the ordering),
-/// and deferred-backend tenants contending for a burst buffer smaller
-/// than their bursts accrue `staging_wait` instead of free overlap.
-#[test]
-fn campaign_qos_and_staging_settings_reach_the_fabric() {
-    let storage = StorageModel {
-        metadata_latency: 1e-4,
-        ..StorageModel::ideal(4, 5e7)
-    };
-    let plain = FabricSettings::default();
-    let pair = [sedov128("hi"), sedov128("lo")];
-    let fair = run_campaign_fabric(&pair, &storage, &plain);
-    let weighted = run_campaign_fabric(
-        &pair,
-        &storage,
-        &FabricSettings {
-            qos: &[QosPolicy::weighted(4.0), QosPolicy::default()],
-            ..plain
-        },
-    );
-    assert!(
-        weighted[0].wall_time <= fair[0].wall_time + 1e-9,
-        "priority must not hurt the prioritized tenant"
-    );
-    assert!(
-        weighted[0].wall_time <= weighted[1].wall_time + 1e-9,
-        "the prioritized tenant leads the weighted run"
-    );
-
-    let deferred = ["staged_t0", "staged_t1"].map(|name| CastroSedovConfig {
-        backend: BackendSpec::Deferred(1),
-        ..sedov128(name)
-    });
-    let staged = run_campaign_fabric(
-        &deferred,
-        &storage,
-        &FabricSettings {
-            staging_bytes: Some(256 * 1024),
-            ..plain
-        },
-    );
-    let waited: f64 = staged.iter().map(|s| s.staging_wait).sum();
-    assert!(
-        waited > 0.0,
-        "a pool smaller than the bursts must back-pressure"
     );
 }

@@ -13,7 +13,7 @@
 
 use amr_proxy_io::amrproxy::{
     run_campaign_fabric, run_campaign_fabric_cloned, run_spec, run_spec_serial, CastroSedovConfig,
-    Engine, ExperimentSpec, FabricSettings, ResultsStore, RunSummary, ScalingMode,
+    Engine, ExperimentSpec, ResultsStore, RunSummary, ScalingMode,
 };
 use amr_proxy_io::io_engine::BackendSpec;
 use amr_proxy_io::iosim::{SoloMemo, StorageModel};
@@ -233,21 +233,18 @@ proptest! {
             })
             .collect();
         let storage = StorageModel::ideal(4, 5e7);
-        let reference = run_campaign_fabric(&configs, &storage, &FabricSettings::default());
+        let reference = run_campaign_fabric(&configs, &storage, None);
 
         // Cold: fresh memo, so the solo shadow replays and fills it.
         let memo = SoloMemo::default();
-        let memoized = FabricSettings {
-            memo: Some((&memo, "solo_profile")),
-            ..Default::default()
-        };
-        let cold = run_campaign_fabric(&configs, &storage, &memoized);
+        let memoized = Some((&memo, "solo_profile"));
+        let cold = run_campaign_fabric(&configs, &storage, memoized);
         prop_assert_eq!(memo.hits(), 0);
         prop_assert_eq!(memo.fills(), 1);
         prop_assert_eq!(canon(&cold), canon(&reference));
 
         // Hit: the same campaign priced from the memo, no replay.
-        let hit = run_campaign_fabric(&configs, &storage, &memoized);
+        let hit = run_campaign_fabric(&configs, &storage, memoized);
         prop_assert_eq!(memo.hits(), 1);
         prop_assert_eq!(memo.fills(), 1);
         prop_assert_eq!(canon(&hit), canon(&reference));
