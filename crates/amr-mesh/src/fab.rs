@@ -36,13 +36,6 @@ impl FArrayBox {
         }
     }
 
-    /// Allocates and fills every cell of every component with `value`.
-    pub fn filled(domain: IndexBox, ncomp: usize, value: f64) -> Self {
-        let mut f = Self::new(domain, ncomp);
-        f.data.fill(value);
-        f
-    }
-
     /// The index region this fab covers (including any ghost cells the
     /// caller built into it).
     #[inline]
@@ -58,7 +51,7 @@ impl FArrayBox {
 
     /// Cells per component.
     #[inline]
-    pub fn cells_per_comp(&self) -> usize {
+    pub(crate) fn cells_per_comp(&self) -> usize {
         self.domain.num_pts() as usize
     }
 
@@ -96,7 +89,7 @@ impl FArrayBox {
     }
 
     /// Mutable slice of one component in layout order.
-    pub fn comp_mut(&mut self, comp: usize) -> &mut [f64] {
+    pub(crate) fn comp_mut(&mut self, comp: usize) -> &mut [f64] {
         let n = self.cells_per_comp();
         &mut self.data[comp * n..(comp + 1) * n]
     }
@@ -129,16 +122,8 @@ impl FArrayBox {
         })
     }
 
-    /// Copies `comp`-component data from `src` over the cells of `region`,
-    /// which must lie inside both fabs' domains.
-    pub fn copy_from(&mut self, src: &FArrayBox, region: &IndexBox, comp_map: &[(usize, usize)]) {
-        for &(sc, dc) in comp_map {
-            self.copy_comp(src, region, sc, dc);
-        }
-    }
-
     /// Copies all matching components from `src` over `region`.
-    pub fn copy_all_from(&mut self, src: &FArrayBox, region: &IndexBox) {
+    pub(crate) fn copy_all_from(&mut self, src: &FArrayBox, region: &IndexBox) {
         for c in 0..self.ncomp.min(src.ncomp) {
             self.copy_comp(src, region, c, c);
         }
@@ -154,16 +139,6 @@ impl FArrayBox {
         let to = self.comp_mut(dc);
         for (d, s) in rows {
             to[d].copy_from_slice(&from[s]);
-        }
-    }
-
-    /// Fills every cell of component `comp` inside `region` with `v`.
-    pub fn fill_region(&mut self, region: &IndexBox, comp: usize, v: f64) {
-        let Some(isect) = self.domain.intersection(region) else {
-            return;
-        };
-        for p in isect.cells() {
-            self.set(p, comp, v);
         }
     }
 
@@ -192,7 +167,7 @@ impl FArrayBox {
     }
 
     /// Sum over component `comp` restricted to `region`.
-    pub fn sum_in(&self, region: &IndexBox, comp: usize) -> f64 {
+    pub(crate) fn sum_in(&self, region: &IndexBox, comp: usize) -> f64 {
         region
             .intersection(&self.domain)
             .map(|r| r.cells().map(|p| self.get(p, comp)).sum())
@@ -205,17 +180,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Test oracle for [`FArrayBox::copy_from`]: one `get` / `set` per cell.
-    fn copy_from_reference(
-        dst: &mut FArrayBox,
-        src: &FArrayBox,
-        region: &IndexBox,
-        comp_map: &[(usize, usize)],
-    ) {
-        for (sc, dc) in comp_map {
+    /// Test oracle for [`FArrayBox::copy_all_from`]: one `get` / `set` per cell.
+    fn copy_from_reference(dst: &mut FArrayBox, src: &FArrayBox, region: &IndexBox) {
+        for c in 0..dst.ncomp.min(src.ncomp) {
             for p in region.cells() {
-                let v = src.get(p, *sc);
-                dst.set(p, *dc, v);
+                let v = src.get(p, c);
+                dst.set(p, c, v);
             }
         }
     }
@@ -237,7 +207,6 @@ mod tests {
             a in (-5i64..5, -5i64..5, 1i64..12, 1i64..12),
             b in (-5i64..5, -5i64..5, 1i64..12, 1i64..12),
             cut in (0i64..12, 0i64..12, 0i64..12, 0i64..12),
-            map in prop::collection::vec((0usize..3, 0usize..3), 0..4),
         ) {
             let da = IndexBox::from_lo_size(IntVect::new(a.0, a.1), IntVect::new(a.2, a.3));
             let db = IndexBox::from_lo_size(IntVect::new(b.0, b.1), IntVect::new(b.2, b.3));
@@ -253,12 +222,11 @@ mod tests {
             let src = numbered(db, 3, 1e6);
             let mut dst = numbered(da, 3, 0.0);
             let mut oracle = dst.clone();
-            dst.copy_from(&src, &region, &map);
-            copy_from_reference(&mut oracle, &src, &region, &map);
+            dst.copy_all_from(&src, &region);
+            copy_from_reference(&mut oracle, &src, &region);
             prop_assert!(dst == oracle);
-            let all = [(0, 0), (1, 1), (2, 2)];
             dst.copy_all_from(&src, &overlap);
-            copy_from_reference(&mut oracle, &src, &overlap, &all);
+            copy_from_reference(&mut oracle, &src, &overlap);
             prop_assert!(dst == oracle);
         }
     }
@@ -273,12 +241,6 @@ mod tests {
         assert_eq!(f.ncomp(), 2);
         assert_eq!(f.cells_per_comp(), 12);
         assert!(f.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn filled_constructor() {
-        let f = FArrayBox::filled(dom(), 1, 3.5);
-        assert!(f.comp(0).iter().all(|&v| v == 3.5));
     }
 
     #[test]
@@ -304,26 +266,13 @@ mod tests {
     #[test]
     fn copy_from_subregion() {
         let mut a = FArrayBox::new(dom(), 1);
-        let b = FArrayBox::filled(dom(), 1, 2.0);
+        let mut b = FArrayBox::new(dom(), 1);
+        b.comp_mut(0).fill(2.0);
         let region = IndexBox::at_origin(IntVect::new(2, 2));
         a.copy_all_from(&b, &region);
         assert_eq!(a.get(IntVect::new(0, 0), 0), 2.0);
         assert_eq!(a.get(IntVect::new(1, 1), 0), 2.0);
         assert_eq!(a.get(IntVect::new(2, 2), 0), 0.0);
-    }
-
-    #[test]
-    fn copy_from_component_map() {
-        let mut a = FArrayBox::new(dom(), 2);
-        let mut b = FArrayBox::new(dom(), 2);
-        for p in dom().cells() {
-            b.set(p, 0, 1.0);
-            b.set(p, 1, 2.0);
-        }
-        // Swap components while copying.
-        a.copy_from(&b, &dom(), &[(0, 1), (1, 0)]);
-        assert_eq!(a.get(IntVect::ZERO, 0), 2.0);
-        assert_eq!(a.get(IntVect::ZERO, 1), 1.0);
     }
 
     #[test]
@@ -339,13 +288,6 @@ mod tests {
         // Region outside the fab gives identity elements.
         let outside = IndexBox::from_lo_size(IntVect::new(100, 100), IntVect::UNIT);
         assert_eq!(f.sum_in(&outside, 0), 0.0);
-    }
-
-    #[test]
-    fn fill_region_clips_to_domain() {
-        let mut f = FArrayBox::new(dom(), 1);
-        f.fill_region(&dom().grow(5), 0, 1.0);
-        assert!(f.comp(0).iter().all(|&v| v == 1.0));
     }
 
     #[test]

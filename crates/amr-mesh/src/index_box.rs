@@ -45,7 +45,7 @@ impl IndexBox {
 
     /// A canonical invalid (empty) box.
     #[inline]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::new(IntVect::UNIT, IntVect::ZERO)
     }
 
@@ -63,7 +63,7 @@ impl IndexBox {
 
     /// True when the box contains at least one cell.
     #[inline]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.lo.all_le(self.hi)
     }
 
@@ -83,13 +83,6 @@ impl IndexBox {
         self.size().get(dir)
     }
 
-    /// Shortest side length.
-    #[inline]
-    pub fn shortest_side(&self) -> Coord {
-        let s = self.size();
-        s.x.min(s.y)
-    }
-
     /// Longest side length.
     #[inline]
     pub fn longest_side(&self) -> Coord {
@@ -98,7 +91,7 @@ impl IndexBox {
 
     /// Direction of the longest side (ties favour x).
     #[inline]
-    pub fn longest_dir(&self) -> usize {
+    pub(crate) fn longest_dir(&self) -> usize {
         self.size().max_dir()
     }
 
@@ -155,12 +148,6 @@ impl IndexBox {
     #[inline]
     pub fn grow_vect(&self, n: IntVect) -> IndexBox {
         IndexBox::new(self.lo - n, self.hi + n)
-    }
-
-    /// Translates the box by `shift` cells.
-    #[inline]
-    pub fn shift(&self, shift: IntVect) -> IndexBox {
-        IndexBox::new(self.lo + shift, self.hi + shift)
     }
 
     /// Refines the box by `ratio`: each coarse cell becomes a `ratio.x` by
@@ -251,7 +238,6 @@ mod tests {
         assert_eq!(v.num_pts(), 8);
         assert_eq!(v.longest_side(), 4);
         assert_eq!(v.longest_dir(), 0);
-        assert_eq!(v.shortest_side(), 2);
         assert!(!IndexBox::empty().is_valid());
         assert_eq!(IndexBox::empty().num_pts(), 0);
     }
@@ -296,12 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn grow_shift() {
+    fn grow() {
         let v = b(0, 0, 3, 3);
         assert_eq!(v.grow(2), b(-2, -2, 5, 5));
         assert_eq!(v.grow(2).grow(-2), v);
         assert_eq!(v.grow_vect(IntVect::new(1, 0)), b(-1, 0, 4, 3));
-        assert_eq!(v.shift(IntVect::new(10, -1)), b(10, -1, 13, 2));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 pub type Coord = i64;
 
 /// Number of spatial dimensions supported by this substrate.
-pub const SPACEDIM: usize = 2;
+pub(crate) const SPACEDIM: usize = 2;
 
 /// A point in 2-D cell index space.
 #[derive(
@@ -33,10 +33,10 @@ impl IntVect {
     }
 
     /// The zero vector.
-    pub const ZERO: IntVect = IntVect::new(0, 0);
+    pub(crate) const ZERO: IntVect = IntVect::new(0, 0);
 
     /// The unit vector (1, 1).
-    pub const UNIT: IntVect = IntVect::new(1, 1);
+    pub(crate) const UNIT: IntVect = IntVect::new(1, 1);
 
     /// Creates a vector with both components equal to `v`.
     #[inline]
@@ -72,27 +72,21 @@ impl IntVect {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, other: Self) -> Self {
+    pub(crate) fn min(self, other: Self) -> Self {
         Self::new(self.x.min(other.x), self.y.min(other.y))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, other: Self) -> Self {
+    pub(crate) fn max(self, other: Self) -> Self {
         Self::new(self.x.max(other.x), self.y.max(other.y))
     }
 
     /// True if every component of `self` is `<=` the matching component of
     /// `other` (the partial order used for box validity).
     #[inline]
-    pub fn all_le(self, other: Self) -> bool {
+    pub(crate) fn all_le(self, other: Self) -> bool {
         self.x <= other.x && self.y <= other.y
-    }
-
-    /// True if every component of `self` is `<` the matching component.
-    #[inline]
-    pub fn all_lt(self, other: Self) -> bool {
-        self.x < other.x && self.y < other.y
     }
 
     /// Coarsens each component by `ratio` using floor division, matching
@@ -107,14 +101,8 @@ impl IntVect {
 
     /// Refines each component by `ratio` (plain multiplication).
     #[inline]
-    pub fn refine(self, ratio: IntVect) -> Self {
+    pub(crate) fn refine(self, ratio: IntVect) -> Self {
         Self::new(self.x * ratio.x, self.y * ratio.y)
-    }
-
-    /// Sum of components.
-    #[inline]
-    pub fn sum(self) -> Coord {
-        self.x + self.y
     }
 
     /// Product of components (e.g. cell counts from box extents).
@@ -125,13 +113,13 @@ impl IntVect {
 
     /// Largest component value.
     #[inline]
-    pub fn max_component(self) -> Coord {
+    pub(crate) fn max_component(self) -> Coord {
         self.x.max(self.y)
     }
 
     /// Direction (0 or 1) of the largest component; ties favour x.
     #[inline]
-    pub fn max_dir(self) -> usize {
+    pub(crate) fn max_dir(self) -> usize {
         if self.y > self.x {
             1
         } else {
@@ -145,7 +133,7 @@ impl IntVect {
 /// # Panics
 /// Panics if `b <= 0` (refinement ratios must be positive).
 #[inline]
-pub fn div_floor(a: Coord, b: Coord) -> Coord {
+pub(crate) fn div_floor(a: Coord, b: Coord) -> Coord {
     assert!(b > 0, "div_floor: non-positive divisor {b}");
     let d = a / b;
     if a % b != 0 && a < 0 {
@@ -292,8 +280,6 @@ mod tests {
         assert_eq!(a.max(b), IntVect::new(4, 9));
         assert!(IntVect::new(0, 0).all_le(IntVect::new(0, 1)));
         assert!(!IntVect::new(0, 2).all_le(IntVect::new(0, 1)));
-        assert!(IntVect::new(0, 0).all_lt(IntVect::new(1, 1)));
-        assert!(!IntVect::new(0, 0).all_lt(IntVect::new(1, 0)));
     }
 
     #[test]
@@ -317,7 +303,6 @@ mod tests {
     #[test]
     fn reductions() {
         let v = IntVect::new(3, 4);
-        assert_eq!(v.sum(), 7);
         assert_eq!(v.prod(), 12);
         assert_eq!(v.max_component(), 4);
         assert_eq!(v.max_dir(), 1);

@@ -38,26 +38,25 @@
 
 #![forbid(unsafe_code)]
 
-pub mod box_array;
-pub mod cluster;
-pub mod distribution;
-pub mod fab;
-pub mod geometry;
-pub mod hierarchy;
-pub mod index_box;
-pub mod intvect;
+pub(crate) mod box_array;
+pub(crate) mod cluster;
+pub(crate) mod distribution;
+pub(crate) mod fab;
+pub(crate) mod geometry;
+pub(crate) mod hierarchy;
+pub(crate) mod index_box;
+pub(crate) mod intvect;
 pub mod morton;
-pub mod multifab;
-pub mod tagging;
+pub(crate) mod multifab;
+pub(crate) mod tagging;
 
 pub use box_array::BoxArray;
-pub use cluster::{cluster, efficiency, ClusterParams};
 pub use distribution::{DistributionMapping, DistributionStrategy};
 pub use fab::FArrayBox;
 pub use geometry::Geometry;
 pub use hierarchy::{make_fine_grids, GridParams};
 pub use index_box::IndexBox;
-pub use intvect::{Coord, IntVect, SPACEDIM};
+pub use intvect::{Coord, IntVect};
 pub use multifab::MultiFab;
 pub use tagging::TagMap;
 

@@ -28,7 +28,7 @@ fn spread(x: u64) -> u64 {
 ///
 /// # Panics
 /// Panics (debug only) on negative coordinates; callers should shift their
-/// index space to be non-negative first (see [`morton_key_in`]).
+/// index space to be non-negative first (see `morton_key_in`).
 pub fn morton_key(p: IntVect) -> u64 {
     debug_assert!(
         p.x >= 0 && p.y >= 0,
@@ -42,18 +42,12 @@ pub fn morton_key(p: IntVect) -> u64 {
 
 /// Morton key of `p` relative to a frame origin, so that negative global
 /// indices are supported as long as `p >= origin` component-wise.
-pub fn morton_key_in(p: IntVect, origin: IntVect) -> u64 {
+pub(crate) fn morton_key_in(p: IntVect, origin: IntVect) -> u64 {
     morton_key(p - origin)
 }
 
-/// Orders points by Morton key; a strict weak ordering suitable for sorting
-/// box centers along the Z-curve.
-pub fn morton_cmp(a: IntVect, b: IntVect, origin: IntVect) -> std::cmp::Ordering {
-    morton_key_in(a, origin).cmp(&morton_key_in(b, origin))
-}
-
 /// Center cell of a box (rounded toward the low corner).
-pub fn box_center(b: &crate::index_box::IndexBox) -> IntVect {
+pub(crate) fn box_center(b: &crate::index_box::IndexBox) -> IntVect {
     IntVect::new(avg_floor(b.lo().x, b.hi().x), avg_floor(b.lo().y, b.hi().y))
 }
 
@@ -114,7 +108,6 @@ mod tests {
         let c = IntVect::new(-7, -8);
         assert_eq!(morton_key_in(a, origin), 0);
         assert_eq!(morton_key_in(c, origin), 1);
-        assert_eq!(morton_cmp(a, c, origin), std::cmp::Ordering::Less);
     }
 
     #[test]

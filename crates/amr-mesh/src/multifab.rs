@@ -180,14 +180,12 @@ mod tests {
     use proptest::prelude::*;
 
     /// Test oracle for [`MultiFab::parallel_copy_from`]: the overlap list
-    /// and component map built per destination fab.
+    /// built per destination fab.
     fn parallel_copy_reference(dst: &mut MultiFab, src: &MultiFab) {
-        let ncomp = dst.ncomp.min(src.ncomp);
-        let map: Vec<(usize, usize)> = (0..ncomp).map(|c| (c, c)).collect();
         for di in 0..dst.fabs.len() {
             let dst_valid = dst.ba.get(di);
             for (si, overlap) in src.ba.intersections(&dst_valid) {
-                dst.fabs[di].copy_from(src.fab(si), &overlap, &map);
+                dst.fabs[di].copy_all_from(src.fab(si), &overlap);
             }
         }
     }
@@ -269,7 +267,9 @@ mod tests {
         for i in 0..mf.nfabs() {
             let vb = mf.valid_box(i);
             let f = mf.fab_mut(i);
-            f.fill_region(&vb, 0, (i + 1) as f64);
+            for p in vb.cells() {
+                f.set(p, 0, (i + 1) as f64);
+            }
         }
         mf.fill_boundary();
         // Fab 0 is [0..7]^2; its ghost column x=8 should now hold fab 1's
@@ -288,7 +288,10 @@ mod tests {
         mf.set_val(0, 0.0);
         for i in 0..mf.nfabs() {
             let vb = mf.valid_box(i);
-            mf.fab_mut(i).fill_region(&vb, 0, (i + 1) as f64);
+            let f = mf.fab_mut(i);
+            for p in vb.cells() {
+                f.set(p, 0, (i + 1) as f64);
+            }
         }
         let before: Vec<f64> = (0..mf.nfabs())
             .map(|i| mf.fab(i).sum_in(&mf.valid_box(i), 0))

@@ -71,7 +71,7 @@ impl TagMap {
     }
 
     /// Smallest box containing all tagged cells (invalid box when empty).
-    pub fn bounding_box(&self) -> IndexBox {
+    pub(crate) fn bounding_box(&self) -> IndexBox {
         let mut lo = IntVect::new(Coord::MAX, Coord::MAX);
         let mut hi = IntVect::new(Coord::MIN, Coord::MIN);
         let mut any = false;
@@ -132,7 +132,7 @@ impl TagMap {
 
     /// Per-row/column tag counts ("signatures") over `region`, the core
     /// quantity of the Berger–Rigoutsos algorithm.
-    pub fn signatures(&self, region: &IndexBox, dir: usize) -> Vec<usize> {
+    pub(crate) fn signatures(&self, region: &IndexBox, dir: usize) -> Vec<usize> {
         let Some(r) = self.domain.intersection(region) else {
             return Vec::new();
         };

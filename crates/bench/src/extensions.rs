@@ -150,7 +150,7 @@ fn storage_ablation() -> Value {
 /// 2. Clustering `grid_eff` vs grid count / covered cells.
 /// 3. MACSio MIF group size vs file count and burst duration.
 /// 4. Storage server count vs burst duration (the dynamic knob).
-pub fn ablations(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn ablations(_: &mut Ctx) -> io::Result<Value> {
     Ok(json!({
         "dm_strategy": dm_strategy_ablation(),
         "grid_eff": grid_eff_ablation(),
@@ -164,7 +164,7 @@ pub fn ablations(_: &mut Ctx) -> io::Result<Value> {
 /// metadata-bound and a bandwidth-bound machine — the backend-level
 /// counterpart of the paper's MIF/SIF comparison, extended with the
 /// AMRIC-style data-reduction lever.
-pub fn backend_matrix(ctx: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn backend_matrix(ctx: &mut Ctx) -> io::Result<Value> {
     let spec = ExperimentSpec::from_toml(include_str!("../../../specs/backend_matrix.toml"))
         .map_err(io::Error::other)?;
     let cells = spec.compile().map_err(io::Error::other)?;
@@ -276,7 +276,7 @@ pub fn backend_matrix(ctx: &mut Ctx) -> io::Result<Value> {
 /// fabric, N in {1, 2, 4, 8}, as a `scaling = "throughput"` spec. Solo
 /// is exactly 1.0; per-tenant slowdown grows monotonically with N; the
 /// wall-vs-tenancy fit over the stored rows has a positive slope.
-pub fn machine_room(ctx: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn machine_room(ctx: &mut Ctx) -> io::Result<Value> {
     let base = CastroSedovConfig {
         name: "sedov".into(),
         engine: Engine::Oracle,

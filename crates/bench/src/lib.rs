@@ -159,7 +159,7 @@ pub struct Ctx {
 
 impl Ctx {
     /// A context writing under `results`.
-    pub fn new(results: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(results: impl Into<PathBuf>) -> Self {
         Self {
             results: results.into(),
             store: None,
@@ -370,7 +370,11 @@ pub fn print_series(title: &str, series: &[(f64, f64)]) {
 
 /// Renders a log-log ASCII scatter of several labelled series, used for
 /// quick visual inspection of Fig. 5-style plots in the terminal.
-pub fn ascii_loglog(series: &[(String, Vec<(f64, f64)>)], width: usize, height: usize) -> String {
+pub(crate) fn ascii_loglog(
+    series: &[(String, Vec<(f64, f64)>)],
+    width: usize,
+    height: usize,
+) -> String {
     let pts: Vec<(f64, f64)> = series.iter().flat_map(|(_, s)| s.iter().copied()).collect();
     let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
     for &(x, y) in &pts {
@@ -409,7 +413,7 @@ pub fn ascii_loglog(series: &[(String, Vec<(f64, f64)>)], width: usize, height: 
 }
 
 /// Formats bytes with a binary-ish human suffix for table readability.
-pub fn human_bytes(b: u64) -> String {
+pub(crate) fn human_bytes(b: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KB", "MB", "GB", "TB"];
     let mut v = b as f64;
     let mut u = 0;

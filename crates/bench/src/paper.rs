@@ -22,7 +22,7 @@ fn description_table(rows: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 /// Table I: the AMReX-Castro input parameters varied in the study.
-pub fn table1(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn table1(_: &mut Ctx) -> io::Result<Value> {
     let rows = [
         ("amr.max_step", "maximum expected number of steps"),
         ("amr.n_cell", "number of cells at Level 0 in each direction"),
@@ -49,7 +49,7 @@ pub fn table1(_: &mut Ctx) -> io::Result<Value> {
 /// Table II: the MACSio command-line arguments used to model
 /// AMReX-Castro outputs, demonstrated against this reproduction's
 /// `macsio` binary surface.
-pub fn table2(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn table2(_: &mut Ctx) -> io::Result<Value> {
     let rows = [
         ("interface", "output type: miftmpl (json+binary) or json"),
         (
@@ -102,7 +102,7 @@ pub fn table2(_: &mut Ctx) -> io::Result<Value> {
 }
 
 /// Table III: the 47-run campaign parameter ranges.
-pub fn table3(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn table3(_: &mut Ctx) -> io::Result<Value> {
     let runs = table3_campaign();
     assert_eq!(runs.len(), 47, "the paper performed 47 runs");
 
@@ -163,7 +163,7 @@ pub fn table3(_: &mut Ctx) -> io::Result<Value> {
 
 /// Listing 1: the proxy-app model formulation mapping the MACSio
 /// executable to AMReX-Castro inputs.
-pub fn listing1(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn listing1(_: &mut Ctx) -> io::Result<Value> {
     let inputs = AmrInputs {
         max_step: 200,
         n_cell: (512, 512),
@@ -207,7 +207,7 @@ pub fn listing1(_: &mut Ctx) -> io::Result<Value> {
 /// filesystem and prints the resulting tree, which must match the paper's
 /// figure: per-step directory, Header/job_info metadata, per-level
 /// directories with Cell_H and per-task Cell_D files.
-pub fn fig02(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig02(_: &mut Ctx) -> io::Result<Value> {
     let cfg = CastroSedovConfig {
         engine: Engine::Hydro,
         n_cell: 64,
@@ -276,7 +276,7 @@ pub fn fig02(_: &mut Ctx) -> io::Result<Value> {
 
 /// Fig. 3: MACSio's N-to-N output pattern with the miftmpl interface,
 /// ordered by task and output step.
-pub fn fig03(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig03(_: &mut Ctx) -> io::Result<Value> {
     let cfg = MacsioConfig {
         nprocs: 4,
         num_dumps: 3,
@@ -319,7 +319,7 @@ pub fn fig03(_: &mut Ctx) -> io::Result<Value> {
 ///
 /// Rendered as ASCII: level-coverage map (digits = finest level covering
 /// each region) and a Mach-number heat map.
-pub fn fig04(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig04(_: &mut Ctx) -> io::Result<Value> {
     let cfg = AmrConfig {
         n_cell: 128,
         max_level: 2,
@@ -445,7 +445,7 @@ pub fn fig04(_: &mut Ctx) -> io::Result<Value> {
 /// number of output cells (Eq. 1), across the Table III campaign — the
 /// mixed linear / non-linear families. The campaign runs as a spec
 /// against the shared store: a second invocation resumes every cell.
-pub fn fig05(ctx: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig05(ctx: &mut Ctx) -> io::Result<Value> {
     // The figure shows a representative subset; exclude the very largest
     // runs exactly as the paper does "for illustration purposes".
     let bases: Vec<_> = table3_campaign()
@@ -517,7 +517,7 @@ pub fn fig05(ctx: &mut Ctx) -> io::Result<Value> {
 /// Fig. 6: dependency of the cumulative output size on the CFL number and
 /// the number of AMR levels, for the case4 pivot (512^2 L0 mesh, 32
 /// tasks).
-pub fn fig06(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig06(_: &mut Ctx) -> io::Result<Value> {
     let mut artifacts = Vec::new();
     let mut finals: Vec<(f64, usize, f64)> = Vec::new();
     for &maxl in &[2usize, 4] {
@@ -572,7 +572,7 @@ pub fn fig06(_: &mut Ctx) -> io::Result<Value> {
 
 /// Fig. 7: cumulative output size decomposed per AMR level (L0, L1, L2)
 /// as a function of the cumulative output cells and CFL, for case4.
-pub fn fig07(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig07(_: &mut Ctx) -> io::Result<Value> {
     let mut artifacts = Vec::new();
     for &cfl in &[0.3, 0.6] {
         let cfg = case4(cfl, 2, 120);
@@ -621,7 +621,7 @@ pub fn fig07(_: &mut Ctx) -> io::Result<Value> {
 /// Fig. 8: output generation at each timestep per compute task for the 4
 /// mesh levels of case27 (1024^2 L0 mesh, 64 ranks, 5 output steps) —
 /// the per-task imbalance that limits MACSio's granularity to the level.
-pub fn fig08(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig08(_: &mut Ctx) -> io::Result<Value> {
     let cfg = case27();
     let r = run_simulation(&cfg, None, None);
     let steps = r.tracker.steps();
@@ -698,7 +698,7 @@ fn print_per_step(cmp: &amrproxy::Comparison, width: usize, precision: usize) {
 /// Fig. 9: calibration convergence for the case4 pivot (cfl = 0.4, 4 AMR
 /// levels) — each evaluated dataset_growth candidate is one curve that
 /// approaches the measured per-step output sizes.
-pub fn fig09(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig09(_: &mut Ctx) -> io::Result<Value> {
     let cfg = case4(0.4, 4, 200);
     let amr = run_simulation(&cfg, None, None);
     let cmp = compare_with_macsio(&amr, 2);
@@ -744,7 +744,7 @@ pub fn fig09(_: &mut Ctx) -> io::Result<Value> {
 
 /// Fig. 10: baseline case4 per-step output sizes for CFL 0.3/0.6 and
 /// max_level 2/4 against the calibrated MACSio model.
-pub fn fig10(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig10(_: &mut Ctx) -> io::Result<Value> {
     let mut artifacts = Vec::new();
     for &maxl in &[2usize, 4] {
         for &cfl in &[0.3, 0.6] {
@@ -802,7 +802,7 @@ pub fn fig10(_: &mut Ctx) -> io::Result<Value> {
 
 /// Fig. 11: the large 8192^2 L0 Sedov run — non-smooth per-step output
 /// at scale — against the first-order MACSio kernel model.
-pub fn fig11(_: &mut Ctx) -> io::Result<Value> {
+pub(crate) fn fig11(_: &mut Ctx) -> io::Result<Value> {
     let cfg = big8192(120);
     eprintln!("running the 8192^2 oracle hierarchy (~120 outputs)...");
     let amr = run_simulation(&cfg, None, None);

@@ -147,7 +147,7 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn from_result(r: &RunResult) -> Self {
+    pub(crate) fn from_result(r: &RunResult) -> Self {
         let xy = r.xy_series();
         // The read-plane columns derive from the *effective* scenario,
         // so scenario-first configs and legacy boolean configs report
@@ -213,24 +213,6 @@ impl RunSummary {
             net_bytes: r.net_bytes,
             net_wall: r.net_wall,
             window_stall: r.window_stall,
-        }
-    }
-
-    /// Wall-clock seconds per level-0 cell — the per-cell cost metric the
-    /// backend × codec sweeps report.
-    pub fn wall_per_cell(&self) -> f64 {
-        self.wall_time / (self.n_cell as f64 * self.n_cell as f64)
-    }
-
-    /// Achieved compression ratio on payload bytes (logical / physical
-    /// net of declared bookkeeping; exactly 1.0 for identity, whatever
-    /// the backend's index overhead).
-    pub fn compression_ratio(&self) -> f64 {
-        let payload = self.physical_bytes - self.overhead_bytes;
-        if payload == 0 {
-            1.0
-        } else {
-            self.logical_bytes as f64 / payload as f64
         }
     }
 }
@@ -331,24 +313,10 @@ pub fn table3_campaign() -> Vec<CastroSedovConfig> {
     runs
 }
 
-/// Runs a set of configurations in parallel (one cost-ordered work
-/// queue, the spec executor's, fans the runs over the cores, costliest
-/// first), returning summaries in the input order.
-/// With a `storage` model every run is timed against it, so summaries
-/// carry comparable wall-clock times (the backend axis's dependent
-/// variable); without one, walls are zero. Deterministic: identical to
-/// [`run_campaign_serial`] / [`run_campaign_timed_serial`] on the same
-/// configs, pinned by a test.
-pub fn run_campaign(
-    configs: &[CastroSedovConfig],
-    storage: Option<&iosim::StorageModel>,
-) -> Vec<RunSummary> {
-    crate::exec::Queue::new(configs.iter().map(crate::exec::cell_cost))
-        .run(|i| RunSummary::from_result(&run_simulation(&configs[i], None, storage)))
-}
-
-/// Sequential reference implementation of untimed [`run_campaign`]
-/// (debugging, and the determinism oracle for the parallel path).
+/// Runs each configuration in turn, untimed (walls are zero), returning
+/// summaries in the input order. `amrbench` is its only consumer outside
+/// this crate's tests; a campaign runs through
+/// [`run_spec`](crate::run_spec).
 pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
     configs
         .iter()
@@ -356,7 +324,10 @@ pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
         .collect()
 }
 
-/// Sequential reference implementation of timed [`run_campaign`].
+/// Runs each configuration in turn, timed against `storage`, returning
+/// summaries in the input order. `amrbench` is its only consumer outside
+/// this crate's tests; a campaign runs through
+/// [`run_spec`](crate::run_spec).
 pub fn run_campaign_timed_serial(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
@@ -650,7 +621,7 @@ mod tests {
             ])
         });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign(&matrix, Some(&storage));
+        let summaries = run_campaign_timed_serial(&matrix, &storage);
         // The workload's byte accounting is backend-invariant.
         assert_eq!(summaries[0].total_bytes, summaries[1].total_bytes);
         assert_eq!(summaries[0].total_bytes, summaries[2].total_bytes);
@@ -714,7 +685,7 @@ mod tests {
             ])
         });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign(&matrix, Some(&storage));
+        let summaries = run_campaign_timed_serial(&matrix, &storage);
         assert_eq!(summaries.len(), 9);
         // Logical accounting is invariant across the whole matrix, and
         // physical payload bytes (net of declared bookkeeping) never
@@ -726,7 +697,7 @@ mod tests {
                 "{}",
                 s.name
             );
-            assert!(s.wall_per_cell() > 0.0);
+            assert!(s.wall_time > 0.0);
         }
         // LossyQuant strictly reduces physical bytes and wall-clock vs
         // identity on every backend.
@@ -757,7 +728,11 @@ mod tests {
                 id.wall_time
             );
             assert!(quant.codec_seconds > 0.0);
-            assert!(quant.compression_ratio() > 3.0, "{backend}");
+            let payload = quant.physical_bytes - quant.overhead_bytes;
+            assert!(
+                quant.logical_bytes as f64 / payload as f64 > 3.0,
+                "{backend}"
+            );
         }
     }
 
@@ -802,7 +777,7 @@ mod tests {
                 .modes(&[RunMode::Write, RunMode::Restart])
         });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign(&matrix, Some(&storage));
+        let summaries = run_campaign_timed_serial(&matrix, &storage);
         for s in &summaries {
             if s.restart {
                 assert!(s.read_bytes > 0, "{}", s.name);
@@ -911,7 +886,7 @@ mod tests {
             reorganize: true,
             ..Default::default()
         };
-        let s = &run_campaign(&[cfg], None)[0];
+        let s = &run_campaign_serial(&[cfg])[0];
         assert!(!s.reorganized);
         assert_eq!(s.read_pattern, "none");
         assert_eq!(s.reorg_wall, 0.0);
@@ -939,7 +914,7 @@ mod tests {
             open_latency: 1e-3,
             ..iosim::StorageModel::ideal(1, 5e7)
         };
-        let summaries = run_campaign(&matrix, Some(&storage));
+        let summaries = run_campaign_timed_serial(&matrix, &storage);
         assert_eq!(summaries.len(), 2);
         let raw = summaries.iter().find(|s| !s.reorganized).unwrap();
         let opt = summaries.iter().find(|s| s.reorganized).unwrap();
@@ -1029,7 +1004,7 @@ mod tests {
             ])
         });
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign(&matrix, Some(&storage));
+        let summaries = run_campaign_timed_serial(&matrix, &storage);
         let clean = &summaries[0];
         let failed = &summaries[1];
         let insitu = &summaries[2];
@@ -1052,39 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_matches_serial_reference() {
-        // The queue's fan-out must be a pure speedup: summaries
-        // identical to the sequential path, in input order.
-        let mut configs: Vec<CastroSedovConfig> = table3_campaign()
-            .into_iter()
-            .filter(|c| c.n_cell <= 64)
-            .collect();
-        configs.push(CastroSedovConfig {
-            name: "sc_fail".into(),
-            engine: Engine::Oracle,
-            n_cell: 64,
-            max_step: 12,
-            plot_int: 4,
-            nprocs: 4,
-            account_only: true,
-            scenario: Some(Scenario::parse("write;check@4;fail@10;restart").unwrap()),
-            ..Default::default()
-        });
-        assert!(configs.len() >= 3);
-        let parallel = run_campaign(&configs, None);
-        let serial = run_campaign_serial(&configs);
-        assert_eq!(parallel, serial);
-        let storage = iosim::StorageModel::ideal(2, 5e7);
-        let parallel_timed = run_campaign(&configs, Some(&storage));
-        let serial_timed = run_campaign_timed_serial(&configs, &storage);
-        assert_eq!(parallel_timed, serial_timed);
-        // Order is the input order, not completion order.
-        for (s, c) in parallel.iter().zip(&configs) {
-            assert_eq!(s.name, c.name);
-        }
-    }
-
-    #[test]
     fn small_campaign_subset_executes() {
         // Run the four smallest configurations end to end.
         let runs: Vec<CastroSedovConfig> = table3_campaign()
@@ -1092,7 +1034,7 @@ mod tests {
             .filter(|c| c.n_cell <= 64)
             .collect();
         assert!(!runs.is_empty());
-        let summaries = run_campaign(&runs, None);
+        let summaries = run_campaign_serial(&runs);
         for s in &summaries {
             assert!(s.total_bytes > 0, "{} wrote nothing", s.name);
             assert!(!s.series.is_empty());

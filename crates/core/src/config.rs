@@ -205,7 +205,7 @@ impl CastroSedovConfig {
 
     /// Checkpoint directory name for the dump at `step`
     /// (`sedov_2d_cyl_in_cart_chk00020` style).
-    pub fn check_dir(&self, step: u64) -> String {
+    pub(crate) fn check_dir(&self, step: u64) -> String {
         format!("/{}{:05}", self.check_file, step)
     }
 

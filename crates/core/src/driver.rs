@@ -21,7 +21,7 @@ use crate::config::CastroSedovConfig;
 use crate::run::{compute_phase, RunResult};
 use hydro::{AmrConfig, AmrSim, OracleConfig, OracleSim, StepInfo};
 use io_engine::{Cadence, Dump, IoBackend, Producer, ReadSelection, StepStats};
-pub use io_engine::{DumpSource, Phase, ScheduledPhase};
+pub use io_engine::{Phase, ScheduledPhase};
 use iosim::{IoTracker, StorageAttach, Vfs};
 use mpi_sim::SimComm;
 use plotfile::{
@@ -383,7 +383,7 @@ impl<S: StepSource> Producer for AmrProducer<'_, S> {
 /// it cannot serve surfaces the typed
 /// [`std::io::ErrorKind::Unsupported`] error naming the backend and
 /// selection. Neither panics.
-pub async fn try_run_scenario_attached<S: StepSource>(
+pub(crate) async fn try_run_scenario_attached<S: StepSource>(
     cfg: &CastroSedovConfig,
     src: S,
     fs: &dyn Vfs,
@@ -453,7 +453,7 @@ pub async fn try_run_scenario_attached<S: StepSource>(
 mod tests {
     use super::*;
     use crate::config::Engine;
-    use io_engine::Scenario;
+    use io_engine::{DumpSource, Scenario};
 
     fn cfg(max_step: u64, plot_int: u64, check_int: u64) -> CastroSedovConfig {
         CastroSedovConfig {

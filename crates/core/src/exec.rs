@@ -11,8 +11,6 @@
 //! The parallel executor schedules on a `Queue`: one worker per core
 //! takes the costliest ready cell (`cell_cost`, a closed form over the
 //! config), and a tenancy cell waits for the head of its solo profile.
-//! [`run_campaign`](crate::campaign::run_campaign) fans out on the same
-//! queue.
 //!
 //! ```no_run
 //! use amrproxy::{run_spec, ExperimentSpec, ResultsStore};
@@ -28,11 +26,9 @@
 //! assert_eq!(walls.len(), first.summaries.len() / 2);
 //! ```
 
-use crate::campaign::{
-    run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_serial,
-    run_campaign_timed_serial, RunSummary,
-};
+use crate::campaign::{run_campaign_fabric, run_campaign_fabric_cloned, RunSummary};
 use crate::config::{CastroSedovConfig, Engine};
+use crate::run::run_simulation;
 use crate::spec::{ExperimentSpec, SpecCell, SpecError};
 use crate::store::ResultsStore;
 use std::cmp::Reverse;
@@ -134,11 +130,11 @@ fn execute_cell(
             Tenancy::Clones => run_campaign_fabric_cloned(&clones, storage, memo),
         });
     }
-    let cfg = std::slice::from_ref(&cell.config);
-    Ok(match storage {
-        Some(s) => run_campaign_timed_serial(cfg, s),
-        None => run_campaign_serial(cfg),
-    })
+    Ok(vec![RunSummary::from_result(&run_simulation(
+        &cell.config,
+        None,
+        storage,
+    ))])
 }
 
 /// Host time of a hydro cost unit (one level-0 cell solved for one
@@ -678,13 +674,6 @@ mod tests {
             let healed = std::fs::read(dir.join("runs.jsonl")).unwrap();
             assert!(healed == log, "cut at {cut}: the log is whole again");
         }
-        // A handle that was open across the crash heals the same way.
-        let mut reader = ResultsStore::open(&dir).unwrap();
-        let mut torn = std::fs::OpenOptions::new();
-        let mut torn = torn.append(true).open(dir.join("runs.jsonl")).unwrap();
-        std::io::Write::write_all(&mut torn, &log[batch..log.len() - 9]).unwrap();
-        assert_eq!(reader.refresh().unwrap(), 0);
-        assert!(std::fs::read(dir.join("runs.jsonl")).unwrap() == log);
         // A bad line that has its newline is corruption, wherever it is.
         let mut bad = log[..batch - 9].to_vec();
         bad.push(b'\n');

@@ -136,7 +136,7 @@ impl RunResult {
 /// through `vfs` (an internal throw-away memory FS when `None`) and timing
 /// bursts against `storage` when given. The run's phase program is
 /// `cfg.effective_scenario()` compiled against its cadences — both
-/// engines execute through the same [`crate::driver`] plane.
+/// engines execute through the same `crate::driver` plane.
 pub fn run_simulation(
     cfg: &CastroSedovConfig,
     vfs: Option<&dyn Vfs>,
@@ -150,7 +150,7 @@ pub fn run_simulation(
 /// machine room (see [`iosim::Fabric`]), contending with every other
 /// tenant's bursts on one event-driven clock; a tenant among several
 /// runs [`try_run_simulation_attached`] under [`iosim::Fabric::run`].
-pub fn run_simulation_attached(
+pub(crate) fn run_simulation_attached(
     cfg: &CastroSedovConfig,
     vfs: Option<&dyn Vfs>,
     storage: iosim::StorageAttach<'_>,
@@ -159,7 +159,7 @@ pub fn run_simulation_attached(
         .unwrap_or_else(|e| panic!("scenario I/O: {e}"))
 }
 
-/// [`run_simulation_attached`], but propagating phase I/O errors instead
+/// `run_simulation_attached`, but propagating phase I/O errors instead
 /// of panicking — the path callers take when a scenario may legitimately
 /// ask a backend for something it cannot serve (e.g. `analyze:SEL`
 /// against a step the backend never saw returns the typed
@@ -189,7 +189,7 @@ pub async fn try_run_simulation_attached(
 /// steps 1 apart (the old draw-burning scheme cycled with period 8).
 /// A pure function of its arguments: no RNG stream is created or
 /// advanced, so it can be evaluated for any rank in any order.
-pub fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
+pub(crate) fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
     let mut z =
         seed ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -217,7 +217,7 @@ pub fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
 /// # Panics
 /// Panics as [`SimClock`] does: if `t0` is negative or not finite, or if
 /// the per-rank compute time is.
-pub fn compute_phase(
+pub(crate) fn compute_phase(
     comm: &SimComm,
     step: u64,
     t0: f64,

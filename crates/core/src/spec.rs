@@ -31,7 +31,7 @@
 //! persisted in results stores stay addressable.
 //!
 //! ```
-//! use amrproxy::spec::ExperimentSpec;
+//! use amrproxy::ExperimentSpec;
 //! use amrproxy::CastroSedovConfig;
 //! use io_engine::{BackendSpec, CodecSpec};
 //!
@@ -78,7 +78,7 @@ pub enum ScalingMode {
 
 impl ScalingMode {
     /// Parses a mode spelling (`strong` / `weak` / `throughput`).
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "strong" => Ok(Self::Strong),
             "weak" => Ok(Self::Weak),
@@ -86,15 +86,6 @@ impl ScalingMode {
             other => Err(format!(
                 "unknown scaling mode '{other}' (strong, weak, throughput)"
             )),
-        }
-    }
-
-    /// Canonical spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Strong => "strong",
-            Self::Weak => "weak",
-            Self::Throughput => "throughput",
         }
     }
 }
@@ -119,7 +110,7 @@ pub enum StorageProfile {
 
 impl StorageProfile {
     /// Parses `ideal:<servers>:<bandwidth>` or `summit:<scale>`.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         let mut parts = s.split(':');
         match parts.next() {
             Some("ideal") => {
@@ -161,7 +152,7 @@ impl StorageProfile {
     }
 
     /// Name-safe label tag (`ideal82p5e8`, `summit0p5`).
-    pub fn tag(&self) -> String {
+    pub(crate) fn tag(&self) -> String {
         self.name().replace(':', "").replace('.', "p")
     }
 
@@ -480,22 +471,9 @@ impl ExperimentSpec {
         self.axis("scale", scales.iter().copied().map(AxisValue::Scale))
     }
 
-    /// Declares the AMR-rung axis (level-0 `n_cell` per direction).
-    pub fn rungs(self, rungs: &[i64]) -> Self {
-        self.axis("rung", rungs.iter().copied().map(AxisValue::Rung))
-    }
-
     /// Declares the storage-profile axis.
     pub fn storages(self, storages: &[StorageProfile]) -> Self {
         self.axis("storage", storages.iter().copied().map(AxisValue::Storage))
-    }
-
-    /// Zips the named axes: they advance in lockstep instead of
-    /// crossing (members must have equal lengths).
-    pub fn zip(mut self, members: &[&str]) -> Self {
-        self.zips
-            .push(members.iter().map(|m| m.to_string()).collect());
-        self
     }
 
     /// Excludes every cell whose canonical axis values match all the
@@ -815,13 +793,13 @@ mod tests {
 
     #[test]
     fn zip_advances_axes_in_lockstep() {
-        let cells = ExperimentSpec::new("t")
-            .base(base("m"))
-            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)])
-            .codecs(&[CodecSpec::Identity, CodecSpec::LossyQuant(8)])
-            .zip(&["backend", "codec"])
-            .compile()
-            .unwrap();
+        let cells = ExperimentSpec::from_toml(
+            "[experiment]\nzip = [\"backend+codec\"]\n[base]\nname = \"m\"\n\
+             [axes]\nbackend = [\"fpp\", \"agg:4\"]\ncodec = [\"identity\", \"quant:8\"]",
+        )
+        .unwrap()
+        .compile()
+        .unwrap();
         let labels: Vec<&str> = cells.iter().map(|c| c.config.name.as_str()).collect();
         assert_eq!(labels, ["m_fpp_identity", "m_agg4_quant8"]);
     }
@@ -969,18 +947,13 @@ mod tests {
 
     #[test]
     fn rung_and_storage_axes() {
-        let cells = ExperimentSpec::new("t")
-            .base(base("r"))
-            .rungs(&[64, 128])
-            .storages(&[
-                StorageProfile::Ideal {
-                    servers: 8,
-                    bandwidth: 2.5e8,
-                },
-                StorageProfile::Summit { scale: 0.5 },
-            ])
-            .compile()
-            .unwrap();
+        let cells = ExperimentSpec::from_toml(
+            "[base]\nname = \"r\"\n[axes]\nrung = [64, 128]\n\
+             storage = [\"ideal:8:2.5e8\", \"summit:0.5\"]",
+        )
+        .unwrap()
+        .compile()
+        .unwrap();
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].config.name, "r_n64_ideal82p5e8");
         assert_eq!(cells[3].config.name, "r_n128_summit0p5");

@@ -22,14 +22,14 @@
 //! * **Keyed resume**: [`ResultsStore::contains`] / [`ResultsStore::get`]
 //!   answer "is this cell already persisted" by content hash, and
 //!   [`ResultsStore::append_cell`] commits a finished cell's rows as one
-//!   contiguous batch — what the spec executors in [`crate::exec`] build
+//!   contiguous batch — what the spec executors in `crate::exec` build
 //!   resumable, parallel campaigns on.
 
 use crate::campaign::RunSummary;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -52,24 +52,22 @@ pub struct ResultsStore {
     /// Row indices per cell key, in append order; iterating it is the
     /// canonical row order of [`Self::query`].
     index: BTreeMap<String, Vec<usize>>,
-    /// Bytes of `runs.jsonl` already replayed into `rows` — the
-    /// [`Self::refresh`] fast path's cursor. Every append (ours or a
-    /// replayed one) advances it, so a reused store object never
-    /// re-reads bytes it has already ingested.
+    /// Bytes of `runs.jsonl` already replayed into `rows`: where a torn
+    /// final record is cut back to. Every append (ours or a replayed
+    /// one) advances it.
     log_len: u64,
 }
 
 /// One resident `(cell, summary)` row, shared between the store and
 /// every [`Query`] taken over it.
-pub type Row = Arc<(String, Value)>;
+pub(crate) type Row = Arc<(String, Value)>;
 
 fn invalid_data(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 /// Parses one log line into its `(cell, summary)` pair, or `None` for a
-/// blank line. `at` renders the error location (`path:line` on open,
-/// `path@byte` on [`ResultsStore::refresh`]).
+/// blank line. `at` renders the error location (`path:line`).
 fn parse_record(line: &str, at: impl Fn() -> String) -> std::io::Result<Option<(String, Value)>> {
     let line = line.trim();
     if line.is_empty() {
@@ -114,41 +112,13 @@ impl ResultsStore {
             log_len: 0,
         };
         let log = BufReader::new(File::open(&path)?);
-        store.replay(log, |_, line| format!("{}:{line}", path.display()))?;
+        store.replay(log, |line| format!("{}:{line}", path.display()))?;
         Ok(store)
     }
 
-    /// Ingests any log bytes appended *behind this store object's back*
-    /// (a second handle, another process) without re-reading the whole
-    /// file: stats `runs.jsonl`, and when it grew past the bytes already
-    /// replayed, parses only the tail. Returns the number of rows added
-    /// — `Ok(0)` without touching file contents when nothing changed,
-    /// which makes reopening-by-refresh O(1) instead of O(log).
-    pub fn refresh(&mut self) -> std::io::Result<usize> {
-        let path = self.dir.join("runs.jsonl");
-        let size = std::fs::metadata(&path)?.len();
-        if size == self.log_len {
-            return Ok(0);
-        }
-        if size < self.log_len {
-            return Err(invalid_data(format!(
-                "{}: log shrank ({} bytes, {} already replayed) — appends never rewrite",
-                path.display(),
-                size,
-                self.log_len
-            )));
-        }
-        let mut tail = File::open(&path)?;
-        tail.seek(SeekFrom::Start(self.log_len))?;
-        self.replay(BufReader::new(tail), |offset, _| {
-            format!("{}@{offset}", path.display())
-        })
-    }
-
     /// Replays the log lines `log` yields (it starts at byte
-    /// `self.log_len`) into the resident rows, advancing the cursor, and
-    /// returns the rows added. `at` renders a bad line's location from
-    /// its byte offset and its 1-based line number within this replay.
+    /// `self.log_len`) into the resident rows, advancing the cursor.
+    /// `at` renders a bad line's location from its 1-based line number.
     ///
     /// A record is complete once its newline is written. A final line
     /// without one is an append its writer died in (the store has one
@@ -160,9 +130,8 @@ impl ResultsStore {
     fn replay(
         &mut self,
         mut log: impl BufRead,
-        at: impl Fn(u64, usize) -> String,
-    ) -> std::io::Result<usize> {
-        let before = self.rows.len();
+        at: impl Fn(usize) -> String,
+    ) -> std::io::Result<()> {
         let mut line = Vec::new();
         for lineno in 1.. {
             line.clear();
@@ -174,19 +143,19 @@ impl ResultsStore {
             if line.last() != Some(&b'\n') {
                 eprintln!(
                     "{}: dropping a torn {n}-byte final record; its cell will re-run",
-                    at(offset, lineno)
+                    at(lineno)
                 );
                 self.file.set_len(offset)?;
                 break;
             }
             let text = std::str::from_utf8(&line)
-                .map_err(|e| invalid_data(format!("{}: {e}", at(offset, lineno))))?;
+                .map_err(|e| invalid_data(format!("{}: {e}", at(lineno))))?;
             self.log_len += n as u64;
-            if let Some((cell, row)) = parse_record(text, || at(offset, lineno))? {
+            if let Some((cell, row)) = parse_record(text, || at(lineno))? {
                 self.ingest(cell, row);
             }
         }
-        Ok(self.rows.len() - before)
+        Ok(())
     }
 
     /// Adds one row to the resident table and its cell's index.
@@ -227,7 +196,7 @@ impl ResultsStore {
     /// Appends one arbitrary JSON row under a cell key — the path bench
     /// artifacts (non-`RunSummary` tables) persist through; [`Self::append`]
     /// is the typed wrapper campaigns use.
-    pub fn append_row(&mut self, cell: &str, row: &Value) -> std::io::Result<()> {
+    pub(crate) fn append_row(&mut self, cell: &str, row: &Value) -> std::io::Result<()> {
         self.append_rows(cell, vec![row.clone()])
     }
 
@@ -364,25 +333,6 @@ impl Query {
         self
     }
 
-    /// Keeps rows where `predicate` holds on `column`'s numeric value
-    /// (rows without the column or with a non-number are dropped).
-    pub fn filter_num(mut self, column: &str, predicate: impl Fn(f64) -> bool) -> Self {
-        self.rows.retain(|row| {
-            row.1
-                .get(column)
-                .and_then(Value::as_f64)
-                .is_some_and(&predicate)
-        });
-        self
-    }
-
-    /// Projects one column (missing → `Null`).
-    pub fn column(&self, column: &str) -> Vec<Value> {
-        self.values()
-            .map(|row| row.get(column).cloned().unwrap_or(Value::Null))
-            .collect()
-    }
-
     /// Projects a numeric column (non-numbers are skipped).
     pub fn numbers(&self, column: &str) -> Vec<f64> {
         self.values()
@@ -390,16 +340,9 @@ impl Query {
             .collect()
     }
 
-    /// Projects a string column (non-strings are skipped).
-    pub fn strings(&self, column: &str) -> Vec<String> {
-        self.values()
-            .filter_map(|row| row.get(column).and_then(Value::as_str).map(String::from))
-            .collect()
-    }
-
     /// Deserializes the remaining rows back into [`RunSummary`]s (rows
     /// that do not parse — e.g. bench rows from
-    /// [`ResultsStore::append_row`] — are skipped).
+    /// `ResultsStore::append_row` — are skipped).
     pub fn summaries(&self) -> Vec<RunSummary> {
         self.values()
             .filter_map(|row| RunSummary::from_value(row).ok())
@@ -547,9 +490,7 @@ pub(crate) mod tests {
                 .len(),
             1
         );
-        // Numeric filters and projections.
-        let heavy = q.clone().filter_num("physical_bytes", |b| b > 0.0);
-        assert_eq!(heavy.len(), 4);
+        // Numeric projections.
         assert_eq!(q.numbers("wall_time").len(), 4);
         assert!(q.mean("wall_time") > 0.0);
         // Boolean columns filter by JSON spelling.
@@ -653,37 +594,6 @@ pub(crate) mod tests {
         let (written, read) = (writer.query(), reopened.query());
         assert_eq!(read.len(), 9);
         assert_eq!(written.rows(), read.rows(), "row for row");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn refresh_ingests_only_the_tail() {
-        let dir = tmp_dir("refresh");
-        let storage = iosim::StorageModel::ideal(2, 5e7);
-        let s1 = run_campaign_timed_serial(&[small_base("a")], &storage).remove(0);
-        let s2 = run_campaign_timed_serial(&[small_base("b")], &storage).remove(0);
-        let mut writer = ResultsStore::open(&dir).unwrap();
-        writer.append("k1", &s1).unwrap();
-        // A second handle on the same directory: sees k1 on open, then
-        // k2 only after a refresh, which reads only the appended tail.
-        let mut reader = ResultsStore::open(&dir).unwrap();
-        assert!(reader.contains("k1"));
-        assert_eq!(reader.refresh().unwrap(), 0, "nothing new: O(1) stat only");
-        writer.append("k2", &s2).unwrap();
-        assert!(!reader.contains("k2"));
-        assert_eq!(reader.refresh().unwrap(), 1);
-        assert_eq!(reader.get("k2"), vec![s2.clone()]);
-        assert_eq!(reader.len(), writer.len());
-        assert_eq!(reader.refresh().unwrap(), 0);
-        // The reader's own appends keep its cursor current.
-        reader.append("k3", &s1).unwrap();
-        assert_eq!(reader.refresh().unwrap(), 0);
-        // A shrunken log is corruption, not a resume point.
-        drop(writer);
-        let log = dir.join("runs.jsonl");
-        let full = std::fs::read(&log).unwrap();
-        std::fs::write(&log, &full[..full.len() / 2]).unwrap();
-        assert!(reader.refresh().unwrap_err().to_string().contains("shrank"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

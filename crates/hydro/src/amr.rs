@@ -1,8 +1,10 @@
 //! The AMR simulation driver.
 //!
 //! Plays the role of `Amr`/`AmrLevel` in AMReX-Castro: owns the level
-//! hierarchy, advances it with a global (non-subcycled) CFL time step,
-//! averages fine data onto coarse levels, and regrids every
+//! hierarchy, advances it with a subcycled CFL time step (level `l`
+//! takes `ref_ratio^l` substeps per coarse step; no flux registers, and
+//! coarse ghosts are not interpolated in time), averages fine data onto
+//! coarse levels, and regrids every
 //! `amr.regrid_int` steps by re-tagging and re-running Berger–Rigoutsos.
 //! The per-step grid hierarchy this driver produces is the paper's I/O
 //! signal: plotfile bytes are a direct function of it.
@@ -72,7 +74,8 @@ pub struct Level {
     pub geom: Geometry,
     /// Conserved state.
     pub mf: MultiFab,
-    /// Steps taken at this level (== global steps; non-subcycled).
+    /// Steps taken at this level: `ref_ratio^l` per coarse step
+    /// (subcycled), carried across regrids.
     pub steps: u64,
 }
 
@@ -177,11 +180,6 @@ impl AmrSim {
     /// Access to the levels (coarsest first).
     pub fn levels(&self) -> &[Level] {
         &self.levels
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &AmrConfig {
-        &self.cfg
     }
 
     /// The equation of state in use.
@@ -289,7 +287,7 @@ impl AmrSim {
     /// Re-tags all levels and rebuilds levels 1..=max_level, enforcing
     /// nesting and preserving data (copy where overlapping, interpolate
     /// from the parent elsewhere).
-    pub fn regrid(&mut self) {
+    pub(crate) fn regrid(&mut self) {
         let max_lev = self.cfg.max_level;
         let ratio = IntVect::splat(self.cfg.grid.ref_ratio);
 
@@ -389,7 +387,7 @@ fn fill_level_ghosts(
 
 /// Piecewise-constant interpolation of coarse data into the ghost region
 /// of every fine fab (cells inside `fine_domain` only).
-pub fn interp_ghosts_from_coarse(
+pub(crate) fn interp_ghosts_from_coarse(
     fine: &mut MultiFab,
     coarse: &MultiFab,
     ref_ratio: Coord,
@@ -412,7 +410,7 @@ pub fn interp_ghosts_from_coarse(
 
 /// Piecewise-constant prolongation of the full valid region of `fine`
 /// from `coarse` (used to seed new grids at regrid).
-pub fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
+pub(crate) fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
     for fi in 0..fine.nfabs() {
         let valid = fine.valid_box(fi);
         let fab = fine.fab_mut(fi);
@@ -458,7 +456,7 @@ fn inject(
 /// `coarse`: each covered coarse cell becomes the mean of its fine cells.
 /// Coarse cells only partly covered by one fine box are left alone
 /// (alignment makes that rare; skipping it stays conservative).
-pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
+pub(crate) fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
     let r = ref_ratio;
     let ratio = IntVect::splat(r);
     let ncomp = coarse.ncomp().min(fine.ncomp());
@@ -504,7 +502,7 @@ mod reference {
     use amr_mesh::prelude::*;
     use amr_mesh::Coord;
 
-    pub fn interp_ghosts_from_coarse(
+    pub(crate) fn interp_ghosts_from_coarse(
         fine: &mut MultiFab,
         coarse: &MultiFab,
         ref_ratio: Coord,
@@ -543,7 +541,7 @@ mod reference {
         }
     }
 
-    pub fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
+    pub(crate) fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coord) {
         let ratio = IntVect::splat(ref_ratio);
         let ncomp = fine.ncomp().min(coarse.ncomp());
         for fi in 0..fine.nfabs() {
@@ -569,7 +567,7 @@ mod reference {
         }
     }
 
-    pub fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
+    pub(crate) fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
         let ratio = IntVect::splat(ref_ratio);
         let ncomp = coarse.ncomp().min(fine.ncomp());
         for ci in 0..coarse.nfabs() {
@@ -705,7 +703,7 @@ mod tests {
             sim.step();
         }
         for lev in 1..=sim.finest_level() {
-            let ratio = IntVect::splat(sim.config().grid.ref_ratio);
+            let ratio = IntVect::splat(sim.cfg.grid.ref_ratio);
             let parent: Vec<IndexBox> = sim.levels()[lev - 1]
                 .mf
                 .box_array()

@@ -30,19 +30,19 @@ impl GammaLaw {
 
     /// Pressure from density and specific internal energy.
     #[inline]
-    pub fn pressure(&self, rho: f64, e_int: f64) -> f64 {
+    pub(crate) fn pressure(&self, rho: f64, e_int: f64) -> f64 {
         (self.gamma - 1.0) * rho * e_int
     }
 
     /// Specific internal energy from density and pressure.
     #[inline]
-    pub fn internal_energy(&self, rho: f64, p: f64) -> f64 {
+    pub(crate) fn internal_energy(&self, rho: f64, p: f64) -> f64 {
         p / ((self.gamma - 1.0) * rho)
     }
 
     /// Adiabatic sound speed.
     #[inline]
-    pub fn sound_speed(&self, rho: f64, p: f64) -> f64 {
+    pub(crate) fn sound_speed(&self, rho: f64, p: f64) -> f64 {
         (self.gamma * p / rho).sqrt()
     }
 }

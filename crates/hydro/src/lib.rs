@@ -36,28 +36,26 @@
 
 #![deny(unsafe_code)]
 
-pub mod amr;
-pub mod eos;
+pub(crate) mod amr;
+pub(crate) mod eos;
 pub mod exact_riemann;
-pub mod oracle;
-pub mod riemann;
-pub mod sedov;
-pub mod solver;
-pub mod state;
-pub mod tagging;
+pub(crate) mod oracle;
+pub(crate) mod riemann;
+pub(crate) mod sedov;
+pub(crate) mod solver;
+pub(crate) mod state;
+pub(crate) mod tagging;
 #[cfg(test)]
 mod test_support;
-pub mod timestep;
+pub(crate) mod timestep;
 
-pub use amr::{
-    average_down, interp_ghosts_from_coarse, prolongate, AmrConfig, AmrSim, Level, StepInfo,
-};
+pub use amr::{AmrConfig, AmrSim, StepInfo};
 pub use eos::GammaLaw;
 pub use exact_riemann::{sample_exact, star_state};
-pub use oracle::{annulus_fine_grids, OracleConfig, OracleLevel, OracleSim};
+pub use oracle::{annulus_fine_grids, OracleConfig, OracleSim};
 pub use riemann::hllc_flux;
 pub use sedov::SedovProblem;
-pub use solver::{advance_level, apply_outflow_bc, sweep_fab, SweepScratch, NGROW};
+pub use solver::{advance_level, apply_outflow_bc, SweepScratch, NGROW};
 pub use state::{flux, Conserved, Primitive, NCOMP, UEDEN, UMX, UMY, URHO};
-pub use tagging::{tag_gradients, TagCriteria};
-pub use timestep::{cfl_dt, limit_dt, TimestepControl};
+pub use tagging::TagCriteria;
+pub use timestep::TimestepControl;

@@ -118,7 +118,7 @@ impl OracleSim {
     }
 
     /// Finest active level.
-    pub fn finest_level(&self) -> usize {
+    pub(crate) fn finest_level(&self) -> usize {
         self.levels.len() - 1
     }
 
@@ -127,13 +127,8 @@ impl OracleSim {
         &self.levels
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &OracleConfig {
-        &self.cfg
-    }
-
     /// Shock radius at the current time (clamped to the deposit radius).
-    pub fn shock_radius(&self) -> f64 {
+    pub(crate) fn shock_radius(&self) -> f64 {
         let dx0 = self.levels[0].geom.dx()[0];
         self.cfg
             .problem
@@ -460,7 +455,7 @@ mod tests {
         let s1 = sim.step();
         let s2 = sim.step();
         assert!(s1.dt > 0.0);
-        assert!(s2.dt <= s1.dt * sim.config().ctrl.change_max + 1e-18);
+        assert!(s2.dt <= s1.dt * sim.cfg.ctrl.change_max + 1e-18);
     }
 
     #[test]

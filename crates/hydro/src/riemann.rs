@@ -95,7 +95,12 @@ pub(crate) mod reference {
     use crate::state::{flux, Conserved, Primitive};
 
     /// HLLC flux, one branch per wave configuration.
-    pub fn hllc_flux(wl: &Primitive, wr: &Primitive, eos: &GammaLaw, dir: usize) -> Conserved {
+    pub(crate) fn hllc_flux(
+        wl: &Primitive,
+        wr: &Primitive,
+        eos: &GammaLaw,
+        dir: usize,
+    ) -> Conserved {
         let cl = wl.sound_speed(eos);
         let cr = wr.sound_speed(eos);
         let ul = wl.vel(dir);

@@ -44,14 +44,14 @@ impl Default for SedovProblem {
 
 impl SedovProblem {
     /// The EOS implied by the problem.
-    pub fn eos(&self) -> GammaLaw {
+    pub(crate) fn eos(&self) -> GammaLaw {
         GammaLaw::new(self.gamma)
     }
 
     /// Effective deposit radius for a grid of spacing `dx`: at least
     /// `r_init` but never under-resolved (Castro smooths the deposit over
     /// a few fine cells for the same reason).
-    pub fn deposit_radius(&self, dx: f64) -> f64 {
+    pub(crate) fn deposit_radius(&self, dx: f64) -> f64 {
         self.r_init.max(2.5 * dx)
     }
 
@@ -60,7 +60,7 @@ impl SedovProblem {
     /// Cells inside the deposit radius share the blast energy uniformly
     /// (energy density `E / (pi r^2)` for the cylindrical charge); all
     /// cells start at ambient density and zero velocity.
-    pub fn init_level(&self, mf: &mut MultiFab, geom: &Geometry) {
+    pub(crate) fn init_level(&self, mf: &mut MultiFab, geom: &Geometry) {
         assert_eq!(mf.ncomp(), NCOMP, "init_level: wrong component count");
         let eos = self.eos();
         let dx = geom.dx();
@@ -104,7 +104,7 @@ impl SedovProblem {
 
     /// Shock speed `dr_s/dt` at time `t` (infinite at `t = 0` is clamped
     /// by evaluating from the deposit radius).
-    pub fn shock_speed(&self, t: f64) -> f64 {
+    pub(crate) fn shock_speed(&self, t: f64) -> f64 {
         if t <= 0.0 {
             return f64::INFINITY;
         }
@@ -113,7 +113,7 @@ impl SedovProblem {
 
     /// Time at which the shock reaches radius `r` (inverse of
     /// [`SedovProblem::shock_radius`]).
-    pub fn time_at_radius(&self, r: f64) -> f64 {
+    pub(crate) fn time_at_radius(&self, r: f64) -> f64 {
         (r.powi(4) * self.dens_ambient / self.exp_energy).sqrt()
     }
 
@@ -121,12 +121,6 @@ impl SedovProblem {
     /// jump: `rho2 = rho1 (gamma+1)/(gamma-1)`.
     pub fn post_shock_density(&self) -> f64 {
         self.dens_ambient * (self.gamma + 1.0) / (self.gamma - 1.0)
-    }
-
-    /// Immediate post-shock pressure for a shock moving at speed `us`:
-    /// `p2 = 2 rho1 us^2 / (gamma+1)`.
-    pub fn post_shock_pressure(&self, us: f64) -> f64 {
-        2.0 * self.dens_ambient * us * us / (self.gamma + 1.0)
     }
 }
 
@@ -196,8 +190,6 @@ mod tests {
     fn strong_shock_jump_for_gamma_14() {
         let prob = SedovProblem::default();
         assert!((prob.post_shock_density() - 6.0).abs() < 1e-12);
-        let us = 10.0;
-        assert!((prob.post_shock_pressure(us) - 2.0 * 100.0 / 2.4).abs() < 1e-9);
     }
 
     #[test]

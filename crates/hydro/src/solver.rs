@@ -25,14 +25,14 @@
 
 use crate::eos::GammaLaw;
 use crate::riemann::hllc_flux;
-use crate::state::{flux_from, Conserved, Primitive, NCOMP, SMALL_DENS, SMALL_PRES, UEDEN, URHO};
+use crate::state::{flux_from, Conserved, Primitive, NCOMP, SMALL_DENS, SMALL_PRES};
 use amr_mesh::{Coord, FArrayBox, Geometry, IndexBox, IntVect, MultiFab};
 use std::ops::Range;
 
 /// Ghost-cell width the solver requires.
 pub const NGROW: i64 = 2;
 
-/// Row scratch of [`sweep_fab`], reused across fabs, directions, levels
+/// Row scratch of `sweep_fab`, reused across fabs, directions, levels
 /// and steps: one pencil's primitives, its predicted low/high face states
 /// and its face fluxes, each as `NCOMP` rows in the sweep's frame. Rows
 /// only grow, so a steady run allocates nothing.
@@ -218,7 +218,7 @@ impl SweepScratch {
 ///
 /// # Panics
 /// Panics unless the fab covers `valid` grown by [`NGROW`] along `dir`.
-pub fn sweep_fab(
+pub(crate) fn sweep_fab(
     fab: &mut FArrayBox,
     valid: &IndexBox,
     dir: usize,
@@ -423,13 +423,6 @@ fn outflow_fab(fab: &mut FArrayBox, domain: &IndexBox) {
     }
 }
 
-/// Total conserved quantities over the valid region: `(mass, energy)` —
-/// used by conservation tests.
-pub fn totals(mf: &MultiFab, geom: &Geometry) -> (f64, f64) {
-    let area = geom.cell_area();
-    (mf.sum(URHO) * area, mf.sum(UEDEN) * area)
-}
-
 /// Test oracles: the per-cell sweep, floors and outflow fill the flat
 /// kernels above must reproduce bit for bit.
 #[cfg(test)]
@@ -479,7 +472,7 @@ mod reference {
 
     /// The per-cell sweep: three primitive conversions per cell, `get` /
     /// `add` addressing and per-call face and flux vectors.
-    pub fn sweep_fab(
+    pub(crate) fn sweep_fab(
         fab: &mut FArrayBox,
         valid: &IndexBox,
         dir: usize,
@@ -540,7 +533,7 @@ mod reference {
         }
     }
 
-    pub fn enforce_floors(fab: &mut FArrayBox, valid: &IndexBox) {
+    pub(crate) fn enforce_floors(fab: &mut FArrayBox, valid: &IndexBox) {
         use crate::state::{SMALL_DENS, SMALL_PRES};
         for p in valid.cells() {
             let rho = fab.get(p, URHO);
@@ -559,7 +552,7 @@ mod reference {
     }
 
     /// The outflow fill that walks every cell of each boundary fab.
-    pub fn apply_outflow_bc(mf: &mut MultiFab, domain: &IndexBox) {
+    pub(crate) fn apply_outflow_bc(mf: &mut MultiFab, domain: &IndexBox) {
         let (dlo, dhi) = (domain.lo(), domain.hi());
         for fab in mf.fabs_mut() {
             let g = fab.domain();
@@ -584,10 +577,16 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{UMX, UMY};
+    use crate::state::{UEDEN, UMX, UMY, URHO};
     use crate::test_support::{boxed, fab_bits, multifab_bits, random_fab, random_level, KINDS};
     use amr_mesh::prelude::*;
     use proptest::prelude::*;
+
+    /// Total conserved quantities over the valid region: `(mass, energy)`.
+    fn totals(mf: &MultiFab, geom: &Geometry) -> (f64, f64) {
+        let area = geom.cell_area();
+        (mf.sum(URHO) * area, mf.sum(UEDEN) * area)
+    }
 
     fn uniform_mf(n: i64, max: i64, w: &Primitive, eos: &GammaLaw) -> (MultiFab, Geometry) {
         let geom = Geometry::unit_square(IntVect::splat(n));

@@ -41,9 +41,9 @@ pub struct Primitive {
 
 /// Density floor applied during conversions; the Sedov ambient state is
 /// far above this, so the floor only guards against transient negativity.
-pub const SMALL_DENS: f64 = 1e-12;
+pub(crate) const SMALL_DENS: f64 = 1e-12;
 /// Pressure floor.
-pub const SMALL_PRES: f64 = 1e-14;
+pub(crate) const SMALL_PRES: f64 = 1e-14;
 
 impl Conserved {
     /// Creates a conserved state from components.
@@ -94,7 +94,7 @@ impl Primitive {
 
     /// Velocity component along direction `dir` (0 = x, 1 = y).
     #[inline]
-    pub fn vel(&self, dir: usize) -> f64 {
+    pub(crate) fn vel(&self, dir: usize) -> f64 {
         if dir == 0 {
             self.u
         } else {

@@ -30,7 +30,7 @@ impl Default for TagCriteria {
 
 /// Tags cells of a level whose density or pressure gradient exceeds the
 /// criteria. Ghost cells must be filled (1 layer used).
-pub fn tag_gradients(mf: &MultiFab, eos: &GammaLaw, crit: &TagCriteria) -> TagMap {
+pub(crate) fn tag_gradients(mf: &MultiFab, eos: &GammaLaw, crit: &TagCriteria) -> TagMap {
     let mut tags = TagMap::new(mf.box_array().minimal_box());
     for (valid, fab) in mf.iter() {
         let dom = fab.domain();

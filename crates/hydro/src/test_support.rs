@@ -6,10 +6,10 @@ use crate::state::{Conserved, Primitive, NCOMP, SMALL_DENS, SMALL_PRES};
 use amr_mesh::prelude::*;
 
 /// SplitMix64: enough randomness to fill a fab from one proptest seed.
-pub struct Rng(u64);
+pub(crate) struct Rng(u64);
 
 impl Rng {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self(seed)
     }
 
@@ -22,7 +22,7 @@ impl Rng {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * (hi - lo)
     }
 
@@ -33,7 +33,7 @@ impl Rng {
 }
 
 /// Families of states the kernels must agree on.
-pub const KINDS: u8 = 4;
+pub(crate) const KINDS: u8 = 4;
 
 /// One conserved state of family `kind`:
 /// 0. physical: moderate density, velocity and pressure;
@@ -42,7 +42,7 @@ pub const KINDS: u8 = 4;
 /// 2. strong shocks: a hot, fast or dense state beside a cold one, many
 ///    decades apart;
 /// 3. any of the above, chosen per cell.
-pub fn state(rng: &mut Rng, kind: u8, eos: &GammaLaw) -> Conserved {
+pub(crate) fn state(rng: &mut Rng, kind: u8, eos: &GammaLaw) -> Conserved {
     let kind = if kind == 3 {
         (rng.next_u64() % 3) as u8
     } else {
@@ -93,7 +93,7 @@ pub fn state(rng: &mut Rng, kind: u8, eos: &GammaLaw) -> Conserved {
 }
 
 /// Fills every cell of `fab` (ghosts included) with states of `kind`.
-pub fn fill(fab: &mut FArrayBox, rng: &mut Rng, kind: u8, eos: &GammaLaw) {
+pub(crate) fn fill(fab: &mut FArrayBox, rng: &mut Rng, kind: u8, eos: &GammaLaw) {
     for p in fab.domain().cells() {
         let u = state(rng, kind, eos);
         for (c, v) in [u.rho, u.mx, u.my, u.e].into_iter().enumerate() {
@@ -103,20 +103,26 @@ pub fn fill(fab: &mut FArrayBox, rng: &mut Rng, kind: u8, eos: &GammaLaw) {
 }
 
 /// A fab over `valid` grown by `ngrow`, filled with states of `kind`.
-pub fn random_fab(valid: IndexBox, ngrow: Coord, seed: u64, kind: u8) -> FArrayBox {
+pub(crate) fn random_fab(valid: IndexBox, ngrow: Coord, seed: u64, kind: u8) -> FArrayBox {
     let mut fab = FArrayBox::new(valid.grow(ngrow), NCOMP);
     fill(&mut fab, &mut Rng::new(seed), kind, &GammaLaw::default());
     fab
 }
 
 /// A box with low corner `(x, y)` and size `(nx, ny)`.
-pub fn boxed(x: Coord, y: Coord, nx: Coord, ny: Coord) -> IndexBox {
+pub(crate) fn boxed(x: Coord, y: Coord, nx: Coord, ny: Coord) -> IndexBox {
     IndexBox::from_lo_size(IntVect::new(x, y), IntVect::new(nx, ny))
 }
 
 /// A level: `domain` cut into boxes of at most `max` cells a side, each
 /// fab (ghosts included) filled with states of `kind`.
-pub fn random_level(domain: IndexBox, max: Coord, ngrow: Coord, seed: u64, kind: u8) -> MultiFab {
+pub(crate) fn random_level(
+    domain: IndexBox,
+    max: Coord,
+    ngrow: Coord,
+    seed: u64,
+    kind: u8,
+) -> MultiFab {
     let ba = BoxArray::single(domain).max_size(max);
     let dm = DistributionMapping::new(&ba, 1, DistributionStrategy::Sfc);
     let mut mf = MultiFab::new(ba, dm, NCOMP, ngrow);
@@ -129,11 +135,11 @@ pub fn random_level(domain: IndexBox, max: Coord, ngrow: Coord, seed: u64, kind:
 }
 
 /// Every stored bit of every fab of `mf`, ghosts included.
-pub fn multifab_bits(mf: &MultiFab) -> Vec<u64> {
+pub(crate) fn multifab_bits(mf: &MultiFab) -> Vec<u64> {
     (0..mf.nfabs()).flat_map(|i| fab_bits(mf.fab(i))).collect()
 }
 
 /// Every stored bit of `fab`, ghosts included.
-pub fn fab_bits(fab: &FArrayBox) -> Vec<u64> {
+pub(crate) fn fab_bits(fab: &FArrayBox) -> Vec<u64> {
     fab.as_slice().iter().map(|v| v.to_bits()).collect()
 }

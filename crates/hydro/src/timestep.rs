@@ -35,7 +35,7 @@ impl Default for TimestepControl {
 
 /// Largest stable `dt` for one level under the CFL condition:
 /// `cfl * min over cells, dirs of dx_d / (|u_d| + c)`.
-pub fn cfl_dt(mf: &MultiFab, geom: &Geometry, eos: &GammaLaw, cfl: f64) -> f64 {
+pub(crate) fn cfl_dt(mf: &MultiFab, geom: &Geometry, eos: &GammaLaw, cfl: f64) -> f64 {
     let dx = geom.dx();
     let mut dt = f64::INFINITY;
     for (valid, fab) in mf.iter() {
@@ -52,7 +52,7 @@ pub fn cfl_dt(mf: &MultiFab, geom: &Geometry, eos: &GammaLaw, cfl: f64) -> f64 {
 
 /// Applies Castro's step-to-step limiting: the first step is shrunk by
 /// `init_shrink`; later steps may grow at most `change_max` per step.
-pub fn limit_dt(ctrl: &TimestepControl, dt_cfl: f64, dt_prev: Option<f64>) -> f64 {
+pub(crate) fn limit_dt(ctrl: &TimestepControl, dt_cfl: f64, dt_prev: Option<f64>) -> f64 {
     match dt_prev {
         None => dt_cfl * ctrl.init_shrink,
         Some(prev) => dt_cfl.min(prev * ctrl.change_max),

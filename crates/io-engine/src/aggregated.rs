@@ -79,7 +79,7 @@ struct RetainedStep {
 }
 
 /// The aggregating backend (see module docs).
-pub struct Aggregated<'a> {
+pub(crate) struct Aggregated<'a> {
     vfs: &'a dyn Vfs,
     tracker: &'a IoTracker,
     /// Producer tasks per aggregator (>= 1).
@@ -91,7 +91,7 @@ pub struct Aggregated<'a> {
 
 impl<'a> Aggregated<'a> {
     /// A backend aggregating `ratio` producer tasks per subfile.
-    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker, ratio: usize) -> Self {
+    pub(crate) fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker, ratio: usize) -> Self {
         Self {
             vfs,
             tracker,
@@ -100,11 +100,6 @@ impl<'a> Aggregated<'a> {
             retained: HashMap::new(),
             report: EngineReport::default(),
         }
-    }
-
-    /// The configured aggregation ratio.
-    pub fn ratio(&self) -> usize {
-        self.ratio
     }
 
     fn step_dir(container: &str, step: u32) -> String {
@@ -368,7 +363,7 @@ mod tests {
         let fs = MemFs::new();
         let tracker = IoTracker::new();
         let mut b = Aggregated::new(&fs as &dyn Vfs, &tracker, 0);
-        assert_eq!(b.ratio(), 1);
+        assert_eq!(b.ratio, 1);
         b.begin_step(1, "/");
         for task in 0..3u32 {
             b.put(put(task, IoKind::Data, &format!("/f{task}"), b"dddd"))

@@ -282,28 +282,28 @@ pub(crate) struct OpenStep<T>(Option<T>);
 
 impl<T> OpenStep<T> {
     /// No step open.
-    pub fn closed() -> Self {
+    pub(crate) fn closed() -> Self {
         Self(None)
     }
 
     /// `begin_step`: opens `step`.
-    pub fn begin(&mut self, step: T) {
+    pub(crate) fn begin(&mut self, step: T) {
         assert!(self.0.is_none(), "begin_step: step already open");
         self.0 = Some(step);
     }
 
     /// `put`: the open step.
-    pub fn get(&mut self) -> &mut T {
+    pub(crate) fn get(&mut self) -> &mut T {
         self.0.as_mut().expect("put: no open step")
     }
 
     /// `end_step`: takes the open step.
-    pub fn end(&mut self) -> T {
+    pub(crate) fn end(&mut self) -> T {
         self.0.take().expect("end_step: no open step")
     }
 
     /// `read_selection` / `close`: no step may be open.
-    pub fn assert_closed(&self, call: &str) {
+    pub(crate) fn assert_closed(&self, call: &str) {
         assert!(self.0.is_none(), "{call}: step still open");
     }
 }
@@ -426,7 +426,12 @@ pub trait IoBackend: Send {
 /// the selection, and the reason. One constructor so the driver's
 /// `analyze:SEL` error path reads identically across the whole backend
 /// matrix (and so tests can pin the shape without string drift).
-pub fn unsupported_read(backend: &str, step: u32, sel: &ReadSelection, why: &str) -> io::Error {
+pub(crate) fn unsupported_read(
+    backend: &str,
+    step: u32,
+    sel: &ReadSelection,
+    why: &str,
+) -> io::Error {
     io::Error::new(
         io::ErrorKind::Unsupported,
         format!(

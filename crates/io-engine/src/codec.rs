@@ -92,7 +92,7 @@ pub trait Codec: Send + Sync {
 
 /// The pass-through codec.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Identity;
+pub(crate) struct Identity;
 
 impl Codec for Identity {
     fn name(&self) -> String {
@@ -149,7 +149,7 @@ impl Default for Rle {
 
 impl Rle {
     /// An RLE codec with the given modeled ratio for size-only payloads.
-    pub fn new(modeled_ratio: f64) -> Self {
+    pub(crate) fn new(modeled_ratio: f64) -> Self {
         assert!(modeled_ratio >= 1.0, "Rle: modeled ratio must be >= 1");
         Self {
             modeled_ratio,
@@ -243,13 +243,13 @@ impl Codec for Rle {
 // LossyQuant
 
 /// Values per quantization block.
-pub const QUANT_BLOCK_VALUES: u64 = 256;
+pub(crate) const QUANT_BLOCK_VALUES: u64 = 256;
 /// Per-block header: `min: f64` + `scale: f64`, little-endian.
-pub const QUANT_BLOCK_HEADER: u64 = 16;
+pub(crate) const QUANT_BLOCK_HEADER: u64 = 16;
 
 /// Block-wise lossy quantization of `f64` fields (see module docs).
 #[derive(Clone, Debug)]
-pub struct LossyQuant {
+pub(crate) struct LossyQuant {
     /// Packed bits per value (1..=16).
     pub bits: u8,
     /// Modeled CPU cost per logical byte (ns).
@@ -258,7 +258,7 @@ pub struct LossyQuant {
 
 impl LossyQuant {
     /// A quantizer packing `bits` bits per value everywhere.
-    pub fn new(bits: u8) -> Self {
+    pub(crate) fn new(bits: u8) -> Self {
         assert!((1..=16).contains(&bits), "LossyQuant: bits must be 1..=16");
         Self { bits, cpu_ns: 1.5 }
     }
@@ -397,10 +397,10 @@ impl Codec for LossyQuant {
 /// Default modeled ratio for [`Rle`] account-only payloads: AMR field
 /// dumps are dominated by near-constant regions (the unshocked ambient
 /// state), which byte-level RLE collapses well.
-pub const DEFAULT_RLE_RATIO: f64 = 2.0;
+pub(crate) const DEFAULT_RLE_RATIO: f64 = 2.0;
 
 /// Default quantization precision (bits per `f64` value).
-pub const DEFAULT_QUANT_BITS: u8 = 8;
+pub(crate) const DEFAULT_QUANT_BITS: u8 = 8;
 
 /// Which compression codec a run writes through — the serializable spec
 /// CLIs and campaign configs carry (mirrors [`crate::BackendSpec`]).
@@ -468,7 +468,7 @@ impl CodecSpec {
     }
 
     /// True for the pass-through spec.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         matches!(self, CodecSpec::Identity)
     }
 
@@ -486,7 +486,7 @@ impl CodecSpec {
 /// bytes that fail to compress stay raw (the sidecar records the method),
 /// size-only payloads use the codec's modeled/exact size. Returns the
 /// physical payload and whether encoding was applied.
-pub fn encode_payload(
+pub(crate) fn encode_payload(
     codec: &dyn Codec,
     payload: Payload,
     ctx: &CodecContext<'_>,

@@ -60,7 +60,7 @@ impl StagedFile {
 }
 
 /// The burst-buffer backend (see module docs).
-pub struct Deferred<'a> {
+pub(crate) struct Deferred<'a> {
     vfs: &'a dyn Vfs,
     tracker: &'a IoTracker,
     /// The previous step's staged files, flushed at the next barrier.
@@ -73,7 +73,7 @@ pub struct Deferred<'a> {
 
 impl<'a> Deferred<'a> {
     /// A deferred backend over `vfs`.
-    pub fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker) -> Self {
+    pub(crate) fn new(vfs: &'a dyn Vfs, tracker: &'a IoTracker) -> Self {
         Self {
             vfs,
             tracker,

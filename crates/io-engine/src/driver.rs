@@ -510,7 +510,7 @@ impl Run<'_, '_> {
 ///
 /// Phase I/O errors propagate instead of panicking: a scenario that asks
 /// a backend for a read it cannot serve (the typed
-/// [`io::ErrorKind::Unsupported`] error from [`crate::unsupported_read`],
+/// [`io::ErrorKind::Unsupported`] error from `crate::unsupported_read`,
 /// naming the backend and selection) surfaces as an `Err`.
 pub async fn run_program<P: Producer>(
     program: &[ScheduledPhase],

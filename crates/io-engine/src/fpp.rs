@@ -4,7 +4,7 @@
 //! What it adds to the shared layout plane (`layout.rs`):
 //!
 //! * **placement** — per path (`StepBuild`, shared with
-//!   [`crate::Deferred`] and [`crate::Streaming`]): every distinct put
+//!   [`crate::deferred::Deferred`] and [`crate::Streaming`]): every distinct put
 //!   path in a step becomes one physical file whose content is the
 //!   concatenation of its puts in submission order. That single rule
 //!   reproduces both prior behaviours: AMReX plotfile writers choose one
@@ -39,7 +39,7 @@ pub(crate) struct StepBuild {
 }
 
 impl StepBuild {
-    pub fn new(step: u32) -> Self {
+    pub(crate) fn new(step: u32) -> Self {
         Self {
             step,
             order: Vec::new(),
@@ -49,7 +49,7 @@ impl StepBuild {
 
     /// Appends a put to its file, creating the file on first use
     /// (attributed to its first producer).
-    pub fn push(&mut self, put: Put) {
+    pub(crate) fn push(&mut self, put: Put) {
         let build = match self.files.get_mut(&put.path) {
             Some(b) => b,
             None => {
@@ -63,7 +63,7 @@ impl StepBuild {
     }
 
     /// Finished files in first-put order.
-    pub fn into_files(mut self) -> StepFiles {
+    pub(crate) fn into_files(mut self) -> StepFiles {
         self.order
             .drain(..)
             .map(|path| {

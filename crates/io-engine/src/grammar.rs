@@ -78,7 +78,7 @@ impl TomlValue {
     }
 
     /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[TomlValue]> {
+    pub(crate) fn as_array(&self) -> Option<&[TomlValue]> {
         match self {
             TomlValue::Array(items) => Some(items),
             _ => None,
@@ -116,7 +116,7 @@ pub struct TomlSection {
 
 impl TomlSection {
     /// Looks up an entry by key.
-    pub fn get(&self, key: &str) -> Option<&TomlValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&TomlValue> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
@@ -191,7 +191,7 @@ impl TomlDoc {
     }
 
     /// Every `[name]` / `[[name]]` section, in file order.
-    pub fn all(&self, name: &str) -> Vec<&TomlSection> {
+    pub(crate) fn all(&self, name: &str) -> Vec<&TomlSection> {
         self.sections.iter().filter(|s| s.name == name).collect()
     }
 }

@@ -45,7 +45,7 @@ pub(crate) struct Span {
 impl Span {
     /// Parses a data row written by [`FileBuild::write_last_row`] into
     /// the span and its logical path; `None` when malformed.
-    pub fn parse_row(row: &str) -> Option<(Span, String)> {
+    pub(crate) fn parse_row(row: &str) -> Option<(Span, String)> {
         // Split off exactly the 6 leading fixed fields and keep the
         // remainder (the path) verbatim.
         let mut f = row.splitn(7, ' ');
@@ -140,7 +140,7 @@ struct Extra {
 impl FileBuild {
     /// An empty file whose requests are attributed to `rank`, sized for
     /// the one put most per-path files ever get.
-    pub fn for_rank(rank: u32) -> Self {
+    pub(crate) fn for_rank(rank: u32) -> Self {
         Self {
             rank,
             spans: Vec::with_capacity(1),
@@ -151,7 +151,13 @@ impl FileBuild {
     /// Appends a put at the current end of the file. `path` is the put's
     /// logical path where the placement rule files it under another name
     /// (for every put of the file, or for none).
-    pub fn push(&mut self, key: IoKey, kind: IoKind, path: Option<String>, payload: Payload) {
+    pub(crate) fn push(
+        &mut self,
+        key: IoKey,
+        kind: IoKind,
+        path: Option<String>,
+        payload: Payload,
+    ) {
         let span = Span {
             key,
             kind,
@@ -169,7 +175,7 @@ impl FileBuild {
     }
 
     /// Appends a span as given (a parsed index row names its own offset).
-    pub fn push_span(&mut self, span: Span, path: Option<String>) {
+    pub(crate) fn push_span(&mut self, span: Span, path: Option<String>) {
         if let Some(path) = path {
             self.extra.get_or_insert_default().paths.push(path);
         }
@@ -177,22 +183,22 @@ impl FileBuild {
     }
 
     /// Total physical payload bytes (spans are contiguous from 0).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.spans.last().map_or(0, |s| s.offset + s.len)
     }
 
     /// Total logical (pre-compression) payload bytes.
-    pub fn logical_bytes(&self) -> u64 {
+    pub(crate) fn logical_bytes(&self) -> u64 {
         self.spans.iter().map(|s| s.logical_len).sum()
     }
 
     /// The retained segments (empty once sealed or account-only).
-    pub fn segs(&self) -> &[Bytes] {
+    pub(crate) fn segs(&self) -> &[Bytes] {
         self.extra.as_ref().map_or(&[], |e| &e.segs)
     }
 
     /// The logical path of span `i`, given the path of the file itself.
-    pub fn logical_path<'a>(&'a self, i: usize, file: &'a str) -> &'a str {
+    pub(crate) fn logical_path<'a>(&'a self, i: usize, file: &'a str) -> &'a str {
         match &self.extra {
             Some(extra) if !extra.paths.is_empty() => &extra.paths[i],
             _ => file,
@@ -203,7 +209,7 @@ impl FileBuild {
     /// format `md.idx` and `reorg.idx` share: `offset len logical_len
     /// step level task path`. The logical path comes last because it may
     /// contain spaces.
-    pub fn write_last_row(&self, table: &mut String) {
+    pub(crate) fn write_last_row(&self, table: &mut String) {
         let i = self.spans.len() - 1;
         let (span, path) = (&self.spans[i], self.logical_path(i, ""));
         let _ = writeln!(
@@ -214,14 +220,14 @@ impl FileBuild {
     }
 
     /// Books the file into its step's stats as written at `path`.
-    pub fn book(&self, path: String, stats: &mut StepStats) {
+    pub(crate) fn book(&self, path: String, stats: &mut StepStats) {
         stats.add_file(self.rank as usize, path, self.bytes(), self.logical_bytes());
     }
 
     /// Seals the file for retention: hands its segments to the delivery
     /// and keeps the rest at exact size (growth slack would be the
     /// dominant cost of a one-put file).
-    pub fn seal(&mut self) -> Vec<Bytes> {
+    pub(crate) fn seal(&mut self) -> Vec<Bytes> {
         self.spans.shrink_to_fit();
         let Some(extra) = &mut self.extra else {
             return Vec::new();
@@ -236,7 +242,7 @@ impl FileBuild {
 
     /// The "write now" delivery: seals the file and lands it at `path`
     /// unless it is modeled.
-    pub fn write_now(&mut self, vfs: &dyn Vfs, path: &str) -> io::Result<()> {
+    pub(crate) fn write_now(&mut self, vfs: &dyn Vfs, path: &str) -> io::Result<()> {
         let segs = self.seal();
         if !self.account_only {
             let written = vfs.write_file_concat(path, &segs)?;
@@ -324,7 +330,7 @@ pub(crate) struct SpanReader<'a> {
 impl<'a> SpanReader<'a> {
     /// A reader for `step` under `sel`, recording into `tracker`'s read
     /// plane.
-    pub fn new(tracker: &'a IoTracker, step: u32, sel: &'a ReadSelection) -> Self {
+    pub(crate) fn new(tracker: &'a IoTracker, step: u32, sel: &'a ReadSelection) -> Self {
         let mut out = StepRead::default();
         out.stats.step = step;
         Self { tracker, sel, out }
@@ -342,7 +348,7 @@ impl<'a> SpanReader<'a> {
     /// [`Payload::Bytes`], or [`Payload::Encoded`] when a compression
     /// stage shrank them (the stage, or the caller, decodes with the
     /// logical length).
-    pub fn read_file(
+    pub(crate) fn read_file(
         &mut self,
         path: &str,
         file: &FileBuild,
@@ -416,7 +422,7 @@ impl<'a> SpanReader<'a> {
 
     /// Reads a whole per-path file list from one source — the read path
     /// of the per-path placements (fpp, deferred, streaming).
-    pub fn read_files(
+    pub(crate) fn read_files(
         mut self,
         files: &[(String, FileBuild)],
         source: Source<'_>,
@@ -430,8 +436,9 @@ impl<'a> SpanReader<'a> {
 
 #[cfg(test)]
 mod tests {
+    use crate::aggregated::Aggregated;
     use crate::backend::{IoBackend, Payload, Put};
-    use crate::{Aggregated, CodecSpec, FilePerProcess, Reorganizer};
+    use crate::{CodecSpec, FilePerProcess, Reorganizer};
     use iosim::{IoKey, IoKind, IoTracker, MemFs, Vfs};
     use std::io::ErrorKind;
 
@@ -533,10 +540,14 @@ mod tests {
         reorg.reorganize(&mut b, 2, "/plt").unwrap();
         fs.write_file("/plt/reorg00001/level.0", &[0u8; 10])
             .unwrap();
-        let err = reorg.read_step(1).unwrap_err();
+        let err = reorg
+            .read_selection(1, &crate::ReadSelection::Full)
+            .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("/plt/reorg00001/level.0"), "{err}");
-        let intact = reorg.read_step(2).unwrap();
+        let intact = reorg
+            .read_selection(2, &crate::ReadSelection::Full)
+            .unwrap();
         assert_eq!(
             intact.logical_content("/plt/s2/Cell_D_00001"),
             Some(vec![2u8; 64])

@@ -10,10 +10,10 @@
 //! * [`FilePerProcess`] — the classic N-to-N pattern: each logical file
 //!   path becomes one physical file (MACSio MIF groups and AMReX
 //!   `Cell_D` files fall out of the paths the writers choose).
-//! * [`Aggregated`] — ADIOS2-BP-style two-level aggregation: data puts
+//! * `Aggregated` — ADIOS2-BP-style two-level aggregation: data puts
 //!   from N producers funnel into `ceil(N / ratio)` aggregator subfiles
 //!   per step plus one index/metadata file, with chunk coalescing.
-//! * [`Deferred`] — a burst-buffer model: puts stage in memory,
+//! * `Deferred` — a burst-buffer model: puts stage in memory,
 //!   double-buffered, and land one step late; the simulated clock
 //!   overlaps the drain with the next compute phase.
 //! * [`Streaming`] — ADIOS2/SST-style in-transit staging: steps ship to
@@ -25,8 +25,8 @@
 //!   waits.
 //!
 //! In front of any backend sits an optional **compression stage**
-//! ([`CompressionStage`]) applying a [`Codec`] — [`Identity`], lossless
-//! [`Rle`], or block-wise [`LossyQuant`] — to every data put. The stage
+//! ([`CompressionStage`]) applying a [`Codec`] — `Identity`, lossless
+//! [`Rle`], or block-wise `LossyQuant` — to every data put. The stage
 //! splits byte accounting into two planes:
 //!
 //! * **logical bytes** — what the workload produced, recorded in the
@@ -56,23 +56,23 @@
 //! restart/analysis path that reads a written step — or a selected
 //! subset of it ([`ReadSelection`]: one level, one field, a `(level,
 //! task)` key box) — back into logical chunks. [`FilePerProcess`],
-//! [`Deferred`] and [`Streaming`] walk their retained per-path files
+//! `Deferred` and [`Streaming`] walk their retained per-path files
 //! (deferred barriers any in-flight drain first — read-after-write
 //! consistency; streaming serves from the window at zero physical cost);
-//! [`Aggregated`] seeks through its on-disk per-step `md.idx` chunk
+//! `Aggregated` seeks through its on-disk per-step `md.idx` chunk
 //! table; the compression stage decodes each chunk through its codec, so
 //! restart bytes round-trip to the logical bytes written (byte-exact for
 //! lossless codecs, an error-bounded reconstruction of the same length
 //! for the lossy quantizer). File content is outside input by read time:
 //! a span that no longer fits its file is an `InvalidData` error, never a
 //! panic. Reads are recorded in the tracker's separate read plane at
-//! logical size, and [`ReadStats::requests`] — one request per maximal
+//! logical size, and `ReadStats::requests` — one request per maximal
 //! contiguous byte range fetched — feed `iosim`'s read-burst timing
 //! (`simulate_read_burst`: own bandwidth, per-file open charge), so a
 //! selection scattered across a write-optimized layout costs more than
 //! the same bytes clustered.
 //!
-//! That scatter is what the [`reorg`] module removes: an **online
+//! That scatter is what the `reorg` module removes: an **online
 //! reorganization pass** ([`Reorganizer`], after Wan et al.) rewrites a
 //! written step into a read-optimized layout — chunks re-clustered by
 //! level and field with a segmented, partially-fetchable index — and
@@ -80,11 +80,11 @@
 //! by-level and by-field queries, with both the rewrite and the reads
 //! priced like any other I/O.
 //!
-//! Finally, the **scenario plane**: the [`scenario`] module hosts the
+//! Finally, the **scenario plane**: the `scenario` module hosts the
 //! workload grammar — a [`Scenario`] program
 //! (`write;fail@17;restart;analyze:level:2,reorg`) names how a campaign
 //! interleaves writes, checkpoints, mid-run failures/restarts, and
-//! in-run analysis reads — and the [`driver`] module compiles it against
+//! in-run analysis reads — and the `driver` module compiles it against
 //! a workload's [`Cadence`] into a phase program and executes that
 //! program ([`run_program`]) over a [`Producer`]: `amrproxy`'s hierarchy
 //! engines and `macsio`'s part marshaller differ only in how a step's
@@ -134,37 +134,29 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aggregated;
-pub mod backend;
-pub mod codec;
-pub mod deferred;
-pub mod driver;
-pub mod fpp;
+pub(crate) mod aggregated;
+pub(crate) mod backend;
+pub(crate) mod codec;
+pub(crate) mod deferred;
+pub(crate) mod driver;
+pub(crate) mod fpp;
 pub mod grammar;
 mod layout;
-pub mod reorg;
-pub mod scenario;
-pub mod selection;
-pub mod spec;
-pub mod stage;
-pub mod streaming;
+pub(crate) mod reorg;
+pub(crate) mod scenario;
+pub(crate) mod selection;
+pub(crate) mod spec;
+pub(crate) mod stage;
+pub(crate) mod streaming;
 
-pub use aggregated::Aggregated;
-pub use backend::{
-    unsupported_read, ChunkRead, EngineReport, IoBackend, Payload, Put, ReadStats, StepRead,
-    StepStats,
-};
-pub use codec::{Codec, CodecContext, CodecSpec, Identity, LossyQuant, Rle};
-pub use deferred::Deferred;
+pub use backend::{ChunkRead, EngineReport, IoBackend, Payload, Put, StepRead, StepStats};
+pub use codec::{Codec, CodecContext, CodecSpec, Rle};
 pub use driver::{
-    compile, run_program, Cadence, Dump, DumpSource, Phase, Producer, ReadPlane, RunTotals,
-    ScheduledPhase,
+    compile, run_program, Cadence, Dump, DumpSource, Phase, Producer, ScheduledPhase,
 };
 pub use fpp::FilePerProcess;
-pub use grammar::{
-    disambiguate_tags, Matrix, MatrixCell, MatrixError, TomlDoc, TomlSection, TomlValue,
-};
-pub use reorg::{ReorgStats, Reorganizer};
+pub use grammar::Matrix;
+pub use reorg::Reorganizer;
 pub use scenario::{Scenario, ScenarioOp};
 pub use selection::{KeyBox, ReadSelection};
 pub use spec::{BackendSpec, StreamSpec};

@@ -143,7 +143,7 @@ impl<'a> Reorganizer<'a> {
     /// `source`) into the read-optimized layout. The source read goes
     /// through `source`'s full read path — deferred backends barrier
     /// their drains, compression stages decode — and its accounting is
-    /// returned in [`ReorgStats::read`] so the caller can price the
+    /// returned in `ReorgStats::read` so the caller can price the
     /// fetch; the rewrite's files land next to the originals under
     /// `<container>/reorg<step>/`.
     pub fn reorganize(
@@ -287,7 +287,7 @@ impl<'a> Reorganizer<'a> {
     /// * one request per touched level file carrying only the matched
     ///   chunk bytes (matched chunks of one path are contiguous by
     ///   construction); level files outside the selection's
-    ///   [`ReadSelection::level_range`] — and level files with no
+    ///   `ReadSelection::level_range` — and level files with no
     ///   matching chunk — are not opened.
     ///
     /// Returned chunks are the same set a source-backend
@@ -347,12 +347,6 @@ impl<'a> Reorganizer<'a> {
         let mut read = reader.out;
         decode_chunks(self.codec.as_ref(), &mut read);
         Ok(read)
-    }
-
-    /// Whole-step read from the reorganized layout
-    /// ([`ReadSelection::Full`]).
-    pub fn read_step(&self, step: u32) -> io::Result<StepRead> {
-        self.read_selection(step, &ReadSelection::Full)
     }
 }
 
@@ -533,7 +527,7 @@ mod tests {
         assert!(idx.contains("M 1 "), "metadata directory line: {idx}");
         // Within the level file, the two density chunks precede pressure
         // (path-sorted clustering).
-        let full = reorg.read_step(1).unwrap();
+        let full = reorg.read_selection(1, &ReadSelection::Full).unwrap();
         let level0: Vec<&ChunkRead> = full
             .chunks
             .iter()
@@ -608,7 +602,11 @@ mod tests {
         let level_bytes: u64 = (0..3)
             .filter_map(|l| fs.file_size(&format!("/plt/reorg00001/level.{l}")))
             .sum();
-        let logical: u64 = reorg.read_step(1).unwrap().stats.logical_bytes;
+        let logical: u64 = reorg
+            .read_selection(1, &ReadSelection::Full)
+            .unwrap()
+            .stats
+            .logical_bytes;
         assert!(level_bytes < logical, "{level_bytes} vs {logical}");
     }
 
@@ -617,6 +615,6 @@ mod tests {
         let fs = MemFs::new();
         let tracker = IoTracker::new();
         let reorg = Reorganizer::new(&fs as &dyn Vfs, &tracker, CodecSpec::Identity);
-        assert!(reorg.read_step(7).is_err());
+        assert!(reorg.read_selection(7, &ReadSelection::Full).is_err());
     }
 }

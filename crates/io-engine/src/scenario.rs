@@ -73,7 +73,7 @@ pub enum ScenarioOp {
 
 impl ScenarioOp {
     /// Parses one op spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         if s == "write" {
             return Ok(ScenarioOp::Write);
         }
@@ -118,7 +118,7 @@ impl ScenarioOp {
     }
 
     /// The canonical spelling.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             ScenarioOp::Write => "write".to_string(),
             ScenarioOp::CheckEvery(k) => format!("check@{k}"),
@@ -185,13 +185,6 @@ impl Scenario {
         }
     }
 
-    /// Write with a checkpoint every `k` steps (`write;check@k`).
-    pub fn checkpointed(k: u64) -> Self {
-        Self {
-            ops: vec![ScenarioOp::Write, ScenarioOp::CheckEvery(k)],
-        }
-    }
-
     /// Write with an in-run analysis read of every `m`-th plot dump
     /// (`write;analyze_every:m:SEL`).
     pub fn in_run_analysis(m: u64, sel: ReadSelection) -> Self {
@@ -242,7 +235,7 @@ impl Scenario {
     /// Checks program well-formedness: exactly one `write`; at most one
     /// `fail`, with step ≥ 1 and a `restart` somewhere after it; at most
     /// one `check@`, with cadence ≥ 1; analysis cadences ≥ 1.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let writes = self
             .ops
             .iter()
@@ -391,7 +384,7 @@ mod tests {
         let scenarios = [
             Scenario::write_only(),
             Scenario::write_restart(),
-            Scenario::checkpointed(8),
+            Scenario::parse("write;check@8").unwrap(),
             Scenario::in_run_analysis(2, ReadSelection::Level(1)),
             Scenario::in_run_analysis(3, ReadSelection::parse("box:0-1,2-5").unwrap()),
             Scenario::fail_restart(17),

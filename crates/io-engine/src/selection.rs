@@ -16,9 +16,9 @@
 //!   substring (for workloads that name fields in their paths this is a
 //!   by-variable query).
 //! * [`ReadSelection::Box`] — a rectangular box in the retained key
-//!   space: an inclusive `(level, task)` range. Spatial queries lower to
-//!   this through mesh-aware helpers (`plotfile::region_selection`) that
-//!   map a region of index space to the ranks owning intersecting grids.
+//!   space: an inclusive `(level, task)` range. A spatial query lowers to
+//!   this by mapping a region of index space to the ranks owning
+//!   intersecting grids.
 //!
 //! The selection travels as a small string spec (`full`, `level:1`,
 //! `field:density`, `box:0-1,2-5`), so CLIs (`macsio --read_pattern`)
@@ -32,9 +32,8 @@ use serde::{Deserialize, Serialize};
 /// `level_lo..=level_hi` crossed with tasks `task_lo..=task_hi`.
 ///
 /// This is how a *spatial* query reaches the io-engine: a layer that
-/// knows the mesh (e.g. `plotfile::region_selection`) maps a box of
-/// index space to the ranks whose grids intersect it and emits the
-/// covering key box. The cover is conservative — a superset of the
+/// knows the mesh maps a box of index space to the ranks whose grids
+/// intersect it and emits the covering key box. The cover is conservative — a superset of the
 /// exact owner set — which only ever over-fetches, never misses data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyBox {
@@ -50,7 +49,7 @@ pub struct KeyBox {
 
 impl KeyBox {
     /// True when `key` lies inside the box.
-    pub fn contains(&self, key: &IoKey) -> bool {
+    pub(crate) fn contains(&self, key: &IoKey) -> bool {
         (self.level_lo..=self.level_hi).contains(&key.level)
             && (self.task_lo..=self.task_hi).contains(&key.task)
     }
@@ -151,7 +150,7 @@ impl ReadSelection {
     /// field matching is path-based, so every level's chunks must be
     /// consulted). Read-optimized layouts use this to skip whole
     /// level clusters without consulting their chunk tables.
-    pub fn level_range(&self) -> Option<(u32, u32)> {
+    pub(crate) fn level_range(&self) -> Option<(u32, u32)> {
         match self {
             ReadSelection::Full | ReadSelection::Field(_) => None,
             ReadSelection::Level(l) => Some((*l, *l)),

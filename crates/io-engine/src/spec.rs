@@ -1,11 +1,13 @@
 //! Backend selection: a small, serializable spec that CLIs and campaign
 //! configs carry, turned into a live backend at run time.
 
+use crate::aggregated::Aggregated;
 use crate::backend::IoBackend;
 use crate::codec::CodecSpec;
+use crate::deferred::Deferred;
 use crate::stage::CompressionStage;
 use crate::streaming::Streaming;
-use crate::{Aggregated, Deferred, FilePerProcess};
+use crate::FilePerProcess;
 use iosim::{IoTracker, Vfs};
 use mpi_sim::NetworkModel;
 use serde::{Deserialize, Serialize};
@@ -36,7 +38,7 @@ impl Default for StreamSpec {
 impl StreamSpec {
     /// The per-transfer link latency every streamed spec models (one
     /// NIC setup, ~10 µs); not a spec axis — sweeps vary bandwidth.
-    pub const LINK_LATENCY: f64 = 1e-5;
+    pub(crate) const LINK_LATENCY: f64 = 1e-5;
 
     /// The modeled link this spec names.
     pub fn network(&self) -> NetworkModel {
@@ -44,12 +46,12 @@ impl StreamSpec {
     }
 
     /// Window capacity in bytes (`None` = unbounded).
-    pub fn window_bytes(&self) -> Option<u64> {
+    pub(crate) fn window_bytes(&self) -> Option<u64> {
         (self.window_mib > 0).then_some(self.window_mib as u64 * (1 << 20))
     }
 
     /// Consumer drain rate in bytes/s (`None` = keeps up).
-    pub fn consumer_rate(&self) -> Option<f64> {
+    pub(crate) fn consumer_rate(&self) -> Option<f64> {
         (self.consumer_mbps > 0).then_some(self.consumer_mbps as f64 * 1e6)
     }
 }
@@ -166,11 +168,6 @@ impl BackendSpec {
                 }
             }
         }
-    }
-
-    /// True when this backend overlaps drains with compute.
-    pub fn overlapped(&self) -> bool {
-        matches!(self, BackendSpec::Deferred(_))
     }
 
     /// True when this backend ships steps over the interconnect instead
@@ -313,14 +310,6 @@ mod tests {
         ] {
             assert_eq!(BackendSpec::parse(&spec.name()).unwrap(), spec);
         }
-    }
-
-    #[test]
-    fn only_deferred_overlaps() {
-        assert!(!BackendSpec::FilePerProcess.overlapped());
-        assert!(!BackendSpec::Aggregated(4).overlapped());
-        assert!(BackendSpec::Deferred(1).overlapped());
-        assert!(!BackendSpec::Streaming(StreamSpec::default()).overlapped());
     }
 
     #[test]

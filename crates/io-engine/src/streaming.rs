@@ -106,25 +106,10 @@ impl<'a> Streaming<'a> {
         }
     }
 
-    /// The configured window capacity in bytes (`None` = unbounded).
-    pub fn window_cap(&self) -> Option<u64> {
-        (self.window_cap != u64::MAX).then_some(self.window_cap)
-    }
-
     /// Peak window occupancy over the run so far, in bytes — never
     /// exceeds the cap (pinned by the property suite).
     pub fn peak_window_bytes(&self) -> u64 {
         self.peak_occupancy.ceil() as u64
-    }
-
-    /// Total bytes shipped over the link so far.
-    pub fn net_bytes(&self) -> u64 {
-        self.net_bytes
-    }
-
-    /// Total link-transfer seconds so far.
-    pub fn net_seconds(&self) -> f64 {
-        self.net_seconds
     }
 
     /// Total producer stall on window back-pressure so far.
@@ -405,6 +390,6 @@ mod tests {
         assert_eq!(report.files, 0);
         assert_eq!(report.bytes, 0);
         assert_eq!(report.logical_bytes, 6);
-        assert_eq!(b.net_bytes(), 6);
+        assert_eq!(b.net_bytes, 6);
     }
 }

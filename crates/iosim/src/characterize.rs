@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn timeline_metrics_flow_through() {
-        let mut tl = BurstTimeline::new();
+        let mut tl = BurstTimeline::default();
         tl.push(Burst {
             step: 1,
             t_start: 0.0,

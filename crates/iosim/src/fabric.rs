@@ -524,14 +524,8 @@ pub struct FabricHandle {
 impl FabricHandle {
     /// The storage model behind the fabric (used by the scheduler's
     /// solo-replay shadow).
-    pub fn model(&self) -> StorageModel {
+    pub(crate) fn model(&self) -> StorageModel {
         self.model
-    }
-
-    /// Mirror slots this handle drives ([`Fabric::tenant_clones`]); 0
-    /// for an ordinary tenant.
-    pub fn mirrors(&self) -> usize {
-        self.mirrors
     }
 
     /// Sets how the scheduler prices this tenant's solo-equivalent wall
@@ -560,11 +554,6 @@ impl FabricHandle {
     /// [`FabricHandle::write_burst`] for the fabric's only driver.
     pub fn simulate_burst(&self, reqs: &[WriteRequest]) -> BurstResult {
         block_on(self.write_burst(reqs))
-    }
-
-    /// [`FabricHandle::read_burst`] for the fabric's only driver.
-    pub fn simulate_read_burst(&self, reqs: &[ReadRequest]) -> BurstResult {
-        block_on(self.read_burst(reqs))
     }
 
     /// Serves a priced burst, request `i` arriving at `start_of(i)`, on
@@ -699,7 +688,7 @@ mod tests {
             .collect();
         assert_eq!(
             model.simulate_read_burst(&rreqs),
-            h.simulate_read_burst(&rreqs)
+            block_on(h.read_burst(&rreqs))
         );
     }
 
@@ -915,7 +904,7 @@ mod tests {
         let mirrored_fabric = Fabric::new(model);
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let group = mirrored_fabric.tenant_clones(&name_refs);
-        assert_eq!(group.mirrors(), n - 1);
+        assert_eq!(group.mirrors, n - 1);
         let mirrored_ends = block_on(clone_driver(&group));
         let wall = *mirrored_ends.last().unwrap();
         group.record_walls(wall, wall * 0.5);
@@ -935,7 +924,7 @@ mod tests {
         let model = StorageModel::ideal(2, 1e6);
         let fabric = Fabric::new(model);
         let solo = fabric.tenant_clones(&["only"]);
-        assert_eq!(solo.mirrors(), 0);
+        assert_eq!(solo.mirrors, 0);
         let ends = block_on(clone_driver(&solo));
         let legacy: Vec<f64> = {
             let f2 = Fabric::new(model);

@@ -4,12 +4,12 @@
 //! GPFS (Alpine) filesystem and the instrumentation that measured output
 //! sizes. Three orthogonal pieces:
 //!
-//! * [`vfs`] — a filesystem abstraction with an exact-size in-memory
+//! * `vfs` — a filesystem abstraction with an exact-size in-memory
 //!   backend ([`MemFs`]) and an OS backend ([`RealFs`]); writers emit real
 //!   bytes either way, so byte accounting is honest.
-//! * [`tracker`] — byte accounting at the paper's `(step, level, task)`
+//! * `tracker` — byte accounting at the paper's `(step, level, task)`
 //!   granularity (Eqs. 1-2).
-//! * [`storage`] + [`timeline`] — a seeded, deterministic timing model of a
+//! * `storage` + `timeline` — a seeded, deterministic timing model of a
 //!   striped parallel filesystem (fair-share servers, metadata latency,
 //!   lognormal variability) for the paper's *dynamic* burstiness
 //!   discussion. A burst — write or read (restart and selective
@@ -50,16 +50,15 @@
 #![forbid(unsafe_code)]
 
 pub mod characterize;
-pub mod fabric;
-pub mod schedule;
+pub(crate) mod fabric;
+pub(crate) mod schedule;
 mod server;
-pub mod storage;
-pub mod timeline;
-pub mod tracker;
-pub mod vfs;
+pub(crate) mod storage;
+pub(crate) mod timeline;
+pub(crate) mod tracker;
+pub(crate) mod vfs;
 
-pub use bytes::Bytes;
-pub use characterize::{characterize, IoCharacterization};
+pub use characterize::characterize;
 pub use fabric::{
     block_on, Fabric, FabricHandle, SoloMemo, SoloPricing, StorageAttach, TenantStats,
 };

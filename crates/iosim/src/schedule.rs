@@ -28,16 +28,12 @@ enum Sink<'a> {
     Fabric(FabricHandle),
 }
 
-/// One policy's state: the drain in flight and the stalls paid so far.
-/// The run has one; a fabric tenant's solo shadow has another.
+/// One policy's state: the drain in flight. The run has one; a fabric
+/// tenant's solo shadow has another.
 #[derive(Default)]
 struct Lane {
     /// Completion time of the drain in flight (overlapped mode).
     drain_end: f64,
-    /// Seconds the application waited on drains before write handoffs.
-    write_stall: f64,
-    /// Seconds reads waited barriering an in-flight drain.
-    read_stall: f64,
 }
 
 impl Lane {
@@ -73,10 +69,6 @@ impl Lane {
             Some(drain) => drain(base).await,
             None => base,
         };
-        match class {
-            Class::Write => self.write_stall += base - clock,
-            Class::Read => self.read_stall += base - clock,
-        }
         if staged {
             self.drain_end = t_end;
         }
@@ -117,7 +109,7 @@ pub struct BurstScheduler<'a> {
 impl<'a> BurstScheduler<'a> {
     /// A scheduler over a private `model`; `overlapped` selects the
     /// deferred (compute/flush overlap) policy.
-    pub fn new(model: &'a StorageModel, overlapped: bool) -> Self {
+    pub(crate) fn new(model: &'a StorageModel, overlapped: bool) -> Self {
         Self {
             sink: Sink::Model(model),
             overlapped,
@@ -237,7 +229,7 @@ impl<'a> BurstScheduler<'a> {
     }
 
     /// [`BurstScheduler::write_burst`], driven in one poll.
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         step: u32,
         clock: f64,
@@ -247,7 +239,7 @@ impl<'a> BurstScheduler<'a> {
         block_on(self.write_burst(step, clock, requests, bytes))
     }
 
-    /// Like [`BurstScheduler::submit`], charging `compute_seconds` of
+    /// Like `BurstScheduler::submit`, charging `compute_seconds` of
     /// application CPU work (in-situ compression of the dump's payloads)
     /// before the burst is handed to storage. Compression happens on the
     /// compute nodes in both policies — synchronous backends compress
@@ -292,16 +284,6 @@ impl<'a> BurstScheduler<'a> {
             h.record_walls(wall, solo);
         }
         wall
-    }
-
-    /// Stall seconds paid at write handoffs (double-buffer waits).
-    pub fn write_stall(&self) -> f64 {
-        self.lane.write_stall
-    }
-
-    /// Stall seconds paid by reads barriering an in-flight drain.
-    pub fn read_stall(&self) -> f64 {
-        self.lane.read_stall
     }
 }
 
@@ -356,7 +338,6 @@ mod tests {
         let (burst2, clock2) = s.submit(2, 4.0, &mut reqs(1, 1000), 1000);
         assert!((clock2 - 10.0).abs() < 1e-9);
         assert!((burst2.t_start - 10.0).abs() < 1e-9);
-        assert!((s.write_stall() - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -432,7 +413,6 @@ mod tests {
         let (burst, clock2) = block_on(s.read_burst(1, 2.0, &mut read_reqs(1, 500), 500));
         assert!((burst.t_start - 10.0).abs() < 1e-9, "read-after-write");
         assert!((clock2 - 15.0).abs() < 1e-9);
-        assert!((s.read_stall() - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -461,8 +441,6 @@ mod tests {
             clock = c;
         }
         let (_, c) = block_on(s.read_burst(5, clock + 50.0, &mut read_reqs(1, 1000), 1000));
-        assert_eq!(s.write_stall(), 0.0);
-        assert_eq!(s.read_stall(), 0.0);
         assert!(s.finish(c) >= c);
     }
 
@@ -479,8 +457,6 @@ mod tests {
         assert!((c2 - 10.0).abs() < 1e-9);
         let (burst, _) = block_on(s.read_burst(3, 12.0, &mut read_reqs(1, 100), 100));
         assert!((burst.t_start - 20.0).abs() < 1e-9);
-        assert!((s.write_stall() - 6.0).abs() < 1e-9);
-        assert!((s.read_stall() - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -494,7 +470,6 @@ mod tests {
         let (burst, clock) = block_on(s.read_burst(2, 3.0, &mut [], 0));
         assert!((burst.t_start - 10.0).abs() < 1e-9);
         assert!((clock - 10.0).abs() < 1e-9);
-        assert!((s.read_stall() - 7.0).abs() < 1e-9);
     }
 
     // ---- fabric-backed scheduling ----
@@ -527,8 +502,6 @@ mod tests {
                 block_on(shared.read_burst(4, sc + 1.0, &mut read_reqs(3, 30_000), 90_000));
             assert_eq!(bl, bs);
             assert_eq!(cl, cs);
-            assert_eq!(legacy.write_stall(), shared.write_stall());
-            assert_eq!(legacy.read_stall(), shared.read_stall());
             let wall = shared.seal(cs);
             assert_eq!(wall, legacy.finish(cl), "sealed wall == legacy wall");
             let stats = fabric.tenant_stats();

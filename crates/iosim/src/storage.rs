@@ -175,7 +175,7 @@ impl StorageModel {
     }
 
     /// Stable server assignment for a file path (FNV-1a hash mod servers).
-    pub fn server_of(&self, path: &str) -> usize {
+    pub(crate) fn server_of(&self, path: &str) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in path.as_bytes() {
             h ^= *b as u64;

@@ -45,11 +45,6 @@ pub struct BurstTimeline {
 }
 
 impl BurstTimeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends a burst.
     ///
     /// # Panics
@@ -78,7 +73,7 @@ impl BurstTimeline {
     }
 
     /// Total bytes across all bursts.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.bursts.iter().map(|b| b.bytes).sum()
     }
 
@@ -108,7 +103,7 @@ impl BurstTimeline {
     }
 
     /// Mean bandwidth over the full covered span (bytes / total span).
-    pub fn mean_bandwidth(&self) -> f64 {
+    pub(crate) fn mean_bandwidth(&self) -> f64 {
         if self.bursts.is_empty() {
             return 0.0;
         }
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn duty_cycle_reflects_gaps() {
-        let mut tl = BurstTimeline::new();
+        let mut tl = BurstTimeline::default();
         tl.push(burst(0, 0.0, 1.0, 100)); // busy 1s
         tl.push(burst(1, 9.0, 10.0, 100)); // busy 1s, span 10s
         assert!((tl.duty_cycle() - 0.2).abs() < 1e-12);
@@ -169,10 +164,10 @@ mod tests {
 
     #[test]
     fn burstiness_of_spiky_vs_steady() {
-        let mut spiky = BurstTimeline::new();
+        let mut spiky = BurstTimeline::default();
         spiky.push(burst(0, 0.0, 0.1, 1000));
         spiky.push(burst(1, 10.0, 10.1, 1000));
-        let mut steady = BurstTimeline::new();
+        let mut steady = BurstTimeline::default();
         steady.push(burst(0, 0.0, 5.0, 1000));
         steady.push(burst(1, 5.0, 10.1, 1000));
         assert!(spiky.burstiness() > steady.burstiness());
@@ -181,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_benign() {
-        let tl = BurstTimeline::new();
+        let tl = BurstTimeline::default();
         assert_eq!(tl.duty_cycle(), 0.0);
         assert_eq!(tl.peak_bandwidth(), 0.0);
         assert_eq!(tl.mean_bandwidth(), 0.0);
@@ -191,6 +186,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "ends before it starts")]
     fn inverted_burst_panics() {
-        BurstTimeline::new().push(burst(0, 2.0, 1.0, 1));
+        BurstTimeline::default().push(burst(0, 2.0, 1.0, 1));
     }
 }

@@ -102,7 +102,6 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// memory while small-file metadata (plotfile headers) remains inspectable.
 pub struct MemFs {
     files: RwLock<BTreeMap<String, MemFile>>,
-    dirs: RwLock<std::collections::BTreeSet<String>>,
     retention: usize,
 }
 
@@ -117,14 +116,8 @@ impl MemFs {
     pub fn with_retention(limit: usize) -> Self {
         Self {
             files: RwLock::new(BTreeMap::new()),
-            dirs: RwLock::new(std::collections::BTreeSet::new()),
             retention: limit,
         }
-    }
-
-    /// True when `path` was created as a directory.
-    pub fn dir_exists(&self, path: &str) -> bool {
-        read_lock(&self.dirs).contains(&normalize(path))
     }
 }
 
@@ -147,15 +140,8 @@ fn normalize(path: &str) -> String {
 }
 
 impl Vfs for MemFs {
-    fn create_dir_all(&self, path: &str) -> io::Result<()> {
-        let norm = normalize(path);
-        let mut dirs = write_lock(&self.dirs);
-        let mut acc = String::new();
-        for part in norm.split('/').filter(|p| !p.is_empty()) {
-            acc.push('/');
-            acc.push_str(part);
-            dirs.insert(acc.clone());
-        }
+    /// Directories are implicit in the file paths: nothing to record.
+    fn create_dir_all(&self, _path: &str) -> io::Result<()> {
         Ok(())
     }
 
@@ -373,16 +359,6 @@ mod tests {
         let fs = MemFs::new();
         fs.write_file("a//b/./c", b"x").unwrap();
         assert_eq!(fs.file_size("/a/b/c"), Some(1));
-    }
-
-    #[test]
-    fn memfs_dirs_tracked() {
-        let fs = MemFs::new();
-        fs.create_dir_all("/x/y/z").unwrap();
-        assert!(fs.dir_exists("/x"));
-        assert!(fs.dir_exists("/x/y"));
-        assert!(fs.dir_exists("/x/y/z"));
-        assert!(!fs.dir_exists("/q"));
     }
 
     #[test]

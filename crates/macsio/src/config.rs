@@ -18,7 +18,7 @@ pub enum Interface {
 
 impl Interface {
     /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "miftmpl" | "json_binary" => Ok(Self::Miftmpl),
             "json" | "json_text" => Ok(Self::Json),
@@ -29,7 +29,7 @@ impl Interface {
     }
 
     /// CLI spelling.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::Miftmpl => "miftmpl",
             Self::Json => "json",
@@ -51,13 +51,13 @@ pub enum FileMode {
 impl FileMode {
     /// The "one file group per rank" MIF mode (the paper's N-to-N
     /// pattern): the group count clamps to `nprocs` at run time.
-    pub fn n_to_n() -> Self {
+    pub(crate) fn n_to_n() -> Self {
         FileMode::Mif(usize::MAX)
     }
 
     /// A MIF mode with a *normalized* group count: zero (a count MACSio
     /// itself rejects) becomes one group rather than a runtime surprise.
-    pub fn mif(n: usize) -> Self {
+    pub(crate) fn mif(n: usize) -> Self {
         FileMode::Mif(n.max(1))
     }
 
@@ -119,7 +119,7 @@ pub enum RunMode {
 
 impl RunMode {
     /// Parses the CLI spelling: `write` | `restart` | `wr`.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "write" | "w" => Ok(Self::Write),
             "restart" => Ok(Self::Restart),
@@ -131,17 +131,12 @@ impl RunMode {
     }
 
     /// The canonical CLI spelling.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::Write => "write",
             Self::Restart => "restart",
             Self::WriteRead => "wr",
         }
-    }
-
-    /// True when the run reads dumps back after writing.
-    pub fn reads(&self) -> bool {
-        !matches!(self, Self::Write)
     }
 }
 
@@ -268,11 +263,6 @@ impl MacsioConfig {
         self.part_ids(rank).len()
     }
 
-    /// Total parts across the world.
-    pub fn total_parts(&self) -> usize {
-        (0..self.nprocs).map(|r| self.parts_of_rank(r)).sum()
-    }
-
     /// Nominal bytes of one variable at dump `k` (0-based) after growth.
     pub fn grown_part_size(&self, dump: u32) -> u64 {
         (self.part_size as f64 * self.dataset_growth.powi(dump as i32)).round() as u64
@@ -366,7 +356,7 @@ mod tests {
         assert_eq!(cfg.parts_of_rank(1), 3);
         assert_eq!(cfg.parts_of_rank(2), 2);
         assert_eq!(cfg.parts_of_rank(3), 2);
-        assert_eq!(cfg.total_parts(), 10);
+        assert_eq!((0..4).map(|r| cfg.parts_of_rank(r)).sum::<usize>(), 10);
     }
 
     #[test]
@@ -385,7 +375,10 @@ mod tests {
                 assert_eq!(ids.len(), cfg.parts_of_rank(rank));
                 next = ids.end;
             }
-            assert_eq!(next, cfg.total_parts());
+            assert_eq!(
+                next,
+                (0..nprocs).map(|r| cfg.parts_of_rank(r)).sum::<usize>()
+            );
         }
     }
 
@@ -515,9 +508,6 @@ mod tests {
         for m in [RunMode::Write, RunMode::Restart, RunMode::WriteRead] {
             assert_eq!(RunMode::parse(m.name()).unwrap(), m);
         }
-        assert!(!RunMode::Write.reads());
-        assert!(RunMode::Restart.reads());
-        assert!(RunMode::WriteRead.reads());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! The run's *shape* is an [`io_engine::Scenario`] program, compiled and
 //! executed by the same phase driver the AMR engines run on
-//! ([`io_engine::driver`]): MACSio is that driver's program with a dump
+//! (`io_engine::driver`): MACSio is that driver's program with a dump
 //! after every step and none before the first, a constant compute charge,
 //! and nothing to rewind after a restart read. This module is the rest —
 //! config validation, the producer (marshal parts, group ranks, `put`,
@@ -22,7 +22,7 @@
 //! flat dump stream has no checkpoint or reorganization plane, so
 //! `check@` ops and `,reorg` suffixes are rejected.
 //!
-//! A dump's rank blobs are sized by [`predicted_rank_bytes`], allocated on
+//! A dump's rank blobs are sized by `predicted_rank_bytes`, allocated on
 //! the calling thread and filled in place, one scoped worker per visible
 //! core (the codec stage's policy); the `put`s stay serial in baton order,
 //! so the output does not depend on the thread count. Allocating on the
@@ -50,7 +50,7 @@ fn rank_parts(cfg: &MacsioConfig, rank: usize, dump: u32) -> impl Iterator<Item 
 /// binary payload arithmetic). Used by the model crate's calibration loop,
 /// which would otherwise re-marshal gigabytes per candidate evaluation,
 /// and by the marshal itself to size each rank's buffer.
-pub fn predicted_rank_bytes(cfg: &MacsioConfig, rank: usize, dump: u32) -> u64 {
+pub(crate) fn predicted_rank_bytes(cfg: &MacsioConfig, rank: usize, dump: u32) -> u64 {
     rank_parts(cfg, rank, dump)
         .map(|part| {
             let values = match cfg.interface {

@@ -39,12 +39,12 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod config;
+pub(crate) mod config;
 pub mod dump;
-pub mod marshal;
-pub mod mesh;
+pub(crate) mod marshal;
+pub(crate) mod mesh;
 
-pub use cli::{parse_args, parse_spec, usage};
+pub use cli::{parse_args, parse_spec};
 pub use config::{FileMode, Interface, MacsioConfig, RunMode};
 pub use dump::{run, MacsioReport};
 pub use marshal::{marshal_part, marshal_root};

@@ -21,11 +21,11 @@ use serde_json::json;
 /// Mean on-disk bytes per value of the text `json` interface's `{:.8e}`
 /// formatting, including the separating comma (e.g. `2.98765432e0,`).
 /// Measured by `json_bytes_per_value_constant_is_accurate`.
-pub const JSON_BYTES_PER_VALUE: f64 = 13.0;
+pub(crate) const JSON_BYTES_PER_VALUE: f64 = 13.0;
 
 /// Byte length of the part header alone (everything before the bulk data)
 /// for the given interface — used by the size predictor.
-pub fn marshal_header_len(part: &MeshPart, dump: u32, interface: Interface) -> usize {
+pub(crate) fn marshal_header_len(part: &MeshPart, dump: u32, interface: Interface) -> usize {
     let text = header_text(part, dump, interface);
     match interface {
         Interface::Miftmpl => text.len() + 1, // newline before payload
@@ -42,7 +42,12 @@ pub fn marshal_part(part: &MeshPart, dump: u32, interface: Interface) -> Vec<u8>
 
 /// Appends the serialized form of one part to `out`, which for `miftmpl`
 /// grows at most once, to the exact size — never when the caller pre-sized it.
-pub fn marshal_part_into(part: &MeshPart, dump: u32, interface: Interface, out: &mut Vec<u8>) {
+pub(crate) fn marshal_part_into(
+    part: &MeshPart,
+    dump: u32,
+    interface: Interface,
+    out: &mut Vec<u8>,
+) {
     let header = header_text(part, dump, interface);
     match interface {
         Interface::Miftmpl => {
@@ -244,7 +249,9 @@ pub(crate) mod tests {
         let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
         let payload = &bytes[nl + 1..];
         let first = f64::from_le_bytes(payload[0..8].try_into().unwrap());
-        assert_eq!(first, p.var_data(0, 2)[0]);
+        let mut field = Vec::new();
+        p.for_each_row(0, 2, |row| field.extend_from_slice(row));
+        assert_eq!(first, field[0]);
     }
 
     #[test]

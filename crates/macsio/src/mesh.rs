@@ -39,31 +39,24 @@ impl MeshPart {
     }
 
     /// Cells in the part.
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.nx * self.ny
     }
 
     /// Payload bytes of one variable (8 bytes per cell).
-    pub fn var_bytes(&self) -> u64 {
+    pub(crate) fn var_bytes(&self) -> u64 {
         self.cells() as u64 * 8
     }
 
     /// Payload bytes of all variables.
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         self.var_bytes() * self.vars as u64
     }
 
-    /// Generates one variable's synthetic field: a deterministic smooth
-    /// function of cell index, part id, and dump index (content is
-    /// irrelevant to the workload; determinism matters).
-    pub fn var_data(&self, var: usize, dump: u32) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.cells());
-        self.for_each_row(var, dump, |row| out.extend_from_slice(row));
-        out
-    }
-
-    /// Feeds the field of [`MeshPart::var_data`] to `put` one row at a time
-    /// (row-major, `ny` rows of `nx` values) without materializing it.
+    /// Feeds one variable's synthetic field to `put` one row at a time
+    /// (row-major, `ny` rows of `nx` values) without materializing it:
+    /// a deterministic smooth function of cell index, part id, and dump
+    /// index (content is irrelevant to the workload; determinism matters).
     pub(crate) fn for_each_row(&self, var: usize, dump: u32, mut put: impl FnMut(&[f64])) {
         let fx = 2.0 * std::f64::consts::PI / self.nx.max(1) as f64;
         let fy = 2.0 * std::f64::consts::PI / self.ny.max(1) as f64;
@@ -87,7 +80,14 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The per-cell loop `var_data` was before the separable kernel,
+    /// The field [`MeshPart::for_each_row`] streams, materialized.
+    fn var_data(part: &MeshPart, var: usize, dump: u32) -> Vec<f64> {
+        let mut out = Vec::with_capacity(part.cells());
+        part.for_each_row(var, dump, |row| out.extend_from_slice(row));
+        out
+    }
+
+    /// The per-cell loop the field was before the separable kernel,
     /// verbatim: the bit-equality oracle.
     pub(crate) fn var_data_oracle(part: &MeshPart, var: usize, dump: u32) -> Vec<f64> {
         let mut out = Vec::with_capacity(part.cells());
@@ -115,7 +115,7 @@ pub(crate) mod tests {
         ) {
             let part = MeshPart { id, nx, ny, vars };
             for var in 0..vars {
-                let fast = part.var_data(var, dump);
+                let fast = var_data(&part, var, dump);
                 let slow = var_data_oracle(&part, var, dump);
                 prop_assert_eq!(fast.len(), slow.len());
                 for (k, (a, b)) in fast.iter().zip(&slow).enumerate() {
@@ -138,7 +138,7 @@ pub(crate) mod tests {
         let paper = MeshPart::from_nominal_size(31, 1_550_000, 1);
         for part in shapes.iter().chain([&paper]) {
             assert_eq!(
-                bits(part.var_data(0, 9)),
+                bits(var_data(part, 0, 9)),
                 bits(var_data_oracle(part, 0, 9)),
                 "{part:?}"
             );
@@ -174,13 +174,13 @@ pub(crate) mod tests {
     #[test]
     fn var_data_is_deterministic_and_sized() {
         let p = MeshPart::from_nominal_size(7, 8_000, 2);
-        let a = p.var_data(0, 3);
-        let b = p.var_data(0, 3);
+        let a = var_data(&p, 0, 3);
+        let b = var_data(&p, 0, 3);
         assert_eq!(a, b);
         assert_eq!(a.len(), p.cells());
         // Different var / dump give different fields.
-        assert_ne!(p.var_data(1, 3), a);
-        assert_ne!(p.var_data(0, 4), a);
+        assert_ne!(var_data(&p, 1, 3), a);
+        assert_ne!(var_data(&p, 0, 4), a);
         // All finite.
         assert!(a.iter().all(|v| v.is_finite()));
     }

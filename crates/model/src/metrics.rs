@@ -4,7 +4,7 @@
 ///
 /// # Panics
 /// Panics on length mismatch or empty input.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "rmse: length mismatch");
     assert!(!a.is_empty(), "rmse: empty input");
     let sum: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();

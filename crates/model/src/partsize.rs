@@ -21,7 +21,7 @@ pub fn part_size(f: f64, nx: i64, ny: i64, nprocs: usize) -> u64 {
 
 /// Inverts Eq. (3): the correction factor implied by a measured per-rank
 /// first-dump byte count.
-pub fn fit_f(measured_rank_bytes: f64, nx: i64, ny: i64, nprocs: usize) -> f64 {
+pub(crate) fn fit_f(measured_rank_bytes: f64, nx: i64, ny: i64, nprocs: usize) -> f64 {
     assert!(nprocs > 0, "fit_f: zero ranks");
     measured_rank_bytes * nprocs as f64 / (8.0 * nx as f64 * ny as f64)
 }
@@ -33,7 +33,7 @@ pub struct Case4Constant;
 
 impl Case4Constant {
     /// The initial data size the paper fixes for case4.
-    pub const INITIAL_DATA_SIZE: u64 = 1_550_000;
+    pub(crate) const INITIAL_DATA_SIZE: u64 = 1_550_000;
 
     /// The implied correction factor.
     pub fn implied_f() -> f64 {

@@ -36,9 +36,7 @@ pub struct TranslationModel {
     pub meta_size: u64,
     /// In-situ compression ratio of the modeled run (logical / physical;
     /// 1.0 without compression). The proxy replicates the *physical* I/O
-    /// workload, so Eq. (3)'s part size shrinks by this factor — the
-    /// regression feature [`crate::regression::fit_bytes_with_ratio`]
-    /// learns it from backend × codec sweep samples.
+    /// workload, so Eq. (3)'s part size shrinks by this factor.
     pub compression_ratio: f64,
 }
 

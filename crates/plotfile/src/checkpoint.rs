@@ -16,7 +16,7 @@ use crate::sizer::account_levels;
 use crate::writer::PlotfileStats;
 use amr_mesh::{BoxArray, DistributionMapping, Geometry};
 use io_engine::{IoBackend, Payload, Put};
-use iosim::{IoKey, IoKind, IoTracker, WriteRequest};
+use iosim::{IoKey, IoKind};
 use std::fmt::Write as _;
 
 /// One level of a checkpoint, described by layout (no data needed: the
@@ -50,21 +50,10 @@ pub struct CheckpointSpec {
     pub levels: Vec<CheckpointLevel>,
 }
 
-/// Outcome: byte/file totals plus write requests for burst simulation.
-#[derive(Clone, Debug, Default)]
-pub struct CheckpointStats {
-    /// Total bytes.
-    pub total_bytes: u64,
-    /// Files written.
-    pub nfiles: u64,
-    /// The write requests.
-    pub requests: Vec<WriteRequest>,
-}
-
 /// The checkpoint `Header` content (`CheckPointVersion_1.0` stream:
 /// version, spacedim, time, finest level, per-level geometry/step/dt
 /// tables, then the box arrays).
-pub fn checkpoint_header(spec: &CheckpointSpec) -> String {
+pub(crate) fn checkpoint_header(spec: &CheckpointSpec) -> String {
     let mut s = String::with_capacity(2048);
     s.push_str("CheckPointVersion_1.0\n");
     s.push_str("2\n");
@@ -97,9 +86,9 @@ pub fn checkpoint_header(spec: &CheckpointSpec) -> String {
 /// physical layout (aggregation, deferred staging) and any compression
 /// stage prices the state bytes like plot data, so checkpoint cadence is
 /// a backend × codec question, not a hard-coded N-to-N clone of the plot
-/// path. Put order matches [`account_checkpoint`] exactly: per level the
-/// rank `Cell_D` states then `Cell_H`, then the restart `Header` — so
-/// the tracker records are identical to the plain accounting path.
+/// path. Put order: per level the rank `Cell_D` states then `Cell_H`,
+/// then the restart `Header` — so the tracker records are identical to
+/// plain tracker accounting (the tests' oracle).
 ///
 /// Because the dump goes through the backend as its own step, the
 /// checkpoint becomes *readable*: a mid-run restart reads it back with
@@ -124,31 +113,6 @@ pub fn account_checkpoint_with(
     Ok(PlotfileStats::from_step(backend.end_step()?))
 }
 
-/// Accounts a checkpoint dump into `tracker` (exact sizes; nothing is
-/// materialized — checkpoint payloads are pure state dumps).
-pub fn account_checkpoint(tracker: &IoTracker, spec: &CheckpointSpec) -> CheckpointStats {
-    let mut stats = CheckpointStats::default();
-    account_checkpoint_files(spec, |level, task, kind, path, bytes| {
-        let key = IoKey {
-            step: spec.output_counter,
-            level,
-            task,
-        };
-        tracker.record(key, kind, bytes);
-        stats.total_bytes += bytes;
-        stats.nfiles += 1;
-        stats.requests.push(WriteRequest {
-            rank: task as usize,
-            path,
-            bytes,
-            start: 0.0,
-        });
-        Ok(())
-    })
-    .expect("recording into a tracker cannot fail");
-    stats
-}
-
 /// Every file of a checkpoint dump, in write order, to `emit(level, task,
 /// kind, path, bytes)`: the per-level state files and `Cell_H`
 /// ([`account_levels`]), then the restart `Header`.
@@ -165,10 +129,52 @@ fn account_checkpoint_files(
     emit(0, 0, IoKind::Metadata, path, header.len() as u64)
 }
 
+/// Outcome: byte/file totals plus write requests for burst simulation.
+#[cfg(test)]
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CheckpointStats {
+    /// Total bytes.
+    pub total_bytes: u64,
+    /// Files written.
+    pub nfiles: u64,
+    /// The write requests.
+    pub requests: Vec<iosim::WriteRequest>,
+}
+
+/// The plain tracker accounting of a checkpoint dump: the oracle
+/// [`account_checkpoint_with`] is compared against.
+#[cfg(test)]
+pub(crate) fn account_checkpoint(
+    tracker: &iosim::IoTracker,
+    spec: &CheckpointSpec,
+) -> CheckpointStats {
+    let mut stats = CheckpointStats::default();
+    account_checkpoint_files(spec, |level, task, kind, path, bytes| {
+        let key = IoKey {
+            step: spec.output_counter,
+            level,
+            task,
+        };
+        tracker.record(key, kind, bytes);
+        stats.total_bytes += bytes;
+        stats.nfiles += 1;
+        stats.requests.push(iosim::WriteRequest {
+            rank: task as usize,
+            path,
+            bytes,
+            start: 0.0,
+        });
+        Ok(())
+    })
+    .expect("recording into a tracker cannot fail");
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use amr_mesh::prelude::*;
+    use iosim::IoTracker;
 
     fn spec(n: i64, nranks: usize, ncomp: usize) -> CheckpointSpec {
         let geom = Geometry::unit_square(IntVect::splat(n));

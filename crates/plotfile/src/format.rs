@@ -51,7 +51,7 @@ fn coord_len(c: Coord) -> u64 {
 
 /// Formats a box the way AMReX prints 2-D boxes in headers:
 /// `((lo_x,lo_y) (hi_x,hi_y) (0,0))`.
-pub fn format_box(b: &IndexBox) -> String {
+pub(crate) fn format_box(b: &IndexBox) -> String {
     format!(
         "(({},{}) ({},{}) (0,0))",
         b.lo().x,
@@ -76,7 +76,7 @@ const FAB_DESCRIPTOR: &str = "FAB ((8, (64 11 52 0 1 12 0 1023)),(8, (8 7 6 5 4 
 
 /// The `FAB` record header preceding each fab's binary payload in a
 /// `Cell_D` file.
-pub fn fab_header(valid: &IndexBox, ncomp: usize) -> String {
+pub(crate) fn fab_header(valid: &IndexBox, ncomp: usize) -> String {
     format!("{FAB_DESCRIPTOR}{} {}\n", format_box(valid), ncomp)
 }
 
@@ -96,7 +96,7 @@ pub(crate) fn cell_d_name_len(rank: usize) -> u64 {
 }
 
 /// Input description for one level of the plotfile Header.
-pub struct HeaderLevel {
+pub(crate) struct HeaderLevel {
     /// Level geometry (domain + physical extent).
     pub geom: Geometry,
     /// Grid boxes at this level.
@@ -112,7 +112,7 @@ pub struct HeaderLevel {
 /// domain, refinement ratios, index domains, step counts, cell sizes,
 /// coordinate system, and per-level grid tables with the relative
 /// `Level_i/Cell` path lines.
-pub fn plotfile_header(
+pub(crate) fn plotfile_header(
     var_names: &[String],
     time: f64,
     levels: &[HeaderLevel],
@@ -192,7 +192,7 @@ pub fn plotfile_header(
 
 /// One grid's entry in a `Cell_H` file: which `Cell_D` file holds it and at
 /// what byte offset.
-pub struct FabOnDisk {
+pub(crate) struct FabOnDisk {
     /// File name relative to the level directory, e.g. `Cell_D_00003`.
     pub file: String,
     /// Byte offset of the FAB record inside that file.
@@ -204,7 +204,7 @@ pub struct FabOnDisk {
 /// Layout follows AMReX's `VisMF::Header` stream format: version, how,
 /// component count, ghost cells, the box array, the FabOnDisk table, and
 /// per-grid min/max tables.
-pub fn cell_h(
+pub(crate) fn cell_h(
     ncomp: usize,
     boxes: &[IndexBox],
     fabs_on_disk: &[FabOnDisk],
@@ -281,7 +281,7 @@ pub(crate) fn cell_h_len<'a>(
 /// Builds the `job_info` file AMReX applications drop at the plotfile
 /// root: build/runtime provenance. Content is synthetic but representative
 /// in size and structure.
-pub fn job_info(nprocs: usize, step: u64, time: f64, inputs: &[(String, String)]) -> String {
+pub(crate) fn job_info(nprocs: usize, step: u64, time: f64, inputs: &[(String, String)]) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("==============================================================================\n");
     s.push_str(" Castro Job Information (amr-proxy-io reproduction)\n");

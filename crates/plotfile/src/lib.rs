@@ -21,8 +21,7 @@
 //! `macsio`) — above `io-engine`'s pluggable backends, consumed by
 //! `core`'s campaign runner. Key types: [`PlotfileSpec`] / [`PlotLevel`]
 //! (writer), [`PlotfileLayout`] (account-only sizer),
-//! [`PlotfileReadStats`] + [`region_selection`] (restart and selective
-//! analysis reads), [`CheckpointSpec`].
+//! [`CheckpointSpec`].
 //!
 //! ```
 //! use amr_mesh::prelude::*;
@@ -56,25 +55,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
-pub mod format;
-pub mod reader;
-pub mod sizer;
-pub mod writer;
+pub(crate) mod checkpoint;
+pub(crate) mod format;
+pub(crate) mod sizer;
+pub(crate) mod writer;
 
-pub use checkpoint::{
-    account_checkpoint, account_checkpoint_with, checkpoint_header, CheckpointLevel,
-    CheckpointSpec, CheckpointStats,
-};
-pub use format::{
-    castro_sedov_plot_vars, cell_h, fab_header, format_box, job_info, plotfile_header, FabOnDisk,
-    HeaderLevel,
-};
-pub use reader::{
-    read_plotfile_selection, read_plotfile_with, region_selection, PlotfileReadStats,
-};
+pub use checkpoint::{account_checkpoint_with, CheckpointLevel, CheckpointSpec};
+pub use format::castro_sedov_plot_vars;
 pub use sizer::{account_plotfile, account_plotfile_with, LayoutLevel, PlotfileLayout};
-pub use writer::{
-    expected_payload_bytes, write_plotfile, write_plotfile_compressed, write_plotfile_with,
-    PlotLevel, PlotfileSpec, PlotfileStats,
-};
+pub use writer::{write_plotfile, write_plotfile_with, PlotLevel, PlotfileSpec, PlotfileStats};

@@ -12,7 +12,7 @@ use crate::format::{
 };
 use amr_mesh::{Geometry, MultiFab};
 use bytes::{BufMut, BytesMut};
-use io_engine::{BackendSpec, CodecSpec, FilePerProcess, IoBackend, Payload, Put};
+use io_engine::{FilePerProcess, IoBackend, Payload, Put};
 use iosim::{IoKey, IoKind, IoTracker, Vfs, WriteRequest};
 use std::io;
 
@@ -99,23 +99,6 @@ pub fn write_plotfile(
 ) -> io::Result<PlotfileStats> {
     let mut backend = FilePerProcess::new(vfs, tracker);
     write_plotfile_with(&mut backend, spec)
-}
-
-/// Writes one plotfile dump through the given backend × codec stack: the
-/// compressed chunk sizes land in the physical files and requests, the
-/// uncompressed-logical-size sidecar rides along as backend overhead, and
-/// the tracker keeps logical accounting (see `io-engine` docs).
-pub fn write_plotfile_compressed(
-    vfs: &dyn Vfs,
-    tracker: &IoTracker,
-    spec: &PlotfileSpec<'_>,
-    backend: BackendSpec,
-    codec: CodecSpec,
-) -> io::Result<PlotfileStats> {
-    let mut stack = backend.build_with_codec(codec, vfs, tracker);
-    let stats = write_plotfile_with(stack.as_mut(), spec)?;
-    stack.close()?;
-    Ok(stats)
 }
 
 /// Writes one plotfile dump through an [`IoBackend`].
@@ -252,17 +235,28 @@ pub fn write_plotfile_with(
     Ok(PlotfileStats::from_step(step))
 }
 
-/// Expected payload bytes for a level: `cells * vars * 8` — the headerless
-/// size used to sanity-check writer output in tests and benches.
-pub fn expected_payload_bytes(mf: &MultiFab, nvars: usize) -> u64 {
-    mf.box_array().num_pts() as u64 * nvars as u64 * 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amr_mesh::prelude::*;
+    use io_engine::{BackendSpec, CodecSpec};
     use iosim::MemFs;
+
+    /// One dump through a backend × codec stack: compressed chunk sizes
+    /// land in the physical files, the logical-size sidecar rides along
+    /// as backend overhead, and the tracker keeps logical accounting.
+    fn write_plotfile_compressed(
+        vfs: &dyn Vfs,
+        tracker: &IoTracker,
+        spec: &PlotfileSpec<'_>,
+        backend: BackendSpec,
+        codec: CodecSpec,
+    ) -> io::Result<PlotfileStats> {
+        let mut stack = backend.build_with_codec(codec, vfs, tracker);
+        let stats = write_plotfile_with(stack.as_mut(), spec)?;
+        stack.close()?;
+        Ok(stats)
+    }
 
     fn level_mf(n: i64, max: i64, nranks: usize, ncomp: usize) -> MultiFab {
         let ba = BoxArray::single(IndexBox::at_origin(IntVect::splat(n))).max_size(max);
@@ -314,7 +308,8 @@ mod tests {
         let mf = level_mf(32, 16, 1, 2);
         write_plotfile(&fs, &tracker, &spec(&mf, 2)).unwrap();
         let data = tracker.total_bytes_of(IoKind::Data);
-        let payload = expected_payload_bytes(&mf, 2);
+        // The headerless size: cells * vars * 8.
+        let payload = mf.box_array().num_pts() as u64 * 2 * 8;
         assert!(data > payload, "FAB headers must add bytes");
         // Header overhead is small relative to payload.
         assert!(data < payload + 4 * 256);

@@ -6,7 +6,7 @@
 //! cargo run --release --example sedov_campaign
 //! ```
 
-use amr_proxy_io::amrproxy::{run_campaign, table3_campaign};
+use amr_proxy_io::amrproxy::{run_spec, table3_campaign, ExperimentSpec, ResultsStore};
 use amr_proxy_io::model::linear_fit;
 
 fn main() {
@@ -19,7 +19,15 @@ fn main() {
         "running {} of the 47 Table III configurations ...",
         configs.len()
     );
-    let summaries = run_campaign(&configs, None);
+    // A spec over the configurations, run into a store of its own that
+    // is removed afterwards, so every invocation simulates afresh.
+    let dir = std::env::temp_dir().join(format!("sedov_campaign_{}", std::process::id()));
+    let mut store = ResultsStore::open(&dir).expect("open a store in the temp directory");
+    let spec = ExperimentSpec::over("sedov_campaign", &configs);
+    let summaries = run_spec(&spec, &mut store, None)
+        .expect("the Table III slice runs")
+        .summaries;
+    let _ = std::fs::remove_dir_all(&dir);
 
     println!(
         "\n{:<28} {:>7} {:>5} {:>5} {:>9} {:>12} {:>8}",

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Source lines per workspace crate: the lines of every src/**/*.rs file
 # before its first `#[cfg(test)]` (blank lines and comments included, unit
-# tests excluded). Size claims in issues, PRs and reviews use this table.
+# tests excluded). A file whose `mod` declaration sits under `#[cfg(test)]`
+# (a test-support module) is all test code and is not counted. Size claims
+# in issues, PRs and reviews use this table.
 #
 #   scripts/loc.sh            per-crate table and total, then the vendored
 #                             stand-ins under third_party/ (not in the total)
@@ -10,17 +12,42 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Prints "<lines> <file>" for every .rs file under the given directories.
+per_file() {
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
+        FNR == 1 { order[++nf] = FILENAME; gated = 0; tests = 0 }
+        # A `mod name;` right under `#[cfg(test)]`: its file is test code.
+        gated && match($0, /^[[:space:]]*(pub(\(crate\))? )?mod [A-Za-z0-9_]+;/) {
+            name = $0
+            sub(/^[[:space:]]*(pub(\(crate\))? )?mod /, "", name)
+            sub(/;.*/, "", name)
+            dir = FILENAME
+            sub(/[^\/]*$/, "", dir)
+            base = substr(FILENAME, length(dir) + 1)
+            if (base != "lib.rs" && base != "main.rs" && base != "mod.rs") {
+                sub(/\.rs$/, "", base)
+                dir = dir base "/"
+            }
+            skip[dir name ".rs"] = 1
+            skip[dir name "/mod.rs"] = 1
+        }
+        { gated = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests { n[FILENAME]++ }
+        END {
+            for (i = 1; i <= nf; i++) {
+                f = order[i]
+                if (!(f in skip)) print n[f] + 0, f
+            }
+        }'
+}
+
 count() {
-    find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk \
-        'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
+    per_file "$1" | awk '{ s += $1 } END { print s + 0 }'
 }
 
 if [ "${1:-}" = "--files" ]; then
-    find src crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
-        FNR==1 { if (f) print n, f; f=FILENAME; n=0; t=0 }
-        /^#\[cfg\(test\)\]/ { t=1 }
-        !t { n++ }
-        END { if (f) print n, f }' |
+    per_file src crates/*/src |
         sort -k1,1nr -k2,2 | head -n "${2:?--files needs a count}" |
         awk '{ printf "%8d  %s\n", $1, $2 }'
     exit

@@ -111,3 +111,111 @@ fn every_symbol_file_pair_in_model_md_tables_greps() {
         "only {pairs} pairs checked: table format changed?"
     );
 }
+
+/// The `src` directory of the workspace crate a path spelling starts
+/// with (`amrproxy::…` is `crates/core`), or `None` for other text.
+fn crate_src(name: &str) -> Option<&'static str> {
+    Some(match name {
+        "amr_mesh" => "crates/amr-mesh/src",
+        "amrproxy" => "crates/core/src",
+        "bench" => "crates/bench/src",
+        "hydro" => "crates/hydro/src",
+        "io_engine" => "crates/io-engine/src",
+        "iosim" => "crates/iosim/src",
+        "macsio" => "crates/macsio/src",
+        "model" => "crates/model/src",
+        "mpi_sim" => "crates/mpi-sim/src",
+        "plotfile" => "crates/plotfile/src",
+        _ => return None,
+    })
+}
+
+/// Every name a crate's sources declare `pub` (not `pub(crate)`): the
+/// items after `pub fn` / `pub struct` / … and the names a `pub use`
+/// re-exports.
+fn public_names(src: &Path) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut dirs = vec![src.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("crate src directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source file");
+            for stmt in text.split("pub ").skip(1) {
+                let words: Vec<&str> = stmt
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|w| !w.is_empty())
+                    .collect();
+                match words.as_slice() {
+                    // The leaves of the use tree, not its path prefixes:
+                    // `use a::{b, c as d}` re-exports `b` and `d`.
+                    ["use", ..] => {
+                        let end = stmt.find(';').unwrap_or(stmt.len());
+                        for leaf in stmt["use".len()..end].split([',', '{', '}']) {
+                            let leaf = leaf.trim();
+                            let name = match leaf.rsplit_once(" as ") {
+                                Some((_, alias)) => alias,
+                                None => leaf.rsplit("::").next().unwrap_or(leaf),
+                            };
+                            if is_ident(name) {
+                                names.push(name.to_string());
+                            }
+                        }
+                    }
+                    ["const" | "unsafe" | "async", "fn", name, ..] => names.push(name.to_string()),
+                    [kind, name, ..]
+                        if [
+                            "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+                        ]
+                        .contains(kind) =>
+                    {
+                        names.push(name.to_string())
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn crate_qualified_spellings_in_the_docs_name_public_items() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut failures = Vec::new();
+    let mut spellings = 0usize;
+    for doc in ["README.md", "docs/MODEL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc file");
+        // Prose only: fenced code blocks hold commands, not spellings.
+        let prose: String = text.split("```").step_by(2).collect::<Vec<_>>().join(" ");
+        for token in ticked(&prose) {
+            let Some(parts) = symbol_parts(token) else {
+                continue;
+            };
+            let Some(src) = parts.first().and_then(|c| crate_src(c)) else {
+                continue;
+            };
+            if parts.len() < 2 {
+                continue;
+            }
+            spellings += 1;
+            let public = public_names(&root.join(src));
+            for part in &parts[1..] {
+                if !public.iter().any(|n| n == part) {
+                    failures.push(format!("{doc}: `{token}` — `{part}` is not pub in {src}"));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(
+        spellings >= 10,
+        "only {spellings} crate-qualified spellings checked: doc format changed?"
+    );
+}
