@@ -41,8 +41,11 @@ pub struct CodecContext<'a> {
 ///
 /// Contract shared by all implementations:
 ///
-/// * `encode` never returns more bytes than it was given (implementations
-///   with an expanding worst case must fall back to the raw input);
+/// * `encode` returns the codec's own stream even where it is longer than
+///   the input (PackBits grows incompressible bytes by 1/128); the
+///   compression stage's `encode_payload` is what keeps the raw payload
+///   when the stream does not shrink, so physical bytes never exceed
+///   logical bytes;
 /// * `encoded_size` is the exact size `encode` would produce whenever that
 ///   size is a pure function of the input length, and a *modeled* size
 ///   otherwise — in both cases `encoded_size(n) <= n`;
@@ -71,7 +74,7 @@ pub trait Codec: Send + Sync {
         true
     }
 
-    /// Encodes materialized bytes. Must not expand.
+    /// Encodes materialized bytes; the result may be longer than `data`.
     fn encode(&self, data: &[u8], ctx: &CodecContext<'_>) -> Vec<u8>;
 
     /// Decodes an encoded stream back to `logical_len` logical bytes
@@ -159,22 +162,70 @@ impl Rle {
 
     /// Decodes a PackBits stream (tests and readers).
     pub fn decode(data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() * 2);
-        let mut i = 0;
-        while i < data.len() {
-            let ctl = data[i];
+        unpack(data, data.len() * 2)
+    }
+}
+
+/// Decodes a PackBits stream into a buffer reserved for `capacity` bytes.
+fn unpack(data: &[u8], capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    let mut i = 0;
+    while i < data.len() {
+        let ctl = data[i];
+        i += 1;
+        if ctl <= 127 {
+            let n = ctl as usize + 1;
+            out.extend_from_slice(&data[i..i + n]);
+            i += n;
+        } else if ctl >= 129 {
+            let n = 257 - ctl as usize;
+            out.resize(out.len() + n, data[i]);
             i += 1;
-            if ctl <= 127 {
-                let n = ctl as usize + 1;
-                out.extend_from_slice(&data[i..i + n]);
-                i += n;
-            } else if ctl >= 129 {
-                let n = 257 - ctl as usize;
-                out.extend(std::iter::repeat_n(data[i], n));
-                i += 1;
-            }
         }
-        out
+    }
+    out
+}
+
+/// The first `p >= from` that starts three equal bytes
+/// (`data[p] == data[p + 1] == data[p + 2]`), or `data.len()` when none
+/// does.
+///
+/// Scans eight candidate positions per step: byte `k` of
+/// `(w0 ^ w1) | (w0 ^ w2)`, with `w0`, `w1`, `w2` the little-endian
+/// words loaded at `p`, `p + 1` and `p + 2`, is zero exactly when a
+/// triple starts at `p + k`, and `(v - 0x01..) & !v & 0x80..` flags the
+/// lowest zero byte exactly (only bytes above it can be flagged
+/// spuriously, through the borrow). The last fewer-than-ten bytes are
+/// one zero-padded word whose lanes past the last triple start are
+/// masked off.
+fn next_triple(data: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let zero_lanes = |w: &[u8; 10]| {
+        let word = |at: usize| u64::from_le_bytes(w[at..at + 8].try_into().expect("8 bytes"));
+        let v = (word(0) ^ word(1)) | (word(0) ^ word(2));
+        v.wrapping_sub(ONES) & !v & HIGHS
+    };
+    let n = data.len();
+    let mut p = from;
+    while p + 10 <= n {
+        let hits = zero_lanes(data[p..p + 10].try_into().expect("10 bytes"));
+        if hits != 0 {
+            return p + hits.trailing_zeros() as usize / 8;
+        }
+        p += 8;
+    }
+    let lanes = n.saturating_sub(2).saturating_sub(p);
+    if lanes == 0 {
+        return n;
+    }
+    let mut tail = [0u8; 10];
+    tail[..n - p].copy_from_slice(&data[p..]);
+    let hits = zero_lanes(&tail) & ((1u64 << (8 * lanes)) - 1);
+    if hits != 0 {
+        p + hits.trailing_zeros() as usize / 8
+    } else {
+        n
     }
 }
 
@@ -184,47 +235,39 @@ impl Codec for Rle {
     }
 
     fn encode(&self, data: &[u8], _ctx: &CodecContext<'_>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() / 2 + 2);
+        let n = data.len();
+        // Worst case: one control byte per 128 literal bytes.
+        let mut out = Vec::with_capacity(n + n.div_ceil(128));
         let mut i = 0;
-        while i < data.len() {
+        while i < n {
             // Measure the run starting at i (capped at 128).
             let b = data[i];
-            let mut run = 1usize;
-            while run < 128 && i + run < data.len() && data[i + run] == b {
-                run += 1;
-            }
+            let run = data[i..n.min(i + 128)]
+                .iter()
+                .take_while(|&&c| c == b)
+                .count();
             if run >= 3 {
                 out.push((257 - run) as u8);
                 out.push(b);
                 i += run;
             } else {
-                // Literal stretch: until the next run of >= 3 (max 128).
-                // The first position can never start such a run (the outer
-                // measurement just found run < 3 here), so the loop always
-                // emits at least one literal byte.
-                let start = i;
-                let mut len = 0usize;
-                while len < 128 && i < data.len() {
-                    let c = data[i];
-                    let mut r = 1usize;
-                    while r < 3 && i + r < data.len() && data[i + r] == c {
-                        r += 1;
-                    }
-                    if r >= 3 {
-                        break;
-                    }
-                    i += 1;
-                    len += 1;
+                // Literal bytes up to the next run of >= 3, in stretches
+                // of at most 128. No such run starts at i (the measurement
+                // just found run < 3 here), nor anywhere before `end`, so
+                // every stretch but the last is a full 128 bytes.
+                let end = next_triple(data, i + 1);
+                for stretch in data[i..end].chunks(128) {
+                    out.push((stretch.len() - 1) as u8);
+                    out.extend_from_slice(stretch);
                 }
-                out.push((len - 1) as u8);
-                out.extend_from_slice(&data[start..start + len]);
+                i = end;
             }
         }
         out
     }
 
     fn decode(&self, data: &[u8], logical_len: u64, _ctx: &CodecContext<'_>) -> Vec<u8> {
-        let out = Rle::decode(data);
+        let out = unpack(data, logical_len as usize);
         debug_assert_eq!(out.len() as u64, logical_len, "Rle: length mismatch");
         out
     }
@@ -275,6 +318,49 @@ impl LossyQuant {
     }
 }
 
+/// The `(min, max)` of one block of little-endian `f64`s, bit for bit
+/// what `fold(INFINITY, f64::min)` and `fold(NEG_INFINITY, f64::max)`
+/// over the block's values as a `&[f64]` give.
+///
+/// Four independent lanes break the fold's dependency chain. `f64::min`
+/// and `f64::max` skip NaN and pick the lesser or greater value, so the
+/// order of the operands can change the result only where two of them
+/// compare equal with different bits: `-0.0` and `+0.0`. Which zero the
+/// slice fold returns then depends on how the compiler vectorizes it, so
+/// a block whose lane result is a zero is folded again with that exact
+/// expression.
+fn block_min_max(block: &[u8]) -> (f64, f64) {
+    let value = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let mut quads = block.chunks_exact(32);
+    for quad in &mut quads {
+        for (lane, c) in quad.chunks_exact(8).enumerate() {
+            lo[lane] = lo[lane].min(value(c));
+            hi[lane] = hi[lane].max(value(c));
+        }
+    }
+    for (lane, c) in quads.remainder().chunks_exact(8).enumerate() {
+        lo[lane] = lo[lane].min(value(c));
+        hi[lane] = hi[lane].max(value(c));
+    }
+    let min = lo[0].min(lo[1]).min(lo[2].min(lo[3]));
+    let max = hi[0].max(hi[1]).max(hi[2].max(hi[3]));
+    if min == 0.0 || max == 0.0 {
+        let mut buf = [0.0f64; QUANT_BLOCK_VALUES as usize];
+        let vals = &mut buf[..block.len() / 8];
+        for (v, c) in vals.iter_mut().zip(block.chunks_exact(8)) {
+            *v = value(c);
+        }
+        (
+            vals.iter().copied().fold(f64::INFINITY, f64::min),
+            vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        )
+    } else {
+        (min, max)
+    }
+}
+
 impl Codec for LossyQuant {
     fn name(&self) -> String {
         format!("quant:{}", self.bits)
@@ -286,17 +372,14 @@ impl Codec for LossyQuant {
 
     fn encode(&self, data: &[u8], _ctx: &CodecContext<'_>) -> Vec<u8> {
         let bits = self.bits as u32;
-        let nvals = (data.len() / 8) as u64;
-        let tail = data.len() - nvals as usize * 8;
-        let mut out = Vec::with_capacity(Self::size_for(bits as u8, nvals, tail as u64) as usize);
-        for block in data[..nvals as usize * 8].chunks(QUANT_BLOCK_VALUES as usize * 8) {
-            let vals: Vec<f64> = block
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect();
-            let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let levels = ((1u64 << bits) - 1) as f64;
+        let nvals = data.len() / 8;
+        let tail = data.len() - nvals * 8;
+        let mut out =
+            Vec::with_capacity(Self::size_for(self.bits, nvals as u64, tail as u64) as usize);
+        let levels = ((1u32 << bits) - 1) as f64;
+        let mut q = [0u16; QUANT_BLOCK_VALUES as usize];
+        for block in data[..nvals * 8].chunks(QUANT_BLOCK_VALUES as usize * 8) {
+            let (min, max) = block_min_max(block);
             // Degenerate blocks get an explicit zero scale: constant
             // blocks (max == min, where (v - min) / scale would be 0/0 =
             // NaN and silently cast to index 0), ranges so extreme that
@@ -311,47 +394,49 @@ impl Codec for LossyQuant {
             };
             out.extend_from_slice(&min.to_le_bytes());
             out.extend_from_slice(&scale.to_le_bytes());
-            // Pack quantized values little-endian, LSB first.
+            let q = &mut q[..block.len() / 8];
+            if scale > 0.0 {
+                // A positive scale means min and max are finite, so `t` is
+                // either NaN (a NaN input, index 0) or in `0..`, where
+                // floor plus an exact half test is `f64::round`. The clamp
+                // keeps NaN (`NaN > levels` is false) and `t as i32` maps it
+                // to 0.
+                for (q, v) in q.iter_mut().zip(block.chunks_exact(8)) {
+                    let v = f64::from_le_bytes(v.try_into().expect("8-byte chunk"));
+                    let t = (v - min) / scale;
+                    let t = if t > levels { levels } else { t };
+                    let i = t as i32;
+                    *q = (i + (t - i as f64 >= 0.5) as i32) as u16;
+                }
+            } else {
+                q.fill(0);
+            }
+            // Pack quantized values little-endian, LSB first, 32 bits at a
+            // time; the block ends on a byte boundary.
             let mut acc: u64 = 0;
             let mut nbits: u32 = 0;
-            for v in &vals {
-                let q = if scale > 0.0 {
-                    let t = (v - min) / scale;
-                    // Non-finite values (NaN/inf inputs) clamp to index 0
-                    // explicitly instead of through a silent NaN cast.
-                    if t.is_finite() {
-                        (t.round() as u64).min(levels as u64)
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                };
-                acc |= q << nbits;
+            for &v in q.iter() {
+                acc |= (v as u64) << nbits;
                 nbits += bits;
-                while nbits >= 8 {
-                    out.push((acc & 0xFF) as u8);
-                    acc >>= 8;
-                    nbits -= 8;
+                if nbits >= 32 {
+                    out.extend_from_slice(&(acc as u32).to_le_bytes());
+                    acc >>= 32;
+                    nbits -= 32;
                 }
             }
-            if nbits > 0 {
-                out.push((acc & 0xFF) as u8);
-            }
+            out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
         }
-        out.extend_from_slice(&data[nvals as usize * 8..]);
+        out.extend_from_slice(&data[nvals * 8..]);
         out
     }
 
     fn decode(&self, data: &[u8], logical_len: u64, _ctx: &CodecContext<'_>) -> Vec<u8> {
         let bits = self.bits as u32;
         let nvals = (logical_len / 8) as usize;
-        let tail = (logical_len % 8) as usize;
-        let mut out = Vec::with_capacity(logical_len as usize);
+        let mask: u64 = (1u64 << bits) - 1;
+        let mut out = vec![0u8; logical_len as usize];
         let mut pos = 0usize;
-        let mut remaining = nvals;
-        while remaining > 0 {
-            let block_vals = remaining.min(QUANT_BLOCK_VALUES as usize);
+        for block in out[..nvals * 8].chunks_mut(QUANT_BLOCK_VALUES as usize * 8) {
             let min = f64::from_le_bytes(data[pos..pos + 8].try_into().expect("block header"));
             let scale =
                 f64::from_le_bytes(data[pos + 8..pos + 16].try_into().expect("block header"));
@@ -359,8 +444,7 @@ impl Codec for LossyQuant {
             // Unpack little-endian, LSB first — the mirror of encode.
             let mut acc: u64 = 0;
             let mut nbits: u32 = 0;
-            let mask: u64 = (1u64 << bits) - 1;
-            for _ in 0..block_vals {
+            for v in block.chunks_exact_mut(8) {
                 while nbits < bits {
                     acc |= (data[pos] as u64) << nbits;
                     pos += 1;
@@ -369,13 +453,11 @@ impl Codec for LossyQuant {
                 let q = acc & mask;
                 acc >>= bits;
                 nbits -= bits;
-                let v = min + q as f64 * scale;
-                out.extend_from_slice(&v.to_le_bytes());
+                v.copy_from_slice(&(min + q as f64 * scale).to_le_bytes());
             }
-            remaining -= block_vals;
         }
-        out.extend_from_slice(&data[pos..pos + tail]);
-        debug_assert_eq!(out.len() as u64, logical_len);
+        let tail = out.len() - nvals * 8;
+        out[nvals * 8..].copy_from_slice(&data[pos..pos + tail]);
         out
     }
 
@@ -397,6 +479,14 @@ impl Codec for LossyQuant {
 /// Default modeled ratio for [`Rle`] account-only payloads: AMR field
 /// dumps are dominated by near-constant regions (the unshocked ambient
 /// state), which byte-level RLE collapses well.
+///
+/// The ratio prices `Payload::Size` only. Materialized bytes are encoded
+/// for real, and MACSio's smooth `sin·cos + 2` field of `f64`s has almost
+/// no three-byte runs: none of the 24 chunks of any `rle` run of
+/// amrbench's `engine_matrix` shrinks, so all of them stay raw (on `fpp`,
+/// 24,544,591 physical bytes against 24,543,280 logical, the difference
+/// being the three sidecars). The data files of a Sedov plotfile do
+/// shrink, by about 10% on a 32² mesh.
 pub(crate) const DEFAULT_RLE_RATIO: f64 = 2.0;
 
 /// Default quantization precision (bits per `f64` value).
@@ -527,6 +617,134 @@ pub(crate) fn encode_payload(
     }
 }
 
+/// Reference kernels: the RLE encoder and the quantiser's encoder and
+/// decoder as plain byte-at-a-time and value-at-a-time loops, which the
+/// live kernels must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::QUANT_BLOCK_VALUES;
+
+    pub(super) fn rle_encode(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() / 2 + 2);
+        let mut i = 0;
+        while i < data.len() {
+            // Measure the run starting at i (capped at 128).
+            let b = data[i];
+            let mut run = 1usize;
+            while run < 128 && i + run < data.len() && data[i + run] == b {
+                run += 1;
+            }
+            if run >= 3 {
+                out.push((257 - run) as u8);
+                out.push(b);
+                i += run;
+            } else {
+                // Literal stretch: until the next run of >= 3 (max 128).
+                let start = i;
+                let mut len = 0usize;
+                while len < 128 && i < data.len() {
+                    let c = data[i];
+                    let mut r = 1usize;
+                    while r < 3 && i + r < data.len() && data[i + r] == c {
+                        r += 1;
+                    }
+                    if r >= 3 {
+                        break;
+                    }
+                    i += 1;
+                    len += 1;
+                }
+                out.push((len - 1) as u8);
+                out.extend_from_slice(&data[start..start + len]);
+            }
+        }
+        out
+    }
+
+    pub(super) fn quant_encode(bits: u8, data: &[u8]) -> Vec<u8> {
+        let bits = bits as u32;
+        let nvals = data.len() / 8;
+        let mut out = Vec::new();
+        for block in data[..nvals * 8].chunks(QUANT_BLOCK_VALUES as usize * 8) {
+            let vals: Vec<f64> = block
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect();
+            let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let levels = ((1u64 << bits) - 1) as f64;
+            let range = max - min;
+            let scale = if range > 0.0 && range.is_finite() {
+                range / levels
+            } else {
+                0.0
+            };
+            out.extend_from_slice(&min.to_le_bytes());
+            out.extend_from_slice(&scale.to_le_bytes());
+            let mut acc: u64 = 0;
+            let mut nbits: u32 = 0;
+            for v in &vals {
+                let q = if scale > 0.0 {
+                    let t = (v - min) / scale;
+                    if t.is_finite() {
+                        (t.round() as u64).min(levels as u64)
+                    } else {
+                        0
+                    }
+                } else {
+                    0
+                };
+                acc |= q << nbits;
+                nbits += bits;
+                while nbits >= 8 {
+                    out.push((acc & 0xFF) as u8);
+                    acc >>= 8;
+                    nbits -= 8;
+                }
+            }
+            if nbits > 0 {
+                out.push((acc & 0xFF) as u8);
+            }
+        }
+        out.extend_from_slice(&data[nvals * 8..]);
+        out
+    }
+
+    pub(super) fn quant_decode(bits: u8, data: &[u8], logical_len: u64) -> Vec<u8> {
+        let bits = bits as u32;
+        let nvals = (logical_len / 8) as usize;
+        let tail = (logical_len % 8) as usize;
+        let mut out = Vec::with_capacity(logical_len as usize);
+        let mut pos = 0usize;
+        let mut remaining = nvals;
+        while remaining > 0 {
+            let block_vals = remaining.min(QUANT_BLOCK_VALUES as usize);
+            let min = f64::from_le_bytes(data[pos..pos + 8].try_into().expect("block header"));
+            let scale =
+                f64::from_le_bytes(data[pos + 8..pos + 16].try_into().expect("block header"));
+            pos += 16;
+            let mut acc: u64 = 0;
+            let mut nbits: u32 = 0;
+            let mask: u64 = (1u64 << bits) - 1;
+            for _ in 0..block_vals {
+                while nbits < bits {
+                    acc |= (data[pos] as u64) << nbits;
+                    pos += 1;
+                    nbits += 8;
+                }
+                let q = acc & mask;
+                acc >>= bits;
+                nbits -= bits;
+                let v = min + q as f64 * scale;
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            remaining -= block_vals;
+        }
+        out.extend_from_slice(&data[pos..pos + tail]);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +764,161 @@ mod tests {
         assert_eq!(c.encode(b"abc", &ctx(0, "/f")), b"abc");
         assert_eq!(c.encoded_size(1234, &ctx(0, "/f")), 1234);
         assert_eq!(c.cpu_ns_per_byte(), 0.0);
+    }
+
+    /// Values that exercise every branch of the quantiser: raw bit
+    /// patterns (NaN payloads, infinities, subnormals, overflowing
+    /// ranges), blocks whose minimum or maximum is a mix of `-0.0` and
+    /// `+0.0`, and lattices with `scale == 1` whose `t` lands on and just
+    /// below half-integers.
+    fn value(mode: u8, bits: u64, index: usize, levels: f64) -> f64 {
+        const SPECIALS: [f64; 10] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            1.0,
+        ];
+        let small = (bits >> 8 & 0xffff) as f64 / 64.0;
+        match mode {
+            0 => f64::from_bits(bits),
+            1 => SPECIALS[(bits % 10) as usize],
+            2 | 3 => {
+                let v = match bits % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => small,
+                };
+                if mode == 2 {
+                    v
+                } else {
+                    -v
+                }
+            }
+            _ => match index % 256 {
+                0 => 0.0,
+                1 => levels,
+                _ => {
+                    let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+                    let k = (bits >> 8) % (levels as u64 + 1);
+                    k as f64 + [0.0, 0.5, below_half, 0.25][(bits % 4) as usize]
+                }
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rle_matches_the_oracle_bit_for_bit(
+            noise in proptest::collection::vec(0u8..=255, 0..1200),
+            alphabet in 1u8..5,
+            runs in proptest::collection::vec(0u64..=u64::MAX, 0..1200),
+        ) {
+            let c = Rle::default();
+            let small: Vec<u8> = runs.iter().map(|r| (r % alphabet as u64) as u8).collect();
+            for data in [noise, small] {
+                let enc = c.encode(&data, &ctx(0, "/f"));
+                proptest::prop_assert_eq!(&enc, &oracle::rle_encode(&data));
+                let dec = Codec::decode(&c, &enc, data.len() as u64, &ctx(0, "/f"));
+                proptest::prop_assert_eq!(dec, data);
+            }
+        }
+
+        #[test]
+        fn quant_matches_the_oracle_bit_for_bit(
+            mode in 0u8..5,
+            raw in proptest::collection::vec(0u64..=u64::MAX, 0..700),
+            tail in proptest::collection::vec(0u8..=255, 0..8),
+            noise in proptest::collection::vec(0u64..=u64::MAX, 0..400),
+        ) {
+            for bits in 1..=16u8 {
+                let c = LossyQuant::new(bits);
+                let levels = ((1u32 << bits) - 1) as f64;
+                let mut data: Vec<u8> = raw
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &b)| value(mode, b, i, levels).to_le_bytes())
+                    .collect();
+                data.extend_from_slice(&tail);
+                let enc = c.encode(&data, &ctx(0, "/f"));
+                let want = oracle::quant_encode(bits, &data);
+                proptest::prop_assert_eq!(&enc, &want, "bits {}", bits);
+                let logical = data.len() as u64;
+                proptest::prop_assert_eq!(
+                    c.decode(&enc, logical, &ctx(0, "/f")),
+                    oracle::quant_decode(bits, &enc, logical),
+                    "bits {}", bits
+                );
+                // Any stream of the right length decodes the same way,
+                // NaN and infinite headers included.
+                let logical = noise.len() as u64;
+                let size = LossyQuant::size_for(bits, logical / 8, logical % 8) as usize;
+                let stream: Vec<u8> =
+                    noise.iter().flat_map(|b| b.to_le_bytes()).take(size).collect();
+                if stream.len() == size {
+                    proptest::prop_assert_eq!(
+                        c.decode(&stream, logical, &ctx(0, "/f")),
+                        oracle::quant_decode(bits, &stream, logical),
+                        "bits {}", bits
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Short blocks of one sign with a few zeros of either sign: the
+        /// lane minimum or maximum and the fold can pick different zeros
+        /// here, so only the re-fold keeps the header bits.
+        #[test]
+        fn quant_signed_zero_blocks_match_the_oracle(
+            raw in proptest::collection::vec(0u64..=u64::MAX, 0..2000),
+            negative in 0u8..2,
+        ) {
+            let c = LossyQuant::new(8);
+            let mut rest = &raw[..];
+            while !rest.is_empty() {
+                let len = (1 + (rest[0] >> 40) as usize % 40).min(rest.len());
+                let (block, tail) = rest.split_at(len);
+                rest = tail;
+                let data: Vec<u8> = block
+                    .iter()
+                    .map(|&b| match b % 4 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (b >> 8 & 0xff) as f64 + 1.0,
+                    })
+                    .flat_map(|v: f64| if negative == 1 { -v } else { v }.to_le_bytes())
+                    .collect();
+                let want = oracle::quant_encode(8, &data);
+                proptest::prop_assert_eq!(c.encode(&data, &ctx(0, "/f")), want);
+            }
+        }
+    }
+
+    #[test]
+    fn quant_rounds_exactly_below_a_half_integer() {
+        // min 0 and max 255 give scale 1 at 8 bits, so t is the value.
+        // The largest double below 0.5 rounds to 0; `(t + 0.5) as u64`
+        // would give 1, since t + 0.5 rounds up to 1.0.
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let data: Vec<u8> = [0.0, below_half, 0.5, 1.5, 255.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let enc = LossyQuant::new(8).encode(&data, &ctx(0, "/f"));
+        assert_eq!(f64::from_le_bytes(enc[8..16].try_into().unwrap()), 1.0);
+        assert_eq!(&enc[16..], &[0, 0, 1, 2, 255]);
+        assert_eq!(enc, oracle::quant_encode(8, &data));
     }
 
     #[test]
