@@ -32,20 +32,19 @@ use std::io;
 /// One staged physical file awaiting drain. Content is the put
 /// payloads' shared segments — staging holds references to the same
 /// buffers the producer filled, and the drain ships them zero-copy.
+/// Modeled (account-only) files have nothing to land and are never
+/// staged.
 struct StagedFile {
     step: u32,
     path: String,
-    content: Option<Vec<Bytes>>,
+    content: Vec<Bytes>,
 }
 
 impl StagedFile {
-    /// Lands the file (modeled files have nothing to land). A failure
-    /// keeps its kind and gains the path and step it belongs to.
+    /// Lands the file. A failure keeps its kind and gains the path and
+    /// step it belongs to.
     fn drain(&self, vfs: &dyn Vfs) -> io::Result<()> {
-        let Some(content) = &self.content else {
-            return Ok(());
-        };
-        vfs.write_file_concat(&self.path, content)
+        vfs.write_file_concat(&self.path, &self.content)
             .map(|_| ())
             .map_err(|e| {
                 io::Error::new(
@@ -126,15 +125,17 @@ impl IoBackend for Deferred<'_> {
 
         let mut stats = StepStats::of(cur.step);
         let mut files = cur.into_files();
-        let mut staged = Vec::with_capacity(files.len());
+        let mut staged = Vec::new();
         for (path, build) in &mut files {
             build.book(path.clone(), &mut stats);
-            let segs = build.seal();
-            staged.push(StagedFile {
-                step: stats.step,
-                path: path.clone(),
-                content: (!build.account_only).then_some(segs),
-            });
+            let content = build.seal();
+            if !build.account_only {
+                staged.push(StagedFile {
+                    step: stats.step,
+                    path: path.clone(),
+                    content,
+                });
+            }
         }
         self.retained.insert(stats.step, files);
         self.pending = staged;

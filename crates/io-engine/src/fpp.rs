@@ -26,51 +26,102 @@ use crate::backend::{
 use crate::layout::{FileBuild, Source, SpanReader};
 use crate::selection::ReadSelection;
 use iosim::{IoTracker, Vfs};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 /// The per-path placement rule: coalesces puts by path, preserving
 /// first-put order.
-#[derive(Debug, Default)]
+///
+/// An account-only dump is one put per file, so this is per-file cost:
+/// the files sit in one `Vec` in first-put order, each under the path its
+/// first put brought (moved, never cloned), and an index from the path's
+/// FNV-1a hash to the file finds it in one probe. Two paths with one hash
+/// fall back to comparing strings: the hash is unkeyed, so paths made to
+/// collide cost a scan, never a wrong file.
+#[derive(Debug)]
 pub(crate) struct StepBuild {
     pub step: u32,
-    order: Vec<String>,
-    files: HashMap<String, FileBuild>,
+    files: StepFiles,
+    /// Path hash -> position in `files` of the first file with that hash.
+    index: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
+    hash: fn(&str) -> u64,
 }
 
 impl StepBuild {
     pub(crate) fn new(step: u32) -> Self {
+        Self::with_hash(step, fnv1a)
+    }
+
+    fn with_hash(step: u32, hash: fn(&str) -> u64) -> Self {
         Self {
             step,
-            order: Vec::new(),
-            files: HashMap::new(),
+            files: Vec::new(),
+            index: HashMap::default(),
+            hash,
         }
     }
 
     /// Appends a put to its file, creating the file on first use
     /// (attributed to its first producer).
     pub(crate) fn push(&mut self, put: Put) {
-        let build = match self.files.get_mut(&put.path) {
-            Some(b) => b,
+        let at = match self.index.entry((self.hash)(&put.path)) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.files.len());
+                None
+            }
+            Entry::Occupied(slot) if self.files[*slot.get()].0 == put.path => Some(*slot.get()),
+            Entry::Occupied(_) => self.files.iter().position(|(path, _)| *path == put.path),
+        };
+        let build = match at {
+            Some(i) => &mut self.files[i].1,
             None => {
-                self.order.push(put.path.clone());
-                self.files
-                    .entry(put.path)
-                    .or_insert(FileBuild::for_rank(put.key.task))
+                // Retained for every step: no growth slack (a put's path
+                // may come from `format!`).
+                let mut path = put.path;
+                path.shrink_to_fit();
+                self.files.push((path, FileBuild::for_rank(put.key.task)));
+                &mut self.files.last_mut().expect("just pushed").1
             }
         };
         build.push(put.key, put.kind, None, put.payload);
     }
 
-    /// Finished files in first-put order.
+    /// Finished files in first-put order, at exact size (they are
+    /// retained for the read path).
     pub(crate) fn into_files(mut self) -> StepFiles {
-        self.order
-            .drain(..)
-            .map(|path| {
-                let build = self.files.remove(&path).expect("ordered path exists");
-                (path, build)
-            })
-            .collect()
+        self.files.shrink_to_fit();
+        self.files
+    }
+}
+
+/// FNV-1a 64 of a path, the hash `iosim`'s storage model places files by.
+fn fnv1a(path: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in path.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The hasher of a map keyed by hashes: passes the key through, folding
+/// FNV's well-mixed high half into the low bits buckets are chosen by.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PreHashed hashes u64 keys only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h ^ (h >> 32);
     }
 }
 
@@ -158,8 +209,12 @@ impl IoBackend for FilePerProcess<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Payload;
+    use crate::backend::{Payload, StepStats};
+    use crate::deferred::Deferred;
+    use crate::Streaming;
     use iosim::{IoKey, IoKind, MemFs};
+    use mpi_sim::NetworkModel;
+    use proptest::prelude::*;
 
     fn put(step: u32, task: u32, path: &str, data: &[u8]) -> Put {
         Put {
@@ -308,5 +363,211 @@ mod tests {
         assert_eq!(report.bytes, 6);
         assert_eq!(report.logical_bytes, 6, "no codec: physical == logical");
         assert_eq!(report.overhead_bytes, 0);
+    }
+
+    /// The placement rule as it was before its files moved into one
+    /// `Vec` behind a hash index: a first-put order list beside a
+    /// path-keyed map. The oracle [`StepBuild`] is proptested against.
+    #[derive(Default)]
+    struct OracleBuild {
+        order: Vec<String>,
+        files: HashMap<String, FileBuild>,
+    }
+
+    impl OracleBuild {
+        fn push(&mut self, put: Put) {
+            let build = match self.files.get_mut(&put.path) {
+                Some(b) => b,
+                None => {
+                    self.order.push(put.path.clone());
+                    self.files
+                        .entry(put.path)
+                        .or_insert(FileBuild::for_rank(put.key.task))
+                }
+            };
+            build.push(put.key, put.kind, None, put.payload);
+        }
+
+        fn into_files(mut self) -> StepFiles {
+            self.order
+                .drain(..)
+                .map(|path| {
+                    let build = self.files.remove(&path).expect("ordered path exists");
+                    (path, build)
+                })
+                .collect()
+        }
+    }
+
+    /// Steps of puts whose paths repeat: a third go to one of four
+    /// shared group paths (MACSio MIF baton passing), the rest to a
+    /// per-`(task, level)` path that recurs whenever the pair does. Every
+    /// payload variant appears, so some files are account-only.
+    fn any_steps() -> impl Strategy<Value = Vec<Vec<Put>>> {
+        let put = (
+            0..3u32,
+            0..4u32,
+            0..12u32,
+            0..3u32,
+            0..2u32,
+            0..4u32,
+            0..40usize,
+        );
+        let step = proptest::collection::vec(put, 0..60);
+        proptest::collection::vec(step, 1..4).prop_map(|steps| {
+            (steps.into_iter().enumerate())
+                .map(|(s, puts)| {
+                    (puts.into_iter())
+                        .map(|(shared, group, task, level, meta, variant, len)| {
+                            let step = s as u32;
+                            let path = match shared {
+                                0 => format!("/s{step}/group{group}"),
+                                _ => format!("/s{step}/r{task}/l{level}"),
+                            };
+                            let data = || {
+                                let v: Vec<u8> =
+                                    (0..len).map(|i| (task as usize * 7 + i) as u8).collect();
+                                v.into()
+                            };
+                            let len = len as u64;
+                            let payload = match variant {
+                                0 => Payload::Bytes(data()),
+                                1 => Payload::Size(len * 100),
+                                2 => Payload::Encoded {
+                                    data: data(),
+                                    logical: len * 2,
+                                },
+                                _ => Payload::EncodedSize {
+                                    physical: len,
+                                    logical: len * 3,
+                                },
+                            };
+                            Put {
+                                key: IoKey { step, level, task },
+                                kind: [IoKind::Data, IoKind::Metadata][meta as usize],
+                                path,
+                                payload,
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    /// A test hash under which every path collides.
+    fn constant_hash(_: &str) -> u64 {
+        7
+    }
+
+    /// A test hash under which paths of one length collide.
+    fn length_hash(path: &str) -> u64 {
+        path.len() as u64
+    }
+
+    /// Checks `steps` against the oracle placement: the files of every
+    /// step (paths, ranks, spans, segments) under FNV-1a and under
+    /// colliding hashes, then what fpp, deferred and streaming report,
+    /// land and read back.
+    fn check_placement(steps: &[Vec<Put>]) {
+        let oracle: Vec<StepFiles> = (steps.iter())
+            .map(|puts| {
+                let mut b = OracleBuild::default();
+                puts.iter().for_each(|p| b.push(p.clone()));
+                b.into_files()
+            })
+            .collect();
+        let hashes: [fn(&str) -> u64; 3] = [fnv1a, constant_hash, length_hash];
+        for hash in hashes {
+            for (s, puts) in steps.iter().enumerate() {
+                let mut b = StepBuild::with_hash(s as u32, hash);
+                puts.iter().for_each(|p| b.push(p.clone()));
+                assert_eq!(format!("{:?}", b.into_files()), format!("{:?}", oracle[s]));
+            }
+        }
+
+        let want_stats = |s: usize| {
+            let mut stats = StepStats::of(s as u32);
+            for (path, build) in &oracle[s] {
+                build.book(path.clone(), &mut stats);
+            }
+            stats
+        };
+        let want_chunks = |s: usize| -> Vec<_> {
+            (oracle[s].iter())
+                .flat_map(|(path, b)| {
+                    b.spans
+                        .iter()
+                        .map(move |sp| (sp.key, sp.kind, path.clone(), sp.logical_len))
+                })
+                .collect()
+        };
+        let fs = [MemFs::new(), MemFs::new(), MemFs::new()];
+        let tracker = IoTracker::new();
+        let mut backends: [Box<dyn IoBackend>; 3] = [
+            Box::new(FilePerProcess::new(&fs[0], &tracker)),
+            Box::new(Deferred::new(&fs[1], &tracker)),
+            Box::new(Streaming::new(
+                &tracker,
+                NetworkModel::ideal(1e6),
+                None,
+                None,
+            )),
+        ];
+        for (which, b) in backends.iter_mut().enumerate() {
+            for (s, puts) in steps.iter().enumerate() {
+                b.begin_step(s as u32, "/");
+                for p in puts {
+                    b.put(p.clone()).unwrap();
+                }
+                let (got, want) = (b.end_step().unwrap(), want_stats(s));
+                if which < 2 {
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", b.name());
+                } else {
+                    assert_eq!((got.files, got.bytes, got.requests.len()), (0, 0, 0));
+                    assert_eq!(got.logical_bytes, want.logical_bytes);
+                    assert_eq!(got.net_bytes, want.bytes);
+                }
+            }
+            b.close().unwrap();
+            for s in 0..steps.len() {
+                let read = b.read_step(s as u32, "/").unwrap();
+                let got: Vec<_> = (read.chunks.iter())
+                    .map(|c| (c.key, c.kind, c.path.clone(), c.payload.logical_len()))
+                    .collect();
+                assert_eq!(got, want_chunks(s), "{}", b.name());
+            }
+        }
+        for files in &oracle {
+            for (path, build) in files.iter().filter(|(_, b)| !b.account_only) {
+                let content: Vec<u8> = build
+                    .segs()
+                    .iter()
+                    .flat_map(|b| b.iter().copied())
+                    .collect();
+                assert_eq!(fs[0].read_file(path).as_ref(), Some(&content), "fpp {path}");
+                assert_eq!(
+                    fs[1].read_file(path).as_ref(),
+                    Some(&content),
+                    "deferred {path}"
+                );
+            }
+        }
+        let landed = (oracle.iter().flatten())
+            .filter(|(_, b)| !b.account_only)
+            .count();
+        assert_eq!((fs[0].nfiles(), fs[1].nfiles()), (landed, landed));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The hash-indexed placement rule places, books, lands and reads
+        /// back every put sequence exactly as the order-list + map rule
+        /// it replaced, under each backend that shares it.
+        #[test]
+        fn placement_matches_the_order_and_map_oracle(steps in any_steps()) {
+            check_placement(&steps);
+        }
     }
 }

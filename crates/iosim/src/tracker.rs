@@ -3,6 +3,10 @@
 //! Every write the plotfile and MACSio writers perform is recorded here.
 //! The model crate consumes these records to build the Eq. (1)/(2)
 //! samples: `y = data_output(i)`, `i = (time step, level, task)`.
+//!
+//! Recording is an append; the per-key totals are folded lazily (see
+//! [`IoTracker`]). The `BTreeMap` tracker this replaced stays as the
+//! test oracle (`tracker/oracle.rs`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -37,22 +41,90 @@ pub enum IoKind {
 /// Eq. (1)/(2) write samples, `record_read` the restart/analysis read
 /// side. Both store *logical* bytes, so read totals are backend- and
 /// codec-invariant like the write totals.
+///
+/// A plane is an append log in front of a sorted table. Recording is a
+/// push: an account-only dump records one entry per file, hundreds of
+/// thousands per campaign cell, and a sorted-map insert per entry was a
+/// tenth of such a cell's time. The log is folded into the table before
+/// any query, and whenever it grows as long as the table, so a plane
+/// holds O(keys) entries however many records it took. Queries walk the
+/// table in `(key, kind)` order.
 #[derive(Default, Debug)]
 pub struct IoTracker {
-    records: Mutex<BTreeMap<(IoKey, IoKind), Record>>,
-    read_records: Mutex<BTreeMap<(IoKey, IoKind), Record>>,
+    records: Mutex<Plane>,
+    read_records: Mutex<Plane>,
 }
 
-/// Takes `m`, recovering it from a panicking writer (no update leaves
-/// a record map half-written).
+/// Takes `m`, recovering it from a panicking holder: a plane update
+/// panics only when a byte total overflows `u64` (debug builds).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-#[derive(Default, Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Default, Debug, Clone, Copy)]
 struct Record {
     bytes: u64,
     files: u64,
+}
+
+type Key = (IoKey, IoKind);
+
+/// One plane of an [`IoTracker`].
+#[derive(Default, Debug)]
+struct Plane {
+    /// Records not yet folded into `table`, in arrival order.
+    log: Vec<(Key, u64)>,
+    /// Per-key totals, sorted by key, one entry per key.
+    table: Vec<(Key, Record)>,
+}
+
+/// The log length at which a plane folds even when its table is
+/// shorter, so a plane of few keys does not fold on every record.
+const MIN_FOLD: usize = 1024;
+
+impl Plane {
+    fn push(&mut self, key: Key, bytes: u64) {
+        self.log.push((key, bytes));
+        if self.log.len() >= self.table.len().max(MIN_FOLD) {
+            self.fold();
+        }
+    }
+
+    /// Folds the log into the table: sorts it, then merges it with the
+    /// table, each logged record adding its bytes and one file to its
+    /// key.
+    fn fold(&mut self) {
+        if self.log.is_empty() {
+            return;
+        }
+        self.log.sort_unstable_by_key(|&(key, _)| key);
+        let mut old = std::mem::take(&mut self.table).into_iter().peekable();
+        let mut table = Vec::with_capacity(old.len() + self.log.len());
+        for &(key, bytes) in &self.log {
+            table.extend(std::iter::from_fn(|| old.next_if(|(k, _)| *k <= key)));
+            add(&mut table, key, bytes);
+        }
+        table.extend(old);
+        self.table = table;
+        self.log.clear();
+    }
+
+    /// The per-key totals of every record so far, in key order.
+    fn table(&mut self) -> &[(Key, Record)] {
+        self.fold();
+        &self.table
+    }
+}
+
+/// Adds one record to a sorted table whose last key is at most `key`.
+fn add(table: &mut Vec<(Key, Record)>, key: Key, bytes: u64) {
+    match table.last_mut() {
+        Some((last, r)) if *last == key => {
+            r.bytes += bytes;
+            r.files += 1;
+        }
+        _ => table.push((key, Record { bytes, files: 1 })),
+    }
 }
 
 impl IoTracker {
@@ -63,20 +135,22 @@ impl IoTracker {
 
     /// Records `bytes` written for `key`, counting one file.
     pub fn record(&self, key: IoKey, kind: IoKind, bytes: u64) {
-        let mut map = lock(&self.records);
-        let r = map.entry((key, kind)).or_default();
-        r.bytes += bytes;
-        r.files += 1;
+        lock(&self.records).push((key, kind), bytes);
     }
 
     /// Total bytes across everything.
     pub fn total_bytes(&self) -> u64 {
-        lock(&self.records).values().map(|r| r.bytes).sum()
+        lock(&self.records)
+            .table()
+            .iter()
+            .map(|(_, r)| r.bytes)
+            .sum()
     }
 
     /// Total bytes of one kind.
     pub fn total_bytes_of(&self, kind: IoKind) -> u64 {
         lock(&self.records)
+            .table()
             .iter()
             .filter(|((_, k), _)| *k == kind)
             .map(|(_, r)| r.bytes)
@@ -85,13 +159,17 @@ impl IoTracker {
 
     /// Total number of files written.
     pub fn total_files(&self) -> u64 {
-        lock(&self.records).values().map(|r| r.files).sum()
+        lock(&self.records)
+            .table()
+            .iter()
+            .map(|(_, r)| r.files)
+            .sum()
     }
 
     /// Bytes per output step (data + metadata), ordered by step.
     pub fn bytes_per_step(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in lock(&self.records).iter() {
+        for ((key, _), r) in lock(&self.records).table().iter() {
             *out.entry(key.step).or_insert(0) += r.bytes;
         }
         out
@@ -113,7 +191,7 @@ impl IoTracker {
     /// Bytes per AMR level, ordered by level — the Fig. 7 decomposition.
     pub fn bytes_per_level(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in lock(&self.records).iter() {
+        for ((key, _), r) in lock(&self.records).table().iter() {
             *out.entry(key.level).or_insert(0) += r.bytes;
         }
         out
@@ -124,7 +202,7 @@ impl IoTracker {
     pub fn cumulative_per_level_step(&self) -> BTreeMap<u32, Vec<(u32, u64)>> {
         // level -> Vec<(step, cumulative bytes)>
         let mut per_level_step: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
-        for ((key, _), r) in lock(&self.records).iter() {
+        for ((key, _), r) in lock(&self.records).table().iter() {
             *per_level_step
                 .entry(key.level)
                 .or_default()
@@ -151,7 +229,8 @@ impl IoTracker {
     /// is indexed densely from task 0 to the largest task seen; tasks that
     /// wrote nothing hold 0 (AMReX writes no file for them).
     pub fn bytes_per_task(&self, step: u32, level: u32) -> Vec<u64> {
-        let map = lock(&self.records);
+        let mut plane = lock(&self.records);
+        let map = plane.table();
         let mut max_task = 0u32;
         let mut any = false;
         for ((key, _), _) in map.iter() {
@@ -173,7 +252,8 @@ impl IoTracker {
     /// Like [`IoTracker::bytes_per_task`] but restricted to one kind —
     /// e.g. `Data` only, excluding rank 0's metadata attribution.
     pub fn bytes_per_task_of(&self, step: u32, level: u32, kind: IoKind) -> Vec<u64> {
-        let map = lock(&self.records);
+        let mut plane = lock(&self.records);
+        let map = plane.table();
         let mut max_task = 0u32;
         let mut any = false;
         for ((key, _), _) in map.iter() {
@@ -194,7 +274,11 @@ impl IoTracker {
 
     /// Sorted list of steps with any output.
     pub fn steps(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = lock(&self.records).keys().map(|(k, _)| k.step).collect();
+        let mut v: Vec<u32> = lock(&self.records)
+            .table()
+            .iter()
+            .map(|((k, _), _)| k.step)
+            .collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -202,7 +286,11 @@ impl IoTracker {
 
     /// Sorted list of levels with any output.
     pub fn levels(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = lock(&self.records).keys().map(|(k, _)| k.level).collect();
+        let mut v: Vec<u32> = lock(&self.records)
+            .table()
+            .iter()
+            .map(|((k, _), _)| k.level)
+            .collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -212,6 +300,7 @@ impl IoTracker {
     /// serialization.
     pub fn export(&self) -> Vec<(IoKey, IoKind, u64, u64)> {
         lock(&self.records)
+            .table()
             .iter()
             .map(|((k, kind), r)| (*k, *kind, r.bytes, r.files))
             .collect()
@@ -221,20 +310,22 @@ impl IoTracker {
 
     /// Records `bytes` read back for `key`, counting one chunk read.
     pub fn record_read(&self, key: IoKey, kind: IoKind, bytes: u64) {
-        let mut map = lock(&self.read_records);
-        let r = map.entry((key, kind)).or_default();
-        r.bytes += bytes;
-        r.files += 1;
+        lock(&self.read_records).push((key, kind), bytes);
     }
 
     /// Total logical bytes read back across everything.
     pub fn total_read_bytes(&self) -> u64 {
-        lock(&self.read_records).values().map(|r| r.bytes).sum()
+        lock(&self.read_records)
+            .table()
+            .iter()
+            .map(|(_, r)| r.bytes)
+            .sum()
     }
 
     /// Total logical bytes read back of one kind.
     pub fn total_read_bytes_of(&self, kind: IoKind) -> u64 {
         lock(&self.read_records)
+            .table()
             .iter()
             .filter(|((_, k), _)| *k == kind)
             .map(|(_, r)| r.bytes)
@@ -243,13 +334,17 @@ impl IoTracker {
 
     /// Number of chunk reads recorded.
     pub fn total_read_records(&self) -> u64 {
-        lock(&self.read_records).values().map(|r| r.files).sum()
+        lock(&self.read_records)
+            .table()
+            .iter()
+            .map(|(_, r)| r.files)
+            .sum()
     }
 
     /// Logical bytes read back per output step, ordered by step.
     pub fn read_bytes_per_step(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in lock(&self.read_records).iter() {
+        for ((key, _), r) in lock(&self.read_records).table().iter() {
             *out.entry(key.step).or_insert(0) += r.bytes;
         }
         out
@@ -261,7 +356,7 @@ impl IoTracker {
     /// the selection read plane pin.
     pub fn read_bytes_per_level(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for ((key, _), r) in lock(&self.read_records).iter() {
+        for ((key, _), r) in lock(&self.read_records).table().iter() {
             *out.entry(key.level).or_insert(0) += r.bytes;
         }
         out
@@ -270,6 +365,7 @@ impl IoTracker {
     /// Flat export of all read records as `(key, kind, bytes, reads)`.
     pub fn export_reads(&self) -> Vec<(IoKey, IoKind, u64, u64)> {
         lock(&self.read_records)
+            .table()
             .iter()
             .map(|((k, kind), r)| (*k, *kind, r.bytes, r.files))
             .collect()
@@ -277,8 +373,12 @@ impl IoTracker {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(step: u32, level: u32, task: u32) -> IoKey {
         IoKey { step, level, task }
@@ -391,5 +491,140 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![1]
         );
+    }
+
+    /// However many records a plane takes, it holds O(keys) entries: a
+    /// log no longer than `MIN_FOLD` or its table, whichever is longer.
+    #[test]
+    fn a_plane_holds_o_keys_entries() {
+        let t = IoTracker::new();
+        for i in 0..100_000u32 {
+            t.record(key(i % 3, 0, i % 7), IoKind::Data, 1);
+        }
+        let plane = lock(&t.records);
+        assert_eq!(plane.table.len(), 21);
+        assert!(plane.log.len() < MIN_FOLD, "{}", plane.log.len());
+        drop(plane);
+        for i in 0..100_000u32 {
+            t.record_read(key(i, 0, 0), IoKind::Data, 1);
+        }
+        let plane = lock(&t.read_records);
+        assert!(plane.log.len() <= plane.table.len(), "{}", plane.log.len());
+        assert_eq!(plane.log.len() + plane.table.len(), 100_000);
+    }
+
+    /// One tracker call of a random session.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Write(IoKey, IoKind, u64),
+        Read(IoKey, IoKind, u64),
+        /// Every query, on both trackers.
+        Query,
+    }
+
+    /// Sessions over few keys (so keys repeat), with queries between the
+    /// records at one of three rates; at the lowest, the log folds on
+    /// its own. `monotone` sessions only ever grow the step, as a run
+    /// does; the others revisit keys already folded.
+    fn any_session() -> impl Strategy<Value = Vec<Op>> {
+        let op = (
+            0..1000u32,
+            0..8u32,
+            0..3u32,
+            0..9u32,
+            0..2u32,
+            0..1u64 << 40,
+        );
+        let sessions = (0..2u32, prop_oneof![Just(0), Just(3), Just(30)]);
+        (sessions, proptest::collection::vec(op, 0..3000)).prop_map(
+            |((monotone, query_rate), ops)| {
+                (ops.into_iter().enumerate())
+                    .map(|(i, (what, step, level, task, meta, bytes))| {
+                        let step = if monotone == 1 { i as u32 / 200 } else { step };
+                        let key = key(step, level, task);
+                        let kind = if meta == 1 {
+                            IoKind::Metadata
+                        } else {
+                            IoKind::Data
+                        };
+                        match what {
+                            w if w < query_rate => Op::Query,
+                            w if w < 300 => Op::Read(key, kind, bytes),
+                            _ => Op::Write(key, kind, bytes),
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// Every query of both planes, rendered for comparison; `step` and
+    /// `level` pick the per-task views.
+    macro_rules! queries {
+        ($t:expr, $step:expr, $level:expr) => {{
+            let t = &$t;
+            format!(
+                "{:?}",
+                (
+                    (t.total_bytes(), t.total_bytes_of(IoKind::Data)),
+                    (t.total_bytes_of(IoKind::Metadata), t.total_files()),
+                    (t.bytes_per_step(), t.cumulative_per_step()),
+                    (t.bytes_per_level(), t.cumulative_per_level_step()),
+                    t.bytes_per_task($step, $level),
+                    (t.bytes_per_task_of($step, $level, IoKind::Data))
+                        .into_iter()
+                        .chain(t.bytes_per_task_of($step, $level, IoKind::Metadata))
+                        .collect::<Vec<_>>(),
+                    (t.steps(), t.levels(), t.export()),
+                    (t.total_read_bytes(), t.total_read_records()),
+                    (
+                        t.total_read_bytes_of(IoKind::Data),
+                        t.total_read_bytes_of(IoKind::Metadata)
+                    ),
+                    (
+                        t.read_bytes_per_step(),
+                        t.read_bytes_per_level(),
+                        t.export_reads()
+                    ),
+                )
+            )
+        }};
+    }
+
+    /// Replays `ops` on an append-log tracker and on the oracle,
+    /// comparing every query whenever the session asks and at its end.
+    fn replay(ops: &[Op], step: u32, level: u32) {
+        let (t, oracle) = (IoTracker::new(), oracle::BTreeTracker::new());
+        for op in ops.iter().chain([&Op::Query]) {
+            match *op {
+                Op::Write(key, kind, bytes) => {
+                    t.record(key, kind, bytes);
+                    oracle.record(key, kind, bytes);
+                }
+                Op::Read(key, kind, bytes) => {
+                    t.record_read(key, kind, bytes);
+                    oracle.record_read(key, kind, bytes);
+                }
+                Op::Query => {
+                    prop_assert_eq!(queries!(t, step, level), queries!(oracle, step, level));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The append-log tracker answers every query on both planes
+        /// exactly as the `BTreeMap` tracker it replaced, at every point
+        /// of a session.
+        #[test]
+        fn append_log_matches_the_btree_oracle(
+            ops in any_session(),
+            step in 0..8u32,
+            level in 0..3u32,
+        ) {
+            replay(&ops, step, level);
+        }
     }
 }

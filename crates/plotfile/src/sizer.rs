@@ -4,16 +4,22 @@
 //! path must account for those bytes without allocating or serializing the
 //! payload — or formatting a header just to measure it. The `Cell_D` byte
 //! count is deterministic (FAB header plus `cells * vars * 8` per box) and
-//! every per-box length comes from the arithmetic `*_len` twin of its
-//! formatter (the rule in [`crate::format`]), so a level costs
-//! O(ranks + boxes) integer work. `account_levels` is the one per-level
-//! loop; the plotfile and both checkpoint entry points hand it their sink.
-//! Tests enforce equivalence with [`crate::writer::write_plotfile`] and
-//! with the string-building sizer this replaced (kept as their oracle).
+//! every length comes from the arithmetic `*_len` twin of its formatter
+//! (the rule in [`crate::format`]): per box for `Cell_D` and `Cell_H`, per
+//! dump for the top-level `Header` (four floats per box) and `job_info`.
+//! So a plotfile dump costs O(ranks + boxes) integer work and one
+//! allocation per file, its path; debug builds check every level's
+//! `Cell_H` and every dump's `Header` and `job_info` against the
+//! formatters. (A checkpoint's own `Header` is still formatted to be
+//! measured; it carries no per-box floats.)
+//! `account_levels` is the one per-level loop; the plotfile and both
+//! checkpoint entry points hand it their sink. Tests enforce equivalence
+//! with [`crate::writer::write_plotfile`] and with the string-building
+//! sizer this replaced (kept as their oracle).
 
 use crate::format::{
-    cell_d_name, cell_d_name_len, cell_h, cell_h_len, fab_header, fab_header_len, job_info,
-    plotfile_header, FabOnDisk, HeaderLevel,
+    cell_d_name, cell_d_name_len, cell_d_path, cell_h, cell_h_len, fab_header, fab_header_len,
+    job_info, job_info_len, plotfile_header, plotfile_header_len, FabOnDisk, HeaderLevel,
 };
 use crate::writer::PlotfileStats;
 use amr_mesh::{BoxArray, DistributionMapping, Geometry};
@@ -86,32 +92,29 @@ pub fn account_plotfile_with(
     account_levels(&layout.dir, layout.var_names.len(), &levels, &mut put)
         .expect("size-only puts cannot fail");
 
-    // Header + job_info: formatted, they are per dump, not per box.
-    let header_levels: Vec<HeaderLevel> = layout
-        .levels
-        .iter()
+    // Header + job_info: per dump, sized by their twins like the rest.
+    let header_levels: Vec<HeaderLevel> = (layout.levels.iter())
         .map(|l| HeaderLevel {
             geom: l.geom,
-            boxes: l.ba.iter().copied().collect(),
+            boxes: l.ba.as_slice(),
             level_steps: l.level_steps,
         })
         .collect();
-    let header = plotfile_header(
-        &layout.var_names,
-        layout.time,
-        &header_levels,
-        layout.ref_ratio,
+    let (nranks, steps0) = (layout.levels[0].dm.nranks(), layout.levels[0].level_steps);
+    let (vars, time, ratio) = (&layout.var_names, layout.time, layout.ref_ratio);
+    let header = plotfile_header_len(vars, time, &header_levels, ratio);
+    let ji = job_info_len(nranks, steps0, time, &layout.inputs);
+    debug_assert_eq!(
+        (header, ji),
+        (
+            plotfile_header(vars, time, &header_levels, ratio).len() as u64,
+            job_info(nranks, steps0, time, &layout.inputs).len() as u64
+        ),
+        "plotfile_header_len, job_info_len"
     );
-    let ji = job_info(
-        layout.levels[0].dm.nranks(),
-        layout.levels[0].level_steps,
-        layout.time,
-        &layout.inputs,
-    );
-    for (name, content) in [("Header", header), ("job_info", ji)] {
+    for (name, bytes) in [("Header", header), ("job_info", ji)] {
         let path = format!("{}/{}", layout.dir, name);
-        put(0, 0, IoKind::Metadata, path, content.len() as u64)
-            .expect("size-only puts cannot fail");
+        put(0, 0, IoKind::Metadata, path, bytes).expect("size-only puts cannot fail");
     }
     let step = backend.end_step().expect("size-only steps cannot fail");
     PlotfileStats::from_step(step)
@@ -148,7 +151,7 @@ pub(crate) fn account_levels(
             // Zero bytes means no box (a FAB record is never empty), and a
             // rank owning no box at this level writes no file.
             if bytes > 0 {
-                let path = format!("{lev_dir}/{}", cell_d_name(rank));
+                let path = cell_d_path(&lev_dir, rank);
                 emit(lev as u32, rank as u32, IoKind::Data, path, bytes)?;
             }
         }
@@ -422,7 +425,7 @@ mod tests {
             let header_levels: Vec<HeaderLevel> = (levels.iter())
                 .map(|(ba, _)| HeaderLevel {
                     geom,
-                    boxes: ba.iter().copied().collect(),
+                    boxes: ba.as_slice(),
                     level_steps: 7,
                 })
                 .collect();

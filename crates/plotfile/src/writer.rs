@@ -207,7 +207,7 @@ pub fn write_plotfile_with(
         .iter()
         .map(|l| HeaderLevel {
             geom: l.geom,
-            boxes: l.mf.box_array().iter().copied().collect(),
+            boxes: l.mf.box_array().as_slice(),
             level_steps: l.level_steps,
         })
         .collect();
