@@ -58,9 +58,11 @@ pub fn compare_with_macsio(amr: &RunResult, calibration_rounds: usize) -> Compar
     let calibration = calibrate_two_parameter(&base, &target, inputs.n_cell, calibration_rounds);
 
     // Final proxy run with the calibrated parameters. Real marshalling up
-    // to a sanity budget; beyond it, the byte-exact predictor (proven
-    // equal to the real run by tests) stands in — the paper's 8192^2 case
-    // would otherwise marshal terabytes.
+    // to a sanity budget, into a filesystem that keeps no content, so
+    // every dump refills the previous dump's rank blobs; beyond it, the
+    // byte-exact predictor (arithmetic, proven equal to the real run by
+    // tests) stands in — the paper's 8192^2 case would otherwise marshal
+    // terabytes.
     let mut final_cfg = base.clone();
     final_cfg.dataset_growth = calibration.dataset_growth;
     final_cfg.part_size = model::part_size(

@@ -13,23 +13,75 @@
 //! Marshalling is append-style: [`marshal_part_into`] writes header and
 //! values straight into the caller's buffer (a rank's final blob), so each
 //! value is stored once; [`marshal_part`] is its allocating wrapper.
+//!
+//! Part headers are written from a fixed text template around their
+//! decimal fields, so their length is arithmetic: [`marshal_header_len`]
+//! counts the template and the digits without formatting anything, and
+//! [`marshal_root_len`] does the same for the root file. The `json!`
+//! header builder the template replaced is its oracle, asserted in debug
+//! builds on every part; the root file, once per dump, is still built by
+//! `json!`, and debug builds assert its twin where it is written.
 
 use crate::config::Interface;
 use crate::mesh::MeshPart;
 use serde_json::json;
+use std::io::Write as _;
 
 /// Mean on-disk bytes per value of the text `json` interface's `{:.8e}`
 /// formatting, including the separating comma (e.g. `2.98765432e0,`).
 /// Measured by `json_bytes_per_value_constant_is_accurate`.
 pub(crate) const JSON_BYTES_PER_VALUE: f64 = 13.0;
 
-/// Byte length of the part header alone (everything before the bulk data)
-/// for the given interface — used by the size predictor.
+/// A part header's text around its six fields (interface name, dump, id,
+/// nx, ny, vars): the compact JSON `header_oracle` prints.
+const HEADER: [&str; 7] = [
+    "{\"macsio\":{\"interface\":\"",
+    "\",\"dump\":",
+    ",\"part\":{\"id\":",
+    ",\"topology\":\"rectilinear2d\",\"dims\":[",
+    ",",
+    "],\"vars\":",
+    "}}}",
+];
+
+/// The text [`marshal_root`]'s `json!` builder prints around a root
+/// file's fields (dump, nprocs, the comma-joined parts per rank), before
+/// the `meta_size` filler.
+const ROOT: [&str; 4] = [
+    "{\"macsio_root\":{\"dump\":",
+    ",\"nprocs\":",
+    ",\"parts_per_rank\":[",
+    "]}}",
+];
+
+/// Text `json` parts splice the data field in place of the header's last
+/// `}` and close it after the values.
+const JSON_DATA_OPEN: &[u8] = b",\"data\":[";
+const JSON_DATA_CLOSE: &[u8] = b"]}";
+
+fn template_len(pieces: &[&str]) -> usize {
+    pieces.iter().map(|p| p.len()).sum()
+}
+
+/// Decimal digits of `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Byte length of the part header alone (everything before the bulk data,
+/// plus the text interface's closing `]}`): the template and the digits
+/// of its fields, counted without formatting — used by the size predictor.
 pub(crate) fn marshal_header_len(part: &MeshPart, dump: u32, interface: Interface) -> usize {
-    let text = header_text(part, dump, interface);
+    let text = template_len(&HEADER)
+        + interface.name().len()
+        + decimal_len(dump.into())
+        + [part.id, part.nx, part.ny, part.vars]
+            .iter()
+            .map(|&n| decimal_len(n as u64))
+            .sum::<usize>();
     match interface {
-        Interface::Miftmpl => text.len() + 1, // newline before payload
-        Interface::Json => text.len() + ",\"data\":[]}".len() - 1,
+        Interface::Miftmpl => text + 1, // newline before payload
+        Interface::Json => text - 1 + JSON_DATA_OPEN.len() + JSON_DATA_CLOSE.len(),
     }
 }
 
@@ -48,12 +100,22 @@ pub(crate) fn marshal_part_into(
     interface: Interface,
     out: &mut Vec<u8>,
 ) {
-    let header = header_text(part, dump, interface);
+    let start = out.len();
+    if interface == Interface::Miftmpl {
+        out.reserve_exact(
+            marshal_header_len(part, dump, interface) + part.payload_bytes() as usize,
+        );
+    }
+    write_header(part, dump, interface, out);
+    debug_assert_eq!(
+        &out[start..],
+        header_oracle(part, dump, interface).as_bytes(),
+        "part header template"
+    );
     match interface {
         Interface::Miftmpl => {
-            out.reserve_exact(header.len() + 1 + part.payload_bytes() as usize);
-            out.extend_from_slice(header.as_bytes());
             out.push(b'\n');
+            debug_assert_eq!(out.len() - start, marshal_header_len(part, dump, interface));
             for var in 0..part.vars {
                 part.for_each_row(var, dump, |row| {
                     out.extend(row.iter().flat_map(|v| v.to_le_bytes()))
@@ -61,11 +123,10 @@ pub(crate) fn marshal_part_into(
             }
         }
         Interface::Json => {
-            use std::io::Write as _;
-            // Strip the closing '}' to splice in the data field. Values and
-            // variables each write a trailing comma; the last one is dropped.
-            out.extend_from_slice(&header.as_bytes()[..header.len() - 1]);
-            out.extend_from_slice(b",\"data\":[");
+            // Values and variables each write a trailing comma; the last
+            // one is dropped.
+            out.pop();
+            out.extend_from_slice(JSON_DATA_OPEN);
             for var in 0..part.vars {
                 out.push(b'[');
                 part.for_each_row(var, dump, |row| {
@@ -77,12 +138,21 @@ pub(crate) fn marshal_part_into(
                 out.extend_from_slice(b"],");
             }
             out.pop_if(|b| *b == b',');
-            out.extend_from_slice(b"]}");
+            out.extend_from_slice(JSON_DATA_CLOSE);
         }
     }
 }
 
-fn header_text(part: &MeshPart, dump: u32, interface: Interface) -> String {
+/// Appends the part header: [`HEADER`] around its fields, in one `write!`.
+fn write_header(part: &MeshPart, dump: u32, interface: Interface, out: &mut Vec<u8>) {
+    let [a, b, c, d, e, f, g] = HEADER;
+    let (name, id, nx, ny, vars) = (interface.name(), part.id, part.nx, part.ny, part.vars);
+    let _ = write!(out, "{a}{name}{b}{dump}{c}{id}{d}{nx}{e}{ny}{f}{vars}{g}");
+}
+
+/// The part header as the `json!` builder prints it: the oracle of
+/// [`HEADER`] and [`marshal_header_len`].
+fn header_oracle(part: &MeshPart, dump: u32, interface: Interface) -> String {
     let header = json!({
         "macsio": {
             "interface": interface.name(),
@@ -96,6 +166,24 @@ fn header_text(part: &MeshPart, dump: u32, interface: Interface) -> String {
         }
     });
     serde_json::to_string(&header).expect("header serializes")
+}
+
+/// `marshal_root(dump, nprocs, parts_per_rank, meta_size).len()`, counted
+/// without building the file (whose filler alone is `meta_size * nprocs`).
+pub(crate) fn marshal_root_len(
+    dump: u32,
+    nprocs: usize,
+    parts_per_rank: &[usize],
+    meta_size: u64,
+) -> u64 {
+    let parts: usize = parts_per_rank.iter().map(|&p| decimal_len(p as u64)).sum();
+    let commas = parts_per_rank.len().saturating_sub(1);
+    let head = template_len(&ROOT)
+        + decimal_len(dump.into())
+        + decimal_len(nprocs as u64)
+        + parts
+        + commas;
+    head as u64 + meta_size * nprocs as u64
 }
 
 /// Root (per-dump) metadata file content: run description, part table,
@@ -203,6 +291,69 @@ pub(crate) mod tests {
                 prop_assert_eq!(&out[..6], b"prefix");
                 prop_assert_eq!(&out[6..], &want[..]);
             }
+        }
+    }
+
+    /// Numbers at and beside every power of ten up to `10^max_exp` (where
+    /// the digit count steps), or anywhere below it.
+    fn digit_steps(max_exp: u32) -> impl Strategy<Value = usize> {
+        prop_oneof![
+            (0..=max_exp, 0usize..3).prop_map(|(e, d)| (10usize.pow(e) + d).saturating_sub(1)),
+            0..10usize.pow(max_exp) + 2,
+        ]
+    }
+
+    fn any_dump() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            Just(0u32),
+            Just(u32::MAX),
+            (0..10u32, 0..2u32).prop_map(|(e, d)| 10u32.pow(e) - d),
+            0..u32::MAX
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn header_len_matches_the_json_oracle(
+            id in digit_steps(12),
+            nx in digit_steps(7),
+            ny in digit_steps(7),
+            vars in digit_steps(4),
+            dump in any_dump(),
+        ) {
+            let part = MeshPart { id, nx, ny, vars };
+            for interface in [Interface::Miftmpl, Interface::Json] {
+                // The length rule the json!-measured predictor used.
+                let text = header_oracle(&part, dump, interface);
+                let want = match interface {
+                    Interface::Miftmpl => text.len() + 1,
+                    Interface::Json => text.len() + ",\"data\":[]}".len() - 1,
+                };
+                prop_assert_eq!(marshal_header_len(&part, dump, interface), want);
+                let mut out = Vec::new();
+                write_header(&part, dump, interface, &mut out);
+                prop_assert_eq!(out, text.into_bytes());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn root_len_matches_the_marshalled_root(
+            dump in any_dump(),
+            nprocs in prop_oneof![digit_steps(3), 1000usize..2001],
+            parts_per_rank in prop::collection::vec(digit_steps(5), 0..2001),
+            meta_size in 0u64..40,
+        ) {
+            let root = marshal_root(dump, nprocs, &parts_per_rank, meta_size);
+            prop_assert_eq!(
+                marshal_root_len(dump, nprocs, &parts_per_rank, meta_size),
+                root.len() as u64
+            );
         }
     }
 
