@@ -648,28 +648,41 @@ mod tests {
     fn checkpoint_cadence_shortens_the_replay() {
         // With checkpoints every 4 steps, a failure at step 10 restarts
         // from step 8's checkpoint (2 steps lost); without, from the
-        // plot dump at step 8 as well — but a checkpointed failure at
-        // step 11 loses 3 steps either way while fail@10 with check@5
-        // loses none... pin the simple comparison: denser checkpoints
-        // mean fewer replayed steps.
-        let mut cfg = small(Engine::Oracle);
-        cfg.account_only = true;
-        cfg.plot_int = 12; // sparse plots: dumps at 0 and 12 only
-        let base_steps = run_simulation(&cfg, None, None).steps.len();
+        // step-0 plot dump (all 10 steps lost). Both engines, timed, with
+        // the checkpoint plane's totals pinned: `(check_bytes,
+        // check_files, check_wall bits)`.
+        let storage = StorageModel::ideal(2, 5e7);
+        for (engine, pinned) in [
+            (Engine::Oracle, (752_409, 45, 4_575_759_001_318_850_628)),
+            (Engine::Hydro, (596_754, 30, 4_573_574_883_762_093_326)),
+        ] {
+            let mut cfg = small(engine);
+            cfg.account_only = true;
+            cfg.plot_int = 12; // sparse plots: dumps at 0 and 12 only
+            let base_steps = run_simulation(&cfg, None, Some(&storage)).steps.len();
 
-        cfg.scenario = Some(Scenario::parse("write;fail@10;restart").unwrap());
-        let sparse = run_simulation(&cfg, None, None);
-        // Restart source is the step-0 plot dump: all 10 steps replayed.
-        assert_eq!(sparse.steps.len(), base_steps + 10);
+            cfg.scenario = Some(Scenario::parse("write;fail@10;restart").unwrap());
+            let sparse = run_simulation(&cfg, None, Some(&storage));
+            // Restart source is the step-0 plot dump: all 10 steps replayed.
+            assert_eq!(sparse.steps.len(), base_steps + 10);
 
-        cfg.scenario = Some(Scenario::parse("write;check@4;fail@10;restart").unwrap());
-        let dense = run_simulation(&cfg, None, None);
-        // Restart source is the step-8 checkpoint: 2 steps replayed.
-        assert_eq!(dense.steps.len(), base_steps + 2);
-        assert!(dense.check_bytes > 0);
-        // The checkpoint read is smaller than the full plot-dump read
-        // (4 conserved components vs 22 plot variables).
-        assert!(dense.read_bytes < sparse.read_bytes);
+            cfg.scenario = Some(Scenario::parse("write;check@4;fail@10;restart").unwrap());
+            let dense = run_simulation(&cfg, None, Some(&storage));
+            // Restart source is the step-8 checkpoint: 2 steps replayed.
+            assert_eq!(dense.steps.len(), base_steps + 2);
+            assert_eq!(
+                (
+                    dense.check_bytes,
+                    dense.check_files,
+                    dense.check_wall.to_bits()
+                ),
+                pinned,
+                "{engine:?}"
+            );
+            // The checkpoint read is smaller than the full plot-dump read
+            // (4 conserved components vs 22 plot variables).
+            assert!(dense.read_bytes < sparse.read_bytes);
+        }
     }
 
     #[test]
