@@ -267,7 +267,7 @@ pub(crate) fn fig02(_: &mut Ctx) -> io::Result<Value> {
     assert!(files.iter().any(|f| f.contains("/Level_1/")));
     println!(
         "\nplot dumps: {}   files: {}   total: {}",
-        result.outputs,
+        result.totals.outputs,
         files.len(),
         human_bytes(fs.total_bytes())
     );

@@ -6,7 +6,7 @@
 //! small scales, oracle at paper scales) and executes it in parallel.
 
 use crate::config::{CastroSedovConfig, Engine};
-use crate::run::{run_simulation, run_simulation_attached, try_run_simulation_attached, RunResult};
+use crate::run::{run_simulation, try_run_simulation_attached, RunResult};
 use amr_mesh::GridParams;
 use hydro::TimestepControl;
 use serde::{Deserialize, Serialize};
@@ -149,9 +149,10 @@ pub struct RunSummary {
 impl RunSummary {
     pub(crate) fn from_result(r: &RunResult) -> Self {
         let xy = r.xy_series();
-        // The read-plane columns derive from the *effective* scenario,
-        // so scenario-first configs and legacy boolean configs report
-        // identically.
+        let t = &r.totals;
+        // The scenario and read-plane columns derive from the *effective*
+        // scenario, so scenario-first configs and legacy boolean configs
+        // report identically.
         let scenario = r.config.effective_scenario();
         let analyze = scenario.ops.iter().find_map(|op| match op {
             io_engine::ScenarioOp::Analyze { sel, reorganize }
@@ -172,47 +173,47 @@ impl RunSummary {
             codec: r.config.codec.name(),
             series: xy.points.iter().map(|p| (p.x, p.y)).collect(),
             total_bytes: xy.final_bytes() as u64,
-            logical_bytes: r.logical_bytes,
-            physical_bytes: r.physical_bytes,
-            overhead_bytes: r.overhead_bytes,
+            logical_bytes: t.engine.logical_bytes,
+            physical_bytes: t.engine.bytes,
+            overhead_bytes: t.engine.overhead_bytes,
             total_files: r.tracker.total_files(),
-            physical_files: r.files_written,
-            wall_time: r.wall_time,
-            codec_seconds: r.codec_seconds,
-            restart: r.restarts > 0,
-            read_bytes: r.read_bytes,
-            physical_read_bytes: r.physical_read_bytes,
-            read_wall: r.read_wall,
+            physical_files: t.engine.files,
+            wall_time: t.wall_time,
+            codec_seconds: t.all_codec_seconds(),
+            restart: t.restarts > 0,
+            read_bytes: t.restart.bytes,
+            physical_read_bytes: t.restart.physical_bytes,
+            read_wall: t.restart.wall,
             read_pattern: analyze
                 .as_ref()
                 .map_or_else(|| "none".to_string(), |(sel, _)| sel.name()),
             // Reorganization only runs as part of an analysis read; a
             // config with the flag set but no pattern rewrote nothing.
             reorganized: analyze.as_ref().is_some_and(|(_, reorg)| *reorg),
-            selective_read_bytes: r.selective_read_bytes,
-            selective_physical_read_bytes: r.selective_physical_read_bytes,
-            selective_read_wall: r.selective_read_wall,
-            reorg_wall: r.reorg_wall,
-            scenario: r.scenario.clone(),
-            restarts: r.restarts,
-            check_bytes: r.check_bytes,
-            check_files: r.check_files,
-            check_wall: r.check_wall,
-            compute_wall: r.compute_wall,
-            plot_wall: r.plot_wall,
-            drain_wall: r.drain_wall,
+            selective_read_bytes: t.analysis.bytes,
+            selective_physical_read_bytes: t.analysis.physical_bytes,
+            selective_read_wall: t.analysis.wall,
+            reorg_wall: t.reorg_wall,
+            scenario: scenario.name(),
+            restarts: t.restarts,
+            check_bytes: t.check_bytes,
+            check_files: t.check_files,
+            check_wall: t.check_wall,
+            compute_wall: t.compute_wall,
+            plot_wall: t.plot_wall,
+            drain_wall: t.drain_wall,
             // Solo tenancy defaults; `run_campaign_fabric` overlays the
             // shared-fabric columns after the tenants join.
             tenant: 0,
             tenants: 1,
-            solo_wall: r.wall_time,
+            solo_wall: t.wall_time,
             slowdown: 1.0,
             contention_stall: 0.0,
             throttle_stall: 0.0,
             staging_wait: 0.0,
-            net_bytes: r.net_bytes,
-            net_wall: r.net_wall,
-            window_stall: r.window_stall,
+            net_bytes: t.net_bytes,
+            net_wall: t.net_wall,
+            window_stall: t.window_stall,
         }
     }
 }
@@ -467,11 +468,13 @@ pub fn run_campaign_fabric_cloned(
     // One real application run; its requests carry the mirror slots'
     // copies, and the mirrors report its stats. The group is the
     // fabric's only driver, so the run advances the engine inline.
-    let real = RunSummary::from_result(&run_simulation_attached(
+    let real = iosim::block_on(try_run_simulation_attached(
         &configs[0],
         None,
         iosim::StorageAttach::Fabric(group),
-    ));
+    ))
+    .unwrap_or_else(|e| panic!("scenario I/O: {e}"));
+    let real = RunSummary::from_result(&real);
     let stats = fabric.tenant_stats();
     if let Some((memo, key)) = unfilled {
         memo.fill(key, stats[0].solo_wall);

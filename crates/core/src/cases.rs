@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn case4_runs_and_produces_outputs() {
         let r = run_simulation(&case4(0.4, 2, 10), None, None);
-        assert_eq!(r.outputs, 11); // step-0 dump + 10
+        assert_eq!(r.totals.outputs, 11); // step-0 dump + 10
         assert!(r.tracker.total_bytes() > 0);
     }
 

@@ -73,15 +73,13 @@ pub trait StepSource {
     /// identical to the checkpointed one).
     fn reset(&mut self);
 
-    /// Account-only layout of the current hierarchy (every engine).
+    /// Layout of the current hierarchy (every engine): what account-only
+    /// plot dumps and every checkpoint describe.
     fn layout_levels(&self) -> Vec<LayoutLevel>;
 
     /// Materialized plot levels when the engine holds field data
     /// (the hydro solve); `None` for analytic engines (the oracle).
     fn plot_levels(&self) -> Option<Vec<PlotLevel<'_>>>;
-
-    /// Checkpoint layout of the current hierarchy at time-step `dt`.
-    fn checkpoint_levels(&self, dt: f64) -> Vec<CheckpointLevel>;
 }
 
 /// The MUSCL-HLLC solve as a [`StepSource`].
@@ -154,20 +152,6 @@ impl StepSource for AmrSource {
                 .collect(),
         )
     }
-
-    fn checkpoint_levels(&self, dt: f64) -> Vec<CheckpointLevel> {
-        self.sim
-            .levels()
-            .iter()
-            .map(|l| CheckpointLevel {
-                geom: l.geom,
-                ba: l.mf.box_array().clone(),
-                dm: l.mf.distribution_map().clone(),
-                level_steps: l.steps,
-                dt,
-            })
-            .collect()
-    }
 }
 
 /// The Sedov–Taylor similarity oracle as a [`StepSource`].
@@ -229,20 +213,6 @@ impl StepSource for OracleSource {
 
     fn plot_levels(&self) -> Option<Vec<PlotLevel<'_>>> {
         None // the oracle carries no field data; dumps are account-only
-    }
-
-    fn checkpoint_levels(&self, dt: f64) -> Vec<CheckpointLevel> {
-        self.sim
-            .levels()
-            .iter()
-            .map(|l| CheckpointLevel {
-                geom: l.geom,
-                ba: l.ba.clone(),
-                dm: l.dm.clone(),
-                level_steps: l.steps,
-                dt,
-            })
-            .collect()
     }
 }
 
@@ -345,7 +315,18 @@ impl<S: StepSource> Producer for AmrProducer<'_, S> {
             time: self.src.time(),
             ncomp: hydro::NCOMP,
             ref_ratio: self.cfg.grid.ref_ratio,
-            levels: self.src.checkpoint_levels(self.last_dt),
+            levels: self
+                .src
+                .layout_levels()
+                .into_iter()
+                .map(|l| CheckpointLevel {
+                    geom: l.geom,
+                    ba: l.ba,
+                    dm: l.dm,
+                    level_steps: l.level_steps,
+                    dt: self.last_dt,
+                })
+                .collect(),
         };
         let stats = account_checkpoint_with(backend, &spec)?;
         Ok(Dump {
@@ -402,7 +383,7 @@ pub(crate) async fn try_run_scenario_attached<S: StepSource>(
         steps: Vec::new(),
         last_dt: 0.0,
     };
-    let t = io_engine::run_program(
+    let totals = io_engine::run_program(
         &program,
         &mut producer,
         backend.as_mut(),
@@ -415,37 +396,9 @@ pub(crate) async fn try_run_scenario_attached<S: StepSource>(
     drop(backend);
     Ok(RunResult {
         config: cfg.clone(),
-        scenario: cfg.effective_scenario().name(),
         tracker,
         steps: producer.steps,
-        outputs: t.outputs,
-        restarts: t.restarts,
-        files_written: t.engine.files,
-        physical_bytes: t.engine.bytes,
-        logical_bytes: t.engine.logical_bytes,
-        overhead_bytes: t.engine.overhead_bytes,
-        codec_seconds: t.codec_seconds + t.restart.codec_seconds + t.analysis.codec_seconds,
-        check_bytes: t.check_bytes,
-        check_files: t.check_files,
-        check_wall: t.check_wall,
-        read_bytes: t.restart.bytes,
-        physical_read_bytes: t.restart.physical_bytes,
-        read_files: t.restart.files,
-        read_wall: t.restart.wall,
-        selective_read_bytes: t.analysis.bytes,
-        selective_physical_read_bytes: t.analysis.physical_bytes,
-        selective_read_files: t.analysis.files,
-        selective_read_wall: t.analysis.wall,
-        reorg_wall: t.reorg_wall,
-        reorg_bytes: t.reorg_bytes,
-        compute_wall: t.compute_wall,
-        plot_wall: t.plot_wall,
-        drain_wall: t.drain_wall,
-        net_bytes: t.net_bytes,
-        net_wall: t.net_wall,
-        window_stall: t.window_stall,
-        timeline: t.timeline,
-        wall_time: t.wall_time,
+        totals,
     })
 }
 
@@ -639,8 +592,8 @@ mod tests {
         assert_eq!(plots, 1, "only the step-0 dump exists");
         // And the program executes end to end.
         let r = crate::run::run_simulation(&c, None, None);
-        assert_eq!(r.restarts, 1);
-        assert_eq!(r.read_bytes, r.tracker.bytes_per_step()[&1]);
+        assert_eq!(r.totals.restarts, 1);
+        assert_eq!(r.totals.restart.bytes, r.tracker.bytes_per_step()[&1]);
     }
 
     #[test]

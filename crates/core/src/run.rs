@@ -13,16 +13,14 @@
 use crate::config::{CastroSedovConfig, Engine};
 use crate::driver::{try_run_scenario_attached, AmrSource, OracleSource};
 use hydro::StepInfo;
-use iosim::{BurstTimeline, IoTracker, MemFs, StorageModel, Vfs};
+use io_engine::RunTotals;
+use iosim::{IoTracker, MemFs, StorageModel, Vfs};
 use mpi_sim::{SimClock, SimComm};
 
 /// Everything measured from one run.
 pub struct RunResult {
     /// The configuration that produced it.
     pub config: CastroSedovConfig,
-    /// Canonical spelling of the scenario the run executed (the
-    /// compiled legacy booleans when `config.scenario` is `None`).
-    pub scenario: String,
     /// Byte records at `(step, level, task)` granularity. The tracker
     /// `step` key is the 1-based output counter (Eq. 1), not the
     /// simulation step number.
@@ -30,86 +28,10 @@ pub struct RunResult {
     /// Per-step advance summaries, in the order the clock paid for them
     /// (steps re-computed after a mid-run restart appear twice).
     pub steps: Vec<StepInfo>,
-    /// Number of dumps performed (plot + checkpoint output counters).
-    pub outputs: u32,
-    /// Restart reads performed (mid-run recoveries plus any trailing
-    /// read-back phases).
-    pub restarts: u32,
-    /// Physical files the I/O backend created (differs from the
-    /// tracker's logical record count under aggregation).
-    pub files_written: u64,
-    /// Physical bytes the backend shipped to storage (payloads after any
-    /// compression, plus backend overhead and checkpoint state).
-    pub physical_bytes: u64,
-    /// Logical (pre-compression) payload bytes through the backend plus
-    /// checkpoint state — the tracker's view.
-    pub logical_bytes: u64,
-    /// Declared backend bookkeeping bytes inside `physical_bytes`
-    /// (aggregation index tables, compression sidecars).
-    pub overhead_bytes: u64,
-    /// Modeled codec CPU seconds across the run (0 without compression).
-    pub codec_seconds: f64,
-    /// Physical bytes of checkpoint dumps inside `physical_bytes` (0
-    /// without a checkpoint cadence). Checkpoints ride the same
-    /// backend/codec stack as plot dumps but are reported separately,
-    /// not folded into plot totals.
-    pub check_bytes: u64,
-    /// Physical files of checkpoint dumps inside `files_written`.
-    pub check_files: u64,
-    /// Simulated seconds of checkpoint write bursts (inside
-    /// `wall_time`).
-    pub check_wall: f64,
-    /// Logical bytes restart-read back (0 without a restart phase).
-    pub read_bytes: u64,
-    /// Physical bytes fetched from storage during restart reads.
-    pub physical_read_bytes: u64,
-    /// Physical files opened during restart reads.
-    pub read_files: u64,
-    /// Simulated seconds of restart-read phases (inside `wall_time`).
-    pub read_wall: f64,
-    /// Logical bytes delivered by selective analysis reads (0 without an
-    /// analysis phase; exactly the matched chunks' logical volume,
-    /// layout- and codec-invariant).
-    pub selective_read_bytes: u64,
-    /// Physical bytes the selective analysis reads fetched from storage
-    /// (what the layout — raw vs reorganized — changes).
-    pub selective_physical_read_bytes: u64,
-    /// Physical files the selective analysis reads opened.
-    pub selective_read_files: u64,
-    /// Simulated seconds of selective analysis reads (inside
-    /// `wall_time`; excludes the reorganization passes).
-    pub selective_read_wall: f64,
-    /// Simulated seconds spent reorganizing dumps into the
-    /// read-optimized layout (0 unless analysis phases reorganize;
-    /// inside `wall_time`). The price a campaign weighs against the
-    /// per-read savings.
-    pub reorg_wall: f64,
-    /// Physical bytes the reorganization moved (source fetch + rewrite).
-    pub reorg_bytes: u64,
-    /// Simulated seconds of compute phases (inside `wall_time`; includes
-    /// compute re-paid after a mid-run restart).
-    pub compute_wall: f64,
-    /// Simulated seconds of plot-dump bursts on the application clock
-    /// (inside `wall_time`; near zero for overlapped backends).
-    pub plot_wall: f64,
-    /// Simulated seconds the closing flush barrier waited on in-flight
-    /// drains (inside `wall_time`).
-    pub drain_wall: f64,
-    /// Bytes shipped over the modeled interconnect instead of storage
-    /// (in-transit streaming backends only; 0 for every storage
-    /// backend) — the network plane's priced column.
-    pub net_bytes: u64,
-    /// Link-transfer seconds for `net_bytes` (inside `plot_wall` /
-    /// `check_wall`: streamed dumps ship where stored dumps burst).
-    pub net_wall: f64,
-    /// Simulated seconds the producer stalled on consumer-window
-    /// back-pressure (inside `plot_wall`/`check_wall`, disjoint from
-    /// `net_wall`).
-    pub window_stall: f64,
-    /// Burst timeline (empty without a storage model).
-    pub timeline: BurstTimeline,
-    /// Final simulated wall-clock seconds (compute + I/O).
-    pub wall_time: f64,
+    /// What the phase driver ([`io_engine::run_program`]) measured:
+    /// dumps, restarts, each plane's bytes, files and walls, and the
+    /// burst timeline.
+    pub totals: RunTotals,
 }
 
 impl RunResult {
@@ -142,27 +64,18 @@ pub fn run_simulation(
     vfs: Option<&dyn Vfs>,
     storage: Option<&StorageModel>,
 ) -> RunResult {
-    run_simulation_attached(cfg, vfs, storage.into())
-}
-
-/// [`run_simulation`] with an explicit storage attachment — pass
-/// [`iosim::StorageAttach::Fabric`] to run as one tenant of a shared
-/// machine room (see [`iosim::Fabric`]), contending with every other
-/// tenant's bursts on one event-driven clock; a tenant among several
-/// runs [`try_run_simulation_attached`] under [`iosim::Fabric::run`].
-pub(crate) fn run_simulation_attached(
-    cfg: &CastroSedovConfig,
-    vfs: Option<&dyn Vfs>,
-    storage: iosim::StorageAttach<'_>,
-) -> RunResult {
-    iosim::block_on(try_run_simulation_attached(cfg, vfs, storage))
+    iosim::block_on(try_run_simulation_attached(cfg, vfs, storage.into()))
         .unwrap_or_else(|e| panic!("scenario I/O: {e}"))
 }
 
-/// `run_simulation_attached`, but propagating phase I/O errors instead
-/// of panicking — the path callers take when a scenario may legitimately
-/// ask a backend for something it cannot serve (e.g. `analyze:SEL`
-/// against a step the backend never saw returns the typed
+/// [`run_simulation`] with an explicit storage attachment, propagating
+/// phase I/O errors instead of panicking. Pass
+/// [`iosim::StorageAttach::Fabric`] to run as one tenant of a shared
+/// machine room (see [`iosim::Fabric`]), contending with every other
+/// tenant's bursts on one event-driven clock; a tenant among several runs
+/// under [`iosim::Fabric::run`]. Callers take this door when a scenario
+/// may legitimately ask a backend for something it cannot serve (e.g.
+/// `analyze:SEL` against a step the backend never saw returns the typed
 /// [`std::io::ErrorKind::Unsupported`] error naming the backend).
 pub async fn try_run_simulation_attached(
     cfg: &CastroSedovConfig,
@@ -239,6 +152,7 @@ pub(crate) fn compute_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::RunSummary;
     use io_engine::Scenario;
     use iosim::IoKind;
 
@@ -265,17 +179,17 @@ mod tests {
     fn hydro_run_produces_expected_dump_count() {
         let r = run_simulation(&small(Engine::Hydro), None, None);
         // Step-0 dump + dumps at steps 4, 8, 12.
-        assert_eq!(r.outputs, 4);
+        assert_eq!(r.totals.outputs, 4);
         assert_eq!(r.tracker.steps(), vec![1, 2, 3, 4]);
         assert_eq!(r.steps.len(), 12);
         assert!(r.tracker.total_bytes() > 0);
-        assert_eq!(r.scenario, "write");
+        assert_eq!(RunSummary::from_result(&r).scenario, "write");
     }
 
     #[test]
     fn oracle_run_produces_expected_dump_count() {
         let r = run_simulation(&small(Engine::Oracle), None, None);
-        assert_eq!(r.outputs, 4);
+        assert_eq!(r.totals.outputs, 4);
         assert!(r.tracker.total_bytes() > 0);
         // Oracle refines (annulus grids exist).
         assert!(r.tracker.levels().len() >= 2);
@@ -315,16 +229,17 @@ mod tests {
         cfg.compute_ns_per_cell = 10_000.0; // exaggerate compute phases
         let model = StorageModel::summit_alpine(0.05);
         let r = run_simulation(&cfg, None, Some(&model));
-        assert_eq!(r.timeline.len(), 4);
-        assert!(r.timeline.duty_cycle() < 0.9);
-        assert!(r.wall_time > 0.0);
+        assert_eq!(r.totals.timeline.len(), 4);
+        assert!(r.totals.timeline.duty_cycle() < 0.9);
+        assert!(r.totals.wall_time > 0.0);
         // Per-phase walls decompose the run: compute + plot bursts are
         // the whole story for a write-only synchronous run.
-        assert!(r.compute_wall > 0.0);
-        assert!(r.plot_wall > 0.0);
+        assert!(r.totals.compute_wall > 0.0);
+        assert!(r.totals.plot_wall > 0.0);
         assert!(
-            (r.compute_wall + r.plot_wall + r.drain_wall - r.wall_time).abs()
-                < 1e-9 + r.wall_time * 1e-12,
+            (r.totals.compute_wall + r.totals.plot_wall + r.totals.drain_wall - r.totals.wall_time)
+                .abs()
+                < 1e-9 + r.totals.wall_time * 1e-12,
             "phase walls must sum to wall_time for a write-only sync run"
         );
     }
@@ -353,7 +268,7 @@ mod tests {
         cfg.check_int = 4;
         let with_chk = run_simulation(&cfg, None, None);
         // Checkpoints at steps 4, 8, 12 add 3 outputs.
-        assert_eq!(with_chk.outputs, plot_only.outputs + 3);
+        assert_eq!(with_chk.totals.outputs, plot_only.totals.outputs + 3);
         assert!(
             with_chk.tracker.total_bytes() > plot_only.tracker.total_bytes(),
             "checkpoints add bytes"
@@ -364,12 +279,12 @@ mod tests {
         assert!((1.05..1.40).contains(&ratio), "ratio {ratio}");
         // The checkpoint plane is reported separately, not folded into
         // plot totals.
-        assert!(with_chk.check_bytes > 0);
-        assert!(with_chk.check_files > 0);
-        assert_eq!(plot_only.check_bytes, 0);
+        assert!(with_chk.totals.check_bytes > 0);
+        assert!(with_chk.totals.check_files > 0);
+        assert_eq!(plot_only.totals.check_bytes, 0);
         assert_eq!(
-            with_chk.physical_bytes - with_chk.check_bytes,
-            plot_only.physical_bytes,
+            with_chk.totals.engine.bytes - with_chk.totals.check_bytes,
+            plot_only.totals.engine.bytes,
             "plot volume is checkpoint-invariant"
         );
     }
@@ -386,19 +301,19 @@ mod tests {
         cfg.backend = io_engine::BackendSpec::Aggregated(2);
         let agg = run_simulation(&cfg, None, None);
         assert!(
-            agg.check_files < fpp.check_files,
+            agg.totals.check_files < fpp.totals.check_files,
             "aggregation must funnel checkpoint files: {} vs {}",
-            agg.check_files,
-            fpp.check_files
+            agg.totals.check_files,
+            fpp.totals.check_files
         );
         cfg.backend = io_engine::BackendSpec::FilePerProcess;
         cfg.codec = io_engine::CodecSpec::LossyQuant(8);
         let quant = run_simulation(&cfg, None, None);
         assert!(
-            quant.check_bytes < fpp.check_bytes,
+            quant.totals.check_bytes < fpp.totals.check_bytes,
             "compression must shrink checkpoint state: {} vs {}",
-            quant.check_bytes,
-            fpp.check_bytes
+            quant.totals.check_bytes,
+            fpp.totals.check_bytes
         );
         // The logical tracker view stays invariant across the stack.
         assert_eq!(fpp.tracker.total_bytes(), agg.tracker.total_bytes());
@@ -412,9 +327,9 @@ mod tests {
         cfg.check_int = 4;
         let model = StorageModel::ideal(2, 1e6);
         let r = run_simulation(&cfg, None, Some(&model));
-        assert!(r.check_wall > 0.0);
+        assert!(r.totals.check_wall > 0.0);
         // 4 plot bursts + 3 checkpoint bursts in the timeline.
-        assert_eq!(r.timeline.len(), 7);
+        assert_eq!(r.totals.timeline.len(), 7);
     }
 
     #[test]
@@ -426,18 +341,18 @@ mod tests {
         // The restart reads exactly the last output counter's logical
         // bytes (dumps at steps 0, 4, 8, 12 -> counter 4).
         let last = *r.tracker.steps().last().unwrap();
-        assert_eq!(r.read_bytes, r.tracker.bytes_per_step()[&last]);
-        assert_eq!(r.tracker.total_read_bytes(), r.read_bytes);
-        assert!(r.read_files > 0);
-        assert_eq!(r.restarts, 1);
-        assert_eq!(r.scenario, "write;restart");
+        assert_eq!(r.totals.restart.bytes, r.tracker.bytes_per_step()[&last]);
+        assert_eq!(r.tracker.total_read_bytes(), r.totals.restart.bytes);
+        assert!(r.totals.restart.files > 0);
+        assert_eq!(r.totals.restarts, 1);
+        assert_eq!(RunSummary::from_result(&r).scenario, "write;restart");
         // Without a storage model only decode CPU could cost time; the
         // identity codec costs none.
-        assert_eq!(r.read_wall, 0.0);
+        assert_eq!(r.totals.restart.wall, 0.0);
 
         cfg.read_after_write = false;
         let w = run_simulation(&cfg, None, None);
-        assert_eq!(w.read_bytes, 0);
+        assert_eq!(w.totals.restart.bytes, 0);
         assert_eq!(w.tracker.total_read_bytes(), 0);
         assert_eq!(w.tracker.export(), r.tracker.export(), "writes invariant");
     }
@@ -450,18 +365,24 @@ mod tests {
         let write_only = run_simulation(&cfg, None, Some(&model));
         cfg.read_after_write = true;
         let with_read = run_simulation(&cfg, None, Some(&model));
-        assert!(with_read.read_wall > 0.0);
+        assert!(with_read.totals.restart.wall > 0.0);
         // The restart burst is recorded in the timeline like the writes.
-        assert_eq!(with_read.timeline.len(), write_only.timeline.len() + 1);
-        assert!(
-            with_read.wall_time > write_only.wall_time,
-            "restart {} must cost over write-only {}",
-            with_read.wall_time,
-            write_only.wall_time
+        assert_eq!(
+            with_read.totals.timeline.len(),
+            write_only.totals.timeline.len() + 1
         );
         assert!(
-            (with_read.wall_time - write_only.wall_time - with_read.read_wall).abs()
-                < 1e-9 + with_read.wall_time * 1e-12,
+            with_read.totals.wall_time > write_only.totals.wall_time,
+            "restart {} must cost over write-only {}",
+            with_read.totals.wall_time,
+            write_only.totals.wall_time
+        );
+        assert!(
+            (with_read.totals.wall_time
+                - write_only.totals.wall_time
+                - with_read.totals.restart.wall)
+                .abs()
+                < 1e-9 + with_read.totals.wall_time * 1e-12,
             "the gap is the read phase"
         );
     }
@@ -474,8 +395,11 @@ mod tests {
         cfg.read_after_write = true;
         let r = run_simulation(&cfg, None, None);
         let last = *r.tracker.steps().last().unwrap();
-        assert_eq!(r.read_bytes, r.tracker.bytes_per_step()[&last]);
-        assert_eq!(r.physical_read_bytes, r.read_bytes, "identity codec");
+        assert_eq!(r.totals.restart.bytes, r.tracker.bytes_per_step()[&last]);
+        assert_eq!(
+            r.totals.restart.physical_bytes, r.totals.restart.bytes,
+            "identity codec"
+        );
     }
 
     #[test]
@@ -488,8 +412,8 @@ mod tests {
         // The selection delivers exactly the last dump's level-1 logical
         // bytes — a strict subset of a full restart read.
         let last = *r.tracker.steps().last().unwrap();
-        assert!(r.selective_read_bytes > 0);
-        assert!(r.selective_read_bytes < r.tracker.bytes_per_step()[&last]);
+        assert!(r.totals.analysis.bytes > 0);
+        assert!(r.totals.analysis.bytes < r.tracker.bytes_per_step()[&last]);
         assert_eq!(
             r.tracker
                 .read_bytes_per_level()
@@ -499,8 +423,8 @@ mod tests {
             vec![1],
             "only level 1 was read"
         );
-        assert!(r.selective_read_files > 0);
-        assert_eq!(r.reorg_wall, 0.0, "raw layout: no rewrite");
+        assert!(r.totals.analysis.files > 0);
+        assert_eq!(r.totals.reorg_wall, 0.0, "raw layout: no rewrite");
 
         // Reorganized variant under a storage model: the rewrite costs
         // wall, the selective read itself fetches fewer physical bytes.
@@ -511,13 +435,13 @@ mod tests {
         let raw = run_simulation(&cfg, None, Some(&storage));
         cfg.reorganize = true;
         let opt = run_simulation(&cfg, None, Some(&storage));
-        assert!(opt.reorg_wall > 0.0);
-        assert!(opt.reorg_bytes > 0);
-        assert_eq!(opt.selective_read_bytes, raw.selective_read_bytes);
-        assert!(opt.selective_physical_read_bytes < raw.selective_physical_read_bytes);
-        assert!(opt.selective_read_wall < raw.selective_read_wall);
+        assert!(opt.totals.reorg_wall > 0.0);
+        assert!(opt.totals.reorg_bytes > 0);
+        assert_eq!(opt.totals.analysis.bytes, raw.totals.analysis.bytes);
+        assert!(opt.totals.analysis.physical_bytes < raw.totals.analysis.physical_bytes);
+        assert!(opt.totals.analysis.wall < raw.totals.analysis.wall);
         // But the whole run pays for the rewrite.
-        assert!(opt.wall_time > raw.wall_time);
+        assert!(opt.totals.wall_time > raw.totals.wall_time);
     }
 
     #[test]
@@ -527,7 +451,10 @@ mod tests {
         let storage = StorageModel::summit_alpine(0.05);
         let a = run_simulation(&cfg, None, Some(&storage));
         let b = run_simulation(&cfg, None, Some(&storage));
-        assert_eq!(a.wall_time, b.wall_time, "seeded jitter is reproducible");
+        assert_eq!(
+            a.totals.wall_time, b.totals.wall_time,
+            "seeded jitter is reproducible"
+        );
         // Jitter means the wall time differs from the exact noiseless sum.
         let exact: f64 = a
             .steps
@@ -538,7 +465,10 @@ mod tests {
                     / cfg.nprocs as f64
             })
             .sum();
-        assert!(a.wall_time > exact, "barrier waits on the slowest rank");
+        assert!(
+            a.totals.wall_time > exact,
+            "barrier waits on the slowest rank"
+        );
     }
 
     proptest::proptest! {
@@ -626,18 +556,21 @@ mod tests {
 
         // Write plane identical: no dump is flushed twice.
         assert_eq!(failed.tracker.export(), clean.tracker.export());
-        assert_eq!(failed.outputs, clean.outputs);
-        assert_eq!(failed.physical_bytes, clean.physical_bytes);
+        assert_eq!(failed.totals.outputs, clean.totals.outputs);
+        assert_eq!(failed.totals.engine.bytes, clean.totals.engine.bytes);
         // Restart point is the plot dump at step 8 (no checkpoints):
         // steps 9 and 10 are computed twice.
         assert_eq!(failed.steps.len(), clean.steps.len() + 2);
-        assert_eq!(failed.restarts, 1);
-        assert!(failed.read_bytes > 0, "the recovery read is priced");
+        assert_eq!(failed.totals.restarts, 1);
         assert!(
-            failed.compute_wall > clean.compute_wall,
+            failed.totals.restart.bytes > 0,
+            "the recovery read is priced"
+        );
+        assert!(
+            failed.totals.compute_wall > clean.totals.compute_wall,
             "lost compute is re-paid"
         );
-        assert!(failed.wall_time > clean.wall_time);
+        assert!(failed.totals.wall_time > clean.totals.wall_time);
         // The replayed steps are byte-identical to the originals (the
         // deterministic engine reproduces the hierarchy).
         assert_eq!(failed.steps[8].cells, failed.steps[12].cells);
@@ -672,16 +605,16 @@ mod tests {
             assert_eq!(dense.steps.len(), base_steps + 2);
             assert_eq!(
                 (
-                    dense.check_bytes,
-                    dense.check_files,
-                    dense.check_wall.to_bits()
+                    dense.totals.check_bytes,
+                    dense.totals.check_files,
+                    dense.totals.check_wall.to_bits()
                 ),
                 pinned,
                 "{engine:?}"
             );
             // The checkpoint read is smaller than the full plot-dump read
             // (4 conserved components vs 22 plot variables).
-            assert!(dense.read_bytes < sparse.read_bytes);
+            assert!(dense.totals.restart.bytes < sparse.totals.restart.bytes);
         }
     }
 
@@ -696,9 +629,9 @@ mod tests {
         let r = run_simulation(&cfg, None, Some(&storage));
         // Dumps 2 and 4 (steps 4 and 12) are analyzed in-run: the read
         // bursts sit *between* write bursts, not after them all.
-        assert!(r.selective_read_bytes > 0);
-        assert_eq!(r.timeline.len(), 6, "4 write + 2 analysis bursts");
-        let bursts = r.timeline.bursts();
+        assert!(r.totals.analysis.bytes > 0);
+        assert_eq!(r.totals.timeline.len(), 6, "4 write + 2 analysis bursts");
+        let bursts = r.totals.timeline.bursts();
         // The first analysis burst (of output counter 2) ends before the
         // next write burst (counter 3) starts.
         assert!(bursts[2].t_end <= bursts[3].t_start + 1e-12);
@@ -715,7 +648,7 @@ mod tests {
         cfg.account_only = true;
         cfg.scenario = Some(Scenario::parse("write;readall").unwrap());
         let r = run_simulation(&cfg, None, None);
-        assert_eq!(r.restarts, 4, "all four dumps read back");
+        assert_eq!(r.totals.restarts, 4, "all four dumps read back");
         assert_eq!(
             r.tracker.total_read_bytes(),
             r.tracker.total_bytes(),
@@ -733,24 +666,31 @@ mod tests {
         let streamed = run_simulation(&cfg, None, Some(&model));
         // Tracker-plane invariance: logical totals identical to storage.
         assert_eq!(streamed.tracker.export(), fpp.tracker.export());
-        assert_eq!(streamed.logical_bytes, fpp.logical_bytes);
+        assert_eq!(
+            streamed.totals.engine.logical_bytes,
+            fpp.totals.engine.logical_bytes
+        );
         // Nothing touches the storage plane.
-        assert_eq!(streamed.physical_bytes, 0);
-        assert_eq!(streamed.files_written, 0);
-        assert_eq!(streamed.timeline.len(), 0, "no storage bursts");
+        assert_eq!(streamed.totals.engine.bytes, 0);
+        assert_eq!(streamed.totals.engine.files, 0);
+        assert_eq!(streamed.totals.timeline.len(), 0, "no storage bursts");
         // The network plane is priced instead (identity codec: shipped
         // bytes equal the logical payload).
-        assert_eq!(streamed.net_bytes, streamed.logical_bytes);
-        assert!(streamed.net_wall > 0.0);
-        assert_eq!(streamed.window_stall, 0.0, "unbounded window");
+        assert_eq!(
+            streamed.totals.net_bytes,
+            streamed.totals.engine.logical_bytes
+        );
+        assert!(streamed.totals.net_wall > 0.0);
+        assert_eq!(streamed.totals.window_stall, 0.0, "unbounded window");
         // The wall decomposition still closes: streamed ship time lives
         // inside plot_wall, where stored dumps' bursts live.
         assert!(
-            (streamed.compute_wall + streamed.plot_wall + streamed.drain_wall - streamed.wall_time)
+            (streamed.totals.compute_wall + streamed.totals.plot_wall + streamed.totals.drain_wall
+                - streamed.totals.wall_time)
                 .abs()
-                < 1e-9 + streamed.wall_time * 1e-12
+                < 1e-9 + streamed.totals.wall_time * 1e-12
         );
-        assert!(streamed.plot_wall >= streamed.net_wall);
+        assert!(streamed.totals.plot_wall >= streamed.totals.net_wall);
     }
 
     #[test]
@@ -763,17 +703,17 @@ mod tests {
         cfg.backend = io_engine::BackendSpec::parse("streaming").unwrap();
         let streamed = run_simulation(&cfg, None, None);
         // Logical selection volume is backend-invariant...
-        assert!(streamed.selective_read_bytes > 0);
-        assert_eq!(streamed.selective_read_bytes, stored.selective_read_bytes);
+        assert!(streamed.totals.analysis.bytes > 0);
+        assert_eq!(streamed.totals.analysis.bytes, stored.totals.analysis.bytes);
         assert_eq!(
             streamed.tracker.total_read_bytes(),
             stored.tracker.total_read_bytes()
         );
         // ...but the streamed reads come from the consumer window, not
         // storage: zero physical read bytes, zero files opened.
-        assert_eq!(streamed.selective_physical_read_bytes, 0);
-        assert_eq!(streamed.selective_read_files, 0);
-        assert!(stored.selective_physical_read_bytes > 0);
+        assert_eq!(streamed.totals.analysis.physical_bytes, 0);
+        assert_eq!(streamed.totals.analysis.files, 0);
+        assert!(stored.totals.analysis.physical_bytes > 0);
     }
 
     #[test]
@@ -785,10 +725,10 @@ mod tests {
         let r = run_simulation(&cfg, None, None);
         // Checkpoint state ships over the link too: no physical bytes,
         // but the checkpoint plane's wall is still charged.
-        assert_eq!(r.check_bytes, 0);
-        assert_eq!(r.check_files, 0);
-        assert!(r.check_wall > 0.0);
-        assert!(r.net_bytes > 0);
+        assert_eq!(r.totals.check_bytes, 0);
+        assert_eq!(r.totals.check_files, 0);
+        assert!(r.totals.check_wall > 0.0);
+        assert!(r.totals.net_bytes > 0);
     }
 
     #[test]
@@ -804,19 +744,23 @@ mod tests {
         let bounded = run_simulation(&cfg, None, None);
         cfg.backend = io_engine::BackendSpec::parse("streaming:100:0:10").unwrap();
         let unbounded = run_simulation(&cfg, None, None);
-        assert!(bounded.window_stall > 0.0, "the window must back-pressure");
-        assert_eq!(unbounded.window_stall, 0.0, "unbounded: no stall");
-        assert_eq!(bounded.net_bytes, unbounded.net_bytes);
         assert!(
-            bounded.wall_time > unbounded.wall_time,
+            bounded.totals.window_stall > 0.0,
+            "the window must back-pressure"
+        );
+        assert_eq!(unbounded.totals.window_stall, 0.0, "unbounded: no stall");
+        assert_eq!(bounded.totals.net_bytes, unbounded.totals.net_bytes);
+        assert!(
+            bounded.totals.wall_time > unbounded.totals.wall_time,
             "bounded {} must be strictly slower than unbounded {}",
-            bounded.wall_time,
-            unbounded.wall_time
+            bounded.totals.wall_time,
+            unbounded.totals.wall_time
         );
         // The entire gap is the stall (transfers and compute match).
         assert!(
-            (bounded.wall_time - unbounded.wall_time - bounded.window_stall).abs()
-                < 1e-9 + bounded.wall_time * 1e-12,
+            (bounded.totals.wall_time - unbounded.totals.wall_time - bounded.totals.window_stall)
+                .abs()
+                < 1e-9 + bounded.totals.wall_time * 1e-12,
             "the wall gap is exactly the window stall"
         );
     }
@@ -831,7 +775,7 @@ mod tests {
         assert_eq!(r.steps.len(), 1);
         // The failure at step 10 never happened; the trailing restart
         // still reads the newest dump actually written (step 0's).
-        assert_eq!(r.restarts, 1);
-        assert_eq!(r.read_bytes, r.tracker.bytes_per_step()[&1]);
+        assert_eq!(r.totals.restarts, 1);
+        assert_eq!(r.totals.restart.bytes, r.tracker.bytes_per_step()[&1]);
     }
 }

@@ -26,9 +26,12 @@
 //! problem), weak (vary ranks at fixed cells-per-rank), or throughput
 //! (vary tenant count on the shared machine-room fabric).
 //!
-//! Label spellings are bit-compatible with the legacy sweeps — the
-//! shims in `campaign.rs` are property-tested equal — so labels already
-//! persisted in results stores stay addressable.
+//! Label spellings are bit-compatible with the legacy sweeps, so labels
+//! already persisted in results stores stay addressable. The sweeps now
+//! live only as test oracles: the frozen enumerations in
+//! `tests/proptests_spec.rs` (`legacy_backend_sweep` and its siblings)
+//! are property-tested equal to the builder, and `campaign.rs`'s test
+//! module pins each sweep's labels.
 //!
 //! ```
 //! use amrproxy::ExperimentSpec;
@@ -56,6 +59,7 @@
 use crate::config::CastroSedovConfig;
 use io_engine::grammar::{disambiguate_tags, Matrix, MatrixError, TomlDoc, TomlSection};
 use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
+use iosim::Fnv1a;
 use serde::Value;
 use std::io::Write as _;
 
@@ -619,7 +623,7 @@ impl ExperimentSpec {
     }
 }
 
-/// Content key of a compiled cell: FNV-1a 64 over the canonical config
+/// Content key of a compiled cell: [`Fnv1a`] over the canonical config
 /// JSON plus the storage/tenancy half, `{json}|{storage}|{tenants}`.
 /// Deterministic across processes (no hasher randomization), so stores
 /// written yesterday resume today. The JSON is printed straight into
@@ -632,29 +636,6 @@ fn cell_key(config: &Value, storage: Option<&StorageProfile>, tenants: usize) ->
     let storage = storage.map(StorageProfile::name).unwrap_or_default();
     let _ = write!(fnv, "|{storage}|{tenants}");
     format!("{:016x}", fnv.0)
-}
-
-/// An FNV-1a 64 hasher as a byte sink.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::io::Write for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        for &byte in bytes {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 fn parse_base(section: &TomlSection) -> Result<CastroSedovConfig, SpecError> {

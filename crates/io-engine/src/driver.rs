@@ -328,34 +328,49 @@ pub struct RunTotals {
     /// Restart reads performed (mid-run recoveries plus trailing
     /// `restart`/`readall` reads; analysis reads are not restarts).
     pub restarts: u32,
-    /// The backend's whole-run report (files, physical/logical/overhead
-    /// bytes).
+    /// The backend's whole-run report, plot dumps and checkpoints
+    /// together: physical files (more or fewer than the tracker's logical
+    /// records under aggregation), physical bytes (payloads after any
+    /// compression, plus overhead), logical (pre-compression) bytes, and
+    /// the bookkeeping overhead inside `bytes` (aggregation index tables,
+    /// compression sidecars).
     pub engine: EngineReport,
     /// Physical bytes of each plot dump, in write order.
     pub bytes_per_dump: Vec<u64>,
-    /// Codec CPU seconds of the write plane (plot dumps + checkpoints).
+    /// Codec CPU seconds of the write plane (plot dumps + checkpoints);
+    /// [`RunTotals::all_codec_seconds`] adds the read planes'.
     pub codec_seconds: f64,
-    /// Physical bytes of checkpoint dumps.
+    /// Physical bytes of checkpoint dumps, inside `engine.bytes` (0
+    /// without a checkpoint cadence). Checkpoints ride the same
+    /// backend/codec stack as plot dumps but are reported here, not
+    /// folded into the plot totals.
     pub check_bytes: u64,
-    /// Physical files of checkpoint dumps.
+    /// Physical files of checkpoint dumps, inside `engine.files`.
     pub check_files: u64,
     /// Simulated seconds of checkpoint bursts.
     pub check_wall: f64,
-    /// The restart-read plane.
+    /// The restart-read plane (zero without a restart phase).
     pub restart: ReadPlane,
-    /// The selective analysis-read plane.
+    /// The selective analysis-read plane (zero without an analysis
+    /// phase). Its logical `bytes` are exactly the matched chunks', so
+    /// layout- and codec-invariant; its `physical_bytes` are what the
+    /// layout (raw vs reorganized) changes.
     pub analysis: ReadPlane,
-    /// Simulated seconds spent reorganizing dumps for analysis reads.
+    /// Simulated seconds spent reorganizing dumps for analysis reads (0
+    /// unless analysis phases reorganize): the price a campaign weighs
+    /// against the per-read savings.
     pub reorg_wall: f64,
     /// Physical bytes the reorganizations moved (source fetch + rewrite).
     pub reorg_bytes: u64,
     /// Simulated seconds of compute phases (including re-paid compute).
     pub compute_wall: f64,
-    /// Simulated seconds of plot-dump bursts on the application clock.
+    /// Simulated seconds of plot-dump bursts on the application clock
+    /// (near zero for overlapped backends).
     pub plot_wall: f64,
     /// Simulated seconds the closing flush waited on in-flight drains.
     pub drain_wall: f64,
-    /// Bytes in-transit dumps shipped over the modeled link.
+    /// Bytes in-transit dumps shipped over the modeled link instead of
+    /// storage (0 for every storage backend).
     pub net_bytes: u64,
     /// Link-transfer seconds for `net_bytes` (inside `plot_wall` /
     /// `check_wall`: streamed dumps ship where stored dumps burst).
@@ -365,8 +380,17 @@ pub struct RunTotals {
     pub window_stall: f64,
     /// Burst timeline (empty without a storage attachment).
     pub timeline: BurstTimeline,
-    /// Final simulated wall-clock seconds.
+    /// Final simulated wall-clock seconds (compute + I/O).
     pub wall_time: f64,
+}
+
+impl RunTotals {
+    /// Modeled codec CPU seconds across the run: the write plane, then
+    /// the restart plane, then the analysis plane (0 without
+    /// compression).
+    pub fn all_codec_seconds(&self) -> f64 {
+        self.codec_seconds + self.restart.codec_seconds + self.analysis.codec_seconds
+    }
 }
 
 /// The clock-side state of one run: every pricing rule lives on it.

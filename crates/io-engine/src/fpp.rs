@@ -25,7 +25,7 @@ use crate::backend::{
 };
 use crate::layout::{FileBuild, Source, SpanReader};
 use crate::selection::ReadSelection;
-use iosim::{IoTracker, Vfs};
+use iosim::{Fnv1a, IoTracker, Vfs};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -37,7 +37,7 @@ use std::io;
 /// An account-only dump is one put per file, so this is per-file cost:
 /// the files sit in one `Vec` in first-put order, each under the path its
 /// first put brought (moved, never cloned), and an index from the path's
-/// FNV-1a hash to the file finds it in one probe. Two paths with one hash
+/// [`Fnv1a`] hash to the file finds it in one probe. Two paths with one hash
 /// fall back to comparing strings: the hash is unkeyed, so paths made to
 /// collide cost a scan, never a wrong file.
 #[derive(Debug)]
@@ -51,7 +51,7 @@ pub(crate) struct StepBuild {
 
 impl StepBuild {
     pub(crate) fn new(step: u32) -> Self {
-        Self::with_hash(step, fnv1a)
+        Self::with_hash(step, |path| Fnv1a::default().then(path.as_bytes()).0)
     }
 
     fn with_hash(step: u32, hash: fn(&str) -> u64) -> Self {
@@ -94,16 +94,6 @@ impl StepBuild {
         self.files.shrink_to_fit();
         self.files
     }
-}
-
-/// FNV-1a 64 of a path, the hash `iosim`'s storage model places files by.
-fn fnv1a(path: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The hasher of a map keyed by hashes: passes the key through, folding
@@ -477,6 +467,7 @@ mod tests {
                 b.into_files()
             })
             .collect();
+        let fnv1a = |path: &str| Fnv1a::default().then(path.as_bytes()).0;
         let hashes: [fn(&str) -> u64; 3] = [fnv1a, constant_hash, length_hash];
         for hash in hashes {
             for (s, puts) in steps.iter().enumerate() {

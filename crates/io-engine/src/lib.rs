@@ -152,7 +152,7 @@ pub(crate) mod streaming;
 pub use backend::{ChunkRead, EngineReport, IoBackend, Payload, Put, StepRead, StepStats};
 pub use codec::{Codec, CodecContext, CodecSpec, Rle};
 pub use driver::{
-    compile, run_program, Cadence, Dump, DumpSource, Phase, Producer, ScheduledPhase,
+    compile, run_program, Cadence, Dump, DumpSource, Phase, Producer, RunTotals, ScheduledPhase,
 };
 pub use fpp::FilePerProcess;
 pub use grammar::Matrix;

@@ -63,7 +63,7 @@ pub use fabric::{
     block_on, Fabric, FabricHandle, SoloMemo, SoloPricing, StorageAttach, TenantStats,
 };
 pub use schedule::BurstScheduler;
-pub use storage::{BurstResult, ReadRequest, StorageModel, WriteRequest};
+pub use storage::{BurstResult, Fnv1a, ReadRequest, StorageModel, WriteRequest};
 pub use timeline::{Burst, BurstTimeline};
 pub use tracker::{IoKey, IoKind, IoTracker};
 pub use vfs::{MemFs, RealFs, Vfs};

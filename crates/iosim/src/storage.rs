@@ -174,14 +174,10 @@ impl StorageModel {
         self.nservers.max(1)
     }
 
-    /// Stable server assignment for a file path (FNV-1a hash mod servers).
+    /// Stable server assignment for a file path ([`Fnv1a`] hash mod
+    /// servers).
     pub(crate) fn server_of(&self, path: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in path.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h % self.effective_nservers() as u64) as usize
+        (Fnv1a::default().then(path.as_bytes()).0 % self.effective_nservers() as u64) as usize
     }
 
     /// Simulates one write burst: all `reqs` proceed concurrently, each on
@@ -272,6 +268,44 @@ pub struct BurstResult {
     /// charge; `INFINITY` when payload moved in zero simulated time
     /// (consumers skip non-finite samples), `0.0` for empty bursts.
     pub aggregate_bandwidth: f64,
+}
+
+/// FNV-1a 64, the unkeyed hash the storage model places files by (and
+/// that file-per-process placement and spec cell keys reuse). As an
+/// [`std::io::Write`] sink its state (`.0`) is the hash of every byte
+/// written so far, so a printer can stream text into it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(pub u64);
+
+impl Fnv1a {
+    /// This hash continued over `bytes` (`Fnv1a::default().then(b).0` is
+    /// the hash of `b`).
+    #[inline]
+    pub fn then(self, bytes: &[u8]) -> Self {
+        Self(bytes.iter().fold(self.0, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        }))
+    }
+}
+
+impl Default for Fnv1a {
+    /// The offset basis: the hash of no bytes.
+    #[inline]
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        *self = self.then(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -234,7 +234,7 @@ pub async fn run_attached(
         restarts: t.restarts,
         total_bytes: t.engine.bytes,
         logical_bytes: t.engine.logical_bytes,
-        codec_seconds: t.codec_seconds + t.restart.codec_seconds + t.analysis.codec_seconds,
+        codec_seconds: t.all_codec_seconds(),
         overhead_bytes: t.engine.overhead_bytes,
         bytes_per_dump: t.bytes_per_dump,
         files_written: t.engine.files,

@@ -36,10 +36,10 @@ fn main() {
         let r = run_simulation(&cfg, None, Some(&storage));
         println!(
             "{label:>14} {:>10} {:>12.4} {:>14.2} {:>12.1}",
-            r.timeline.len(),
-            r.timeline.duty_cycle(),
-            r.timeline.peak_bandwidth() / 1e9,
-            r.timeline.burstiness()
+            r.totals.timeline.len(),
+            r.totals.timeline.duty_cycle(),
+            r.totals.timeline.peak_bandwidth() / 1e9,
+            r.totals.timeline.burstiness()
         );
     }
 

@@ -43,7 +43,7 @@ fn main() {
     );
     let result = run_simulation(&cfg, None, None);
 
-    println!("\nplot dumps: {}", result.outputs);
+    println!("\nplot dumps: {}", result.totals.outputs);
     println!("total bytes: {}", result.tracker.total_bytes());
     println!("total files: {}", result.tracker.total_files());
 

@@ -144,33 +144,33 @@ fn deferred_drain_timing_is_simulated_not_wall_clock() {
     assert_eq!(fpp.tracker.export(), deferred.tracker.export());
     let deferred_again = run(BackendSpec::Deferred(2));
     assert_eq!(
-        deferred.wall_time, deferred_again.wall_time,
+        deferred.totals.wall_time, deferred_again.totals.wall_time,
         "simulated clock is exactly reproducible"
     );
 
     // Overlap strictly beats the synchronous drain on the simulated clock.
     assert!(
-        deferred.wall_time < fpp.wall_time,
+        deferred.totals.wall_time < fpp.totals.wall_time,
         "deferred {} must beat fpp {}",
-        deferred.wall_time,
-        fpp.wall_time
+        deferred.totals.wall_time,
+        fpp.totals.wall_time
     );
 
     // Burst structure on the simulated timeline: both policies keep at
     // most one drain in flight (bursts never overlap each other), and the
     // deferred run's closing barrier waits for its last drain.
-    let fpp_bursts = fpp.timeline.bursts();
+    let fpp_bursts = fpp.totals.timeline.bursts();
     assert!(fpp_bursts
         .windows(2)
         .all(|w| w[1].t_start >= w[0].t_end - 1e-12));
-    let def_bursts = deferred.timeline.bursts();
+    let def_bursts = deferred.totals.timeline.bursts();
     assert_eq!(def_bursts.len(), fpp_bursts.len());
     assert!(def_bursts
         .windows(2)
         .all(|w| w[1].t_start >= w[0].t_end - 1e-12));
     let last_drain_end = def_bursts.last().expect("bursts exist").t_end;
     assert!(
-        deferred.wall_time >= last_drain_end - 1e-12,
+        deferred.totals.wall_time >= last_drain_end - 1e-12,
         "closing flush barriers against the in-flight drain"
     );
     // The drains themselves take the same simulated time per byte; the

@@ -81,8 +81,8 @@ fn timed_runs_have_identical_timelines() {
     let storage = StorageModel::summit_alpine(0.1);
     let a = run_simulation(&cfg(Engine::Oracle), None, Some(&storage));
     let b = run_simulation(&cfg(Engine::Oracle), None, Some(&storage));
-    assert_eq!(a.timeline, b.timeline);
-    assert_eq!(a.wall_time, b.wall_time);
+    assert_eq!(a.totals.timeline, b.totals.timeline);
+    assert_eq!(a.totals.wall_time, b.totals.wall_time);
 }
 
 #[test]
@@ -100,5 +100,5 @@ fn vfs_and_tracker_stay_consistent_with_checkpoints() {
     assert!(r.tracker.total_files() >= plot_files);
     let chk_outputs = 14 / 4;
     let plot_outputs = 14 / 2 + 1;
-    assert_eq!(r.outputs as u64, plot_outputs + chk_outputs);
+    assert_eq!(r.totals.outputs as u64, plot_outputs + chk_outputs);
 }

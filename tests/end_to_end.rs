@@ -41,7 +41,7 @@ fn hydro_and_oracle_engines_agree_on_structure() {
     // refined levels in the same order of magnitude.
     let rh = run_simulation(&small(Engine::Hydro, 64, 2, 16), None, None);
     let ro = run_simulation(&small(Engine::Oracle, 64, 2, 16), None, None);
-    assert_eq!(rh.outputs, ro.outputs);
+    assert_eq!(rh.totals.outputs, ro.totals.outputs);
     // Compare L0 *data* bytes: metadata at level 0 includes the Header,
     // which lists every level's grids and legitimately differs.
     for step in rh.tracker.steps() {
@@ -66,7 +66,7 @@ fn hydro_and_oracle_engines_agree_on_structure() {
 fn plotfile_bytes_flow_into_model_samples() {
     let r = run_simulation(&small(Engine::Oracle, 128, 2, 20), None, None);
     let xy = r.xy_series();
-    assert_eq!(xy.points.len() as u32, r.outputs);
+    assert_eq!(xy.points.len() as u32, r.totals.outputs);
     // Eq. (1): x spacing equals ncells(L0).
     let dx = xy.points[1].x - xy.points[0].x;
     assert_eq!(dx, (128 * 128) as f64);
@@ -109,9 +109,12 @@ fn burst_timing_is_deterministic() {
     let storage = StorageModel::summit_alpine(0.05);
     let a = run_simulation(&cfg, None, Some(&storage));
     let b = run_simulation(&cfg, None, Some(&storage));
-    assert_eq!(a.timeline, b.timeline, "same seed, same timeline");
-    assert_eq!(a.wall_time, b.wall_time);
-    assert!(a.timeline.len() as u32 == a.outputs);
+    assert_eq!(
+        a.totals.timeline, b.totals.timeline,
+        "same seed, same timeline"
+    );
+    assert_eq!(a.totals.wall_time, b.totals.wall_time);
+    assert!(a.totals.timeline.len() as u32 == a.totals.outputs);
 }
 
 #[test]

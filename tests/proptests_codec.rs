@@ -296,14 +296,14 @@ proptest! {
                     None => baseline = Some(series),
                     Some(b) => prop_assert_eq!(b, &series, "series drift in {}", label),
                 }
-                let payload = r.physical_bytes - r.overhead_bytes;
+                let payload = r.totals.engine.bytes - r.totals.engine.overhead_bytes;
                 if codec == CodecSpec::Identity {
-                    prop_assert_eq!(payload, r.logical_bytes, "identity 1:1 in {}", label);
+                    prop_assert_eq!(payload, r.totals.engine.logical_bytes, "identity 1:1 in {}", label);
                 } else {
                     // Modeled ratios are > 1 on every dump: strictly less.
                     prop_assert!(
-                        payload < r.logical_bytes,
-                        "{}: payload {} !< logical {}", label, payload, r.logical_bytes
+                        payload < r.totals.engine.logical_bytes,
+                        "{}: payload {} !< logical {}", label, payload, r.totals.engine.logical_bytes
                     );
                 }
             }

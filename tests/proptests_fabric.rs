@@ -291,6 +291,7 @@ fn mixed_sedov_and_macsio_fleet_contends_on_one_fabric() {
         try_run_simulation_attached(&amr_cfg, None, StorageAttach::Fabric(sedov))
             .await
             .expect("sedov tenant")
+            .totals
             .wall_time
     };
     let mac = async {

@@ -83,36 +83,42 @@ fn base_config(axes: &LegacyAxes) -> CastroSedovConfig {
 fn assert_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.tracker.export(), b.tracker.export(), "write plane");
     assert_eq!(a.tracker.export_reads(), b.tracker.export_reads(), "reads");
-    assert_eq!(a.outputs, b.outputs);
-    assert_eq!(a.restarts, b.restarts);
-    assert_eq!(a.files_written, b.files_written);
-    assert_eq!(a.physical_bytes, b.physical_bytes);
-    assert_eq!(a.logical_bytes, b.logical_bytes);
-    assert_eq!(a.overhead_bytes, b.overhead_bytes);
-    assert_eq!(a.check_bytes, b.check_bytes);
-    assert_eq!(a.check_files, b.check_files);
-    assert_eq!(a.read_bytes, b.read_bytes);
-    assert_eq!(a.physical_read_bytes, b.physical_read_bytes);
-    assert_eq!(a.read_files, b.read_files);
-    assert_eq!(a.selective_read_bytes, b.selective_read_bytes);
+    assert_eq!(a.totals.outputs, b.totals.outputs);
+    assert_eq!(a.totals.restarts, b.totals.restarts);
+    assert_eq!(a.totals.engine.files, b.totals.engine.files);
+    assert_eq!(a.totals.engine.bytes, b.totals.engine.bytes);
+    assert_eq!(a.totals.engine.logical_bytes, b.totals.engine.logical_bytes);
     assert_eq!(
-        a.selective_physical_read_bytes,
-        b.selective_physical_read_bytes
+        a.totals.engine.overhead_bytes,
+        b.totals.engine.overhead_bytes
     );
-    assert_eq!(a.selective_read_files, b.selective_read_files);
-    assert_eq!(a.reorg_bytes, b.reorg_bytes);
+    assert_eq!(a.totals.check_bytes, b.totals.check_bytes);
+    assert_eq!(a.totals.check_files, b.totals.check_files);
+    assert_eq!(a.totals.restart.bytes, b.totals.restart.bytes);
+    assert_eq!(
+        a.totals.restart.physical_bytes,
+        b.totals.restart.physical_bytes
+    );
+    assert_eq!(a.totals.restart.files, b.totals.restart.files);
+    assert_eq!(a.totals.analysis.bytes, b.totals.analysis.bytes);
+    assert_eq!(
+        a.totals.analysis.physical_bytes,
+        b.totals.analysis.physical_bytes
+    );
+    assert_eq!(a.totals.analysis.files, b.totals.analysis.files);
+    assert_eq!(a.totals.reorg_bytes, b.totals.reorg_bytes);
     // Wall identity is exact: the same phase program executes the same
     // clock operations in the same order.
-    assert_eq!(a.wall_time, b.wall_time, "wall");
-    assert_eq!(a.compute_wall, b.compute_wall);
-    assert_eq!(a.plot_wall, b.plot_wall);
-    assert_eq!(a.check_wall, b.check_wall);
-    assert_eq!(a.read_wall, b.read_wall);
-    assert_eq!(a.selective_read_wall, b.selective_read_wall);
-    assert_eq!(a.reorg_wall, b.reorg_wall);
-    assert_eq!(a.drain_wall, b.drain_wall);
-    assert_eq!(a.codec_seconds, b.codec_seconds);
-    assert_eq!(a.timeline, b.timeline);
+    assert_eq!(a.totals.wall_time, b.totals.wall_time, "wall");
+    assert_eq!(a.totals.compute_wall, b.totals.compute_wall);
+    assert_eq!(a.totals.plot_wall, b.totals.plot_wall);
+    assert_eq!(a.totals.check_wall, b.totals.check_wall);
+    assert_eq!(a.totals.restart.wall, b.totals.restart.wall);
+    assert_eq!(a.totals.analysis.wall, b.totals.analysis.wall);
+    assert_eq!(a.totals.reorg_wall, b.totals.reorg_wall);
+    assert_eq!(a.totals.drain_wall, b.totals.drain_wall);
+    assert_eq!(a.totals.all_codec_seconds(), b.totals.all_codec_seconds());
+    assert_eq!(a.totals.timeline, b.totals.timeline);
     assert_eq!(a.steps.len(), b.steps.len());
 }
 
@@ -137,8 +143,8 @@ proptest! {
         let storage_ref = axes.timed.then_some(&storage);
         let legacy = run_simulation(&legacy_cfg, None, storage_ref);
         let scenario = run_simulation(&scenario_cfg, None, storage_ref);
-        prop_assert_eq!(&legacy.scenario, &compiled.name());
-        prop_assert_eq!(&scenario.scenario, &compiled.name());
+        prop_assert_eq!(legacy.config.effective_scenario().name(), compiled.name());
+        prop_assert_eq!(scenario.config.effective_scenario().name(), compiled.name());
         assert_identical(&legacy, &scenario);
     }
 }

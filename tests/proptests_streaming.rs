@@ -125,13 +125,13 @@ proptest! {
                 let r = run_simulation(&cfg, None, None);
                 let export = r.tracker.export();
                 match &reference {
-                    None => reference = Some((export, r.logical_bytes)),
+                    None => reference = Some((export, r.totals.engine.logical_bytes)),
                     Some((ref_export, ref_logical)) => {
                         prop_assert_eq!(
                             &export, ref_export,
                             "tracker plane diverged at {}/{}", backend, codec
                         );
-                        prop_assert_eq!(r.logical_bytes, *ref_logical);
+                        prop_assert_eq!(r.totals.engine.logical_bytes, *ref_logical);
                     }
                 }
             }
@@ -279,23 +279,23 @@ fn fast_link_beats_bandwidth_bound_disks_and_a_throttled_link_loses() {
     let streamed = run("streaming");
     let throttled = run("streaming:10");
     assert!(
-        streamed.wall_time < stored.wall_time,
+        streamed.totals.wall_time < stored.totals.wall_time,
         "12.5 GB/s link must beat 50 MB/s disks: {} vs {}",
-        streamed.wall_time,
-        stored.wall_time
+        streamed.totals.wall_time,
+        stored.totals.wall_time
     );
     assert!(
-        throttled.wall_time > stored.wall_time,
+        throttled.totals.wall_time > stored.totals.wall_time,
         "10 MB/s link must lose to 50 MB/s disks: {} vs {}",
-        throttled.wall_time,
-        stored.wall_time
+        throttled.totals.wall_time,
+        stored.totals.wall_time
     );
     assert_eq!(
-        throttled.net_bytes, streamed.net_bytes,
+        throttled.totals.net_bytes, streamed.totals.net_bytes,
         "throttling changes timing, not shipped volume"
     );
     assert_eq!(
-        streamed.net_bytes, streamed.logical_bytes,
+        streamed.totals.net_bytes, streamed.totals.engine.logical_bytes,
         "identity codec: every logical byte ships exactly once"
     );
     // Re-routing the bytes never changes what the workload logically

@@ -149,38 +149,38 @@ fn amr_line(id: &str, r: std::io::Result<RunResult>) -> String {
          tracker_bytes={} tracker_read_bytes={} codec_seconds={} check_wall={} read_wall={} \
          selective_read_wall={} reorg_wall={} compute_wall={} plot_wall={} drain_wall={} \
          net_wall={} window_stall={} timeline={}",
-        r.scenario,
-        bits(r.wall_time),
-        r.outputs,
+        r.config.effective_scenario().name(),
+        bits(r.totals.wall_time),
+        r.totals.outputs,
         r.steps.len(),
-        r.restarts,
-        r.files_written,
-        r.physical_bytes,
-        r.logical_bytes,
-        r.overhead_bytes,
-        r.check_bytes,
-        r.check_files,
-        r.read_bytes,
-        r.physical_read_bytes,
-        r.read_files,
-        r.selective_read_bytes,
-        r.selective_physical_read_bytes,
-        r.selective_read_files,
-        r.reorg_bytes,
-        r.net_bytes,
+        r.totals.restarts,
+        r.totals.engine.files,
+        r.totals.engine.bytes,
+        r.totals.engine.logical_bytes,
+        r.totals.engine.overhead_bytes,
+        r.totals.check_bytes,
+        r.totals.check_files,
+        r.totals.restart.bytes,
+        r.totals.restart.physical_bytes,
+        r.totals.restart.files,
+        r.totals.analysis.bytes,
+        r.totals.analysis.physical_bytes,
+        r.totals.analysis.files,
+        r.totals.reorg_bytes,
+        r.totals.net_bytes,
         r.tracker.total_bytes(),
         r.tracker.total_read_bytes(),
-        bits(r.codec_seconds),
-        bits(r.check_wall),
-        bits(r.read_wall),
-        bits(r.selective_read_wall),
-        bits(r.reorg_wall),
-        bits(r.compute_wall),
-        bits(r.plot_wall),
-        bits(r.drain_wall),
-        bits(r.net_wall),
-        bits(r.window_stall),
-        bursts(&r.timeline),
+        bits(r.totals.all_codec_seconds()),
+        bits(r.totals.check_wall),
+        bits(r.totals.restart.wall),
+        bits(r.totals.analysis.wall),
+        bits(r.totals.reorg_wall),
+        bits(r.totals.compute_wall),
+        bits(r.totals.plot_wall),
+        bits(r.totals.drain_wall),
+        bits(r.totals.net_wall),
+        bits(r.totals.window_stall),
+        bursts(&r.totals.timeline),
     )
 }
 
