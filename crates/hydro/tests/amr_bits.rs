@@ -97,3 +97,16 @@ fn many_fab_bits_are_pinned() {
     );
     assert_eq!(hash, 12621099399529642215);
 }
+
+#[test]
+fn three_fine_level_bits_are_pinned() {
+    // max_level 3: a level whose coarse parent is itself a fine level, so
+    // coarse-fine interpolation, exchange and averaging down run between
+    // two refined levels and a coarse advance under two finer ones.
+    let (hash, grids) = run_hash(AmrConfig {
+        max_level: 3,
+        ..cfg(64, 4, 32)
+    });
+    assert_eq!(grids.len(), 4, "{grids:?}");
+    assert_eq!(hash, 718440145839685757);
+}
