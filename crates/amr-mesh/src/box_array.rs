@@ -7,6 +7,7 @@
 
 use crate::index_box::IndexBox;
 use crate::intvect::{Coord, IntVect};
+use crate::multifab::FabCopy;
 use serde::{Deserialize, Serialize};
 
 /// An ordered list of boxes covering (part of) an AMR level.
@@ -119,6 +120,20 @@ impl BoxArray {
             .enumerate()
             .filter_map(|(i, b)| b.intersection(region).map(|isect| (i, isect)))
             .collect()
+    }
+
+    /// The copies that fill `region`, the ghost cells of box `dst`, from the
+    /// valid cells of every other box: AMReX's `FillBoundary` metadata for
+    /// one destination region, in box order.
+    pub fn copies_into(&self, dst: usize, region: IndexBox) -> impl Iterator<Item = FabCopy> + '_ {
+        self.boxes
+            .iter()
+            .enumerate()
+            .filter(move |&(src, _)| src != dst)
+            .filter_map(move |(src, b)| {
+                b.intersection(&region)
+                    .map(|region| FabCopy { src, dst, region })
+            })
     }
 
     /// The portion of `region` not covered by any box, as a list of disjoint

@@ -57,7 +57,7 @@ pub use geometry::Geometry;
 pub use hierarchy::{make_fine_grids, GridParams};
 pub use index_box::IndexBox;
 pub use intvect::{Coord, IntVect};
-pub use multifab::MultiFab;
+pub use multifab::{FabCopy, MultiFab};
 pub use tagging::TagMap;
 
 /// Convenience re-exports for downstream crates.
@@ -70,6 +70,6 @@ pub mod prelude {
     pub use crate::hierarchy::{make_fine_grids, GridParams};
     pub use crate::index_box::IndexBox;
     pub use crate::intvect::{Coord, IntVect};
-    pub use crate::multifab::MultiFab;
+    pub use crate::multifab::{FabCopy, MultiFab};
     pub use crate::tagging::TagMap;
 }

@@ -12,6 +12,19 @@ use crate::fab::FArrayBox;
 use crate::index_box::IndexBox;
 use crate::intvect::Coord;
 
+/// One entry of a copy plan: the cells of `region` from fab `src` into fab
+/// `dst` (AMReX's `CopyComTag`). Which multifabs the indices name is the
+/// plan's business.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FabCopy {
+    /// Source fab index.
+    pub src: usize,
+    /// Destination fab index.
+    pub dst: usize,
+    /// The cells copied.
+    pub region: IndexBox,
+}
+
 /// Distributed per-level data container.
 #[derive(Clone, Debug)]
 pub struct MultiFab {
@@ -112,30 +125,37 @@ impl MultiFab {
     }
 
     /// Fills ghost cells of every fab from the valid regions of neighbouring
-    /// fabs on the same level (AMReX `FillBoundary`, non-periodic).
+    /// fabs on the same level (AMReX `FillBoundary`, non-periodic): builds
+    /// the copy list with [`BoxArray::copies_into`] and applies it with
+    /// [`MultiFab::copy_within`]. A caller that fills the same level again
+    /// keeps the list instead.
     ///
     /// Ghost cells with no same-level neighbour (physical boundary or
     /// coarse-fine boundary) are left untouched.
     pub fn fill_boundary(&mut self) {
-        let n = self.fabs.len();
-        for i in 0..n {
-            let ghost_region = self.ba.get(i).grow(self.ngrow);
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if let Some(overlap) = ghost_region.intersection(&self.ba.get(j)) {
-                    // Copy src valid data into dst ghosts. Split borrow.
-                    let (src, dst) = if i < j {
-                        let (a, b) = self.fabs.split_at_mut(j);
-                        (&b[0], &mut a[i])
-                    } else {
-                        let (a, b) = self.fabs.split_at_mut(i);
-                        (&a[j], &mut b[0])
-                    };
-                    dst.copy_all_from(src, &overlap);
-                }
-            }
+        let copies: Vec<FabCopy> = (0..self.nfabs())
+            .flat_map(|i| self.ba.copies_into(i, self.ba.get(i).grow(self.ngrow)))
+            .collect();
+        self.copy_within(&copies);
+    }
+
+    /// Applies a same-level copy list in order: every matching component of
+    /// `region` from fab `src` into fab `dst`.
+    ///
+    /// # Panics
+    /// Panics if a copy names one fab as both source and destination, or a
+    /// region either fab does not hold.
+    pub fn copy_within(&mut self, copies: &[FabCopy]) {
+        for c in copies {
+            assert_ne!(c.src, c.dst, "copy_within: fab {} onto itself", c.src);
+            let (src, dst) = if c.src < c.dst {
+                let (a, b) = self.fabs.split_at_mut(c.dst);
+                (&a[c.src], &mut b[0])
+            } else {
+                let (a, b) = self.fabs.split_at_mut(c.src);
+                (&b[0], &mut a[c.dst])
+            };
+            dst.copy_all_from(src, &c.region);
         }
     }
 
@@ -178,6 +198,23 @@ mod tests {
     use crate::distribution::DistributionStrategy;
     use crate::intvect::IntVect;
     use proptest::prelude::*;
+
+    /// Test oracle for [`MultiFab::fill_boundary`]: every pair of fabs
+    /// scanned and copied on the spot.
+    fn fill_boundary_reference(mf: &mut MultiFab) {
+        for i in 0..mf.fabs.len() {
+            let ghost_region = mf.ba.get(i).grow(mf.ngrow);
+            for j in 0..mf.fabs.len() {
+                if i == j {
+                    continue;
+                }
+                if let Some(overlap) = ghost_region.intersection(&mf.ba.get(j)) {
+                    let src = mf.fabs[j].clone();
+                    mf.fabs[i].copy_all_from(&src, &overlap);
+                }
+            }
+        }
+    }
 
     /// Test oracle for [`MultiFab::parallel_copy_from`]: the overlap list
     /// built per destination fab.
@@ -232,6 +269,23 @@ mod tests {
             dst.parallel_copy_from(&src);
             parallel_copy_reference(&mut oracle, &src);
             prop_assert!(dst.fabs == oracle.fabs);
+        }
+
+        /// The planned exchange writes what the pairwise scan writes, on
+        /// levels cut unevenly into fabs of every size down to one cell.
+        #[test]
+        fn fill_boundary_matches_reference(
+            lo in (-6i64..6, -6i64..6),
+            n in 1i64..20,
+            max in 1i64..9,
+            ncomp in 1usize..4,
+            ngrow in 0i64..4,
+        ) {
+            let mut mf = numbered(IntVect::new(lo.0, lo.1), n, max, ncomp, ngrow, 0.0);
+            let mut oracle = mf.clone();
+            mf.fill_boundary();
+            fill_boundary_reference(&mut oracle);
+            prop_assert!(mf.fabs == oracle.fabs);
         }
     }
 

@@ -8,10 +8,21 @@
 //! `amr.regrid_int` steps by re-tagging and re-running Berger–Rigoutsos.
 //! The per-step grid hierarchy this driver produces is the paper's I/O
 //! signal: plotfile bytes are a direct function of it.
+//!
+//! Between regrids the grids are fixed, so each regrid (and [`AmrSim::new`])
+//! builds one copy plan per level (`plan.rs`, after AMReX's cached
+//! `FillBoundary` metadata): the ghost-fill, sweep and average-down lists
+//! every later call applies. Each sweep fills only the ghost strips it
+//! reads, and a level under a finer one does not sweep the cells that
+//! `average_down` overwrites after the fine subcycle. None of this moves a
+//! bit: the `reference` test module keeps the advance that rescans every
+//! pair of fabs, refills every ghost before each sweep and sweeps every
+//! cell, and a proptest steps both through regrids.
 
 use crate::eos::GammaLaw;
+use crate::plan::{inject, LevelPlan, ALL_GHOSTS};
 use crate::sedov::SedovProblem;
-use crate::solver::{advance_level, apply_outflow_bc, runs_outside, SweepScratch, NGROW};
+use crate::solver::{advance_level_in, SweepScratch, NGROW};
 use crate::state::NCOMP;
 use crate::tagging::{tag_gradients, TagCriteria};
 use crate::timestep::{cfl_dt, limit_dt, TimestepControl};
@@ -101,6 +112,8 @@ pub struct AmrSim {
     cfg: AmrConfig,
     eos: GammaLaw,
     levels: Vec<Level>,
+    /// One copy plan per level, rebuilt whenever the grids change.
+    plans: Vec<LevelPlan>,
     time: f64,
     step: u64,
     dt_prev: Option<f64>,
@@ -113,6 +126,21 @@ impl AmrSim {
     /// then up to `max_level` finer levels from iterative initial tagging,
     /// each initialized analytically (the AMReX init-regrid cycle).
     pub fn new(cfg: AmrConfig) -> Self {
+        let mut sim = Self::unrefined(cfg);
+        for lev in 0..sim.cfg.max_level {
+            sim.replan();
+            sim.fill_ghosts(lev);
+            if !sim.refine_initial(lev) {
+                break;
+            }
+        }
+        sim.replan();
+        sim.average_down_all();
+        sim
+    }
+
+    /// Level 0 alone, initialized, with no plans yet.
+    fn unrefined(cfg: AmrConfig) -> Self {
         cfg.grid.validate();
         assert!(cfg.n_cell >= cfg.grid.blocking_factor, "n_cell too small");
         let eos = cfg.problem.eos();
@@ -121,45 +149,43 @@ impl AmrSim {
         let dm0 = DistributionMapping::new(&ba0, cfg.nranks, cfg.strategy);
         let mut mf0 = MultiFab::new(ba0, dm0, NCOMP, NGROW);
         cfg.problem.init_level(&mut mf0, &geom0);
-        let mut sim = Self {
+        Self {
             eos,
             levels: vec![Level {
                 geom: geom0,
                 mf: mf0,
                 steps: 0,
             }],
+            plans: Vec::new(),
             time: 0.0,
             step: 0,
             dt_prev: None,
             scratch: SweepScratch::default(),
             cfg,
-        };
-        // Iterative initial grid generation.
-        for _ in 0..sim.cfg.max_level {
-            let lev = sim.levels.len() - 1;
-            if lev >= sim.cfg.max_level {
-                break;
-            }
-            sim.fill_ghosts(lev);
-            let tags = tag_gradients(&sim.levels[lev].mf, &sim.eos, &sim.cfg.tag);
-            let fine_ba = make_fine_grids(&tags, sim.levels[lev].geom.domain, &sim.cfg.grid);
-            if fine_ba.is_empty() {
-                break;
-            }
-            let fine_geom = sim.levels[lev]
-                .geom
-                .refine(IntVect::splat(sim.cfg.grid.ref_ratio));
-            let dm = DistributionMapping::new(&fine_ba, sim.cfg.nranks, sim.cfg.strategy);
-            let mut mf = MultiFab::new(fine_ba, dm, NCOMP, NGROW);
-            sim.cfg.problem.init_level(&mut mf, &fine_geom);
-            sim.levels.push(Level {
-                geom: fine_geom,
-                mf,
-                steps: 0,
-            });
         }
-        sim.average_down_all();
-        sim
+    }
+
+    /// Tags level `lev` (its ghosts filled) and, if that yields grids,
+    /// adds level `lev + 1` over them, initialized analytically. Returns
+    /// whether it did.
+    fn refine_initial(&mut self, lev: usize) -> bool {
+        let tags = tag_gradients(&self.levels[lev].mf, &self.eos, &self.cfg.tag);
+        let fine_ba = make_fine_grids(&tags, self.levels[lev].geom.domain, &self.cfg.grid);
+        if fine_ba.is_empty() {
+            return false;
+        }
+        let fine_geom = self.levels[lev]
+            .geom
+            .refine(IntVect::splat(self.cfg.grid.ref_ratio));
+        let dm = DistributionMapping::new(&fine_ba, self.cfg.nranks, self.cfg.strategy);
+        let mut mf = MultiFab::new(fine_ba, dm, NCOMP, NGROW);
+        self.cfg.problem.init_level(&mut mf, &fine_geom);
+        self.levels.push(Level {
+            geom: fine_geom,
+            mf,
+            steps: 0,
+        });
+        true
     }
 
     /// Current simulation time.
@@ -187,29 +213,41 @@ impl AmrSim {
         &self.eos
     }
 
-    /// Fills ghost cells of level `lev`: coarse-fine interpolation (from
-    /// `lev-1`), same-level exchange, then physical outflow boundaries.
+    /// Rebuilds every level's copy plan from the current grids.
+    fn replan(&mut self) {
+        let ratio = self.cfg.grid.ref_ratio;
+        let grids = |lev: usize| self.levels.get(lev).map(|l| l.mf.box_array());
+        self.plans = (0..self.levels.len())
+            .map(|lev| {
+                let level = &self.levels[lev];
+                let coarse = lev.checked_sub(1).and_then(grids);
+                LevelPlan::new(coarse, &level.mf, grids(lev + 1), ratio, level.geom.domain)
+            })
+            .collect();
+    }
+
+    /// Fills every ghost cell of level `lev` (corners included): coarse-fine
+    /// interpolation from `lev-1`, same-level exchange, then physical
+    /// outflow boundaries.
     fn fill_ghosts(&mut self, lev: usize) {
         let (coarser, rest) = self.levels.split_at_mut(lev);
-        let level = &mut rest[0];
-        fill_level_ghosts(
-            &mut level.mf,
-            coarser.last().map(|l| &l.mf),
-            self.cfg.grid.ref_ratio,
-            &level.geom.domain,
-        );
+        let coarse = coarser.last().map(|l| &l.mf);
+        for part in ALL_GHOSTS {
+            self.plans[lev].fill(&mut rest[0].mf, coarse, part);
+        }
     }
 
     /// Conservatively averages every fine level onto its parent.
     fn average_down_all(&mut self) {
         for lev in (1..self.levels.len()).rev() {
-            let (coarse_slice, fine_slice) = self.levels.split_at_mut(lev);
-            average_down(
-                &fine_slice[0].mf,
-                &mut coarse_slice[lev - 1].mf,
-                self.cfg.grid.ref_ratio,
-            );
+            self.average_down(lev);
         }
+    }
+
+    /// Averages level `lev` onto level `lev - 1`.
+    fn average_down(&mut self, lev: usize) {
+        let (coarse, fine) = self.levels.split_at_mut(lev);
+        self.plans[lev - 1].average_down(&fine[0].mf, &mut coarse[lev - 1].mf);
     }
 
     /// Advances the whole hierarchy by one *coarse* (level-0) step with
@@ -219,12 +257,23 @@ impl AmrSim {
     /// 200-output windows traverse a meaningful fraction of the domain.
     /// Regrids first when the coarse step count calls for it.
     pub fn step(&mut self) -> StepInfo {
-        if self.step > 0 && self.cfg.regrid_int > 0 && self.step.is_multiple_of(self.cfg.regrid_int)
-        {
+        if self.regrid_due() {
             self.regrid();
         }
-        // Coarse dt: the minimum over levels of each level's stable dt
-        // scaled to its coarse equivalent (level l subcycles r^l times).
+        let dt0 = self.next_dt();
+        self.advance_recursive(0, dt0);
+        self.finish_step(dt0)
+    }
+
+    /// Whether this step starts with a regrid.
+    fn regrid_due(&self) -> bool {
+        self.step > 0 && self.cfg.regrid_int > 0 && self.step.is_multiple_of(self.cfg.regrid_int)
+    }
+
+    /// The coarse dt: the minimum over levels of each level's stable dt
+    /// scaled to its coarse equivalent (level l subcycles r^l times),
+    /// limited against the previous step's.
+    fn next_dt(&mut self) -> f64 {
         let r = self.cfg.grid.ref_ratio as f64;
         let mut dt0 = f64::INFINITY;
         for (lev, l) in self.levels.iter().enumerate() {
@@ -233,11 +282,13 @@ impl AmrSim {
         }
         let dt0 = limit_dt(&self.cfg.ctrl, dt0, self.dt_prev);
         self.dt_prev = Some(dt0);
+        dt0
+    }
 
-        self.advance_recursive(0, dt0);
+    /// Advances the clock by `dt0` and summarizes the step.
+    fn finish_step(&mut self, dt0: f64) -> StepInfo {
         self.time += dt0;
         self.step += 1;
-
         StepInfo {
             step: self.step,
             time: self.time,
@@ -253,20 +304,23 @@ impl AmrSim {
     }
 
     /// Advances level `lev` by `dt`, then subcycles the finer level and
-    /// averages it down (Castro's recursive `timeStep`).
+    /// averages it down (Castro's recursive `timeStep`). Each sweep fills
+    /// only the ghost strips it reads, and under a finer level the sweeps
+    /// leave out the cells `average_down` overwrites (see [`LevelPlan`]).
     fn advance_recursive(&mut self, lev: usize, dt: f64) {
-        let ratio = self.cfg.grid.ref_ratio;
         let (coarser, rest) = self.levels.split_at_mut(lev);
-        let level = &mut rest[0];
+        let (level, finer) = rest.split_first_mut().expect("level `lev` exists");
         let coarse = coarser.last().map(|l| &l.mf);
-        let domain = level.geom.domain;
-        advance_level(
+        let plan = &self.plans[lev];
+        let regions = plan.sweeps(&level.mf, finer.first().map(|l| &l.mf));
+        advance_level_in(
             &mut level.mf,
             &level.geom,
             dt,
             &self.eos,
             &mut self.scratch,
-            |m: &mut MultiFab| fill_level_ghosts(m, coarse, ratio, &domain),
+            regions,
+            |m: &mut MultiFab, dir| plan.fill(m, coarse, dir),
         );
         level.steps += 1;
 
@@ -275,12 +329,7 @@ impl AmrSim {
             for _ in 0..r {
                 self.advance_recursive(lev + 1, dt / r as f64);
             }
-            let (coarse_slice, fine_slice) = self.levels.split_at_mut(lev + 1);
-            average_down(
-                &fine_slice[0].mf,
-                &mut coarse_slice[lev].mf,
-                self.cfg.grid.ref_ratio,
-            );
+            self.average_down(lev + 1);
         }
     }
 
@@ -288,21 +337,29 @@ impl AmrSim {
     /// nesting and preserving data (copy where overlapping, interpolate
     /// from the parent elsewhere).
     pub(crate) fn regrid(&mut self) {
-        let max_lev = self.cfg.max_level;
-        let ratio = IntVect::splat(self.cfg.grid.ref_ratio);
-
-        // Tag every level that may spawn a finer one.
-        let top = self.finest_level().min(max_lev.saturating_sub(1));
-        let mut tags: Vec<TagMap> = Vec::with_capacity(top + 1);
-        for lev in 0..=top {
+        for lev in 0..=self.tag_top() {
             self.fill_ghosts(lev);
-            tags.push(tag_gradients(
-                &self.levels[lev].mf,
-                &self.eos,
-                &self.cfg.tag,
-            ));
         }
-        // Nesting: a level must refine wherever its child will refine.
+        self.rebuild(self.tags());
+        self.replan();
+        self.average_down_all();
+    }
+
+    /// The finest level that may spawn a finer one.
+    fn tag_top(&self) -> usize {
+        self.finest_level()
+            .min(self.cfg.max_level.saturating_sub(1))
+    }
+
+    /// The refinement tags of levels `0..=tag_top()`, whose ghosts must be
+    /// filled, with nesting enforced: a level refines wherever its child
+    /// will refine.
+    fn tags(&self) -> Vec<TagMap> {
+        let ratio = IntVect::splat(self.cfg.grid.ref_ratio);
+        let top = self.tag_top();
+        let mut tags: Vec<TagMap> = (0..=top)
+            .map(|lev| tag_gradients(&self.levels[lev].mf, &self.eos, &self.cfg.tag))
+            .collect();
         for lev in (0..top).rev() {
             let mut buffered = tags[lev + 1].coarsen(ratio);
             buffered.buffer(1);
@@ -312,16 +369,23 @@ impl AmrSim {
                 }
             }
         }
+        tags
+    }
 
-        // Build new levels coarse-to-fine. Level 0 is immutable and moves
-        // over as is; each old finer level is consumed as its replacement
-        // is built (level geometry depends only on the level index).
+    /// Replaces levels 1.. with grids made from `tags`, coarse to fine.
+    /// Level 0 is immutable and moves over as is; each old finer level is
+    /// consumed as its replacement is built (level geometry depends only on
+    /// the level index). Leaves the plans stale and coarse levels not yet
+    /// averaged down.
+    fn rebuild(&mut self, tags: Vec<TagMap>) {
+        let max_lev = self.cfg.max_level;
+        let ratio = IntVect::splat(self.cfg.grid.ref_ratio);
         let mut old = std::mem::take(&mut self.levels).into_iter();
         let mut new_levels: Vec<Level> = Vec::with_capacity(max_lev + 1);
         new_levels.push(old.next().expect("level 0 always exists"));
-        for lev in 0..=top {
+        for (lev, tags) in tags.iter().enumerate() {
             let old_fine = old.next();
-            let fine_ba = make_fine_grids(&tags[lev], new_levels[lev].geom.domain, &self.cfg.grid);
+            let fine_ba = make_fine_grids(tags, new_levels[lev].geom.domain, &self.cfg.grid);
             if fine_ba.is_empty() {
                 break;
             }
@@ -365,46 +429,6 @@ impl AmrSim {
             });
         }
         self.levels = new_levels;
-        self.average_down_all();
-    }
-}
-
-/// Ghost fill of one level: coarse-fine interpolation from `coarse` (the
-/// next coarser level, if any), same-level exchange, then physical
-/// outflow boundaries.
-fn fill_level_ghosts(
-    mf: &mut MultiFab,
-    coarse: Option<&MultiFab>,
-    ref_ratio: Coord,
-    domain: &IndexBox,
-) {
-    if let Some(coarse) = coarse {
-        interp_ghosts_from_coarse(mf, coarse, ref_ratio, domain);
-    }
-    mf.fill_boundary();
-    apply_outflow_bc(mf, domain);
-}
-
-/// Piecewise-constant interpolation of coarse data into the ghost region
-/// of every fine fab (cells inside `fine_domain` only).
-pub(crate) fn interp_ghosts_from_coarse(
-    fine: &mut MultiFab,
-    coarse: &MultiFab,
-    ref_ratio: Coord,
-    fine_domain: &IndexBox,
-) {
-    let ngrow = fine.ngrow();
-    for fi in 0..fine.nfabs() {
-        let valid = fine.valid_box(fi);
-        let Some(grown) = valid.grow(ngrow).intersection(fine_domain) else {
-            continue;
-        };
-        let fab = fine.fab_mut(fi);
-        for (cbox, cfab) in coarse.iter() {
-            if let Some(region) = cbox.refine(IntVect::splat(ref_ratio)).intersection(&grown) {
-                inject(fab, cfab, &region, Some(&valid), ref_ratio);
-            }
-        }
     }
 }
 
@@ -416,91 +440,120 @@ pub(crate) fn prolongate(fine: &mut MultiFab, coarse: &MultiFab, ref_ratio: Coor
         let fab = fine.fab_mut(fi);
         for (cbox, cfab) in coarse.iter() {
             if let Some(region) = cbox.refine(IntVect::splat(ref_ratio)).intersection(&valid) {
-                inject(fab, cfab, &region, None, ref_ratio);
+                inject(fab, cfab, &region, ref_ratio);
             }
         }
     }
 }
 
-/// Copies into every cell of `region` except those in `hole` the value of
-/// the coarse cell above it in `cfab`, for every component both fabs
-/// hold. `region` must lie inside `fab` and refine cells of `cfab`.
-fn inject(
-    fab: &mut FArrayBox,
-    cfab: &FArrayBox,
-    region: &IndexBox,
-    hole: Option<&IndexBox>,
-    ref_ratio: Coord,
-) {
-    let (fdom, cdom) = (fab.domain(), cfab.domain());
-    let ncomp = fab.ncomp().min(cfab.ncomp());
-    for (comp, dst) in fab.comps_mut().take(ncomp).enumerate() {
-        let src = cfab.comp(comp);
-        for y in region.lo().y..=region.hi().y {
-            let cy = y.div_euclid(ref_ratio);
-            let hole_x = hole
-                .filter(|h| (h.lo().y..=h.hi().y).contains(&y))
-                .map(|h| (h.lo().x, h.hi().x));
-            for x in runs_outside(region.lo().x, region.hi().x, hole_x)
-                .into_iter()
-                .flatten()
-            {
-                let cp = IntVect::new(x.div_euclid(ref_ratio), cy);
-                dst[fdom.offset(IntVect::new(x, y))] = src[cdom.offset(cp)];
+/// Test oracles: the per-coarse-cell transfers the planned ones must
+/// reproduce bit for bit, and the advance they replace — every ghost
+/// refilled before each sweep by scanning every pair of fabs, every valid
+/// cell swept.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{AmrConfig, AmrSim, StepInfo};
+    use crate::solver::{advance_level, reference::apply_outflow_bc};
+    use amr_mesh::prelude::*;
+    use amr_mesh::Coord;
+
+    /// [`AmrSim::new`] with the reference transfers; builds no plans.
+    pub(crate) fn new(cfg: AmrConfig) -> AmrSim {
+        let mut sim = AmrSim::unrefined(cfg);
+        for lev in 0..sim.cfg.max_level {
+            fill_ghosts(&mut sim, lev);
+            if !sim.refine_initial(lev) {
+                break;
             }
         }
+        average_down_all(&mut sim);
+        sim
     }
-}
 
-/// Conservative average of `fine` onto the overlapping region of
-/// `coarse`: each covered coarse cell becomes the mean of its fine cells.
-/// Coarse cells only partly covered by one fine box are left alone
-/// (alignment makes that rare; skipping it stays conservative).
-pub(crate) fn average_down(fine: &MultiFab, coarse: &mut MultiFab, ref_ratio: Coord) {
-    let r = ref_ratio;
-    let ratio = IntVect::splat(r);
-    let ncomp = coarse.ncomp().min(fine.ncomp());
-    let n = ratio.prod() as f64;
-    for ci in 0..coarse.nfabs() {
-        let fine_region = coarse.valid_box(ci).refine(ratio);
-        let cfab = coarse.fab_mut(ci);
-        let cdom = cfab.domain();
-        for (fbox, ffab) in fine.iter() {
-            let Some(fisect) = fbox.intersection(&fine_region) else {
-                continue;
-            };
-            // Coarse cells whose whole r x r block lies in `fisect`.
-            let (flo, fhi) = (fisect.lo(), fisect.hi());
-            let (lo, hi) = (
-                IntVect::new((flo.x + r - 1).div_euclid(r), (flo.y + r - 1).div_euclid(r)),
-                IntVect::new((fhi.x + 1).div_euclid(r) - 1, (fhi.y + 1).div_euclid(r) - 1),
-            );
-            let fdom = ffab.domain();
-            for (comp, dst) in cfab.comps_mut().take(ncomp).enumerate() {
-                let src = ffab.comp(comp);
-                for cy in lo.y..=hi.y {
-                    for cx in lo.x..=hi.x {
-                        let mut sum = 0.0;
-                        for fy in cy * r..(cy + 1) * r {
-                            let row = fdom.offset(IntVect::new(cx * r, fy));
-                            for v in &src[row..row + r as usize] {
-                                sum += v;
-                            }
-                        }
-                        dst[cdom.offset(IntVect::new(cx, cy))] = sum / n;
+    /// [`AmrSim::step`] with the reference transfers and full sweeps.
+    pub(crate) fn step(sim: &mut AmrSim) -> StepInfo {
+        if sim.regrid_due() {
+            for lev in 0..=sim.tag_top() {
+                fill_ghosts(sim, lev);
+            }
+            sim.rebuild(sim.tags());
+            average_down_all(sim);
+        }
+        let dt0 = sim.next_dt();
+        advance(sim, 0, dt0);
+        sim.finish_step(dt0)
+    }
+
+    fn advance(sim: &mut AmrSim, lev: usize, dt: f64) {
+        let ratio = sim.cfg.grid.ref_ratio;
+        let (coarser, rest) = sim.levels.split_at_mut(lev);
+        let level = &mut rest[0];
+        let coarse = coarser.last().map(|l| &l.mf);
+        let domain = level.geom.domain;
+        advance_level(
+            &mut level.mf,
+            &level.geom,
+            dt,
+            &sim.eos,
+            &mut sim.scratch,
+            |m: &mut MultiFab| fill_level_ghosts(m, coarse, ratio, &domain),
+        );
+        level.steps += 1;
+        if lev + 1 < sim.levels.len() {
+            for _ in 0..ratio {
+                advance(sim, lev + 1, dt / ratio as f64);
+            }
+            let (coarse, fine) = sim.levels.split_at_mut(lev + 1);
+            average_down(&fine[0].mf, &mut coarse[lev].mf, ratio);
+        }
+    }
+
+    fn fill_ghosts(sim: &mut AmrSim, lev: usize) {
+        let (coarser, rest) = sim.levels.split_at_mut(lev);
+        let domain = rest[0].geom.domain;
+        let coarse = coarser.last().map(|l| &l.mf);
+        fill_level_ghosts(&mut rest[0].mf, coarse, sim.cfg.grid.ref_ratio, &domain);
+    }
+
+    fn average_down_all(sim: &mut AmrSim) {
+        for lev in (1..sim.levels.len()).rev() {
+            let (coarse, fine) = sim.levels.split_at_mut(lev);
+            average_down(&fine[0].mf, &mut coarse[lev - 1].mf, sim.cfg.grid.ref_ratio);
+        }
+    }
+
+    /// Every ghost cell of `mf`: coarse injection, then the same-level
+    /// exchange, then outflow boundaries.
+    pub(crate) fn fill_level_ghosts(
+        mf: &mut MultiFab,
+        coarse: Option<&MultiFab>,
+        ref_ratio: Coord,
+        domain: &IndexBox,
+    ) {
+        if let Some(coarse) = coarse {
+            interp_ghosts_from_coarse(mf, coarse, ref_ratio, domain);
+        }
+        fill_boundary(mf);
+        apply_outflow_bc(mf, domain);
+    }
+
+    /// The same-level exchange, one cell at a time over every pair of fabs.
+    fn fill_boundary(mf: &mut MultiFab) {
+        for i in 0..mf.nfabs() {
+            let ghosts = mf.valid_box(i).grow(mf.ngrow());
+            for j in (0..mf.nfabs()).filter(|&j| j != i) {
+                let Some(overlap) = ghosts.intersection(&mf.valid_box(j)) else {
+                    continue;
+                };
+                for p in overlap.cells() {
+                    for comp in 0..mf.ncomp() {
+                        let v = mf.fab(j).get(p, comp);
+                        mf.fab_mut(i).set(p, comp, v);
                     }
                 }
             }
         }
     }
-}
-
-/// Test oracles: the per-coarse-cell transfers the flat ones above must
-/// reproduce bit for bit.
-#[cfg(test)]
-mod reference {
-    use amr_mesh::prelude::*;
-    use amr_mesh::Coord;
 
     pub(crate) fn interp_ghosts_from_coarse(
         fine: &mut MultiFab,
@@ -602,42 +655,14 @@ mod reference {
 mod tests {
     use super::*;
     use crate::state::{UEDEN, URHO};
-    use crate::test_support::{boxed, multifab_bits, random_level};
+    use crate::test_support::{multifab_bits, two_levels};
     use proptest::prelude::*;
 
-    /// A coarse level over a domain with a negative low corner and a fine
-    /// level over an unaligned sub-box of its refinement, both cut into
-    /// many fabs and filled (ghosts included) with random states.
-    fn two_levels(
-        lo: (Coord, Coord),
-        size: (Coord, Coord),
-        sub: (Coord, Coord, Coord, Coord),
-        ratio: Coord,
-        max: Coord,
-        ngrow: Coord,
-        seed: u64,
-    ) -> (MultiFab, MultiFab, IndexBox) {
-        let cdomain = boxed(lo.0, lo.1, size.0, size.1);
-        let coarse = random_level(cdomain, max, ngrow, seed, 3);
-        let fdomain = cdomain.refine(IntVect::splat(ratio));
-        let (fl, fs) = (fdomain.lo(), fdomain.size());
-        let region = boxed(
-            fl.x + sub.0 % fs.x,
-            fl.y + sub.1 % fs.y,
-            1 + sub.2 % fs.x,
-            1 + sub.3 % fs.y,
-        )
-        .intersection(&fdomain)
-        .expect("the sub-box starts inside the fine domain");
-        let fine = random_level(region, max + 1, ngrow, seed ^ 1, 3);
-        (coarse, fine, fdomain)
-    }
-
     proptest! {
-        /// Ghost interpolation, prolongation and averaging down reproduce
-        /// the per-coarse-cell reference transfers bit for bit.
+        /// Prolongation reproduces the per-coarse-cell reference bit for
+        /// bit.
         #[test]
-        fn transfers_match_reference_bits(
+        fn prolongate_matches_reference_bits(
             lo in (-7i64..5, -7i64..5),
             size in (1i64..9, 1i64..9),
             sub in (0i64..64, 0i64..64, 0i64..64, 0i64..64),
@@ -646,23 +671,68 @@ mod tests {
             ngrow in 0i64..3,
             seed in 0u64..u64::MAX,
         ) {
-            let (coarse, fine, fdomain) = two_levels(lo, size, sub, ratio, max, ngrow, seed);
-
-            let (mut a, mut b) = (fine.clone(), fine.clone());
-            interp_ghosts_from_coarse(&mut a, &coarse, ratio, &fdomain);
-            reference::interp_ghosts_from_coarse(&mut b, &coarse, ratio, &fdomain);
-            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "interp");
-
-            let (mut a, mut b) = (fine.clone(), fine.clone());
+            let (coarse, fine, _) = two_levels(lo, size, sub, ratio, max, ngrow, seed);
+            let (mut a, mut b) = (fine.clone(), fine);
             prolongate(&mut a, &coarse, ratio);
             reference::prolongate(&mut b, &coarse, ratio);
-            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "prolongate");
-
-            let (mut a, mut b) = (coarse.clone(), coarse);
-            average_down(&fine, &mut a, ratio);
-            reference::average_down(&fine, &mut b, ratio);
-            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b), "average_down");
+            prop_assert_eq!(multifab_bits(&a), multifab_bits(&b));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        /// The planned advance — copy plans rebuilt at each regrid,
+        /// one-direction ghost fills, no sweep over cells `average_down`
+        /// overwrites — steps random configurations exactly as the
+        /// reference advance does: each step's `dt`, `time` and grids, and
+        /// every valid cell of every level after it, through at least two
+        /// regrids.
+        #[test]
+        fn planned_advance_matches_reference_bits(
+            n_cell_16ths in 1i64..5,
+            max_level in 1usize..4,
+            max_grid_8ths in 1i64..5,
+            nranks in 1usize..5,
+            cfl in 0.3f64..0.6,
+            regrid_int in 1u64..4,
+        ) {
+            let cfg = AmrConfig {
+                n_cell: 16 * n_cell_16ths,
+                max_level,
+                grid: GridParams { max_grid_size: 8 * max_grid_8ths, ..small_cfg().grid },
+                regrid_int,
+                nranks,
+                ctrl: TimestepControl { cfl, init_shrink: 0.5, change_max: 1.4 },
+                ..small_cfg()
+            };
+            let mut sim = AmrSim::new(cfg.clone());
+            let mut oracle = reference::new(cfg);
+            prop_assert_eq!(valid_bits(&sim), valid_bits(&oracle), "initial hierarchy");
+            for step in 0..2 * regrid_int + 2 {
+                let (a, b) = (sim.step(), reference::step(&mut oracle));
+                prop_assert_eq!(
+                    (a.dt.to_bits(), a.time.to_bits(), &a.grids, &a.cells),
+                    (b.dt.to_bits(), b.time.to_bits(), &b.grids, &b.cells),
+                    "step {}", step
+                );
+                prop_assert_eq!(valid_bits(&sim), valid_bits(&oracle), "step {}", step);
+            }
+        }
+    }
+
+    /// Every valid cell's bits, level by level, with each level's grids.
+    fn valid_bits(sim: &AmrSim) -> Vec<(Vec<IndexBox>, Vec<u64>)> {
+        let mut out = Vec::new();
+        for l in sim.levels() {
+            let mut bits = Vec::new();
+            for (valid, fab) in l.mf.iter() {
+                for c in 0..NCOMP {
+                    bits.extend(valid.cells().map(|p| fab.get(p, c).to_bits()));
+                }
+            }
+            out.push((l.mf.box_array().as_slice().to_vec(), bits));
+        }
+        out
     }
 
     fn small_cfg() -> AmrConfig {
@@ -796,28 +866,6 @@ mod tests {
             assert!(l.mf.min(UEDEN) > 0.0);
             assert!(l.mf.min(URHO) > 0.0);
         }
-    }
-
-    #[test]
-    fn average_down_is_mean_of_children() {
-        let geomc = Geometry::unit_square(IntVect::splat(8));
-        let bac = BoxArray::single(geomc.domain);
-        let dmc = DistributionMapping::new(&bac, 1, DistributionStrategy::Sfc);
-        let mut coarse = MultiFab::new(bac, dmc, NCOMP, 0);
-        let baf = BoxArray::single(IndexBox::at_origin(IntVect::splat(4)));
-        let dmf = DistributionMapping::new(&baf, 1, DistributionStrategy::Sfc);
-        let mut fine = MultiFab::new(baf, dmf, NCOMP, 0);
-        // Fine values: 1, 2, 3, 4 in each 2x2 block -> coarse = 2.5.
-        for p in IndexBox::at_origin(IntVect::splat(4)).cells() {
-            let v = 1.0 + (p.x % 2) as f64 + 2.0 * (p.y % 2) as f64;
-            fine.fab_mut(0).set(p, URHO, v);
-        }
-        average_down(&fine, &mut coarse, 2);
-        for p in IndexBox::at_origin(IntVect::splat(2)).cells() {
-            assert_eq!(coarse.fab(0).get(p, URHO), 2.5);
-        }
-        // Uncovered coarse cells untouched.
-        assert_eq!(coarse.fab(0).get(IntVect::new(5, 5), URHO), 0.0);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub(crate) mod amr;
 pub(crate) mod eos;
 pub mod exact_riemann;
 pub(crate) mod oracle;
+pub(crate) mod plan;
 pub(crate) mod riemann;
 pub(crate) mod sedov;
 pub(crate) mod solver;

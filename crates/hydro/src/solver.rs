@@ -26,8 +26,7 @@
 use crate::eos::GammaLaw;
 use crate::riemann::hllc_flux;
 use crate::state::{flux_from, Conserved, Primitive, NCOMP, SMALL_DENS, SMALL_PRES};
-use amr_mesh::{Coord, FArrayBox, Geometry, IndexBox, IntVect, MultiFab};
-use std::ops::Range;
+use amr_mesh::{BoxArray, Coord, FArrayBox, Geometry, IndexBox, IntVect, MultiFab};
 
 /// Ghost-cell width the solver requires.
 pub const NGROW: i64 = 2;
@@ -106,19 +105,6 @@ fn head_mut(rows: &mut [Vec<f64>; NCOMP], len: usize) -> [&mut [f64]; NCOMP] {
 fn conserved_mut(fab: &mut FArrayBox) -> [&mut [f64]; NCOMP] {
     let mut comps = fab.comps_mut();
     std::array::from_fn(|_| comps.next().expect("fab holds NCOMP components"))
-}
-
-/// The x runs of row `[lo, hi]` that lie outside `hole` (inclusive x
-/// bounds), or the whole row when there is no hole.
-pub(crate) fn runs_outside(
-    lo: Coord,
-    hi: Coord,
-    hole: Option<(Coord, Coord)>,
-) -> [Range<Coord>; 2] {
-    match hole {
-        Some((a, b)) => [lo..a.min(hi + 1), (b + 1).max(lo)..hi + 1],
-        None => [lo..hi + 1, 0..0],
-    }
 }
 
 impl SweepScratch {
@@ -353,18 +339,48 @@ pub fn advance_level<F>(
 ) where
     F: FnMut(&mut MultiFab),
 {
+    let whole: Vec<[Vec<IndexBox>; 2]> =
+        mf.box_array().iter().map(|&v| [vec![v], vec![v]]).collect();
+    advance_level_in(mf, geom, dt, eos, scratch, &whole, |m, _| fill_ghosts(m));
+}
+
+/// [`advance_level`] over part of each fab: `regions[i][dir]` are the
+/// boxes of fab `i` that the sweep along `dir` updates, floors included,
+/// and `fill_ghosts(mf, dir)` fills at least the ghosts that sweep reads.
+/// Two boxes of one fab must not put cells of one lane fewer than
+/// [`NGROW`] cells apart, or the later pencil reads the earlier one's
+/// updated cells.
+pub(crate) fn advance_level_in<F>(
+    mf: &mut MultiFab,
+    geom: &Geometry,
+    dt: f64,
+    eos: &GammaLaw,
+    scratch: &mut SweepScratch,
+    regions: &[[Vec<IndexBox>; 2]],
+    mut fill_ghosts: F,
+) where
+    F: FnMut(&mut MultiFab, usize),
+{
     assert_eq!(mf.ncomp(), NCOMP, "advance_level: wrong component count");
     assert!(mf.ngrow() >= NGROW, "advance_level: need {NGROW} ghosts");
+    assert_eq!(
+        regions.len(),
+        mf.nfabs(),
+        "advance_level: one region list per fab"
+    );
     let dx = geom.dx();
     #[allow(clippy::needless_range_loop)] // `dir` is a spatial dimension, not an index
     for dir in 0..2 {
-        fill_ghosts(mf);
+        fill_ghosts(mf, dir);
         let dt_over_dx = dt / dx[dir];
-        for i in 0..mf.nfabs() {
-            let valid = mf.valid_box(i);
+        for (i, boxes) in regions.iter().enumerate() {
             let fab = mf.fab_mut(i);
-            sweep_fab(fab, &valid, dir, dt_over_dx, eos, scratch);
-            enforce_floors(fab, &valid);
+            for b in &boxes[dir] {
+                sweep_fab(fab, b, dir, dt_over_dx, eos, scratch);
+            }
+            for b in &boxes[dir] {
+                enforce_floors(fab, b);
+            }
         }
     }
 }
@@ -392,28 +408,29 @@ fn enforce_floors(fab: &mut FArrayBox, valid: &IndexBox) {
 /// Fills ghost cells lying outside `domain` with the nearest interior
 /// value (outflow / zero-gradient boundary, Castro BC code 2).
 pub fn apply_outflow_bc(mf: &mut MultiFab, domain: &IndexBox) {
+    let inside = BoxArray::single(*domain);
     for fab in mf.fabs_mut() {
-        outflow_fab(fab, domain);
+        for region in inside.complement_in(&fab.domain()) {
+            outflow(fab, &region, domain);
+        }
     }
 }
 
-/// [`apply_outflow_bc`] on one fab: visits only the cells outside
-/// `domain`, copying from the clamped source when this fab holds it.
-fn outflow_fab(fab: &mut FArrayBox, domain: &IndexBox) {
+/// [`apply_outflow_bc`] on the cells of `region`, which lie in `fab` and
+/// outside `domain`: each copies the clamped cell inside `domain` when
+/// `fab` holds it. The sources lie inside `domain`, so the cells may be
+/// filled in any order.
+pub(crate) fn outflow(fab: &mut FArrayBox, region: &IndexBox, domain: &IndexBox) {
     let g = fab.domain();
-    if domain.contains_box(&g) {
-        return;
-    }
     let (dlo, dhi) = (domain.lo(), domain.hi());
     let at = |x: Coord, y: Coord| g.offset(IntVect::new(x, y));
     for comp in fab.comps_mut().take(NCOMP) {
-        for y in g.lo().y..=g.hi().y {
+        for y in region.lo().y..=region.hi().y {
             let cy = y.clamp(dlo.y, dhi.y);
             if !(g.lo().y..=g.hi().y).contains(&cy) {
                 continue;
             }
-            let hole = (dlo.y..=dhi.y).contains(&y).then_some((dlo.x, dhi.x));
-            for x in runs_outside(g.lo().x, g.hi().x, hole).into_iter().flatten() {
+            for x in region.lo().x..=region.hi().x {
                 let cx = x.clamp(dlo.x, dhi.x);
                 if (g.lo().x..=g.hi().x).contains(&cx) {
                     comp[at(x, y)] = comp[at(cx, cy)];
@@ -426,7 +443,7 @@ fn outflow_fab(fab: &mut FArrayBox, domain: &IndexBox) {
 /// Test oracles: the per-cell sweep, floors and outflow fill the flat
 /// kernels above must reproduce bit for bit.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use crate::eos::GammaLaw;
     use crate::riemann::reference::hllc_flux;
     use crate::state::{flux, Conserved, Primitive, NCOMP, UEDEN, UMX, UMY, URHO};

@@ -143,3 +143,32 @@ pub(crate) fn multifab_bits(mf: &MultiFab) -> Vec<u64> {
 pub(crate) fn fab_bits(fab: &FArrayBox) -> Vec<u64> {
     fab.as_slice().iter().map(|v| v.to_bits()).collect()
 }
+
+/// A coarse level over a domain with a negative low corner and a fine
+/// level over an unaligned sub-box of its refinement, both cut into many
+/// fabs and filled (ghosts included) with random states; with the fine
+/// level's domain.
+pub(crate) fn two_levels(
+    lo: (Coord, Coord),
+    size: (Coord, Coord),
+    sub: (Coord, Coord, Coord, Coord),
+    ratio: Coord,
+    max: Coord,
+    ngrow: Coord,
+    seed: u64,
+) -> (MultiFab, MultiFab, IndexBox) {
+    let cdomain = boxed(lo.0, lo.1, size.0, size.1);
+    let coarse = random_level(cdomain, max, ngrow, seed, 3);
+    let fdomain = cdomain.refine(IntVect::splat(ratio));
+    let (fl, fs) = (fdomain.lo(), fdomain.size());
+    let region = boxed(
+        fl.x + sub.0 % fs.x,
+        fl.y + sub.1 % fs.y,
+        1 + sub.2 % fs.x,
+        1 + sub.3 % fs.y,
+    )
+    .intersection(&fdomain)
+    .expect("the sub-box starts inside the fine domain");
+    let fine = random_level(region, max + 1, ngrow, seed ^ 1, 3);
+    (coarse, fine, fdomain)
+}
