@@ -552,14 +552,8 @@ impl ExperimentSpec {
             }
             cell.coords = matrix_cell.coords;
             cell.config.name = matrix_cell.label;
-            // One value tree, hashed twice: as labelled, then (the solo
-            // key) unlabelled at tenancy 1.
-            let mut config = serde_json::to_value(&cell.config);
-            cell.key = cell_key(&config, cell.storage.as_ref(), cell.tenants);
-            if let Some(name) = config.get_mut("name") {
-                *name = Value::String(String::new());
-            }
-            cell.solo_key = cell_key(&config, cell.storage.as_ref(), 1);
+            let config = serde_json::to_value(&cell.config);
+            (cell.key, cell.solo_key) = cell_keys(&config, cell.storage.as_ref(), cell.tenants);
             cells.push(cell);
         }
         Ok(cells)
@@ -623,19 +617,65 @@ impl ExperimentSpec {
     }
 }
 
-/// Content key of a compiled cell: [`Fnv1a`] over the canonical config
-/// JSON plus the storage/tenancy half, `{json}|{storage}|{tenants}`.
-/// Deterministic across processes (no hasher randomization), so stores
-/// written yesterday resume today. The JSON is printed straight into
-/// the hash; a config the printer refuses hashes as empty JSON.
-fn cell_key(config: &Value, storage: Option<&StorageProfile>, tenants: usize) -> String {
-    let mut fnv = Fnv1a::default();
-    if serde_json::to_writer(&mut fnv, config).is_err() {
-        fnv = Fnv1a::default();
+/// Content keys of a compiled cell: [`Fnv1a`] over the canonical config
+/// JSON plus the storage/tenancy half, `{json}|{storage}|{tenants}` — as
+/// labelled (the cell key), and with an empty `name` at tenancy 1 (the
+/// solo key). Deterministic across processes (no hasher randomization),
+/// so stores written yesterday resume today. The JSON is printed straight
+/// into the hashes: both JSONs open with the `name` entry and share all
+/// that follows it, which is printed once into both. A config the printer
+/// refuses hashes as empty JSON.
+fn cell_keys(config: &Value, storage: Option<&StorageProfile>, tenants: usize) -> (String, String) {
+    let Value::Object(entries) = config else {
+        unreachable!("a config serializes to an object")
+    };
+    let ((first, name), rest) = entries.split_first().expect("a config has fields");
+    assert_eq!(first, "name", "a config serializes its name first");
+    let mut keys = FnvPair([
+        Fnv1a::default().then(b"{\"name\":"),
+        Fnv1a::default().then(b"{\"name\":\"\""),
+    ]);
+    let printed = serde_json::to_writer(&mut keys.0[0], name).and_then(|()| {
+        for (key, value) in rest {
+            keys.absorb(b",");
+            serde_json::to_writer(&mut keys, key)?;
+            keys.absorb(b":");
+            serde_json::to_writer(&mut keys, value)?;
+        }
+        keys.absorb(b"}");
+        Ok(())
+    });
+    if printed.is_err() {
+        keys = FnvPair([Fnv1a::default(); 2]);
     }
     let storage = storage.map(StorageProfile::name).unwrap_or_default();
-    let _ = write!(fnv, "|{storage}|{tenants}");
-    format!("{:016x}", fnv.0)
+    let [mut key, mut solo] = keys.0;
+    let _ = write!(key, "|{storage}|{tenants}");
+    let _ = write!(solo, "|{storage}|1");
+    (format!("{:016x}", key.0), format!("{:016x}", solo.0))
+}
+
+/// Two FNV-1a hashes continued over the same bytes in one pass.
+struct FnvPair([Fnv1a; 2]);
+
+impl FnvPair {
+    fn absorb(&mut self, bytes: &[u8]) {
+        let [a, b] = &mut self.0;
+        for byte in bytes.chunks(1) {
+            (*a, *b) = (a.then(byte), b.then(byte));
+        }
+    }
+}
+
+impl std::io::Write for FnvPair {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.absorb(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn parse_base(section: &TomlSection) -> Result<CastroSedovConfig, SpecError> {
@@ -971,6 +1011,28 @@ mod tests {
             .compile()
             .unwrap();
         assert_ne!(stored[0].key, a[0].key);
+    }
+
+    #[test]
+    fn keys_are_the_labelled_and_the_unlabelled_json_hashed_whole() {
+        let hash = |text: &str| format!("{:016x}", Fnv1a::default().then(text.as_bytes()).0);
+        let cfg = base("k");
+        let json = serde_json::to_string(&cfg).unwrap();
+        let solo = serde_json::to_string(&base("")).unwrap();
+        assert_eq!(
+            cell_keys(&serde_json::to_value(&cfg), None, 3),
+            (hash(&format!("{json}||3")), hash(&format!("{solo}||1")))
+        );
+        // A config the printer refuses hashes as empty JSON.
+        let refused = CastroSedovConfig {
+            stop_time: f64::NAN,
+            ..cfg
+        };
+        assert!(serde_json::to_string(&refused).is_err());
+        assert_eq!(
+            cell_keys(&serde_json::to_value(&refused), None, 3),
+            (hash("||3"), hash("||1"))
+        );
     }
 
     #[test]
