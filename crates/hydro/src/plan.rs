@@ -371,18 +371,25 @@ fn average_block(cfab: &mut FArrayBox, ffab: &FArrayBox, region: &IndexBox, r: C
     let ncomp = cfab.ncomp().min(ffab.ncomp());
     let n = (r * r) as f64;
     let (lo, hi) = (region.lo(), region.hi());
+    let (nx, fine_width, ru) = (
+        region.length(0) as usize,
+        fdom.length(0) as usize,
+        r as usize,
+    );
     for (comp, dst) in cfab.comps_mut().take(ncomp).enumerate() {
         let src = ffab.comp(comp);
         for cy in lo.y..=hi.y {
-            for cx in lo.x..=hi.x {
+            let out = cdom.offset(IntVect::new(lo.x, cy));
+            let block_row = fdom.offset(IntVect::new(lo.x * r, cy * r));
+            for (k, d) in dst[out..out + nx].iter_mut().enumerate() {
                 let mut sum = 0.0;
-                for fy in cy * r..(cy + 1) * r {
-                    let row = fdom.offset(IntVect::new(cx * r, fy));
-                    for v in &src[row..row + r as usize] {
+                for fy in 0..ru {
+                    let row = block_row + fy * fine_width + k * ru;
+                    for v in &src[row..row + ru] {
                         sum += v;
                     }
                 }
-                dst[cdom.offset(IntVect::new(cx, cy))] = sum / n;
+                *d = sum / n;
             }
         }
     }

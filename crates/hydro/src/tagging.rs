@@ -29,22 +29,33 @@ impl Default for TagCriteria {
 }
 
 /// Tags cells of a level whose density or pressure gradient exceeds the
-/// criteria. Ghost cells must be filled (1 layer used).
+/// criteria. Ghost cells must be filled (1 layer used). Each cell the test
+/// reads is converted to primitives once per fab, not once per neighbour.
 pub(crate) fn tag_gradients(mf: &MultiFab, eos: &GammaLaw, crit: &TagCriteria) -> TagMap {
     let mut tags = TagMap::new(mf.box_array().minimal_box());
+    // Density and pressure per fab cell, indexed like the fab's slices.
+    let mut w: Vec<(f64, f64)> = Vec::new();
     for (valid, fab) in mf.iter() {
         let dom = fab.domain();
         let (lo, hi) = (dom.lo(), dom.hi());
         let width = dom.length(0) as usize;
         let [rho, mx, my, e] = [URHO, UMX, UMY, UEDEN].map(|c| fab.comp(c));
-        let prim = |k: usize| Conserved::new(rho[k], mx[k], my[k], e[k]).to_primitive(eos);
+        w.resize(dom.num_pts() as usize, (0.0, 0.0));
+        let read = valid
+            .grow(1)
+            .intersection(&dom)
+            .expect("a fab holds its valid box");
+        for k in fab.rows(&read).flatten() {
+            let prim = Conserved::new(rho[k], mx[k], my[k], e[k]).to_primitive(eos);
+            w[k] = (prim.rho, prim.p);
+        }
         for (row, y) in fab.rows(&valid).zip(valid.lo().y..) {
             for (k, x) in row.zip(valid.lo().x..) {
-                let w = prim(k);
+                let (r0, p0) = w[k];
                 let steep = |q: usize| {
-                    let wn = prim(q);
-                    (wn.rho - w.rho).abs() / w.rho.max(1e-300) > crit.dengrad_rel
-                        || (wn.p - w.p).abs() / w.p.max(1e-300) > crit.presgrad_rel
+                    let (r, p) = w[q];
+                    (r - r0).abs() / r0.max(1e-300) > crit.dengrad_rel
+                        || (p - p0).abs() / p0.max(1e-300) > crit.presgrad_rel
                 };
                 // Neighbours +x, -x, +y, -y, where the fab holds them.
                 if (x < hi.x && steep(k + 1))
