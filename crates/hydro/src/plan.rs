@@ -29,12 +29,14 @@
 use crate::solver::{outflow, NGROW};
 use amr_mesh::prelude::*;
 
-/// The ghost-fill part of the x-strips (the x sweep's ghosts).
+/// The ghost-fill parts: the sweep along direction `d` reads only part
+/// `d`, and the corners' outflow cells copy strip cells, so the corners
+/// come last.
 const X_STRIPS: usize = 0;
-/// The ghost-fill part of the corners, read by no sweep.
+const Y_STRIPS: usize = 1;
 const CORNERS: usize = 2;
-/// Every ghost-fill part: x-strips, y-strips, corners.
-pub(crate) const ALL_GHOSTS: [usize; 3] = [X_STRIPS, 1, CORNERS];
+/// Every ghost-fill part, in the order a full fill applies them.
+pub(crate) const ALL_GHOSTS: [usize; 3] = [X_STRIPS, Y_STRIPS, CORNERS];
 
 /// The transfers that fill one part of every fab's ghost region, applied
 /// in field order.
@@ -170,11 +172,11 @@ fn ghost_boxes(valid: &IndexBox, ngrow: Coord, part: usize) -> Vec<IndexBox> {
     let above = |v: Coord| (v + 1, v + ngrow);
     let (xs, ys) = match part {
         X_STRIPS => (vec![below(lo.x), above(hi.x)], vec![(lo.y, hi.y)]),
-        CORNERS => (
+        Y_STRIPS => (vec![(lo.x, hi.x)], vec![below(lo.y), above(hi.y)]),
+        _ => (
             vec![below(lo.x), above(hi.x)],
             vec![below(lo.y), above(hi.y)],
         ),
-        _ => (vec![(lo.x, hi.x)], vec![below(lo.y), above(hi.y)]),
     };
     ys.iter()
         .flat_map(|&(ylo, yhi)| {
