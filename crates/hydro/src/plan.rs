@@ -40,7 +40,7 @@ pub(crate) const ALL_GHOSTS: [usize; 3] = [X_STRIPS, Y_STRIPS, CORNERS];
 
 /// The transfers that fill one part of every fab's ghost region, applied
 /// in field order.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct GhostFill {
     /// Coarse fab `src` into fab `dst` over `region`: ghost cells inside
     /// the domain that no sibling's valid box covers.
@@ -54,7 +54,6 @@ struct GhostFill {
 
 /// Everything a level's advance, ghost fill and average-down need to know
 /// about its grids and its neighbours' grids.
-#[derive(Debug)]
 pub(crate) struct LevelPlan {
     /// The coarser level's grids (`None` at level 0).
     coarse: Option<BoxArray>,
