@@ -336,7 +336,7 @@ impl AmrSim {
     /// Re-tags all levels and rebuilds levels 1..=max_level, enforcing
     /// nesting and preserving data (copy where overlapping, interpolate
     /// from the parent elsewhere).
-    pub(crate) fn regrid(&mut self) {
+    fn regrid(&mut self) {
         for lev in 0..=self.tag_top() {
             self.fill_ghosts(lev);
         }
