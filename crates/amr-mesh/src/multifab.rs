@@ -272,7 +272,7 @@ mod tests {
         }
 
         /// The planned exchange writes what the pairwise scan writes, on
-        /// levels cut unevenly into fabs of every size down to one cell.
+        /// levels cut into fabs of any size down to one cell.
         #[test]
         fn fill_boundary_matches_reference(
             lo in (-6i64..6, -6i64..6),

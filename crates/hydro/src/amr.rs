@@ -680,7 +680,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
         /// The planned advance — copy plans rebuilt at each regrid,
         /// one-direction ghost fills, no sweep over cells `average_down`
         /// overwrites — steps random configurations exactly as the
