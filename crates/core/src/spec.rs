@@ -552,8 +552,8 @@ impl ExperimentSpec {
             }
             cell.coords = matrix_cell.coords;
             cell.config.name = matrix_cell.label;
-            let config = serde_json::to_value(&cell.config);
-            (cell.key, cell.solo_key) = cell_keys(&config, cell.storage.as_ref(), cell.tenants);
+            (cell.key, cell.solo_key) =
+                cell_keys(&cell.config, cell.storage.as_ref(), cell.tenants);
             cells.push(cell);
         }
         Ok(cells)
@@ -625,8 +625,12 @@ impl ExperimentSpec {
 /// into the hashes: both JSONs open with the `name` entry and share all
 /// that follows it, which is printed once into both. A config the printer
 /// refuses hashes as empty JSON.
-fn cell_keys(config: &Value, storage: Option<&StorageProfile>, tenants: usize) -> (String, String) {
-    let Value::Object(entries) = config else {
+fn cell_keys(
+    config: &CastroSedovConfig,
+    storage: Option<&StorageProfile>,
+    tenants: usize,
+) -> (String, String) {
+    let Value::Object(entries) = serde_json::to_value(config) else {
         unreachable!("a config serializes to an object")
     };
     let ((first, name), rest) = entries.split_first().expect("a config has fields");
@@ -1020,7 +1024,7 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let solo = serde_json::to_string(&base("")).unwrap();
         assert_eq!(
-            cell_keys(&serde_json::to_value(&cfg), None, 3),
+            cell_keys(&cfg, None, 3),
             (hash(&format!("{json}||3")), hash(&format!("{solo}||1")))
         );
         // A config the printer refuses hashes as empty JSON.
@@ -1029,10 +1033,7 @@ mod tests {
             ..cfg
         };
         assert!(serde_json::to_string(&refused).is_err());
-        assert_eq!(
-            cell_keys(&serde_json::to_value(&refused), None, 3),
-            (hash("||3"), hash("||1"))
-        );
+        assert_eq!(cell_keys(&refused, None, 3), (hash("||3"), hash("||1")));
     }
 
     #[test]
