@@ -6,7 +6,10 @@
 //! without a storage model. The booleans are deprecated spelling, not a
 //! second code path.
 
-use amr_proxy_io::amrproxy::{run_simulation, CastroSedovConfig, Engine, RunResult};
+use amr_proxy_io::amrproxy::{
+    run_campaign_serial, run_campaign_timed_serial, run_simulation, CastroSedovConfig, Engine,
+    RunResult,
+};
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, ReadSelection};
 use amr_proxy_io::iosim::StorageModel;
 use proptest::prelude::*;
@@ -143,9 +146,17 @@ proptest! {
         let storage_ref = axes.timed.then_some(&storage);
         let legacy = run_simulation(&legacy_cfg, None, storage_ref);
         let scenario = run_simulation(&scenario_cfg, None, storage_ref);
-        prop_assert_eq!(legacy.config.effective_scenario().name(), compiled.name());
-        prop_assert_eq!(scenario.config.effective_scenario().name(), compiled.name());
         assert_identical(&legacy, &scenario);
+        // The stored scenario column names the compiled scenario for
+        // both spellings.
+        let pair = [legacy_cfg, scenario_cfg];
+        let rows = match storage_ref {
+            Some(storage) => run_campaign_timed_serial(&pair, storage),
+            None => run_campaign_serial(&pair),
+        };
+        for row in &rows {
+            prop_assert_eq!(&row.scenario, &compiled.name());
+        }
     }
 }
 
