@@ -15,7 +15,7 @@ use crate::driver::{try_run_scenario_attached, AmrSource, OracleSource};
 use hydro::StepInfo;
 use io_engine::RunTotals;
 use iosim::{IoTracker, MemFs, StorageModel, Vfs};
-use mpi_sim::{SimClock, SimComm};
+use mpi_sim::{rank_seed, SimClock, SimComm};
 
 /// Everything measured from one run.
 pub struct RunResult {
@@ -97,18 +97,17 @@ pub async fn try_run_simulation_attached(
 }
 
 /// Deterministic per-(seed, rank, step) speed jitter in `[0.97, 1.03)`:
-/// a splitmix64-style hash, so any two distinct `(rank, step)` pairs
-/// draw independent factors — steps 8 apart are as decorrelated as
-/// steps 1 apart (the old draw-burning scheme cycled with period 8).
-/// A pure function of its arguments: no RNG stream is created or
-/// advanced, so it can be evaluated for any rank in any order.
+/// the SplitMix64 finalizer ([`rank_seed`]) of the seed with the rank
+/// and step mixed in, so any two distinct `(rank, step)` pairs draw
+/// independent factors — steps 8 apart are as decorrelated as steps 1
+/// apart (the old draw-burning scheme cycled with period 8). A pure
+/// function of its arguments, so it can be evaluated for any rank in any
+/// order.
 pub(crate) fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
-    let mut z =
-        seed ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = rank_seed(
+        seed ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        0,
+    );
     let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
     0.97 + 0.06 * unit
 }
@@ -124,8 +123,8 @@ pub(crate) fn rank_step_jitter(seed: u64, rank: u64, step: u64) -> f64 {
 /// The barrier is a closed form — a sequential max over the ranks'
 /// jitter hashes, O(ranks) with no allocation — bit-identical to running
 /// a clock per rank through [`SimComm::run`] and reducing with
-/// `allreduce_max`, which a phase that needs no per-rank RNG stream has
-/// no reason to pay for.
+/// `allreduce_max`, without building a context per rank or collecting
+/// the finish times.
 ///
 /// # Panics
 /// Panics as [`SimClock`] does: if `t0` is negative or not finite, or if

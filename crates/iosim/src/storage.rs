@@ -16,8 +16,6 @@
 //! model — byte counts never do.
 
 use mpi_sim::rank_seed;
-use rand::Rng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::server::{EqualSplit, Job, ServerState};
@@ -212,12 +210,12 @@ impl StorageModel {
         for (i, r) in reqs.iter().enumerate() {
             per_server[self.server_of(&r.path)].push((i, 0.0));
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(rank_seed(self.seed, reqs.len()));
+        let mut rng = Xoshiro256::new(rank_seed(self.seed, reqs.len()));
         for (i, work) in per_server.iter_mut().flatten() {
             let noise = if self.variability_sigma > 0.0 {
                 // Lognormal via Box-Muller on two uniform draws.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
+                let u1 = f64::EPSILON + rng.unit() * (1.0 - f64::EPSILON);
+                let u2 = rng.unit();
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                 (self.variability_sigma * z).exp()
             } else {
@@ -231,6 +229,33 @@ impl StorageModel {
             total_bytes: reqs.iter().map(|r| r.bytes).sum(),
             per_file_latency,
         }
+    }
+}
+
+/// xoshiro256** (Blackman and Vigna), the generator of a burst's
+/// lognormal noise. Its four state words are SplitMix64's first four
+/// outputs from `key`, which are `rank_seed(key, 0..4)`; they are never
+/// all zero, because the SplitMix64 finalizer is a bijection that maps
+/// only 0 to 0, and the four inputs differ.
+struct Xoshiro256([u64; 4]);
+
+impl Xoshiro256 {
+    fn new(key: u64) -> Self {
+        Self([0, 1, 2, 3].map(|i| rank_seed(key, i)))
+    }
+
+    /// The next draw, uniform in `[0, 1)` with 53 bits of precision.
+    fn unit(&mut self) -> f64 {
+        let s = &mut self.0;
+        let out = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        (out >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

@@ -1,9 +1,10 @@
 //! Simulated per-rank wall clocks.
 //!
 //! Each simulated MPI rank owns a `SimClock`; compute phases and I/O
-//! operations advance it. Collective synchronization (barriers) aligns all
-//! clocks to the maximum, which is exactly how the paper's "burst" I/O
-//! pattern arises: compute for a while, then everyone writes at once.
+//! operations advance it. A rank loop's barrier is the maximum of its
+//! clocks ([`crate::collectives::allreduce_max`]), which is exactly how
+//! the paper's "burst" I/O pattern arises: compute for a while, then
+//! everyone writes at once.
 
 /// A monotonically advancing simulated clock (seconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -12,11 +13,6 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self { t: 0.0 }
-    }
-
     /// A clock starting at `t` seconds.
     pub fn at(t: f64) -> Self {
         assert!(t.is_finite() && t >= 0.0, "SimClock: bad start time {t}");
@@ -38,25 +34,6 @@ impl SimClock {
         assert!(dt.is_finite() && dt >= 0.0, "SimClock: bad advance {dt}");
         self.t += dt;
     }
-
-    /// Moves the clock forward to `t` if it is currently behind (no-op
-    /// otherwise) — the building block of barrier semantics.
-    #[inline]
-    pub fn set_at_least(&mut self, t: f64) {
-        if t > self.t {
-            self.t = t;
-        }
-    }
-}
-
-/// Synchronizes a set of clocks to their common maximum (an MPI barrier)
-/// and returns that time.
-pub fn barrier(clocks: &mut [SimClock]) -> f64 {
-    let t_max = clocks.iter().map(SimClock::now).fold(0.0, f64::max);
-    for c in clocks.iter_mut() {
-        c.set_at_least(t_max);
-    }
-    t_max
 }
 
 #[cfg(test)]
@@ -65,37 +42,15 @@ mod tests {
 
     #[test]
     fn advance_accumulates() {
-        let mut c = SimClock::new();
+        let mut c = SimClock::at(0.0);
         c.advance(1.5);
         c.advance(0.25);
         assert_eq!(c.now(), 1.75);
     }
 
     #[test]
-    fn set_at_least_is_monotone() {
-        let mut c = SimClock::at(5.0);
-        c.set_at_least(3.0);
-        assert_eq!(c.now(), 5.0);
-        c.set_at_least(7.0);
-        assert_eq!(c.now(), 7.0);
-    }
-
-    #[test]
-    fn barrier_aligns_to_max() {
-        let mut clocks = vec![SimClock::at(1.0), SimClock::at(4.0), SimClock::at(2.5)];
-        let t = barrier(&mut clocks);
-        assert_eq!(t, 4.0);
-        assert!(clocks.iter().all(|c| c.now() == 4.0));
-    }
-
-    #[test]
-    fn barrier_of_empty_is_zero() {
-        assert_eq!(barrier(&mut []), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "bad advance")]
     fn negative_advance_panics() {
-        SimClock::new().advance(-1.0);
+        SimClock::at(0.0).advance(-1.0);
     }
 }

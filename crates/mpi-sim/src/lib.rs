@@ -5,26 +5,27 @@
 //! rank owns which data, (b) when ranks synchronize, and (c) how long each
 //! rank's compute and I/O phases take. This crate provides exactly that:
 //!
-//! * [`SimComm`] — the world of ranks with a Summit-like node topology;
-//! * [`RankCtx`] — per-rank clock and deterministic RNG stream;
-//! * [`clock::barrier`] — synchronization that produces the "burst" I/O
-//!   timing pattern the paper describes;
-//! * [`collectives`] — the max-reduction over a rank loop's results;
+//! * [`SimComm`] — the world of ranks and the seed their values derive
+//!   from;
+//! * [`RankCtx`] — a rank's id and simulated clock inside a rank loop;
+//! * [`collectives`] — the max-reduction over a rank loop's results,
+//!   which is the barrier that produces the "burst" I/O timing pattern
+//!   the paper describes;
+//! * [`rank_seed`] — the SplitMix64 hash of `(seed, rank)` that per-rank
+//!   jitter and `iosim`'s storage noise draw from;
 //! * [`NetworkModel`] — per-link bandwidth/latency with a
 //!   transfer-timing API on the simulated clock, for in-transit
 //!   streaming backends that ship steps over the interconnect instead
 //!   of through storage.
 //!
 //! Rank loops run the ranks in order and are bit-reproducible: each
-//! rank's context is derived only from `(seed, rank)`. [`SimComm::run`]
-//! seeds one ChaCha stream per rank per call, so it is for closures that
-//! use the per-rank RNG or clock; a per-rank value computable from
-//! `(seed, rank)` alone is cheaper as a plain loop (see [`comm`]).
+//! rank's context is derived only from `(t0, rank)`. A per-rank value
+//! computable from `(seed, rank)` alone is cheaper as a plain loop (see
+//! [`comm`]).
 //!
 //! **Layer position:** the very bottom of the workspace — no other
 //! workspace crate sits below it; `iosim` and the workloads build on its
-//! clocks and rank streams. Key types: [`SimComm`], [`RankCtx`],
-//! [`SimClock`].
+//! clocks and seeds. Key types: [`SimComm`], [`RankCtx`], [`SimClock`].
 //!
 //! ```
 //! use mpi_sim::{collectives::allreduce_max, SimComm};
@@ -47,7 +48,7 @@ pub mod comm;
 pub mod network;
 pub mod rng;
 
-pub use clock::{barrier, SimClock};
+pub use clock::SimClock;
 pub use comm::{RankCtx, SimComm};
 pub use network::NetworkModel;
-pub use rng::{rank_rng, rank_seed};
+pub use rng::rank_seed;

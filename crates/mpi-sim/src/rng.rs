@@ -1,14 +1,13 @@
-//! Deterministic per-rank random-number streams.
+//! Deterministic per-rank seeds.
 //!
-//! Every simulated rank derives an independent RNG stream from a global
-//! seed and its rank id, so experiments are reproducible regardless of how
-//! many threads execute the rank loop.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! Every simulated rank derives an independent 64-bit seed from a global
+//! seed and its rank id, so experiments are reproducible regardless of
+//! the order in which the ranks are evaluated.
 
 /// Mixes a global seed with a rank id into an independent 64-bit seed
 /// (SplitMix64 finalizer, which decorrelates consecutive ranks).
+/// `rank_seed(s, 0..n)` are SplitMix64's first `n` outputs from state `s`.
+#[inline]
 pub fn rank_seed(global_seed: u64, rank: usize) -> u64 {
     let mut z = global_seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(rank as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -16,15 +15,9 @@ pub fn rank_seed(global_seed: u64, rank: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A seeded RNG for one rank.
-pub fn rank_rng(global_seed: u64, rank: usize) -> StdRng {
-    StdRng::seed_from_u64(rank_seed(global_seed, rank))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn seeds_differ_across_ranks() {
@@ -38,27 +31,5 @@ mod tests {
     #[test]
     fn seeds_differ_across_global_seeds() {
         assert_ne!(rank_seed(1, 0), rank_seed(2, 0));
-    }
-
-    #[test]
-    fn streams_are_reproducible() {
-        let a: Vec<f64> = {
-            let mut rng = rank_rng(7, 3);
-            (0..8).map(|_| rng.gen::<f64>()).collect()
-        };
-        let b: Vec<f64> = {
-            let mut rng = rank_rng(7, 3);
-            (0..8).map(|_| rng.gen::<f64>()).collect()
-        };
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streams_are_decorrelated() {
-        let mut r0 = rank_rng(7, 0);
-        let mut r1 = rank_rng(7, 1);
-        let a: Vec<u64> = (0..8).map(|_| r0.gen::<u64>()).collect();
-        let b: Vec<u64> = (0..8).map(|_| r1.gen::<u64>()).collect();
-        assert_ne!(a, b);
     }
 }
